@@ -125,6 +125,27 @@ def main():
     print(f"beta=1.2: A0={fmt(2*(b-1)+e0)} (= beta-1/2 = {fmt(b-mp.mpf(1)/2)}), "
           f"B0={fmt((2*(b-1)+e0)*(1-e0))} (= (beta-1/2)^2 = {fmt((b-mp.mpf(1)/2)**2)})")
 
+    print("\n# cell and tail moments  int r^c (1+r^2)^(-d) dr  on the m = 2048,")
+    print("# delta = 1e-3 grid r = tan(theta): cells 0, 1023, 2046, then [R, inf)")
+    # With t = 1/(1+r^2) the moment is (1/2) int_{t(r1)}^{t(r0)} of the beta
+    # density t^(a-1) (1-t)^(b-1), a = d - (c+1)/2, b = (c+1)/2; mpmath's
+    # incomplete beta stays exact where tanh-sinh quadrature of the steep
+    # integrand (d >= 10) does not.  The grid nodes are the float64 values
+    # the package builds.
+    import numpy as np
+    r = np.tan(np.linspace(0.0, np.pi / 2.0 - 1e-3, 2048))
+    t = [1 / (1 + mp.mpf(float(x)) ** 2) for x in r]
+    spans = [(t[j + 1], t[j]) for j in (0, 1023, 2046)] + [(mp.mpf(0), t[-1])]
+    print("_MOMENT_PINS = {")
+    for d in ("1.2", "2.5", "5", "10", "50"):
+        for c in (0, 1, 2):
+            a, b = mp.mpf(d) - mp.mpf(c + 1) / 2, mp.mpf(c + 1) / 2
+            vals = [mp.betainc(a, b, lo, hi) / 2 for lo, hi in spans]
+            if a <= 0:  # the tail moment diverges
+                vals[-1] = None
+            row = ", ".join("None" if v is None else fmt(v) for v in vals)
+            print(f"    ({c}, {d}): ({row}),")
+    print("}")
 
 if __name__ == "__main__":
     main()

@@ -1,8 +1,10 @@
 """Command-line front end: gap, sweep, verify, deficit, rayleigh, sample.
 
-Exit codes: 0 success, 1 configuration error, 2 tolerance failure.  Flags
-override a plain-text key=value config file (--config); --out defaults into
-the directory named by the CAUCHYGAP_OUTDIR environment variable.
+Exit codes: 0 success, 1 configuration error, 2 tolerance failure,
+3 numerical breakdown (a mode problem's matrices underflow or lose
+definiteness).  Flags override a plain-text key=value config file
+(--config); --out defaults into the directory named by the CAUCHYGAP_OUTDIR
+environment variable.
 """
 from __future__ import annotations
 
@@ -18,13 +20,14 @@ from .functions import make_linear, make_quadratic_centered, make_random_test
 from .measures import MeasureParams, mean_sq_norm, omega_moment, sample
 from .quadrature import VERIFY_GRID, lowfact_sign_check, verify_all
 from .semigroup import DeficitMismatch, deficit
-from .spectral import (Discretization, gap_sweep, numeric_gap,
-                       rayleigh_quotient_1d, rayleigh_quotient_power,
-                       write_sweep_csv)
+from .spectral import (Discretization, NumericalBreakdown, gap_sweep,
+                       numeric_gap, rayleigh_quotient_1d,
+                       rayleigh_quotient_power, write_sweep_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_TOLERANCE = 2
+EXIT_NUMERICAL = 3
 
 OUTDIR_ENV = "CAUCHYGAP_OUTDIR"
 
@@ -314,6 +317,9 @@ def main(argv=None) -> int:
     except DeficitMismatch as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
+    except NumericalBreakdown as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,11 +7,10 @@ finite for large beta.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import gammaln
 
 
 @dataclass(frozen=True)
@@ -81,13 +80,6 @@ def mean_sq_norm(params: MeasureParams) -> float:
     return n / (2 * beta - n - 2)
 
 
-def sq_norm_cdf(u, params: MeasureParams):
-    """P(|x|^2 <= u), the regularized incomplete beta I_{u/(1+u)}(n/2, beta - n/2)."""
-    u = np.asarray(u, dtype=float)
-    t = u / (1.0 + u)
-    return betainc(params.n / 2, params.beta - params.n / 2, t)
-
-
 @dataclass(frozen=True)
 class SampleBatch:
     points: np.ndarray  # (count, n)
@@ -116,7 +108,3 @@ def sample(params: MeasureParams, count: int, seed: int) -> SampleBatch:
     s = rng.gamma(shape=(2 * params.beta - params.n) / 2, scale=2.0, size=count)
     points = g / np.sqrt(s)[:, None]
     return SampleBatch(points=points, seed=int(seed), count=int(count), params=params)
-
-
-def replace_beta(params: MeasureParams, beta: float) -> MeasureParams:
-    return dataclasses.replace(params, beta=beta)

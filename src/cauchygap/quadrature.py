@@ -12,8 +12,6 @@ Monte Carlo fallback driven by the exact sampler.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -163,14 +161,6 @@ def _radial_rule(params: MeasureParams, spec: QuadratureSpec,
         trunc = float(support_radius)
     return _radial_rule_cached(params.n, params.beta, spec.nodes, trunc,
                                tuple(sorted(seams)))
-
-
-def integrate_radial(h: Callable[[Array], Array], params: MeasureParams,
-                     spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """int h(|x|) dmu via the compactified radial rule (h identically 1 -> 1)."""
-    r, logw = _radial_rule(params, spec)
-    vals = np.asarray(h(r), dtype=float)
-    return float(np.sum(np.exp(logw) * vals))
 
 
 # ----------------------------------------------------------------------
@@ -541,21 +531,3 @@ def lowfact_epsilon_scan(params: MeasureParams, eps_values,
             worst = max(worst, _rel_err(lhs, rhs))
         rows.append({"eps": eps, "rel_err": worst, "D": D})
     return rows
-
-
-# ----------------------------------------------------------------------
-# Report export.
-
-
-def reports_to_json(reports: list[IdentityReport]) -> str:
-    return json.dumps([vars(r) for r in reports], indent=2, allow_nan=True)
-
-
-def reports_to_csv(reports: list[IdentityReport], path) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["tag", "n", "beta", "lhs", "rhs", "abs_err", "rel_err", "trials"])
-        for r in reports:
-            wr.writerow([r.tag, r.n, "%.17g" % r.beta, "%.17g" % r.lhs,
-                         "%.17g" % r.rhs, "%.17g" % r.abs_err,
-                         "%.17g" % r.rel_err, r.trials])

@@ -22,13 +22,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import sparse as sp_sparse
 from scipy.interpolate import CubicSpline
 
 from .functions import SmoothFunction
 from .measures import MeasureParams, mean_sq_norm
 from .quadrature import _radial_rule, default_nd_spec, integrate_nd, QuadratureSpec
-from .spectral import Discretization, ModeProblem, assemble_mode, lowest_eigs
+from .spectral import (Discretization, ModeProblem, SymBand, assemble_mode,
+                       lowest_eigs)
 
 __all__ = [
     "EvolutionState", "evolve", "default_horizon",
@@ -55,40 +55,17 @@ class EvolutionState:
                          for p in problems))
 
 
-def _is_tridiagonal(M: np.ndarray) -> bool:
-    if M.shape[0] < 3:
-        return True
-    test = M.copy()
-    for k in (-1, 0, 1):
-        idx = np.arange(max(0, -k), min(M.shape[0], M.shape[0] - k))
-        test[idx, idx + k] = 0.0
-    return not np.any(test)
-
-
 class _CNStepper:
     """One mode's Crank-Nicolson step: (B + dt/2 A) v+ = (B - dt/2 A) v-."""
 
     def __init__(self, problem: ModeProblem, dt: float):
-        A, B = problem.A, problem.B
-        self.plus = B + 0.5 * dt * A
-        minus = B - 0.5 * dt * A
-        self.banded = _is_tridiagonal(self.plus)
-        if self.banded:
-            nn = self.plus.shape[0]
-            ab = np.zeros((2, nn))
-            ab[0] = np.diag(self.plus)
-            ab[1, :-1] = np.diag(self.plus, -1)
-            self.factor = sla.cholesky_banded(ab, lower=True)
-            self.minus = sp_sparse.csr_matrix(minus)
-        else:
-            self.factor = sla.cho_factor(self.plus)
-            self.minus = minus
+        A, B = problem.A.band, problem.B.band
+        self.factor = sla.cholesky_banded(B + 0.5 * dt * A, lower=True)
+        self.minus = SymBand(B - 0.5 * dt * A)
 
     def step(self, v: np.ndarray) -> np.ndarray:
-        rhs = self.minus @ v
-        if self.banded:
-            return sla.cho_solve_banded((self.factor, True), rhs)
-        return sla.cho_solve(self.factor, rhs)
+        return sla.cho_solve_banded((self.factor, True), self.minus @ v,
+                                    check_finite=False)
 
 
 def evolve(f0: Sequence[np.ndarray], T: float, dt: float,
@@ -213,28 +190,13 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
     # Crank-Nicolson trajectory with trapezoidal deficit integral
     nsteps = max(1, int(math.ceil(T / dt - 1e-12)))
     steppers = [_CNStepper(p, dt) for p in problems]
-    bfactors = []
-    for p in problems:
-        if _is_tridiagonal(p.B):
-            nn = p.size()
-            ab = np.zeros((2, nn))
-            ab[0] = np.diag(p.B)
-            ab[1, :-1] = np.diag(p.B, -1)
-            bfactors.append(("banded", sla.cholesky_banded(ab, lower=True)))
-        else:
-            bfactors.append(("dense", sla.cho_factor(p.B)))
-
-    amats = [sp_sparse.csr_matrix(p.A) if _is_tridiagonal(p.A) else p.A
-             for p in problems]
+    bfactors = [sla.cholesky_banded(p.B.band, lower=True) for p in problems]
 
     def qval(vlist):
         q = 0.0
-        for A, fac, v in zip(amats, bfactors, vlist):
-            w = A @ v
-            if fac[0] == "banded":
-                y = sla.cho_solve_banded((fac[1], True), w)
-            else:
-                y = sla.cho_solve(fac[1], w)
+        for p, fac, v in zip(problems, bfactors, vlist):
+            w = p.A @ v
+            y = sla.cho_solve_banded((fac, True), w, check_finite=False)
             q += float(w @ y - rho * (v @ w))
         return q
 
@@ -356,7 +318,8 @@ def _radial_route(f: SmoothFunction, params: MeasureParams,
     if profiles is None:
         return None
     if n >= 2 and getattr(f, "angular_mode", None) == 1:
-        return _linear_route(f, params, range_tag)
+        a = f.gradient(np.zeros((1, n)))[0]
+        return _linear_route_value(float(np.linalg.norm(a)), params, range_tag)
     if n == 1 and np.max(np.abs(profiles[1])) > 1e-13 * max(
             1.0, np.max(np.abs(profiles[0]))):
         # mixed parity is out of scope for the closed-form route
@@ -367,7 +330,7 @@ def _radial_route(f: SmoothFunction, params: MeasureParams,
         if not odd_is_linear:
             return None
     prob = assemble_mode(0, params, disc, tail_rays=False)
-    evals, evecs = sla.eigh(prob.A, prob.B)
+    evals, evecs = sla.eigh(prob.A.toarray(), prob.B.toarray())
     K = min(kept, len(evals))
     lam = evals[:K]
     Phi = evecs[:, :K]
@@ -461,13 +424,6 @@ def _linear_route_value(a_norm: float, params: MeasureParams, range_tag: str):
         times = np.atleast_1d(np.asarray(times, dtype=float))
         return amp * np.exp(-decay * times)
 
-    return route, trace
-
-
-def _linear_route(f: SmoothFunction, params: MeasureParams, range_tag: str):
-    a = f.gradient(np.zeros((1, params.n)))[0]
-    route, trace = _linear_route_value(float(np.linalg.norm(a)), params,
-                                       range_tag)
     return route, trace
 
 

@@ -14,6 +14,11 @@ augmented with (i) the constant extension of the last hat function over
 whenever r^k is square-integrable.  Every element integral is evaluated in
 closed form, so A and B are exact Galerkin matrices of the augmented trial
 space and all eigenvalues sit above the true ones (variational principle).
+
+Hats couple only to their neighbours and rays only to the last hat, so A
+and B are symmetric bands of half-width <= 2, kept in LAPACK band storage.
+Every mode size takes one eigensolver: shift-invert Lanczos about a small
+negative shift, through a banded Cholesky factor of A - sigma B.
 """
 
 from __future__ import annotations
@@ -26,13 +31,12 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import linalg as sla
-from scipy import sparse
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .measures import MeasureParams, omega_moment
 
 __all__ = [
-    "Discretization", "ModeProblem", "GapReport",
+    "Discretization", "SymBand", "ModeProblem", "NumericalBreakdown", "GapReport",
     "closed_form_gap", "assemble_mode", "lowest_eigs", "numeric_gap",
     "rayleigh_quotient_power", "rayleigh_quotient_1d", "upper_bound_min",
     "gap_sweep", "write_sweep_csv",
@@ -131,34 +135,45 @@ _XGL, _WGL = leggauss(12)
 _SERIES_TERMS = 26
 
 
-def _series_between(ab: float, bb: float, t0: float, t1: float) -> float:
+def _series_between(ab: float, bb: float, t0, t1):
     """(1/2) int_{t1}^{t0} (1-t)^{bb-1} t^{ab-1} dt by binomial series.
 
     gamma_j, the t^j coefficient of (1-t)^{bb-1}, follows the recurrence
     gamma_j = gamma_{j-1} (j - bb)/j; an exponent ab + j = 0 integrates to a
-    logarithm.  Used on far cells where t0 = 1/(1+r0^2) is small.
+    logarithm.  Used on far cells where t0 = 1/(1+r0^2) is small; t0 and t1
+    are arrays (one entry per cell).
     """
     s, g = 0.0, 1.0
     for j in range(_SERIES_TERMS):
         e = ab + j
         if abs(e) < 1e-13:
-            s += g * math.log(t0 / t1)
+            s = s + g * np.log(t0 / t1)
         else:
-            s += g * (t0 ** e - t1 ** e) / e
+            s = s + g * (t0 ** e - t1 ** e) / e
         g *= (j + 1 - bb) / (j + 1)
     return 0.5 * s
 
 
-def _cell_moments(r0: float, r1: float, cs, d: float):
-    """[int_{r0}^{r1} r^c (1+r^2)^{-d} dr for c in cs], exact to fp precision."""
-    if r1 <= 2.5 * r0 + 0.5:
-        rr = 0.5 * (r1 - r0) * _XGL + 0.5 * (r1 + r0)
-        ww = 0.5 * (r1 - r0) * _WGL
-        base = np.exp(-d * np.log1p(rr * rr))
-        return [float(np.sum(ww * rr ** c * base)) for c in cs]
-    t0 = 1.0 / (1.0 + r0 * r0)
-    t1 = 1.0 / (1.0 + r1 * r1)
-    return [_series_between(d - (c + 1) / 2.0, (c + 1) / 2.0, t0, t1) for c in cs]
+def _cell_moments(r0, r1, cs, d: float) -> np.ndarray:
+    """Row i, column j: int_{r0[j]}^{r1[j]} r^{cs[i]} (1+r^2)^{-d} dr.
+
+    Near cells (r1 <= 2.5 r0 + 0.5) use 12-point Gauss-Legendre, far cells
+    the binomial series in t = 1/(1+r^2); all cells of a kind in one pass.
+    """
+    out = np.empty((len(cs), len(r0)))
+    near = r1 <= 2.5 * r0 + 0.5
+    a, b = r0[near, None], r1[near, None]
+    rr = 0.5 * (b - a) * _XGL + 0.5 * (b + a)
+    ww = 0.5 * (b - a) * _WGL
+    base = np.exp(-d * np.log1p(rr * rr))
+    far = ~near
+    t0 = 1.0 / (1.0 + r0[far] * r0[far])
+    t1 = 1.0 / (1.0 + r1[far] * r1[far])
+    for i, c in enumerate(cs):
+        out[i, near] = np.sum(ww * rr ** c * base, axis=1)
+        if np.any(far):
+            out[i, far] = _series_between(d - (c + 1) / 2.0, (c + 1) / 2.0, t0, t1)
+    return out
 
 
 def _tail_moment(R: float, c: float, d: float) -> float:
@@ -200,18 +215,53 @@ class Discretization:
         return np.tan(theta)
 
 
+class SymBand:
+    """Symmetric matrix in LAPACK lower band storage: band[d, j] = M[j+d, j].
+
+    `@` multiplies from either side (numpy defers to __rmatmul__ because
+    __array_ufunc__ is None); `nbytes` counts the stored band only.
+    """
+    __array_ufunc__ = None
+
+    def __init__(self, band: np.ndarray):
+        self.band = band
+        self.shape = (band.shape[1], band.shape[1])
+        self.nbytes = band.nbytes
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        b = self.band.reshape(self.band.shape + (1,) * (x.ndim - 1))
+        y = b[0] * x
+        for d in range(1, len(b)):
+            y[d:] += b[d, :-d] * x[:-d]
+            y[:-d] += b[d, :-d] * x[d:]
+        return y
+
+    def __rmatmul__(self, x):
+        return (self @ np.asarray(x).T).T
+
+    def toarray(self) -> np.ndarray:
+        nn = self.shape[0]
+        M = np.zeros((nn, nn))
+        for d in range(len(self.band)):
+            j = np.arange(nn - d)
+            M[j + d, j] = M[j, j + d] = self.band[d, :nn - d]
+        return M
+
+
 @dataclass(frozen=True)
 class ModeProblem:
     """Exact Galerkin matrices of the degree-ell radial sector.
 
     A is the Dirichlet-form (stiffness) matrix, B the L^2 mass matrix, both
     over hat functions on `radii` (node 0 removed for ell >= 1) plus one
-    column per tail ray r^k - R^k (k listed in ray_ks).  For ell = 0 the
+    column per tail ray r^k - R^k (k listed in ray_ks), stored as SymBand
+    with half-width 1 (hats only) or 2 (with rays).  For ell = 0 the
     all-ones hat vector spans the constants and lies in the kernel of A.
     """
     ell: int
-    A: np.ndarray
-    B: np.ndarray
+    A: SymBand
+    B: SymBand
     radii: np.ndarray = field(repr=False, default=None)
     ray_ks: tuple = ()
     params: Optional[MeasureParams] = None
@@ -220,8 +270,35 @@ class ModeProblem:
         return self.A.shape[0]
 
 
+class NumericalBreakdown(ArithmeticError):
+    """A mode problem's matrices or factorization broke down in floating point."""
+
+    def __init__(self, problem: ModeProblem, reason: str):
+        p = problem.params
+        super().__init__(f"mode ell={problem.ell} (n={p.n}, beta={p.beta:g}, "
+                         f"nn={problem.size()}): {reason}")
+
+
 def _admissible_rays(n: int, beta: float) -> tuple:
     return tuple(k for k in (1, 2) if 2.0 * k < 2.0 * beta - n - 1e-9)
+
+
+def _hat_pairs(r0, r1, q):
+    """(LL, LR, RR) of the hat pair phi_j = (r1-r)/h, phi_{j+1} = (r-r0)/h
+    against the weight whose moments r^c, r^{c+1}, r^{c+2} are q[0..2]."""
+    hh = (r1 - r0) * (r1 - r0)
+    return ((r1 * r1 * q[0] - 2.0 * r1 * q[1] + q[2]) / hh,
+            (-r0 * r1 * q[0] + (r0 + r1) * q[1] - q[2]) / hh,
+            (r0 * r0 * q[0] - 2.0 * r0 * q[1] + q[2]) / hh)
+
+
+def _node_diag(left, right):
+    """Diagonal over the grid nodes: cell j adds left[j] to node j and
+    right[j] to node j + 1."""
+    diag = np.zeros(len(left) + 1)
+    diag[:-1] += left
+    diag[1:] += right
+    return diag
 
 
 def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
@@ -231,82 +308,58 @@ def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
     ell >= 1 removes the node at r = 0 (radial profiles vanish there); the
     last hat extends as a constant over [R, inf); tail rays are appended for
     every square-integrable power (disable with tail_rays=False to keep the
-    matrices tridiagonal, e.g. for banded time stepping).
+    matrices tridiagonal, e.g. for banded time stepping).  All cells are
+    integrated in one vectorized pass per weight, straight into band storage.
     """
     if ell < 0:
         raise ValueError("mode degree must be nonnegative")
     n, beta = params.n, params.beta
     r = disc.radii()
-    m = len(r)
+    r0, r1 = r[:-1], r[1:]
     cl = float(ell * (ell + n - 2))
-    keep0 = ell == 0
     ks = _admissible_rays(n, beta) if tail_rays else ()
-    nn = (m if keep0 else m - 1) + len(ks)
-    A = np.zeros((nn, nn))
-    B = np.zeros((nn, nn))
 
-    def idx(j):
-        # grid node j -> matrix index (or None if removed)
-        if keep0:
-            return j
-        return j - 1 if j >= 1 else None
+    LL, Bo, RR = _hat_pairs(r0, r1, _cell_moments(r0, r1, (n - 1, n, n + 1), beta))
+    Bd = _node_diag(LL, RR)
+    if cl > 0.0:
+        q = _cell_moments(r0, r1, (n - 3, n - 2, n - 1), beta - 1.0)
+        kS = q[2] / ((r1 - r0) * (r1 - r0))  # gradient +-1/h pair
+        aLL, aLR, aRR = _hat_pairs(r0, r1, q)
+        # first cell with node 0 removed: only phi_1 survives, and r0 = 0
+        # makes phi_1^2 r^{n-3} = r^{n-1}/h^2 (integrable)
+        aRR[0] = kS[0]
+        Ad, Ao = _node_diag(kS + cl * aLL, kS + cl * aRR), -kS + cl * aLR
+    else:
+        (q,) = _cell_moments(r0, r1, (n - 1,), beta - 1.0)
+        kS = q / ((r1 - r0) * (r1 - r0))
+        Ad, Ao = _node_diag(kS, kS), -kS
+    if ell > 0:
+        Bd, Bo, Ad, Ao = Bd[1:], Bo[1:], Ad[1:], Ao[1:]
 
-    for j in range(m - 1):
-        r0, r1 = r[j], r[j + 1]
-        h = r1 - r0
-        il, ir = idx(j), idx(j + 1)
-        m0, m1, m2 = _cell_moments(r0, r1, (n - 1, n, n + 1), beta)
-        # hat-pair mass: phi_j = (r1-r)/h, phi_{j+1} = (r-r0)/h
-        LL = (r1 * r1 * m0 - 2.0 * r1 * m1 + m2) / (h * h)
-        LR = (-r0 * r1 * m0 + (r0 + r1) * m1 - m2) / (h * h)
-        RR = (r0 * r0 * m0 - 2.0 * r0 * m1 + m2) / (h * h)
-        if cl > 0.0:
-            if il is None:
-                # first cell with node 0 removed: only phi_1 survives, and
-                # r0 = 0 makes phi_1^2 r^{n-3} = r^{n-1}/h^2 (integrable)
-                (q0,) = _cell_moments(r0, r1, (n - 1,), beta - 1.0)
-                aLL = aLR = 0.0
-                aRR = q0 / (h * h)
-            else:
-                q0, q1, q2 = _cell_moments(r0, r1, (n - 3, n - 2, n - 1), beta - 1.0)
-                aLL = (r1 * r1 * q0 - 2.0 * r1 * q1 + q2) / (h * h)
-                aLR = (-r0 * r1 * q0 + (r0 + r1) * q1 - q2) / (h * h)
-                aRR = (r0 * r0 * q0 - 2.0 * r0 * q1 + q2) / (h * h)
-        else:
-            aLL = aLR = aRR = 0.0
-        (kmom,) = _cell_moments(r0, r1, (n - 1,), beta - 1.0)
-        kS = kmom / (h * h)  # gradient +-1/h pair
-        if il is not None:
-            B[il, il] += LL
-            A[il, il] += kS + cl * aLL
-        if il is not None and ir is not None:
-            B[il, ir] += LR
-            B[ir, il] += LR
-            A[il, ir] += -kS + cl * aLR
-            A[ir, il] += -kS + cl * aLR
-        B[ir, ir] += RR
-        A[ir, ir] += kS + cl * aRR
+    nh = len(Bd)
+    nn = nh + len(ks)
+    Ab = np.zeros((max(1, len(ks)) + 1, nn))
+    Bb = np.zeros_like(Ab)
+    Ab[0, :nh], Ab[1, :nh - 1] = Ad, Ao
+    Bb[0, :nh], Bb[1, :nh - 1] = Bd, Bo
 
     # constant extension of the last hat over [R, inf)
     R = float(r[-1])
-    last = idx(m - 1)
-    B[last, last] += _tail_moment(R, n - 1, beta)
+    last = nh - 1
+    Bb[0, last] += _tail_moment(R, n - 1, beta)
     if cl > 0.0:
-        A[last, last] += cl * _tail_moment(R, n - 3, beta - 1.0)
+        Ab[0, last] += cl * _tail_moment(R, n - 3, beta - 1.0)
 
     # tail rays psi_k = r^k - R^k on [R, inf); zero on [0, R], so the only
     # grid coupling is through the extended last hat (gradient of which
-    # vanishes in the tail)
+    # vanishes in the tail).  Ray a sits at band offset a + 1 from `last`.
     for a, ka in enumerate(ks):
-        ia = nn - len(ks) + a
-        bm = _tail_moment(R, n - 1 + ka, beta) - R ** ka * _tail_moment(R, n - 1, beta)
-        B[last, ia] = B[ia, last] = bm
+        Bb[a + 1, last] = (_tail_moment(R, n - 1 + ka, beta)
+                           - R ** ka * _tail_moment(R, n - 1, beta))
         if cl > 0.0:
-            am = cl * (_tail_moment(R, n - 3 + ka, beta - 1.0)
-                       - R ** ka * _tail_moment(R, n - 3, beta - 1.0))
-            A[last, ia] = A[ia, last] = am
+            Ab[a + 1, last] = cl * (_tail_moment(R, n - 3 + ka, beta - 1.0)
+                                    - R ** ka * _tail_moment(R, n - 3, beta - 1.0))
         for b, kb in enumerate(ks[:a + 1]):
-            ib = nn - len(ks) + b
             bm = (_tail_moment(R, n - 1 + ka + kb, beta)
                   - R ** kb * _tail_moment(R, n - 1 + ka, beta)
                   - R ** ka * _tail_moment(R, n - 1 + kb, beta)
@@ -317,30 +370,47 @@ def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
                               - R ** kb * _tail_moment(R, n - 3 + ka, beta - 1.0)
                               - R ** ka * _tail_moment(R, n - 3 + kb, beta - 1.0)
                               + R ** (ka + kb) * _tail_moment(R, n - 3, beta - 1.0))
-            B[ia, ib] = B[ib, ia] = bm
-            A[ia, ib] = A[ib, ia] = aval
+            Bb[a - b, nh + b] = bm
+            Ab[a - b, nh + b] = aval
 
-    return ModeProblem(ell=ell, A=A, B=B, radii=r, ray_ks=ks, params=params)
+    return ModeProblem(ell=ell, A=SymBand(Ab), B=SymBand(Bb), radii=r,
+                       ray_ks=ks, params=params)
 
 
 def lowest_eigs(problem: ModeProblem, k: int) -> list[float]:
-    """k smallest generalized eigenvalues of (A, B), ascending."""
+    """k smallest generalized eigenvalues of (A, B), ascending.
+
+    Shift-invert Lanczos about sigma = -1e-6 * (median diagonal ratio of A
+    to B), where A - sigma B is positive definite.  Raises NumericalBreakdown
+    on non-finite or underflowed entries or a failed factorization.
+    """
     if k > 6:
         raise ValueError("at most 6 eigenvalues per mode")
     A, B = problem.A, problem.B
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise ValueError("non-finite matrix entries")
     nn = A.shape[0]
     k = min(k, nn)
-    if nn <= 2048:
-        vals = sla.eigh(A, B, subset_by_index=[0, k - 1], eigvals_only=True)
-        return [float(v) for v in vals]
-    As = sparse.csr_matrix(A)
-    Bs = sparse.csr_matrix(B)
-    scale = float(np.median(np.abs(As.diagonal()) / np.abs(Bs.diagonal())))
-    v0 = np.ones(nn)
-    vals = eigsh(As, k=k, M=Bs, sigma=-1e-6 * max(scale, 1.0), which="LM",
-                 v0=v0, return_eigenvectors=False)
+    if not (np.all(np.isfinite(A.band)) and np.all(np.isfinite(B.band))):
+        raise NumericalBreakdown(problem, "non-finite band entries")
+    nh = nn - len(problem.ray_ks)
+    if not (np.all(B.band[0] > 0.0) and np.all(B.band[1, :nh - 1] > 0.0)):
+        raise NumericalBreakdown(problem, "mass entries underflowed to zero")
+    scale = float(np.median(np.abs(A.band[0]) / B.band[0]))
+    sigma = -1e-6 * max(scale, 1.0)
+    try:
+        factor = sla.cholesky_banded(A.band - sigma * B.band, lower=True,
+                                     check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(
+            problem, f"banded Cholesky of A - sigma B failed ({exc})") from exc
+
+    def solve(x):
+        return sla.cho_solve_banded((factor, True), x, check_finite=False)
+
+    vals = eigsh(LinearOperator((nn, nn), matvec=A.__matmul__, dtype=float),
+                 k=k, M=LinearOperator((nn, nn), matvec=B.__matmul__, dtype=float),
+                 sigma=sigma, which="LM", v0=np.ones(nn),
+                 OPinv=LinearOperator((nn, nn), matvec=solve, dtype=float),
+                 return_eigenvectors=False)
     return sorted(float(v) for v in vals)
 
 

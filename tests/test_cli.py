@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from cauchygap.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, load_config, main
+from cauchygap.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_TOLERANCE,
+                           load_config, main)
 
 
 def test_gap_json(tmp_path, capsys):
@@ -33,6 +34,18 @@ def test_gap_invalid_params():
     assert main(["gap", "--n", "2", "--beta", "0.9"]) == EXIT_CONFIG
     assert main(["gap", "--n", "0", "--beta", "2.0"]) == EXIT_CONFIG
     assert main(["gap", "--n", "2"]) == EXIT_CONFIG  # beta missing
+
+
+def test_gap_numerical_breakdown(tmp_path, capsys):
+    # beta = 200 is in the documented domain, but the far mass entries
+    # underflow to zero: a numerical breakdown, not a configuration error
+    code = main(["gap", "--n", "3", "--beta", "200", "--m", "256",
+                 "--out", str(tmp_path / "gap.json")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown:")
+    assert "n=3" in err and "beta=200" in err and "nn=" in err
+    assert not (tmp_path / "gap.json").exists()
 
 
 def test_gap_tolerance_failure(tmp_path):

@@ -43,7 +43,7 @@ def test_evolve_eigenvector_decay():
 
     p = MeasureParams(2, 4.0)
     prob = _mode0(p, m=160)
-    lam, V = eigh(prob.A, prob.B)
+    lam, V = eigh(prob.A.toarray(), prob.B.toarray())
     k = 1  # first nontrivial mode
     v0 = V[:, k]
     T, dt = 0.3, 1e-3

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import linalg as sla
 
 from cauchygap.measures import MeasureParams
 from cauchygap.spectral import (
     Discretization,
     GapReport,
+    NumericalBreakdown,
+    SymBand,
+    _cell_moments,
+    _tail_moment,
     assemble_mode,
     closed_form_gap,
     gap_sweep,
@@ -110,13 +115,24 @@ def test_discretization():
         Discretization(delta=0.5)
 
 
+def _half_width(M):
+    i, j = np.nonzero(M)
+    return int(np.max(np.abs(i - j)))
+
+
 def test_assemble_mode_structure():
     p = MeasureParams(2, 3.0)
     disc = Discretization(m=96, delta=1e-2)
     p0 = assemble_mode(0, p, disc)
     assert p0.ell == 0
-    assert np.allclose(p0.A, p0.A.T)
-    assert np.allclose(p0.B, p0.B.T)
+    A0, B0 = p0.A.toarray(), p0.B.toarray()
+    assert np.allclose(A0, A0.T)
+    assert np.allclose(B0, B0.T)
+    # banded: tridiagonal hats plus at most two ray columns at offset <= 2
+    assert p0.ray_ks and _half_width(A0) <= 2 and _half_width(B0) <= 2
+    plain = assemble_mode(0, p, disc, tail_rays=False)
+    assert _half_width(plain.A.toarray()) == 1
+    assert _half_width(plain.B.toarray()) == 1
     # constants lie in the kernel of the Dirichlet form (hat functions sum
     # to one; ray columns are built relative to the constant already)
     ones = np.zeros(p0.size())
@@ -124,7 +140,7 @@ def test_assemble_mode_structure():
     resid = p0.A @ ones
     assert np.max(np.abs(resid)) < 1e-10
     # B is positive definite
-    assert np.all(np.linalg.eigvalsh(p0.B) > 0)
+    assert np.all(np.linalg.eigvalsh(B0) > 0)
     p1 = assemble_mode(1, p, disc)
     assert p1.size() < p0.size() + 2  # node at r = 0 dropped for ell >= 1
     # eigenvalues of every mode are strictly positive after the zero mode
@@ -133,6 +149,59 @@ def test_assemble_mode_structure():
     assert e0[1] > 0.1
     e1 = lowest_eigs(p1, 2)
     assert e1[0] > 0.1
+
+
+def _reference_hat_part(ell, params, disc):
+    """Cell-by-cell dense assembly of the hat-hat block (the loop that the
+    vectorized assembly replaced), using the same per-cell moment rule."""
+    n, beta = params.n, params.beta
+    r = disc.radii()
+    cl = float(ell * (ell + n - 2))
+    off = 0 if ell == 0 else 1
+    nh = len(r) - off
+    A, B = np.zeros((nh, nh)), np.zeros((nh, nh))
+    for j in range(len(r) - 1):
+        r0, r1 = r[j:j + 1], r[j + 1:j + 2]
+        h = r1[0] - r0[0]
+        m0, m1, m2 = _cell_moments(r0, r1, (n - 1, n, n + 1), beta)[:, 0]
+        mass = [(r1 * r1 * m0 - 2.0 * r1 * m1 + m2)[0] / (h * h),
+                (-r0 * r1 * m0 + (r0 + r1) * m1 - m2)[0] / (h * h),
+                (r0 * r0 * m0 - 2.0 * r0 * m1 + m2)[0] / (h * h)]
+        kS = _cell_moments(r0, r1, (n - 1,), beta - 1.0)[0, 0] / (h * h)
+        ang = [0.0, 0.0, 0.0]
+        if cl > 0.0 and j == 0:
+            ang[2] = kS
+        elif cl > 0.0:
+            q0, q1, q2 = _cell_moments(r0, r1, (n - 3, n - 2, n - 1), beta - 1.0)[:, 0]
+            ang = [(r1 * r1 * q0 - 2.0 * r1 * q1 + q2)[0] / (h * h),
+                   (-r0 * r1 * q0 + (r0 + r1) * q1 - q2)[0] / (h * h),
+                   (r0 * r0 * q0 - 2.0 * r0 * q1 + q2)[0] / (h * h)]
+        il, ir = j - off, j + 1 - off
+        if il >= 0:
+            B[il, il] += mass[0]
+            A[il, il] += kS + cl * ang[0]
+            B[il, ir] = B[ir, il] = mass[1]
+            A[il, ir] = A[ir, il] = -kS + cl * ang[1]
+        B[ir, ir] += mass[2]
+        A[ir, ir] += kS + cl * ang[2]
+    return A, B
+
+
+@pytest.mark.parametrize("m, delta", [(64, 0.2), (96, 1e-2), (128, 1e-3)])
+@pytest.mark.parametrize("n, beta", [(1, 1.2), (2, 1.5), (3, 3.8), (4, 9.0)])
+def test_assemble_mode_matches_cell_loop(m, delta, n, beta):
+    # same arithmetic per cell, so the band layout must reproduce the loop
+    # exactly, apart from the tail term the last hat adds on [R, inf)
+    disc = Discretization(m=m, delta=delta)
+    for ell in range(4):
+        prob = assemble_mode(ell, MeasureParams(n, beta), disc, tail_rays=False)
+        A_ref, B_ref = _reference_hat_part(ell, MeasureParams(n, beta), disc)
+        A, B = prob.A.toarray(), prob.B.toarray()
+        grid = np.ones(A.shape, dtype=bool)
+        grid[-1, -1] = False
+        np.testing.assert_array_equal(A[grid], A_ref[grid])
+        np.testing.assert_array_equal(B[grid], B_ref[grid])
+        assert A[-1, -1] >= A_ref[-1, -1] and B[-1, -1] > B_ref[-1, -1]
 
 
 def test_eigen_upper_bounds_are_true_upper_bounds():
@@ -200,3 +269,127 @@ def test_sweep_csv_deterministic(tmp_path):
                                  "numeric_gap", "rel_error",
                                  "minimizing_mode", "m", "delta"]
     assert len(f1.read_text().splitlines()) == 6
+
+
+# Frozen mpmath values (scripts/make_oracle_values.py) of
+# int r^c (1+r^2)^(-d) dr over cells 0, 1023 and 2046 of the m = 2048,
+# delta = 1e-3 grid, then over [R, inf) (None where it diverges).
+_MOMENT_PINS = {
+    (0, 1.2): (0.00076687653407349729, 0.00066773828199318593, 5.4922552669115459e-5, 4.5068380511410885e-5),
+    (1, 1.2): (2.9404984384241338e-7, 0.00066707091654912267, 0.040332362248691635, 0.15773932560408949),
+    (2, 1.2): (1.5033330814888697e-10, 0.00066640434873538379, 30.42434770615764, None),
+    (0, 2.5): (0.000766876338640276, 0.00027153862860380029, 2.1864887630254652e-12, 2.4999991666663134e-13),
+    (1, 2.5): (2.9404973143753375e-7, 0.00027126717252979836, 1.5053068088438564e-9, 3.3333316666665391e-10),
+    (2, 2.5): (1.5033323918834369e-10, 0.00027099604095361319, 1.0609238455499881e-6, 4.9999970833336918e-7),
+    (0, 5): (0.00076687596280741011, 4.8121848607108479e-5, 1.8536014957468023e-26, 1.1111098989900599e-28),
+    (1, 5): (2.9404951527446473e-7, 4.8073717852197309e-5, 1.1747929628812878e-23, 1.2499983333339002e-25),
+    (2, 5): (1.5033310657202015e-10, 4.8025644651567369e-5, 7.5368265979399316e-21, 1.428569206350354e-22),
+    (0, 10): (0.00076687521114267295, 1.5113507293814808e-6, 2.6190994385806589e-54, 5.2631436090367998e-59),
+    (1, 10): (2.9404908294896232e-7, 1.5098376205279812e-6, 1.5646593253788238e-51, 5.5555388889084463e-56),
+    (2, 10): (1.5033284133979087e-10, 1.5083263222234392e-6, 9.376158928097904e-49, 5.8823336429567631e-53),
+    (0, 50): (0.00076686919787251715, 1.4309530481375036e-18, 3.004401142312825e-275, 1.0100848386079359e-299),
+    (1, 50): (2.9404562437545285e-7, 1.4295092336844001e-18, 1.7177517059769884e-272, 1.0203914967293073e-296),
+    (2, 50): (1.5033071950201146e-10, 1.4280671558948723e-18, 9.8221843588166433e-270, 1.0309106634718631e-293),
+}
+
+
+def _check_moment_pins(d):
+    r = Discretization(m=2048, delta=1e-3).radii()
+    j = np.array([0, 1023, 2046])
+    for c in (0, 1, 2):
+        *cells, tail = _MOMENT_PINS[(c, d)]
+        got = _cell_moments(r[j], r[j + 1], (c,), d)[0]
+        np.testing.assert_allclose(got, cells, rtol=1e-12, atol=0)
+        if tail is not None:
+            np.testing.assert_allclose(_tail_moment(float(r[-1]), c, d),
+                                       tail, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("d", [1.2, 2.5, 5.0])
+def test_cell_moments_match_oracle_pins(d):
+    _check_moment_pins(d)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP aim 3: 12-point Gauss loses digits on steep far cells at large "
+    "exponents (last-cell relative error 3e-10 at d = 10, 4e-3 at d = 50 on "
+    "these pins; 4e-6 and 1e-1 on the worst cells)"))
+@pytest.mark.parametrize("d", [10.0, 50.0])
+def test_cell_moments_large_exponent_pins(d):
+    _check_moment_pins(d)
+
+
+# One point per range tag: lower, mid, upper, and the line (lower, upper).
+_SOLVER_POINTS = [(2, 1.5), (3, 3.8), (3, 5.0), (1, 1.2), (1, 3.0)]
+
+
+@pytest.mark.parametrize("tail_rays", [True, False])
+@pytest.mark.parametrize("n, beta", _SOLVER_POINTS)
+@pytest.mark.parametrize("m", [96, 256])
+def test_lowest_eigs_matches_dense_eigh(m, n, beta, tail_rays):
+    disc = Discretization(m=m, delta=1e-3)
+    for ell in range(4):
+        prob = assemble_mode(ell, MeasureParams(n, beta), disc, tail_rays)
+        got = np.array(lowest_eigs(prob, 3))
+        ref = sla.eigh(prob.A.toarray(), prob.B.toarray(), eigvals_only=True,
+                       subset_by_index=[0, 2])
+        # the zero eigenvalue of the constants is compared on the next one's scale
+        scale = np.abs(ref)
+        if ell == 0:
+            scale[0] = ref[1]
+        assert np.all(np.abs(got - ref) <= 1e-9 * scale), (ell, got, ref)
+
+
+def _ldl_solve(band, b):
+    """Solve M x = b for M symmetric in lower band storage (band[d, j] =
+    M[j+d, j]) by LDL^T without pivoting, in the dtype of `band`."""
+    p, nn = len(band) - 1, band.shape[1]
+    L = np.zeros_like(band)
+    D = np.zeros(nn, dtype=band.dtype)
+    for j in range(nn):
+        ks = range(1, min(p, j) + 1)
+        D[j] = band[0, j] - sum(L[k, j - k] ** 2 * D[j - k] for k in ks)
+        for d in range(1, min(p, nn - 1 - j) + 1):
+            L[d, j] = (band[d, j] - sum(L[d + k, j - k] * L[k, j - k] * D[j - k]
+                                        for k in ks if d + k <= p)) / D[j]
+    x = b.copy()
+    for j in range(nn):
+        for d in range(1, min(p, nn - 1 - j) + 1):
+            x[j + d] -= L[d, j] * x[j]
+    x /= D
+    for j in range(nn - 1, -1, -1):
+        for d in range(1, min(p, nn - 1 - j) + 1):
+            x[j] -= L[d, j] * x[j + d]
+    return x
+
+
+@pytest.mark.parametrize("n, beta", [(2, 1.5), (3, 3.8)])
+def test_lowest_eigs_large_mode_residual_and_inertia(n, beta):
+    # nn > 2048, without and with rays: the size range once served by a
+    # separate solver path
+    disc = Discretization(m=4096, delta=1e-3)
+    for ell in (1, 2, 3):
+        prob = assemble_mode(ell, MeasureParams(n, beta), disc)
+        (lam,) = lowest_eigs(prob, 1)
+        # Eigenvector by inverse iteration at the returned value, residual
+        # formed in extended precision: in double, the cancelling stiffness
+        # rows alone leave a rounding floor near 1e-9 ||Bv|| at (3, 3.8).
+        A = SymBand(prob.A.band.astype(np.longdouble))
+        B = SymBand(prob.B.band.astype(np.longdouble))
+        shifted = A.band - np.longdouble(lam) * B.band
+        v = np.ones(prob.size(), dtype=np.longdouble)
+        for _ in range(2):
+            v = _ldl_solve(shifted, B @ v)
+            v /= np.sqrt(v @ v)
+        Bv = B @ v
+        res = A @ v - np.longdouble(lam) * Bv
+        assert np.sqrt(res @ res) <= 1e-10 * np.sqrt(Bv @ Bv)
+        # A - lam' B positive definite just below lam: no eigenvalue missed
+        sla.cholesky_banded(prob.A.band - lam * (1.0 - 1e-8) * prob.B.band,
+                            lower=True)
+
+
+def test_numerical_breakdown_names_the_problem():
+    # far mass entries underflow past double range at beta = 200
+    with pytest.raises(NumericalBreakdown, match=r"ell=0 \(n=3, beta=200, nn=258\)"):
+        numeric_gap(MeasureParams(3, 200.0), Discretization(m=256, delta=1e-3))
