@@ -186,13 +186,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
                          "default grid")
     points = []
     ok = True
+    worst = 0.0
     for n, beta in grid:
         params = MeasureParams(n, beta)
         reports = verify_all(params, trials=trials, seed=seed,
                              corrupt_ipp1=args.corrupt_ipp1)
         for rep in reports:
-            if rep.status == "ok" and rep.rel_err > tol:
-                ok = False
+            if rep.status == "ok":
+                ok = ok and rep.rel_err <= tol
+                worst = max(worst, rep.rel_err)
             print(f"n={n} beta={beta:g} {rep.tag:10s} "
                   f"rel_err={rep.rel_err:.3e} {rep.status}")
         entry = {"n": n, "beta": beta,
@@ -208,6 +210,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+    print(f"worst rel_err = {worst:.3e}; "
+          + ("all identities hold" if ok else "FAILURES present"))
     print(f"{'PASS' if ok else 'FAIL'} -> {path}")
     return EXIT_OK if ok else EXIT_TOLERANCE
 

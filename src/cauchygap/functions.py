@@ -1,17 +1,20 @@
 """Smooth test functions with analytic value/gradient/hessian.
 
 Everything is batched: value maps (N, n) -> (N,), gradient -> (N, n),
-hessian -> (N, n, n).  Compactly supported constructors report their
-support radius so quadrature can truncate.
+hessian -> (N, n, n), grad_laplacian (where given) -> (N, n).  Compactly
+supported constructors report their support radius so quadrature can
+truncate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.special import hyp2f1
 
 from .measures import MeasureParams, mean_sq_norm
@@ -32,6 +35,8 @@ class SmoothFunction:
     # spherical-harmonic sector when the function lives in a single one:
     # 0 = radial, 1 = linear-in-x (plus a constant); None = generic
     angular_mode: Optional[int] = None
+    # analytic gradient of the Laplacian, (N, n) -> (N, n), where known
+    grad_laplacian: Optional[Callable[[Array], Array]] = None
 
 
 def _as_points(x: Array) -> Array:
@@ -43,15 +48,24 @@ def _as_points(x: Array) -> Array:
 # C^2 radial bump profile: 1 on [0, r_in], 0 from r_out on, quintic blend
 # 1 - t^3 (10 - 15 t + 6 t^2) in between (closed-form derivatives).
 
-def _bump_profile(r, r_in, r_out):
-    t = np.clip((r - r_in) / (r_out - r_in), 0.0, 1.0)
-    b = 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)
-    db = -30.0 * t ** 2 * (1.0 - t) ** 2 / (r_out - r_in)
-    d2b = (-60.0 * t * (1.0 - t) * (1.0 - 2.0 * t)) / (r_out - r_in) ** 2
-    inside = (r <= r_in) | (r >= r_out)
-    db = np.where(inside, 0.0, db)
-    d2b = np.where(inside, 0.0, d2b)
-    return b, db, d2b
+def _bump_profile(r, r_in, r_out, order=2):
+    """b, b', ..., b^(order) of the profile at radii r (order <= 3).
+
+    b''' jumps at both joints; at r = r_in and r = r_out it takes the value
+    of the constant side (0)."""
+    h = r_out - r_in
+    t = np.clip((r - r_in) / h, 0.0, 1.0)
+    out = [1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t ** 2)]
+    if order >= 1:
+        inside = (r <= r_in) | (r >= r_out)
+        out.append(np.where(inside, 0.0, -30.0 * t ** 2 * (1.0 - t) ** 2 / h))
+    if order >= 2:
+        out.append(np.where(inside, 0.0,
+                            (-60.0 * t * (1.0 - t) * (1.0 - 2.0 * t)) / h ** 2))
+    if order >= 3:
+        out.append(np.where(inside, 0.0,
+                            -60.0 * (1.0 - 6.0 * t + 6.0 * t ** 2) / h ** 3))
+    return out
 
 
 def _radial_bump_fields(x, center, r_in, r_out):
@@ -241,108 +255,185 @@ def make_lower_extremal_1d(beta: float) -> SmoothFunction:
 
 # ----------------------------------------------------------------------
 # Random compactly supported polynomials-times-bump.
-
-class _Poly:
-    """Dense multivariate polynomial with precomputed derivative tables."""
-
-    def __init__(self, exps: Array, coefs: Array):
-        self.exps = exps          # (M, n) integer exponents
-        self.coefs = coefs        # (M,)
-        self.n = exps.shape[1]
-        self.maxdeg = int(exps.max()) if exps.size else 0
-        # derivative coefficient vectors in the same monomial basis
-        index = {tuple(e): i for i, e in enumerate(exps.tolist())}
-        M = len(coefs)
-        self.gcoefs = np.zeros((self.n, M))
-        self.hcoefs = np.zeros((self.n, self.n, M))
-        for m, e in enumerate(exps.tolist()):
-            for i in range(self.n):
-                if e[i] == 0:
-                    continue
-                ei = list(e)
-                ei[i] -= 1
-                self.gcoefs[i, index[tuple(ei)]] += e[i] * coefs[m]
-        for i in range(self.n):
-            for m in range(M):
-                c = self.gcoefs[i, m]
-                if c == 0.0:
-                    continue
-                e = exps[m]
-                for j in range(self.n):
-                    if e[j] == 0:
-                        continue
-                    ej = list(e)
-                    ej[j] -= 1
-                    self.hcoefs[i, j, index[tuple(ej)]] += e[j] * c
-
-    def monomials(self, x: Array) -> Array:
-        # powers x_j^k for k = 0..maxdeg, then gather per monomial
-        N = x.shape[0]
-        pw = np.ones((N, self.n, self.maxdeg + 1))
-        for k in range(1, self.maxdeg + 1):
-            pw[:, :, k] = pw[:, :, k - 1] * x
-        mono = np.ones((N, len(self.coefs)))
-        for j in range(self.n):
-            mono *= pw[:, j, self.exps[:, j]]
-        return mono
-
-    def all_fields(self, x: Array):
-        mono = self.monomials(x)
-        v = mono @ self.coefs
-        g = np.stack([mono @ self.gcoefs[i] for i in range(self.n)], axis=-1)
-        h = np.empty((x.shape[0], self.n, self.n))
-        for i in range(self.n):
-            for j in range(i, self.n):
-                hij = mono @ self.hcoefs[i, j]
-                h[:, i, j] = hij
-                h[:, j, i] = hij
-        return v, g, h
+#
+# All tests of one (n, degree) share the monomial basis of total degree
+# <= degree, and differentiation is a linear map on coefficient vectors.
+# The field rows of a polynomial P are, in this order: P, the n first
+# derivatives, the n(n+1)/2 distinct second derivatives d_i d_j P (i <= j,
+# row-major, as numpy.triu_indices) and the n components of grad Lap P.
 
 
-def make_random_test(seed: int, n: int, degree: int = 6, R: float = 3.0) -> SmoothFunction:
-    """Random polynomial (total degree <= degree) times a radial C^2 bump in |x| <= R."""
+@lru_cache(maxsize=None)
+def _poly_basis(n: int, degree: int):
+    """The basis, ordered by total degree, as (degrees, parent, var, ops):
+    monomial m > 0 is monomial parent[m] times x_var[m], and the sparse
+    (M, M) operators in ops map a coefficient vector to the coefficient
+    vectors of its field rows."""
+    exps = [e for d in range(degree + 1) for e in _exponents(n, d)]
+    M = len(exps)
+    index = {e: m for m, e in enumerate(exps)}
+    parent = np.zeros(M, dtype=int)
+    var = np.zeros(M, dtype=int)
+    entries = [([], [], []) for _ in range(n)]  # D[i] @ c: coefficients of d_i P
+    for m, e in enumerate(exps):
+        for i in range(n):
+            if e[i]:
+                lower = list(e)
+                lower[i] -= 1
+                parent[m], var[m] = index[tuple(lower)], i
+                for column, value in zip(entries[i], (parent[m], m, e[i])):
+                    column.append(value)
+    D = [sparse.csr_array((data, (rows, cols)), shape=(M, M))
+         for rows, cols, data in entries]
+    lap = sum(Di @ Di for Di in D)
+    iu, ju = np.triu_indices(n)
+    ops = ([sparse.eye_array(M, format="csr")] + D
+           + [D[j] @ D[i] for i, j in zip(iu, ju)] + [Dk @ lap for Dk in D])
+    degrees = np.sum(exps, axis=1)
+    for a in (degrees, parent, var):
+        a.flags.writeable = False
+    return degrees, parent, var, tuple(ops)
+
+
+def _monomials(x: Array, degrees: Array, parent: Array, var: Array) -> Array:
+    """Table (M, N) of the basis monomials at the points x (N, n)."""
+    xt = np.ascontiguousarray(x.T)
+    mono = np.empty((len(degrees), x.shape[0]))
+    mono[0] = 1.0
+    lo = 1
+    for d in range(1, int(degrees[-1]) + 1):
+        hi = lo + int(np.count_nonzero(degrees == d))
+        mono[lo:hi] = mono[parent[lo:hi]] * xt[var[lo:hi]]
+        lo = hi
+    return mono
+
+
+def random_test_coefficients(seeds: Sequence[int], n: int, degree: int = 6,
+                             R: float = 3.0):
+    """Coefficient stack (M, len(seeds)) and labels of make_random_test(seed,
+    n, degree, R) for each seed, from the same Philox draws."""
     if degree > 6:
         raise ValueError("degree capped at 6")
     if R <= 0:
         raise ValueError("support radius must be positive")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    exps = np.array([e for d in range(degree + 1)
-                     for e in _exponents(n, d)], dtype=int)
-    coefs = rng.normal(size=len(exps)) / (1.0 + exps.sum(axis=1)) ** 1.5
-    poly = _Poly(exps, coefs)
-    center = np.zeros(n)
-    r_in, r_out = 0.6 * R, R
+    degrees = _poly_basis(n, degree)[0]
+    scale = (1.0 + degrees) ** 1.5
+    coefs = np.empty((len(degrees), len(seeds)))
+    for t, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.Philox(key=int(seed)))
+        coefs[:, t] = rng.normal(size=len(degrees)) / scale
+    labels = [f"random_test(seed={seed}, deg={degree}, R={R})" for seed in seeds]
+    return coefs, labels
 
-    def _inside(x):
+
+class RandomTestFields:
+    """Fields of make_random_test's functions f = P b on one node set.
+
+    The monomial table and the bump profile at the nodes x (K, n) are built
+    once; `fields` evaluates a stack of coefficient vectors with one GEMM.
+    `order` (0..3) is the highest derivative evaluated.
+    """
+
+    def __init__(self, x: Array, degree: int = 6, R: float = 3.0, order: int = 3):
+        n = x.shape[1]
+        self.n, self.order = n, order
+        degrees, parent, var, ops = _poly_basis(n, degree)
+        nh = n * (n + 1) // 2
+        self._ops = ops[:(1, 1 + n, 1 + n + nh, 1 + 2 * n + nh)[order]]
+        r = np.sqrt(np.sum(x * x, axis=-1))
         # outside the bump everything is multiplied by an exact 0; clamp the
         # polynomial argument to the support ball so huge radii cannot overflow
-        r = np.sqrt(np.sum(x * x, axis=-1))
-        fac = np.where(r > r_out, r_out / np.maximum(r, r_out), 1.0)
-        return x * fac[..., None]
+        self._mono = _monomials(x * (R / np.maximum(r, R))[:, None],
+                                degrees, parent, var)
+        bump = _bump_profile(r, 0.6 * R, R, order)
+        self._b = bump[0]
+        if order == 0:
+            return
+        b1 = bump[1]
+        safe_r = np.where(r > 0, r, 1.0)
+        u = np.ascontiguousarray(x.T / safe_r)  # (n, K)
+        self._u = u
+        self._bg = b1 * u  # grad b
+        if order == 1:
+            return
+        b1_r = b1 / safe_r  # 0 wherever b is flat (r <= 0.6 R)
+        iu, ju = np.triu_indices(n)
+        uu = u[iu] * u[ju]
+        self._bh = bump[2] * uu + b1_r * ((iu == ju)[:, None] - uu)
+        if order == 2:
+            return
+        lap_b = bump[2] + (n - 1) * b1_r  # Lap b = b'' + (n-1) b'/r
+        self._lap_b2 = lap_b + 2.0 * b1_r
+        self._b1 = b1
+        self._b2_b1r = bump[2] - b1_r
+        self._dlap_b = bump[3] + (n - 1) * (bump[2] - b1_r) / safe_r  # (Lap b)'
+
+    def fields(self, coefs: Array) -> list:
+        """[f, grad f, Hess f, grad Lap f][:order + 1] for the coefficient
+        stack coefs (M, T): shapes (T, K), (n, T, K), (n(n+1)/2, T, K) with
+        the distinct entries i <= j, and (n, T, K)."""
+        n, T = self.n, coefs.shape[1]
+        rows = len(self._ops)
+        S = np.stack([op @ coefs for op in self._ops], axis=1)  # (M, rows, T)
+        P = (S.reshape(len(S), rows * T).T @ self._mono).reshape(rows, T, -1)
+        pv, pg = P[0], P[1:1 + n]
+        b = self._b
+        out = [b * pv]
+        if self.order == 0:
+            return out
+        bg = self._bg[:, None]
+        out.append(b * pg + pv * bg)
+        if self.order == 1:
+            return out
+        iu, ju = np.triu_indices(n)
+        ph = P[1 + n:1 + n + len(iu)]
+        out.append(b * ph + pv * self._bh[:, None]
+                   + pg[iu] * bg[ju] + pg[ju] * bg[iu])
+        if self.order == 2:
+            return out
+        # grad Lap (P b) = b grad Lap P + (Lap b + 2 b'/r) grad P
+        #   + u [b' Lap P + 2 (b'' - b'/r) <u, grad P> + P (Lap b)']
+        #   + 2 b' Hess P u
+        u = self._u[:, None]
+        lap_p = np.sum(ph[iu == ju], axis=0)
+        hu = np.sum(ph[_pair_index(n)] * u, axis=1)
+        radial = (self._b1 * lap_p + 2.0 * self._b2_b1r * np.sum(u * pg, axis=0)
+                  + self._dlap_b * pv)
+        out.append(b * P[1 + n + len(iu):] + self._lap_b2 * pg + radial * u
+                   + 2.0 * self._b1 * hu)
+        return out
+
+
+def _pair_index(n: int) -> Array:
+    """(n, n) positions of the entries (i, j) in the distinct i <= j list."""
+    iu, ju = np.triu_indices(n)
+    idx = np.empty((n, n), dtype=int)
+    idx[iu, ju] = idx[ju, iu] = np.arange(len(iu))
+    return idx
+
+
+def make_random_test(seed: int, n: int, degree: int = 6, R: float = 3.0) -> SmoothFunction:
+    """Random polynomial (total degree <= degree) times a radial C^2 bump in |x| <= R."""
+    coefs, (label,) = random_test_coefficients([seed], n, degree, R)
+
+    def fields(x, order):
+        return RandomTestFields(_as_points(x), degree, R, order).fields(coefs)[order]
 
     def value(x):
-        x = _as_points(x)
-        v, _, _ = poly.all_fields(_inside(x))
-        b, _, _ = _radial_bump_fields(x, center, r_in, r_out)
-        return v * b
+        return fields(x, 0)[0]
 
     def gradient(x):
-        x = _as_points(x)
-        v, g, _ = poly.all_fields(_inside(x))
-        b, bg, _ = _radial_bump_fields(x, center, r_in, r_out)
-        return b[:, None] * g + v[:, None] * bg
+        return np.ascontiguousarray(fields(x, 1)[:, 0].T)
 
     def hessian(x):
-        x = _as_points(x)
-        v, g, h = poly.all_fields(_inside(x))
-        b, bg, bh = _radial_bump_fields(x, center, r_in, r_out)
-        cross = g[:, :, None] * bg[:, None, :]
-        return (b[:, None, None] * h + v[:, None, None] * bh
-                + cross + np.swapaxes(cross, 1, 2))
+        h = fields(x, 2)[:, 0]
+        return np.ascontiguousarray(h[_pair_index(n)].transpose(2, 0, 1))
 
-    return SmoothFunction(value, gradient, hessian, R,
-                          f"random_test(seed={seed}, deg={degree}, R={R})",
-                          radial_seams=(r_in, r_out))
+    def grad_laplacian(x):
+        return np.ascontiguousarray(fields(x, 3)[:, 0].T)
+
+    return SmoothFunction(value, gradient, hessian, R, label,
+                          radial_seams=(0.6 * R, R), grad_laplacian=grad_laplacian)
 
 
 def _exponents(n: int, total: int):

@@ -13,7 +13,7 @@ Monte Carlo fallback driven by the exact sampler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
-from .functions import SmoothFunction, make_random_test, _as_points
+from .functions import RandomTestFields, SmoothFunction, random_test_coefficients
 from .measures import MeasureParams, log_normalization, sample
 
 Array = np.ndarray
@@ -59,8 +59,9 @@ class IdentityReport:
     detail: str = ""
 
 
-def _rel_err(lhs: float, rhs: float) -> float:
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+def _rel_err(lhs, rhs):
+    """Relative error on the scale max(1, |lhs|, |rhs|), elementwise on arrays."""
+    return np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
 # Default (n, beta) verification grid: per dimension, one point strictly
@@ -239,11 +240,13 @@ def default_nd_spec(n: int, nodes: int = 256) -> QuadratureSpec:
 # Identity verification.
 #
 # Every integral identity below is expressed through a small set of
-# mu-integrals of second-order fields of f (plus finite-difference
-# third-derivative terms where unavoidable), all evaluated on one shared
-# node set per (params, spec).
+# mu-integrals of the second- and third-order fields of f, all evaluated on
+# one shared node set per (params, spec).  The random test functions of
+# verify_all are evaluated in blocks: one monomial table per chunk of nodes,
+# one GEMM per block of trials.
 
-_THIRD_DERIV_TAGS = {"IPP3", "IPP4"}
+_TRIAL_BLOCK = 8     # random test functions per GEMM
+_NODE_CHUNK = 4096   # nodes per monomial table; bounds memory with _TRIAL_BLOCK
 ALL_TAGS = ("IPP1", "IPP2", "IPP3", "IPP4", "GAMMABIS", "GRG", "IRG",
             "LOWFACT", "ONED_SPLIT", "ONED_LOW")
 
@@ -261,64 +264,98 @@ def _tag_skipped_at(tag: str, beta: float) -> bool:
     return tag in ("IPP3", "IPP4", "GRG") and beta == 2.0
 
 
+def _field_integrals(x: Array, wts: Array, params: MeasureParams, g: Array,
+                     hess: Array, gdl: Optional[Array]) -> Array:
+    """The ten mu-integrals of _FieldPack, shape (10, T), for T functions at
+    the nodes x (K, n): gradients g (n, T, K), distinct Hessian entries hess
+    (n(n+1)/2, T, K; i <= j as numpy.triu_indices) and grad Lap f gdl
+    (n, T, K) or None."""
+    n, beta = params.n, params.beta
+    iu, ju = np.triu_indices(n)
+    half = np.where(iu == ju, 0.5, 1.0)[:, None, None]  # weight of each pair
+    xt = np.ascontiguousarray(x.T)[:, None]  # (n, 1, K)
+    x2 = np.sum(x * x, axis=-1)
+    w = 1.0 + x2
+    lap = np.sum(hess[iu == ju], axis=0)
+    g2 = np.sum(g * g, axis=0)
+    gx = np.sum(g * xt, axis=0)
+    xHg = np.sum(half * hess * (xt[iu] * g[ju] + xt[ju] * g[iu]), axis=0)
+    hs2 = 2.0 * np.sum(half * hess * hess, axis=0)
+    fields = [
+        w * w * hs2,                              # a1: int ||w Hess f||^2
+        (w * lap) ** 2,                           # a2: int (w Lap f)^2
+        w * g2,                                   # gam: int Gamma
+        g2,                                       # g2i
+        gx * gx,                                  # gx2
+        g2 * x2 - gx * gx,                        # qi
+        4.0 * w * xHg,                            # p1: int <d|df|^2, w dw>
+        2.0 * w * lap * gx,                       # p2: int <Lap f df, w dw>
+        (-2.0 * n * w + 4.0 * (beta - 1.0) * x2) * g2,   # wdw2
+    ]
+    out = np.full((10, g.shape[1]), np.nan)
+    out[:9] = [field @ wts for field in fields]
+    if gdl is not None:
+        out[9] = (w * w * np.sum(g * gdl, axis=0)) @ wts  # t2: int w^2 <df, dLap f>
+    return out
+
+
 class _FieldPack:
-    """mu-integrals of the second-order fields of one test function."""
+    """mu-integrals of the fields of a stack of test functions; every
+    attribute is an array with one entry per function (t2 is NaN where
+    grad Lap f is not known)."""
 
-    def __init__(self, f: SmoothFunction, params: MeasureParams,
-                 pts: Array, wts: Array, want_thirds: bool):
+    def __init__(self, totals: Array, params: MeasureParams):
         n, beta = params.n, params.beta
-        x = pts
-        w = 1.0 + np.sum(x * x, axis=-1)
-        g = f.gradient(x)
-        H = f.hessian(x)
-        lap = np.trace(H, axis1=1, axis2=2)
-        g2 = np.sum(g * g, axis=-1)
-        gx = np.sum(g * x, axis=-1)
-        x2 = np.sum(x * x, axis=-1)
-        xHg = np.einsum("ki,kij,kj->k", x, H, g)
-        hs2 = np.einsum("kij,kij->k", H, H)
-
-        def I(field):
-            return float(np.sum(wts * field))
-
-        self.a1 = I(w * w * hs2)              # int ||w Hess f||^2
-        self.a2 = I((w * lap) ** 2)           # int (w Lap f)^2
-        self.gam = I(w * g2)                  # int Gamma
-        self.g2i = I(g2)
-        self.gx2 = I(gx * gx)
-        self.qi = I(g2 * x2 - gx * gx)
-        self.p1 = I(4.0 * w * xHg)            # int <d|df|^2, w dw>
-        self.p2 = I(2.0 * w * lap * gx)       # int <Lap f df, w dw>
-        self.wdw2 = I((-2.0 * n * w + 4.0 * (beta - 1.0) * x2) * g2)
+        (self.a1, self.a2, self.gam, self.g2i, self.gx2, self.qi, self.p1,
+         self.p2, self.wdw2, self.t2) = totals
         # pointwise Gamma2 (Cauchy form, second-order only)
         self.gamma2 = (self.a1 + n * self.gam + 2.0 * (beta - 1.0) * self.g2i
                        + self.p1 - self.p2)
-        self.t2 = None
-        if want_thirds:
-            # dLap f by fourth-order central differences of the analytic
-            # hessian trace.  The node set keeps every point more than two
-            # steps away from any bump-profile seam, so no stencil straddles
-            # a third-derivative jump.
-            scale = 1e-4 * (1.0 + np.sqrt(x2))
-            g_dlap = np.zeros_like(g)
-            for i in range(n):
-                dx = np.zeros(n)
-                dx[i] = 1.0
-                sh = scale[:, None] * dx[None, :]
 
-                def lap_at(y):
-                    return np.trace(f.hessian(y), axis1=1, axis2=2)
+    @classmethod
+    def of_function(cls, f: SmoothFunction, params: MeasureParams,
+                    pts: Array, wts: Array) -> "_FieldPack":
+        iu, ju = np.triu_indices(params.n)
 
-                g_dlap[:, i] = (-lap_at(x + 2.0 * sh) + 8.0 * lap_at(x + sh)
-                                - 8.0 * lap_at(x - sh) + lap_at(x - 2.0 * sh)
-                                ) / (12.0 * scale)
-            gdl = np.sum(g * g_dlap, axis=-1)
-            self.t2 = I(w * w * gdl)          # int w^2 <df, dLap f>
-            self.hs2w2 = self.a1              # int w^2 ||Hess f||^2 (same array)
+        def stack(a):  # (K, rows) -> (rows, 1, K)
+            return a.T[:, None]
+
+        gdl = None if f.grad_laplacian is None else stack(f.grad_laplacian(pts))
+        return cls(_field_integrals(pts, wts, params, stack(f.gradient(pts)),
+                                    stack(f.hessian(pts)[:, iu, ju]), gdl),
+                   params)
+
+    @classmethod
+    def of_random_tests(cls, seeds, params: MeasureParams, pts: Array,
+                        wts: Array, support_radius: float):
+        """Pack and labels of make_random_test(seed, n, R=support_radius)
+        for every seed."""
+        coefs, labels = random_test_coefficients(seeds, params.n, R=support_radius)
+        totals = np.zeros((10, len(seeds)))
+        for lo in range(0, len(wts), _NODE_CHUNK):
+            x, w = pts[lo:lo + _NODE_CHUNK], wts[lo:lo + _NODE_CHUNK]
+            fields = RandomTestFields(x, R=support_radius)
+            for t in range(0, len(seeds), _TRIAL_BLOCK):
+                _, g, hess, gdl = fields.fields(coefs[:, t:t + _TRIAL_BLOCK])
+                totals[:, t:t + _TRIAL_BLOCK] += _field_integrals(x, w, params, g,
+                                                                  hess, gdl)
+        return cls(totals, params), labels
+
+
+def _lowfact_rhs(pack: _FieldPack, n: int, beta: float, eps: float,
+                 D: Optional[float] = None):
+    """Right-hand side of the twisted lower-range split at eps; D overrides
+    the leading coefficient D(eps)."""
+    B, C, D_eps = lowfact_coefficients(n, beta, eps)
+    tw1 = pack.a1 + eps * 0.5 * pack.p1 \
+        + eps * eps * 0.5 * ((pack.qi + pack.gx2) + pack.gx2)
+    tw2 = pack.a2 + eps * pack.p2 + eps * eps * pack.gx2
+    return (n / (n - 1.0) * (tw1 - tw2 / n)
+            + B * pack.qi + C * pack.g2i + (D_eps if D is None else D) * pack.gam)
 
 
 def _tag_sides(tag: str, pack: _FieldPack, params: MeasureParams,
-               epsilon: Optional[float]) -> tuple[float, float]:
+               epsilon: Optional[float]):
     n, beta = params.n, params.beta
     if tag == "IPP1":
         return pack.p1, pack.wdw2
@@ -345,13 +382,7 @@ def _tag_sides(tag: str, pack: _FieldPack, params: MeasureParams,
         return pack.gamma2, rhs
     if tag == "LOWFACT":
         eps = (n / 2.0 + 2.0 - beta) if epsilon is None else float(epsilon)
-        B, C, D = lowfact_coefficients(n, beta, eps)
-        tw1 = pack.a1 + eps * 0.5 * pack.p1 \
-            + eps * eps * 0.5 * ((pack.qi + pack.gx2) + pack.gx2)
-        tw2 = pack.a2 + eps * pack.p2 + eps * eps * pack.gx2
-        rhs = (n / (n - 1.0) * (tw1 - tw2 / n)
-               + B * pack.qi + C * pack.g2i + D * pack.gam)
-        return pack.gamma2, rhs
+        return pack.gamma2, _lowfact_rhs(pack, n, beta, eps)
     if tag == "ONED_SPLIT":
         eps = 0.5 if epsilon is None else float(epsilon)
         A = 2.0 * (beta - 1.0) + eps
@@ -386,6 +417,18 @@ def _identity_nodes(params: MeasureParams, spec: QuadratureSpec,
     return _product_nodes(params, spec, support_radius, seams)
 
 
+def _random_test_pack(params: MeasureParams, spec: Optional[QuadratureSpec],
+                      trials: int, seed: int, support_radius: float):
+    """Pack and labels of the random tests (seed << 20) + t, t < trials, on
+    the identity nodes of support_radius."""
+    if spec is None:
+        spec = default_nd_spec(params.n)
+    pts, wts = _identity_nodes(params, spec, support_radius,
+                               seams=(0.6 * support_radius,))
+    seeds = [(seed << 20) + t for t in range(trials)]
+    return _FieldPack.of_random_tests(seeds, params, pts, wts, support_radius)
+
+
 def verify_identity(tag: str, f: SmoothFunction, params: MeasureParams,
                     spec: Optional[QuadratureSpec] = None,
                     epsilon: Optional[float] = None) -> IdentityReport:
@@ -398,6 +441,9 @@ def verify_identity(tag: str, f: SmoothFunction, params: MeasureParams,
     n, beta = params.n, params.beta
     if tag in ("IPP3", "IPP4", "GRG") and beta == 2.0:
         raise ValueError(f"{tag} is undefined at beta = 2")
+    if tag in ("IPP3", "IPP4") and f.grad_laplacian is None:
+        raise ValueError(f"{tag} needs the analytic grad Laplacian of f "
+                         "(SmoothFunction.grad_laplacian)")
     if tag in ("IRG", "LOWFACT") and n < 2:
         raise ValueError(f"{tag} needs n >= 2")
     if tag in ("ONED_SPLIT", "ONED_LOW") and n != 1:
@@ -406,10 +452,10 @@ def verify_identity(tag: str, f: SmoothFunction, params: MeasureParams,
         spec = default_nd_spec(n)
     pts, wts = _identity_nodes(params, spec, f.support_radius,
                                getattr(f, "radial_seams", ()))
-    pack = _FieldPack(f, params, pts, wts, want_thirds=tag in _THIRD_DERIV_TAGS)
-    lhs, rhs = _tag_sides(tag, pack, params, epsilon)
+    pack = _FieldPack.of_function(f, params, pts, wts)
+    lhs, rhs = (float(side[0]) for side in _tag_sides(tag, pack, params, epsilon))
     return IdentityReport(tag=tag, n=n, beta=beta, lhs=lhs, rhs=rhs,
-                          abs_err=abs(lhs - rhs), rel_err=_rel_err(lhs, rhs))
+                          abs_err=abs(lhs - rhs), rel_err=float(_rel_err(lhs, rhs)))
 
 
 def verify_all(params: MeasureParams, spec: Optional[QuadratureSpec] = None,
@@ -426,36 +472,25 @@ def verify_all(params: MeasureParams, spec: Optional[QuadratureSpec] = None,
     if trials < 1:
         raise ValueError("need at least one trial")
     n, beta = params.n, params.beta
-    if spec is None:
-        spec = default_nd_spec(n)
-    tags = applicable_tags(params)
-    pts, wts = _identity_nodes(params, spec, support_radius,
-                               seams=(0.6 * support_radius,))
-    need_thirds = any(t in _THIRD_DERIV_TAGS and not _tag_skipped_at(t, beta)
-                      for t in tags)
-    worst: dict[str, IdentityReport] = {}
-    for t in range(trials):
-        f = make_random_test(seed=(seed << 20) + t, n=n, R=support_radius)
-        pack = _FieldPack(f, params, pts, wts, want_thirds=need_thirds)
-        for tag in tags:
-            if _tag_skipped_at(tag, beta):
-                if tag not in worst:
-                    worst[tag] = IdentityReport(
-                        tag=tag, n=n, beta=beta, lhs=float("nan"),
-                        rhs=float("nan"), abs_err=0.0, rel_err=0.0,
-                        trials=trials, status="skipped",
-                        detail="undefined at beta = 2")
-                continue
-            lhs, rhs = _tag_sides(tag, pack, params, None)
-            if corrupt_ipp1 and tag == "IPP1":
-                rhs = -rhs
-            rep = IdentityReport(tag=tag, n=n, beta=beta, lhs=lhs, rhs=rhs,
-                                 abs_err=abs(lhs - rhs),
-                                 rel_err=_rel_err(lhs, rhs), trials=trials,
-                                 detail=f.label)
-            if tag not in worst or rep.rel_err > worst[tag].rel_err:
-                worst[tag] = rep
-    return [worst[tag] for tag in tags]
+    pack, labels = _random_test_pack(params, spec, trials, seed, support_radius)
+    reports = []
+    for tag in applicable_tags(params):
+        if _tag_skipped_at(tag, beta):
+            reports.append(IdentityReport(
+                tag=tag, n=n, beta=beta, lhs=float("nan"), rhs=float("nan"),
+                abs_err=0.0, rel_err=0.0, trials=trials, status="skipped",
+                detail="undefined at beta = 2"))
+            continue
+        lhs, rhs = _tag_sides(tag, pack, params, None)
+        if corrupt_ipp1 and tag == "IPP1":
+            rhs = -rhs
+        rel = _rel_err(lhs, rhs)
+        k = int(np.argmax(rel))  # the first of equal worst trials
+        reports.append(IdentityReport(
+            tag=tag, n=n, beta=beta, lhs=float(lhs[k]), rhs=float(rhs[k]),
+            abs_err=float(abs(lhs[k] - rhs[k])), rel_err=float(rel[k]),
+            trials=trials, detail=labels[k]))
+    return reports
 
 
 def lowfact_sign_check(params: MeasureParams,
@@ -471,34 +506,20 @@ def lowfact_sign_check(params: MeasureParams,
     n, beta = params.n, params.beta
     if n < 2:
         raise ValueError("needs n >= 2")
-    if spec is None:
-        spec = default_nd_spec(n)
-    pts, wts = _identity_nodes(params, spec, support_radius,
-                               seams=(0.6 * support_radius,))
+    pack, _ = _random_test_pack(params, spec, trials, seed, support_radius)
     D_claimed = (beta - n / 2.0) ** 2
-    residuals = {}
-    for sign, eps in (("plus", n / 2.0 + 2.0 - beta), ("minus", beta - n / 2.0 - 2.0)):
-        worst = 0.0
-        for t in range(trials):
-            f = make_random_test(seed=(seed << 20) + t, n=n, R=support_radius)
-            pack = _FieldPack(f, params, pts, wts, want_thirds=False)
-            B, C, _ = lowfact_coefficients(n, beta, eps)
-            tw1 = pack.a1 + eps * 0.5 * pack.p1 \
-                + eps * eps * 0.5 * ((pack.qi + pack.gx2) + pack.gx2)
-            tw2 = pack.a2 + eps * pack.p2 + eps * eps * pack.gx2
-            rhs = (n / (n - 1.0) * (tw1 - tw2 / n)
-                   + B * pack.qi + C * pack.g2i + D_claimed * pack.gam)
-            worst = max(worst, _rel_err(pack.gamma2, rhs))
-        residuals[sign] = worst
+    eps0 = {"plus": n / 2.0 + 2.0 - beta, "minus": beta - n / 2.0 - 2.0}
+    residuals = {sign: float(np.max(_rel_err(
+                     pack.gamma2, _lowfact_rhs(pack, n, beta, eps, D_claimed))))
+                 for sign, eps in eps0.items()}
     resolved = "plus" if residuals["plus"] < residuals["minus"] else "minus"
     return {
-        "eps0_plus": n / 2.0 + 2.0 - beta,
-        "eps0_minus": beta - n / 2.0 - 2.0,
+        "eps0_plus": eps0["plus"],
+        "eps0_minus": eps0["minus"],
         "residual_plus": residuals["plus"],
         "residual_minus": residuals["minus"],
         "resolved": resolved,
-        "resolved_eps0": (n / 2.0 + 2.0 - beta) if resolved == "plus"
-                         else (beta - n / 2.0 - 2.0),
+        "resolved_eps0": eps0[resolved],
     }
 
 
@@ -512,22 +533,11 @@ def lowfact_epsilon_scan(params: MeasureParams, eps_values,
     at eps0 = n/2 + 2 - beta, where it equals (beta - n/2)^2.
     """
     n, beta = params.n, params.beta
-    if spec is None:
-        spec = default_nd_spec(n)
-    pts, wts = _identity_nodes(params, spec, support_radius,
-                               seams=(0.6 * support_radius,))
-    packs = [
-        _FieldPack(make_random_test(seed=(seed << 20) + t, n=n, R=support_radius),
-                   params, pts, wts, want_thirds=False)
-        for t in range(trials)
-    ]
+    pack, _ = _random_test_pack(params, spec, trials, seed, support_radius)
     rows = []
     for eps in eps_values:
         eps = float(eps)
         _, _, D = lowfact_coefficients(n, beta, eps)
-        worst = 0.0
-        for pack in packs:
-            lhs, rhs = _tag_sides("LOWFACT", pack, params, eps)
-            worst = max(worst, _rel_err(lhs, rhs))
+        worst = float(np.max(_rel_err(*_tag_sides("LOWFACT", pack, params, eps))))
         rows.append({"eps": eps, "rel_err": worst, "D": D})
     return rows

@@ -77,11 +77,12 @@ def test_sweep(tmp_path):
                  "--steps", "4"]) == EXIT_CONFIG
 
 
-def test_verify_single_point(tmp_path):
+def test_verify_single_point(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code = main(["verify", "--n", "2", "--beta", "2.5", "--trials", "2",
                  "--out", str(out)])
     assert code == EXIT_OK
+    assert "; all identities hold" in capsys.readouterr().out
     d = json.loads(out.read_text())
     assert d["all_pass"] is True
     assert len(d["points"]) == 1
@@ -94,7 +95,7 @@ def test_verify_single_point(tmp_path):
     assert np.isclose(pt["lowfact_sign"]["resolved_eps0"], 0.5)
 
 
-def test_verify_corrupt_control(tmp_path):
+def test_verify_corrupt_control(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code = main(["verify", "--n", "2", "--beta", "3.0", "--trials", "2",
                  "--corrupt-ipp1", "--out", str(out)])
@@ -102,6 +103,9 @@ def test_verify_corrupt_control(tmp_path):
     d = json.loads(out.read_text())
     assert d["all_pass"] is False
     assert d["corrupt_ipp1"] is True
+    worst = max(r["rel_err"] for r in d["points"][0]["reports"])
+    assert (f"worst rel_err = {worst:.3e}; FAILURES present"
+            in capsys.readouterr().out)
 
 
 def test_deficit_csv(tmp_path):

@@ -135,3 +135,33 @@ def test_random_test_derivative_consistency(seed, n):
     rng = np.random.default_rng(seed)
     pts = 0.7 * f.support_radius * (2.0 * rng.random((12, n)) - 1.0) / np.sqrt(n)
     assert check_derivatives(f, pts) < 5e-4
+
+
+def test_random_test_grad_laplacian_matches_fd():
+    # analytic grad Lap f against fourth-order central differences of the
+    # analytic Laplacian; radii cover the flat core r < r_in, the quintic
+    # blend, and both sides of each seam (the stencil, of half-width 2h,
+    # never crosses one)
+    h = 1e-4
+    for seed, n in [(0, 1), (3, 1), (1, 2), (4, 2), (2, 3), (5, 3)]:
+        f = make_random_test(seed, n)
+        r_in, r_out = f.radial_seams
+        radii = [0.3, 1.0, r_in - 1e-3, r_in + 1e-3, 2.1, 2.4, 2.7,
+                 r_out - 1e-3, r_out + 1e-3]
+        rng = np.random.default_rng(seed + 50)
+        x = np.concatenate([r * _unit(rng, 4, n) for r in radii])
+
+        def lap(y):
+            return np.trace(f.hessian(y), axis1=1, axis2=2)
+
+        fd = np.empty_like(x)
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            fd[:, i] = (-lap(x + 2 * e) + 8 * lap(x + e) - 8 * lap(x - e)
+                        + lap(x - 2 * e)) / (12 * h)
+        gdl = f.grad_laplacian(x)
+        assert gdl.shape == (len(x), n)
+        scale = max(1.0, float(np.max(np.abs(gdl))))
+        assert np.max(np.abs(gdl - fd)) <= 1e-6 * scale
+        assert np.all(gdl[-4:] == 0.0)  # outside the support

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cauchygap.functions import make_power_family, make_random_test
 from cauchygap.measures import MeasureParams, mean_sq_norm, omega_moment
+from cauchygap import quadrature
 from cauchygap.quadrature import (
     VERIFY_GRID,
     QuadratureSpec,
@@ -140,6 +143,107 @@ def test_verify_identity_single():
     assert np.isfinite(rep.lhs) and np.isfinite(rep.rhs)
     with pytest.raises(ValueError):
         verify_identity("NOT_A_TAG", f, p)
+
+
+def test_verify_identity_needs_grad_laplacian():
+    # IPP3/IPP4 involve grad Lap f; a function without it is refused by name
+    p = MeasureParams(2, 3.0)
+    # (cut off at radius 2 only to pass the compact-support check)
+    f = dataclasses.replace(make_power_family(0.3), support_radius=2.0)
+    for tag in ("IPP3", "IPP4"):
+        with pytest.raises(ValueError, match=tag):
+            verify_identity(tag, f, p)
+    assert np.isfinite(verify_identity("IPP1", f, p).rel_err)
+    # the random tests carry it, so the single-function path checks IPP3
+    rep = verify_identity("IPP3", make_random_test(11, 2), p)
+    assert rep.rel_err < 1e-8
+
+
+PACK_FIELDS = ("a1", "a2", "gam", "g2i", "gx2", "qi", "p1", "p2", "wdw2", "t2")
+
+
+def _reference_pack(f, params, pts, wts):
+    """The integrals from full gradient/Hessian tensors of one function, with
+    grad Lap f by fourth-order central differences of the Hessian trace."""
+    n, beta = params.n, params.beta
+    x = pts
+    w = 1.0 + np.sum(x * x, axis=-1)
+    g = f.gradient(x)
+    H = f.hessian(x)
+    lap = np.trace(H, axis1=1, axis2=2)
+    g2 = np.sum(g * g, axis=-1)
+    gx = np.sum(g * x, axis=-1)
+    x2 = np.sum(x * x, axis=-1)
+    xHg = np.einsum("ki,kij,kj->k", x, H, g)
+    hs2 = np.einsum("kij,kij->k", H, H)
+    scale = 1e-4 * (1.0 + np.sqrt(x2))
+    g_dlap = np.zeros_like(g)
+    for i in range(n):
+        sh = np.zeros(n)
+        sh[i] = 1.0
+        sh = scale[:, None] * sh[None, :]
+
+        def lap_at(y):
+            return np.trace(f.hessian(y), axis1=1, axis2=2)
+
+        g_dlap[:, i] = (-lap_at(x + 2.0 * sh) + 8.0 * lap_at(x + sh)
+                        - 8.0 * lap_at(x - sh) + lap_at(x - 2.0 * sh)) / (12.0 * scale)
+    fields = {
+        "a1": w * w * hs2, "a2": (w * lap) ** 2, "gam": w * g2, "g2i": g2,
+        "gx2": gx * gx, "qi": g2 * x2 - gx * gx, "p1": 4.0 * w * xHg,
+        "p2": 2.0 * w * lap * gx,
+        "wdw2": (-2.0 * n * w + 4.0 * (beta - 1.0) * x2) * g2,
+        "t2": w * w * np.sum(g * g_dlap, axis=-1),
+    }
+    return {k: float(np.sum(wts * v)) for k, v in fields.items()}
+
+
+def test_block_pack_matches_reference_pack():
+    # analytic thirds and distinct-entry algebra against the per-function
+    # reference, on the criterion-4 node sets
+    for n, beta in [(2, 3.0), (3, 2.5)]:
+        p = MeasureParams(n, beta)
+        spec = QuadratureSpec(scheme="polar_2d" if n == 2 else "product_spherical",
+                              nodes=128, angular_nodes=40)
+        pts, wts = quadrature._identity_nodes(p, spec, 3.0, (1.8,))
+        seeds = [0, 1, 2]
+        pack, labels = quadrature._FieldPack.of_random_tests(seeds, p, pts, wts, 3.0)
+        for t, seed in enumerate(seeds):
+            f = make_random_test(seed, n)
+            assert labels[t] == f.label
+            ref = _reference_pack(f, p, pts, wts)
+            for key in PACK_FIELDS:
+                got = getattr(pack, key)[t]
+                assert abs(got - ref[key]) <= 1e-9 * abs(ref[key]), (n, beta, seed, key)
+
+
+@pytest.mark.parametrize("nodes, angular", [(128, 40), (16, 12)])
+def test_verify_all_trial_blocks(monkeypatch, nodes, angular):
+    # more trials than one block and not a multiple of it: the same reports
+    # as one trial per block.  Where several trials tie within rounding for
+    # the worst error, blocking may pick any of them; the coarse rule leaves
+    # quadrature errors of 1e-3..1 in most rows, so their worst trial is
+    # decided by more than rounding.
+    p = MeasureParams(3, 2.5)
+    spec = QuadratureSpec(scheme="product_spherical", nodes=nodes,
+                          angular_nodes=angular)
+    trials = 2 * quadrature._TRIAL_BLOCK + 3
+    blocked = verify_all(p, spec=spec, trials=trials, seed=1)
+    blocked_pack, _ = quadrature._random_test_pack(p, spec, trials, 1, 3.0)
+    monkeypatch.setattr(quadrature, "_TRIAL_BLOCK", 1)
+    single = verify_all(p, spec=spec, trials=trials, seed=1)
+    pack, labels = quadrature._random_test_pack(p, spec, trials, 1, 3.0)
+    for key in PACK_FIELDS:
+        assert np.allclose(getattr(blocked_pack, key), getattr(pack, key),
+                           rtol=1e-12, atol=0.0)
+    assert [r.tag for r in blocked] == [r.tag for r in single]
+    for a, b in zip(blocked, single):
+        assert a.status == b.status and a.trials == b.trials == trials
+        assert abs(a.rel_err - b.rel_err) <= 1e-12
+        lhs, rhs = quadrature._tag_sides(a.tag, pack, p, None)
+        rel = quadrature._rel_err(lhs, rhs)
+        tied = {labels[t] for t in np.flatnonzero(rel >= rel.max() - 1e-12)}
+        assert a.detail in tied and b.detail == labels[int(np.argmax(rel))]
 
 
 def test_lowfact_sign_check():
