@@ -14,6 +14,7 @@ import numpy as np
 
 from cauchygap.measures import MeasureParams
 from cauchygap.quadrature import lowfact_epsilon_scan, lowfact_sign_check
+from cauchygap.spectral import GAP_FORMULA
 
 
 def main():
@@ -36,7 +37,7 @@ def main():
     print(f"  resolved sign: {res['resolved']} "
           f"(eps0 = {res['resolved_eps0']:+.6f})")
 
-    eps0 = args.n / 2.0 + 2.0 - args.beta
+    eps0 = res["eps0_plus"]
     grid = np.linspace(eps0 - args.width, eps0 + args.width, args.points)
     rows = lowfact_epsilon_scan(p, grid, trials=args.trials, seed=args.seed)
     print(f"\n  {'eps':>10s} {'rel_err':>12s} {'D':>12s}")
@@ -47,7 +48,7 @@ def main():
     best = max(rows, key=lambda r: r["D"])
     print(f"\n  D maximized at eps = {best['eps']:.4f} "
           f"(expected {eps0:.4f}); D there = {best['D']:.6f} "
-          f"vs (beta - n/2)^2 = {(args.beta - args.n / 2.0) ** 2:.6f}")
+          f"vs (beta - n/2)^2 = {GAP_FORMULA['lower'](args.n, args.beta):.6f}")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from scipy.special import gammaln
 
 from .functions import RandomTestFields, SmoothFunction, random_test_coefficients
 from .measures import MeasureParams, log_normalization, sample
+from .spectral import GAP_FORMULA, range_edges
 
 Array = np.ndarray
 
@@ -55,7 +56,7 @@ class IdentityReport:
     abs_err: float
     rel_err: float
     trials: int = 1
-    status: str = "ok"  # ok | skipped
+    status: str = "ok"
     detail: str = ""
 
 
@@ -241,12 +242,15 @@ def default_nd_spec(n: int, nodes: int = 256) -> QuadratureSpec:
 #
 # Every integral identity below is expressed through a small set of
 # mu-integrals of the second- and third-order fields of f, all evaluated on
-# one shared node set per (params, spec).  The random test functions of
+# one shared node set per (params, spec).  IPP3, IPP4 and GRG carry a
+# 1/(beta - 2) and are written multiplied through, (beta - 2) lhs = numerator,
+# so they hold and are checked at beta = 2 too.  The random test functions of
 # verify_all are evaluated in blocks: one monomial table per chunk of nodes,
 # one GEMM per block of trials.
 
 _TRIAL_BLOCK = 8     # random test functions per GEMM
 _NODE_CHUNK = 4096   # nodes per monomial table; bounds memory with _TRIAL_BLOCK
+_SUPPORT_RADIUS = 3.0  # radius of the random tests' bump
 ALL_TAGS = ("IPP1", "IPP2", "IPP3", "IPP4", "GAMMABIS", "GRG", "IRG",
             "LOWFACT", "ONED_SPLIT", "ONED_LOW")
 
@@ -258,10 +262,6 @@ def applicable_tags(params: MeasureParams) -> list[str]:
     else:
         tags += ["ONED_SPLIT", "ONED_LOW"]
     return tags
-
-
-def _tag_skipped_at(tag: str, beta: float) -> bool:
-    return tag in ("IPP3", "IPP4", "GRG") and beta == 2.0
 
 
 def _field_integrals(x: Array, wts: Array, params: MeasureParams, g: Array,
@@ -362,26 +362,23 @@ def _tag_sides(tag: str, pack: _FieldPack, params: MeasureParams,
     if tag == "IPP2":
         return pack.p2, -0.5 * pack.p1 - 2.0 * pack.gam + 4.0 * (beta - 1.0) * pack.gx2
     if tag == "IPP3":
-        rhs = (2.0 * pack.a1 + 2.0 * pack.t2) / (beta - 2.0)
-        return pack.p1, rhs
+        return (beta - 2.0) * pack.p1, 2.0 * pack.a1 + 2.0 * pack.t2
     if tag == "IPP4":
-        rhs = (pack.t2 + pack.a2) / (beta - 2.0)
-        return pack.p2, rhs
+        return (beta - 2.0) * pack.p2, pack.t2 + pack.a2
     if tag == "GAMMABIS":
         rhs = pack.a1 + 0.5 * pack.p1 - pack.p2 + 2.0 * (beta - 1.0) * pack.gam
         return pack.gamma2, rhs
     if tag == "GRG":
-        rhs = ((beta - (n + 1.0)) / (beta - 2.0) * pack.a1
-               + n / (beta - 2.0) * (pack.a1 - pack.a2 / n)
-               + 2.0 * (beta - 1.0) * pack.gam)
-        return pack.gamma2, rhs
+        rhs = ((beta - (n + 1.0)) * pack.a1 + n * (pack.a1 - pack.a2 / n)
+               + 2.0 * (beta - 1.0) * (beta - 2.0) * pack.gam)
+        return (beta - 2.0) * pack.gamma2, rhs
     if tag == "IRG":
         rhs = (n / (n - 1.0) * (pack.a1 - pack.a2 / n)
                + 4.0 * (beta - 1.0) * (n + 1.0 - beta) / (n - 1.0) * pack.qi
-               + 4.0 * (beta - n / 2.0 - 1.0) * pack.gam)
+               + GAP_FORMULA["mid"](n, beta) * pack.gam)
         return pack.gamma2, rhs
     if tag == "LOWFACT":
-        eps = (n / 2.0 + 2.0 - beta) if epsilon is None else float(epsilon)
+        eps = (range_edges(n)[0] - beta) if epsilon is None else float(epsilon)
         return pack.gamma2, _lowfact_rhs(pack, n, beta, eps)
     if tag == "ONED_SPLIT":
         eps = 0.5 if epsilon is None else float(epsilon)
@@ -391,10 +388,10 @@ def _tag_sides(tag: str, pack: _FieldPack, params: MeasureParams,
                + A * pack.g2i + Bc * pack.gx2)
         return pack.gamma2, rhs
     if tag == "ONED_LOW":
-        eps0 = 1.5 - beta
+        eps0 = range_edges(n)[0] - beta
         a0 = beta - 0.5
         rhs = (pack.a1 + 0.5 * eps0 * pack.p1 + eps0 * eps0 * pack.gx2
-               + a0 * a0 * pack.gam + a0 * (1.5 - beta) * pack.g2i)
+               + a0 * a0 * pack.gam + a0 * eps0 * pack.g2i)
         return pack.gamma2, rhs
     raise ValueError(f"unknown identity tag {tag!r}")
 
@@ -406,7 +403,7 @@ def lowfact_coefficients(n: int, beta: float, eps: float):
     B = ((n - 2.0) * eps ** 2 - 8.0 * (beta - 1.0) * eps
          + 8.0 * (beta - 1.0) * (n + 1.0 - beta)) / (2.0 * (n - 1.0))
     C = eps * (eps + 2.0 * (beta - 1.0))
-    D = -eps ** 2 + (n + 2.0 - 2.0 * (beta - 1.0)) * eps + 4.0 * (beta - n / 2.0 - 1.0)
+    D = -eps ** 2 + (n + 2.0 - 2.0 * (beta - 1.0)) * eps + GAP_FORMULA["mid"](n, beta)
     return B, C, D
 
 
@@ -418,15 +415,15 @@ def _identity_nodes(params: MeasureParams, spec: QuadratureSpec,
 
 
 def _random_test_pack(params: MeasureParams, spec: Optional[QuadratureSpec],
-                      trials: int, seed: int, support_radius: float):
+                      trials: int, seed: int):
     """Pack and labels of the random tests (seed << 20) + t, t < trials, on
-    the identity nodes of support_radius."""
+    the identity nodes of their support."""
     if spec is None:
         spec = default_nd_spec(params.n)
-    pts, wts = _identity_nodes(params, spec, support_radius,
-                               seams=(0.6 * support_radius,))
+    pts, wts = _identity_nodes(params, spec, _SUPPORT_RADIUS,
+                               seams=(0.6 * _SUPPORT_RADIUS,))
     seeds = [(seed << 20) + t for t in range(trials)]
-    return _FieldPack.of_random_tests(seeds, params, pts, wts, support_radius)
+    return _FieldPack.of_random_tests(seeds, params, pts, wts, _SUPPORT_RADIUS)
 
 
 def verify_identity(tag: str, f: SmoothFunction, params: MeasureParams,
@@ -439,8 +436,6 @@ def verify_identity(tag: str, f: SmoothFunction, params: MeasureParams,
         raise ValueError("identity verification requires compact support "
                          "(boundary terms must vanish)")
     n, beta = params.n, params.beta
-    if tag in ("IPP3", "IPP4", "GRG") and beta == 2.0:
-        raise ValueError(f"{tag} is undefined at beta = 2")
     if tag in ("IPP3", "IPP4") and f.grad_laplacian is None:
         raise ValueError(f"{tag} needs the analytic grad Laplacian of f "
                          "(SmoothFunction.grad_laplacian)")
@@ -460,10 +455,9 @@ def verify_identity(tag: str, f: SmoothFunction, params: MeasureParams,
 
 def verify_all(params: MeasureParams, spec: Optional[QuadratureSpec] = None,
                trials: int = 50, seed: int = 0,
-               support_radius: float = 3.0,
                corrupt_ipp1: bool = False) -> list[IdentityReport]:
     """Worst-case report per applicable tag over random compactly supported
-    test functions.  beta = 2 rows for IPP3/IPP4/GRG are marked skipped.
+    test functions.
 
     corrupt_ipp1 flips the sign of the IPP1 right-hand side; it exists as a
     negative control so report consumers can confirm a broken identity is
@@ -472,15 +466,9 @@ def verify_all(params: MeasureParams, spec: Optional[QuadratureSpec] = None,
     if trials < 1:
         raise ValueError("need at least one trial")
     n, beta = params.n, params.beta
-    pack, labels = _random_test_pack(params, spec, trials, seed, support_radius)
+    pack, labels = _random_test_pack(params, spec, trials, seed)
     reports = []
     for tag in applicable_tags(params):
-        if _tag_skipped_at(tag, beta):
-            reports.append(IdentityReport(
-                tag=tag, n=n, beta=beta, lhs=float("nan"), rhs=float("nan"),
-                abs_err=0.0, rel_err=0.0, trials=trials, status="skipped",
-                detail="undefined at beta = 2"))
-            continue
         lhs, rhs = _tag_sides(tag, pack, params, None)
         if corrupt_ipp1 and tag == "IPP1":
             rhs = -rhs
@@ -495,8 +483,7 @@ def verify_all(params: MeasureParams, spec: Optional[QuadratureSpec] = None,
 
 def lowfact_sign_check(params: MeasureParams,
                        spec: Optional[QuadratureSpec] = None,
-                       trials: int = 5, seed: int = 0,
-                       support_radius: float = 3.0) -> dict:
+                       trials: int = 5, seed: int = 0) -> dict:
     """Decide numerically which sign of eps0 makes the lower-range split close
     with the advertised leading coefficient D = (beta - n/2)^2.
 
@@ -506,9 +493,10 @@ def lowfact_sign_check(params: MeasureParams,
     n, beta = params.n, params.beta
     if n < 2:
         raise ValueError("needs n >= 2")
-    pack, _ = _random_test_pack(params, spec, trials, seed, support_radius)
-    D_claimed = (beta - n / 2.0) ** 2
-    eps0 = {"plus": n / 2.0 + 2.0 - beta, "minus": beta - n / 2.0 - 2.0}
+    pack, _ = _random_test_pack(params, spec, trials, seed)
+    D_claimed = GAP_FORMULA["lower"](n, beta)
+    e0 = range_edges(n)[0] - beta
+    eps0 = {"plus": e0, "minus": -e0}
     residuals = {sign: float(np.max(_rel_err(
                      pack.gamma2, _lowfact_rhs(pack, n, beta, eps, D_claimed))))
                  for sign, eps in eps0.items()}
@@ -525,15 +513,15 @@ def lowfact_sign_check(params: MeasureParams,
 
 def lowfact_epsilon_scan(params: MeasureParams, eps_values,
                          spec: Optional[QuadratureSpec] = None,
-                         trials: int = 3, seed: int = 0,
-                         support_radius: float = 3.0) -> list[dict]:
+                         trials: int = 3, seed: int = 0) -> list[dict]:
     """Identity residual and D coefficient across an eps grid.
 
     The split closes for every eps; D(eps) is a downward parabola maximized
-    at eps0 = n/2 + 2 - beta, where it equals (beta - n/2)^2.
+    at eps0 = beta_L - beta (spectral.range_edges), where it equals the
+    lower-range gap (beta - n/2)^2.
     """
     n, beta = params.n, params.beta
-    pack, _ = _random_test_pack(params, spec, trials, seed, support_radius)
+    pack, _ = _random_test_pack(params, spec, trials, seed)
     rows = []
     for eps in eps_values:
         eps = float(eps)

@@ -27,8 +27,8 @@ from scipy.interpolate import CubicSpline
 from .functions import SmoothFunction
 from .measures import MeasureParams, mean_sq_norm
 from .quadrature import _radial_rule, default_nd_spec, integrate_nd, QuadratureSpec
-from .spectral import (Discretization, ModeProblem, SymBand, assemble_mode,
-                       lowest_eigs)
+from .spectral import (GAP_FORMULA, Discretization, ModeProblem, SymBand,
+                       assemble_mode, lowest_eigs, range_edges)
 
 __all__ = [
     "EvolutionState", "evolve", "default_horizon",
@@ -218,25 +218,20 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
 # ----------------------------------------------------------------------
 # Range-specific deficits.
 
-_RANGE_WINDOWS = {
-    # tag -> (validity test, gap coefficient)
-    "upper": (lambda n, b: b >= (1.5 if n == 1 else n + 1.0),
-              lambda n, b: 2.0 * (b - 1.0)),
-    "mid": (lambda n, b: n >= 2 and n / 2.0 + 1.0 < b <= n + 1.0,
-            lambda n, b: 4.0 * (b - n / 2.0 - 1.0)),
-    "lower": (lambda n, b: b <= (1.5 if n == 1 else n / 2.0 + 2.0),
-              lambda n, b: (b - (0.5 if n == 1 else n / 2.0)) ** 2),
-}
-
-
 def _range_lambda(params: MeasureParams, range_tag: str) -> float:
-    if range_tag not in _RANGE_WINDOWS:
+    """The range's gap constant; the deficit's mid window (n/2 + 1, beta_U]
+    is wider than the gap's, from where linear functions enter L^2."""
+    if range_tag not in GAP_FORMULA:
         raise ValueError(f"unknown range tag {range_tag!r}")
-    ok, lam = _RANGE_WINDOWS[range_tag]
-    if not ok(params.n, params.beta):
+    n, beta = params.n, params.beta
+    beta_l, beta_u = range_edges(n)
+    inside = {"lower": beta <= beta_l,
+              "mid": n >= 2 and beta_l - 1.0 < beta <= beta_u,
+              "upper": beta >= beta_u}[range_tag]
+    if not inside:
         raise ValueError(f"beta = {params.beta} outside the {range_tag} "
                          f"window for n = {params.n}")
-    return lam(params.n, params.beta)
+    return GAP_FORMULA[range_tag](n, beta)
 
 
 def _var_and_energy(f: SmoothFunction, params: MeasureParams,
@@ -286,16 +281,15 @@ def _range_bilinear(range_tag: str, n: int, beta: float):
             return c * (w * w) * (hess - lapu * lapv / n)
         return F
     if range_tag == "lower":
+        e0 = range_edges(n)[0] - beta
         if n == 1:
-            e0 = 1.5 - beta
-            c0 = (beta - 0.5) * (1.5 - beta)
+            c0 = (beta - 0.5) * e0
 
             def F(r, w, du, dv, d2u, d2v, lapu, lapv):
                 return ((w * d2u + e0 * r * du) * (w * d2v + e0 * r * dv)
                         + c0 * du * dv)
             return F
-        e0 = n / 2.0 + 2.0 - beta
-        c0 = (n / 2.0 + 2.0 - beta) * (beta + n / 2.0)
+        c0 = e0 * (beta + n / 2.0)
 
         def F(r, w, du, dv, d2u, d2v, lapu, lapv):
             rsafe = np.where(r > 0, r, 1.0)
@@ -387,7 +381,7 @@ def _linear_route_value(a_norm: float, params: MeasureParams, range_tag: str):
     """Closed-form route for f = <a, x>: an exact eigenfunction with
     eigenvalue 2(beta-1); only the angular-defect term survives."""
     n, beta = params.n, params.beta
-    lam_lin = 2.0 * (beta - 1.0)
+    lam_lin = GAP_FORMULA["upper"](n, beta)
     msq = mean_sq_norm(params)
     if range_tag == "upper":
         return 0.0, lambda times: np.zeros(len(np.atleast_1d(times)))
@@ -395,14 +389,13 @@ def _linear_route_value(a_norm: float, params: MeasureParams, range_tag: str):
         coef = 4.0 * (beta - 1.0) * (n + 1.0 - beta) / (n - 1.0)
         amp = coef * a_norm ** 2 * msq * (n - 1.0) / n
     elif range_tag == "lower":
+        e0 = range_edges(n)[0] - beta
         if n == 1:
-            e0 = 1.5 - beta
-            c0 = (beta - 0.5) * (1.5 - beta)
+            c0 = (beta - 0.5) * e0
             # f'' = 0: the integrand reduces to (e0 x a)^2 + c0 a^2
             amp = a_norm ** 2 * (e0 * e0 * msq + c0)
         else:
-            e0 = n / 2.0 + 2.0 - beta
-            c0 = (n / 2.0 + 2.0 - beta) * (beta + n / 2.0)
+            c0 = e0 * (beta + n / 2.0)
             btil = ((n - 2.0) * (4.0 * (beta - 1.0) ** 2
                                  - 4.0 * (n - 2.0) * (beta - 1.0)
                                  + (n + 2.0) ** 2) / (8.0 * (n - 1.0)))
@@ -434,13 +427,13 @@ class DeficitMismatch(RuntimeError):
 def deficit(f: SmoothFunction, params: MeasureParams, range_tag: str,
             quad_spec: Optional[QuadratureSpec] = None,
             disc: Optional[Discretization] = None,
-            kept: int = 48, check_tol: float = 1e-3) -> float:
+            kept: int = 48) -> float:
     """Range deficit lambda_range Var(f) - int Gamma(f) dmu (nonpositive).
 
     When f is radial, linear, or one-dimensional, the explicit corollary
     time integral -2 int_0^inf int F(P_t f) dmu dt is evaluated through an
     eigen-expansion and must agree with the quadrature value within
-    check_tol (relative); disagreement raises.  The eigen-expansion needs
+    1e-3 (relative); disagreement raises.  The eigen-expansion needs
     trustworthy profile derivatives over the whole quadrature window, so
     the strict comparison is enforced only for compactly supported f and
     for the closed-form linear route; profiles growing at infinity (the
@@ -458,7 +451,7 @@ def deficit(f: SmoothFunction, params: MeasureParams, range_tag: str,
         if routed is not None:
             route, _ = routed
             scale = max(1.0, abs(value), abs(route))
-            if abs(route - value) > check_tol * scale:
+            if abs(route - value) > 1e-3 * scale:
                 raise DeficitMismatch(
                     f"corollary time integral {route:.6g} disagrees with the "
                     f"quadrature deficit {value:.6g} (tag {range_tag})")
@@ -515,6 +508,6 @@ def extremal_residual(f: SmoothFunction, params: MeasureParams,
         w = 1.0 + x[:, 0] ** 2
         d2 = f.hessian(x)[:, 0, 0]
         d1 = f.gradient(x)[:, 0]
-        res = w * d2 + (1.5 - params.beta) * x[:, 0] * d1
+        res = w * d2 + (range_edges(1)[0] - params.beta) * x[:, 0] * d1
         return float(np.max(np.abs(res)))
     raise ValueError(f"unknown range tag {range_tag!r}")

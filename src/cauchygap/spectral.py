@@ -37,14 +37,31 @@ from .measures import MeasureParams, omega_moment
 
 __all__ = [
     "Discretization", "SymBand", "ModeProblem", "NumericalBreakdown", "GapReport",
-    "closed_form_gap", "assemble_mode", "lowest_eigs", "numeric_gap",
+    "range_edges", "GAP_FORMULA", "closed_form_gap", "assemble_mode", "lowest_eigs", "numeric_gap",
     "rayleigh_quotient_power", "rayleigh_quotient_1d", "upper_bound_min",
     "gap_sweep", "write_sweep_csv",
 ]
 
 
 # ----------------------------------------------------------------------
-# Closed forms.
+# Closed forms.  range_edges and GAP_FORMULA are the beta-range table: the
+# one place the piecewise theorem is written.
+
+
+def range_edges(n: int) -> tuple[float, float]:
+    """(beta_L, beta_U): the gap is GAP_FORMULA["lower"] on (n/2, beta_L],
+    "mid" on [beta_L, beta_U] and "upper" on [beta_U, inf); the lower-range
+    split closes at eps0 = beta_L - beta.  The line has no mid range."""
+    if n == 1:
+        return 1.5, 1.5
+    return n / 2.0 + 2.0, n + 1.0
+
+
+GAP_FORMULA = {
+    "lower": lambda n, beta: (beta - n / 2.0) ** 2,
+    "mid": lambda n, beta: 4.0 * (beta - n / 2.0 - 1.0),
+    "upper": lambda n, beta: 2.0 * (beta - 1.0),
+}
 
 
 def closed_form_gap(params: MeasureParams) -> tuple[float, str]:
@@ -56,15 +73,9 @@ def closed_form_gap(params: MeasureParams) -> tuple[float, str]:
     At a boundary both branches agree; the tag picks the lower-beta branch.
     """
     n, beta = params.n, params.beta
-    if n == 1:
-        if beta <= 1.5:
-            return (beta - 0.5) ** 2, "lower"
-        return 2.0 * (beta - 1.0), "upper"
-    if beta <= n / 2.0 + 2.0:
-        return (beta - n / 2.0) ** 2, "lower"
-    if beta <= n + 1.0:
-        return 4.0 * (beta - n / 2.0 - 1.0), "mid"
-    return 2.0 * (beta - 1.0), "upper"
+    beta_l, beta_u = range_edges(n)
+    tag = "lower" if beta <= beta_l else "mid" if beta <= beta_u else "upper"
+    return GAP_FORMULA[tag](n, beta), tag
 
 
 def upper_bound_min(params: MeasureParams) -> float:
@@ -75,11 +86,11 @@ def upper_bound_min(params: MeasureParams) -> float:
     (beta > n/2+2).  The minimum reproduces the closed-form gap.
     """
     n, beta = params.n, params.beta
-    cands = [(beta - n / 2.0) ** 2]
+    cands = [GAP_FORMULA["lower"](n, beta)]
     if beta > n / 2.0 + 1.0:
-        cands.append(2.0 * (beta - 1.0))
+        cands.append(GAP_FORMULA["upper"](n, beta))
     if beta > n / 2.0 + 2.0:
-        cands.append(4.0 * (beta - n / 2.0 - 1.0))
+        cands.append(GAP_FORMULA["mid"](n, beta))
     return min(cands)
 
 

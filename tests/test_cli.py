@@ -60,7 +60,7 @@ def test_gap_tolerance_failure(tmp_path):
     assert d["rel_error"] > 1e-3
 
 
-def test_sweep(tmp_path):
+def test_sweep(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--n", "2", "--beta-min", "1.2", "--beta-max", "4.0",
                  "--steps", "6", "--m", "96", "--delta", "1e-2",
@@ -68,6 +68,21 @@ def test_sweep(tmp_path):
     assert code == EXIT_OK
     lines = out.read_text().splitlines()
     assert len(lines) == 7
+    # after the row count: the worst |rel_error| of each range tag present,
+    # in table order, then the essential-spectrum note for a coarse lower range
+    worst = {}
+    for row in lines[1:]:
+        cols = row.split(",")
+        worst[cols[2]] = max(worst.get(cols[2], 0.0), abs(float(cols[5])))
+    assert set(worst) == {"lower", "upper"}
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == f"6 rows -> {out}"
+    assert printed[1:3] == [f"  {tag:5s}: worst |rel_error| = {worst[tag]:.3e}"
+                            for tag in ("lower", "upper")]
+    assert worst["lower"] > 1e-2
+    assert printed[3].startswith("  note: the lower range is an "
+                                 "essential-spectrum edge")
+    assert len(printed) == 4
     # deterministic: a second run writes byte-identical output
     out2 = tmp_path / "sweep2.csv"
     main(["sweep", "--n", "2", "--beta-min", "1.2", "--beta-max", "4.0",

@@ -91,7 +91,7 @@ def test_verify_grid_contents():
     assert (2, 3.0) in VERIFY_GRID
     assert sum(1 for n, _ in VERIFY_GRID if n == 2) == 4
     assert (1, 0.8) in VERIFY_GRID and (3, 6.0) in VERIFY_GRID
-    # the beta = 2 rows are exact floats so skip logic can trigger on them
+    # the beta = 2 rows are exact floats, so beta - 2 vanishes exactly there
     assert (1, 2.0) in VERIFY_GRID and (2, 2.0) in VERIFY_GRID
 
 
@@ -110,17 +110,31 @@ def test_verify_all_tags_and_accuracy():
 
 
 def test_verify_all_skips():
-    # beta = 2 kills the (beta - 2) prefactors: those identities are skipped
+    # beta = 2 kills the (beta - 2) factors: IPP3, IPP4 and GRG become the
+    # Lebesgue identities a1 + t2 = 0 and a1 = a2, checked like every row
     reports = verify_all(MeasureParams(2, 2.0), trials=2, seed=0)
     by_tag = {r.tag: r for r in reports}
-    for t in ("IPP3", "IPP4", "GRG"):
-        assert by_tag[t].status == "skipped"
-    for t in ("IPP1", "IPP2", "GAMMABIS", "IRG", "LOWFACT"):
+    for t in ("IPP1", "IPP2", "IPP3", "IPP4", "GAMMABIS", "GRG", "IRG",
+              "LOWFACT"):
         assert by_tag[t].status == "ok"
+        assert by_tag[t].rel_err <= 1e-6
     # the line has its own split identities and no angular-gradient ones
     line = {r.tag: r for r in verify_all(MeasureParams(1, 2.5), trials=2, seed=0)}
     assert "ONED_SPLIT" in line and "ONED_LOW" in line
     assert "IRG" not in line and "LOWFACT" not in line
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("beta", [2.0 - 1e-9, 2.0, 2.0 + 1e-9])
+def test_verify_all_near_beta_2(n, beta):
+    # dividing IPP3/IPP4/GRG by beta - 2 would amplify rounding to 1e-3 here
+    spec = QuadratureSpec(scheme="polar_2d" if n == 2 else "product_spherical",
+                          nodes=128, angular_nodes=40)
+    reports = verify_all(MeasureParams(n, beta), spec=spec, trials=50, seed=0)
+    assert len(reports) == 8
+    for r in reports:
+        assert r.status == "ok"
+        assert r.rel_err <= 1e-6, (r.tag, r.rel_err)
 
 
 def test_corrupt_ipp1_control():
@@ -229,10 +243,10 @@ def test_verify_all_trial_blocks(monkeypatch, nodes, angular):
                           angular_nodes=angular)
     trials = 2 * quadrature._TRIAL_BLOCK + 3
     blocked = verify_all(p, spec=spec, trials=trials, seed=1)
-    blocked_pack, _ = quadrature._random_test_pack(p, spec, trials, 1, 3.0)
+    blocked_pack, _ = quadrature._random_test_pack(p, spec, trials, 1)
     monkeypatch.setattr(quadrature, "_TRIAL_BLOCK", 1)
     single = verify_all(p, spec=spec, trials=trials, seed=1)
-    pack, labels = quadrature._random_test_pack(p, spec, trials, 1, 3.0)
+    pack, labels = quadrature._random_test_pack(p, spec, trials, 1)
     for key in PACK_FIELDS:
         assert np.allclose(getattr(blocked_pack, key), getattr(pack, key),
                            rtol=1e-12, atol=0.0)

@@ -12,6 +12,7 @@ from cauchygap.measures import MeasureParams, omega_moment
 from cauchygap.quadrature import default_nd_spec, integrate_nd
 from cauchygap.semigroup import (
     DeficitMismatch,
+    _range_lambda,
     EvolutionState,
     default_horizon,
     deficit,
@@ -214,6 +215,35 @@ def test_deficit_window_validation():
         deficit(make_linear(np.array([1.0])), MeasureParams(1, 2.0), "mid")
     with pytest.raises(ValueError):
         deficit(make_linear(np.array([1.0, 0.0])), MeasureParams(2, 6.0), "lower")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_range_lambda_window_edges(n):
+    # the deficit windows, written out here independently of spectral's
+    # table: lower (n/2, b_L], mid (n/2 + 1, b_U] for n >= 2 (wider than the
+    # gap's mid range), upper [b_U, inf); closed edges accepted, 1e-9 past
+    # an edge refused
+    b_l, b_u = (1.5, 1.5) if n == 1 else (n / 2.0 + 2.0, n + 1.0)
+    gap = {"lower": lambda b: (b - n / 2.0) ** 2,
+           "mid": lambda b: 4.0 * (b - n / 2.0 - 1.0),
+           "upper": lambda b: 2.0 * (b - 1.0)}
+    inside = {"lower": [b_l], "upper": [b_u]}
+    outside = {"lower": [b_l + 1e-9], "upper": [b_u - 1e-9]}
+    if n == 1:
+        outside["mid"] = [1.2, b_l, 2.5]
+    else:
+        inside["mid"] = [n / 2.0 + 1.0 + 1e-9, b_l, b_u]
+        outside["mid"] = [n / 2.0 + 1.0, b_u + 1e-9]
+    for tag, betas in inside.items():
+        for b in betas:
+            assert _range_lambda(MeasureParams(n, b), tag) == gap[tag](b)
+    for tag, betas in outside.items():
+        for b in betas:
+            with pytest.raises(ValueError,
+                               match=f"outside the {tag} window for n = {n}$"):
+                _range_lambda(MeasureParams(n, b), tag)
+    with pytest.raises(ValueError, match="unknown range tag"):
+        _range_lambda(MeasureParams(n, b_u), "traceless")
 
 
 def test_deficit_trace_upper_linear():
