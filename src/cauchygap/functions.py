@@ -256,11 +256,17 @@ def make_lower_extremal_1d(beta: float) -> SmoothFunction:
 # ----------------------------------------------------------------------
 # Random compactly supported polynomials-times-bump.
 #
-# All tests of one (n, degree) share the monomial basis of total degree
-# <= degree, and differentiation is a linear map on coefficient vectors.
+# The family is fixed: polynomials of total degree <= RANDOM_TEST_DEGREE
+# times the bump that is 1 up to the first seam and 0 from
+# RANDOM_TEST_RADIUS on.  All tests of one n share the monomial basis,
+# and differentiation is a linear map on coefficient vectors.
 # The field rows of a polynomial P are, in this order: P, the n first
 # derivatives, the n(n+1)/2 distinct second derivatives d_i d_j P (i <= j,
 # row-major, as numpy.triu_indices) and the n components of grad Lap P.
+
+RANDOM_TEST_DEGREE = 6
+RANDOM_TEST_RADIUS = 3.0
+RANDOM_TEST_SEAMS = (0.6 * RANDOM_TEST_RADIUS, RANDOM_TEST_RADIUS)
 
 
 @lru_cache(maxsize=None)
@@ -308,21 +314,17 @@ def _monomials(x: Array, degrees: Array, parent: Array, var: Array) -> Array:
     return mono
 
 
-def random_test_coefficients(seeds: Sequence[int], n: int, degree: int = 6,
-                             R: float = 3.0):
+def random_test_coefficients(seeds: Sequence[int], n: int):
     """Coefficient stack (M, len(seeds)) and labels of make_random_test(seed,
-    n, degree, R) for each seed, from the same Philox draws."""
-    if degree > 6:
-        raise ValueError("degree capped at 6")
-    if R <= 0:
-        raise ValueError("support radius must be positive")
-    degrees = _poly_basis(n, degree)[0]
+    n) for each seed, from the same Philox draws."""
+    degrees = _poly_basis(n, RANDOM_TEST_DEGREE)[0]
     scale = (1.0 + degrees) ** 1.5
     coefs = np.empty((len(degrees), len(seeds)))
     for t, seed in enumerate(seeds):
         rng = np.random.Generator(np.random.Philox(key=int(seed)))
         coefs[:, t] = rng.normal(size=len(degrees)) / scale
-    labels = [f"random_test(seed={seed}, deg={degree}, R={R})" for seed in seeds]
+    labels = [f"random_test(seed={seed}, deg={RANDOM_TEST_DEGREE}, "
+              f"R={RANDOM_TEST_RADIUS})" for seed in seeds]
     return coefs, labels
 
 
@@ -334,18 +336,19 @@ class RandomTestFields:
     `order` (0..3) is the highest derivative evaluated.
     """
 
-    def __init__(self, x: Array, degree: int = 6, R: float = 3.0, order: int = 3):
+    def __init__(self, x: Array, order: int = 3):
         n = x.shape[1]
         self.n, self.order = n, order
-        degrees, parent, var, ops = _poly_basis(n, degree)
+        degrees, parent, var, ops = _poly_basis(n, RANDOM_TEST_DEGREE)
         nh = n * (n + 1) // 2
         self._ops = ops[:(1, 1 + n, 1 + n + nh, 1 + 2 * n + nh)[order]]
         r = np.sqrt(np.sum(x * x, axis=-1))
         # outside the bump everything is multiplied by an exact 0; clamp the
         # polynomial argument to the support ball so huge radii cannot overflow
+        R = RANDOM_TEST_RADIUS
         self._mono = _monomials(x * (R / np.maximum(r, R))[:, None],
                                 degrees, parent, var)
-        bump = _bump_profile(r, 0.6 * R, R, order)
+        bump = _bump_profile(r, *RANDOM_TEST_SEAMS, order)
         self._b = bump[0]
         if order == 0:
             return
@@ -356,7 +359,7 @@ class RandomTestFields:
         self._bg = b1 * u  # grad b
         if order == 1:
             return
-        b1_r = b1 / safe_r  # 0 wherever b is flat (r <= 0.6 R)
+        b1_r = b1 / safe_r  # 0 wherever b is flat (up to the first seam)
         iu, ju = np.triu_indices(n)
         uu = u[iu] * u[ju]
         self._bh = bump[2] * uu + b1_r * ((iu == ju)[:, None] - uu)
@@ -412,12 +415,13 @@ def _pair_index(n: int) -> Array:
     return idx
 
 
-def make_random_test(seed: int, n: int, degree: int = 6, R: float = 3.0) -> SmoothFunction:
-    """Random polynomial (total degree <= degree) times a radial C^2 bump in |x| <= R."""
-    coefs, (label,) = random_test_coefficients([seed], n, degree, R)
+def make_random_test(seed: int, n: int) -> SmoothFunction:
+    """Random polynomial (total degree <= RANDOM_TEST_DEGREE) times a radial
+    C^2 bump supported in |x| <= RANDOM_TEST_RADIUS."""
+    coefs, (label,) = random_test_coefficients([seed], n)
 
     def fields(x, order):
-        return RandomTestFields(_as_points(x), degree, R, order).fields(coefs)[order]
+        return RandomTestFields(_as_points(x), order).fields(coefs)[order]
 
     def value(x):
         return fields(x, 0)[0]
@@ -432,8 +436,8 @@ def make_random_test(seed: int, n: int, degree: int = 6, R: float = 3.0) -> Smoo
     def grad_laplacian(x):
         return np.ascontiguousarray(fields(x, 3)[:, 0].T)
 
-    return SmoothFunction(value, gradient, hessian, R, label,
-                          radial_seams=(0.6 * R, R), grad_laplacian=grad_laplacian)
+    return SmoothFunction(value, gradient, hessian, RANDOM_TEST_RADIUS, label,
+                          radial_seams=RANDOM_TEST_SEAMS, grad_laplacian=grad_laplacian)
 
 
 def _exponents(n: int, total: int):

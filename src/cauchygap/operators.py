@@ -9,7 +9,7 @@ factorization of Gamma2 that exhibits CD(0, infinity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,14 +25,6 @@ class WeightSpec:
     gradient: Callable[[Array], Array]
     hessian: Callable[[Array], Array]
     laplacian: Callable[[Array], Array]
-    is_cauchy: bool = False
-    rho_minus: Optional[float] = None
-    rho_plus: Optional[float] = None
-
-    def __post_init__(self):
-        if self.rho_minus is not None and self.rho_plus is not None:
-            if not (0 < self.rho_minus <= self.rho_plus):
-                raise ValueError("need 0 < rho_minus <= rho_plus")
 
 
 def cauchy_weight(n: int) -> WeightSpec:
@@ -53,8 +45,7 @@ def cauchy_weight(n: int) -> WeightSpec:
         x = _as_points(x)
         return np.full(x.shape[0], 2.0 * n)
 
-    return WeightSpec(value, gradient, hessian, laplacian,
-                      is_cauchy=True, rho_minus=2.0, rho_plus=2.0)
+    return WeightSpec(value, gradient, hessian, laplacian)
 
 
 def apply_L(f: SmoothFunction, x: Array, weight: WeightSpec,

@@ -21,7 +21,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
-from .functions import RandomTestFields, SmoothFunction, random_test_coefficients
+from .functions import (RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS, RandomTestFields,
+                        SmoothFunction, random_test_coefficients)
 from .measures import MeasureParams, log_normalization, sample
 from .spectral import GAP_FORMULA, range_edges
 
@@ -90,9 +91,9 @@ def _radial_rule_cached(n: int, beta: float, nodes: int, trunc: Optional[float],
                         seams: tuple = ()):
     """Radial nodes r and log of mu-weights: sum(exp(logw) * h(r)) = int h dmu.
 
-    `seams` lists radii where integrands lose smoothness (bump-profile
-    joints); panel edges are pinned there so Gauss panels never straddle a
-    derivative kink.
+    `seams` lists, sorted, the radii in (0, trunc) where integrands lose
+    smoothness (bump-profile joints); panel edges are pinned there so Gauss
+    panels never straddle a derivative kink.
     """
     logc = _log_sphere_area(n) - log_normalization(MeasureParams(n, beta))
     p = 8
@@ -107,7 +108,7 @@ def _radial_rule_cached(n: int, beta: float, nodes: int, trunc: Optional[float],
     if trunc is not None:
         # compact support: uniform panels per smooth segment of [0, arctan(R)]
         tmax = math.atan(trunc)
-        cuts = sorted({math.atan(s) for s in seams if 0.0 < s < trunc})
+        cuts = [math.atan(s) for s in seams]
         segments = list(zip([0.0] + cuts, cuts + [tmax]))
         npan_total = max(16, nodes // p)
         for a, b in segments:
@@ -161,8 +162,11 @@ def _radial_rule(params: MeasureParams, spec: QuadratureSpec,
     trunc = spec.truncation
     if support_radius is not None and (trunc is None or support_radius < trunc):
         trunc = float(support_radius)
-    return _radial_rule_cached(params.n, params.beta, spec.nodes, trunc,
-                               tuple(sorted(seams)))
+    # only seams inside (0, trunc) pin panel edges; dropping the rest first
+    # lets every seam tuple that pins the same edges share one cached rule
+    inside = () if trunc is None else tuple(sorted({s for s in seams
+                                                    if 0.0 < s < trunc}))
+    return _radial_rule_cached(params.n, params.beta, spec.nodes, trunc, inside)
 
 
 # ----------------------------------------------------------------------
@@ -227,8 +231,7 @@ def integrate_nd(g: Callable[[Array], Array], params: MeasureParams,
     if spec.scheme == "radial_compactified" and params.n != 1:
         raise ValueError("scheme radial_compactified integrates full-dimensional "
                          "fields only on the line; use polar_2d/product_spherical")
-    pts, wts = _product_nodes(params, spec, support_radius,
-                              tuple(sorted(seams)))
+    pts, wts = _product_nodes(params, spec, support_radius, seams)
     return float(np.sum(wts * np.asarray(g(pts), dtype=float)))
 
 
@@ -250,7 +253,6 @@ def default_nd_spec(n: int, nodes: int = 256) -> QuadratureSpec:
 
 _TRIAL_BLOCK = 8     # random test functions per GEMM
 _NODE_CHUNK = 4096   # nodes per monomial table; bounds memory with _TRIAL_BLOCK
-_SUPPORT_RADIUS = 3.0  # radius of the random tests' bump
 ALL_TAGS = ("IPP1", "IPP2", "IPP3", "IPP4", "GAMMABIS", "GRG", "IRG",
             "LOWFACT", "ONED_SPLIT", "ONED_LOW")
 
@@ -327,14 +329,13 @@ class _FieldPack:
 
     @classmethod
     def of_random_tests(cls, seeds, params: MeasureParams, pts: Array,
-                        wts: Array, support_radius: float):
-        """Pack and labels of make_random_test(seed, n, R=support_radius)
-        for every seed."""
-        coefs, labels = random_test_coefficients(seeds, params.n, R=support_radius)
+                        wts: Array):
+        """Pack and labels of make_random_test(seed, n) for every seed."""
+        coefs, labels = random_test_coefficients(seeds, params.n)
         totals = np.zeros((10, len(seeds)))
         for lo in range(0, len(wts), _NODE_CHUNK):
             x, w = pts[lo:lo + _NODE_CHUNK], wts[lo:lo + _NODE_CHUNK]
-            fields = RandomTestFields(x, R=support_radius)
+            fields = RandomTestFields(x)
             for t in range(0, len(seeds), _TRIAL_BLOCK):
                 _, g, hess, gdl = fields.fields(coefs[:, t:t + _TRIAL_BLOCK])
                 totals[:, t:t + _TRIAL_BLOCK] += _field_integrals(x, w, params, g,
@@ -407,23 +408,15 @@ def lowfact_coefficients(n: int, beta: float, eps: float):
     return B, C, D
 
 
-def _identity_nodes(params: MeasureParams, spec: QuadratureSpec,
-                    support_radius: Optional[float], seams: tuple = ()):
-    if params.n > 3:
-        raise ValueError("identity verification covers n <= 3")
-    return _product_nodes(params, spec, support_radius, seams)
-
-
 def _random_test_pack(params: MeasureParams, spec: Optional[QuadratureSpec],
                       trials: int, seed: int):
     """Pack and labels of the random tests (seed << 20) + t, t < trials, on
     the identity nodes of their support."""
     if spec is None:
         spec = default_nd_spec(params.n)
-    pts, wts = _identity_nodes(params, spec, _SUPPORT_RADIUS,
-                               seams=(0.6 * _SUPPORT_RADIUS,))
+    pts, wts = _product_nodes(params, spec, RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS)
     seeds = [(seed << 20) + t for t in range(trials)]
-    return _FieldPack.of_random_tests(seeds, params, pts, wts, _SUPPORT_RADIUS)
+    return _FieldPack.of_random_tests(seeds, params, pts, wts)
 
 
 def verify_identity(tag: str, f: SmoothFunction, params: MeasureParams,
@@ -445,8 +438,7 @@ def verify_identity(tag: str, f: SmoothFunction, params: MeasureParams,
         raise ValueError(f"{tag} is one-dimensional")
     if spec is None:
         spec = default_nd_spec(n)
-    pts, wts = _identity_nodes(params, spec, f.support_radius,
-                               getattr(f, "radial_seams", ()))
+    pts, wts = _product_nodes(params, spec, f.support_radius, f.radial_seams)
     pack = _FieldPack.of_function(f, params, pts, wts)
     lhs, rhs = (float(side[0]) for side in _tag_sides(tag, pack, params, epsilon))
     return IdentityReport(tag=tag, n=n, beta=beta, lhs=lhs, rhs=rhs,

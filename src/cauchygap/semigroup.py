@@ -1,7 +1,7 @@
 """Semigroup evolution on the radial modes and deficit verification.
 
 The evolution d/dt v = -B^{-1} A v per mode is stepped with the trapezoidal
-(Crank-Nicolson) scheme; A, B are the exact Galerkin pairs of `spectral`.
+(Crank-Nicolson) scheme; A, B are the Galerkin pairs of `spectral`.
 Integrated second-order functionals of the evolved function close the
 variance representation
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import linalg as sla
@@ -49,10 +49,6 @@ class EvolutionState:
     dt: float
     params: MeasureParams
     norms: tuple = ()            # discrete int (P_s f)^2 at the step times
-
-    def l2_norm_sq(self, problems: Sequence[ModeProblem]) -> float:
-        return float(sum(self.coeffs[p.ell] @ p.B @ self.coeffs[p.ell]
-                         for p in problems))
 
 
 class _CNStepper:
@@ -121,7 +117,7 @@ def _mode_profiles(f: SmoothFunction, params: MeasureParams,
         vp = f.value(xp)
         vm = f.value(-xp)
         return {0: 0.5 * (vp + vm), 1: (0.5 * (vp - vm))[1:]}
-    mode = getattr(f, "angular_mode", None)
+    mode = f.angular_mode
     e1 = np.zeros(n)
     e1[0] = 1.0
     if mode == 0:
@@ -218,6 +214,10 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
 # ----------------------------------------------------------------------
 # Range-specific deficits.
 
+# Mode grid of the deficit's eigen-expansion cross-check.
+_ROUTE_DISC = Discretization(m=384, delta=2e-3)
+
+
 def _range_lambda(params: MeasureParams, range_tag: str) -> float:
     """The range's gap constant; the deficit's mid window (n/2 + 1, beta_U]
     is wider than the gap's, from where linear functions enter L^2."""
@@ -234,12 +234,9 @@ def _range_lambda(params: MeasureParams, range_tag: str) -> float:
     return GAP_FORMULA[range_tag](n, beta)
 
 
-def _var_and_energy(f: SmoothFunction, params: MeasureParams,
-                    spec: Optional[QuadratureSpec]):
-    if spec is None:
-        spec = default_nd_spec(params.n)
-    kw = dict(support_radius=f.support_radius,
-              seams=getattr(f, "radial_seams", ()))
+def _var_and_energy(f: SmoothFunction, params: MeasureParams):
+    spec = default_nd_spec(params.n)
+    kw = dict(support_radius=f.support_radius, seams=f.radial_seams)
     mean = integrate_nd(lambda x: f.value(x), params, spec, **kw)
     sq = integrate_nd(lambda x: f.value(x) ** 2, params, spec, **kw)
 
@@ -302,99 +299,72 @@ def _range_bilinear(range_tag: str, n: int, beta: float):
     raise ValueError(f"unknown range tag {range_tag!r}")
 
 
-def _radial_route(f: SmoothFunction, params: MeasureParams,
-                  range_tag: str, disc: Discretization, kept: int):
-    """-2 int_0^inf int F(P_t f) dmu dt via eigen-expansion of the ell=0
-    sector; closed-form in time.  Returns (route_value, trace_fn)."""
+def _eigen_triple(f: SmoothFunction, params: MeasureParams, range_tag: str,
+                  disc: Discretization, kept: int):
+    """The corollary integrand int F(P_t f) dmu in decaying eigenmodes, as
+    (lam, c, Fmat) with int F(P_t f) dmu = (e^{-lam t} c)' Fmat (e^{-lam t} c).
+
+    The ell = 0 sector gives its `kept` lowest eigenpairs; a linear f = <a, x>
+    (n >= 2), or a linear odd part on the line, is one exact eigenmode with
+    eigenvalue 2(beta - 1) in which only the angular-defect term survives.
+    None when f has no such representation.
+    """
     n, beta = params.n, params.beta
     r = disc.radii()
     profiles = _mode_profiles(f, params, r)
     if profiles is None:
         return None
-    if n >= 2 and getattr(f, "angular_mode", None) == 1:
-        a = f.gradient(np.zeros((1, n)))[0]
-        return _linear_route_value(float(np.linalg.norm(a)), params, range_tag)
-    if n == 1 and np.max(np.abs(profiles[1])) > 1e-13 * max(
-            1.0, np.max(np.abs(profiles[0]))):
-        # mixed parity is out of scope for the closed-form route
-        odd_is_linear = False
-        prof1 = np.concatenate([[0.0], profiles[1]])
-        if np.allclose(prof1, prof1[-1] / r[-1] * r, atol=1e-12):
-            odd_is_linear = True
-        if not odd_is_linear:
+    linear = n >= 2 and f.angular_mode == 1
+    odd = n == 1 and np.max(np.abs(profiles[1])) > 1e-13 * max(
+        1.0, np.max(np.abs(profiles[0])))
+    if linear:
+        a_norm = float(np.linalg.norm(f.gradient(np.zeros((1, n)))[0]))
+    elif odd:
+        # mixed parity is in scope only when the odd part is linear
+        a_norm = profiles[1][-1] / r[-1]
+        if not np.allclose(profiles[1], a_norm * r[1:], atol=1e-12):
             return None
-    prob = assemble_mode(0, params, disc, tail_rays=False)
-    evals, evecs = sla.eigh(prob.A.toarray(), prob.B.toarray())
-    K = min(kept, len(evals))
-    lam = evals[:K]
-    Phi = evecs[:, :K]
-    g0 = np.asarray(profiles[0], dtype=float)
-    c = Phi.T @ (prob.B @ g0)
 
-    # Quadrature window for the corollary integrand: wide enough to hold the
-    # measure's bulk and the initial support, short of the far grid cells
-    # where spline curvature of the discrete eigenvectors is unreliable.
-    trunc_q = min(float(r[-1]), 12.0 + 2.0 * (f.support_radius or 0.0))
-    nodes_r, logw = _radial_rule(params, QuadratureSpec(
-        scheme="radial_compactified", nodes=320, truncation=trunc_q))
-    wq = np.exp(logw)
-    splines = [CubicSpline(r, Phi[:, k]) for k in range(K)]
-    d1 = np.stack([s(nodes_r, 1) for s in splines])
-    d2 = np.stack([s(nodes_r, 2) for s in splines])
-    rsafe = np.where(nodes_r > 0, nodes_r, 1.0)
-    lap = d2 + (n - 1) * np.where(nodes_r > 0, d1 / rsafe, d2)
-    w = 1.0 + nodes_r * nodes_r
-    F = _range_bilinear(range_tag, n, beta)
+    blocks = []
+    if not linear:
+        prob = assemble_mode(0, params, disc, tail_rays=False)
+        evals, evecs = sla.eigh(prob.A.toarray(), prob.B.toarray())
+        K = min(kept, len(evals))
+        Phi = evecs[:, :K]
+        c = Phi.T @ (prob.B @ np.asarray(profiles[0], dtype=float))
 
-    Fmat = np.zeros((K, K))
-    for j in range(K):
-        vals = F(nodes_r, w, d1[j][None, :], d1, d2[j][None, :], d2,
-                 lap[j][None, :], lap)
-        Fmat[j, :] = vals @ wq
-    ls = lam[:, None] + lam[None, :]
-    cc = np.outer(c, c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = np.where(ls > 1e-12, 1.0 / ls, 0.0)
-    route = -2.0 * float(np.sum(Fmat * cc * weights))
+        # Quadrature window for the corollary integrand: wide enough to hold
+        # the measure's bulk and the initial support, short of the far grid
+        # cells where spline curvature of the discrete eigenvectors is
+        # unreliable.
+        trunc_q = min(float(r[-1]), 12.0 + 2.0 * (f.support_radius or 0.0))
+        nodes_r, logw = _radial_rule(params, QuadratureSpec(
+            scheme="radial_compactified", nodes=320, truncation=trunc_q))
+        wq = np.exp(logw)
+        splines = [CubicSpline(r, Phi[:, k]) for k in range(K)]
+        d1 = np.stack([s(nodes_r, 1) for s in splines])
+        d2 = np.stack([s(nodes_r, 2) for s in splines])
+        rsafe = np.where(nodes_r > 0, nodes_r, 1.0)
+        lap = d2 + (n - 1) * np.where(nodes_r > 0, d1 / rsafe, d2)
+        w = 1.0 + nodes_r * nodes_r
+        F = _range_bilinear(range_tag, n, beta)
+        Fmat = np.zeros((K, K))
+        for j in range(K):
+            vals = F(nodes_r, w, d1[j][None, :], d1, d2[j][None, :], d2,
+                     lap[j][None, :], lap)
+            Fmat[j, :] = vals @ wq
+        blocks.append((evals[:K], c, Fmat))
 
-    def trace(times):
-        times = np.asarray(times, dtype=float)
-        out = np.empty(len(times))
-        for i, t in enumerate(times):
-            decay = np.exp(-lam * t)
-            out[i] = float((decay * c) @ Fmat @ (decay * c))
-        return out
-
-    # n=1 odd linear part (exact eigenfunction) contributes analytically
-    if n == 1 and np.max(np.abs(profiles[1])) > 1e-13:
-        a = profiles[1][-1] / r[-1]
-        extra, extra_tr = _linear_route_value(a, params, range_tag)
-        route += extra
-
-        def trace(times, _inner=trace):  # noqa: E306
-            return _inner(times) + extra_tr(times)
-
-    return route, trace
-
-
-def _linear_route_value(a_norm: float, params: MeasureParams, range_tag: str):
-    """Closed-form route for f = <a, x>: an exact eigenfunction with
-    eigenvalue 2(beta-1); only the angular-defect term survives."""
-    n, beta = params.n, params.beta
-    lam_lin = GAP_FORMULA["upper"](n, beta)
-    msq = mean_sq_norm(params)
-    if range_tag == "upper":
-        return 0.0, lambda times: np.zeros(len(np.atleast_1d(times)))
-    if range_tag == "mid":
-        coef = 4.0 * (beta - 1.0) * (n + 1.0 - beta) / (n - 1.0)
-        amp = coef * a_norm ** 2 * msq * (n - 1.0) / n
-    elif range_tag == "lower":
-        e0 = range_edges(n)[0] - beta
-        if n == 1:
-            c0 = (beta - 0.5) * e0
-            # f'' = 0: the integrand reduces to (e0 x a)^2 + c0 a^2
-            amp = a_norm ** 2 * (e0 * e0 * msq + c0)
+    if linear or odd:
+        # refuses where <a, x> is not in L^2, so on the line in the whole
+        # lower range; there the mode only enters the upper range, with 0
+        msq = mean_sq_norm(params)
+        if range_tag == "upper":
+            amp = 0.0
+        elif range_tag == "mid":
+            amp = 4.0 * (beta - 1.0) * (n + 1.0 - beta) * a_norm ** 2 * msq / n
         else:
+            e0 = range_edges(n)[0] - beta
             c0 = e0 * (beta + n / 2.0)
             btil = ((n - 2.0) * (4.0 * (beta - 1.0) ** 2
                                  - 4.0 * (n - 2.0) * (beta - 1.0)
@@ -408,16 +378,10 @@ def _linear_route_value(a_norm: float, params: MeasureParams, range_tag: str):
             tt = e0 * e0 * s2
             amp = ((n / (n - 1.0)) * mm - tt / (n - 1.0)
                    + btil * (n - 1.0) * s2 + c0 * a_norm ** 2)
-    else:
-        raise ValueError(range_tag)
-    decay = 2.0 * lam_lin
-    route = -2.0 * amp / decay
-
-    def trace(times):
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        return amp * np.exp(-decay * times)
-
-    return route, trace
+        blocks.append((np.array([GAP_FORMULA["upper"](n, beta)]),
+                       np.ones(1), np.array([[amp]])))
+    lam, c, Fmat = zip(*blocks)
+    return np.concatenate(lam), np.concatenate(c), sla.block_diag(*Fmat)
 
 
 class DeficitMismatch(RuntimeError):
@@ -425,51 +389,52 @@ class DeficitMismatch(RuntimeError):
 
 
 def deficit(f: SmoothFunction, params: MeasureParams, range_tag: str,
-            quad_spec: Optional[QuadratureSpec] = None,
-            disc: Optional[Discretization] = None,
-            kept: int = 48) -> float:
-    """Range deficit lambda_range Var(f) - int Gamma(f) dmu (nonpositive).
+            disc: Discretization = _ROUTE_DISC, kept: int = 48) -> float:
+    """Range deficit lambda_range Var(f) - int Gamma(f) dmu (nonpositive),
+    by quadrature.
 
-    When f is radial, linear, or one-dimensional, the explicit corollary
-    time integral -2 int_0^inf int F(P_t f) dmu dt is evaluated through an
-    eigen-expansion and must agree with the quadrature value within
-    1e-3 (relative); disagreement raises.  The eigen-expansion needs
-    trustworthy profile derivatives over the whole quadrature window, so
-    the strict comparison is enforced only for compactly supported f and
-    for the closed-form linear route; profiles growing at infinity (the
-    power family) are evaluated by quadrature alone.
+    Linear f, and compactly supported f that are radial (on the line: whose
+    odd part is zero or linear), are cross-checked: the corollary time
+    integral -2 int_0^inf int F(P_t f) dmu dt, closed-form in time over the
+    triple of _eigen_triple, must agree within 1e-3 (relative), else
+    DeficitMismatch.  Every other f gets the quadrature value alone: random
+    bumps for n >= 2, 1-D bumps with a nonlinear odd part, and profiles
+    growing at infinity (the power family), whose spline derivatives are
+    not trustworthy over the whole quadrature window.
     """
     lam = _range_lambda(params, range_tag)
-    var, energy = _var_and_energy(f, params, quad_spec)
+    var, energy = _var_and_energy(f, params)
     value = lam * var - energy
-    if disc is None:
-        disc = Discretization(m=384, delta=2e-3)
-    enforce = (f.support_radius is not None
-               or getattr(f, "angular_mode", None) == 1)
-    if enforce:
-        routed = _radial_route(f, params, range_tag, disc, kept)
-        if routed is not None:
-            route, _ = routed
-            scale = max(1.0, abs(value), abs(route))
-            if abs(route - value) > 1e-3 * scale:
-                raise DeficitMismatch(
-                    f"corollary time integral {route:.6g} disagrees with the "
-                    f"quadrature deficit {value:.6g} (tag {range_tag})")
+    if f.support_radius is None and f.angular_mode != 1:
+        return value
+    triple = _eigen_triple(f, params, range_tag, disc, kept)
+    if triple is not None:
+        rates, c, Fmat = triple
+        ls = rates[:, None] + rates[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weights = np.where(ls > 1e-12, 1.0 / ls, 0.0)
+        route = -2.0 * float(np.sum(Fmat * np.outer(c, c) * weights))
+        scale = max(1.0, abs(value), abs(route))
+        if abs(route - value) > 1e-3 * scale:
+            raise DeficitMismatch(
+                f"corollary time integral {route:.6g} disagrees with the "
+                f"quadrature deficit {value:.6g} (tag {range_tag})")
     return value
 
 
 def deficit_trace(f: SmoothFunction, params: MeasureParams, range_tag: str,
-                  times, disc: Optional[Discretization] = None,
+                  times, disc: Discretization = _ROUTE_DISC,
                   kept: int = 48) -> np.ndarray:
     """Rows (t, integrand) of the corollary time integral's integrand."""
-    if disc is None:
-        disc = Discretization(m=384, delta=2e-3)
-    routed = _radial_route(f, params, range_tag, disc, kept)
-    if routed is None:
+    _range_lambda(params, range_tag)
+    triple = _eigen_triple(f, params, range_tag, disc, kept)
+    if triple is None:
         raise ValueError("f is not representable on the mode grids")
-    _, trace = routed
+    lam, c, Fmat = triple
     times = np.asarray(times, dtype=float)
-    return np.column_stack([times, trace(times)])
+    modes = np.exp(-np.outer(times, lam)) * c
+    return np.column_stack(
+        [times, np.einsum("tj,jk,tk->t", modes, Fmat, modes, optimize=True)])
 
 
 # ----------------------------------------------------------------------

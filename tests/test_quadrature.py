@@ -219,9 +219,9 @@ def test_block_pack_matches_reference_pack():
         p = MeasureParams(n, beta)
         spec = QuadratureSpec(scheme="polar_2d" if n == 2 else "product_spherical",
                               nodes=128, angular_nodes=40)
-        pts, wts = quadrature._identity_nodes(p, spec, 3.0, (1.8,))
+        pts, wts = quadrature._product_nodes(p, spec, 3.0, (1.8,))
         seeds = [0, 1, 2]
-        pack, labels = quadrature._FieldPack.of_random_tests(seeds, p, pts, wts, 3.0)
+        pack, labels = quadrature._FieldPack.of_random_tests(seeds, p, pts, wts)
         for t, seed in enumerate(seeds):
             f = make_random_test(seed, n)
             assert labels[t] == f.label

@@ -1,0 +1,40 @@
+"""Smoke tests of the runnable experiments in scripts/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_deficit_demo_with_trace():
+    lines = _run("deficit_demo.py", "--seeds", "1", "--trace")
+    for header in ("upper range, n=3 beta=4.5", "mid range, n=3 beta=3.8",
+                   "lower range, n=2 beta=1.5  (no extremal exists)",
+                   "mid-range integrand along the heat flow (linear input):"):
+        assert header in lines
+    assert sum(line.lstrip().startswith("bump seed=") for line in lines) == 1
+    rows = [line.split() for line in lines if line.lstrip().startswith("t=")]
+    assert len(rows) == 9
+    # integrand of x_1 at t = 0: (0.4/2.6) * 5.6
+    assert rows[0] == ["t=0.00", "integrand", "=", "8.615385e-01"]
+
+
+def test_lowfact_scan_three_points():
+    lines = _run("lowfact_scan.py", "--points", "3")
+    assert lines[0] == "n=2 beta=1.5"
+    assert lines[3].strip().startswith("resolved sign: plus")
+    assert lines[5].split() == ["eps", "rel_err", "D"]
+    assert len(lines[6:9]) == 3 and lines[7].endswith("<-- eps0")
+    assert lines[-1].strip().startswith("D maximized at eps = 1.5000 (expected 1.5000)")

@@ -255,6 +255,17 @@ def test_deficit_trace_upper_linear():
     assert np.max(np.abs(rows[:, 1])) < 1e-6
 
 
+def test_deficit_trace_mid_linear_closed_form():
+    # f = x_1 is the eigenmode 2(beta - 1) = 5.6: the integrand is its
+    # amplitude (0.4/2.6) * 5.6 decaying at twice the rate, and -2 times its
+    # time integral is the closed-form mid deficit -0.4/2.6
+    p = MeasureParams(3, 3.8)
+    t = np.linspace(0.0, 2.0, 9)
+    rows = deficit_trace(make_linear(np.array([1.0, 0.0, 0.0])), p, "mid", t)
+    expect = (0.4 / 2.6) * 5.6 * np.exp(-11.2 * t)
+    assert np.allclose(rows[:, 1], expect, rtol=1e-13, atol=0.0)
+
+
 def test_deficit_trace_lower_decays():
     p = MeasureParams(1, 1.2)
     f = _even_1d_bump(0)
