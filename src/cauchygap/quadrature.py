@@ -6,8 +6,7 @@ panels are graded geometrically toward theta = pi/2 (stored via the gap
 tau = pi/2 - theta so the far nodes keep full relative precision; r = cot(tau)
 reaches ~1e120 before the weights underflow).  Weights are accumulated in log
 space.  Full n-dimensional integrals use tensor products with uniform angles
-(n = 2) or Gauss-Legendre x uniform azimuth on the sphere (n = 3), plus a
-Monte Carlo fallback driven by the exact sampler.
+(n = 2) or Gauss-Legendre x uniform azimuth on the sphere (n = 3).
 """
 
 from __future__ import annotations
@@ -23,22 +22,19 @@ from scipy.special import gammaln
 
 from .functions import (RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS, RandomTestFields,
                         SmoothFunction, random_test_coefficients)
-from .measures import MeasureParams, log_normalization, sample
+from .measures import MeasureParams, log_normalization
 from .spectral import GAP_FORMULA, range_edges
 
 Array = np.ndarray
 
-_SCHEMES = ("radial_compactified", "polar_2d", "product_spherical", "monte_carlo")
+_SCHEMES = ("polar_2d", "product_spherical")
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    scheme: str = "radial_compactified"
+    scheme: str = "product_spherical"
     nodes: int = 256
-    truncation: Optional[float] = None  # radius; None = full compactified line
-    seed: int = 0  # Monte Carlo only
-    angular_nodes: int = 64  # polar_2d
-    mc_samples: int = 1_000_000
+    angular_nodes: int = 64
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -159,9 +155,7 @@ def _radial_rule_cached(n: int, beta: float, nodes: int, trunc: Optional[float],
 def _radial_rule(params: MeasureParams, spec: QuadratureSpec,
                  support_radius: Optional[float] = None,
                  seams: tuple = ()):
-    trunc = spec.truncation
-    if support_radius is not None and (trunc is None or support_radius < trunc):
-        trunc = float(support_radius)
+    trunc = None if support_radius is None else float(support_radius)
     # only seams inside (0, trunc) pin panel edges; dropping the rest first
     # lets every seam tuple that pins the same edges share one cached rule
     inside = () if trunc is None else tuple(sorted({s for s in seams
@@ -215,29 +209,17 @@ def integrate_nd(g: Callable[[Array], Array], params: MeasureParams,
                  spec: QuadratureSpec,
                  support_radius: Optional[float] = None,
                  seams: tuple = ()):
-    """int g dmu.  Deterministic tensor rules for n <= 3; Monte Carlo for any n
-    (returns the pair (estimate, stderr)).  `support_radius` truncates the
-    radial rule; `seams` pins panel edges at radii where g loses smoothness."""
-    if spec.scheme == "monte_carlo":
-        batch = sample(params, spec.mc_samples, spec.seed)
-        vals = np.asarray(g(batch.points), dtype=float)
-        est = float(np.mean(vals))
-        stderr = float(np.std(vals) / math.sqrt(len(vals)))
-        return est, stderr
+    """int g dmu by a deterministic tensor rule (n <= 3).  `support_radius`
+    truncates the radial rule; `seams` pins panel edges at radii where g
+    loses smoothness."""
     if spec.scheme == "polar_2d" and params.n != 2:
         raise ValueError("polar_2d requires n = 2")
-    if spec.scheme == "product_spherical" and params.n > 3:
-        raise ValueError("product_spherical implemented for n <= 3")
-    if spec.scheme == "radial_compactified" and params.n != 1:
-        raise ValueError("scheme radial_compactified integrates full-dimensional "
-                         "fields only on the line; use polar_2d/product_spherical")
     pts, wts = _product_nodes(params, spec, support_radius, seams)
     return float(np.sum(wts * np.asarray(g(pts), dtype=float)))
 
 
-def default_nd_spec(n: int, nodes: int = 256) -> QuadratureSpec:
-    scheme = {1: "product_spherical", 2: "polar_2d"}.get(n, "product_spherical")
-    return QuadratureSpec(scheme=scheme, nodes=nodes)
+def default_nd_spec(n: int) -> QuadratureSpec:
+    return QuadratureSpec(scheme="polar_2d" if n == 2 else "product_spherical")
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +364,7 @@ def _tag_sides(tag: str, pack: _FieldPack, params: MeasureParams,
         eps = (range_edges(n)[0] - beta) if epsilon is None else float(epsilon)
         return pack.gamma2, _lowfact_rhs(pack, n, beta, eps)
     if tag == "ONED_SPLIT":
-        eps = 0.5 if epsilon is None else float(epsilon)
+        eps = 0.5
         A = 2.0 * (beta - 1.0) + eps
         Bc = A * (1.0 - eps)
         rhs = (pack.a1 + 0.5 * eps * pack.p1 + eps * eps * pack.gx2
@@ -420,8 +402,7 @@ def _random_test_pack(params: MeasureParams, spec: Optional[QuadratureSpec],
 
 
 def verify_identity(tag: str, f: SmoothFunction, params: MeasureParams,
-                    spec: Optional[QuadratureSpec] = None,
-                    epsilon: Optional[float] = None) -> IdentityReport:
+                    spec: Optional[QuadratureSpec] = None) -> IdentityReport:
     """Check one integral identity on a compactly supported test function."""
     if tag not in ALL_TAGS:
         raise ValueError(f"unknown identity tag {tag!r}")
@@ -432,15 +413,13 @@ def verify_identity(tag: str, f: SmoothFunction, params: MeasureParams,
     if tag in ("IPP3", "IPP4") and f.grad_laplacian is None:
         raise ValueError(f"{tag} needs the analytic grad Laplacian of f "
                          "(SmoothFunction.grad_laplacian)")
-    if tag in ("IRG", "LOWFACT") and n < 2:
-        raise ValueError(f"{tag} needs n >= 2")
-    if tag in ("ONED_SPLIT", "ONED_LOW") and n != 1:
-        raise ValueError(f"{tag} is one-dimensional")
+    if tag not in applicable_tags(params):
+        raise ValueError(f"{tag} does not apply for n = {n}")
     if spec is None:
         spec = default_nd_spec(n)
     pts, wts = _product_nodes(params, spec, f.support_radius, f.radial_seams)
     pack = _FieldPack.of_function(f, params, pts, wts)
-    lhs, rhs = (float(side[0]) for side in _tag_sides(tag, pack, params, epsilon))
+    lhs, rhs = (float(side[0]) for side in _tag_sides(tag, pack, params, None))
     return IdentityReport(tag=tag, n=n, beta=beta, lhs=lhs, rhs=rhs,
                           abs_err=abs(lhs - rhs), rel_err=float(_rel_err(lhs, rhs)))
 

@@ -91,12 +91,11 @@ def evolve(f0: Sequence[np.ndarray], T: float, dt: float,
                           params=problems[0].params, norms=tuple(norms))
 
 
-def default_horizon(variance: float, gap_estimate: float,
-                    eps_target: float = 1e-8) -> float:
-    """Truncation time: the analytic tail e^{-2 lambda T} Var drops to eps."""
+def default_horizon(variance: float, gap_estimate: float) -> float:
+    """Truncation time: the analytic tail e^{-2 lambda T} Var drops to 1e-8."""
     if variance <= 0 or gap_estimate <= 0:
         raise ValueError("need positive variance and gap estimate")
-    return max(0.5 * math.log(variance / eps_target) / gap_estimate, 1e-3)
+    return max(0.5 * math.log(variance / 1e-8) / gap_estimate, 1e-3)
 
 
 # ----------------------------------------------------------------------
@@ -161,11 +160,9 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
     # discrete variance and energy; the all-ones vector is the constant.
     # The assembled forms integrate the raw radial weight r^{n-1} omega^beta,
     # so everything is divided by the discrete total mass to match the
-    # normalized measure.
-    p0 = (problems[ells.index(0)] if 0 in ells
-          else assemble_mode(0, params, disc, tail_rays=False))
-    ones0 = np.ones(p0.size())
-    mass = float(ones0 @ p0.B @ ones0)
+    # normalized measure.  Every profile set has mode 0, first in `ells`.
+    ones0 = np.ones(problems[0].size())
+    mass = float(ones0 @ problems[0].B @ ones0)
     lhs = 0.0
     energy = 0.0
     gap_candidates = []
@@ -304,58 +301,16 @@ def _eigen_triple(f: SmoothFunction, params: MeasureParams, range_tag: str,
     """The corollary integrand int F(P_t f) dmu in decaying eigenmodes, as
     (lam, c, Fmat) with int F(P_t f) dmu = (e^{-lam t} c)' Fmat (e^{-lam t} c).
 
-    The ell = 0 sector gives its `kept` lowest eigenpairs; a linear f = <a, x>
-    (n >= 2), or a linear odd part on the line, is one exact eigenmode with
-    eigenvalue 2(beta - 1) in which only the angular-defect term survives.
-    None when f has no such representation.
+    This is the one gate of the eigen route.  A linear f = <a, x> + const
+    (angular_mode 1) is one exact eigenmode with eigenvalue 2(beta - 1) in
+    which only the angular-defect term survives.  A compactly supported
+    radial f (on the line: whose odd part is below 1e-13 max(1, |even part|))
+    gives the `kept` lowest eigenpairs of the ell = 0 sector.  Every other f
+    gives None.
     """
     n, beta = params.n, params.beta
-    r = disc.radii()
-    profiles = _mode_profiles(f, params, r)
-    if profiles is None:
-        return None
-    linear = n >= 2 and f.angular_mode == 1
-    odd = n == 1 and np.max(np.abs(profiles[1])) > 1e-13 * max(
-        1.0, np.max(np.abs(profiles[0])))
-    if linear:
+    if f.angular_mode == 1:
         a_norm = float(np.linalg.norm(f.gradient(np.zeros((1, n)))[0]))
-    elif odd:
-        # mixed parity is in scope only when the odd part is linear
-        a_norm = profiles[1][-1] / r[-1]
-        if not np.allclose(profiles[1], a_norm * r[1:], atol=1e-12):
-            return None
-
-    blocks = []
-    if not linear:
-        prob = assemble_mode(0, params, disc, tail_rays=False)
-        evals, evecs = sla.eigh(prob.A.toarray(), prob.B.toarray())
-        K = min(kept, len(evals))
-        Phi = evecs[:, :K]
-        c = Phi.T @ (prob.B @ np.asarray(profiles[0], dtype=float))
-
-        # Quadrature window for the corollary integrand: wide enough to hold
-        # the measure's bulk and the initial support, short of the far grid
-        # cells where spline curvature of the discrete eigenvectors is
-        # unreliable.
-        trunc_q = min(float(r[-1]), 12.0 + 2.0 * (f.support_radius or 0.0))
-        nodes_r, logw = _radial_rule(params, QuadratureSpec(
-            scheme="radial_compactified", nodes=320, truncation=trunc_q))
-        wq = np.exp(logw)
-        splines = [CubicSpline(r, Phi[:, k]) for k in range(K)]
-        d1 = np.stack([s(nodes_r, 1) for s in splines])
-        d2 = np.stack([s(nodes_r, 2) for s in splines])
-        rsafe = np.where(nodes_r > 0, nodes_r, 1.0)
-        lap = d2 + (n - 1) * np.where(nodes_r > 0, d1 / rsafe, d2)
-        w = 1.0 + nodes_r * nodes_r
-        F = _range_bilinear(range_tag, n, beta)
-        Fmat = np.zeros((K, K))
-        for j in range(K):
-            vals = F(nodes_r, w, d1[j][None, :], d1, d2[j][None, :], d2,
-                     lap[j][None, :], lap)
-            Fmat[j, :] = vals @ wq
-        blocks.append((evals[:K], c, Fmat))
-
-    if linear or odd:
         # refuses where <a, x> is not in L^2, so on the line in the whole
         # lower range; there the mode only enters the upper range, with 0
         msq = mean_sq_norm(params)
@@ -378,10 +333,42 @@ def _eigen_triple(f: SmoothFunction, params: MeasureParams, range_tag: str,
             tt = e0 * e0 * s2
             amp = ((n / (n - 1.0)) * mm - tt / (n - 1.0)
                    + btil * (n - 1.0) * s2 + c0 * a_norm ** 2)
-        blocks.append((np.array([GAP_FORMULA["upper"](n, beta)]),
-                       np.ones(1), np.array([[amp]])))
-    lam, c, Fmat = zip(*blocks)
-    return np.concatenate(lam), np.concatenate(c), sla.block_diag(*Fmat)
+        return np.array([GAP_FORMULA["upper"](n, beta)]), np.ones(1), np.array([[amp]])
+    if f.support_radius is None:
+        return None
+    r = disc.radii()
+    profiles = _mode_profiles(f, params, r)
+    if profiles is None or (n == 1 and np.max(np.abs(profiles[1])) > 1e-13 * max(
+            1.0, np.max(np.abs(profiles[0])))):
+        return None
+
+    prob = assemble_mode(0, params, disc, tail_rays=False)
+    evals, evecs = sla.eigh(prob.A.toarray(), prob.B.toarray())
+    K = min(kept, len(evals))
+    Phi = evecs[:, :K]
+    c = Phi.T @ (prob.B @ np.asarray(profiles[0], dtype=float))
+
+    # Quadrature window for the corollary integrand: wide enough to hold
+    # the measure's bulk and the initial support, short of the far grid
+    # cells where spline curvature of the discrete eigenvectors is
+    # unreliable.
+    trunc_q = min(float(r[-1]), 12.0 + 2.0 * f.support_radius)
+    nodes_r, logw = _radial_rule(params, QuadratureSpec(nodes=320),
+                                 support_radius=trunc_q)
+    wq = np.exp(logw)
+    splines = [CubicSpline(r, Phi[:, k]) for k in range(K)]
+    d1 = np.stack([s(nodes_r, 1) for s in splines])
+    d2 = np.stack([s(nodes_r, 2) for s in splines])
+    rsafe = np.where(nodes_r > 0, nodes_r, 1.0)
+    lap = d2 + (n - 1) * np.where(nodes_r > 0, d1 / rsafe, d2)
+    w = 1.0 + nodes_r * nodes_r
+    F = _range_bilinear(range_tag, n, beta)
+    Fmat = np.zeros((K, K))
+    for j in range(K):
+        vals = F(nodes_r, w, d1[j][None, :], d1, d2[j][None, :], d2,
+                 lap[j][None, :], lap)
+        Fmat[j, :] = vals @ wq
+    return evals[:K], c, Fmat
 
 
 class DeficitMismatch(RuntimeError):
@@ -393,20 +380,19 @@ def deficit(f: SmoothFunction, params: MeasureParams, range_tag: str,
     """Range deficit lambda_range Var(f) - int Gamma(f) dmu (nonpositive),
     by quadrature.
 
-    Linear f, and compactly supported f that are radial (on the line: whose
-    odd part is zero or linear), are cross-checked: the corollary time
-    integral -2 int_0^inf int F(P_t f) dmu dt, closed-form in time over the
-    triple of _eigen_triple, must agree within 1e-3 (relative), else
-    DeficitMismatch.  Every other f gets the quadrature value alone: random
-    bumps for n >= 2, 1-D bumps with a nonlinear odd part, and profiles
-    growing at infinity (the power family), whose spline derivatives are
-    not trustworthy over the whole quadrature window.
+    Where the eigen route takes f, the value is cross-checked: the corollary
+    time integral -2 int_0^inf int F(P_t f) dmu dt, closed-form in time over
+    the triple of _eigen_triple, must agree within 1e-3 (relative), else
+    DeficitMismatch.  The route takes linear f, and compactly supported f
+    that are radial (on the line: whose odd part vanishes).  Every other f
+    gets the quadrature value alone: random bumps for n >= 2, 1-D bumps
+    with an odd part, and profiles without compact support (the power
+    family, the centered quadratic), whose spline derivatives are not
+    trustworthy over the whole quadrature window.
     """
     lam = _range_lambda(params, range_tag)
     var, energy = _var_and_energy(f, params)
     value = lam * var - energy
-    if f.support_radius is None and f.angular_mode != 1:
-        return value
     triple = _eigen_triple(f, params, range_tag, disc, kept)
     if triple is not None:
         rates, c, Fmat = triple
@@ -425,7 +411,8 @@ def deficit(f: SmoothFunction, params: MeasureParams, range_tag: str,
 def deficit_trace(f: SmoothFunction, params: MeasureParams, range_tag: str,
                   times, disc: Discretization = _ROUTE_DISC,
                   kept: int = 48) -> np.ndarray:
-    """Rows (t, integrand) of the corollary time integral's integrand."""
+    """Rows (t, integrand) of the corollary time integral's integrand, for
+    the f the eigen route of `deficit` takes (ValueError for any other)."""
     _range_lambda(params, range_tag)
     triple = _eigen_triple(f, params, range_tag, disc, kept)
     if triple is None:

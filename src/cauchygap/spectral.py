@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -317,8 +317,9 @@ def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
 
     ell >= 1 removes the node at r = 0 (radial profiles vanish there); the
     last hat extends as a constant over [R, inf); tail rays are appended for
-    every square-integrable power (disable with tail_rays=False to keep the
-    matrices tridiagonal, e.g. for banded time stepping).  All cells are
+    every square-integrable power.  tail_rays=False keeps the hats alone, so
+    that a coefficient vector is a profile's nodal values at disc.radii(),
+    which is how semigroup hands profiles in.  All cells are
     integrated in one vectorized pass per weight, straight into band storage.
     """
     if ell < 0:
@@ -439,13 +440,7 @@ class GapReport:
     delta: float
 
     def to_json(self) -> str:
-        d = {"n": self.n, "beta": self.beta,
-             "mode_eigs": list(self.mode_eigs),
-             "numeric_gap": self.numeric_gap, "closed_form": self.closed_form,
-             "range_tag": self.range_tag, "rel_error": self.rel_error,
-             "minimizing_mode": self.minimizing_mode,
-             "m": self.m, "delta": self.delta}
-        return json.dumps(d, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def numeric_gap(params: MeasureParams, disc: Discretization,

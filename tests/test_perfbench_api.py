@@ -1,0 +1,41 @@
+"""Guard of the benchmark's calls into the package.
+
+Runs one toy pass of every workload in perfbench/workloads.py in-process and
+checks that no op raises, apart from the documented numerical breakdown at
+(n, beta) = (3, 200).  Numeric check failures at toy size are allowed: the
+toy grids are far too coarse for the benchmark's tolerances.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+KNOWN_RAISES = {"numeric_gap(3, 200)": "NumericalBreakdown"}
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _workloads()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_toy_pass_raises_nothing_unexpected(name):
+    w = workloads.WORKLOADS[name](0, toy=True)
+    w.warm_up()
+    rec = workloads.Recorder()
+    w.run_pass(rec, 0)
+    assert rec.records
+    raised = {r.label: r.error for r in rec.records if r.error}
+    for label, error in raised.items():
+        assert label in KNOWN_RAISES and KNOWN_RAISES[label] in error, (label, error)
+    w.metrics(rec, 1.0)

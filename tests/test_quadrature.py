@@ -71,15 +71,11 @@ def test_integrate_nd_support_and_seam_hints():
     assert np.isclose(base, hinted, rtol=2e-3)
 
 
-def test_monte_carlo_spec_agrees():
-    p = MeasureParams(2, 2.5)
-    mc = QuadratureSpec("monte_carlo", mc_samples=200_000, seed=4)
-    est, stderr = integrate_nd(
-        lambda x: (1.0 + np.sum(x * x, axis=-1)) ** (-1.0), p, mc
-    )
-    exact = omega_moment(1.0, p)
-    assert stderr < 1e-3
-    assert abs(est - exact) < 4.0 * stderr
+def test_integrate_nd_refuses_n_above_three():
+    # the deterministic sphere rules stop at n = 3
+    p = MeasureParams(4, 3.0)
+    with pytest.raises(ValueError, match="n <= 3"):
+        integrate_nd(lambda x: np.ones(x.shape[0]), p, default_nd_spec(4))
 
 
 def test_verify_grid_contents():
@@ -157,6 +153,18 @@ def test_verify_identity_single():
     assert np.isfinite(rep.lhs) and np.isfinite(rep.rhs)
     with pytest.raises(ValueError):
         verify_identity("NOT_A_TAG", f, p)
+
+
+def test_verify_identity_refuses_inapplicable_tags():
+    # applicable_tags is the one table: IRG/LOWFACT need n >= 2, the ONED
+    # splits exist only on the line
+    for n, tags in ((1, ("IRG", "LOWFACT")), (2, ("ONED_SPLIT", "ONED_LOW"))):
+        p = MeasureParams(n, 2.5)
+        f = make_random_test(11, n)
+        for tag in tags:
+            assert tag not in quadrature.applicable_tags(p)
+            with pytest.raises(ValueError, match=f"{tag} does not apply for n = {n}"):
+                verify_identity(tag, f, p)
 
 
 def test_verify_identity_needs_grad_laplacian():

@@ -104,7 +104,7 @@ def test_evolve_validation():
 
 
 def test_default_horizon():
-    T = default_horizon(0.16, 6.0, 1e-8)
+    T = default_horizon(0.16, 6.0)
     assert np.isclose(np.exp(-2.0 * 6.0 * T) * 0.16, 1e-8, rtol=1e-10)
     with pytest.raises(ValueError):
         default_horizon(-1.0, 6.0)
@@ -117,7 +117,7 @@ def test_variance_representation_quadratic():
     # Var(|x|^2 - 1/5) = 4/25 exactly at (n, beta) = (1, 4)
     p = MeasureParams(1, 4.0)
     f = make_quadratic_centered(p)
-    T = default_horizon(0.16, 6.0, 1e-8)
+    T = default_horizon(0.16, 6.0)
     disc = Discretization(m=256, delta=1e-3)
     lhs, rhs, err, tail = variance_representation_check(f, 6.0, T, 1e-3, p, disc)
     assert err <= tail + 1e-5
@@ -132,7 +132,7 @@ def test_variance_representation_rho_free():
     p = MeasureParams(1, 4.0)
     f = make_quadratic_centered(p)
     disc = Discretization(m=256, delta=1e-3)
-    T = default_horizon(0.16, 6.0, 1e-8)
+    T = default_horizon(0.16, 6.0)
     for rho in (3.0, 17.0):
         _, rhs, err, tail = variance_representation_check(f, rho, T, 1e-3, p, disc)
         assert err <= tail + 2e-5
@@ -208,6 +208,27 @@ def test_deficit_route_consistency_guard():
     d = deficit(f, p, "lower", disc=Discretization(m=768, delta=2e-3), kept=192)
     assert d < -1.0
     assert np.isclose(d, -47.514289238997755, rtol=1e-6)  # frozen quadrature value
+
+
+def test_deficit_linear_on_the_line():
+    # the linear gate holds on every n: x is the upper-range extremal on the
+    # line too, and in the lower range it is not in L^2, so the route refuses
+    f = make_linear(np.array([1.0]))
+    assert abs(deficit(f, MeasureParams(1, 2.0), "upper")) < 1e-12
+    with pytest.raises(ValueError, match="second moment infinite"):
+        deficit(f, MeasureParams(1, 1.2), "lower")
+
+
+def test_deficit_trace_gate_refuses_unsupported_profiles():
+    # profiles without compact support are quadrature-only in deficit, and
+    # the trace takes the same gate: no integrand whose time integral
+    # disagrees with the deficit
+    t = [0.0, 1.0]
+    with pytest.raises(ValueError, match="not representable"):
+        deficit_trace(make_power_family(0.15), MeasureParams(2, 1.5), "lower", t)
+    p = MeasureParams(3, 3.8)
+    with pytest.raises(ValueError, match="not representable"):
+        deficit_trace(make_quadratic_centered(p), p, "mid", t)
 
 
 def test_deficit_window_validation():
