@@ -198,6 +198,8 @@ def _product_nodes(params: MeasureParams, spec: QuadratureSpec,
                    support_radius: Optional[float] = None,
                    seams: tuple = ()):
     """Tensor nodes (K, n) and mu-weights (K,) for full-dimensional integrals."""
+    if spec.scheme == "polar_2d" and params.n != 2:
+        raise ValueError("polar_2d requires n = 2")
     r, logw = _radial_rule(params, spec, support_radius, seams)
     dirs, dw = _sphere_directions(params.n, spec.angular_nodes)
     pts = r[:, None, None] * dirs[None, :, :]
@@ -212,8 +214,6 @@ def integrate_nd(g: Callable[[Array], Array], params: MeasureParams,
     """int g dmu by a deterministic tensor rule (n <= 3).  `support_radius`
     truncates the radial rule; `seams` pins panel edges at radii where g
     loses smoothness."""
-    if spec.scheme == "polar_2d" and params.n != 2:
-        raise ValueError("polar_2d requires n = 2")
     pts, wts = _product_nodes(params, spec, support_radius, seams)
     return float(np.sum(wts * np.asarray(g(pts), dtype=float)))
 

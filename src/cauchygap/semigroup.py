@@ -1,17 +1,19 @@
 """Semigroup evolution on the radial modes and deficit verification.
 
-The evolution d/dt v = -B^{-1} A v per mode is stepped with the trapezoidal
-(Crank-Nicolson) scheme; A, B are the Galerkin pairs of `spectral`.
-Integrated second-order functionals of the evolved function close the
-variance representation
+A, B are the Galerkin pairs of `spectral` per mode; the discrete flow is
+B v' = -A v.  `evolve` steps it with the trapezoidal (Crank-Nicolson)
+scheme.  The variance representation
 
   Var(f) = (1/rho) int Gamma(f) dmu - (2/rho) int_0^inf int (Gamma_2 - rho Gamma)(P_t f) dmu dt
 
-discretely: with w = A v and B y = w, the quantity w'y is the discrete
-integrated Gamma_2 (it needs only the second-order forms, no third
-differences), so the representation holds exactly in the discrete system up
-to time-integration error.  Range-specific deficit formulas are checked by
-an eigen-expansion route whose time integral is evaluated in closed form.
+is checked on the exact flow: f starts as its L^2(mu) projection on each
+mode's hats, and with w = A v and B y = w the quantity w'y is the discrete
+integrated Gamma_2 (second-order forms only, no third differences).  Its
+time integral telescopes to closed form in the (A, B) eigenbasis, so the
+discrete identity holds up to the modes past the horizon and those above
+the lowest few eigenpairs, both bounded.  Range-specific deficit formulas
+are checked by an eigen-expansion route whose time integral is also
+evaluated in closed form.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from scipy.interpolate import CubicSpline
 from .functions import SmoothFunction
 from .measures import MeasureParams, mean_sq_norm
 from .quadrature import _radial_rule, default_nd_spec, integrate_nd, QuadratureSpec
-from .spectral import (GAP_FORMULA, Discretization, ModeProblem, SymBand,
-                       assemble_mode, lowest_eigs, range_edges)
+from .spectral import (_WGL, _XGL, GAP_FORMULA, Discretization, ModeProblem,
+                       NumericalBreakdown, SymBand, _node_diag, assemble_mode,
+                       lowest_eigpairs, range_edges)
 
 __all__ = [
     "EvolutionState", "evolve", "default_horizon",
@@ -51,12 +54,21 @@ class EvolutionState:
     norms: tuple = ()            # discrete int (P_s f)^2 at the step times
 
 
+def _cholesky(problem: ModeProblem, band: np.ndarray, what: str):
+    """Lower banded Cholesky factor of one mode's matrix `what`."""
+    try:
+        return sla.cholesky_banded(band, lower=True)
+    except ValueError as exc:  # LinAlgError, or a non-finite entry
+        raise NumericalBreakdown(
+            problem, f"banded Cholesky of {what} failed ({exc})") from exc
+
+
 class _CNStepper:
     """One mode's Crank-Nicolson step: (B + dt/2 A) v+ = (B - dt/2 A) v-."""
 
     def __init__(self, problem: ModeProblem, dt: float):
         A, B = problem.A.band, problem.B.band
-        self.factor = sla.cholesky_banded(B + 0.5 * dt * A, lower=True)
+        self.factor = _cholesky(problem, B + 0.5 * dt * A, "B + dt/2 A")
         self.minus = SymBand(B - 0.5 * dt * A)
 
     def step(self, v: np.ndarray) -> np.ndarray:
@@ -104,10 +116,11 @@ def default_horizon(variance: float, gap_estimate: float) -> float:
 
 def _mode_profiles(f: SmoothFunction, params: MeasureParams,
                    r: np.ndarray) -> Optional[dict]:
-    """Nodal profiles per mode for functions representable on the mode grids.
+    """Radial profiles per mode at the radii r, for functions representable
+    on the mode grids.
 
     Supported shapes: n = 1 (even/odd split), radial f (angular_mode 0), and
-    single-direction linear f (angular_mode 1, profile c*r).  Returns None
+    linear f (angular_mode 1, constant plus ell = 1 profile).  Returns None
     for anything else.
     """
     n = params.n
@@ -115,24 +128,108 @@ def _mode_profiles(f: SmoothFunction, params: MeasureParams,
         xp = r[:, None]
         vp = f.value(xp)
         vm = f.value(-xp)
-        return {0: 0.5 * (vp + vm), 1: (0.5 * (vp - vm))[1:]}
+        return {0: 0.5 * (vp + vm), 1: 0.5 * (vp - vm)}
     mode = f.angular_mode
     e1 = np.zeros(n)
     e1[0] = 1.0
     if mode == 0:
         return {0: f.value(r[:, None] * e1[None, :])}
     if mode == 1:
-        # f = <a, x> + const; the radial profile of the ell=1 sector is |a| r
+        # f = <a, x> + const = |a| r <a/|a|, x/r> + const; the harmonic
+        # <a/|a|, x/r> has mean square 1/n on the sphere, so the ell=1
+        # profile is |a| r / sqrt(n)
         a = f.gradient(np.zeros((1, n)))[0]
         c = float(f.value(np.zeros((1, n)))[0])
-        prof = {1: float(np.linalg.norm(a)) * r[1:]}
-        prof[0] = np.full(len(r), c)
-        return prof
+        return {0: np.full(len(r), c),
+                1: float(np.linalg.norm(a)) / math.sqrt(n) * r}
     return None
 
 
+def _radial_weight(params: MeasureParams, r):
+    """The raw radial weight r^{n-1} (1+r^2)^{-beta} at r > 0."""
+    return np.exp((params.n - 1) * np.log(r) - params.beta * np.log1p(r * r))
+
+
+def _projected_start(f: SmoothFunction, params: MeasureParams,
+                     disc: Discretization):
+    """Mode problems, the L^2(mu) projection of f on each mode's hats, and
+    the discrete mass 1'B1 of mode 0.
+
+    The projection is v = B^{-1} b with b_i = int profile phi_i dmu: 12-point
+    Gauss on every cell, plus the constant extension of the last hat over
+    [R, inf) by 12-point Gauss in t = R/r (skipped when f vanishes beyond R).
+    Mode 0 is shifted by its discrete mean 1'b / 1'B1: the flow keeps the
+    mean, so the constant leaves the representation exactly.
+    """
+    r = disc.radii()
+    r0, r1 = r[:-1, None], r[1:, None]
+    h = r1 - r0
+    rr = 0.5 * h * _XGL + 0.5 * (r0 + r1)
+    ww = 0.5 * h * _WGL * _radial_weight(params, rr)
+    profiles = _mode_profiles(f, params, rr.ravel())
+    if profiles is None:
+        raise ValueError("f is not representable on the mode grids "
+                         "(need n=1, radial, or linear)")
+    R = float(r[-1])
+    tails = None
+    if f.support_radius is None or f.support_radius > R:
+        t = 0.5 * _XGL + 0.5
+        wt = 0.5 * _WGL * (R / (t * t)) * _radial_weight(params, R / t)
+        tails = {ell: float(prof @ wt) for ell, prof
+                 in _mode_profiles(f, params, R / t).items()}
+    problems, vs = [], []
+    for ell in sorted(profiles):
+        prob = assemble_mode(ell, params, disc, tail_rays=False)
+        g = ww * profiles[ell].reshape(rr.shape)
+        b = _node_diag(np.sum(g * (r1 - rr) / h, axis=1),
+                       np.sum(g * (rr - r0) / h, axis=1))
+        if tails is not None:
+            b[-1] += tails[ell]
+        if ell > 0:
+            b = b[1:]  # no hat at r = 0
+        factor = _cholesky(prob, prob.B.band, "B")
+        v = sla.cho_solve_banded((factor, True), b, check_finite=False)
+        if ell == 0:
+            ones = np.ones(prob.size())
+            mass = float(ones @ (prob.B @ ones))
+            v -= np.sum(b) / mass
+        problems.append(prob)
+        vs.append(v)
+    return problems, vs, mass
+
+
+def _decay_sup(lam0: float, rho: float, T: float) -> float:
+    """sup over lam >= lam0 of |lam - rho| e^{-2 lam T}: it falls on
+    [lam0, rho] and peaks on [rho, inf) at rho + 1/(2T)."""
+    top = max(lam0, rho + 0.5 / T)
+    return max(abs(z - rho) * math.exp(-2.0 * z * T) for z in (lam0, top))
+
+
+def _flow_integral(problem: ModeProblem, v: np.ndarray, rho: float,
+                   T: float):
+    """int_0^T q dt of one mode's exact flow from v, by telescoping.
+
+    With A phi_k = lam_k B phi_k (B-orthonormal) and c_k = phi_k'B v,
+    q(t) = sum_k (lam_k^2 - rho lam_k) c_k^2 e^{-2 lam_k t} and
+    d/dt (v'Av - rho v'Bv) = -2q, so the integral is
+    (1/2)[v'Av - rho v'Bv - sum_k (lam_k - rho) c_k^2 e^{-2 lam_k T}].
+    The sum runs over the six lowest pairs; the dropped modes (lam >= lam_K,
+    the last kept) hold v'Bv - sum c_k^2 of the norm, so their share is at
+    most (1/2) sup_{lam >= lam_K} |lam - rho| e^{-2 lam T} times that.
+    Returns (integral, dropped bound, kept eigenvalues).
+    """
+    lam, phi = lowest_eigpairs(problem, 6)
+    Bv = problem.B @ v
+    c = phi.T @ Bv
+    norm = float(v @ Bv)
+    ends = float(np.sum((lam - rho) * c * c * np.exp(-2.0 * lam * T)))
+    integral = 0.5 * (float(v @ (problem.A @ v)) - rho * norm - ends)
+    dropped = 0.5 * _decay_sup(lam[-1], rho, T) * max(norm - float(c @ c), 0.0)
+    return integral, dropped, lam
+
+
 # ----------------------------------------------------------------------
-# Variance representation (discrete, exact up to time integration).
+# Variance representation (discrete, exact in time).
 
 
 def variance_representation_check(f: SmoothFunction, rho: float, T: float,
@@ -140,71 +237,38 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
                                   disc: Discretization):
     """Check Var(f) = (1/rho) int Gamma - (2/rho) int_0^T q(t) dt + tail.
 
+    f starts as its L^2(mu) projection on the hats of each mode
+    (`_projected_start`), lhs is its discrete variance, and
     q(t) = w'B^{-1}w - rho v'w with w = A v(t) is the discrete integrated
-    (Gamma_2 - rho Gamma) along the Crank-Nicolson trajectory; the time
-    integral is a trapezoid over the step times.  Returns
-    (lhs, rhs, discrepancy, tail_bound) with tail_bound = e^{-2 gap T} Var.
+    (Gamma_2 - rho Gamma) along the exact flow B v' = -A v; its time integral
+    is closed-form over the lowest eigenpairs (`_flow_integral`).  dt only
+    rounds the horizon up to ceil(T/dt) dt.  Returns
+    (lhs, rhs, discrepancy, tail_bound).  On the exact flow
+    rhs - lhs = (1/rho) sum_k (lam_k - rho) c_k^2 e^{-2 lam_k T} over the
+    nonconstant modes, all at or above the discrete gap, so
+    tail_bound = sup_{lam >= gap} |lam - rho| e^{-2 lam T} Var / |rho|, plus
+    2/|rho| times the dropped modes' bound, bounds the discrepancy for every
+    rho.
     """
     if rho == 0.0:
         raise ValueError("rho must be nonzero")
-    r = disc.radii()
-    profiles = _mode_profiles(f, params, r)
-    if profiles is None:
-        raise ValueError("f is not representable on the mode grids "
-                         "(need n=1, radial, or linear)")
-    ells = sorted(profiles)
-    problems = [assemble_mode(ell, params, disc, tail_rays=False)
-                for ell in ells]
-    vs = [np.asarray(profiles[ell], dtype=float) for ell in ells]
-
-    # discrete variance and energy; the all-ones vector is the constant.
-    # The assembled forms integrate the raw radial weight r^{n-1} omega^beta,
-    # so everything is divided by the discrete total mass to match the
-    # normalized measure.  Every profile set has mode 0, first in `ells`.
-    ones0 = np.ones(problems[0].size())
-    mass = float(ones0 @ problems[0].B @ ones0)
-    lhs = 0.0
-    energy = 0.0
+    T = max(1, int(math.ceil(T / dt - 1e-12))) * dt
+    problems, vs, mass = _projected_start(f, params, disc)
+    lhs = energy = integral = dropped = 0.0
     gap_candidates = []
     for p, v in zip(problems, vs):
-        Bv = p.B @ v
-        if p.ell == 0:
-            ones = np.ones(p.size())
-            lhs += float(v @ Bv - (ones @ Bv) ** 2 / mass)
-            gap_candidates.append(lowest_eigs(p, 2)[1])
-        else:
-            lhs += float(v @ Bv)
-            gap_candidates.append(lowest_eigs(p, 1)[0])
+        lhs += float(v @ (p.B @ v))
         energy += float(v @ (p.A @ v))
-    lhs /= mass
-    energy /= mass
-    gap_hat = min(gap_candidates)
-
-    # Crank-Nicolson trajectory with trapezoidal deficit integral
-    nsteps = max(1, int(math.ceil(T / dt - 1e-12)))
-    steppers = [_CNStepper(p, dt) for p in problems]
-    bfactors = [sla.cholesky_banded(p.B.band, lower=True) for p in problems]
-
-    def qval(vlist):
-        q = 0.0
-        for p, fac, v in zip(problems, bfactors, vlist):
-            w = p.A @ v
-            y = sla.cho_solve_banded((fac, True), w, check_finite=False)
-            q += float(w @ y - rho * (v @ w))
-        return q
-
-    integral = 0.0
-    cur = [v.copy() for v in vs]
-    qprev = qval(cur)
-    for s in range(nsteps):
-        cur = [st.step(v) for st, v in zip(steppers, cur)]
-        qnext = qval(cur)
-        integral += 0.5 * dt * (qprev + qnext)
-        qprev = qnext
-    integral /= mass
+        part, drop, lam = _flow_integral(p, v, rho, T)
+        integral += part
+        dropped += drop
+        # mode 0's first eigenvalue is the constant's zero
+        gap_candidates.append(lam[1] if p.ell == 0 else lam[0])
+    lhs, energy, integral, dropped = (x / mass for x in (lhs, energy, integral, dropped))
 
     rhs = energy / rho - 2.0 * integral / rho
-    tail_bound = math.exp(-2.0 * gap_hat * nsteps * dt) * lhs
+    tail_bound = (_decay_sup(min(gap_candidates), rho, T) * lhs
+                  + 2.0 * dropped) / abs(rho)
     return lhs, rhs, abs(lhs - rhs), tail_bound
 
 
@@ -343,7 +407,10 @@ def _eigen_triple(f: SmoothFunction, params: MeasureParams, range_tag: str,
         return None
 
     prob = assemble_mode(0, params, disc, tail_rays=False)
-    evals, evecs = sla.eigh(prob.A.toarray(), prob.B.toarray())
+    try:
+        evals, evecs = sla.eigh(prob.A.toarray(), prob.B.toarray())
+    except ValueError as exc:  # LinAlgError, or a non-finite entry
+        raise NumericalBreakdown(prob, f"dense eigh of (A, B) failed ({exc})") from exc
     K = min(kept, len(evals))
     Phi = evecs[:, :K]
     c = Phi.T @ (prob.B @ np.asarray(profiles[0], dtype=float))

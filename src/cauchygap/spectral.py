@@ -41,7 +41,8 @@ from .measures import MeasureParams, omega_moment
 
 __all__ = [
     "Discretization", "SymBand", "ModeProblem", "NumericalBreakdown", "GapReport",
-    "range_edges", "GAP_FORMULA", "closed_form_gap", "assemble_mode", "lowest_eigs", "numeric_gap",
+    "range_edges", "GAP_FORMULA", "closed_form_gap", "assemble_mode", "lowest_eigpairs",
+    "lowest_eigs", "numeric_gap",
     "rayleigh_quotient_power", "rayleigh_quotient_1d", "upper_bound_min",
     "gap_sweep", "write_sweep_csv",
 ]
@@ -318,7 +319,7 @@ def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
     ell >= 1 removes the node at r = 0 (radial profiles vanish there); the
     last hat extends as a constant over [R, inf); tail rays are appended for
     every square-integrable power.  tail_rays=False keeps the hats alone, so
-    that a coefficient vector is a profile's nodal values at disc.radii(),
+    that a coefficient vector is a piecewise-linear profile on disc.radii(),
     which is how semigroup hands profiles in.  All cells are
     integrated in one vectorized pass per weight, straight into band storage.
     """
@@ -388,8 +389,9 @@ def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
                        ray_ks=ks, params=params)
 
 
-def lowest_eigs(problem: ModeProblem, k: int) -> list[float]:
-    """k smallest generalized eigenvalues of (A, B), ascending.
+def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k smallest generalized eigenpairs of (A, B): ascending values and the
+    B-orthonormal vectors as columns.
 
     Shift-invert Lanczos about sigma = -1e-6 * (median diagonal ratio of A
     to B), where A - sigma B is positive definite.  Raises NumericalBreakdown
@@ -417,12 +419,18 @@ def lowest_eigs(problem: ModeProblem, k: int) -> list[float]:
     def solve(x):
         return sla.cho_solve_banded((factor, True), x, check_finite=False)
 
-    vals = eigsh(LinearOperator((nn, nn), matvec=A.__matmul__, dtype=float),
-                 k=k, M=LinearOperator((nn, nn), matvec=B.__matmul__, dtype=float),
-                 sigma=sigma, which="LM", v0=np.ones(nn),
-                 OPinv=LinearOperator((nn, nn), matvec=solve, dtype=float),
-                 return_eigenvectors=False)
-    return sorted(float(v) for v in vals)
+    vals, vecs = eigsh(
+        LinearOperator((nn, nn), matvec=A.__matmul__, dtype=float),
+        k=k, M=LinearOperator((nn, nn), matvec=B.__matmul__, dtype=float),
+        sigma=sigma, which="LM", v0=np.ones(nn),
+        OPinv=LinearOperator((nn, nn), matvec=solve, dtype=float))
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def lowest_eigs(problem: ModeProblem, k: int) -> list[float]:
+    """The values of lowest_eigpairs(problem, k), ascending."""
+    return [float(v) for v in lowest_eigpairs(problem, k)[0]]
 
 
 @dataclass(frozen=True)

@@ -270,7 +270,7 @@ def test_criterion_7_variance_representation(capsys):
     elapsed = time.perf_counter() - t0
     _announce(capsys, 7, ok,
               f"|Var-rhs| {abs(var - rhs):.1e} <= tail+1e-4, "
-              f"upper deficit {abs(d):.1e}, {elapsed:.0f}s")
+              f"upper deficit {abs(d):.1e}, {elapsed:.1f}s")
     assert ok
 
 

@@ -144,6 +144,36 @@ def test_deficit_lower_bump(tmp_path):
     assert val < -1e-6
 
 
+def test_deficit_numerical_breakdown(tmp_path, capsys, monkeypatch):
+    # a failed factorization in the deficit's eigen route exits 3, not 1,
+    # although numpy's LinAlgError is a ValueError
+    from scipy import linalg as sla
+
+    from cauchygap import cli
+    from cauchygap.functions import SmoothFunction, make_random_test
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    # an even bump: radial with compact support, so the eigen route takes it
+    base = make_random_test(0, 1)
+    even = SmoothFunction(
+        lambda x: 0.5 * (base.value(x) + base.value(-x)),
+        lambda x: 0.5 * (base.gradient(x) - base.gradient(-x)),
+        lambda x: 0.5 * (base.hessian(x) + base.hessian(-x)),
+        base.support_radius, "even bump", base.radial_seams, 0)
+    monkeypatch.setattr(cli, "make_random_test", lambda seed, n: even)
+    monkeypatch.setattr(sla, "eigh", failing)
+    out = tmp_path / "deficit.csv"
+    code = main(["deficit", "--n", "1", "--beta", "2.0", "--range", "upper",
+                 "--f", "bump", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown: mode ell=0 (n=1, beta=2")
+    assert "dense eigh of (A, B) failed (not positive definite)" in err
+    assert not out.exists()
+
+
 def test_rayleigh(tmp_path):
     out = tmp_path / "rayleigh.csv"
     code = main(["rayleigh", "--family", "power", "--n", "2", "--beta", "1.8",

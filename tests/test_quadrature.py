@@ -78,6 +78,16 @@ def test_integrate_nd_refuses_n_above_three():
         integrate_nd(lambda x: np.ones(x.shape[0]), p, default_nd_spec(4))
 
 
+def test_product_nodes_refuse_a_scheme_for_another_n():
+    # every caller of the tensor rule, not only integrate_nd, refuses a
+    # polar_2d spec off the plane
+    spec = QuadratureSpec("polar_2d", nodes=64, angular_nodes=16)
+    with pytest.raises(ValueError, match="polar_2d requires n = 2"):
+        verify_all(MeasureParams(3, 2.5), spec=spec, trials=1)
+    with pytest.raises(ValueError, match="polar_2d requires n = 2"):
+        integrate_nd(lambda x: np.ones(x.shape[0]), MeasureParams(1, 2.0), spec)
+
+
 def test_verify_grid_contents():
     assert len(VERIFY_GRID) == 14
     for n, beta in VERIFY_GRID:

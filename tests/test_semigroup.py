@@ -1,17 +1,24 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from cauchygap.functions import (
+    SmoothFunction,
     make_linear,
     make_lower_extremal_1d,
     make_power_family,
     make_quadratic_centered,
     make_random_test,
 )
-from cauchygap.measures import MeasureParams, omega_moment
+from cauchygap.measures import MeasureParams, mean_sq_norm, omega_moment
 from cauchygap.quadrature import default_nd_spec, integrate_nd
 from cauchygap.semigroup import (
     DeficitMismatch,
+    _CNStepper,
+    _flow_integral,
+    _projected_start,
     _range_lambda,
     EvolutionState,
     default_horizon,
@@ -21,7 +28,8 @@ from cauchygap.semigroup import (
     extremal_residual,
     variance_representation_check,
 )
-from cauchygap.spectral import Discretization, assemble_mode, lowest_eigs
+from cauchygap.spectral import (Discretization, ModeProblem, NumericalBreakdown,
+                                SymBand, assemble_mode, closed_form_gap)
 
 
 def _mode0(params, m=128):
@@ -137,6 +145,158 @@ def test_variance_representation_rho_free():
         _, rhs, err, tail = variance_representation_check(f, rho, T, 1e-3, p, disc)
         assert err <= tail + 2e-5
         assert abs(rhs - 0.16) < 5e-5
+
+
+def _quadrature_variance(f, p):
+    kw = dict(support_radius=f.support_radius, seams=f.radial_seams)
+    spec = default_nd_spec(p.n)
+    mean = integrate_nd(lambda x: f.value(x), p, spec, **kw)
+    return integrate_nd(lambda x: f.value(x) ** 2, p, spec, **kw) - mean ** 2
+
+
+def test_variance_representation_fifty_seeds():
+    # criterion 7's clause at its configuration, on fifty random tests
+    p = MeasureParams(1, 2.0)
+    disc = Discretization(m=1024, delta=1e-3)
+    gap, _ = closed_form_gap(p)
+    failed = []
+    for s in range(50):
+        f = make_random_test(s, 1)
+        var = _quadrature_variance(f, p)
+        T = default_horizon(var, gap)
+        lhs, rhs, err, tail = variance_representation_check(f, 2.0, T, 2e-5,
+                                                            p, disc)
+        if not (err <= tail + 1e-4 and abs(var - rhs) <= tail + 1e-4):
+            failed.append(s)
+    assert failed == []
+
+
+@pytest.mark.parametrize("n, beta", [(2, 3.0), (3, 5.0)])
+def test_variance_representation_linear_closed_form(n, beta):
+    # Var(<a, x>) = |a|^2 E|x|^2 / n: the ell = 1 profile carries the mean
+    # square 1/n of its spherical harmonic
+    p = MeasureParams(n, beta)
+    a = np.zeros(n)
+    a[0], a[-1] = 1.0, -2.0
+    lhs, rhs, err, tail = variance_representation_check(
+        make_linear(a), 2.0 * (beta - 1.0), 2.0, 1e-3, p,
+        Discretization(m=256, delta=1e-3))
+    var = 5.0 * mean_sq_norm(p) / n
+    assert np.isclose(lhs, var, rtol=1e-6)
+    assert np.isclose(rhs, var, rtol=1e-6)
+    assert err <= tail + 1e-14
+
+
+def test_variance_tail_bound_holds_for_every_rho():
+    # rhs - lhs is the flow's remainder past T; the tail bound covers it for
+    # rho far below and above the gap (e^{-2 gap T} Var did not at rho = 0.2)
+    # without being vacuous
+    p = MeasureParams(1, 2.0)
+    f = make_random_test(7, 1)
+    disc = Discretization(m=256, delta=1e-3)
+    for rho in (-1.0, 0.2, 2.0, 17.0):
+        for T in (0.3, 1.0):
+            _, _, err, tail = variance_representation_check(f, rho, T, 1e-3, p, disc)
+            assert err <= tail <= 20.0 * err, (rho, T, err, tail)
+
+
+def test_projected_start_keeps_constants_beyond_R():
+    # the last hat's constant extension over [R, inf) enters the projection,
+    # so a constant stays constant and has no discrete variance even where
+    # mu holds 0.4% of its mass beyond R = tan(pi/2 - 0.2)
+    const = SmoothFunction(lambda x: np.full(len(x), 2.0),
+                           lambda x: np.zeros_like(x),
+                           lambda x: np.zeros((len(x), 1, 1)), label="2")
+    p = MeasureParams(1, 2.0)
+    lhs, rhs, err, _ = variance_representation_check(
+        const, 2.0, 1.0, 1e-3, p, Discretization(m=128, delta=0.2))
+    assert abs(lhs) < 1e-20 and abs(rhs) < 1e-20
+
+
+_FLOW_CASES = [(4.0, "quadratic"), (2.0, "bump")]
+
+
+def _flow_start(beta, shape):
+    """Projected start of criterion 7's kind on the line at m = 128, with
+    rho = 2(beta - 1) and the default horizon."""
+    p = MeasureParams(1, beta)
+    f = make_quadratic_centered(p) if shape == "quadratic" else make_random_test(7, 1)
+    problems, vs, mass = _projected_start(f, p, Discretization(m=128, delta=1e-3))
+    var = sum(v @ (q.B @ v) for q, v in zip(problems, vs)) / mass
+    return problems, vs, 2.0 * (beta - 1.0), default_horizon(var, closed_form_gap(p)[0])
+
+
+@pytest.mark.parametrize("beta, shape", _FLOW_CASES)
+def test_flow_integral_matches_dense_spectrum(beta, shape):
+    # the full generalized spectrum integrates q term by term:
+    # sum_k a_k (1 - e^{-2 lam_k T}) / (2 lam_k), a_k = (lam_k^2 - rho lam_k) c_k^2
+    problems, vs, rho, T = _flow_start(beta, shape)
+    totals = []
+    for prob, v in zip(problems, vs):
+        lam, phi = sla.eigh(prob.A.toarray(), prob.B.toarray())
+        c = phi.T @ (prob.B @ v)
+
+        def dense(t):
+            # a_k / lam_k = (lam_k - rho) c_k^2 stays finite at the constant's lam ~ 0
+            return 0.5 * float(np.sum((lam - rho) * c * c * -np.expm1(-2.0 * lam * t)))
+
+        got, dropped, _ = _flow_integral(prob, v, rho, T)
+        assert abs(got - dense(T)) <= 1e-10 * abs(dense(T))
+        assert dropped < 1e-20
+        totals.append(dense(T))
+        # at t = 0.25 the endpoint terms are ~1e-3 and the modes past the
+        # kept six still count: the difference stays inside their bound
+        got, dropped, _ = _flow_integral(prob, v, rho, 0.25)
+        assert abs(got - dense(0.25)) <= dropped + 1e-12 * abs(dense(0.25))
+    assert sum(totals) > 0.1
+
+
+@pytest.mark.parametrize("beta, shape", _FLOW_CASES)
+def test_flow_integral_is_the_cn_trapezoid_limit(beta, shape):
+    # a Crank-Nicolson trajectory with a trapezoid over q converges to the
+    # closed form at second order: the error drops 4x per halving of dt
+    problems, vs, rho, T = _flow_start(beta, shape)
+    T = math.ceil(T / 8e-3) * 8e-3  # whole steps at every dt below
+    exact = sum(_flow_integral(q, v, rho, T)[0] for q, v in zip(problems, vs))
+    errs = []
+    for dt in (8e-3, 4e-3, 2e-3):
+        total = 0.0
+        for prob, v in zip(problems, vs):
+            step = _CNStepper(prob, dt)
+            bfac = sla.cho_factor(prob.B.toarray())
+
+            def q(u):
+                w = prob.A @ u
+                return w @ sla.cho_solve(bfac, w) - rho * (u @ w)
+
+            qprev = q(v)
+            for _ in range(round(T / dt)):
+                v = step.step(v)
+                qnext = q(v)
+                total += 0.5 * dt * (qprev + qnext)
+                qprev = qnext
+        errs.append(abs(total - exact))
+    ratios = np.array(errs[:-1]) / np.array(errs[1:])
+    assert np.all(np.abs(ratios - 4.0) < 0.05), (errs, ratios)
+
+
+def test_semigroup_factorizations_break_down_numerically(monkeypatch):
+    # a failed factorization is a NumericalBreakdown naming the mode, not a
+    # ValueError (numpy's LinAlgError is one)
+    p = MeasureParams(2, 3.0)
+    prob = _mode0(p)
+    flipped = ModeProblem(0, prob.A, SymBand(-prob.B.band), params=p)
+    with pytest.raises(NumericalBreakdown, match=r"ell=0 .*B \+ dt/2 A failed"):
+        evolve([np.ones(prob.size())], T=0.1, dt=0.01, problems=[flipped])
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(sla, "cholesky_banded", failing)
+    f = make_quadratic_centered(MeasureParams(1, 4.0))
+    with pytest.raises(NumericalBreakdown, match="banded Cholesky of B failed"):
+        variance_representation_check(f, 6.0, 1.0, 1e-3, MeasureParams(1, 4.0),
+                                      Discretization(m=128, delta=1e-3))
 
 
 def test_deficit_upper_linear_zero():

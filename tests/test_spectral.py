@@ -14,6 +14,7 @@ from cauchygap.spectral import (
     assemble_mode,
     closed_form_gap,
     gap_sweep,
+    lowest_eigpairs,
     lowest_eigs,
     numeric_gap,
     rayleigh_quotient_1d,
@@ -338,6 +339,21 @@ def test_lowest_eigs_matches_dense_eigh(m, n, beta, tail_rays):
         if ell == 0:
             scale[0] = ref[1]
         assert np.all(np.abs(got - ref) <= 1e-9 * scale), (ell, got, ref)
+
+
+@pytest.mark.parametrize("n, beta", _SOLVER_POINTS)
+def test_lowest_eigpairs_vectors_are_b_orthonormal(n, beta):
+    disc = Discretization(m=256, delta=1e-3)
+    for ell, rays in ((0, False), (1, True)):
+        prob = assemble_mode(ell, MeasureParams(n, beta), disc, rays)
+        lam, phi = lowest_eigpairs(prob, 6)
+        assert list(lam) == lowest_eigs(prob, 6)
+        assert np.all(np.diff(lam) > 0)
+        Bphi = prob.B @ phi
+        assert np.allclose(phi.T @ Bphi, np.eye(6), rtol=0.0, atol=1e-12)
+        res = prob.A @ phi - Bphi * lam
+        assert np.all(np.linalg.norm(res, axis=0)
+                      <= 1e-8 * np.linalg.norm(Bphi, axis=0) * np.maximum(lam, 1.0))
 
 
 def _ldl_solve(band, b):
