@@ -17,8 +17,8 @@ from .quadrature import (ALL_TAGS, VERIFY_GRID, IdentityReport, QuadratureSpec,
                          applicable_tags, default_nd_spec, integrate_nd,
                          lowfact_coefficients, lowfact_epsilon_scan,
                          lowfact_sign_check, verify_all, verify_identity)
-from .semigroup import (DeficitMismatch, EvolutionState, default_horizon,
-                        deficit, deficit_trace, evolve, extremal_residual,
+from .semigroup import (DeficitMismatch, default_horizon, deficit,
+                        deficit_trace, extremal_residual,
                         variance_representation_check)
 from .spectral import (Discretization, GapReport, ModeProblem, SWEEP_COLUMNS,
                        assemble_mode, closed_form_gap, gap_sweep, lowest_eigs,
@@ -27,13 +27,13 @@ from .spectral import (Discretization, GapReport, ModeProblem, SWEEP_COLUMNS,
                        write_sweep_csv)
 
 __all__ = [
-    "ALL_TAGS", "DeficitMismatch", "Discretization", "EvolutionState",
+    "ALL_TAGS", "DeficitMismatch", "Discretization",
     "FactorizedGamma2", "GapReport", "IdentityReport", "MeasureParams",
     "ModeProblem", "QuadratureSpec", "SWEEP_COLUMNS", "SampleBatch",
     "SmoothFunction", "VERIFY_GRID", "WeightSpec", "applicable_tags",
     "apply_L", "assemble_mode", "cauchy_weight", "cd_witness",
     "check_derivatives", "closed_form_gap", "default_horizon",
-    "default_nd_spec", "deficit", "deficit_trace", "density", "evolve",
+    "default_nd_spec", "deficit", "deficit_trace", "density",
     "extremal_residual", "gamma", "gamma2_cauchy", "gamma2_cauchy_factorized",
     "gamma2_general", "gap_sweep", "integrate_nd", "log_normalization",
     "lowest_eigs", "lowfact_coefficients", "lowfact_epsilon_scan",

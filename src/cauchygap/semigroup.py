@@ -1,8 +1,9 @@
-"""Semigroup evolution on the radial modes and deficit verification.
+"""Heat flow on the radial modes and deficit verification.
 
-A, B are the Galerkin pairs of `spectral` per mode; the discrete flow is
-B v' = -A v.  `evolve` steps it with the trapezoidal (Crank-Nicolson)
-scheme.  The variance representation
+A, B are the Galerkin pairs of `spectral` per mode; the discrete flow
+B v' = -A v is evaluated exactly in the (A, B) eigenbasis, whose lowest
+pairs `spectral.lowest_eigpairs` computes for every flow here.  The
+variance representation
 
   Var(f) = (1/rho) int Gamma(f) dmu - (2/rho) int_0^inf int (Gamma_2 - rho Gamma)(P_t f) dmu dt
 
@@ -19,8 +20,7 @@ evaluated in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import linalg as sla
@@ -30,28 +30,13 @@ from .functions import SmoothFunction
 from .measures import MeasureParams, mean_sq_norm
 from .quadrature import _radial_rule, default_nd_spec, integrate_nd, QuadratureSpec
 from .spectral import (_WGL, _XGL, GAP_FORMULA, Discretization, ModeProblem,
-                       NumericalBreakdown, SymBand, _node_diag, assemble_mode,
+                       NumericalBreakdown, _node_diag, assemble_mode,
                        lowest_eigpairs, range_edges)
 
 __all__ = [
-    "EvolutionState", "evolve", "default_horizon",
-    "variance_representation_check", "deficit", "deficit_trace",
-    "extremal_residual",
+    "default_horizon", "variance_representation_check", "deficit",
+    "deficit_trace", "extremal_residual",
 ]
-
-
-# ----------------------------------------------------------------------
-# Time stepping.
-
-
-@dataclass(frozen=True)
-class EvolutionState:
-    """Mode coefficients after evolving to time t with step dt."""
-    coeffs: dict                 # ell -> nodal vector
-    t: float
-    dt: float
-    params: MeasureParams
-    norms: tuple = ()            # discrete int (P_s f)^2 at the step times
 
 
 def _cholesky(problem: ModeProblem, band: np.ndarray, what: str):
@@ -61,46 +46,6 @@ def _cholesky(problem: ModeProblem, band: np.ndarray, what: str):
     except ValueError as exc:  # LinAlgError, or a non-finite entry
         raise NumericalBreakdown(
             problem, f"banded Cholesky of {what} failed ({exc})") from exc
-
-
-class _CNStepper:
-    """One mode's Crank-Nicolson step: (B + dt/2 A) v+ = (B - dt/2 A) v-."""
-
-    def __init__(self, problem: ModeProblem, dt: float):
-        A, B = problem.A.band, problem.B.band
-        self.factor = _cholesky(problem, B + 0.5 * dt * A, "B + dt/2 A")
-        self.minus = SymBand(B - 0.5 * dt * A)
-
-    def step(self, v: np.ndarray) -> np.ndarray:
-        return sla.cho_solve_banded((self.factor, True), self.minus @ v,
-                                    check_finite=False)
-
-
-def evolve(f0: Sequence[np.ndarray], T: float, dt: float,
-           problems: Sequence[ModeProblem]) -> EvolutionState:
-    """Crank-Nicolson evolution of nodal coefficients, one vector per mode.
-
-    Unconditionally stable; choose dt well below 1/(2 lambda) for every
-    eigenvalue lambda whose component should stay accurate (stiff components
-    are damped, not amplified).  Returns the state at the step time closest
-    to T from above, with the discrete L^2 norm history attached.
-    """
-    if dt <= 0 or T < 0:
-        raise ValueError("need dt > 0 and T >= 0")
-    if len(f0) != len(problems):
-        raise ValueError("one initial vector per mode problem")
-    nsteps = max(1, int(math.ceil(T / dt - 1e-12))) if T > 0 else 0
-    vs = [np.asarray(v, dtype=float).copy() for v in f0]
-    steppers = [_CNStepper(p, dt) for p in problems]
-    norms = []
-    for s in range(nsteps + 1):
-        norms.append(float(sum(v @ p.B @ v for v, p in zip(vs, problems))))
-        if s == nsteps:
-            break
-        vs = [st.step(v) for st, v in zip(steppers, vs)]
-    coeffs = {p.ell: v for p, v in zip(problems, vs)}
-    return EvolutionState(coeffs=coeffs, t=nsteps * dt, dt=dt,
-                          params=problems[0].params, norms=tuple(norms))
 
 
 def default_horizon(variance: float, gap_estimate: float) -> float:
@@ -242,7 +187,8 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
     q(t) = w'B^{-1}w - rho v'w with w = A v(t) is the discrete integrated
     (Gamma_2 - rho Gamma) along the exact flow B v' = -A v; its time integral
     is closed-form over the lowest eigenpairs (`_flow_integral`).  dt only
-    rounds the horizon up to ceil(T/dt) dt.  Returns
+    rounds the horizon up to max(1, ceil(T/dt)) dt; rho, T and dt must be
+    finite with rho != 0, T >= 0 and dt > 0 (else ValueError).  Returns
     (lhs, rhs, discrepancy, tail_bound).  On the exact flow
     rhs - lhs = (1/rho) sum_k (lam_k - rho) c_k^2 e^{-2 lam_k T} over the
     nonconstant modes, all at or above the discrete gap, so
@@ -250,8 +196,12 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
     2/|rho| times the dropped modes' bound, bounds the discrepancy for every
     rho.
     """
+    if not all(math.isfinite(x) for x in (rho, T, dt)):
+        raise ValueError("rho, T and dt must be finite")
     if rho == 0.0:
         raise ValueError("rho must be nonzero")
+    if dt <= 0.0 or T < 0.0:
+        raise ValueError("need dt > 0 and T >= 0")
     T = max(1, int(math.ceil(T / dt - 1e-12))) * dt
     problems, vs, mass = _projected_start(f, params, disc)
     lhs = energy = integral = dropped = 0.0
@@ -369,8 +319,8 @@ def _eigen_triple(f: SmoothFunction, params: MeasureParams, range_tag: str,
     (angular_mode 1) is one exact eigenmode with eigenvalue 2(beta - 1) in
     which only the angular-defect term survives.  A compactly supported
     radial f (on the line: whose odd part is below 1e-13 max(1, |even part|))
-    gives the `kept` lowest eigenpairs of the ell = 0 sector.  Every other f
-    gives None.
+    gives the `kept` lowest eigenpairs of the ell = 0 sector (at most nn - 1,
+    see `lowest_eigpairs`).  Every other f gives None.
     """
     n, beta = params.n, params.beta
     if f.angular_mode == 1:
@@ -407,12 +357,8 @@ def _eigen_triple(f: SmoothFunction, params: MeasureParams, range_tag: str,
         return None
 
     prob = assemble_mode(0, params, disc, tail_rays=False)
-    try:
-        evals, evecs = sla.eigh(prob.A.toarray(), prob.B.toarray())
-    except ValueError as exc:  # LinAlgError, or a non-finite entry
-        raise NumericalBreakdown(prob, f"dense eigh of (A, B) failed ({exc})") from exc
-    K = min(kept, len(evals))
-    Phi = evecs[:, :K]
+    lam, Phi = lowest_eigpairs(prob, kept)
+    K = len(lam)
     c = Phi.T @ (prob.B @ np.asarray(profiles[0], dtype=float))
 
     # Quadrature window for the corollary integrand: wide enough to hold
@@ -435,7 +381,7 @@ def _eigen_triple(f: SmoothFunction, params: MeasureParams, range_tag: str,
         vals = F(nodes_r, w, d1[j][None, :], d1, d2[j][None, :], d2,
                  lap[j][None, :], lap)
         Fmat[j, :] = vals @ wq
-    return evals[:K], c, Fmat
+    return lam, c, Fmat
 
 
 class DeficitMismatch(RuntimeError):

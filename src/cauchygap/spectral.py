@@ -393,15 +393,17 @@ def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarra
     """k smallest generalized eigenpairs of (A, B): ascending values and the
     B-orthonormal vectors as columns.
 
-    Shift-invert Lanczos about sigma = -1e-6 * (median diagonal ratio of A
-    to B), where A - sigma B is positive definite.  Raises NumericalBreakdown
-    on non-finite or underflowed entries or a failed factorization.
+    Needs k >= 1; k >= nn (the matrix size) is clamped to nn - 1, the most
+    ARPACK computes.  Shift-invert Lanczos about sigma = -1e-6 * (median
+    diagonal ratio of A to B), where A - sigma B is positive definite.
+    Raises NumericalBreakdown on non-finite or underflowed entries or a
+    failed factorization.
     """
-    if k > 6:
-        raise ValueError("at most 6 eigenvalues per mode")
+    if k < 1:
+        raise ValueError("need k >= 1 eigenpairs")
     A, B = problem.A, problem.B
     nn = A.shape[0]
-    k = min(k, nn)
+    k = min(k, nn - 1)
     if not (np.all(np.isfinite(A.band)) and np.all(np.isfinite(B.band))):
         raise NumericalBreakdown(problem, "non-finite band entries")
     nh = nn - len(problem.ray_ks)

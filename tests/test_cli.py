@@ -163,14 +163,15 @@ def test_deficit_numerical_breakdown(tmp_path, capsys, monkeypatch):
         lambda x: 0.5 * (base.hessian(x) + base.hessian(-x)),
         base.support_radius, "even bump", base.radial_seams, 0)
     monkeypatch.setattr(cli, "make_random_test", lambda seed, n: even)
-    monkeypatch.setattr(sla, "eigh", failing)
+    monkeypatch.setattr(sla, "cholesky_banded", failing)
     out = tmp_path / "deficit.csv"
     code = main(["deficit", "--n", "1", "--beta", "2.0", "--range", "upper",
                  "--f", "bump", "--out", str(out)])
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical breakdown: mode ell=0 (n=1, beta=2")
-    assert "dense eigh of (A, B) failed (not positive definite)" in err
+    assert ("banded Cholesky of A - sigma B failed (not positive definite)"
+            in err)
     assert not out.exists()
 
 

@@ -16,99 +16,17 @@ from cauchygap.measures import MeasureParams, mean_sq_norm, omega_moment
 from cauchygap.quadrature import default_nd_spec, integrate_nd
 from cauchygap.semigroup import (
     DeficitMismatch,
-    _CNStepper,
     _flow_integral,
     _projected_start,
     _range_lambda,
-    EvolutionState,
     default_horizon,
     deficit,
     deficit_trace,
-    evolve,
     extremal_residual,
     variance_representation_check,
 )
-from cauchygap.spectral import (Discretization, ModeProblem, NumericalBreakdown,
-                                SymBand, assemble_mode, closed_form_gap)
-
-
-def _mode0(params, m=128):
-    return assemble_mode(0, params, Discretization(m=m, delta=1e-2),
-                         tail_rays=False)
-
-
-def test_evolve_constant_invariant():
-    p = MeasureParams(2, 3.0)
-    prob = _mode0(p)
-    ones = np.ones(prob.size())
-    state = evolve([ones], T=0.5, dt=0.01, problems=[prob])
-    assert isinstance(state, EvolutionState)
-    assert np.max(np.abs(state.coeffs[0] - 1.0)) < 1e-11
-    assert state.t >= 0.5
-
-
-def test_evolve_eigenvector_decay():
-    from scipy.linalg import eigh
-
-    p = MeasureParams(2, 4.0)
-    prob = _mode0(p, m=160)
-    lam, V = eigh(prob.A.toarray(), prob.B.toarray())
-    k = 1  # first nontrivial mode
-    v0 = V[:, k]
-    T, dt = 0.3, 1e-3
-    state = evolve([v0], T=T, dt=dt, problems=[prob])
-    exact = np.exp(-lam[k] * state.t) * v0
-    # Crank-Nicolson amplitude error is O(dt^2 lambda^3 T), relative to the
-    # eigenvector scale (B-normalized vectors have large far-field entries)
-    scale = np.max(np.abs(v0))
-    assert np.max(np.abs(state.coeffs[0] - exact)) < 1e-5 * scale
-    assert len(state.norms) == int(np.ceil(T / dt)) + 1
-
-
-def test_evolve_norm_monotone_and_energy_identity():
-    p = MeasureParams(1, 4.0)
-    disc = Discretization(m=128, delta=1e-2)
-    prob = assemble_mode(0, p, disc, tail_rays=False)
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(prob.size())
-    dt = 5e-3
-    state = evolve([v0], T=0.2, dt=dt, problems=[prob])
-    h = np.array(state.norms)
-    assert np.all(np.diff(h) <= 1e-12)
-    # exact discrete dissipation over the first step:
-    # h1 - h0 = -(dt/2) (v0+v1)' A (v0+v1)
-    v1 = evolve([v0], T=dt, dt=dt, problems=[prob]).coeffs[0]
-    u = v0 + v1
-    expect = -0.5 * dt * (u @ prob.A @ u)
-    assert np.isclose(h[1] - h[0], expect, rtol=1e-10, atol=1e-14)
-
-
-def test_evolve_initial_slope_matches_energy():
-    # d/dt int (P_t f)^2 dmu at t = 0 equals -2 int Gamma(f) dmu; for the
-    # centered quadratic at (1, 4) the energy is lambda * Var = 10 * 0.16
-    p = MeasureParams(1, 4.0)
-    f = make_quadratic_centered(p)
-    disc = Discretization(m=512, delta=1e-3)
-    prob = assemble_mode(0, p, disc, tail_rays=False)
-    r = disc.radii()
-    v0 = f.value(np.abs(r)[:, None])
-    ones = np.ones(prob.size())
-    mass = ones @ prob.B @ ones
-    energy = (v0 @ prob.A @ v0) / mass
-    assert np.isclose(energy, 1.6, rtol=1e-4)
-    dt = 1e-4
-    state = evolve([v0], T=dt, dt=dt, problems=[prob])
-    slope = (state.norms[1] - state.norms[0]) / dt / mass
-    assert np.isclose(slope, -2.0 * 1.6, rtol=1e-3)
-
-
-def test_evolve_validation():
-    p = MeasureParams(2, 3.0)
-    prob = _mode0(p)
-    with pytest.raises(ValueError):
-        evolve([np.ones(prob.size())], T=1.0, dt=-0.1, problems=[prob])
-    with pytest.raises(ValueError):
-        evolve([], T=1.0, dt=0.1, problems=[prob])
+from cauchygap.spectral import (Discretization, NumericalBreakdown, SymBand,
+                                closed_form_gap)
 
 
 def test_default_horizon():
@@ -133,6 +51,13 @@ def test_variance_representation_quadratic():
     assert abs(rhs - 0.16) < 5e-5
     with pytest.raises(ValueError):
         variance_representation_check(f, 0.0, T, 1e-3, p, disc)
+    # a negative or zero step, a negative horizon and non-finite inputs are
+    # refused rather than run
+    for rho, T_bad, dt in ((6.0, T, -0.1), (6.0, T, 0.0), (6.0, -1.0, 1e-3),
+                           (6.0, math.inf, 1e-3), (6.0, T, math.nan),
+                           (math.nan, T, 1e-3), (math.inf, T, 1e-3)):
+        with pytest.raises(ValueError):
+            variance_representation_check(f, rho, T_bad, dt, p, disc)
 
 
 def test_variance_representation_rho_free():
@@ -262,7 +187,10 @@ def test_flow_integral_is_the_cn_trapezoid_limit(beta, shape):
     for dt in (8e-3, 4e-3, 2e-3):
         total = 0.0
         for prob, v in zip(problems, vs):
-            step = _CNStepper(prob, dt)
+            # one CN step: (B + dt/2 A) v+ = (B - dt/2 A) v-
+            A, B = prob.A.band, prob.B.band
+            plus = sla.cholesky_banded(B + 0.5 * dt * A, lower=True)
+            minus = SymBand(B - 0.5 * dt * A)
             bfac = sla.cho_factor(prob.B.toarray())
 
             def q(u):
@@ -271,7 +199,7 @@ def test_flow_integral_is_the_cn_trapezoid_limit(beta, shape):
 
             qprev = q(v)
             for _ in range(round(T / dt)):
-                v = step.step(v)
+                v = sla.cho_solve_banded((plus, True), minus @ v)
                 qnext = q(v)
                 total += 0.5 * dt * (qprev + qnext)
                 qprev = qnext
@@ -283,12 +211,6 @@ def test_flow_integral_is_the_cn_trapezoid_limit(beta, shape):
 def test_semigroup_factorizations_break_down_numerically(monkeypatch):
     # a failed factorization is a NumericalBreakdown naming the mode, not a
     # ValueError (numpy's LinAlgError is one)
-    p = MeasureParams(2, 3.0)
-    prob = _mode0(p)
-    flipped = ModeProblem(0, prob.A, SymBand(-prob.B.band), params=p)
-    with pytest.raises(NumericalBreakdown, match=r"ell=0 .*B \+ dt/2 A failed"):
-        evolve([np.ones(prob.size())], T=0.1, dt=0.01, problems=[flipped])
-
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")
 
@@ -368,6 +290,14 @@ def test_deficit_route_consistency_guard():
     d = deficit(f, p, "lower", disc=Discretization(m=768, delta=2e-3), kept=192)
     assert d < -1.0
     assert np.isclose(d, -47.514289238997755, rtol=1e-6)  # frozen quadrature value
+
+
+def test_deficit_keeps_at_most_nn_minus_one_pairs():
+    # kept past the mode size is clamped to the nn - 1 pairs ARPACK computes;
+    # on every pair of m = 512 the even bump's route agrees with quadrature
+    d = deficit(_even_1d_bump(0), MeasureParams(1, 2.0), "upper",
+                disc=Discretization(m=512, delta=2e-3), kept=10_000)
+    assert np.isclose(d, -16.51371388386978, rtol=1e-6)  # frozen quadrature value
 
 
 def test_deficit_linear_on_the_line():

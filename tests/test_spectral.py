@@ -343,17 +343,45 @@ def test_lowest_eigs_matches_dense_eigh(m, n, beta, tail_rays):
 
 @pytest.mark.parametrize("n, beta", _SOLVER_POINTS)
 def test_lowest_eigpairs_vectors_are_b_orthonormal(n, beta):
+    # six pairs on two modes, and the 48 the deficit route keeps on its
+    # pencil (ell = 0, m = 384, delta = 2e-3, no rays), checked there
+    # against the dense spectrum as in test_lowest_eigs_matches_dense_eigh
     disc = Discretization(m=256, delta=1e-3)
-    for ell, rays in ((0, False), (1, True)):
-        prob = assemble_mode(ell, MeasureParams(n, beta), disc, rays)
-        lam, phi = lowest_eigpairs(prob, 6)
-        assert list(lam) == lowest_eigs(prob, 6)
+    route = Discretization(m=384, delta=2e-3)
+    for ell, rays, d, k in ((0, False, disc, 6), (1, True, disc, 6),
+                            (0, False, route, 48)):
+        prob = assemble_mode(ell, MeasureParams(n, beta), d, rays)
+        lam, phi = lowest_eigpairs(prob, k)
+        assert list(lam) == lowest_eigs(prob, k)
         assert np.all(np.diff(lam) > 0)
         Bphi = prob.B @ phi
-        assert np.allclose(phi.T @ Bphi, np.eye(6), rtol=0.0, atol=1e-12)
+        assert np.allclose(phi.T @ Bphi, np.eye(k), rtol=0.0, atol=1e-12)
         res = prob.A @ phi - Bphi * lam
         assert np.all(np.linalg.norm(res, axis=0)
                       <= 1e-8 * np.linalg.norm(Bphi, axis=0) * np.maximum(lam, 1.0))
+        if d is route:
+            ref = sla.eigh(prob.A.toarray(), prob.B.toarray(), eigvals_only=True,
+                           subset_by_index=[0, k - 1])
+            scale = np.abs(ref)
+            scale[0] = ref[1]
+            assert np.all(np.abs(lam - ref) <= 1e-9 * scale), (lam, ref)
+
+
+def test_lowest_eigpairs_domain():
+    # k >= 1; k at or past the matrix size is clamped to nn - 1, ARPACK's limit
+    prob = assemble_mode(0, MeasureParams(1, 2.0), Discretization(m=64, delta=1e-2),
+                         tail_rays=False)
+    nn = prob.size()
+    for k in (0, -3):
+        with pytest.raises(ValueError, match="k >= 1"):
+            lowest_eigpairs(prob, k)
+    ref = sla.eigh(prob.A.toarray(), prob.B.toarray(), eigvals_only=True)
+    for k in (nn - 1, nn, 5 * nn):
+        lam, phi = lowest_eigpairs(prob, k)
+        assert phi.shape == (nn, nn - 1)
+        scale = np.abs(ref[:-1])
+        scale[0] = ref[1]
+        assert np.all(np.abs(lam - ref[:-1]) <= 1e-9 * scale)
 
 
 def _ldl_solve(band, b):
