@@ -44,6 +44,11 @@ def _as_points(x: Array) -> Array:
     return x[None, :] if x.ndim == 1 else x
 
 
+def _row_sq_norms(x: Array) -> Array:
+    """|x_k|^2 for each row of x (N, n)."""
+    return np.einsum("ij,ij->i", x, x)
+
+
 # ----------------------------------------------------------------------
 # C^2 radial bump profile: 1 on [0, r_in], 0 from r_out on, quintic blend
 # 1 - t^3 (10 - 15 t + 6 t^2) in between (closed-form derivatives).
@@ -71,7 +76,7 @@ def _bump_profile(r, r_in, r_out, order=2):
 def _radial_bump_fields(x, center, r_in, r_out):
     """Bump value/gradient/hessian as functions of x around `center`."""
     d = x - center
-    r = np.sqrt(np.sum(d * d, axis=-1))
+    r = np.sqrt(_row_sq_norms(d))
     b, db, d2b = _bump_profile(r, r_in, r_out)
     n = x.shape[-1]
     safe_r = np.where(r > 0, r, 1.0)
@@ -116,7 +121,7 @@ def make_quadratic_centered(params: MeasureParams) -> SmoothFunction:
 
     def value(x):
         x = _as_points(x)
-        return np.sum(x * x, axis=-1) - c
+        return _row_sq_norms(x) - c
 
     def gradient(x):
         return 2.0 * _as_points(x)
@@ -135,17 +140,17 @@ def make_power_family(epsilon: float) -> SmoothFunction:
     eps = float(epsilon)
 
     def value(x):
-        s = np.sum(_as_points(x) ** 2, axis=-1)
+        s = _row_sq_norms(_as_points(x))
         return (1.0 + s) ** eps
 
     def gradient(x):
         x = _as_points(x)
-        s = np.sum(x * x, axis=-1)
+        s = _row_sq_norms(x)
         return 2.0 * eps * ((1.0 + s) ** (eps - 1.0))[:, None] * x
 
     def hessian(x):
         x = _as_points(x)
-        s = np.sum(x * x, axis=-1)
+        s = _row_sq_norms(x)
         w1 = (1.0 + s) ** (eps - 1.0)
         w2 = (1.0 + s) ** (eps - 2.0)
         eye = np.eye(x.shape[-1])
@@ -201,7 +206,7 @@ def make_radial_log_cutoff(x0: Array, r_in: float, r_out: float) -> SmoothFuncti
 
     def fields(x):
         x = _as_points(x)
-        s = np.sum(x * x, axis=-1)
+        s = _row_sq_norms(x)
         s = np.where(s > 0, s, 1.0)  # outside the bump anyway
         lv = 0.5 * np.log(s)
         lg = x / s[:, None]
@@ -342,7 +347,7 @@ class RandomTestFields:
         degrees, parent, var, ops = _poly_basis(n, RANDOM_TEST_DEGREE)
         nh = n * (n + 1) // 2
         self._ops = ops[:(1, 1 + n, 1 + n + nh, 1 + 2 * n + nh)[order]]
-        r = np.sqrt(np.sum(x * x, axis=-1))
+        r = np.sqrt(_row_sq_norms(x))
         # outside the bump everything is multiplied by an exact 0; clamp the
         # polynomial argument to the support ball so huge radii cannot overflow
         R = RANDOM_TEST_RADIUS

@@ -21,7 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from .functions import (RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS, RandomTestFields,
-                        SmoothFunction, random_test_coefficients)
+                        SmoothFunction, random_test_coefficients, _row_sq_norms)
 from .measures import MeasureParams, log_normalization
 from .spectral import GAP_FORMULA, range_edges
 
@@ -164,7 +164,11 @@ def _radial_rule(params: MeasureParams, spec: QuadratureSpec,
 
 
 # ----------------------------------------------------------------------
-# Full n-dimensional node sets.
+# Full n-dimensional node sets.  Every full-dimensional integral streams
+# the tensor rule in blocks of whole radial rows, so memory does not grow
+# with the node count.
+
+_NODE_CHUNK = 4096   # nodes per block (one radial row where a row is longer)
 
 
 @lru_cache(maxsize=128)
@@ -194,17 +198,21 @@ def _sphere_directions(n: int, angular: int):
     raise ValueError(f"deterministic sphere rule implemented for n <= 3, got n={n}")
 
 
-def _product_nodes(params: MeasureParams, spec: QuadratureSpec,
-                   support_radius: Optional[float] = None,
-                   seams: tuple = ()):
-    """Tensor nodes (K, n) and mu-weights (K,) for full-dimensional integrals."""
+def _node_blocks(params: MeasureParams, spec: QuadratureSpec,
+                 support_radius: Optional[float] = None,
+                 seams: tuple = ()):
+    """The tensor rule for full-dimensional integrals as an iterator of
+    blocks (x, w): nodes (k, n) and mu-weights (k,), each block whole radial
+    rows, at most _NODE_CHUNK nodes (at least one row).  The spec and n are
+    checked at once, before the first block."""
     if spec.scheme == "polar_2d" and params.n != 2:
         raise ValueError("polar_2d requires n = 2")
     r, logw = _radial_rule(params, spec, support_radius, seams)
     dirs, dw = _sphere_directions(params.n, spec.angular_nodes)
-    pts = r[:, None, None] * dirs[None, :, :]
-    wts = np.exp(logw)[:, None] * dw[None, :]
-    return pts.reshape(-1, params.n), wts.reshape(-1)
+    rows = max(1, _NODE_CHUNK // len(dw))
+    return (((r[lo:lo + rows, None, None] * dirs).reshape(-1, params.n),
+             (np.exp(logw[lo:lo + rows])[:, None] * dw).reshape(-1))
+            for lo in range(0, len(r), rows))
 
 
 def integrate_nd(g: Callable[[Array], Array], params: MeasureParams,
@@ -213,9 +221,23 @@ def integrate_nd(g: Callable[[Array], Array], params: MeasureParams,
                  seams: tuple = ()):
     """int g dmu by a deterministic tensor rule (n <= 3).  `support_radius`
     truncates the radial rule; `seams` pins panel edges at radii where g
-    loses smoothness."""
-    pts, wts = _product_nodes(params, spec, support_radius, seams)
-    return float(np.sum(wts * np.asarray(g(pts), dtype=float)))
+    loses smoothness.
+
+    g is called on blocks of nodes x (k, n) of whole radial rows, with
+    k <= _NODE_CHUNK unless one row is longer (`_node_blocks`), so memory
+    does not grow with the node count.  g returns one field of shape (k,),
+    integrated to a float, or a stack of fields of shape (m, k), integrated
+    to an array of shape (m,); any other shape raises ValueError.
+    """
+    total = 0.0
+    for x, w in _node_blocks(params, spec, support_radius, seams):
+        fields = np.asarray(g(x), dtype=float)
+        if fields.ndim not in (1, 2) or fields.shape[-1] != len(w):
+            raise ValueError(f"integrand returned shape {fields.shape} on "
+                             f"{len(w)} nodes; need ({len(w)},) or "
+                             f"(m, {len(w)})")
+        total = total + fields @ w
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def default_nd_spec(n: int) -> QuadratureSpec:
@@ -230,11 +252,10 @@ def default_nd_spec(n: int) -> QuadratureSpec:
 # one shared node set per (params, spec).  IPP3, IPP4 and GRG carry a
 # 1/(beta - 2) and are written multiplied through, (beta - 2) lhs = numerator,
 # so they hold and are checked at beta = 2 too.  The random test functions of
-# verify_all are evaluated in blocks: one monomial table per chunk of nodes,
-# one GEMM per block of trials.
+# verify_all are evaluated in blocks: one monomial table per node block of
+# `_node_blocks`, one GEMM per block of trials.
 
-_TRIAL_BLOCK = 8     # random test functions per GEMM
-_NODE_CHUNK = 4096   # nodes per monomial table; bounds memory with _TRIAL_BLOCK
+_TRIAL_BLOCK = 8     # random tests per GEMM; bounds memory with _NODE_CHUNK
 ALL_TAGS = ("IPP1", "IPP2", "IPP3", "IPP4", "GAMMABIS", "GRG", "IRG",
             "LOWFACT", "ONED_SPLIT", "ONED_LOW")
 
@@ -258,7 +279,7 @@ def _field_integrals(x: Array, wts: Array, params: MeasureParams, g: Array,
     iu, ju = np.triu_indices(n)
     half = np.where(iu == ju, 0.5, 1.0)[:, None, None]  # weight of each pair
     xt = np.ascontiguousarray(x.T)[:, None]  # (n, 1, K)
-    x2 = np.sum(x * x, axis=-1)
+    x2 = _row_sq_norms(x)
     w = 1.0 + x2
     lap = np.sum(hess[iu == ju], axis=0)
     g2 = np.sum(g * g, axis=0)
@@ -298,25 +319,27 @@ class _FieldPack:
 
     @classmethod
     def of_function(cls, f: SmoothFunction, params: MeasureParams,
-                    pts: Array, wts: Array) -> "_FieldPack":
+                    blocks) -> "_FieldPack":
+        """Pack of f over the node blocks (x, w) of `_node_blocks`."""
         iu, ju = np.triu_indices(params.n)
 
         def stack(a):  # (K, rows) -> (rows, 1, K)
             return a.T[:, None]
 
-        gdl = None if f.grad_laplacian is None else stack(f.grad_laplacian(pts))
-        return cls(_field_integrals(pts, wts, params, stack(f.gradient(pts)),
-                                    stack(f.hessian(pts)[:, iu, ju]), gdl),
-                   params)
+        totals = np.zeros((10, 1))
+        for x, w in blocks:
+            gdl = None if f.grad_laplacian is None else stack(f.grad_laplacian(x))
+            totals += _field_integrals(x, w, params, stack(f.gradient(x)),
+                                       stack(f.hessian(x)[:, iu, ju]), gdl)
+        return cls(totals, params)
 
     @classmethod
-    def of_random_tests(cls, seeds, params: MeasureParams, pts: Array,
-                        wts: Array):
-        """Pack and labels of make_random_test(seed, n) for every seed."""
+    def of_random_tests(cls, seeds, params: MeasureParams, blocks):
+        """Pack and labels of make_random_test(seed, n) for every seed, over
+        the node blocks (x, w) of `_node_blocks`."""
         coefs, labels = random_test_coefficients(seeds, params.n)
         totals = np.zeros((10, len(seeds)))
-        for lo in range(0, len(wts), _NODE_CHUNK):
-            x, w = pts[lo:lo + _NODE_CHUNK], wts[lo:lo + _NODE_CHUNK]
+        for x, w in blocks:
             fields = RandomTestFields(x)
             for t in range(0, len(seeds), _TRIAL_BLOCK):
                 _, g, hess, gdl = fields.fields(coefs[:, t:t + _TRIAL_BLOCK])
@@ -396,9 +419,9 @@ def _random_test_pack(params: MeasureParams, spec: Optional[QuadratureSpec],
     the identity nodes of their support."""
     if spec is None:
         spec = default_nd_spec(params.n)
-    pts, wts = _product_nodes(params, spec, RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS)
+    blocks = _node_blocks(params, spec, RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS)
     seeds = [(seed << 20) + t for t in range(trials)]
-    return _FieldPack.of_random_tests(seeds, params, pts, wts)
+    return _FieldPack.of_random_tests(seeds, params, blocks)
 
 
 def verify_identity(tag: str, f: SmoothFunction, params: MeasureParams,
@@ -417,8 +440,8 @@ def verify_identity(tag: str, f: SmoothFunction, params: MeasureParams,
         raise ValueError(f"{tag} does not apply for n = {n}")
     if spec is None:
         spec = default_nd_spec(n)
-    pts, wts = _product_nodes(params, spec, f.support_radius, f.radial_seams)
-    pack = _FieldPack.of_function(f, params, pts, wts)
+    pack = _FieldPack.of_function(
+        f, params, _node_blocks(params, spec, f.support_radius, f.radial_seams))
     lhs, rhs = (float(side[0]) for side in _tag_sides(tag, pack, params, None))
     return IdentityReport(tag=tag, n=n, beta=beta, lhs=lhs, rhs=rhs,
                           abs_err=abs(lhs - rhs), rel_err=float(_rel_err(lhs, rhs)))

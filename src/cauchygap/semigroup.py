@@ -26,7 +26,7 @@ import numpy as np
 from scipy import linalg as sla
 from scipy.interpolate import CubicSpline
 
-from .functions import SmoothFunction
+from .functions import SmoothFunction, _row_sq_norms
 from .measures import MeasureParams, mean_sq_norm
 from .quadrature import _radial_rule, default_nd_spec, integrate_nd, QuadratureSpec
 from .spectral import (_WGL, _XGL, GAP_FORMULA, Discretization, ModeProblem,
@@ -246,17 +246,17 @@ def _range_lambda(params: MeasureParams, range_tag: str) -> float:
 
 
 def _var_and_energy(f: SmoothFunction, params: MeasureParams):
-    spec = default_nd_spec(params.n)
-    kw = dict(support_radius=f.support_radius, seams=f.radial_seams)
-    mean = integrate_nd(lambda x: f.value(x), params, spec, **kw)
-    sq = integrate_nd(lambda x: f.value(x) ** 2, params, spec, **kw)
+    """Var(f) and int Gamma(f) dmu in one pass over the tensor rule: per
+    node block, one value and one gradient call give f, f^2 and
+    (1 + |x|^2) |grad f|^2."""
+    def fields(x):
+        v = f.value(x)
+        return np.stack([v, v * v,
+                         (1.0 + _row_sq_norms(x)) * _row_sq_norms(f.gradient(x))])
 
-    def gamma_field(x):
-        g = f.gradient(x)
-        w = 1.0 + np.sum(x * x, axis=-1)
-        return w * np.sum(g * g, axis=-1)
-
-    energy = integrate_nd(gamma_field, params, spec, **kw)
+    mean, sq, energy = integrate_nd(fields, params, default_nd_spec(params.n),
+                                    support_radius=f.support_radius,
+                                    seams=f.radial_seams)
     return sq - mean ** 2, energy
 
 
@@ -319,8 +319,8 @@ def _eigen_triple(f: SmoothFunction, params: MeasureParams, range_tag: str,
     (angular_mode 1) is one exact eigenmode with eigenvalue 2(beta - 1) in
     which only the angular-defect term survives.  A compactly supported
     radial f (on the line: whose odd part is below 1e-13 max(1, |even part|))
-    gives the `kept` lowest eigenpairs of the ell = 0 sector (at most nn - 1,
-    see `lowest_eigpairs`).  Every other f gives None.
+    gives the `kept` lowest eigenpairs of the ell = 0 sector (at most nn - 1;
+    `lowest_eigpairs` is fast only well below it).  Every other f gives None.
     """
     n, beta = params.n, params.beta
     if f.angular_mode == 1:

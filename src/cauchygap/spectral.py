@@ -396,6 +396,10 @@ def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarra
     Needs k >= 1; k >= nn (the matrix size) is clamped to nn - 1, the most
     ARPACK computes.  Shift-invert Lanczos about sigma = -1e-6 * (median
     diagonal ratio of A to B), where A - sigma B is positive definite.
+    Keep k well below nn: near it Lanczos is far slower than a dense solve
+    (one BLAS thread, the ell = 0 pencil at (1, 2.0): k = 511 at m = 512
+    takes 0.70 s against 0.11 s for a dense `eigh`), while at k = 48 of
+    m = 384 or k = 192 of m = 768 it is as fast or faster.
     Raises NumericalBreakdown on non-finite or underflowed entries or a
     failed factorization.
     """

@@ -71,6 +71,63 @@ def test_integrate_nd_support_and_seam_hints():
     assert np.isclose(base, hinted, rtol=2e-3)
 
 
+def _whole_rule(p, spec, support_radius=None, seams=()):
+    blocks = list(quadrature._node_blocks(p, spec, support_radius, seams))
+    return (np.concatenate([x for x, _ in blocks]),
+            np.concatenate([w for _, w in blocks]))
+
+
+def test_integrate_nd_stacked_fields_match_separate_calls():
+    # a stack of fields integrates to the separate scalar integrals, and the
+    # blocked sums to the whole-array sum, on an open and a compact rule
+    bump = make_random_test(2, 2)
+    cases = [(MeasureParams(3, 4.0), None, ()),
+             (MeasureParams(2, 1.5), bump.support_radius, bump.radial_seams)]
+    for p, radius, seams in cases:
+        spec = default_nd_spec(p.n)
+        parts = [lambda x: x[:, 0] ** 2 + x[:, -1],
+                 lambda x: 1.0 / (1.0 + np.sum(x * x, axis=-1)),
+                 lambda x: np.cos(x[:, 0]) * np.sum(x * x, axis=-1) ** 0.25]
+        if radius is not None:
+            parts.append(bump.value)
+        stacked = integrate_nd(lambda x: np.stack([g(x) for g in parts]), p, spec,
+                               support_radius=radius, seams=seams)
+        assert stacked.shape == (len(parts),)
+        pts, wts = _whole_rule(p, spec, radius, seams)
+        for g, got in zip(parts, stacked):
+            alone = integrate_nd(g, p, spec, support_radius=radius, seams=seams)
+            whole = float(np.sum(wts * g(pts)))
+            assert isinstance(alone, float)
+            assert abs(got - alone) <= 1e-13 * abs(whole)
+            assert abs(got - whole) <= 1e-13 * abs(whole)
+
+
+def test_integrate_nd_blocks_stay_within_node_chunk():
+    # the integrand only ever sees whole-row blocks of at most _NODE_CHUNK
+    # nodes, and together they cover the rule once
+    p = MeasureParams(3, 4.0)
+    spec = default_nd_spec(3)
+    seen = []
+
+    def g(x):
+        seen.append(x.shape[0])
+        return np.ones(x.shape[0])
+
+    assert np.isclose(integrate_nd(g, p, spec), 1.0, rtol=1e-12)
+    assert len(seen) > 1 and max(seen) <= quadrature._NODE_CHUNK
+    assert sum(seen) == len(_whole_rule(p, spec)[1])
+
+
+def test_integrate_nd_refuses_malformed_integrands():
+    # a (K, 1) column would broadcast against the (K,) weights into K x K
+    p = MeasureParams(1, 2.0)
+    spec = QuadratureSpec(nodes=16)
+    for bad in (lambda x: x ** 2, lambda x: 1.0, lambda x: np.ones(len(x) + 1),
+                lambda x: np.ones((2, 2, len(x)))):
+        with pytest.raises(ValueError, match="shape"):
+            integrate_nd(bad, p, spec, support_radius=1.0)
+
+
 def test_integrate_nd_refuses_n_above_three():
     # the deterministic sphere rules stop at n = 3
     p = MeasureParams(4, 3.0)
@@ -237,9 +294,11 @@ def test_block_pack_matches_reference_pack():
         p = MeasureParams(n, beta)
         spec = QuadratureSpec(scheme="polar_2d" if n == 2 else "product_spherical",
                               nodes=128, angular_nodes=40)
-        pts, wts = quadrature._product_nodes(p, spec, 3.0, (1.8,))
+        blocks = list(quadrature._node_blocks(p, spec, 3.0, (1.8,)))
+        pts = np.concatenate([x for x, _ in blocks])
+        wts = np.concatenate([w for _, w in blocks])
         seeds = [0, 1, 2]
-        pack, labels = quadrature._FieldPack.of_random_tests(seeds, p, pts, wts)
+        pack, labels = quadrature._FieldPack.of_random_tests(seeds, p, blocks)
         for t, seed in enumerate(seeds):
             f = make_random_test(seed, n)
             assert labels[t] == f.label

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from cauchygap.functions import (
 )
 from cauchygap.measures import MeasureParams, mean_sq_norm, omega_moment
 from cauchygap.quadrature import default_nd_spec, integrate_nd
+from cauchygap import quadrature
 from cauchygap.semigroup import (
     DeficitMismatch,
     _flow_integral,
     _projected_start,
     _range_lambda,
+    _var_and_energy,
     default_horizon,
     deficit,
     deficit_trace,
@@ -219,6 +222,52 @@ def test_semigroup_factorizations_break_down_numerically(monkeypatch):
     with pytest.raises(NumericalBreakdown, match="banded Cholesky of B failed"):
         variance_representation_check(f, 6.0, 1.0, 1e-3, MeasureParams(1, 4.0),
                                       Discretization(m=128, delta=1e-3))
+
+
+def _three_call_var_and_energy(f, p):
+    # one integrate_nd call per integral, the formula _var_and_energy replaced
+    spec = default_nd_spec(p.n)
+    kw = dict(support_radius=f.support_radius, seams=f.radial_seams)
+    mean = integrate_nd(lambda x: f.value(x), p, spec, **kw)
+    sq = integrate_nd(lambda x: f.value(x) ** 2, p, spec, **kw)
+
+    def gamma_field(x):
+        g = f.gradient(x)
+        return (1.0 + np.sum(x * x, axis=-1)) * np.sum(g * g, axis=-1)
+
+    return sq - mean ** 2, integrate_nd(gamma_field, p, spec, **kw)
+
+
+@pytest.mark.parametrize("make, n, beta", [
+    (lambda: make_linear(np.array([1.0, 0.0, 0.0])), 3, 4.0),
+    (lambda: make_quadratic_centered(MeasureParams(3, 3.8)), 3, 3.8),
+    (lambda: make_power_family(0.15), 2, 1.5),
+    (lambda: make_random_test(0, 2), 2, 1.5),
+    (lambda: make_random_test(0, 1), 1, 1.2),
+])
+def test_var_and_energy_matches_three_call_formula(make, n, beta):
+    # the one-pass stacked integral gives the heat_flow deficit inputs'
+    # variance and energy of three separate passes
+    f, p = make(), MeasureParams(n, beta)
+    for got, ref in zip(_var_and_energy(f, p), _three_call_var_and_energy(f, p)):
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def test_deficit_memory_does_not_grow_with_the_rule():
+    # the (3, 4) rule has 598,416 nodes; one (K, 3) node array alone is 14 MB
+    p = MeasureParams(3, 4.0)
+    f = make_linear(np.array([1.0, 0.0, 0.0]))
+    deficit(f, p, "upper")  # fill the rule caches first
+    full = 8 * 3 * sum(len(w) for _, w in quadrature._node_blocks(
+        p, default_nd_spec(3)))
+    assert full > 14e6
+    tracemalloc.start()
+    try:
+        deficit(f, p, "upper")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full / 4
 
 
 def test_deficit_upper_linear_zero():
