@@ -31,15 +31,6 @@ EXIT_NUMERICAL = 3
 
 OUTDIR_ENV = "CAUCHYGAP_OUTDIR"
 
-_CASTS = {
-    "n": int, "m": int, "steps": int, "trials": int, "seed": int,
-    "count": int, "ell_max": int,
-    "beta": float, "beta_min": float, "beta_max": float, "delta": float,
-    "tol": float,
-    "out": str, "format": str, "range": str, "f": str, "family": str,
-    "eps_from_limit": str,
-}
-
 
 def _fmt(x: float) -> str:
     return "%.17g" % x
@@ -95,6 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(path: str) -> dict:
+    """Typed values of a key=value file, each key typed and checked by its
+    flag's declaration; ValueError on an unknown key, a bad value or a
+    malformed line."""
+    commands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+    options = {a.dest: a for p in commands.values() for a in p._actions
+               if a.nargs != 0 and a.dest != "config"}  # not --help, --config, switches
     values = {}
     with open(path) as fh:
         for raw in fh:
@@ -105,9 +102,12 @@ def load_config(path: str) -> dict:
                 raise ValueError(f"config line without '=': {raw.strip()!r}")
             key, val = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            if key not in _CASTS:
+            if key not in options:
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = _CASTS[key](val.strip())
+            opt = options[key]
+            values[key] = (opt.type or str)(val.strip())
+            if opt.choices and values[key] not in opt.choices:
+                raise ValueError(f"config {key}={val.strip()}: not one of {opt.choices}")
     return values
 
 
@@ -318,9 +318,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _merge_config(args)
         return _COMMANDS[args.command](args)
     except DeficitMismatch as exc:
@@ -332,6 +331,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except SystemExit as exc:  # argparse: 0 after --help, else a usage error
+        return EXIT_CONFIG if exc.code else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ def _as_points(x: Array) -> Array:
 
 def _row_sq_norms(x: Array) -> Array:
     """|x_k|^2 for each row of x (N, n)."""
-    return np.einsum("ij,ij->i", x, x)
+    return np.square(x) @ np.ones(x.shape[1])
 
 
 # ----------------------------------------------------------------------

@@ -13,14 +13,13 @@ integrated Gamma_2 (second-order forms only, no third differences).  Its
 time integral telescopes to closed form in the (A, B) eigenbasis, so the
 discrete identity holds up to the modes past the horizon and those above
 the lowest few eigenpairs, both bounded.  Range-specific deficit formulas
-are checked by an eigen-expansion route whose time integral is also
-evaluated in closed form.
+are checked by an eigen-expansion route that starts from the same
+projection and whose time integral is also evaluated in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 from scipy import linalg as sla
@@ -30,22 +29,13 @@ from .functions import SmoothFunction, _row_sq_norms
 from .measures import MeasureParams, mean_sq_norm
 from .quadrature import _radial_rule, default_nd_spec, integrate_nd, QuadratureSpec
 from .spectral import (_WGL, _XGL, GAP_FORMULA, Discretization, ModeProblem,
-                       NumericalBreakdown, _node_diag, assemble_mode,
-                       lowest_eigpairs, range_edges)
+                       _cholesky, _node_diag, assemble_mode, lowest_eigpairs,
+                       range_edges)
 
 __all__ = [
     "default_horizon", "variance_representation_check", "deficit",
     "deficit_trace", "extremal_residual",
 ]
-
-
-def _cholesky(problem: ModeProblem, band: np.ndarray, what: str):
-    """Lower banded Cholesky factor of one mode's matrix `what`."""
-    try:
-        return sla.cholesky_banded(band, lower=True)
-    except ValueError as exc:  # LinAlgError, or a non-finite entry
-        raise NumericalBreakdown(
-            problem, f"banded Cholesky of {what} failed ({exc})") from exc
 
 
 def default_horizon(variance: float, gap_estimate: float) -> float:
@@ -60,26 +50,23 @@ def default_horizon(variance: float, gap_estimate: float) -> float:
 
 
 def _mode_profiles(f: SmoothFunction, params: MeasureParams,
-                   r: np.ndarray) -> Optional[dict]:
+                   r: np.ndarray) -> dict:
     """Radial profiles per mode at the radii r, for functions representable
     on the mode grids.
 
     Supported shapes: n = 1 (even/odd split), radial f (angular_mode 0), and
-    linear f (angular_mode 1, constant plus ell = 1 profile).  Returns None
-    for anything else.
+    linear f (angular_mode 1, constant plus ell = 1 profile); ValueError for
+    anything else.
     """
     n = params.n
     if n == 1:
-        xp = r[:, None]
-        vp = f.value(xp)
-        vm = f.value(-xp)
+        vp, vm = f.value(r[:, None]), f.value(-r[:, None])
         return {0: 0.5 * (vp + vm), 1: 0.5 * (vp - vm)}
-    mode = f.angular_mode
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    if mode == 0:
-        return {0: f.value(r[:, None] * e1[None, :])}
-    if mode == 1:
+    if f.angular_mode == 0:
+        x = np.zeros((len(r), n))
+        x[:, 0] = r
+        return {0: f.value(x)}
+    if f.angular_mode == 1:
         # f = <a, x> + const = |a| r <a/|a|, x/r> + const; the harmonic
         # <a/|a|, x/r> has mean square 1/n on the sphere, so the ell=1
         # profile is |a| r / sqrt(n)
@@ -87,7 +74,8 @@ def _mode_profiles(f: SmoothFunction, params: MeasureParams,
         c = float(f.value(np.zeros((1, n)))[0])
         return {0: np.full(len(r), c),
                 1: float(np.linalg.norm(a)) / math.sqrt(n) * r}
-    return None
+    raise ValueError("f is not representable on the mode grids "
+                     "(need n=1, radial, or linear)")
 
 
 def _radial_weight(params: MeasureParams, r):
@@ -95,16 +83,15 @@ def _radial_weight(params: MeasureParams, r):
     return np.exp((params.n - 1) * np.log(r) - params.beta * np.log1p(r * r))
 
 
-def _projected_start(f: SmoothFunction, params: MeasureParams,
-                     disc: Discretization):
-    """Mode problems, the L^2(mu) projection of f on each mode's hats, and
-    the discrete mass 1'B1 of mode 0.
+def _mode_loads(f: SmoothFunction, params: MeasureParams,
+                disc: Discretization) -> dict:
+    """Per mode ell, f's profile at the 12 Gauss points of every cell and
+    the loads b_i = int profile phi_i dmu on the mode's hats, as
+    {ell: (profile, b)}, for the shapes `_mode_profiles` takes.
 
-    The projection is v = B^{-1} b with b_i = int profile phi_i dmu: 12-point
-    Gauss on every cell, plus the constant extension of the last hat over
-    [R, inf) by 12-point Gauss in t = R/r (skipped when f vanishes beyond R).
-    Mode 0 is shifted by its discrete mean 1'b / 1'B1: the flow keeps the
-    mean, so the constant leaves the representation exactly.
+    12-point Gauss on every cell, plus the constant extension of the last
+    hat over [R, inf) by 12-point Gauss in t = R/r (skipped when f vanishes
+    beyond R).  ell >= 1 has no hat at r = 0.
     """
     r = disc.radii()
     r0, r1 = r[:-1, None], r[1:, None]
@@ -112,26 +99,34 @@ def _projected_start(f: SmoothFunction, params: MeasureParams,
     rr = 0.5 * h * _XGL + 0.5 * (r0 + r1)
     ww = 0.5 * h * _WGL * _radial_weight(params, rr)
     profiles = _mode_profiles(f, params, rr.ravel())
-    if profiles is None:
-        raise ValueError("f is not representable on the mode grids "
-                         "(need n=1, radial, or linear)")
     R = float(r[-1])
-    tails = None
+    tails = dict.fromkeys(profiles, 0.0)
     if f.support_radius is None or f.support_radius > R:
         t = 0.5 * _XGL + 0.5
         wt = 0.5 * _WGL * (R / (t * t)) * _radial_weight(params, R / t)
         tails = {ell: float(prof @ wt) for ell, prof
                  in _mode_profiles(f, params, R / t).items()}
-    problems, vs = [], []
-    for ell in sorted(profiles):
-        prob = assemble_mode(ell, params, disc, tail_rays=False)
-        g = ww * profiles[ell].reshape(rr.shape)
+    loads = {}
+    for ell, prof in profiles.items():
+        g = ww * prof.reshape(rr.shape)
         b = _node_diag(np.sum(g * (r1 - rr) / h, axis=1),
                        np.sum(g * (rr - r0) / h, axis=1))
-        if tails is not None:
-            b[-1] += tails[ell]
-        if ell > 0:
-            b = b[1:]  # no hat at r = 0
+        b[-1] += tails[ell]
+        loads[ell] = (prof, b[1:] if ell > 0 else b)
+    return loads
+
+
+def _projected_start(loads: dict, params: MeasureParams,
+                     disc: Discretization):
+    """Mode problems, the L^2(mu) projection v = B^{-1} b of each mode's
+    loads (`_mode_loads`) on its hats, and the discrete mass 1'B1 of mode 0.
+
+    Mode 0 is shifted by its discrete mean 1'b / 1'B1: the flow keeps the
+    mean, so the constant leaves the representation exactly.
+    """
+    problems, vs = [], []
+    for ell, (_, b) in sorted(loads.items()):
+        prob = assemble_mode(ell, params, disc, tail_rays=False)
         factor = _cholesky(prob, prob.B.band, "B")
         v = sla.cho_solve_banded((factor, True), b, check_finite=False)
         if ell == 0:
@@ -203,7 +198,7 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
     if dt <= 0.0 or T < 0.0:
         raise ValueError("need dt > 0 and T >= 0")
     T = max(1, int(math.ceil(T / dt - 1e-12))) * dt
-    problems, vs, mass = _projected_start(f, params, disc)
+    problems, vs, mass = _projected_start(_mode_loads(f, params, disc), params, disc)
     lhs = energy = integral = dropped = 0.0
     gap_candidates = []
     for p, v in zip(problems, vs):
@@ -318,9 +313,12 @@ def _eigen_triple(f: SmoothFunction, params: MeasureParams, range_tag: str,
     This is the one gate of the eigen route.  A linear f = <a, x> + const
     (angular_mode 1) is one exact eigenmode with eigenvalue 2(beta - 1) in
     which only the angular-defect term survives.  A compactly supported
-    radial f (on the line: whose odd part is below 1e-13 max(1, |even part|))
-    gives the `kept` lowest eigenpairs of the ell = 0 sector (at most nn - 1;
-    `lowest_eigpairs` is fast only well below it).  Every other f gives None.
+    radial f (on the line: whose odd part is below 1e-13 max(1, |even part|)
+    at the Gauss points of `_mode_loads`) gives the `kept` lowest eigenpairs
+    of the ell = 0 sector (at most nn - 1; `lowest_eigpairs` is fast only
+    well below it), with c the pairs' coefficients of the L^2(mu) projection
+    the variance check starts from.  Every other f gives None, before any
+    mode is assembled.
     """
     n, beta = params.n, params.beta
     if f.angular_mode == 1:
@@ -348,18 +346,18 @@ def _eigen_triple(f: SmoothFunction, params: MeasureParams, range_tag: str,
             amp = ((n / (n - 1.0)) * mm - tt / (n - 1.0)
                    + btil * (n - 1.0) * s2 + c0 * a_norm ** 2)
         return np.array([GAP_FORMULA["upper"](n, beta)]), np.ones(1), np.array([[amp]])
-    if f.support_radius is None:
+    if f.support_radius is None or (n > 1 and f.angular_mode != 0):
         return None
-    r = disc.radii()
-    profiles = _mode_profiles(f, params, r)
-    if profiles is None or (n == 1 and np.max(np.abs(profiles[1])) > 1e-13 * max(
-            1.0, np.max(np.abs(profiles[0])))):
+    loads = _mode_loads(f, params, disc)
+    if n == 1 and np.max(np.abs(loads[1][0])) > 1e-13 * max(
+            1.0, np.max(np.abs(loads[0][0]))):
         return None
 
-    prob = assemble_mode(0, params, disc, tail_rays=False)
+    (prob,), (v,), _ = _projected_start({0: loads[0]}, params, disc)
     lam, Phi = lowest_eigpairs(prob, kept)
     K = len(lam)
-    c = Phi.T @ (prob.B @ np.asarray(profiles[0], dtype=float))
+    c = Phi.T @ (prob.B @ v)
+    r = prob.radii
 
     # Quadrature window for the corollary integrand: wide enough to hold
     # the measure's bulk and the initial support, short of the far grid

@@ -290,6 +290,15 @@ class NumericalBreakdown(ArithmeticError):
                          f"nn={problem.size()}): {reason}")
 
 
+def _cholesky(problem: ModeProblem, band: np.ndarray, what: str):
+    """Lower banded Cholesky factor of one mode's matrix `what`."""
+    try:
+        return sla.cholesky_banded(band, lower=True)
+    except ValueError as exc:  # LinAlgError, or a non-finite entry
+        raise NumericalBreakdown(
+            problem, f"banded Cholesky of {what} failed ({exc})") from exc
+
+
 def _admissible_rays(n: int, beta: float) -> tuple:
     return tuple(k for k in (1, 2) if 2.0 * k < 2.0 * beta - n - 1e-9)
 
@@ -333,18 +342,14 @@ def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
 
     LL, Bo, RR = _hat_pairs(r0, r1, _cell_moments(r0, r1, (n - 1, n, n + 1), beta))
     Bd = _node_diag(LL, RR)
-    if cl > 0.0:
-        q = _cell_moments(r0, r1, (n - 3, n - 2, n - 1), beta - 1.0)
-        kS = q[2] / ((r1 - r0) * (r1 - r0))  # gradient +-1/h pair
-        aLL, aLR, aRR = _hat_pairs(r0, r1, q)
-        # first cell with node 0 removed: only phi_1 survives, and r0 = 0
-        # makes phi_1^2 r^{n-3} = r^{n-1}/h^2 (integrable)
-        aRR[0] = kS[0]
-        Ad, Ao = _node_diag(kS + cl * aLL, kS + cl * aRR), -kS + cl * aLR
-    else:
-        (q,) = _cell_moments(r0, r1, (n - 1,), beta - 1.0)
-        kS = q / ((r1 - r0) * (r1 - r0))
-        Ad, Ao = _node_diag(kS, kS), -kS
+    q = _cell_moments(r0, r1, (n - 3, n - 2, n - 1), beta - 1.0)
+    kS = q[2] / ((r1 - r0) * (r1 - r0))  # gradient +-1/h pair
+    aLL, aLR, aRR = _hat_pairs(r0, r1, q)
+    # first cell with node 0 removed: only phi_1 survives, and r0 = 0
+    # makes phi_1^2 r^{n-3} = r^{n-1}/h^2 (integrable).  Where cl = 0 the
+    # ell term drops: finite (no Gauss node at r = 0), times 0.
+    aRR[0] = kS[0]
+    Ad, Ao = _node_diag(kS + cl * aLL, kS + cl * aRR), -kS + cl * aLR
     if ell > 0:
         Bd, Bo, Ad, Ao = Bd[1:], Bo[1:], Ad[1:], Ao[1:]
 
@@ -355,35 +360,20 @@ def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
     Ab[0, :nh], Ab[1, :nh - 1] = Ad, Ao
     Bb[0, :nh], Bb[1, :nh - 1] = Bd, Bo
 
-    # constant extension of the last hat over [R, inf)
+    # Tail functions on [R, inf): the last hat's constant extension and the
+    # rays r^k - R^k (zero on [0, R]), the columns of C over the powers P.
+    # With T = _tail_moment, B_tail = C'[T(R, n-1+p+q, beta)]C and A_tail =
+    # C'[(pq + ell(ell+n-2)) T(R, n-3+p+q, beta-1)]C, from the last hat on.
     R = float(r[-1])
-    last = nh - 1
-    Bb[0, last] += _tail_moment(R, n - 1, beta)
-    if cl > 0.0:
-        Ab[0, last] += cl * _tail_moment(R, n - 3, beta - 1.0)
-
-    # tail rays psi_k = r^k - R^k on [R, inf); zero on [0, R], so the only
-    # grid coupling is through the extended last hat (gradient of which
-    # vanishes in the tail).  Ray a sits at band offset a + 1 from `last`.
-    for a, ka in enumerate(ks):
-        Bb[a + 1, last] = (_tail_moment(R, n - 1 + ka, beta)
-                           - R ** ka * _tail_moment(R, n - 1, beta))
-        if cl > 0.0:
-            Ab[a + 1, last] = cl * (_tail_moment(R, n - 3 + ka, beta - 1.0)
-                                    - R ** ka * _tail_moment(R, n - 3, beta - 1.0))
-        for b, kb in enumerate(ks[:a + 1]):
-            bm = (_tail_moment(R, n - 1 + ka + kb, beta)
-                  - R ** kb * _tail_moment(R, n - 1 + ka, beta)
-                  - R ** ka * _tail_moment(R, n - 1 + kb, beta)
-                  + R ** (ka + kb) * _tail_moment(R, n - 1, beta))
-            aval = ka * kb * _tail_moment(R, n - 1 + ka + kb - 2, beta - 1.0)
-            if cl > 0.0:
-                aval += cl * (_tail_moment(R, n - 3 + ka + kb, beta - 1.0)
-                              - R ** kb * _tail_moment(R, n - 3 + ka, beta - 1.0)
-                              - R ** ka * _tail_moment(R, n - 3 + kb, beta - 1.0)
-                              + R ** (ka + kb) * _tail_moment(R, n - 3, beta - 1.0))
-            Bb[a - b, nh + b] = bm
-            Ab[a - b, nh + b] = aval
+    P = np.array((0,) + ks, dtype=float)
+    C = np.eye(len(P))
+    C[0, 1:] = -R ** P[1:]
+    S, T = P[:, None] + P, np.vectorize(_tail_moment)
+    for band, G in ((Bb, T(R, n - 1 + S, beta)),
+                    (Ab, (np.outer(P, P) + cl) * T(R, n - 3 + S, beta - 1.0))):
+        tail = C.T @ G @ C
+        for d in range(len(P)):
+            band[d, nh - 1:nn - d] += np.diagonal(tail, -d)
 
     return ModeProblem(ell=ell, A=SymBand(Ab), B=SymBand(Bb), radii=r,
                        ray_ks=ks, params=params)
@@ -415,12 +405,7 @@ def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarra
         raise NumericalBreakdown(problem, "mass entries underflowed to zero")
     scale = float(np.median(np.abs(A.band[0]) / B.band[0]))
     sigma = -1e-6 * max(scale, 1.0)
-    try:
-        factor = sla.cholesky_banded(A.band - sigma * B.band, lower=True,
-                                     check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(
-            problem, f"banded Cholesky of A - sigma B failed ({exc})") from exc
+    factor = _cholesky(problem, A.band - sigma * B.band, "A - sigma B")
 
     def solve(x):
         return sla.cho_solve_banded((factor, True), x, check_finite=False)
@@ -469,12 +454,8 @@ def numeric_gap(params: MeasureParams, disc: Discretization,
         raise ValueError("need ell_max >= 2 (mode minimum must be attested)")
     n = params.n
     ell_eff = 1 if n == 1 else ell_max
-    per_mode = []
-    for ell in range(ell_eff + 1):
-        prob = assemble_mode(ell, params, disc)
-        want = 2 if ell == 0 else 1
-        eigs = lowest_eigs(prob, want)
-        per_mode.append(eigs[-1])
+    per_mode = [lowest_eigs(assemble_mode(ell, params, disc), 2 if ell == 0 else 1)[-1]
+                for ell in range(ell_eff + 1)]
     gap = min(per_mode)
     mode = int(np.argmin(per_mode))
     closed, tag = closed_form_gap(params)

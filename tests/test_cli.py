@@ -170,8 +170,8 @@ def test_deficit_numerical_breakdown(tmp_path, capsys, monkeypatch):
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical breakdown: mode ell=0 (n=1, beta=2")
-    assert ("banded Cholesky of A - sigma B failed (not positive definite)"
-            in err)
+    # the route's first factorization is the mass matrix of the L^2 projection
+    assert "banded Cholesky of B failed (not positive definite)" in err
     assert not out.exists()
 
 
@@ -246,6 +246,32 @@ def test_config_file_unknown_key(tmp_path):
     with pytest.raises(ValueError):
         load_config(cfg)
     assert main(["sample", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["gap", "--n", "2", "--beta", "4.0", "--m", "96"], "format = xml"),
+    (["rayleigh", "--n", "2", "--beta", "1.8", "--eps-from-limit", "0.1"],
+     "family = power2"),
+])
+def test_config_values_checked_as_flags(tmp_path, argv, line):
+    # a config value outside its flag's choices is a configuration error,
+    # before any output is written
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out.txt"
+    cfg.write_text(line + "\n")
+    with pytest.raises(ValueError, match="not one of"):
+        load_config(cfg)
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_usage_errors_are_configuration_errors(tmp_path, capsys):
+    out = tmp_path / "gap.xml"
+    assert main(["gap", "--n", "2", "--beta", "4.0", "--format", "xml",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert main(["gap", "--n", "two", "--beta", "4.0"]) == EXIT_CONFIG
+    assert not out.exists()
+    assert main(["gap", "--help"]) == EXIT_OK
+    assert "--format {csv,json}" in capsys.readouterr().out
 
 
 def test_outdir_env(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from cauchygap import quadrature
 from cauchygap.semigroup import (
     DeficitMismatch,
     _flow_integral,
+    _mode_loads,
     _projected_start,
     _range_lambda,
     _var_and_energy,
@@ -149,7 +150,8 @@ def _flow_start(beta, shape):
     rho = 2(beta - 1) and the default horizon."""
     p = MeasureParams(1, beta)
     f = make_quadratic_centered(p) if shape == "quadratic" else make_random_test(7, 1)
-    problems, vs, mass = _projected_start(f, p, Discretization(m=128, delta=1e-3))
+    disc = Discretization(m=128, delta=1e-3)
+    problems, vs, mass = _projected_start(_mode_loads(f, p, disc), p, disc)
     var = sum(v @ (q.B @ v) for q, v in zip(problems, vs)) / mass
     return problems, vs, 2.0 * (beta - 1.0), default_horizon(var, closed_form_gap(p)[0])
 
@@ -347,6 +349,16 @@ def test_deficit_keeps_at_most_nn_minus_one_pairs():
     d = deficit(_even_1d_bump(0), MeasureParams(1, 2.0), "upper",
                 disc=Discretization(m=512, delta=2e-3), kept=10_000)
     assert np.isclose(d, -16.51371388386978, rtol=1e-6)  # frozen quadrature value
+
+
+def test_deficit_route_starts_from_the_projection():
+    # the route expands the L^2(mu) projection the variance check starts
+    # from: 4.3e-4 off here, inside the guard, where expanding the nodal
+    # values of this bump was 1.17e-3 off and tripped it
+    d = deficit(_even_1d_bump(3), MeasureParams(1, 1.2), "lower",
+                disc=Discretization(m=512, delta=2e-3), kept=10_000)
+    assert d < 0.0
+    assert np.isclose(d, -4.646979294260187, rtol=1e-6)  # frozen quadrature value
 
 
 def test_deficit_linear_on_the_line():

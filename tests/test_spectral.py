@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import linalg as sla
+from scipy.integrate import quad
 
 from cauchygap.measures import MeasureParams
 from cauchygap.spectral import (
@@ -203,6 +204,44 @@ def test_assemble_mode_matches_cell_loop(m, delta, n, beta):
         np.testing.assert_array_equal(A[grid], A_ref[grid])
         np.testing.assert_array_equal(B[grid], B_ref[grid])
         assert A[-1, -1] >= A_ref[-1, -1] and B[-1, -1] > B_ref[-1, -1]
+
+
+@pytest.mark.parametrize("ell", [0, 2])
+@pytest.mark.parametrize("n, beta, rays", [(2, 1.5, 0), (3, 3.0, 1), (2, 4.0, 2)])
+def test_tail_block_matches_quad(n, beta, rays, ell):
+    # the tail functions on [R, inf) are the last hat's constant extension
+    # psi_0 = 1 and the rays psi_k = r^k - R^k; their Gram blocks (the band
+    # from the last hat on, less the hat block) against adaptive quadrature
+    p = MeasureParams(n, beta)
+    disc = Discretization(m=64, delta=0.05)
+    prob = assemble_mode(ell, p, disc)
+    assert len(prob.ray_ks) == rays
+    A_ref, B_ref = _reference_hat_part(ell, p, disc)
+    last = len(A_ref) - 1
+    A_tail, B_tail = (M.toarray()[last:, last:] for M in (prob.A, prob.B))
+    A_tail[0, 0] -= A_ref[-1, -1]
+    B_tail[0, 0] -= B_ref[-1, -1]
+
+    R, cl = float(prob.radii[-1]), ell * (ell + n - 2)
+    ks = (0,) + prob.ray_ks
+
+    def psi(k, r, deriv=False):
+        if deriv:
+            return k * r ** (k - 1) if k else 0.0
+        return r ** k - R ** k if k else 1.0
+
+    def tail_quad(g):
+        return quad(g, R, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    for a, ka in enumerate(ks):
+        for b, kb in enumerate(ks):
+            b_ref = tail_quad(lambda r: psi(ka, r) * psi(kb, r)
+                              * r ** (n - 1) * (1 + r * r) ** -beta)
+            a_ref = tail_quad(lambda r: (psi(ka, r, True) * psi(kb, r, True)
+                                         + cl * psi(ka, r) * psi(kb, r) / (r * r))
+                              * r ** (n - 1) * (1 + r * r) ** (1 - beta))
+            assert abs(B_tail[a, b] - b_ref) <= 1e-10 * abs(b_ref), (a, b)
+            assert abs(A_tail[a, b] - a_ref) <= 1e-10 * abs(a_ref), (a, b)
 
 
 def test_eigen_upper_bounds_are_true_upper_bounds():
