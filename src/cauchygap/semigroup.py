@@ -29,7 +29,7 @@ from .functions import SmoothFunction, _row_sq_norms
 from .measures import MeasureParams, mean_sq_norm
 from .quadrature import _radial_rule, default_nd_spec, integrate_nd, QuadratureSpec
 from .spectral import (_WGL, _XGL, GAP_FORMULA, Discretization, ModeProblem,
-                       _cholesky, _node_diag, assemble_mode, lowest_eigpairs,
+                       _cholesky, _mode_problems, _node_diag, lowest_eigpairs,
                        range_edges)
 
 __all__ = [
@@ -125,11 +125,11 @@ def _projected_start(loads: dict, params: MeasureParams,
     mean, so the constant leaves the representation exactly.
     """
     problems, vs = [], []
-    for ell, (_, b) in sorted(loads.items()):
-        prob = assemble_mode(ell, params, disc, tail_rays=False)
+    for prob in _mode_problems(sorted(loads), params, disc, tail_rays=False):
+        b = loads[prob.ell][1]
         factor = _cholesky(prob, prob.B.band, "B")
         v = sla.cho_solve_banded((factor, True), b, check_finite=False)
-        if ell == 0:
+        if prob.ell == 0:
             ones = np.ones(prob.size())
             mass = float(ones @ (prob.B @ ones))
             v -= np.sum(b) / mass

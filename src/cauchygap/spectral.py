@@ -21,8 +21,9 @@ worst cells), and the one-sided bound is then not guaranteed.
 
 Hats couple only to their neighbours and rays only to the last hat, so A
 and B are symmetric bands of half-width <= 2, kept in LAPACK band storage.
-Every mode size takes one eigensolver: shift-invert Lanczos about a small
-negative shift, through a banded Cholesky factor of A - sigma B.
+Every mode size takes one eigensolver: Lanczos on the symmetric
+shift-invert operator L^{-1} B L^{-T}, with A - sigma B = L L' a banded
+Cholesky factor at a small negative shift sigma.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import linalg as sla
+from scipy.linalg.lapack import dtbtrs
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .measures import MeasureParams, omega_moment
@@ -321,23 +323,18 @@ def _node_diag(left, right):
     return diag
 
 
-def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
-                  tail_rays: bool = True) -> ModeProblem:
-    """Assemble the Galerkin stiffness/mass pair of mode ell.
+def _mode_problems(ells, params: MeasureParams, disc: Discretization,
+                   tail_rays: bool = True):
+    """Galerkin pairs of the modes `ells` (each ell >= 0), in order, from one
+    pass over the cells.
 
-    ell >= 1 removes the node at r = 0 (radial profiles vanish there); the
-    last hat extends as a constant over [R, inf); tail rays are appended for
-    every square-integrable power.  tail_rays=False keeps the hats alone, so
-    that a coefficient vector is a piecewise-linear profile on disc.radii(),
-    which is how semigroup hands profiles in.  All cells are
-    integrated in one vectorized pass per weight, straight into band storage.
+    No cell or tail integral depends on the mode, which enters A only
+    through the factor ell(ell+n-2): the integrals are computed once, in one
+    vectorized pass per weight, and each mode's bands are built from them.
     """
-    if ell < 0:
-        raise ValueError("mode degree must be nonnegative")
     n, beta = params.n, params.beta
     r = disc.radii()
     r0, r1 = r[:-1], r[1:]
-    cl = float(ell * (ell + n - 2))
     ks = _admissible_rays(n, beta) if tail_rays else ()
 
     LL, Bo, RR = _hat_pairs(r0, r1, _cell_moments(r0, r1, (n - 1, n, n + 1), beta))
@@ -349,16 +346,6 @@ def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
     # makes phi_1^2 r^{n-3} = r^{n-1}/h^2 (integrable).  Where cl = 0 the
     # ell term drops: finite (no Gauss node at r = 0), times 0.
     aRR[0] = kS[0]
-    Ad, Ao = _node_diag(kS + cl * aLL, kS + cl * aRR), -kS + cl * aLR
-    if ell > 0:
-        Bd, Bo, Ad, Ao = Bd[1:], Bo[1:], Ad[1:], Ao[1:]
-
-    nh = len(Bd)
-    nn = nh + len(ks)
-    Ab = np.zeros((max(1, len(ks)) + 1, nn))
-    Bb = np.zeros_like(Ab)
-    Ab[0, :nh], Ab[1, :nh - 1] = Ad, Ao
-    Bb[0, :nh], Bb[1, :nh - 1] = Bd, Bo
 
     # Tail functions on [R, inf): the last hat's constant extension and the
     # rays r^k - R^k (zero on [0, R]), the columns of C over the powers P.
@@ -369,14 +356,41 @@ def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
     C = np.eye(len(P))
     C[0, 1:] = -R ** P[1:]
     S, T = P[:, None] + P, np.vectorize(_tail_moment)
-    for band, G in ((Bb, T(R, n - 1 + S, beta)),
-                    (Ab, (np.outer(P, P) + cl) * T(R, n - 3 + S, beta - 1.0))):
-        tail = C.T @ G @ C
-        for d in range(len(P)):
-            band[d, nh - 1:nn - d] += np.diagonal(tail, -d)
+    B_tail = C.T @ T(R, n - 1 + S, beta) @ C
+    A_gram = T(R, n - 3 + S, beta - 1.0)
 
-    return ModeProblem(ell=ell, A=SymBand(Ab), B=SymBand(Bb), radii=r,
-                       ray_ks=ks, params=params)
+    for ell in ells:
+        cl = float(ell * (ell + n - 2))
+        Ad, Ao = _node_diag(kS + cl * aLL, kS + cl * aRR), -kS + cl * aLR
+        cut = 1 if ell > 0 else 0  # ell >= 1 drops the node at r = 0
+        nh = len(Bd) - cut
+        nn = nh + len(ks)
+        Ab = np.zeros((max(1, len(ks)) + 1, nn))
+        Bb = np.zeros_like(Ab)
+        Ab[0, :nh], Ab[1, :nh - 1] = Ad[cut:], Ao[cut:]
+        Bb[0, :nh], Bb[1, :nh - 1] = Bd[cut:], Bo[cut:]
+        for band, tail in ((Bb, B_tail),
+                           (Ab, C.T @ ((np.outer(P, P) + cl) * A_gram) @ C)):
+            for d in range(len(P)):
+                band[d, nh - 1:nn - d] += np.diagonal(tail, -d)
+        yield ModeProblem(ell=ell, A=SymBand(Ab), B=SymBand(Bb), radii=r,
+                          ray_ks=ks, params=params)
+
+
+def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
+                  tail_rays: bool = True) -> ModeProblem:
+    """Assemble the Galerkin stiffness/mass pair of mode ell.
+
+    ell >= 1 removes the node at r = 0 (radial profiles vanish there); the
+    last hat extends as a constant over [R, inf); tail rays are appended for
+    every square-integrable power.  tail_rays=False keeps the hats alone, so
+    that a coefficient vector is a piecewise-linear profile on disc.radii(),
+    which is how semigroup hands profiles in.  The one-mode case of
+    `_mode_problems`.
+    """
+    if ell < 0:
+        raise ValueError("mode degree must be nonnegative")
+    return next(_mode_problems((ell,), params, disc, tail_rays))
 
 
 def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -384,12 +398,17 @@ def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarra
     B-orthonormal vectors as columns.
 
     Needs k >= 1; k >= nn (the matrix size) is clamped to nn - 1, the most
-    ARPACK computes.  Shift-invert Lanczos about sigma = -1e-6 * (median
-    diagonal ratio of A to B), where A - sigma B is positive definite.
+    ARPACK computes.  Shift-invert Lanczos in standard form (Ericsson & Ruhe
+    1980) about sigma = -1e-6 * (median diagonal ratio of A to B), where
+    A - sigma B = L L' is positive definite: the largest eigenvalues theta of
+    the symmetric C = L^{-1} B L^{-T} give lam = sigma + 1/theta, and an
+    eigenvector y of C gives phi = L^{-T} y, B-normalized.  Each Lanczos step
+    is one callback: two banded triangular solves and one B product.
     Keep k well below nn: near it Lanczos is far slower than a dense solve
-    (one BLAS thread, the ell = 0 pencil at (1, 2.0): k = 511 at m = 512
-    takes 0.70 s against 0.11 s for a dense `eigh`), while at k = 48 of
-    m = 384 or k = 192 of m = 768 it is as fast or faster.
+    (one BLAS thread, the ell = 0 pencil at (1, 2.0), best of 5: k = 511 at
+    m = 512 takes 0.42-0.55 s against 0.08-0.11 s for a dense `eigh`), while
+    at k = 48 of m = 384 (0.012 s against 0.03 s) or k = 192 of m = 768
+    (0.21-0.24 s against 0.29-0.35 s) it is faster.
     Raises NumericalBreakdown on non-finite or underflowed entries or a
     failed factorization.
     """
@@ -407,14 +426,16 @@ def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarra
     sigma = -1e-6 * max(scale, 1.0)
     factor = _cholesky(problem, A.band - sigma * B.band, "A - sigma B")
 
-    def solve(x):
-        return sla.cho_solve_banded((factor, True), x, check_finite=False)
+    def solve(x, trans):  # info is 0: the factor's diagonal is positive
+        return dtbtrs(factor, x, uplo="L", trans=trans)[0]
 
-    vals, vecs = eigsh(
-        LinearOperator((nn, nn), matvec=A.__matmul__, dtype=float),
-        k=k, M=LinearOperator((nn, nn), matvec=B.__matmul__, dtype=float),
-        sigma=sigma, which="LM", v0=np.ones(nn),
-        OPinv=LinearOperator((nn, nn), matvec=solve, dtype=float))
+    theta, y = eigsh(
+        LinearOperator((nn, nn), matvec=lambda x: solve(B @ solve(x, "T"), "N"),
+                       dtype=float),
+        k=k, which="LA", v0=np.ones(nn))
+    vecs = solve(y, "T")
+    vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, B @ vecs))
+    vals = sigma + 1.0 / theta
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
@@ -454,8 +475,8 @@ def numeric_gap(params: MeasureParams, disc: Discretization,
         raise ValueError("need ell_max >= 2 (mode minimum must be attested)")
     n = params.n
     ell_eff = 1 if n == 1 else ell_max
-    per_mode = [lowest_eigs(assemble_mode(ell, params, disc), 2 if ell == 0 else 1)[-1]
-                for ell in range(ell_eff + 1)]
+    per_mode = [lowest_eigs(prob, 2 if prob.ell == 0 else 1)[-1]
+                for prob in _mode_problems(range(ell_eff + 1), params, disc)]
     gap = min(per_mode)
     mode = int(np.argmin(per_mode))
     closed, tag = closed_form_gap(params)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cauchygap.functions import (
+    _row_sq_norms,
     check_derivatives,
     make_linear,
     make_lower_extremal_1d,
@@ -165,3 +166,14 @@ def test_random_test_grad_laplacian_matches_fd():
         scale = max(1.0, float(np.max(np.abs(gdl))))
         assert np.max(np.abs(gdl - fd)) <= 1e-6 * scale
         assert np.all(gdl[-4:] == 0.0)  # outside the support
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_row_sq_norms(n):
+    # one column takes its own form; it must give the einsum's values exactly
+    x = _cloud(n, N=4096)
+    ref = np.einsum("ij,ij->i", x, x)
+    if n == 1:
+        np.testing.assert_array_equal(_row_sq_norms(x), ref)
+    else:
+        np.testing.assert_allclose(_row_sq_norms(x), ref, rtol=1e-15, atol=0.0)

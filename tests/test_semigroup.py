@@ -15,7 +15,7 @@ from cauchygap.functions import (
 )
 from cauchygap.measures import MeasureParams, mean_sq_norm, omega_moment
 from cauchygap.quadrature import default_nd_spec, integrate_nd
-from cauchygap import quadrature
+from cauchygap import quadrature, spectral
 from cauchygap.semigroup import (
     DeficitMismatch,
     _flow_integral,
@@ -30,7 +30,7 @@ from cauchygap.semigroup import (
     variance_representation_check,
 )
 from cauchygap.spectral import (Discretization, NumericalBreakdown, SymBand,
-                                closed_form_gap)
+                                assemble_mode, closed_form_gap)
 
 
 def test_default_horizon():
@@ -140,6 +140,30 @@ def test_projected_start_keeps_constants_beyond_R():
     lhs, rhs, err, _ = variance_representation_check(
         const, 2.0, 1.0, 1e-3, p, Discretization(m=128, delta=0.2))
     assert abs(lhs) < 1e-20 and abs(rhs) < 1e-20
+
+
+@pytest.mark.parametrize("n, beta", [(2, 1.5), (3, 3.8), (3, 5.0), (1, 1.2), (1, 3.0)])
+def test_projected_start_shares_one_cell_pass(monkeypatch, n, beta):
+    # both modes come from one pass over the cells (one _cell_moments call
+    # per weight), with the bands assemble_mode builds for each mode alone
+    real, calls = spectral._cell_moments, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    p, disc = MeasureParams(n, beta), Discretization(m=256, delta=1e-3)
+    f = make_random_test(7, 1) if n == 1 else make_linear(np.ones(n))
+    loads = _mode_loads(f, p, disc)
+    monkeypatch.setattr(spectral, "_cell_moments", counted)
+    problems, _, _ = _projected_start(loads, p, disc)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert [q.ell for q in problems] == [0, 1]
+    for q in problems:
+        alone = assemble_mode(q.ell, p, disc, tail_rays=False)
+        np.testing.assert_array_equal(q.A.band, alone.A.band)
+        np.testing.assert_array_equal(q.B.band, alone.B.band)
 
 
 _FLOW_CASES = [(4.0, "quadratic"), (2.0, "bump")]

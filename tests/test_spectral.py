@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import linalg as sla
 from scipy.integrate import quad
 
+from cauchygap import spectral
 from cauchygap.measures import MeasureParams
 from cauchygap.spectral import (
     Discretization,
@@ -378,6 +379,52 @@ def test_lowest_eigs_matches_dense_eigh(m, n, beta, tail_rays):
         if ell == 0:
             scale[0] = ref[1]
         assert np.all(np.abs(got - ref) <= 1e-9 * scale), (ell, got, ref)
+
+
+@pytest.mark.parametrize("n, beta", _SOLVER_POINTS)
+def test_numeric_gap_modes_match_one_mode_assembly(n, beta):
+    # numeric_gap builds every mode from one pass over the cells: the same
+    # bands, hence the same values, as assembling each mode on its own
+    disc = Discretization(m=256, delta=1e-3)
+    p = MeasureParams(n, beta)
+    alone = tuple(lowest_eigs(assemble_mode(ell, p, disc), 2 if ell == 0 else 1)[-1]
+                  for ell in range(2 if n == 1 else 4))
+    assert numeric_gap(p, disc).mode_eigs == alone
+
+
+@pytest.mark.parametrize("n, beta", [(1, 1.2), (3, 3.8)])
+def test_numeric_gap_integrates_the_cells_once(monkeypatch, n, beta):
+    # one _cell_moments call per weight (mass and stiffness), whatever ell_max
+    real, calls = spectral._cell_moments, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "_cell_moments", counted)
+    for ell_max in (2, 3, 6):
+        calls.clear()
+        numeric_gap(MeasureParams(n, beta), Discretization(m=96, delta=1e-3), ell_max)
+        assert len(calls) == 2, ell_max
+
+
+# Per-mode values of numeric_gap at m = 2048, frozen from the generalized
+# (B-inner-product) shift-invert Lanczos that preceded the standard-form one
+# on the same bands: the two differ by solver rounding only (<= 4e-15).
+_M2048_MODE_EIGS = {
+    (2, 4.0): (8.000010150885029, 5.999999999972765, 12.000007613089664,
+               18.048700053177065),
+    (3, 3.8): (5.201755307054257, 5.599999999980276, 11.201506473702361,
+               17.355730922949046),
+    (1, 1.2): (0.6186576075363579, 0.558083357368365),
+}
+
+
+@pytest.mark.parametrize("n, beta", list(_M2048_MODE_EIGS))
+def test_numeric_gap_m2048_pins(n, beta):
+    rep = numeric_gap(MeasureParams(n, beta), Discretization(m=2048, delta=1e-3))
+    np.testing.assert_allclose(rep.mode_eigs, _M2048_MODE_EIGS[n, beta],
+                               rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n, beta", _SOLVER_POINTS)
