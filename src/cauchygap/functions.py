@@ -280,10 +280,11 @@ RANDOM_TEST_SEAMS = (0.6 * RANDOM_TEST_RADIUS, RANDOM_TEST_RADIUS)
 
 @lru_cache(maxsize=None)
 def _poly_basis(n: int, degree: int):
-    """The basis, ordered by total degree, as (degrees, parent, var, ops):
-    monomial m > 0 is monomial parent[m] times x_var[m], and the sparse
-    (M, M) operators in ops map a coefficient vector to the coefficient
-    vectors of its field rows."""
+    """The basis, ordered by total degree, as (degrees, cuts, parent, var,
+    ops): the monomials of degree d are cuts[d]:cuts[d + 1], monomial m > 0
+    is monomial parent[m] times x_var[m], and the sparse stack ops of
+    (M, M) operators maps a coefficient vector to the coefficient vectors
+    of its field rows, one after the other."""
     exps = [e for d in range(degree + 1) for e in _exponents(n, d)]
     M = len(exps)
     index = {e: m for m, e in enumerate(exps)}
@@ -302,24 +303,22 @@ def _poly_basis(n: int, degree: int):
          for rows, cols, data in entries]
     lap = sum(Di @ Di for Di in D)
     iu, ju = np.triu_indices(n)
-    ops = ([sparse.eye_array(M, format="csr")] + D
-           + [D[j] @ D[i] for i, j in zip(iu, ju)] + [Dk @ lap for Dk in D])
+    ops = sparse.vstack([sparse.eye_array(M)] + D + [D[j] @ D[i] for i, j in zip(iu, ju)]
+                        + [Dk @ lap for Dk in D], format="csr")
     degrees = np.sum(exps, axis=1)
-    for a in (degrees, parent, var):
+    cuts = np.searchsorted(degrees, np.arange(degree + 2))
+    for a in (degrees, cuts, parent, var):
         a.flags.writeable = False
-    return degrees, parent, var, tuple(ops)
+    return degrees, cuts, parent, var, ops
 
 
-def _monomials(x: Array, degrees: Array, parent: Array, var: Array) -> Array:
+def _monomials(x: Array, cuts: Array, parent: Array, var: Array) -> Array:
     """Table (M, N) of the basis monomials at the points x (N, n)."""
     xt = np.ascontiguousarray(x.T)
-    mono = np.empty((len(degrees), x.shape[0]))
+    mono = np.empty((cuts[-1], x.shape[0]))
     mono[0] = 1.0
-    lo = 1
-    for d in range(1, int(degrees[-1]) + 1):
-        hi = lo + int(np.count_nonzero(degrees == d))
+    for lo, hi in zip(cuts[1:-1], cuts[2:]):
         mono[lo:hi] = mono[parent[lo:hi]] * xt[var[lo:hi]]
-        lo = hi
     return mono
 
 
@@ -338,33 +337,48 @@ def random_test_coefficients(seeds: Sequence[int], n: int):
 
 
 class RandomTestFields:
-    """Fields of make_random_test's functions f = P b on one node set.
+    """Fields of make_random_test's functions f = P b at the nodes r_i u_j
+    (node i J + j) of the radii r (I,) and the points u (J, n).
 
-    The monomial table and the bump profile at the nodes x (K, n) are built
-    once; `fields` evaluates a stack of coefficient vectors with one GEMM.
-    `order` (0..3) is the highest derivative evaluated.
+    Precondition: either r = (1,) (the points u as given) or every u_j is a
+    unit vector (whole radial rows of a tensor rule); the clamp of the
+    polynomial argument and the bump radius rely on it.  As x^a =
+    r^|a| u^a, the monomial table is built on u only and the bump profile
+    on the distinct radii only.  `order` (0..3) is the highest derivative
+    evaluated.
     """
 
-    def __init__(self, x: Array, order: int = 3):
-        n = x.shape[1]
+    def __init__(self, r: Array, u: Array, order: int = 3):
+        n = u.shape[1]
         self.n, self.order = n, order
-        degrees, parent, var, ops = _poly_basis(n, RANDOM_TEST_DEGREE)
+        degrees, cuts, parent, var, ops = _poly_basis(n, RANDOM_TEST_DEGREE)
         nh = n * (n + 1) // 2
-        self._ops = ops[:(1, 1 + n, 1 + n + nh, 1 + 2 * n + nh)[order]]
-        r = np.sqrt(_row_sq_norms(x))
+        self._ops, self._rows = ops, (1, 1 + n, 1 + n + nh, 1 + 2 * n + nh)[order]
+        self._degrees, self._cuts = degrees, cuts
+        s = np.sqrt(_row_sq_norms(u))
         # outside the bump everything is multiplied by an exact 0; clamp the
-        # polynomial argument to the support ball so huge radii cannot overflow
+        # polynomial argument to the support ball so huge radii cannot
+        # overflow (with r = (1,) or unit u one of the two clamps is inert)
         R = RANDOM_TEST_RADIUS
-        self._mono = _monomials(x * (R / np.maximum(r, R))[:, None],
-                                degrees, parent, var)
-        bump = _bump_profile(r, *RANDOM_TEST_SEAMS, order)
+        self._mono = _monomials(u * (R / np.maximum(s, R))[:, None], cuts, parent, var)
+        self._rpow = np.minimum(r, R)[:, None] ** np.arange(RANDOM_TEST_DEGREE + 1)
+        # |x| = r_i |u_j| varies along one axis only: with one radius the
+        # profile is evaluated per point, else per radius and repeated over
+        # its row of nodes i J + j, and the directions are tiled over the rows
+        radial_rows = len(r) > 1
+        rho = r if radial_rows else r[0] * s
+
+        def nodes(a):
+            return np.repeat(a, len(u)) if radial_rows else a
+
+        bump = [nodes(a) for a in _bump_profile(rho, *RANDOM_TEST_SEAMS, order)]
         self._b = bump[0]
         if order == 0:
             return
         b1 = bump[1]
-        safe_r = np.where(r > 0, r, 1.0)
-        u = np.ascontiguousarray(x.T / safe_r)  # (n, K)
-        self._u = u
+        safe_r = nodes(np.where(rho > 0, rho, 1.0))
+        u = np.ascontiguousarray(u.T / np.where(s > 0, s, 1.0))  # unit vectors
+        u = self._u = np.tile(u, len(r)) if radial_rows else u  # (n, K)
         self._bg = b1 * u  # grad b
         if order == 1:
             return
@@ -383,11 +397,22 @@ class RandomTestFields:
     def fields(self, coefs: Array) -> list:
         """[f, grad f, Hess f, grad Lap f][:order + 1] for the coefficient
         stack coefs (M, T): shapes (T, K), (n, T, K), (n(n+1)/2, T, K) with
-        the distinct entries i <= j, and (n, T, K)."""
-        n, T = self.n, coefs.shape[1]
-        rows = len(self._ops)
-        S = np.stack([op @ coefs for op in self._ops], axis=1)  # (M, rows, T)
-        P = (S.reshape(len(S), rows * T).T @ self._mono).reshape(rows, T, -1)
+        the distinct entries i <= j, and (n, T, K), for the K = I J nodes."""
+        n, T, rows = self.n, coefs.shape[1], self._rows
+        M = len(self._mono)
+        S = (self._ops @ coefs)[:rows * M].reshape(rows, M, T)  # field-row coefficients
+        S = S.transpose(0, 2, 1).reshape(rows * T, M)
+        if len(self._rpow) == 1:
+            # one radius: fold r^|a| into the coefficients, one GEMM
+            P = (S * self._rpow[0, self._degrees]) @ self._mono
+        else:
+            # radial rows: the degree-d parts at the u_j, one GEMM per degree,
+            # then their sum weighted by r_i^d in one matmul
+            cuts = self._cuts
+            Q = np.stack([S[:, lo:hi] @ self._mono[lo:hi]
+                          for lo, hi in zip(cuts[:-1], cuts[1:])], axis=1)
+            P = self._rpow @ Q
+        P = P.reshape(rows, T, -1)
         pv, pg = P[0], P[1:1 + n]
         b = self._b
         out = [b * pv]
@@ -430,7 +455,7 @@ def make_random_test(seed: int, n: int) -> SmoothFunction:
     coefs, (label,) = random_test_coefficients([seed], n)
 
     def fields(x, order):
-        return RandomTestFields(_as_points(x), order).fields(coefs)[order]
+        return RandomTestFields(np.ones(1), _as_points(x), order).fields(coefs)[order]
 
     def value(x):
         return fields(x, 0)[0]

@@ -95,53 +95,30 @@ def _radial_rule_cached(n: int, beta: float, nodes: int, trunc: Optional[float],
     p = 8
     xg, wg = leggauss(p)
 
-    def panel(a, b):
-        # Gauss-Legendre nodes/weights on theta in [a, b]
-        mid, half = 0.5 * (b + a), 0.5 * (b - a)
-        return mid + half * xg, half * wg
+    def panels(lo, hi):
+        # Gauss-Legendre nodes/weights on the panels [lo_k, hi_k], in order
+        mid, half = 0.5 * (hi + lo)[:, None], 0.5 * (hi - lo)[:, None]
+        return (mid + half * xg).ravel(), (half * wg).ravel()
 
-    thetas, wts = [], []
     if trunc is not None:
         # compact support: uniform panels per smooth segment of [0, arctan(R)]
         tmax = math.atan(trunc)
         cuts = [math.atan(s) for s in seams]
-        segments = list(zip([0.0] + cuts, cuts + [tmax]))
         npan_total = max(16, nodes // p)
-        for a, b in segments:
-            npan = max(10, int(round(npan_total * (b - a) / tmax)))
-            edges = np.linspace(a, b, npan + 1)
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                t, w = panel(lo, hi)
-                thetas.append(t)
-                wts.append(w)
-        theta = np.concatenate(thetas)
-        w = np.concatenate(wts)
+        edges = [np.linspace(a, b, max(10, int(round(npan_total * (b - a) / tmax))) + 1)
+                 for a, b in zip([0.0] + cuts, cuts + [tmax])]
+        theta, w = panels(np.concatenate([e[:-1] for e in edges]),
+                          np.concatenate([e[1:] for e in edges]))
         r = np.tan(theta)
     else:
-        # core [0, pi/4] uniform + geometric tail panels in tau = pi/2 - theta
-        npan_core = max(8, nodes // (4 * p))
-        edges = np.linspace(0.0, math.pi / 4, npan_core + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            t, w = panel(a, b)
-            thetas.append(t)
-            wts.append(w)
-        theta = np.concatenate(thetas)
-        r_core = np.tan(theta)
-        w_core = np.concatenate(wts)
-
-        q = 0.5
-        taus, wt_t = [], []
-        tau_hi = math.pi / 4
-        tau_lo = tau_hi * q
-        while tau_hi > 1e-120:
-            t, w = panel(tau_lo, tau_hi)
-            taus.append(t)
-            wt_t.append(w)
-            tau_hi, tau_lo = tau_lo, tau_lo * q
-        tau = np.concatenate(taus)
-        w_tail = np.concatenate(wt_t)
-        r_tail = 1.0 / np.tan(tau)
-        r = np.concatenate([r_core, r_tail])
+        # core [0, pi/4] uniform + geometric tail panels in tau = pi/2 - theta,
+        # halving from pi/4 down to the last upper edge above 1e-120
+        edges = np.linspace(0.0, math.pi / 4, max(8, nodes // (4 * p)) + 1)
+        theta, w_core = panels(edges[:-1], edges[1:])
+        tau_hi = (math.pi / 4) * 0.5 ** np.arange(1000)
+        tau_hi = tau_hi[tau_hi > 1e-120]
+        tau, w_tail = panels(0.5 * tau_hi, tau_hi)
+        r = np.concatenate([np.tan(theta), 1.0 / np.tan(tau)])
         w = np.concatenate([w_core, w_tail])
 
     # log of r^{n-1} (1+r^2)^{1-beta} dtheta, with log1p(r^2) stabilized
@@ -185,16 +162,10 @@ def _sphere_directions(n: int, angular: int):
         q_azim = max(12, angular // 3)
         ug, wg = leggauss(p_polar)
         psi = 2.0 * math.pi * np.arange(q_azim) / q_azim
-        s = np.sqrt(1.0 - ug ** 2)
-        dirs = np.empty((p_polar * q_azim, 3))
-        wts = np.empty(p_polar * q_azim)
-        k = 0
-        for i in range(p_polar):
-            for j in range(q_azim):
-                dirs[k] = (s[i] * math.cos(psi[j]), s[i] * math.sin(psi[j]), ug[i])
-                wts[k] = 0.5 * wg[i] / q_azim
-                k += 1
-        return dirs, wts
+        s = np.sqrt(1.0 - ug ** 2)[:, None]
+        dirs = np.stack(np.broadcast_arrays(s * np.cos(psi), s * np.sin(psi),
+                                            ug[:, None]), axis=2)
+        return dirs.reshape(-1, 3), np.repeat(0.5 * wg / q_azim, q_azim)
     raise ValueError(f"deterministic sphere rule implemented for n <= 3, got n={n}")
 
 
@@ -202,16 +173,19 @@ def _node_blocks(params: MeasureParams, spec: QuadratureSpec,
                  support_radius: Optional[float] = None,
                  seams: tuple = ()):
     """The tensor rule for full-dimensional integrals as an iterator of
-    blocks (x, w): nodes (k, n) and mu-weights (k,), each block whole radial
-    rows, at most _NODE_CHUNK nodes (at least one row).  The spec and n are
-    checked at once, before the first block."""
+    blocks (x, w, r, u): nodes x (k, n) and mu-weights w (k,) of whole
+    radial rows, at most _NODE_CHUNK nodes (at least one row), in factored
+    form too: node i J + j is x = r_i u_j for the block's radii r and the J
+    unit directions u (J, n).  The spec and n are checked at once, before
+    the first block."""
     if spec.scheme == "polar_2d" and params.n != 2:
         raise ValueError("polar_2d requires n = 2")
     r, logw = _radial_rule(params, spec, support_radius, seams)
     dirs, dw = _sphere_directions(params.n, spec.angular_nodes)
     rows = max(1, _NODE_CHUNK // len(dw))
     return (((r[lo:lo + rows, None, None] * dirs).reshape(-1, params.n),
-             (np.exp(logw[lo:lo + rows])[:, None] * dw).reshape(-1))
+             (np.exp(logw[lo:lo + rows])[:, None] * dw).reshape(-1),
+             r[lo:lo + rows], dirs)
             for lo in range(0, len(r), rows))
 
 
@@ -230,7 +204,7 @@ def integrate_nd(g: Callable[[Array], Array], params: MeasureParams,
     to an array of shape (m,); any other shape raises ValueError.
     """
     total = 0.0
-    for x, w in _node_blocks(params, spec, support_radius, seams):
+    for x, w, *_ in _node_blocks(params, spec, support_radius, seams):
         fields = np.asarray(g(x), dtype=float)
         if fields.ndim not in (1, 2) or fields.shape[-1] != len(w):
             raise ValueError(f"integrand returned shape {fields.shape} on "
@@ -252,8 +226,10 @@ def default_nd_spec(n: int) -> QuadratureSpec:
 # one shared node set per (params, spec).  IPP3, IPP4 and GRG carry a
 # 1/(beta - 2) and are written multiplied through, (beta - 2) lhs = numerator,
 # so they hold and are checked at beta = 2 too.  The random test functions of
-# verify_all are evaluated in blocks: one monomial table per node block of
-# `_node_blocks`, one GEMM per block of trials.
+# verify_all are evaluated on the blocks of `_node_blocks` in factored form,
+# x = r_i u_j: one monomial table on the sphere directions, one small GEMM
+# per total degree and block of trials, combined with the block's radial
+# powers r_i^d in one matmul.
 
 _TRIAL_BLOCK = 8     # random tests per GEMM; bounds memory with _NODE_CHUNK
 ALL_TAGS = ("IPP1", "IPP2", "IPP3", "IPP4", "GAMMABIS", "GRG", "IRG",
@@ -270,7 +246,7 @@ def applicable_tags(params: MeasureParams) -> list[str]:
 
 
 def _field_integrals(x: Array, wts: Array, params: MeasureParams, g: Array,
-                     hess: Array, gdl: Optional[Array]) -> Array:
+                     hess: Array, gdl: Optional[Array] = None) -> Array:
     """The ten mu-integrals of _FieldPack, shape (10, T), for T functions at
     the nodes x (K, n): gradients g (n, T, K), distinct Hessian entries hess
     (n(n+1)/2, T, K; i <= j as numpy.triu_indices) and grad Lap f gdl
@@ -320,31 +296,32 @@ class _FieldPack:
     @classmethod
     def of_function(cls, f: SmoothFunction, params: MeasureParams,
                     blocks) -> "_FieldPack":
-        """Pack of f over the node blocks (x, w) of `_node_blocks`."""
+        """Pack of f over the node blocks of `_node_blocks`."""
         iu, ju = np.triu_indices(params.n)
 
         def stack(a):  # (K, rows) -> (rows, 1, K)
             return a.T[:, None]
 
         totals = np.zeros((10, 1))
-        for x, w in blocks:
+        for x, w, *_ in blocks:
             gdl = None if f.grad_laplacian is None else stack(f.grad_laplacian(x))
             totals += _field_integrals(x, w, params, stack(f.gradient(x)),
                                        stack(f.hessian(x)[:, iu, ju]), gdl)
         return cls(totals, params)
 
     @classmethod
-    def of_random_tests(cls, seeds, params: MeasureParams, blocks):
+    def of_random_tests(cls, seeds, params: MeasureParams, blocks, order: int = 3):
         """Pack and labels of make_random_test(seed, n) for every seed, over
-        the node blocks (x, w) of `_node_blocks`."""
+        the node blocks of `_node_blocks`; order 2 leaves t2 NaN and skips
+        grad Lap f."""
         coefs, labels = random_test_coefficients(seeds, params.n)
         totals = np.zeros((10, len(seeds)))
-        for x, w in blocks:
-            fields = RandomTestFields(x)
+        for x, w, r, u in blocks:
+            fields = RandomTestFields(r, u, order)
             for t in range(0, len(seeds), _TRIAL_BLOCK):
-                _, g, hess, gdl = fields.fields(coefs[:, t:t + _TRIAL_BLOCK])
+                _, g, hess, *gdl = fields.fields(coefs[:, t:t + _TRIAL_BLOCK])
                 totals[:, t:t + _TRIAL_BLOCK] += _field_integrals(x, w, params, g,
-                                                                  hess, gdl)
+                                                                  hess, *gdl)
         return cls(totals, params), labels
 
 
@@ -414,14 +391,14 @@ def lowfact_coefficients(n: int, beta: float, eps: float):
 
 
 def _random_test_pack(params: MeasureParams, spec: Optional[QuadratureSpec],
-                      trials: int, seed: int):
+                      trials: int, seed: int, order: int = 3):
     """Pack and labels of the random tests (seed << 20) + t, t < trials, on
     the identity nodes of their support."""
     if spec is None:
         spec = default_nd_spec(params.n)
     blocks = _node_blocks(params, spec, RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS)
     seeds = [(seed << 20) + t for t in range(trials)]
-    return _FieldPack.of_random_tests(seeds, params, blocks)
+    return _FieldPack.of_random_tests(seeds, params, blocks, order)
 
 
 def verify_identity(tag: str, f: SmoothFunction, params: MeasureParams,
@@ -487,7 +464,7 @@ def lowfact_sign_check(params: MeasureParams,
     n, beta = params.n, params.beta
     if n < 2:
         raise ValueError("needs n >= 2")
-    pack, _ = _random_test_pack(params, spec, trials, seed)
+    pack, _ = _random_test_pack(params, spec, trials, seed, order=2)  # no t2
     D_claimed = GAP_FORMULA["lower"](n, beta)
     e0 = range_edges(n)[0] - beta
     eps0 = {"plus": e0, "minus": -e0}
@@ -515,7 +492,7 @@ def lowfact_epsilon_scan(params: MeasureParams, eps_values,
     lower-range gap (beta - n/2)^2.
     """
     n, beta = params.n, params.beta
-    pack, _ = _random_test_pack(params, spec, trials, seed)
+    pack, _ = _random_test_pack(params, spec, trials, seed, order=2)  # no t2
     rows = []
     for eps in eps_values:
         eps = float(eps)

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cauchygap.functions import (
+    RANDOM_TEST_RADIUS,
+    RANDOM_TEST_SEAMS,
+    RandomTestFields,
     _row_sq_norms,
     check_derivatives,
     make_linear,
@@ -12,8 +15,10 @@ from cauchygap.functions import (
     make_quadratic_centered,
     make_radial_log_cutoff,
     make_random_test,
+    random_test_coefficients,
 )
 from cauchygap.measures import MeasureParams, mean_sq_norm
+from cauchygap.quadrature import _sphere_directions
 
 
 def _cloud(n, N=40, scale=2.0, seed=0):
@@ -177,3 +182,34 @@ def test_row_sq_norms(n):
         np.testing.assert_array_equal(_row_sq_norms(x), ref)
     else:
         np.testing.assert_allclose(_row_sq_norms(x), ref, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_test_fields_on_radial_rows_match_pointwise(n):
+    # a block of whole radial rows, evaluated in factored form (radial powers
+    # times one monomial table on the directions), against make_random_test
+    # at the same nodes, whose points are the one-radius case; the radii run
+    # to either side of both seams (grad Lap f jumps there, so a node on a
+    # seam would compare rounding) and past the support up to the 1e120 of
+    # the non-compact rules, where every field is an exact 0
+    dirs, _ = _sphere_directions(n, 40)
+    r = np.concatenate([np.linspace(0.0, 3.2, 30),
+                        np.add.outer(RANDOM_TEST_SEAMS, [-1e-9, 1e-9]).ravel(),
+                        [3.5, 1e3, 1e60, 1e120]])
+    x = (r[:, None, None] * dirs).reshape(-1, n)
+    outside = np.repeat(r >= RANDOM_TEST_RADIUS, len(dirs))
+    seed = 7 + n
+    f = make_random_test(seed, n)
+    coefs, _ = random_test_coefficients([seed], n)
+    iu, ju = np.triu_indices(n)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        pointwise = [f.value(x), f.gradient(x).T, f.hessian(x)[:, iu, ju].T,
+                     f.grad_laplacian(x).T]
+        for order in range(4):
+            got = RandomTestFields(r, dirs, order).fields(coefs)
+            assert len(got) == order + 1
+            for field, ref in zip(got, pointwise):
+                field = field[..., 0, :]  # the one trial
+                assert field.shape == ref.shape
+                assert np.max(np.abs(field - ref)) <= 1e-13 * np.max(np.abs(ref))
+                assert np.all(field[..., outside] == 0.0)

@@ -65,7 +65,8 @@ def test_gamma_formula():
 
 def test_gamma2_matches_general_weight_path():
     # dedicated Cauchy path == generic-weight path on random smooth functions
-    for n, beta in [(1, 1.3), (2, 2.4), (3, 4.0)]:
+    for n, beta in [(1, 1.3), (2, 2.4), (3, 4.0), (4, 3.0), (5, 2.9), (4, 6.0),
+                    (5, 8.0)]:
         p = MeasureParams(n, beta)
         w = cauchy_weight(n)
         for seed in (0, 1):
@@ -121,7 +122,8 @@ def test_gamma2_by_definition():
 
 
 def test_factorization_reconstructs_and_signs():
-    for n, beta in [(1, 0.8), (2, 1.2), (3, 1.6), (3, 6.0)]:
+    for n, beta in [(1, 0.8), (2, 1.2), (3, 1.6), (3, 6.0), (4, 3.0), (5, 2.9),
+                    (4, 6.0), (5, 8.0)]:
         p = MeasureParams(n, beta)
         for seed in (0, 5):
             f = make_random_test(seed, n)

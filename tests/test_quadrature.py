@@ -1,9 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 
+from cauchygap import functions
 from cauchygap.functions import make_power_family, make_random_test
 from cauchygap.measures import MeasureParams, mean_sq_norm, omega_moment
 from cauchygap import quadrature
@@ -73,8 +76,8 @@ def test_integrate_nd_support_and_seam_hints():
 
 def _whole_rule(p, spec, support_radius=None, seams=()):
     blocks = list(quadrature._node_blocks(p, spec, support_radius, seams))
-    return (np.concatenate([x for x, _ in blocks]),
-            np.concatenate([w for _, w in blocks]))
+    return (np.concatenate([x for x, *_ in blocks]),
+            np.concatenate([w for _, w, *_ in blocks]))
 
 
 def test_integrate_nd_stacked_fields_match_separate_calls():
@@ -295,8 +298,8 @@ def test_block_pack_matches_reference_pack():
         spec = QuadratureSpec(scheme="polar_2d" if n == 2 else "product_spherical",
                               nodes=128, angular_nodes=40)
         blocks = list(quadrature._node_blocks(p, spec, 3.0, (1.8,)))
-        pts = np.concatenate([x for x, _ in blocks])
-        wts = np.concatenate([w for _, w in blocks])
+        pts = np.concatenate([x for x, *_ in blocks])
+        wts = np.concatenate([w for _, w, *_ in blocks])
         seeds = [0, 1, 2]
         pack, labels = quadrature._FieldPack.of_random_tests(seeds, p, blocks)
         for t, seed in enumerate(seeds):
@@ -335,6 +338,95 @@ def test_verify_all_trial_blocks(monkeypatch, nodes, angular):
         rel = quadrature._rel_err(lhs, rhs)
         tied = {labels[t] for t in np.flatnonzero(rel >= rel.max() - 1e-12)}
         assert a.detail in tied and b.detail == labels[int(np.argmax(rel))]
+
+
+def test_random_test_tables_are_built_on_the_directions(monkeypatch):
+    # verify_all evaluates the random tests on the tensor rule in factored
+    # form: every monomial table has one column per sphere direction (130 on
+    # criterion 4's spec), never one per node of a radial-row block
+    spec = QuadratureSpec("product_spherical", nodes=128, angular_nodes=40)
+    p = MeasureParams(3, 2.5)
+    directions = len(quadrature._sphere_directions(3, spec.angular_nodes)[1])
+    assert directions == 130
+    largest_block = max(len(w) for _, w, *_ in quadrature._node_blocks(
+        p, spec, functions.RANDOM_TEST_RADIUS, functions.RANDOM_TEST_SEAMS))
+    assert largest_block > 30 * directions
+    points = []
+    table = functions._monomials
+
+    def spy(x, *basis):
+        points.append(len(x))
+        return table(x, *basis)
+
+    monkeypatch.setattr(functions, "_monomials", spy)
+    verify_all(p, spec=spec, trials=2, seed=0)
+    assert points and max(points) <= directions
+
+
+def test_lowfact_uses_order_two_packs(monkeypatch):
+    # LOWFACT and Gamma2 read no t2, so the lowfact packs skip grad Lap f:
+    # t2 is NaN there, and the results equal those of full order-3 packs
+    p = MeasureParams(3, 2.2)
+    spec = QuadratureSpec("product_spherical", nodes=128, angular_nodes=40)
+    pack2, _ = quadrature._random_test_pack(p, spec, 3, 0, order=2)
+    pack3, _ = quadrature._random_test_pack(p, spec, 3, 0)
+    assert np.all(np.isnan(pack2.t2)) and np.all(np.isfinite(pack3.t2))
+    for key in PACK_FIELDS[:-1] + ("gamma2",):
+        np.testing.assert_allclose(getattr(pack2, key), getattr(pack3, key),
+                                   rtol=1e-13, atol=0.0)
+    eps = [0.3, 0.8, 1.3]
+
+    def run():
+        return (lowfact_sign_check(p, spec, trials=3),
+                lowfact_epsilon_scan(p, eps, spec, trials=3))
+
+    sign2, scan2 = run()
+    orders = []
+    order_any = quadrature._random_test_pack
+
+    def order3(*args, order):
+        orders.append(order)
+        return order_any(*args, order=3)
+
+    monkeypatch.setattr(quadrature, "_random_test_pack", order3)
+    sign3, scan3 = run()
+    assert orders == [2, 2]
+    assert sign2["resolved"] == sign3["resolved"]
+    for key in ("residual_plus", "residual_minus", "eps0_plus", "resolved_eps0"):
+        assert abs(sign2[key] - sign3[key]) <= 1e-13, key
+    for a, b in zip(scan2, scan3):
+        assert a["eps"] == b["eps"] and a["D"] == b["D"]
+        assert abs(a["rel_err"] - b["rel_err"]) <= 1e-13
+
+
+def test_verify_all_reports_ipp3_ipp4_everywhere():
+    # the third-order identities keep their order-3 packs at every grid point
+    for n, beta in VERIFY_GRID:
+        spec = QuadratureSpec("polar_2d" if n == 2 else "product_spherical",
+                              nodes=128, angular_nodes=40)
+        by_tag = {r.tag: r for r in verify_all(MeasureParams(n, beta), spec=spec,
+                                               trials=1, seed=0)}
+        for tag in ("IPP3", "IPP4"):
+            assert np.isfinite(by_tag[tag].lhs) and np.isfinite(by_tag[tag].rhs)
+            assert by_tag[tag].rel_err <= 1e-6, (n, beta, tag)
+
+
+@pytest.mark.parametrize("angular", [12, 40, 64, 101])
+def test_sphere_directions_n3_match_the_double_loop(angular):
+    # the broadcast rule is the product rule's double loop, bit for bit and
+    # in the same order: Gauss-Legendre in cos(polar) times uniform azimuth
+    dirs, wts = quadrature._sphere_directions(3, angular)
+    p_polar, q_azim = max(8, angular // 4), max(12, angular // 3)
+    ug, wg = leggauss(p_polar)
+    psi = 2.0 * math.pi * np.arange(q_azim) / q_azim
+    s = np.sqrt(1.0 - ug ** 2)
+    ref_dirs, ref_wts = [], []
+    for i in range(p_polar):
+        for j in range(q_azim):
+            ref_dirs.append((s[i] * math.cos(psi[j]), s[i] * math.sin(psi[j]), ug[i]))
+            ref_wts.append(0.5 * wg[i] / q_azim)
+    np.testing.assert_array_equal(dirs, np.array(ref_dirs))
+    np.testing.assert_array_equal(wts, np.array(ref_wts))
 
 
 def test_lowfact_sign_check():

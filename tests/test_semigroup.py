@@ -284,7 +284,7 @@ def test_deficit_memory_does_not_grow_with_the_rule():
     p = MeasureParams(3, 4.0)
     f = make_linear(np.array([1.0, 0.0, 0.0]))
     deficit(f, p, "upper")  # fill the rule caches first
-    full = 8 * 3 * sum(len(w) for _, w in quadrature._node_blocks(
+    full = 8 * 3 * sum(len(w) for _, w, *_ in quadrature._node_blocks(
         p, default_nd_spec(3)))
     assert full > 14e6
     tracemalloc.start()
