@@ -281,10 +281,9 @@ RANDOM_TEST_SEAMS = (0.6 * RANDOM_TEST_RADIUS, RANDOM_TEST_RADIUS)
 @lru_cache(maxsize=None)
 def _poly_basis(n: int, degree: int):
     """The basis, ordered by total degree, as (degrees, cuts, parent, var,
-    ops): the monomials of degree d are cuts[d]:cuts[d + 1], monomial m > 0
-    is monomial parent[m] times x_var[m], and the sparse stack ops of
-    (M, M) operators maps a coefficient vector to the coefficient vectors
-    of its field rows, one after the other."""
+    ops): degree d is cuts[d]:cuts[d + 1], monomial m > 0 is monomial
+    parent[m] times x_var[m], and the sparse stack ops of (M, M) operators
+    maps coefficient vectors to those of their field rows, row after row."""
     exps = [e for d in range(degree + 1) for e in _exponents(n, d)]
     M = len(exps)
     index = {e: m for m, e in enumerate(exps)}
@@ -340,12 +339,10 @@ class RandomTestFields:
     """Fields of make_random_test's functions f = P b at the nodes r_i u_j
     (node i J + j) of the radii r (I,) and the points u (J, n).
 
-    Precondition: either r = (1,) (the points u as given) or every u_j is a
-    unit vector (whole radial rows of a tensor rule); the clamp of the
-    polynomial argument and the bump radius rely on it.  As x^a =
-    r^|a| u^a, the monomial table is built on u only and the bump profile
-    on the distinct radii only.  `order` (0..3) is the highest derivative
-    evaluated.
+    Precondition: r = (1,) (the points u as given) or every u_j is a unit
+    vector (whole radial rows of a tensor rule); the clamp of the polynomial
+    argument relies on it.  As x^a = r^|a| u^a, the monomial table is built
+    on u only.  `order` (0..3) is the highest derivative evaluated.
     """
 
     def __init__(self, r: Array, u: Array, order: int = 3):
@@ -357,28 +354,19 @@ class RandomTestFields:
         self._degrees, self._cuts = degrees, cuts
         s = np.sqrt(_row_sq_norms(u))
         # outside the bump everything is multiplied by an exact 0; clamp the
-        # polynomial argument to the support ball so huge radii cannot
-        # overflow (with r = (1,) or unit u one of the two clamps is inert)
+        # polynomial argument to the support ball so huge radii cannot overflow
         R = RANDOM_TEST_RADIUS
         self._mono = _monomials(u * (R / np.maximum(s, R))[:, None], cuts, parent, var)
         self._rpow = np.minimum(r, R)[:, None] ** np.arange(RANDOM_TEST_DEGREE + 1)
-        # |x| = r_i |u_j| varies along one axis only: with one radius the
-        # profile is evaluated per point, else per radius and repeated over
-        # its row of nodes i J + j, and the directions are tiled over the rows
-        radial_rows = len(r) > 1
-        rho = r if radial_rows else r[0] * s
-
-        def nodes(a):
-            return np.repeat(a, len(u)) if radial_rows else a
-
-        bump = [nodes(a) for a in _bump_profile(rho, *RANDOM_TEST_SEAMS, order)]
+        rho = np.outer(r, s).ravel()  # |x| at the nodes i J + j
+        bump = _bump_profile(rho, *RANDOM_TEST_SEAMS, order)
         self._b = bump[0]
         if order == 0:
             return
         b1 = bump[1]
-        safe_r = nodes(np.where(rho > 0, rho, 1.0))
-        u = np.ascontiguousarray(u.T / np.where(s > 0, s, 1.0))  # unit vectors
-        u = self._u = np.tile(u, len(r)) if radial_rows else u  # (n, K)
+        safe_r = np.where(rho > 0, rho, 1.0)
+        u = u / np.where(s > 0, s, 1.0)[:, None]  # unit vectors
+        u = self._u = np.ascontiguousarray(np.tile(u.T, len(r)))  # (n, K)
         self._bg = b1 * u  # grad b
         if order == 1:
             return
@@ -403,11 +391,11 @@ class RandomTestFields:
         S = (self._ops @ coefs)[:rows * M].reshape(rows, M, T)  # field-row coefficients
         S = S.transpose(0, 2, 1).reshape(rows * T, M)
         if len(self._rpow) == 1:
-            # one radius: fold r^|a| into the coefficients, one GEMM
+            # one radius: one GEMM on the points sums all degrees (per-degree
+            # GEMMs are slow on wide point sets with few rows)
             P = (S * self._rpow[0, self._degrees]) @ self._mono
         else:
-            # radial rows: the degree-d parts at the u_j, one GEMM per degree,
-            # then their sum weighted by r_i^d in one matmul
+            # one GEMM per degree on the u_j, then one matmul with the r_i^d
             cuts = self._cuts
             Q = np.stack([S[:, lo:hi] @ self._mono[lo:hi]
                           for lo, hi in zip(cuts[:-1], cuts[1:])], axis=1)

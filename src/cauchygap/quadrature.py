@@ -95,30 +95,53 @@ def _radial_rule_cached(n: int, beta: float, nodes: int, trunc: Optional[float],
     p = 8
     xg, wg = leggauss(p)
 
-    def panels(lo, hi):
-        # Gauss-Legendre nodes/weights on the panels [lo_k, hi_k], in order
-        mid, half = 0.5 * (hi + lo)[:, None], 0.5 * (hi - lo)[:, None]
-        return (mid + half * xg).ravel(), (half * wg).ravel()
+    def panel(a, b):
+        # Gauss-Legendre nodes/weights on theta in [a, b]
+        mid, half = 0.5 * (b + a), 0.5 * (b - a)
+        return mid + half * xg, half * wg
 
+    thetas, wts = [], []
     if trunc is not None:
         # compact support: uniform panels per smooth segment of [0, arctan(R)]
         tmax = math.atan(trunc)
         cuts = [math.atan(s) for s in seams]
+        segments = list(zip([0.0] + cuts, cuts + [tmax]))
         npan_total = max(16, nodes // p)
-        edges = [np.linspace(a, b, max(10, int(round(npan_total * (b - a) / tmax))) + 1)
-                 for a, b in zip([0.0] + cuts, cuts + [tmax])]
-        theta, w = panels(np.concatenate([e[:-1] for e in edges]),
-                          np.concatenate([e[1:] for e in edges]))
+        for a, b in segments:
+            npan = max(10, int(round(npan_total * (b - a) / tmax)))
+            edges = np.linspace(a, b, npan + 1)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                t, w = panel(lo, hi)
+                thetas.append(t)
+                wts.append(w)
+        theta = np.concatenate(thetas)
+        w = np.concatenate(wts)
         r = np.tan(theta)
     else:
-        # core [0, pi/4] uniform + geometric tail panels in tau = pi/2 - theta,
-        # halving from pi/4 down to the last upper edge above 1e-120
-        edges = np.linspace(0.0, math.pi / 4, max(8, nodes // (4 * p)) + 1)
-        theta, w_core = panels(edges[:-1], edges[1:])
-        tau_hi = (math.pi / 4) * 0.5 ** np.arange(1000)
-        tau_hi = tau_hi[tau_hi > 1e-120]
-        tau, w_tail = panels(0.5 * tau_hi, tau_hi)
-        r = np.concatenate([np.tan(theta), 1.0 / np.tan(tau)])
+        # core [0, pi/4] uniform + geometric tail panels in tau = pi/2 - theta
+        npan_core = max(8, nodes // (4 * p))
+        edges = np.linspace(0.0, math.pi / 4, npan_core + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            t, w = panel(a, b)
+            thetas.append(t)
+            wts.append(w)
+        theta = np.concatenate(thetas)
+        r_core = np.tan(theta)
+        w_core = np.concatenate(wts)
+
+        q = 0.5
+        taus, wt_t = [], []
+        tau_hi = math.pi / 4
+        tau_lo = tau_hi * q
+        while tau_hi > 1e-120:
+            t, w = panel(tau_lo, tau_hi)
+            taus.append(t)
+            wt_t.append(w)
+            tau_hi, tau_lo = tau_lo, tau_lo * q
+        tau = np.concatenate(taus)
+        w_tail = np.concatenate(wt_t)
+        r_tail = 1.0 / np.tan(tau)
+        r = np.concatenate([r_core, r_tail])
         w = np.concatenate([w_core, w_tail])
 
     # log of r^{n-1} (1+r^2)^{1-beta} dtheta, with log1p(r^2) stabilized
@@ -173,11 +196,10 @@ def _node_blocks(params: MeasureParams, spec: QuadratureSpec,
                  support_radius: Optional[float] = None,
                  seams: tuple = ()):
     """The tensor rule for full-dimensional integrals as an iterator of
-    blocks (x, w, r, u): nodes x (k, n) and mu-weights w (k,) of whole
-    radial rows, at most _NODE_CHUNK nodes (at least one row), in factored
-    form too: node i J + j is x = r_i u_j for the block's radii r and the J
-    unit directions u (J, n).  The spec and n are checked at once, before
-    the first block."""
+    blocks (x, w, r, u) of whole radial rows, at most _NODE_CHUNK nodes (at
+    least one row): mu-weights w (k,) and nodes x (k, n), node i J + j being
+    r_i u_j for the radii r and unit directions u (J, n).  The spec and n
+    are checked at once, before the first block."""
     if spec.scheme == "polar_2d" and params.n != 2:
         raise ValueError("polar_2d requires n = 2")
     r, logw = _radial_rule(params, spec, support_radius, seams)
@@ -226,10 +248,8 @@ def default_nd_spec(n: int) -> QuadratureSpec:
 # one shared node set per (params, spec).  IPP3, IPP4 and GRG carry a
 # 1/(beta - 2) and are written multiplied through, (beta - 2) lhs = numerator,
 # so they hold and are checked at beta = 2 too.  The random test functions of
-# verify_all are evaluated on the blocks of `_node_blocks` in factored form,
-# x = r_i u_j: one monomial table on the sphere directions, one small GEMM
-# per total degree and block of trials, combined with the block's radial
-# powers r_i^d in one matmul.
+# verify_all are evaluated on the blocks of `_node_blocks` in factored form
+# x = r_i u_j: one monomial table per block, on the sphere directions.
 
 _TRIAL_BLOCK = 8     # random tests per GEMM; bounds memory with _NODE_CHUNK
 ALL_TAGS = ("IPP1", "IPP2", "IPP3", "IPP4", "GAMMABIS", "GRG", "IRG",

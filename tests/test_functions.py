@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,7 +193,8 @@ def test_random_test_fields_on_radial_rows_match_pointwise(n):
     # at the same nodes, whose points are the one-radius case; the radii run
     # to either side of both seams (grad Lap f jumps there, so a node on a
     # seam would compare rounding) and past the support up to the 1e120 of
-    # the non-compact rules, where every field is an exact 0
+    # the non-compact rules, where every field is an exact 0; single rows of
+    # the block are one-radius evaluations on unit directions
     dirs, _ = _sphere_directions(n, 40)
     r = np.concatenate([np.linspace(0.0, 3.2, 30),
                         np.add.outer(RANDOM_TEST_SEAMS, [-1e-9, 1e-9]).ravel(),
@@ -205,11 +208,13 @@ def test_random_test_fields_on_radial_rows_match_pointwise(n):
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         pointwise = [f.value(x), f.gradient(x).T, f.hessian(x)[:, iu, ju].T,
                      f.grad_laplacian(x).T]
-        for order in range(4):
-            got = RandomTestFields(r, dirs, order).fields(coefs)
+        for order, (i, j) in itertools.product(range(4), [(0, len(r)), (10, 11),
+                                                          (len(r) - 1, len(r))]):
+            got = RandomTestFields(r[i:j], dirs, order).fields(coefs)
+            nodes = slice(i * len(dirs), j * len(dirs))
             assert len(got) == order + 1
             for field, ref in zip(got, pointwise):
                 field = field[..., 0, :]  # the one trial
-                assert field.shape == ref.shape
-                assert np.max(np.abs(field - ref)) <= 1e-13 * np.max(np.abs(ref))
-                assert np.all(field[..., outside] == 0.0)
+                assert field.shape == ref[..., nodes].shape
+                assert np.max(np.abs(field - ref[..., nodes])) <= 1e-13 * np.max(np.abs(ref))
+                assert np.all(field[..., outside[nodes]] == 0.0)
