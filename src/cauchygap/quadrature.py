@@ -6,7 +6,9 @@ panels are graded geometrically toward theta = pi/2 (stored via the gap
 tau = pi/2 - theta so the far nodes keep full relative precision; r = cot(tau)
 reaches ~1e120 before the weights underflow).  Weights are accumulated in log
 space.  Full n-dimensional integrals use tensor products with uniform angles
-(n = 2) or Gauss-Legendre x uniform azimuth on the sphere (n = 3).
+(n = 2) or Gauss-Legendre x uniform azimuth on the sphere (n = 3).  Radial
+and linear integrands (angular sectors ell <= 1) run at every n on the 2n
+directions +-e_i instead, which are exact on the sphere up to degree 3.
 """
 
 from __future__ import annotations
@@ -192,18 +194,28 @@ def _sphere_directions(n: int, angular: int):
     raise ValueError(f"deterministic sphere rule implemented for n <= 3, got n={n}")
 
 
+def _axis_directions(n: int):
+    """The 2n directions +e_1..+e_n, -e_1..-e_n, weights 1/(2n): the sphere
+    average of every polynomial of degree <= 3 (Stroud), at every n."""
+    return np.concatenate([np.eye(n), -np.eye(n)]), np.full(2 * n, 0.5 / n)
+
+
 def _node_blocks(params: MeasureParams, spec: QuadratureSpec,
                  support_radius: Optional[float] = None,
-                 seams: tuple = ()):
+                 seams: tuple = (), angular_mode: Optional[int] = None):
     """The tensor rule for full-dimensional integrals as an iterator of
     blocks (x, w, r, u) of whole radial rows, at most _NODE_CHUNK nodes (at
     least one row): mu-weights w (k,) and nodes x (k, n), node i J + j being
     r_i u_j for the radii r and unit directions u (J, n).  The spec and n
-    are checked at once, before the first block."""
+    are checked at once, before the first block.  The directions are those
+    of `_sphere_directions` (n <= 3), or of `_axis_directions` (any n) for
+    the integrands of an f with angular_mode 0 or 1, which are of degree
+    <= 3 on every sphere."""
     if spec.scheme == "polar_2d" and params.n != 2:
         raise ValueError("polar_2d requires n = 2")
     r, logw = _radial_rule(params, spec, support_radius, seams)
-    dirs, dw = _sphere_directions(params.n, spec.angular_nodes)
+    dirs, dw = (_axis_directions(params.n) if angular_mode in (0, 1)
+                else _sphere_directions(params.n, spec.angular_nodes))
     rows = max(1, _NODE_CHUNK // len(dw))
     return (((r[lo:lo + rows, None, None] * dirs).reshape(-1, params.n),
              (np.exp(logw[lo:lo + rows])[:, None] * dw).reshape(-1),
@@ -214,10 +226,11 @@ def _node_blocks(params: MeasureParams, spec: QuadratureSpec,
 def integrate_nd(g: Callable[[Array], Array], params: MeasureParams,
                  spec: QuadratureSpec,
                  support_radius: Optional[float] = None,
-                 seams: tuple = ()):
-    """int g dmu by a deterministic tensor rule (n <= 3).  `support_radius`
-    truncates the radial rule; `seams` pins panel edges at radii where g
-    loses smoothness.
+                 seams: tuple = (), angular_mode: Optional[int] = None):
+    """int g dmu by a deterministic tensor rule (n <= 3; any n with
+    angular_mode 0 or 1).  `support_radius` truncates the radial rule;
+    `seams` pins panel edges at radii where g loses smoothness;
+    `angular_mode` is that of the f that g is built from (`_node_blocks`).
 
     g is called on blocks of nodes x (k, n) of whole radial rows, with
     k <= _NODE_CHUNK unless one row is longer (`_node_blocks`), so memory
@@ -226,7 +239,8 @@ def integrate_nd(g: Callable[[Array], Array], params: MeasureParams,
     to an array of shape (m,); any other shape raises ValueError.
     """
     total = 0.0
-    for x, w, *_ in _node_blocks(params, spec, support_radius, seams):
+    for x, w, *_ in _node_blocks(params, spec, support_radius, seams,
+                                 angular_mode):
         fields = np.asarray(g(x), dtype=float)
         if fields.ndim not in (1, 2) or fields.shape[-1] != len(w):
             raise ValueError(f"integrand returned shape {fields.shape} on "

@@ -243,7 +243,9 @@ def _range_lambda(params: MeasureParams, range_tag: str) -> float:
 def _var_and_energy(f: SmoothFunction, params: MeasureParams):
     """Var(f) and int Gamma(f) dmu in one pass over the tensor rule: per
     node block, one value and one gradient call give f, f^2 and
-    (1 + |x|^2) |grad f|^2."""
+    (1 + |x|^2) |grad f|^2.  For f in the sectors ell <= 1 (angular_mode 0
+    or 1) these are of degree <= 2 on every sphere, so the rule's
+    directions are the 2n points +-e_i, at every n."""
     def fields(x):
         v = f.value(x)
         return np.stack([v, v * v,
@@ -251,7 +253,8 @@ def _var_and_energy(f: SmoothFunction, params: MeasureParams):
 
     mean, sq, energy = integrate_nd(fields, params, default_nd_spec(params.n),
                                     support_radius=f.support_radius,
-                                    seams=f.radial_seams)
+                                    seams=f.radial_seams,
+                                    angular_mode=f.angular_mode)
     return sq - mean ** 2, energy
 
 
@@ -400,6 +403,9 @@ def deficit(f: SmoothFunction, params: MeasureParams, range_tag: str,
     with an odd part, and profiles without compact support (the power
     family, the centered quadratic), whose spline derivatives are not
     trustworthy over the whole quadrature window.
+
+    Linear and radial f (angular_mode 1 or 0) run at every n; any other f,
+    such as a random bump, raises ValueError past n = 3.
     """
     lam = _range_lambda(params, range_tag)
     var, energy = _var_and_energy(f, params)

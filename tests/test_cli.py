@@ -135,6 +135,23 @@ def test_deficit_csv(tmp_path):
     assert abs(float(row[4])) < 1e-8
 
 
+def test_deficit_past_three_dimensions(tmp_path, capsys):
+    # a linear f runs at n = 4; a random bump still needs the n <= 3 rule
+    out = tmp_path / "deficit.csv"
+    code = main(["deficit", "--n", "4", "--beta", "6", "--range", "upper",
+                 "--f", "linear", "--out", str(out)])
+    assert code == EXIT_OK
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[:4] == ["4", "6", "upper", "linear"]
+    assert abs(float(row[4])) < 1e-8
+    bump = tmp_path / "bump.csv"
+    code = main(["deficit", "--n", "4", "--beta", "6", "--range", "upper",
+                 "--f", "bump", "--out", str(bump)])
+    assert code == EXIT_CONFIG
+    assert "n <= 3" in capsys.readouterr().err
+    assert not bump.exists()
+
+
 def test_deficit_lower_bump(tmp_path):
     out = tmp_path / "deficit.csv"
     code = main(["deficit", "--n", "2", "--beta", "1.5", "--range", "lower",

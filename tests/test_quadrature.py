@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -132,10 +133,42 @@ def test_integrate_nd_refuses_malformed_integrands():
 
 
 def test_integrate_nd_refuses_n_above_three():
-    # the deterministic sphere rules stop at n = 3
+    # the deterministic sphere rules stop at n = 3; only an integrand of a
+    # radial or linear f (angular_mode 0 or 1) runs on the +-e_i rule there
     p = MeasureParams(4, 3.0)
     with pytest.raises(ValueError, match="n <= 3"):
         integrate_nd(lambda x: np.ones(x.shape[0]), p, default_nd_spec(4))
+    one = integrate_nd(lambda x: np.ones(x.shape[0]), p, default_nd_spec(4),
+                       angular_mode=1)
+    assert np.isclose(one, 1.0, rtol=1e-12)
+
+
+def _sphere_monomials(n, degree):
+    return [e for e in itertools.product(range(degree + 1), repeat=n)
+            if sum(e) <= degree]
+
+
+def _rule_average(dirs, wts, e):
+    return float(wts @ np.prod(dirs ** np.array(e), axis=1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_axis_rule_is_exact_to_degree_three(n):
+    # every sphere monomial average of degree <= 3: 1, 0 for odd degrees,
+    # delta_ij / n for u_i u_j; and the same averages as the n <= 3 rules,
+    # which on the line are the same rule
+    dirs, wts = quadrature._axis_directions(n)
+    assert dirs.shape == (2 * n, n) and np.allclose(np.sum(dirs ** 2, axis=1), 1.0)
+    full = (quadrature._sphere_directions(n, default_nd_spec(n).angular_nodes)
+            if n <= 3 else None)
+    for e in _sphere_monomials(n, 3):
+        exact = {0: 1.0, 2: (1.0 / n if max(e) == 2 else 0.0)}.get(sum(e), 0.0)
+        axis = _rule_average(dirs, wts, e)
+        assert abs(axis - exact) <= 1e-15, e
+        if full is not None:
+            assert abs(_rule_average(*full, e) - axis) <= 1e-15, e
+    if n == 1:
+        assert np.array_equal(dirs, full[0]) and np.array_equal(wts, full[1])
 
 
 def test_product_nodes_refuse_a_scheme_for_another_n():

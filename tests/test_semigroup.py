@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -270,19 +271,57 @@ def _three_call_var_and_energy(f, p):
     (lambda: make_power_family(0.15), 2, 1.5),
     (lambda: make_random_test(0, 2), 2, 1.5),
     (lambda: make_random_test(0, 1), 1, 1.2),
+    (lambda: make_linear(np.array([0.6, -0.8])), 2, 3.0),
+    (lambda: make_linear(np.array([0.3, 1.0, -2.0])), 3, 3.0),
+    (lambda: make_quadratic_centered(MeasureParams(2, 4.0)), 2, 4.0),
+    (lambda: make_power_family(0.3), 3, 2.2),
 ])
 def test_var_and_energy_matches_three_call_formula(make, n, beta):
     # the one-pass stacked integral gives the heat_flow deficit inputs'
-    # variance and energy of three separate passes
+    # variance and energy of three separate passes on the full sphere rule,
+    # also where it runs on the +-e_i rule (linear and radial f)
     f, p = make(), MeasureParams(n, beta)
     for got, ref in zip(_var_and_energy(f, p), _three_call_var_and_energy(f, p)):
         assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
+@pytest.mark.parametrize("make, n, beta", [
+    (lambda: make_linear(np.array([1.0, 0.0, 0.0])), 3, 4.0),
+    (lambda: make_quadratic_centered(MeasureParams(2, 4.0)), 2, 4.0),
+    (lambda: make_power_family(0.3), 3, 2.2),
+    (lambda: make_random_test(0, 2), 2, 1.5),
+    (lambda: make_random_test(0, 3), 3, 2.0),
+])
+def test_var_and_energy_directions_per_radius(make, n, beta):
+    # a linear or radial f's integrand sees the 2n directions +-e_i at every
+    # radius of the rule; a random bump still sees the spec's sphere rule
+    f, p = make(), MeasureParams(n, beta)
+    seen = []
+
+    def value(x):
+        seen.append(x)
+        return f.value(x)
+
+    _var_and_energy(dataclasses.replace(f, value=value), p)
+    x = np.concatenate(seen)
+    radii = np.sqrt(np.sum(x * x, axis=1))
+    dirs = np.unique(np.round(x / radii[:, None], 12), axis=0)
+    spec = default_nd_spec(n)
+    if f.angular_mode is None:
+        expect = len(quadrature._sphere_directions(n, spec.angular_nodes)[1])
+    else:
+        expect = 2 * n
+        assert np.all(np.isin(dirs, (-1.0, 0.0, 1.0)))
+    r, _ = quadrature._radial_rule(p, spec, f.support_radius, f.radial_seams)
+    assert len(dirs) == expect and len(x) == expect * len(r)
+
+
 def test_deficit_memory_does_not_grow_with_the_rule():
-    # the (3, 4) rule has 598,416 nodes; one (K, 3) node array alone is 14 MB
+    # the (3, 4) rule has 598,416 nodes; one (K, 3) node array alone is 14 MB.
+    # Without its declared sector the linear f runs on that full sphere rule.
     p = MeasureParams(3, 4.0)
-    f = make_linear(np.array([1.0, 0.0, 0.0]))
+    f = dataclasses.replace(make_linear(np.array([1.0, 0.0, 0.0])),
+                            angular_mode=None)
     deficit(f, p, "upper")  # fill the rule caches first
     full = 8 * 3 * sum(len(w) for _, w, *_ in quadrature._node_blocks(
         p, default_nd_spec(3)))
@@ -302,6 +341,33 @@ def test_deficit_upper_linear_zero():
     f = make_linear(np.array([1.0, 0.0, 0.0]))
     d = deficit(f, p, "upper")
     assert abs(d) < 1e-10
+
+
+@pytest.mark.parametrize("n, beta", [(4, 4.3), (5, 5.6)])
+def test_deficit_mid_linear_closed_form_past_three_dimensions(n, beta):
+    # lambda_mid |a|^2 msq / n - |a|^2 (1 + msq): -7/13 at (4, 4.3)
+    p = MeasureParams(n, beta)
+    a = np.linspace(1.0, -0.5, n)
+    a2, msq = float(a @ a), mean_sq_norm(p)
+    exact = _range_lambda(p, "mid") * a2 * msq / n - a2 * (1.0 + msq)
+    if (n, beta) == (4, 4.3):
+        assert np.isclose(exact / a2, -7.0 / 13.0, rtol=1e-14)
+    assert abs(deficit(make_linear(a), p, "mid") - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_deficit_extremals_vanish_past_three_dimensions(n):
+    # the upper-range linear and the beta = n + 1 quadratic extremals; the
+    # random bumps keep the n <= 3 sphere rule
+    cases = [(make_linear(np.linspace(1.0, 2.0, n)), MeasureParams(n, n + 2.0), "upper"),
+             (make_quadratic_centered(MeasureParams(n, n + 1.0)),
+              MeasureParams(n, n + 1.0), "mid")]
+    for f, p, tag in cases:
+        var, _ = _var_and_energy(f, p)
+        scale = max(1.0, _range_lambda(p, tag) * var)
+        assert abs(deficit(f, p, tag)) <= 1e-10 * scale
+    with pytest.raises(ValueError, match="n <= 3"):
+        deficit(make_random_test(0, n), MeasureParams(n, n / 2.0 + 0.5), "lower")
 
 
 def test_deficit_mid_quadratic_zero():
