@@ -12,9 +12,9 @@ mode's hats, and with w = A v and B y = w the quantity w'y is the discrete
 integrated Gamma_2 (second-order forms only, no third differences).  Its
 time integral telescopes to closed form in the (A, B) eigenbasis, so the
 discrete identity holds up to the modes past the horizon and those above
-the lowest few eigenpairs, both bounded.  Range-specific deficit formulas
-are checked by an eigen-expansion route that starts from the same
-projection and whose time integral is also evaluated in closed form.
+the lowest few eigenpairs, both bounded.  Range deficits are cross-checked
+against the same flow's limit T = inf: the corollary's time integral is
+rho N_0 - E_0 of the projection, with no eigenpairs at all.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ import math
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.interpolate import CubicSpline
 
 from .functions import SmoothFunction, _row_sq_norms
 from .measures import MeasureParams, mean_sq_norm
-from .quadrature import _radial_rule, default_nd_spec, integrate_nd, QuadratureSpec
+from .quadrature import default_nd_spec, integrate_nd
 from .spectral import (_WGL, _XGL, GAP_FORMULA, Discretization, ModeProblem,
                        _cholesky, _mode_problems, _node_diag, lowest_eigpairs,
                        range_edges)
@@ -220,8 +219,10 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
 # ----------------------------------------------------------------------
 # Range-specific deficits.
 
-# Mode grid of the deficit's eigen-expansion cross-check.
+# Mode grids of the deficit's cross-check: the coarse one and its halving.
 _ROUTE_DISC = Discretization(m=384, delta=2e-3)
+_ROUTE_FINE = Discretization(m=768, delta=2e-3)
+_TRACE_PAIRS = 48
 
 
 def _range_lambda(params: MeasureParams, range_tag: str) -> float:
@@ -258,151 +259,69 @@ def _var_and_energy(f: SmoothFunction, params: MeasureParams):
     return sq - mean ** 2, energy
 
 
-def _range_bilinear(range_tag: str, n: int, beta: float):
-    """F(u, v) integrand of the corollary's time integral, as a function of
-    the radial first/second derivatives and laplacians of two profiles."""
-    if range_tag == "upper":
-        if n == 1:
-            def F(r, w, du, dv, d2u, d2v, lapu, lapv):
-                return w * w * d2u * d2v
-            return F
-        c1 = (beta - (n + 1.0)) / (beta - 2.0)
-        c2 = n / (beta - 2.0)
-
-        def F(r, w, du, dv, d2u, d2v, lapu, lapv):
-            rsafe = np.where(r > 0, r, 1.0)
-            ang = np.where(r > 0, du * dv / (rsafe * rsafe), d2u * d2v)
-            hess = d2u * d2v + (n - 1) * ang
-            return (w * w) * (c1 * hess + c2 * (hess - lapu * lapv / n))
-        return F
-    if range_tag == "mid":
-        c = n / (n - 1.0)
-
-        def F(r, w, du, dv, d2u, d2v, lapu, lapv):
-            rsafe = np.where(r > 0, r, 1.0)
-            ang = np.where(r > 0, du * dv / (rsafe * rsafe), d2u * d2v)
-            hess = d2u * d2v + (n - 1) * ang
-            # radial gradients are parallel to x: the angular-defect term
-            # |du|^2 |x|^2 - <du, x>^2 vanishes identically
-            return c * (w * w) * (hess - lapu * lapv / n)
-        return F
-    if range_tag == "lower":
-        e0 = range_edges(n)[0] - beta
-        if n == 1:
-            c0 = (beta - 0.5) * e0
-
-            def F(r, w, du, dv, d2u, d2v, lapu, lapv):
-                return ((w * d2u + e0 * r * du) * (w * d2v + e0 * r * dv)
-                        + c0 * du * dv)
-            return F
-        c0 = e0 * (beta + n / 2.0)
-
-        def F(r, w, du, dv, d2u, d2v, lapu, lapv):
-            rsafe = np.where(r > 0, r, 1.0)
-            ang = np.where(r > 0, du * dv / (rsafe * rsafe), d2u * d2v)
-            mm = ((w * d2u + e0 * r * du) * (w * d2v + e0 * r * dv)
-                  + (n - 1) * (w * w) * ang)
-            tt = (w * lapu + e0 * r * du) * (w * lapv + e0 * r * dv)
-            return n / (n - 1.0) * mm - tt / (n - 1.0) + c0 * du * dv
-        return F
-    raise ValueError(f"unknown range tag {range_tag!r}")
+def _linear_variance(f: SmoothFunction, params: MeasureParams) -> float:
+    """Var <a, x> = |a|^2 E|x|^2 / n of a linear f (angular_mode 1);
+    ValueError where <a, x> is not in L^2, on the line the whole lower range."""
+    a = f.gradient(np.zeros((1, params.n)))[0]
+    return float(a @ a) * mean_sq_norm(params) / params.n
 
 
-def _eigen_triple(f: SmoothFunction, params: MeasureParams, range_tag: str,
-                  disc: Discretization, kept: int):
-    """The corollary integrand int F(P_t f) dmu in decaying eigenmodes, as
-    (lam, c, Fmat) with int F(P_t f) dmu = (e^{-lam t} c)' Fmat (e^{-lam t} c).
-
-    This is the one gate of the eigen route.  A linear f = <a, x> + const
-    (angular_mode 1) is one exact eigenmode with eigenvalue 2(beta - 1) in
-    which only the angular-defect term survives.  A compactly supported
-    radial f (on the line: whose odd part is below 1e-13 max(1, |even part|)
-    at the Gauss points of `_mode_loads`) gives the `kept` lowest eigenpairs
-    of the ell = 0 sector (at most nn - 1; `lowest_eigpairs` is fast only
-    well below it), with c the pairs' coefficients of the L^2(mu) projection
-    the variance check starts from.  Every other f gives None, before any
-    mode is assembled.
-    """
-    n, beta = params.n, params.beta
-    if f.angular_mode == 1:
-        a_norm = float(np.linalg.norm(f.gradient(np.zeros((1, n)))[0]))
-        # refuses where <a, x> is not in L^2, so on the line in the whole
-        # lower range; there the mode only enters the upper range, with 0
-        msq = mean_sq_norm(params)
-        if range_tag == "upper":
-            amp = 0.0
-        elif range_tag == "mid":
-            amp = 4.0 * (beta - 1.0) * (n + 1.0 - beta) * a_norm ** 2 * msq / n
-        else:
-            e0 = range_edges(n)[0] - beta
-            c0 = e0 * (beta + n / 2.0)
-            btil = ((n - 2.0) * (4.0 * (beta - 1.0) ** 2
-                                 - 4.0 * (n - 2.0) * (beta - 1.0)
-                                 + (n + 2.0) ** 2) / (8.0 * (n - 1.0)))
-            # Hess f = 0, so with s2 = E<a,x>^2 = |a|^2 msq/n:
-            #   ||e0 (a ox x + x ox a)/2||^2 integrates to e0^2(|a|^2 msq + s2)/2
-            #   (e0 <a,x>)^2 integrates to e0^2 s2
-            #   |a|^2|x|^2 - <a,x>^2 integrates to (n-1) s2
-            s2 = a_norm ** 2 * msq / n
-            mm = e0 * e0 * 0.5 * (a_norm ** 2 * msq + s2)
-            tt = e0 * e0 * s2
-            amp = ((n / (n - 1.0)) * mm - tt / (n - 1.0)
-                   + btil * (n - 1.0) * s2 + c0 * a_norm ** 2)
-        return np.array([GAP_FORMULA["upper"](n, beta)]), np.ones(1), np.array([[amp]])
-    if f.support_radius is None or (n > 1 and f.angular_mode != 0):
+def _route_start(f: SmoothFunction, params: MeasureParams,
+                 disc: Discretization):
+    """The gate of the cross-check, for f other than linear: a compactly
+    supported radial f (on the line: whose odd part is below
+    1e-13 max(1, |even part|) at the Gauss points of `_mode_loads`) gives
+    its ell = 0 projection (problem, v, mass) from `_projected_start`; every
+    other f gives None, before any mode is assembled."""
+    if f.support_radius is None or (params.n > 1 and f.angular_mode != 0):
         return None
     loads = _mode_loads(f, params, disc)
-    if n == 1 and np.max(np.abs(loads[1][0])) > 1e-13 * max(
+    if params.n == 1 and np.max(np.abs(loads[1][0])) > 1e-13 * max(
             1.0, np.max(np.abs(loads[0][0]))):
         return None
+    (prob,), (v,), mass = _projected_start({0: loads[0]}, params, disc)
+    return prob, v, mass
 
-    (prob,), (v,), _ = _projected_start({0: loads[0]}, params, disc)
-    lam, Phi = lowest_eigpairs(prob, kept)
-    K = len(lam)
-    c = Phi.T @ (prob.B @ v)
-    r = prob.radii
 
-    # Quadrature window for the corollary integrand: wide enough to hold
-    # the measure's bulk and the initial support, short of the far grid
-    # cells where spline curvature of the discrete eigenvectors is
-    # unreliable.
-    trunc_q = min(float(r[-1]), 12.0 + 2.0 * f.support_radius)
-    nodes_r, logw = _radial_rule(params, QuadratureSpec(nodes=320),
-                                 support_radius=trunc_q)
-    wq = np.exp(logw)
-    splines = [CubicSpline(r, Phi[:, k]) for k in range(K)]
-    d1 = np.stack([s(nodes_r, 1) for s in splines])
-    d2 = np.stack([s(nodes_r, 2) for s in splines])
-    rsafe = np.where(nodes_r > 0, nodes_r, 1.0)
-    lap = d2 + (n - 1) * np.where(nodes_r > 0, d1 / rsafe, d2)
-    w = 1.0 + nodes_r * nodes_r
-    F = _range_bilinear(range_tag, n, beta)
-    Fmat = np.zeros((K, K))
-    for j in range(K):
-        vals = F(nodes_r, w, d1[j][None, :], d1, d2[j][None, :], d2,
-                 lap[j][None, :], lap)
-        Fmat[j, :] = vals @ wq
-    return lam, c, Fmat
+def _route_deficit(f: SmoothFunction, params: MeasureParams, rho: float):
+    """The corollary's -2 int_0^inf int F(P_t f) dmu dt, or None off the gate.
+
+    A linear f is the one eigenmode lam = 2(beta - 1), so the value is
+    (rho - lam) Var f.  Otherwise the flow from the projection v
+    (`_route_start`) gives rho N_0 - E_0 with N_0 = v'Bv / 1'B1 and
+    E_0 = v'Av / 1'B1, the limit of `_flow_integral`'s telescoped sum; its
+    error falls by h^2, so the value is Richardson's (4 d_2m - d_m) / 3
+    from `_ROUTE_DISC` and its halving `_ROUTE_FINE`.
+    """
+    if f.angular_mode == 1:
+        lam = GAP_FORMULA["upper"](params.n, params.beta)
+        return (rho - lam) * _linear_variance(f, params)
+    d = []
+    for disc in (_ROUTE_DISC, _ROUTE_FINE):
+        start = _route_start(f, params, disc)
+        if start is None:
+            return None
+        prob, v, mass = start
+        d.append((rho * float(v @ (prob.B @ v)) - float(v @ (prob.A @ v))) / mass)
+    return (4.0 * d[1] - d[0]) / 3.0
 
 
 class DeficitMismatch(RuntimeError):
     """Quadrature deficit and corollary time integral disagree."""
 
 
-def deficit(f: SmoothFunction, params: MeasureParams, range_tag: str,
-            disc: Discretization = _ROUTE_DISC, kept: int = 48) -> float:
+def deficit(f: SmoothFunction, params: MeasureParams, range_tag: str) -> float:
     """Range deficit lambda_range Var(f) - int Gamma(f) dmu (nonpositive),
     by quadrature.
 
-    Where the eigen route takes f, the value is cross-checked: the corollary
-    time integral -2 int_0^inf int F(P_t f) dmu dt, closed-form in time over
-    the triple of _eigen_triple, must agree within 1e-3 (relative), else
-    DeficitMismatch.  The route takes linear f, and compactly supported f
-    that are radial (on the line: whose odd part vanishes).  Every other f
-    gets the quadrature value alone: random bumps for n >= 2, 1-D bumps
-    with an odd part, and profiles without compact support (the power
-    family, the centered quadratic), whose spline derivatives are not
-    trustworthy over the whole quadrature window.
+    Where the cross-check takes f (`_route_deficit`), the corollary time
+    integral -2 int_0^inf int F(P_t f) dmu dt, in closed form along the
+    exact heat flow of f's L^2(mu) projection, must agree within 1e-3
+    (relative), else DeficitMismatch.  It takes linear f, and compactly
+    supported f that are radial (on the line: whose odd part vanishes).
+    Every other f gets the quadrature value alone: random bumps for n >= 2,
+    1-D bumps with an odd part, and profiles without compact support (the
+    power family, the centered quadratic).
 
     Linear and radial f (angular_mode 1 or 0) run at every n; any other f,
     such as a random bump, raises ValueError past n = 3.
@@ -410,35 +329,44 @@ def deficit(f: SmoothFunction, params: MeasureParams, range_tag: str,
     lam = _range_lambda(params, range_tag)
     var, energy = _var_and_energy(f, params)
     value = lam * var - energy
-    triple = _eigen_triple(f, params, range_tag, disc, kept)
-    if triple is not None:
-        rates, c, Fmat = triple
-        ls = rates[:, None] + rates[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weights = np.where(ls > 1e-12, 1.0 / ls, 0.0)
-        route = -2.0 * float(np.sum(Fmat * np.outer(c, c) * weights))
-        scale = max(1.0, abs(value), abs(route))
-        if abs(route - value) > 1e-3 * scale:
-            raise DeficitMismatch(
-                f"corollary time integral {route:.6g} disagrees with the "
-                f"quadrature deficit {value:.6g} (tag {range_tag})")
+    route = _route_deficit(f, params, lam)
+    if route is not None and abs(route - value) > 1e-3 * max(
+            1.0, abs(value), abs(route)):
+        raise DeficitMismatch(
+            f"corollary time integral {route:.6g} disagrees with the "
+            f"quadrature deficit {value:.6g} (tag {range_tag})")
     return value
 
 
 def deficit_trace(f: SmoothFunction, params: MeasureParams, range_tag: str,
-                  times, disc: Discretization = _ROUTE_DISC,
-                  kept: int = 48) -> np.ndarray:
-    """Rows (t, integrand) of the corollary time integral's integrand, for
-    the f the eigen route of `deficit` takes (ValueError for any other)."""
-    _range_lambda(params, range_tag)
-    triple = _eigen_triple(f, params, range_tag, disc, kept)
-    if triple is None:
-        raise ValueError("f is not representable on the mode grids")
-    lam, c, Fmat = triple
+                  times) -> np.ndarray:
+    """Rows (t, q(t)) of the corollary time integral's integrand
+    q(t) = int F(P_t f) dmu = int (L P_t f)^2 dmu - rho int Gamma(P_t f) dmu,
+    for the f the cross-check of `deficit` takes (ValueError for any other).
+
+    A linear f is one exact eigenmode lam = 2(beta - 1):
+    q = lam (lam - rho) Var f e^{-2 lam t}.  Otherwise
+    q(t) = sum_k lam_k (lam_k - rho) c_k^2 e^{-2 lam_k t} / 1'B1 over the
+    lowest 48 exact pairs of the ell = 0 projection on `_ROUTE_DISC`, with
+    c_k = phi_k'B v.  The dropped pairs decay fastest, so q is truncated
+    only near t = 0: for the seed-0 even 1-D bump at (1, 1.2) the 48 pairs
+    miss 13% of q(0).
+    """
+    rho = _range_lambda(params, range_tag)
+    if f.angular_mode == 1:
+        lam = np.array([GAP_FORMULA["upper"](params.n, params.beta)])
+        weights = np.array([_linear_variance(f, params)])
+    else:
+        start = _route_start(f, params, _ROUTE_DISC)
+        if start is None:
+            raise ValueError("f is not representable on the mode grids")
+        prob, v, mass = start
+        lam, phi = lowest_eigpairs(prob, _TRACE_PAIRS)
+        c = phi.T @ (prob.B @ v)
+        weights = c * c / mass
     times = np.asarray(times, dtype=float)
-    modes = np.exp(-np.outer(times, lam)) * c
-    return np.column_stack(
-        [times, np.einsum("tj,jk,tk->t", modes, Fmat, modes, optimize=True)])
+    q = np.exp(-2.0 * np.outer(times, lam)) @ (lam * (lam - rho) * weights)
+    return np.column_stack([times, q])
 
 
 # ----------------------------------------------------------------------

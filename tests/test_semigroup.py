@@ -8,6 +8,7 @@ from scipy import linalg as sla
 
 from cauchygap.functions import (
     SmoothFunction,
+    _bump_profile,
     make_linear,
     make_lower_extremal_1d,
     make_power_family,
@@ -18,11 +19,15 @@ from cauchygap.measures import MeasureParams, mean_sq_norm, omega_moment
 from cauchygap.quadrature import default_nd_spec, integrate_nd
 from cauchygap import quadrature, spectral
 from cauchygap.semigroup import (
+    _ROUTE_DISC,
+    _ROUTE_FINE,
     DeficitMismatch,
     _flow_integral,
     _mode_loads,
     _projected_start,
     _range_lambda,
+    _route_deficit,
+    _route_start,
     _var_and_energy,
     default_horizon,
     deficit,
@@ -409,7 +414,7 @@ def test_deficit_power_family_closed_moments():
 
 def _even_1d_bump(seed=0):
     # symmetrize a compactly supported 1-d test function; pure even profiles
-    # are exactly the shapes the ell = 0 eigen-route can represent
+    # are exactly the shapes the ell = 0 cross-check can represent
     from cauchygap.functions import SmoothFunction
 
     base = make_random_test(seed, 1)
@@ -421,34 +426,127 @@ def _even_1d_bump(seed=0):
 
 
 def test_deficit_route_consistency_guard():
-    # the eigen-route cross-check is honest: at default resolution the
-    # oscillatory even bump is under-resolved (48 modes) and the guard trips;
-    # with a denser basis the route agrees and the quadrature value returns
+    # the cross-check is honest: the even bump's quadrature value returns at
+    # the default basis, and the same f with a mis-scaled gradient (energy
+    # 0.2% high, values unchanged) trips the guard
     p = MeasureParams(1, 1.2)
     f = _even_1d_bump(0)
-    with pytest.raises(DeficitMismatch):
-        deficit(f, p, "lower")
-    d = deficit(f, p, "lower", disc=Discretization(m=768, delta=2e-3), kept=192)
+    d = deficit(f, p, "lower")
     assert d < -1.0
     assert np.isclose(d, -47.514289238997755, rtol=1e-6)  # frozen quadrature value
+    skewed = dataclasses.replace(f, gradient=lambda x: 1.001 * f.gradient(x))
+    with pytest.raises(DeficitMismatch):
+        deficit(skewed, p, "lower")
 
 
-def test_deficit_keeps_at_most_nn_minus_one_pairs():
-    # kept past the mode size is clamped to the nn - 1 pairs ARPACK computes;
-    # on every pair of m = 512 the even bump's route agrees with quadrature
-    d = deficit(_even_1d_bump(0), MeasureParams(1, 2.0), "upper",
-                disc=Discretization(m=512, delta=2e-3), kept=10_000)
+def test_deficit_even_bump_upper_returns_quadrature():
+    # the even bump's upper-range value passes the cross-check at the
+    # default basis
+    d = deficit(_even_1d_bump(0), MeasureParams(1, 2.0), "upper")
     assert np.isclose(d, -16.51371388386978, rtol=1e-6)  # frozen quadrature value
 
 
 def test_deficit_route_starts_from_the_projection():
-    # the route expands the L^2(mu) projection the variance check starts
-    # from: 4.3e-4 off here, inside the guard, where expanding the nodal
-    # values of this bump was 1.17e-3 off and tripped it
-    d = deficit(_even_1d_bump(3), MeasureParams(1, 1.2), "lower",
-                disc=Discretization(m=512, delta=2e-3), kept=10_000)
+    # the route's flow starts from the L^2(mu) projection the variance check
+    # starts from, where expanding the nodal values of this bump was 1.17e-3
+    # off and tripped the guard
+    d = deficit(_even_1d_bump(3), MeasureParams(1, 1.2), "lower")
     assert d < 0.0
     assert np.isclose(d, -4.646979294260187, rtol=1e-6)  # frozen quadrature value
+
+
+def _radial_bump(n, r_in=1.0, r_out=2.5):
+    # g(|x|) = (1 + 0.7 r^2 - 0.4 r^4) b(r), b the C^2 bump profile: compact
+    # and radial, so the cross-check takes it at every n
+    def parts(x):
+        s = np.sum(x * x, axis=1)
+        r = np.sqrt(s)
+        b, db = _bump_profile(r, r_in, r_out, order=1)
+        return s, np.where(r > 0, r, 1.0), b, db, 1.0 + 0.7 * s - 0.4 * s * s
+
+    def value(x):
+        *_, b, _, g = parts(x)
+        return g * b
+
+    def gradient(x):
+        s, r, b, db, g = parts(x)
+        return (2.0 * (0.7 - 0.8 * s) * b + g * db / r)[:, None] * x
+
+    def hessian(x):
+        raise NotImplementedError
+
+    return SmoothFunction(value, gradient, hessian, r_out, "radial bump",
+                          (r_in, r_out), 0)
+
+
+_ROUTE_CASES = (
+    [pytest.param(_even_1d_bump(s), MeasureParams(1, beta), tag,
+                  id=f"even{s}-1-{beta}-{tag}")
+     for beta, tag in ((1.2, "lower"), (1.5, "lower"), (2.0, "upper"), (4.0, "upper"))
+     for s in range(8)]
+    + [pytest.param(_radial_bump(n), MeasureParams(n, beta), tag,
+                    id=f"radial-{n}-{beta}-{tag}")
+       for n, windows in ((2, ((1.5, "lower"), (2.5, "mid"), (4.0, "upper"))),
+                          (3, ((2.0, "lower"), (3.5, "mid"), (5.0, "upper"))),
+                          (5, ((3.0, "lower"), (5.0, "mid"), (7.0, "upper"))))
+       for beta, tag in windows])
+
+
+@pytest.mark.parametrize("f, p, tag", _ROUTE_CASES)
+def test_route_deficit_matches_quadrature(f, p, tag):
+    # rho N_0 - E_0 of the projection converges to the quadrature deficit at
+    # second order (error ratio 4 per halving of the grid), and Richardson's
+    # (4 d_2m - d_m) / 3 lands within 1e-5
+    rho = _range_lambda(p, tag)
+    var, energy = _var_and_energy(f, p)
+    quad = rho * var - energy
+    d = []
+    for disc in (_ROUTE_DISC, _ROUTE_FINE):
+        prob, v, mass = _route_start(f, p, disc)
+        d.append((rho * (v @ (prob.B @ v)) - v @ (prob.A @ v)) / mass)
+    assert abs((d[0] - quad) / (d[1] - quad) - 4.0) <= 0.1
+    assert abs(_route_deficit(f, p, rho) - quad) <= 1e-5 * abs(quad)
+    assert deficit(f, p, tag) == quad
+
+
+def _linear_route_reference(n, beta, tag, a_norm):
+    # the eigen-triple's amplitude algebra the one-mode value replaced: the
+    # mode 2(beta - 1) with integrand amp e^{-2 lam t}, time integral -amp/lam
+    lam = 2.0 * (beta - 1.0)
+    msq = mean_sq_norm(MeasureParams(n, beta))
+    if tag == "upper":
+        amp = 0.0
+    elif tag == "mid":
+        amp = 4.0 * (beta - 1.0) * (n + 1.0 - beta) * a_norm ** 2 * msq / n
+    else:
+        e0 = n / 2.0 + 2.0 - beta
+        c0 = e0 * (beta + n / 2.0)
+        btil = ((n - 2.0) * (4.0 * (beta - 1.0) ** 2
+                             - 4.0 * (n - 2.0) * (beta - 1.0)
+                             + (n + 2.0) ** 2) / (8.0 * (n - 1.0)))
+        s2 = a_norm ** 2 * msq / n
+        mm = e0 * e0 * 0.5 * (a_norm ** 2 * msq + s2)
+        tt = e0 * e0 * s2
+        amp = ((n / (n - 1.0)) * mm - tt / (n - 1.0)
+               + btil * (n - 1.0) * s2 + c0 * a_norm ** 2)
+    return -amp / lam
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_route_linear_matches_the_amplitude_algebra(n):
+    # <a, x> is in L^2 from beta > n/2 + 1 on: the lower window's top half,
+    # the whole mid window and the upper range
+    a = np.linspace(1.0, -0.5, n)
+    f = make_linear(a)
+    windows = {"lower": np.linspace(n / 2.0 + 1.0, n / 2.0 + 2.0, 6)[1:],
+               "mid": np.linspace(n / 2.0 + 1.0, n + 1.0, 6)[1:],
+               "upper": np.linspace(n + 1.0, n + 6.0, 6)}
+    for tag, betas in windows.items():
+        for beta in betas:
+            p = MeasureParams(n, float(beta))
+            got = _route_deficit(f, p, _range_lambda(p, tag))
+            ref = _linear_route_reference(n, float(beta), tag, float(np.linalg.norm(a)))
+            assert abs(got - ref) <= 1e-13 * max(abs(ref), 1e-300), (tag, beta)
 
 
 def test_deficit_linear_on_the_line():
@@ -532,14 +630,35 @@ def test_deficit_trace_lower_decays():
     p = MeasureParams(1, 1.2)
     f = _even_1d_bump(0)
     t = np.linspace(0.0, 6.0, 7)
-    rows = deficit_trace(f, p, "lower", t,
-                         disc=Discretization(m=768, delta=2e-3), kept=128)
+    rows = deficit_trace(f, p, "lower", t)
     vals = rows[:, 1]
     assert vals[0] > 1e-3          # integrand positive at t = 0
     assert vals[-1] < vals[0] * 1e-2  # and decays along the flow
-    # generic multi-mode shapes have no eigen-route representation
+    # generic multi-mode shapes have no route representation
     with pytest.raises(ValueError):
         deficit_trace(make_random_test(0, 2), MeasureParams(2, 1.5), "lower", t)
+
+
+@pytest.mark.parametrize("f, p, tag", [
+    (_even_1d_bump(0), MeasureParams(1, 1.2), "lower"),
+    (_even_1d_bump(5), MeasureParams(1, 2.0), "upper"),
+    (_radial_bump(3), MeasureParams(3, 3.5), "mid"),
+], ids=["even-1.2", "even-2.0", "radial-3"])
+def test_deficit_trace_matches_dense_spectrum(f, p, tag):
+    # the trace's pairs against every pair of the same projection from a
+    # dense eigh: q(t) = sum lam (lam - rho) c^2 e^{-2 lam t} / 1'B1
+    rho = _range_lambda(p, tag)
+    prob, v, mass = _route_start(f, p, _ROUTE_DISC)
+    lam, phi = sla.eigh(prob.A.toarray(), prob.B.toarray())
+    c = phi.T @ (prob.B @ v)
+    t = np.array([0.05, 0.25, 1.0, 6.0])
+    dense = np.exp(-2.0 * np.outer(t, lam)) @ (lam * (lam - rho) * c * c) / mass
+    rows = deficit_trace(f, p, tag, t)
+    assert np.allclose(rows[:, 1], dense, rtol=1e-10, atol=0.0)
+    if tag == "lower":
+        # the truncation the docstring states: 48 pairs miss 13% of q(0)
+        q0 = float(np.sum(lam * (lam - rho) * c * c)) / mass
+        assert 0.12 < 1.0 - deficit_trace(f, p, tag, [0.0])[0, 1] / q0 < 0.14
 
 
 def test_extremal_residuals():
