@@ -33,10 +33,18 @@ class SmoothFunction:
     # joints); quadrature rules pin panel edges there
     radial_seams: tuple = ()
     # spherical-harmonic sector when the function lives in a single one:
-    # 0 = radial, 1 = linear-in-x (plus a constant); None = generic
+    # 0 = radial (on the line, even), 1 = linear-in-x (plus a constant);
+    # None = generic.  The deficit's cross-check trusts this declaration.
     angular_mode: Optional[int] = None
     # analytic gradient of the Laplacian, (N, n) -> (N, n), where known
     grad_laplacian: Optional[Callable[[Array], Array]] = None
+    # rows(r, u, order): [f, grad f, distinct Hess f, grad Lap f][:order + 1]
+    # at the nodes r_i u_j of whole radial rows, in RandomTestFields.fields'
+    # layout with T = 1, where f has a factored form.  Where set, quadrature
+    # reads rows instead of value/gradient/hessian/grad_laplacian, so it must
+    # agree with them: a copy that replaces any of those must also replace
+    # or clear rows (rows=None).
+    rows: Optional[Callable[[Array, Array, int], list]] = None
 
 
 def _as_points(x: Array) -> Array:
@@ -341,8 +349,9 @@ class RandomTestFields:
 
     Precondition: r = (1,) (the points u as given) or every u_j is a unit
     vector (whole radial rows of a tensor rule); the clamp of the polynomial
-    argument relies on it.  As x^a = r^|a| u^a, the monomial table is built
-    on u only.  `order` (0..3) is the highest derivative evaluated.
+    argument and the one bump profile per radius r_i rely on it.  As
+    x^a = r^|a| u^a, the monomial table is built on u only.  `order` (0..3)
+    is the highest derivative evaluated.
     """
 
     def __init__(self, r: Array, u: Array, order: int = 3):
@@ -358,8 +367,11 @@ class RandomTestFields:
         R = RANDOM_TEST_RADIUS
         self._mono = _monomials(u * (R / np.maximum(s, R))[:, None], cuts, parent, var)
         self._rpow = np.minimum(r, R)[:, None] ** np.arange(RANDOM_TEST_DEGREE + 1)
-        rho = np.outer(r, s).ravel()  # |x| at the nodes i J + j
-        bump = _bump_profile(rho, *RANDOM_TEST_SEAMS, order)
+        # the profile once per distinct |x|: r_i on whole rows, r_0 |u_j| else
+        radii, repeat = (r, len(u)) if len(r) > 1 else (r[0] * s, 1)
+        bump = [np.repeat(b, repeat)
+                for b in _bump_profile(radii, *RANDOM_TEST_SEAMS, order)]
+        rho = np.repeat(radii, repeat)  # |x| at the nodes i J + j
         self._b = bump[0]
         if order == 0:
             return
@@ -442,8 +454,11 @@ def make_random_test(seed: int, n: int) -> SmoothFunction:
     C^2 bump supported in |x| <= RANDOM_TEST_RADIUS."""
     coefs, (label,) = random_test_coefficients([seed], n)
 
+    def rows(r, u, order):
+        return RandomTestFields(r, u, order).fields(coefs)
+
     def fields(x, order):
-        return RandomTestFields(np.ones(1), _as_points(x), order).fields(coefs)[order]
+        return rows(np.ones(1), _as_points(x), order)[order]
 
     def value(x):
         return fields(x, 0)[0]
@@ -459,7 +474,8 @@ def make_random_test(seed: int, n: int) -> SmoothFunction:
         return np.ascontiguousarray(fields(x, 3)[:, 0].T)
 
     return SmoothFunction(value, gradient, hessian, RANDOM_TEST_RADIUS, label,
-                          radial_seams=RANDOM_TEST_SEAMS, grad_laplacian=grad_laplacian)
+                          radial_seams=RANDOM_TEST_SEAMS, grad_laplacian=grad_laplacian,
+                          rows=rows)
 
 
 def _exponents(n: int, total: int):

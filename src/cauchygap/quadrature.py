@@ -226,11 +226,10 @@ def _node_blocks(params: MeasureParams, spec: QuadratureSpec,
 def integrate_nd(g: Callable[[Array], Array], params: MeasureParams,
                  spec: QuadratureSpec,
                  support_radius: Optional[float] = None,
-                 seams: tuple = (), angular_mode: Optional[int] = None):
-    """int g dmu by a deterministic tensor rule (n <= 3; any n with
-    angular_mode 0 or 1).  `support_radius` truncates the radial rule;
-    `seams` pins panel edges at radii where g loses smoothness;
-    `angular_mode` is that of the f that g is built from (`_node_blocks`).
+                 seams: tuple = ()):
+    """int g dmu by a deterministic tensor rule (n <= 3).  `support_radius`
+    truncates the radial rule; `seams` pins panel edges at radii where g
+    loses smoothness.
 
     g is called on blocks of nodes x (k, n) of whole radial rows, with
     k <= _NODE_CHUNK unless one row is longer (`_node_blocks`), so memory
@@ -239,8 +238,7 @@ def integrate_nd(g: Callable[[Array], Array], params: MeasureParams,
     to an array of shape (m,); any other shape raises ValueError.
     """
     total = 0.0
-    for x, w, *_ in _node_blocks(params, spec, support_radius, seams,
-                                 angular_mode):
+    for x, w, *_ in _node_blocks(params, spec, support_radius, seams):
         fields = np.asarray(g(x), dtype=float)
         if fields.ndim not in (1, 2) or fields.shape[-1] != len(w):
             raise ValueError(f"integrand returned shape {fields.shape} on "
@@ -248,6 +246,20 @@ def integrate_nd(g: Callable[[Array], Array], params: MeasureParams,
                              f"(m, {len(w)})")
         total = total + fields @ w
     return float(total) if np.ndim(total) == 0 else total
+
+
+def _block_fields(f: SmoothFunction, x: Array, r: Array, u: Array,
+                  order: int) -> list:
+    """[f, grad f, distinct Hess f, grad Lap f][:order + 1] of f on one block
+    (x, w, r, u) of `_node_blocks`, in `RandomTestFields.fields`' layout
+    with T = 1: from f.rows where f sets it, else pointwise at x."""
+    if f.rows is not None:
+        return f.rows(r, u, order)
+    iu, ju = np.triu_indices(x.shape[1])
+    calls = (f.value, f.gradient, lambda x: f.hessian(x)[:, iu, ju],
+             f.grad_laplacian)[:order + 1]
+    return [call(x).T[:, None] if k else call(x)[None]
+            for k, call in enumerate(calls)]
 
 
 def default_nd_spec(n: int) -> QuadratureSpec:
@@ -331,16 +343,11 @@ class _FieldPack:
     def of_function(cls, f: SmoothFunction, params: MeasureParams,
                     blocks) -> "_FieldPack":
         """Pack of f over the node blocks of `_node_blocks`."""
-        iu, ju = np.triu_indices(params.n)
-
-        def stack(a):  # (K, rows) -> (rows, 1, K)
-            return a.T[:, None]
-
+        order = 2 if f.grad_laplacian is None else 3
         totals = np.zeros((10, 1))
-        for x, w, *_ in blocks:
-            gdl = None if f.grad_laplacian is None else stack(f.grad_laplacian(x))
-            totals += _field_integrals(x, w, params, stack(f.gradient(x)),
-                                       stack(f.hessian(x)[:, iu, ju]), gdl)
+        for x, w, r, u in blocks:
+            _, g, hess, *gdl = _block_fields(f, x, r, u, order)
+            totals += _field_integrals(x, w, params, g, hess, *gdl)
         return cls(totals, params)
 
     @classmethod

@@ -26,7 +26,7 @@ from scipy import linalg as sla
 
 from .functions import SmoothFunction, _row_sq_norms
 from .measures import MeasureParams, mean_sq_norm
-from .quadrature import default_nd_spec, integrate_nd
+from .quadrature import _block_fields, _node_blocks, default_nd_spec
 from .spectral import (_WGL, _XGL, GAP_FORMULA, Discretization, ModeProblem,
                        _cholesky, _mode_problems, _node_diag, lowest_eigpairs,
                        range_edges)
@@ -243,19 +243,18 @@ def _range_lambda(params: MeasureParams, range_tag: str) -> float:
 
 def _var_and_energy(f: SmoothFunction, params: MeasureParams):
     """Var(f) and int Gamma(f) dmu in one pass over the tensor rule: per
-    node block, one value and one gradient call give f, f^2 and
+    node block, one order-1 evaluation (`_block_fields`) gives f, f^2 and
     (1 + |x|^2) |grad f|^2.  For f in the sectors ell <= 1 (angular_mode 0
     or 1) these are of degree <= 2 on every sphere, so the rule's
     directions are the 2n points +-e_i, at every n."""
-    def fields(x):
-        v = f.value(x)
-        return np.stack([v, v * v,
-                         (1.0 + _row_sq_norms(x)) * _row_sq_norms(f.gradient(x))])
-
-    mean, sq, energy = integrate_nd(fields, params, default_nd_spec(params.n),
-                                    support_radius=f.support_radius,
-                                    seams=f.radial_seams,
-                                    angular_mode=f.angular_mode)
+    total = 0.0
+    for x, w, r, u in _node_blocks(params, default_nd_spec(params.n),
+                                   f.support_radius, f.radial_seams,
+                                   f.angular_mode):
+        (v,), g = _block_fields(f, x, r, u, 1)
+        total = total + np.stack([v, v * v, (1.0 + _row_sq_norms(x))
+                                  * _row_sq_norms(g[:, 0].T)]) @ w
+    mean, sq, energy = total
     return sq - mean ** 2, energy
 
 
@@ -269,16 +268,12 @@ def _linear_variance(f: SmoothFunction, params: MeasureParams) -> float:
 def _route_start(f: SmoothFunction, params: MeasureParams,
                  disc: Discretization):
     """The gate of the cross-check, for f other than linear: a compactly
-    supported radial f (on the line: whose odd part is below
-    1e-13 max(1, |even part|) at the Gauss points of `_mode_loads`) gives
-    its ell = 0 projection (problem, v, mass) from `_projected_start`; every
-    other f gives None, before any mode is assembled."""
-    if f.support_radius is None or (params.n > 1 and f.angular_mode != 0):
+    supported f that declares itself radial (angular_mode 0; on the line,
+    even) gives its ell = 0 projection (problem, v, mass) from
+    `_projected_start`; every other f gives None, before any load is built."""
+    if f.support_radius is None or f.angular_mode != 0:
         return None
     loads = _mode_loads(f, params, disc)
-    if params.n == 1 and np.max(np.abs(loads[1][0])) > 1e-13 * max(
-            1.0, np.max(np.abs(loads[0][0]))):
-        return None
     (prob,), (v,), mass = _projected_start({0: loads[0]}, params, disc)
     return prob, v, mass
 
@@ -318,10 +313,10 @@ def deficit(f: SmoothFunction, params: MeasureParams, range_tag: str) -> float:
     integral -2 int_0^inf int F(P_t f) dmu dt, in closed form along the
     exact heat flow of f's L^2(mu) projection, must agree within 1e-3
     (relative), else DeficitMismatch.  It takes linear f, and compactly
-    supported f that are radial (on the line: whose odd part vanishes).
-    Every other f gets the quadrature value alone: random bumps for n >= 2,
-    1-D bumps with an odd part, and profiles without compact support (the
-    power family, the centered quadratic).
+    supported f that declare themselves radial (angular_mode 0; on the
+    line, even).  Every other f gets the quadrature value alone: random
+    bumps at every n, and profiles without compact support (the power
+    family, the centered quadratic).
 
     Linear and radial f (angular_mode 1 or 0) run at every n; any other f,
     such as a random bump, raises ValueError past n = 3.
@@ -342,7 +337,9 @@ def deficit_trace(f: SmoothFunction, params: MeasureParams, range_tag: str,
                   times) -> np.ndarray:
     """Rows (t, q(t)) of the corollary time integral's integrand
     q(t) = int F(P_t f) dmu = int (L P_t f)^2 dmu - rho int Gamma(P_t f) dmu,
-    for the f the cross-check of `deficit` takes (ValueError for any other).
+    for the f the cross-check of `deficit` takes: linear f, and compactly
+    supported f with angular_mode 0 (on the line, even); ValueError for any
+    other.
 
     A linear f is one exact eigenmode lam = 2(beta - 1):
     q = lam (lam - rho) Var f e^{-2 lam t}.  Otherwise

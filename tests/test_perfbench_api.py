@@ -12,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from cauchygap import semigroup
+from cauchygap.measures import MeasureParams
+
 ROOT = Path(__file__).resolve().parents[1]
 KNOWN_RAISES = {"numeric_gap(3, 200)": "NumericalBreakdown"}
 
@@ -39,3 +42,17 @@ def test_toy_pass_raises_nothing_unexpected(name):
     for label, error in raised.items():
         assert label in KNOWN_RAISES and KNOWN_RAISES[label] in error, (label, error)
     w.metrics(rec, 1.0)
+
+
+def test_heat_flow_deficit_set_passes_at_full_size():
+    # the deficit set has no grid for the toy pass to coarsen, so its checks
+    # hold as the benchmark runs them: a sign flip in any deficit would show
+    # as a failed op in heat_flow
+    heat = workloads.HeatFlow
+    failed = []
+    for s in range(4):
+        for label, (n, beta), make, sign in heat._deficit_set(s):
+            value = semigroup.deficit(make(), MeasureParams(n, beta), label.split()[0])
+            if not heat.check_deficit(value, sign)[0]:
+                failed.append((s, label, value))
+    assert failed == []

@@ -133,13 +133,13 @@ def test_integrate_nd_refuses_malformed_integrands():
 
 
 def test_integrate_nd_refuses_n_above_three():
-    # the deterministic sphere rules stop at n = 3; only an integrand of a
-    # radial or linear f (angular_mode 0 or 1) runs on the +-e_i rule there
+    # the deterministic sphere rules stop at n = 3; only the node blocks of
+    # a radial or linear f (angular_mode 0 or 1) run on the +-e_i rule there
     p = MeasureParams(4, 3.0)
     with pytest.raises(ValueError, match="n <= 3"):
         integrate_nd(lambda x: np.ones(x.shape[0]), p, default_nd_spec(4))
-    one = integrate_nd(lambda x: np.ones(x.shape[0]), p, default_nd_spec(4),
-                       angular_mode=1)
+    one = sum(w.sum() for _, w, *_ in quadrature._node_blocks(
+        p, default_nd_spec(4), angular_mode=1))
     assert np.isclose(one, 1.0, rtol=1e-12)
 
 

@@ -17,7 +17,7 @@ from cauchygap.functions import (
 )
 from cauchygap.measures import MeasureParams, mean_sq_norm, omega_moment
 from cauchygap.quadrature import default_nd_spec, integrate_nd
-from cauchygap import quadrature, spectral
+from cauchygap import functions, quadrature, semigroup, spectral
 from cauchygap.semigroup import (
     _ROUTE_DISC,
     _ROUTE_FINE,
@@ -280,6 +280,7 @@ def _three_call_var_and_energy(f, p):
     (lambda: make_linear(np.array([0.3, 1.0, -2.0])), 3, 3.0),
     (lambda: make_quadratic_centered(MeasureParams(2, 4.0)), 2, 4.0),
     (lambda: make_power_family(0.3), 3, 2.2),
+    (lambda: make_random_test(0, 3), 3, 2.0),
 ])
 def test_var_and_energy_matches_three_call_formula(make, n, beta):
     # the one-pass stacked integral gives the heat_flow deficit inputs'
@@ -299,8 +300,23 @@ def test_var_and_energy_matches_three_call_formula(make, n, beta):
 ])
 def test_var_and_energy_directions_per_radius(make, n, beta):
     # a linear or radial f's integrand sees the 2n directions +-e_i at every
-    # radius of the rule; a random bump still sees the spec's sphere rule
+    # radius of the rule; a random bump still sees the spec's sphere rule,
+    # on whole radial rows r_i u_j of its factored form (f.rows)
     f, p = make(), MeasureParams(n, beta)
+    spec = default_nd_spec(n)
+    r, _ = quadrature._radial_rule(p, spec, f.support_radius, f.radial_seams)
+    if f.rows is not None:
+        rows_seen = []
+
+        def rows(r, u, order):
+            rows_seen.append((r, u))
+            return f.rows(r, u, order)
+
+        _var_and_energy(dataclasses.replace(f, rows=rows), p)
+        sphere = quadrature._sphere_directions(n, spec.angular_nodes)[0]
+        assert all(np.array_equal(u, sphere) for _, u in rows_seen)
+        assert np.array_equal(np.concatenate([ri for ri, _ in rows_seen]), r)
+        return
     seen = []
 
     def value(x):
@@ -311,14 +327,8 @@ def test_var_and_energy_directions_per_radius(make, n, beta):
     x = np.concatenate(seen)
     radii = np.sqrt(np.sum(x * x, axis=1))
     dirs = np.unique(np.round(x / radii[:, None], 12), axis=0)
-    spec = default_nd_spec(n)
-    if f.angular_mode is None:
-        expect = len(quadrature._sphere_directions(n, spec.angular_nodes)[1])
-    else:
-        expect = 2 * n
-        assert np.all(np.isin(dirs, (-1.0, 0.0, 1.0)))
-    r, _ = quadrature._radial_rule(p, spec, f.support_radius, f.radial_seams)
-    assert len(dirs) == expect and len(x) == expect * len(r)
+    assert np.all(np.isin(dirs, (-1.0, 0.0, 1.0)))
+    assert len(dirs) == 2 * n and len(x) == 2 * n * len(r)
 
 
 def test_deficit_memory_does_not_grow_with_the_rule():
@@ -397,6 +407,54 @@ def test_deficit_lower_strictly_negative():
         f = make_random_test(seed, 2)
         d = deficit(f, p, "lower")
         assert d < -1e-6
+
+
+@pytest.mark.parametrize("n, beta", [(2, 1.5), (3, 2.0)])
+def test_deficit_tables_are_built_on_the_directions(monkeypatch, n, beta):
+    # a random bump's deficit evaluates it in factored form on whole radial
+    # rows: every monomial table has one column per sphere direction and
+    # every bump profile one point per radius of a block, never one per node
+    p, spec = MeasureParams(n, beta), default_nd_spec(n)
+    f = make_random_test(0, n)
+    directions = len(quadrature._sphere_directions(n, spec.angular_nodes)[1])
+    blocks = list(quadrature._node_blocks(p, spec, f.support_radius, f.radial_seams))
+    radii = max(len(r) for *_, r, _ in blocks)
+    assert max(len(w) for _, w, *_ in blocks) > 10 * max(directions, radii)
+    tables, profiles = [], []
+    table, profile = functions._monomials, functions._bump_profile
+
+    def table_spy(x, *basis):
+        tables.append(len(x))
+        return table(x, *basis)
+
+    def profile_spy(r, *args):
+        profiles.append(len(r))
+        return profile(r, *args)
+
+    monkeypatch.setattr(functions, "_monomials", table_spy)
+    monkeypatch.setattr(functions, "_bump_profile", profile_spy)
+    deficit(f, p, "lower")
+    assert tables and max(tables) <= directions
+    assert profiles and max(profiles) <= radii
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_deficit_refuses_a_1d_random_bump_before_its_loads(monkeypatch, seed):
+    # the gate reads the declared sector: a 1-D random bump declares none
+    # (it has an odd part), so no mode load is built for it and the deficit
+    # is exactly the quadrature value
+    p = MeasureParams(1, 1.2)
+    f = make_random_test(seed, 1)
+    assert f.angular_mode is None
+    loads = []
+    monkeypatch.setattr(semigroup, "_mode_loads", lambda *args: loads.append(args))
+    rho = _range_lambda(p, "lower")
+    var, energy = _var_and_energy(f, p)
+    assert _route_deficit(f, p, rho) is None
+    assert deficit(f, p, "lower") == rho * var - energy
+    with pytest.raises(ValueError, match="not representable"):
+        deficit_trace(f, p, "lower", [0.0, 1.0])
+    assert loads == []
 
 
 def test_deficit_power_family_closed_moments():
