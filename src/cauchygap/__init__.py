@@ -22,9 +22,8 @@ from .semigroup import (DeficitMismatch, default_horizon, deficit,
                         variance_representation_check)
 from .spectral import (Discretization, GapReport, ModeProblem, SWEEP_COLUMNS,
                        assemble_mode, closed_form_gap, gap_sweep, lowest_eigs,
-                       numeric_gap, rayleigh_quotient_1d,
-                       rayleigh_quotient_power, upper_bound_min,
-                       write_sweep_csv)
+                       mode_spectrum, numeric_gap, rayleigh_quotient_1d,
+                       rayleigh_quotient_power, write_sweep_csv)
 
 __all__ = [
     "ALL_TAGS", "DeficitMismatch", "Discretization",
@@ -40,8 +39,8 @@ __all__ = [
     "lowfact_sign_check", "make_linear", "make_lower_extremal_1d",
     "make_one_d_family", "make_power_family", "make_quadratic_centered",
     "make_radial_log_cutoff", "make_random_test", "mean_sq_norm",
-    "normalization", "numeric_gap", "omega_moment", "rayleigh_quotient_1d",
-    "rayleigh_quotient_power", "sample", "upper_bound_min", "verify_all",
+    "mode_spectrum", "normalization", "numeric_gap", "omega_moment",
+    "rayleigh_quotient_1d", "rayleigh_quotient_power", "sample", "verify_all",
     "verify_identity", "variance_representation_check", "write_sweep_csv",
 ]
 

@@ -23,7 +23,13 @@ Hats couple only to their neighbours and rays only to the last hat, so A
 and B are symmetric bands of half-width <= 2, kept in LAPACK band storage.
 Every mode size takes one eigensolver: Lanczos on the symmetric
 shift-invert operator L^{-1} B L^{-T}, with A - sigma B = L L' a banded
-Cholesky factor at a small negative shift sigma.
+Cholesky factor.  A gap solve shifts each mode ell >= 1 to just under its
+closed-form bottom (mode_spectrum), where Lanczos converges in a few steps;
+mode 0, whose constants lie under any positive shift, is solved at a small
+negative sigma.  The bottom is also the guard: Galerkin values are upper
+bounds, so a value under the shift (a failed factorization there, or a
+mode-0 value under it) raises NumericalBreakdown instead of returning a
+wrong gap.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ __all__ = [
     "Discretization", "SymBand", "ModeProblem", "NumericalBreakdown", "GapReport",
     "range_edges", "GAP_FORMULA", "closed_form_gap", "assemble_mode", "lowest_eigpairs",
     "lowest_eigs", "numeric_gap",
-    "rayleigh_quotient_power", "rayleigh_quotient_1d", "upper_bound_min",
+    "rayleigh_quotient_power", "rayleigh_quotient_1d", "mode_spectrum",
     "gap_sweep", "write_sweep_csv",
 ]
 
@@ -85,20 +91,20 @@ def closed_form_gap(params: MeasureParams) -> tuple[float, str]:
     return GAP_FORMULA[tag](n, beta), tag
 
 
-def upper_bound_min(params: MeasureParams) -> float:
-    """Minimum of the admissible test-family Rayleigh limits.
+def mode_spectrum(params: MeasureParams, ell: int) -> list[float]:
+    """Closed-form bottom of the spectrum of -L on mode ell, ascending.
 
-    Candidates: (beta-n/2)^2 always; 2(beta-1) when linear functions are in
-    L^2 (beta > n/2+1); 4(beta-n/2-1) when centered quadratics are
-    (beta > n/2+2).  The minimum reproduces the closed-form gap.
+    L is triangular on r^k Y_ell, k = ell + 2j; each k < beta - n/2 gives the
+    eigenvalue 2(beta-1)k - k(k+n-2) + ell(ell+n-2), which lies
+    (beta - n/2 - k)^2 below the edge e_ell = (beta-n/2)^2 + ell(ell+n-2) of
+    the continuous spectrum, the last entry (the heavy-tailed Pearson
+    spectrum: Forman & Sorensen 2008; Avram, Leonenko & Suvak 2013).
     """
     n, beta = params.n, params.beta
-    cands = [GAP_FORMULA["lower"](n, beta)]
-    if beta > n / 2.0 + 1.0:
-        cands.append(GAP_FORMULA["upper"](n, beta))
-    if beta > n / 2.0 + 2.0:
-        cands.append(GAP_FORMULA["mid"](n, beta))
-    return min(cands)
+    cl = ell * (ell + n - 2)
+    ks = np.arange(ell, beta - n / 2.0, 2)
+    vals = 2.0 * (beta - 1.0) * ks - ks * (ks + n - 2) + cl
+    return vals.tolist() + [(beta - n / 2.0) ** 2 + cl]
 
 
 def rayleigh_quotient_power(epsilon: float, params: MeasureParams) -> float:
@@ -393,24 +399,31 @@ def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
     return next(_mode_problems((ell,), params, disc, tail_rays))
 
 
-def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
+# Shift margin and Krylov size of a floored solve, measured on the ell >= 1
+# pencils of the benchmark sweep at m = 2048: 212 Lanczos steps against 577
+# at sigma ~ 0, every value within 2e-12 of the unshifted solve.
+_FLOOR_MARGIN = 1e-2
+_FLOOR_NCV = 6
+
+
+def lowest_eigpairs(problem: ModeProblem, k: int,
+                    floor: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
     """k smallest generalized eigenpairs of (A, B): ascending values and the
     B-orthonormal vectors as columns.
 
     Needs k >= 1; k >= nn (the matrix size) is clamped to nn - 1, the most
-    ARPACK computes.  Shift-invert Lanczos in standard form (Ericsson & Ruhe
-    1980) about sigma = -1e-6 * (median diagonal ratio of A to B), where
-    A - sigma B = L L' is positive definite: the largest eigenvalues theta of
-    the symmetric C = L^{-1} B L^{-T} give lam = sigma + 1/theta, and an
-    eigenvector y of C gives phi = L^{-T} y, B-normalized.  Each Lanczos step
-    is one callback: two banded triangular solves and one B product.
-    Keep k well below nn: near it Lanczos is far slower than a dense solve
-    (one BLAS thread, the ell = 0 pencil at (1, 2.0), best of 5: k = 511 at
-    m = 512 takes 0.42-0.55 s against 0.08-0.11 s for a dense `eigh`), while
-    at k = 48 of m = 384 (0.012 s against 0.03 s) or k = 192 of m = 768
-    (0.21-0.24 s against 0.29-0.35 s) it is faster.
-    Raises NumericalBreakdown on non-finite or underflowed entries or a
-    failed factorization.
+    ARPACK computes, and near nn Lanczos is far slower than a dense solve.
+    Shift-invert Lanczos in standard form (Ericsson & Ruhe 1980) about a
+    sigma where A - sigma B = L L' is positive definite: the largest
+    eigenvalues theta of the symmetric C = L^{-1} B L^{-T} give
+    lam = sigma + 1/theta, and an eigenvector y of C gives phi = L^{-T} y,
+    B-normalized.  Each Lanczos step is one callback: two banded triangular
+    solves and one B product.  sigma = -1e-6 * (median diagonal ratio of A
+    to B), or, given a floor under the spectrum (a mode_spectrum bottom),
+    (1 - _FLOOR_MARGIN) * floor, where a few steps on _FLOOR_NCV vectors
+    converge.  Galerkin values are upper bounds, so a failed factorization
+    there is a value under the floor.  Raises NumericalBreakdown on
+    non-finite or underflowed entries or a failed factorization.
     """
     if k < 1:
         raise ValueError("need k >= 1 eigenpairs")
@@ -422,9 +435,13 @@ def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarra
     nh = nn - len(problem.ray_ks)
     if not (np.all(B.band[0] > 0.0) and np.all(B.band[1, :nh - 1] > 0.0)):
         raise NumericalBreakdown(problem, "mass entries underflowed to zero")
-    scale = float(np.median(np.abs(A.band[0]) / B.band[0]))
-    sigma = -1e-6 * max(scale, 1.0)
-    factor = _cholesky(problem, A.band - sigma * B.band, "A - sigma B")
+    if floor is None:
+        scale = float(np.median(np.abs(A.band[0]) / B.band[0]))
+        sigma, ncv, what = -1e-6 * max(scale, 1.0), None, "A - sigma B"
+    else:
+        sigma, at = _floor_shift(floor)
+        ncv, what = min(nn, max(_FLOOR_NCV, 2 * k + 1)), f"A - sigma B at {at}"
+    factor = _cholesky(problem, A.band - sigma * B.band, what)
 
     def solve(x, trans):  # info is 0: the factor's diagonal is positive
         return dtbtrs(factor, x, uplo="L", trans=trans)[0]
@@ -432,7 +449,7 @@ def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarra
     theta, y = eigsh(
         LinearOperator((nn, nn), matvec=lambda x: solve(B @ solve(x, "T"), "N"),
                        dtype=float),
-        k=k, which="LA", v0=np.ones(nn))
+        k=k, which="LA", v0=np.ones(nn), ncv=ncv)
     vecs = solve(y, "T")
     vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, B @ vecs))
     vals = sigma + 1.0 / theta
@@ -440,9 +457,17 @@ def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarra
     return vals[order], vecs[:, order]
 
 
-def lowest_eigs(problem: ModeProblem, k: int) -> list[float]:
-    """The values of lowest_eigpairs(problem, k), ascending."""
-    return [float(v) for v in lowest_eigpairs(problem, k)[0]]
+def _floor_shift(floor: float) -> tuple[float, str]:
+    """The shift under a closed-form bottom, and its text for a breakdown."""
+    sigma = (1.0 - _FLOOR_MARGIN) * floor
+    return sigma, (f"sigma = {sigma:.6g} ({1.0 - _FLOOR_MARGIN:g} x the "
+                   f"closed-form bottom {floor:.6g})")
+
+
+def lowest_eigs(problem: ModeProblem, k: int,
+                floor: Optional[float] = None) -> list[float]:
+    """The values of lowest_eigpairs(problem, k, floor), ascending."""
+    return [float(v) for v in lowest_eigpairs(problem, k, floor)[0]]
 
 
 @dataclass(frozen=True)
@@ -469,14 +494,27 @@ def numeric_gap(params: MeasureParams, disc: Discretization,
 
     Mode 0 contributes its second eigenvalue (the first is the zero mode of
     constants); every higher mode its first.  On the line only the even/odd
-    sectors exist, so the effective maximal mode is 1.
+    sectors exist, so the effective maximal mode is 1.  Modes ell >= 1 are
+    solved floored at their mode_spectrum bottom; mode 0, whose constants
+    lie under any positive shift, at sigma ~ 0, and a value under
+    (1 - _FLOOR_MARGIN) x its bottom raises NumericalBreakdown.
     """
     if ell_max < 2:
         raise ValueError("need ell_max >= 2 (mode minimum must be attested)")
     n = params.n
     ell_eff = 1 if n == 1 else ell_max
-    per_mode = [lowest_eigs(prob, 2 if prob.ell == 0 else 1)[-1]
-                for prob in _mode_problems(range(ell_eff + 1), params, disc)]
+    per_mode = []
+    for prob in _mode_problems(range(ell_eff + 1), params, disc):
+        bottom = mode_spectrum(params, prob.ell)[1 if prob.ell == 0 else 0]
+        if prob.ell == 0:
+            lam = lowest_eigs(prob, 2)[1]
+            sigma, at = _floor_shift(bottom)
+            if lam < sigma:
+                raise NumericalBreakdown(
+                    prob, f"Galerkin value {lam:.6g} lies below {at}")
+        else:
+            lam = lowest_eigs(prob, 1, floor=bottom)[0]
+        per_mode.append(lam)
     gap = min(per_mode)
     mode = int(np.argmin(per_mode))
     closed, tag = closed_form_gap(params)

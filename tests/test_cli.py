@@ -48,6 +48,24 @@ def test_gap_numerical_breakdown(tmp_path, capsys):
     assert not (tmp_path / "gap.json").exists()
 
 
+def test_gap_and_sweep_value_under_its_bottom(tmp_path, capsys):
+    # at beta = 54 on the line the subnormal tail entries give a mode-0 value
+    # far under its closed-form bottom: a breakdown, and no row is written
+    out = tmp_path / "gap.json"
+    code = main(["gap", "--n", "1", "--beta", "54", "--m", "512",
+                 "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown: mode ell=0 (n=1, beta=54")
+    assert "closed-form bottom 210" in err
+    assert not out.exists()
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--n", "1", "--beta-min", "52", "--beta-max", "54",
+                 "--steps", "3", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert not out.exists()
+
+
 def test_gap_tolerance_failure(tmp_path):
     # the essential-spectrum edge converges too slowly for the default grid:
     # an honest exit 2, not a wrong answer

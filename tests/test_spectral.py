@@ -18,10 +18,10 @@ from cauchygap.spectral import (
     gap_sweep,
     lowest_eigpairs,
     lowest_eigs,
+    mode_spectrum,
     numeric_gap,
     rayleigh_quotient_1d,
     rayleigh_quotient_power,
-    upper_bound_min,
     write_sweep_csv,
 )
 
@@ -61,13 +61,33 @@ def test_closed_form_branch_continuity(n, h):
         assert min(lo, hi) - 1e-12 <= mid <= max(lo, hi) + 1e-12
 
 
-@given(st.integers(min_value=1, max_value=5),
-       st.floats(min_value=0.01, max_value=8.0))
-@settings(max_examples=80, deadline=None)
-def test_upper_bound_min_equals_closed_form(n, excess):
-    p = MeasureParams(n, n / 2.0 + excess)
-    v, _ = closed_form_gap(p)
-    assert np.isclose(upper_bound_min(p), v, rtol=1e-13)
+def test_closed_form_gap_is_the_lowest_mode_bottom():
+    # the gap is the least first nontrivial mode_spectrum entry over ell <= 2
+    # (ell <= 1 on the line): mode 0's second (its first is the constants),
+    # every other mode's first; the grid holds both window edges and n + 1
+    for n in range(1, 9):
+        edges = [n / 2.0 + 1.0, n / 2.0 + 2.0, n + 1.0]
+        for beta in np.concatenate([n / 2.0 + np.linspace(1e-3, 12.0, 4000), edges]):
+            p = MeasureParams(n, beta)
+            bottoms = [mode_spectrum(p, ell)[1 if ell == 0 else 0]
+                       for ell in range(2 if n == 1 else 3)]
+            v, _ = closed_form_gap(p)
+            assert abs(min(bottoms) - v) <= 2.2e-16 * v, (n, beta, bottoms, v)
+
+
+def test_mode_spectrum_table():
+    # the values r^k Y_ell give for k = ell + 2j < beta - n/2, then the edge
+    assert mode_spectrum(MeasureParams(2, 4.0), 0) == [0.0, 8.0, 9.0]
+    assert mode_spectrum(MeasureParams(2, 4.0), 1) == [6.0, 10.0]
+    assert mode_spectrum(MeasureParams(1, 54.0), 0)[:2] == [0.0, 210.0]
+    assert mode_spectrum(MeasureParams(1, 54.0), 1)[0] == 106.0
+    p = MeasureParams(3, 5.0)
+    assert np.allclose(mode_spectrum(p, 2), [16.0, 18.25], rtol=0, atol=1e-13)
+    # each value lies (beta - n/2 - k)^2 below the edge, ascending
+    for ell in range(4):
+        *vals, edge = mode_spectrum(p, ell)
+        ks = ell + 2 * np.arange(len(vals))
+        assert np.allclose(edge - np.array(vals), (3.5 - ks) ** 2, rtol=0, atol=1e-12)
 
 
 def test_rayleigh_power_family():
@@ -387,7 +407,10 @@ def test_numeric_gap_modes_match_one_mode_assembly(n, beta):
     # bands, hence the same values, as assembling each mode on its own
     disc = Discretization(m=256, delta=1e-3)
     p = MeasureParams(n, beta)
-    alone = tuple(lowest_eigs(assemble_mode(ell, p, disc), 2 if ell == 0 else 1)[-1]
+    # (mode 0 at sigma ~ 0, every other mode floored at its closed-form bottom)
+    alone = tuple(lowest_eigs(assemble_mode(ell, p, disc), 2)[1] if ell == 0 else
+                  lowest_eigs(assemble_mode(ell, p, disc), 1,
+                              floor=mode_spectrum(p, ell)[0])[0]
                   for ell in range(2 if n == 1 else 4))
     assert numeric_gap(p, disc).mode_eigs == alone
 
@@ -406,25 +429,6 @@ def test_numeric_gap_integrates_the_cells_once(monkeypatch, n, beta):
         calls.clear()
         numeric_gap(MeasureParams(n, beta), Discretization(m=96, delta=1e-3), ell_max)
         assert len(calls) == 2, ell_max
-
-
-# Per-mode values of numeric_gap at m = 2048, frozen from the generalized
-# (B-inner-product) shift-invert Lanczos that preceded the standard-form one
-# on the same bands: the two differ by solver rounding only (<= 4e-15).
-_M2048_MODE_EIGS = {
-    (2, 4.0): (8.000010150885029, 5.999999999972765, 12.000007613089664,
-               18.048700053177065),
-    (3, 3.8): (5.201755307054257, 5.599999999980276, 11.201506473702361,
-               17.355730922949046),
-    (1, 1.2): (0.6186576075363579, 0.558083357368365),
-}
-
-
-@pytest.mark.parametrize("n, beta", list(_M2048_MODE_EIGS))
-def test_numeric_gap_m2048_pins(n, beta):
-    rep = numeric_gap(MeasureParams(n, beta), Discretization(m=2048, delta=1e-3))
-    np.testing.assert_allclose(rep.mode_eigs, _M2048_MODE_EIGS[n, beta],
-                               rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n, beta", _SOLVER_POINTS)
@@ -493,6 +497,47 @@ def _ldl_solve(band, b):
     return x
 
 
+def _band_eigenvalue(prob, lam):
+    """The eigenvalue of prob's double bands next to lam, in extended
+    precision: two steps of inverse iteration at lam, then the Rayleigh
+    quotient (stable to ~1e-16 at m = 2048)."""
+    A = SymBand(prob.A.band.astype(np.longdouble))
+    B = SymBand(prob.B.band.astype(np.longdouble))
+    shifted = A.band - np.longdouble(lam) * B.band
+    # not the all-ones start: on mode 0 that is the constants' eigenvector
+    v = np.linspace(1.0, 2.0, prob.size(), dtype=np.longdouble)
+    for _ in range(2):
+        v = _ldl_solve(shifted, B @ v)
+        v /= np.sqrt(v @ v)
+    return float((v @ (A @ v)) / (v @ (B @ v)))
+
+
+# Per-mode values of numeric_gap at m = 2048: the eigenvalues of the double
+# bands by _band_eigenvalue (the same iteration in 40-digit mpmath agrees
+# with these pins to <= 2.1e-16).
+_M2048_MODE_EIGS = {
+    (2, 4.0): (8.0000101508863892, 5.9999999999802824, 12.000007613088886,
+               18.048700053177601),
+    (3, 3.8): (5.2017553070553486, 5.5999999999850498, 11.201506473703809,
+               17.355730922949135),
+    (1, 1.2): (0.61865760753690235, 0.55808335736868464),
+}
+
+
+@pytest.mark.parametrize("n, beta", list(_M2048_MODE_EIGS))
+def test_numeric_gap_m2048_pins(n, beta):
+    p, disc = MeasureParams(n, beta), Discretization(m=2048, delta=1e-3)
+    rep = numeric_gap(p, disc)
+    np.testing.assert_allclose(rep.mode_eigs, _M2048_MODE_EIGS[n, beta],
+                               rtol=1e-12, atol=0.0)
+    # the pins are the bands' eigenvalues, not an earlier solver's output
+    oracle = [_band_eigenvalue(prob, lam) for prob, lam in
+              zip(spectral._mode_problems(range(len(rep.mode_eigs)), p, disc),
+                  rep.mode_eigs)]
+    np.testing.assert_allclose(oracle, _M2048_MODE_EIGS[n, beta],
+                               rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("n, beta", [(2, 1.5), (3, 3.8)])
 def test_lowest_eigs_large_mode_residual_and_inertia(n, beta):
     # nn > 2048, without and with rays: the size range once served by a
@@ -523,3 +568,58 @@ def test_numerical_breakdown_names_the_problem():
     # far mass entries underflow past double range at beta = 200
     with pytest.raises(NumericalBreakdown, match=r"ell=0 \(n=3, beta=200, nn=258\)"):
         numeric_gap(MeasureParams(3, 200.0), Discretization(m=256, delta=1e-3))
+
+
+# Where the far tail-ray and mass entries are subnormal: before the floor,
+# numeric_gap returned values 66-100% low here without raising.
+_SILENT_WRONG = [(1, 53.4), (1, 53.5), (1, 53.9), (1, 54.0),
+                 (3, 54.4), (3, 54.5), (3, 54.9), (3, 55.0)]
+
+
+@pytest.mark.parametrize("m", [512, 2048])
+def test_numeric_gap_raises_under_the_closed_form_bottom(m):
+    disc = Discretization(m=m, delta=1e-3)
+    for n, beta in _SILENT_WRONG:
+        p = MeasureParams(n, beta)
+        with pytest.raises(NumericalBreakdown,
+                           match=r"ell=0 .* below sigma = .* closed-form bottom"):
+            numeric_gap(p, disc)
+        # each ell >= 1 factorization at its floor's shift fails as well
+        for prob in spectral._mode_problems(range(1, 2 if n == 1 else 4), p, disc):
+            with pytest.raises(NumericalBreakdown,
+                               match=r"A - sigma B at sigma = .* closed-form bottom"):
+                lowest_eigs(prob, 1, floor=mode_spectrum(p, prob.ell)[0])
+    # just below the window, with two mass entries already subnormal
+    rep = numeric_gap(MeasureParams(1, 53.0), disc)
+    assert abs(rep.numeric_gap - 104.0) <= 1e-12 * 104.0
+
+
+def test_floor_halves_the_lanczos_steps(monkeypatch):
+    # spectral_sweep's seven solvable points: numeric_gap's Lanczos callbacks
+    # on the ell >= 1 pencils, floored, against the same pencils at sigma ~ 0
+    real, calls = spectral.LinearOperator, []
+
+    def counted(shape, matvec, dtype):
+        def step(x):
+            calls.append(None)
+            return matvec(x)
+        return real(shape, matvec=step, dtype=dtype)
+
+    monkeypatch.setattr(spectral, "LinearOperator", counted)
+    disc = Discretization(m=512, delta=1e-3)
+    floored = unfloored = 0
+    for n, beta in [(1, 1.2), (1, 3.0), (2, 1.5), (2, 4.0), (3, 2.0), (3, 3.8),
+                    (3, 5.0)]:
+        p = MeasureParams(n, beta)
+        calls.clear()
+        numeric_gap(p, disc)
+        floored += len(calls)
+        for prob in spectral._mode_problems(range(2 if n == 1 else 4), p, disc):
+            calls.clear()
+            lowest_eigs(prob, 2 if prob.ell == 0 else 1)
+            if prob.ell == 0:  # solved as before: out of numeric_gap's count
+                floored -= len(calls)
+            else:
+                unfloored += len(calls)
+    assert floored < 0.5 * unfloored, (floored, unfloored)
+
