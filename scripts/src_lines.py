@@ -1,0 +1,50 @@
+#!/usr/bin/env python3
+"""Line ledger of src/: total, code, docstring, comment and blank lines.
+
+A docstring line is one inside the docstring of a module, class or
+function, as ast places it (blank lines in a docstring count there).  Of
+the other lines, a blank line is empty after stripping, a comment line
+starts with '#', and every other line is code.  The four parts add up to
+the total.  Run from anywhere: python3 scripts/src_lines.py
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def docstring_lines(tree) -> set:
+    """Line numbers (1-based) of every docstring in the module tree."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
+            doc = node.body[0]
+            lines.update(range(doc.lineno, doc.end_lineno + 1))
+    return lines
+
+
+def count(text: str) -> dict:
+    docs = docstring_lines(ast.parse(text))
+    out = dict.fromkeys(("code", "docstring", "comment", "blank"), 0)
+    for number, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        kind = ("docstring" if number in docs else "blank" if not stripped
+                else "comment" if stripped.startswith("#") else "code")
+        out[kind] += 1
+    return out
+
+
+def main():
+    totals = dict.fromkeys(("code", "docstring", "comment", "blank"), 0)
+    for path in sorted(SRC.rglob("*.py")):
+        for kind, lines in count(path.read_text()).items():
+            totals[kind] += lines
+    print(f"total {sum(totals.values())}")
+    for kind, lines in totals.items():
+        print(f"{kind} {lines}")
+
+
+if __name__ == "__main__":
+    main()

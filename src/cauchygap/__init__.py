@@ -4,8 +4,7 @@ identities, the piecewise closed-form spectral gap, and the variance
 representation along the heat flow.
 """
 
-from .functions import (SmoothFunction, check_derivatives, make_linear,
-                        make_lower_extremal_1d, make_one_d_family,
+from .functions import (SmoothFunction, make_linear, make_lower_extremal_1d,
                         make_power_family, make_quadratic_centered,
                         make_radial_log_cutoff, make_random_test)
 from .measures import (MeasureParams, SampleBatch, density, log_normalization,
@@ -13,35 +12,34 @@ from .measures import (MeasureParams, SampleBatch, density, log_normalization,
 from .operators import (FactorizedGamma2, WeightSpec, apply_L, cauchy_weight,
                         cd_witness, gamma, gamma2_cauchy,
                         gamma2_cauchy_factorized, gamma2_general)
-from .quadrature import (ALL_TAGS, VERIFY_GRID, IdentityReport, QuadratureSpec,
+from .quadrature import (VERIFY_GRID, IdentityReport, QuadratureSpec,
                          applicable_tags, default_nd_spec, integrate_nd,
                          lowfact_coefficients, lowfact_epsilon_scan,
-                         lowfact_sign_check, verify_all, verify_identity)
+                         lowfact_sign_check, verify_all)
 from .semigroup import (DeficitMismatch, default_horizon, deficit,
                         deficit_trace, extremal_residual,
                         variance_representation_check)
 from .spectral import (Discretization, GapReport, ModeProblem, SWEEP_COLUMNS,
-                       assemble_mode, closed_form_gap, gap_sweep, lowest_eigs,
+                       assemble_mode, closed_form_gap, lowest_eigs,
                        mode_spectrum, numeric_gap, rayleigh_quotient_1d,
                        rayleigh_quotient_power, write_sweep_csv)
 
 __all__ = [
-    "ALL_TAGS", "DeficitMismatch", "Discretization",
-    "FactorizedGamma2", "GapReport", "IdentityReport", "MeasureParams",
-    "ModeProblem", "QuadratureSpec", "SWEEP_COLUMNS", "SampleBatch",
-    "SmoothFunction", "VERIFY_GRID", "WeightSpec", "applicable_tags",
-    "apply_L", "assemble_mode", "cauchy_weight", "cd_witness",
-    "check_derivatives", "closed_form_gap", "default_horizon",
+    "DeficitMismatch", "Discretization", "FactorizedGamma2", "GapReport",
+    "IdentityReport", "MeasureParams", "ModeProblem", "QuadratureSpec",
+    "SWEEP_COLUMNS", "SampleBatch", "SmoothFunction", "VERIFY_GRID",
+    "WeightSpec", "applicable_tags", "apply_L", "assemble_mode",
+    "cauchy_weight", "cd_witness", "closed_form_gap", "default_horizon",
     "default_nd_spec", "deficit", "deficit_trace", "density",
     "extremal_residual", "gamma", "gamma2_cauchy", "gamma2_cauchy_factorized",
-    "gamma2_general", "gap_sweep", "integrate_nd", "log_normalization",
-    "lowest_eigs", "lowfact_coefficients", "lowfact_epsilon_scan",
-    "lowfact_sign_check", "make_linear", "make_lower_extremal_1d",
-    "make_one_d_family", "make_power_family", "make_quadratic_centered",
-    "make_radial_log_cutoff", "make_random_test", "mean_sq_norm",
-    "mode_spectrum", "normalization", "numeric_gap", "omega_moment",
-    "rayleigh_quotient_1d", "rayleigh_quotient_power", "sample", "verify_all",
-    "verify_identity", "variance_representation_check", "write_sweep_csv",
+    "gamma2_general", "integrate_nd", "log_normalization", "lowest_eigs",
+    "lowfact_coefficients", "lowfact_epsilon_scan", "lowfact_sign_check",
+    "make_linear", "make_lower_extremal_1d", "make_power_family",
+    "make_quadratic_centered", "make_radial_log_cutoff", "make_random_test",
+    "mean_sq_norm", "mode_spectrum", "normalization", "numeric_gap",
+    "omega_moment", "rayleigh_quotient_1d", "rayleigh_quotient_power",
+    "sample", "verify_all", "variance_representation_check",
+    "write_sweep_csv",
 ]
 
 __version__ = "0.1.0"

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 configuration error, 2 tolerance failure,
 3 numerical breakdown (a mode problem's matrices underflow or lose
-definiteness).  Flags override a plain-text key=value config file
-(--config); --out defaults into the directory named by the CAUCHYGAP_OUTDIR
-environment variable.
+definiteness).  Each subcommand declares only the flags it reads, with
+their defaults, and refuses any other; a key=value config file (--config)
+overrides the defaults and flags override the file.  --out defaults into
+the directory named by the CAUCHYGAP_OUTDIR environment variable.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from .measures import MeasureParams, mean_sq_norm, omega_moment, sample
 from .quadrature import VERIFY_GRID, lowfact_sign_check, verify_all
 from .semigroup import DeficitMismatch, deficit
 from .spectral import (GAP_FORMULA, Discretization, NumericalBreakdown,
-                       gap_sweep, numeric_gap, rayleigh_quotient_1d,
-                       rayleigh_quotient_power, write_sweep_csv)
+                       numeric_gap, rayleigh_quotient_1d, rayleigh_quotient_power,
+                       write_sweep_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -36,61 +37,73 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value file; flags take precedence")
-    common.add_argument("--n", type=int)
-    common.add_argument("--beta", type=float)
-    common.add_argument("--m", type=int)
-    common.add_argument("--delta", type=float)
-    common.add_argument("--ell-max", type=int, dest="ell_max")
-    common.add_argument("--trials", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out")
-    common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--tol", type=float)
+# Flags that several subcommands declare; --n and --beta have no default,
+# as a config file may supply them, and the commands check them.
+_SHARED_FLAGS = {
+    "n": dict(type=int),
+    "beta": dict(type=float),
+    "m": dict(type=int, default=512),
+    "delta": dict(type=float, default=1e-3),
+    "ell-max": dict(type=int, default=3),
+    "seed": dict(type=int, default=0),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cauchygap",
         description="Spectral gap and curvature identities of the weighted "
                     "diffusion operator for heavy-tailed power-law measures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("gap", parents=[common],
-                   help="one (n, beta) eigensolve vs the closed form")
-    p = sub.add_parser("sweep", parents=[common],
-                       help="gap table over a beta range")
-    p.add_argument("--beta-min", type=float, dest="beta_min")
-    p.add_argument("--beta-max", type=float, dest="beta_max")
-    p.add_argument("--steps", type=int)
-    p = sub.add_parser("verify", parents=[common],
-                       help="integral identity suite")
-    p.add_argument("--corrupt-ipp1", action="store_true", dest="corrupt_ipp1",
+    def command(name, help, *flags):
+        """A subcommand with --config, --out and the shared flags named."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="key=value file; flags take precedence")
+        p.add_argument("--out")
+        for flag in flags:
+            p.add_argument("--" + flag, **_SHARED_FLAGS[flag])
+        return p
+
+    p = command("gap", "one (n, beta) eigensolve vs the closed form",
+                "n", "beta", "m", "delta", "ell-max")
+    p.add_argument("--format", choices=("csv", "json"), default="json")
+    p.add_argument("--tol", type=float, default=1e-3)
+    p = command("sweep", "gap table over a beta range", "n", "m", "delta", "ell-max")
+    p.add_argument("--beta-min", type=float)
+    p.add_argument("--beta-max", type=float)
+    p.add_argument("--steps", type=int, default=20)
+    p = command("verify", "integral identity suite", "n", "beta", "seed")
+    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--corrupt-ipp1", action="store_true",
                    help="negative control: flip a sign in IPP1 and expect "
                         "the report to fail")
-    p = sub.add_parser("deficit", parents=[common],
-                       help="range deficit of a named test function")
+    p = command("deficit", "range deficit of a named test function",
+                "n", "beta", "seed")
     p.add_argument("--range", choices=("upper", "mid", "lower"))
     p.add_argument("--f", choices=("linear", "quadratic", "bump"))
-    p = sub.add_parser("rayleigh", parents=[common],
-                       help="trial-family Rayleigh quotients near the "
-                            "essential spectrum")
+    p = command("rayleigh", "trial-family Rayleigh quotients near the "
+                            "essential spectrum", "n", "beta")
     p.add_argument("--family", choices=("power", "oned"))
     p.add_argument("--eps-from-limit",
                    help="comma list of distances below the admissible "
                         "epsilon limit")
-    p = sub.add_parser("sample", parents=[common],
-                       help="exact sampler draws to CSV")
-    p.add_argument("--count", type=int)
+    p = command("sample", "exact sampler draws to CSV", "n", "beta", "seed")
+    p.add_argument("--count", type=int, default=1000)
     return parser
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    return next(a.choices for a in parser._actions if a.dest == "command")
 
 
 def load_config(path: str) -> dict:
     """Typed values of a key=value file, each key typed and checked by its
-    flag's declaration; ValueError on an unknown key, a bad value or a
-    malformed line."""
-    commands = next(a.choices for a in build_parser()._actions if a.dest == "command")
-    options = {a.dest: a for p in commands.values() for a in p._actions
+    flag's declaration in any subcommand; ValueError on an unknown key, a
+    bad value or a malformed line."""
+    options = {a.dest: a for p in _subcommands(build_parser()).values()
+               for a in p._actions
                if a.nargs != 0 and a.dest != "config"}  # not --help, --config, switches
     values = {}
     with open(path) as fh:
@@ -111,14 +124,6 @@ def load_config(path: str) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    for key, val in load_config(args.config).items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, val)
-
-
 def _out_path(args: argparse.Namespace, default_name: str) -> str:
     if args.out:
         return args.out
@@ -132,18 +137,14 @@ def _params(args: argparse.Namespace) -> MeasureParams:
 
 
 def _disc(args: argparse.Namespace) -> Discretization:
-    return Discretization(m=args.m if args.m is not None else 512,
-                          delta=args.delta if args.delta is not None else 1e-3)
+    return Discretization(m=args.m, delta=args.delta)
 
 
 def cmd_gap(args: argparse.Namespace) -> int:
     params = _params(args)
-    report = numeric_gap(params, _disc(args),
-                         ell_max=args.ell_max if args.ell_max is not None else 3)
-    tol = args.tol if args.tol is not None else 1e-3
-    fmt = args.format or "json"
-    path = _out_path(args, f"gap_n{params.n}_beta{params.beta:g}.{fmt}")
-    if fmt == "json":
+    report = numeric_gap(params, _disc(args), ell_max=args.ell_max)
+    path = _out_path(args, f"gap_n{params.n}_beta{params.beta:g}.{args.format}")
+    if args.format == "json":
         with open(path, "w") as fh:
             fh.write(report.to_json() + "\n")
     else:
@@ -151,7 +152,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
     print(f"n={report.n} beta={report.beta:g} closed_form={_fmt(report.closed_form)} "
           f"numeric={_fmt(report.numeric_gap)} rel_error={report.rel_error:.3e} "
           f"[{report.range_tag}] -> {path}")
-    return EXIT_OK if abs(report.rel_error) <= tol else EXIT_TOLERANCE
+    return EXIT_OK if abs(report.rel_error) <= args.tol else EXIT_TOLERANCE
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -159,14 +160,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--n is required")
     if args.beta_min is None or args.beta_max is None:
         raise ValueError("--beta-min and --beta-max are required")
-    steps = args.steps if args.steps is not None else 20
-    if steps < 1:
+    if args.steps < 1:
         raise ValueError("--steps must be >= 1")
     if not (args.n / 2.0 < args.beta_min < args.beta_max):
         raise ValueError("need n/2 < beta-min < beta-max")
-    betas = np.linspace(args.beta_min, args.beta_max, steps)
-    reports = gap_sweep(args.n, betas, _disc(args),
-                        ell_max=args.ell_max if args.ell_max is not None else 3)
+    disc = _disc(args)
+    reports = [numeric_gap(MeasureParams(args.n, float(b)), disc, args.ell_max)
+               for b in np.linspace(args.beta_min, args.beta_max, args.steps)]
     path = _out_path(args, f"sweep_n{args.n}.csv")
     write_sweep_csv(reports, path)
     print(f"{len(reports)} rows -> {path}")
@@ -181,9 +181,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    trials = args.trials if args.trials is not None else 50
-    seed = args.seed if args.seed is not None else 0
-    tol = args.tol if args.tol is not None else 1e-5
     if args.n is not None and args.beta is not None:
         grid = [(args.n, args.beta)]
     elif args.n is None and args.beta is None:
@@ -196,10 +193,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     worst = 0.0
     for n, beta in grid:
         params = MeasureParams(n, beta)
-        reports = verify_all(params, trials=trials, seed=seed,
+        reports = verify_all(params, trials=args.trials, seed=args.seed,
                              corrupt_ipp1=args.corrupt_ipp1)
         for rep in reports:
-            ok = ok and rep.rel_err <= tol
+            ok = ok and rep.rel_err <= args.tol
             worst = max(worst, rep.rel_err)
             print(f"n={n} beta={beta:g} {rep.tag:10s} "
                   f"rel_err={rep.rel_err:.3e} {rep.status}")
@@ -207,9 +204,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                  "reports": [dataclasses.asdict(r) for r in reports]}
         if n >= 2:
             entry["lowfact_sign"] = lowfact_sign_check(params, trials=3,
-                                                       seed=seed)
+                                                       seed=args.seed)
         points.append(entry)
-    payload = {"tol": tol, "trials": trials, "seed": seed,
+    payload = {"tol": args.tol, "trials": args.trials, "seed": args.seed,
                "corrupt_ipp1": bool(args.corrupt_ipp1),
                "all_pass": ok, "points": points}
     path = _out_path(args, "verify.json")
@@ -238,7 +235,7 @@ def cmd_deficit(args: argparse.Namespace) -> int:
     params = _params(args)
     if args.range is None or args.f is None:
         raise ValueError("--range and --f are required")
-    f = _named_test_function(args.f, params, args.seed or 0)
+    f = _named_test_function(args.f, params, args.seed)
     value = deficit(f, params, args.range)
     path = _out_path(args, f"deficit_{args.range}_{args.f}.csv")
     with open(path, "w") as fh:
@@ -284,26 +281,24 @@ def cmd_rayleigh(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     params = _params(args)
-    count = args.count if args.count is not None else 1000
-    seed = args.seed if args.seed is not None else 0
-    batch = sample(params, count, seed)
+    batch = sample(params, args.count, args.seed)
     path = _out_path(args, f"sample_n{params.n}_beta{params.beta:g}.csv")
     batch.to_csv(path)
     x2 = np.sum(batch.points ** 2, axis=1)
     est1 = float(np.mean(1.0 / (1.0 + x2)))
-    se1 = float(np.std(1.0 / (1.0 + x2)) / np.sqrt(count))
+    se1 = float(np.std(1.0 / (1.0 + x2)) / np.sqrt(args.count))
     expected1 = omega_moment(1.0, params)
     line = (f"# moment_check,omega_inv,{_fmt(est1)},{_fmt(expected1)},{_fmt(se1)}")
     lines = [line]
     if 2.0 * params.beta - params.n - 2.0 > 0:
         est2 = float(np.mean(x2))
-        se2 = float(np.std(x2) / np.sqrt(count))
+        se2 = float(np.std(x2) / np.sqrt(args.count))
         lines.append(f"# moment_check,mean_sq_norm,{_fmt(est2)},"
                      f"{_fmt(mean_sq_norm(params))},{_fmt(se2)}")
     with open(path, "a") as fh:
         for line in lines:
             fh.write(line + "\n")
-    print(f"{count} draws -> {path}")
+    print(f"{args.count} draws -> {path}")
     return EXIT_OK
 
 
@@ -319,8 +314,14 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        _merge_config(args)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.config:  # the file's values become the subcommand's defaults
+            command = _subcommands(parser)[args.command]
+            dests = {a.dest for a in command._actions}
+            command.set_defaults(**{k: v for k, v in load_config(args.config).items()
+                                    if k in dests})
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except DeficitMismatch as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Smooth test functions with analytic value/gradient/hessian.
 
 Everything is batched: value maps (N, n) -> (N,), gradient -> (N, n),
-hessian -> (N, n, n), grad_laplacian (where given) -> (N, n).  Compactly
-supported constructors report their support radius so quadrature can
-truncate.
+hessian -> (N, n, n).  Compactly supported constructors report their
+support radius so quadrature can truncate.  The random tests' fields,
+grad Lap f included, are also evaluated in factored form on whole radial
+rows (`RandomTestFields`).
 """
 
 from __future__ import annotations
@@ -36,14 +37,12 @@ class SmoothFunction:
     # 0 = radial (on the line, even), 1 = linear-in-x (plus a constant);
     # None = generic.  The deficit's cross-check trusts this declaration.
     angular_mode: Optional[int] = None
-    # analytic gradient of the Laplacian, (N, n) -> (N, n), where known
-    grad_laplacian: Optional[Callable[[Array], Array]] = None
     # rows(r, u, order): [f, grad f, distinct Hess f, grad Lap f][:order + 1]
     # at the nodes r_i u_j of whole radial rows, in RandomTestFields.fields'
-    # layout with T = 1, where f has a factored form.  Where set, quadrature
-    # reads rows instead of value/gradient/hessian/grad_laplacian, so it must
-    # agree with them: a copy that replaces any of those must also replace
-    # or clear rows (rows=None).
+    # layout with T = 1, where f has a factored form.  Where set, the
+    # deficit's Var(f) and int Gamma(f) read rows (order 1) instead of value
+    # and gradient, so it must agree with them: a copy that replaces either
+    # must also replace or clear rows (rows=None).
     rows: Optional[Callable[[Array, Array, int], list]] = None
 
 
@@ -172,35 +171,6 @@ def make_power_family(epsilon: float) -> SmoothFunction:
 
     return SmoothFunction(value, gradient, hessian, None, f"power(eps={eps})",
                           angular_mode=0)
-
-
-def make_one_d_family(epsilon: float) -> SmoothFunction:
-    """f(x) = x (1 + x^2)^epsilon on the line (odd test family)."""
-    eps = float(epsilon)
-
-    def value(x):
-        x = _as_points(x)
-        if x.shape[-1] != 1:
-            raise ValueError("one-dimensional family requires n = 1")
-        t = x[:, 0]
-        return t * (1.0 + t * t) ** eps
-
-    def gradient(x):
-        x = _as_points(x)
-        t = x[:, 0]
-        w = 1.0 + t * t
-        fp = (1.0 + 2.0 * eps) * w ** eps - 2.0 * eps * w ** (eps - 1.0)
-        return fp[:, None]
-
-    def hessian(x):
-        x = _as_points(x)
-        t = x[:, 0]
-        w = 1.0 + t * t
-        fpp = 2.0 * t * eps * ((1.0 + 2.0 * eps) * w ** (eps - 1.0)
-                               - 2.0 * (eps - 1.0) * w ** (eps - 2.0))
-        return fpp[:, None, None]
-
-    return SmoothFunction(value, gradient, hessian, None, f"odd_power(eps={eps})")
 
 
 def make_radial_log_cutoff(x0: Array, r_in: float, r_out: float) -> SmoothFunction:
@@ -470,12 +440,8 @@ def make_random_test(seed: int, n: int) -> SmoothFunction:
         h = fields(x, 2)[:, 0]
         return np.ascontiguousarray(h[_pair_index(n)].transpose(2, 0, 1))
 
-    def grad_laplacian(x):
-        return np.ascontiguousarray(fields(x, 3)[:, 0].T)
-
     return SmoothFunction(value, gradient, hessian, RANDOM_TEST_RADIUS, label,
-                          radial_seams=RANDOM_TEST_SEAMS, grad_laplacian=grad_laplacian,
-                          rows=rows)
+                          radial_seams=RANDOM_TEST_SEAMS, rows=rows)
 
 
 def _exponents(n: int, total: int):
@@ -489,23 +455,3 @@ def _exponents(n: int, total: int):
             e[b] += 1
         yield tuple(e)
 
-
-def check_derivatives(f: SmoothFunction, points: Array) -> float:
-    """Worst relative mismatch of analytic gradient/hessian vs central
-    differences with step 1e-4."""
-    h = 1e-4
-    x = _as_points(points)
-    N, n = x.shape
-    g = f.gradient(x)
-    H = f.hessian(x)
-    worst = 0.0
-    for i in range(n):
-        dx = np.zeros(n)
-        dx[i] = h
-        g_fd = (f.value(x + dx) - f.value(x - dx)) / (2 * h)
-        scale = max(1.0, float(np.max(np.abs(g))))
-        worst = max(worst, float(np.max(np.abs(g_fd - g[:, i]))) / scale)
-        h_fd = (f.gradient(x + dx) - f.gradient(x - dx)) / (2 * h)
-        scale = max(1.0, float(np.max(np.abs(H))))
-        worst = max(worst, float(np.max(np.abs(h_fd - H[:, i, :]))) / scale)
-    return worst

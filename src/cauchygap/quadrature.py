@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from .functions import (RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS, RandomTestFields,
-                        SmoothFunction, random_test_coefficients, _row_sq_norms)
+                        random_test_coefficients, _row_sq_norms)
 from .measures import MeasureParams, log_normalization
 from .spectral import GAP_FORMULA, range_edges
 
@@ -248,20 +248,6 @@ def integrate_nd(g: Callable[[Array], Array], params: MeasureParams,
     return float(total) if np.ndim(total) == 0 else total
 
 
-def _block_fields(f: SmoothFunction, x: Array, r: Array, u: Array,
-                  order: int) -> list:
-    """[f, grad f, distinct Hess f, grad Lap f][:order + 1] of f on one block
-    (x, w, r, u) of `_node_blocks`, in `RandomTestFields.fields`' layout
-    with T = 1: from f.rows where f sets it, else pointwise at x."""
-    if f.rows is not None:
-        return f.rows(r, u, order)
-    iu, ju = np.triu_indices(x.shape[1])
-    calls = (f.value, f.gradient, lambda x: f.hessian(x)[:, iu, ju],
-             f.grad_laplacian)[:order + 1]
-    return [call(x).T[:, None] if k else call(x)[None]
-            for k, call in enumerate(calls)]
-
-
 def default_nd_spec(n: int) -> QuadratureSpec:
     return QuadratureSpec(scheme="polar_2d" if n == 2 else "product_spherical")
 
@@ -278,8 +264,6 @@ def default_nd_spec(n: int) -> QuadratureSpec:
 # x = r_i u_j: one monomial table per block, on the sphere directions.
 
 _TRIAL_BLOCK = 8     # random tests per GEMM; bounds memory with _NODE_CHUNK
-ALL_TAGS = ("IPP1", "IPP2", "IPP3", "IPP4", "GAMMABIS", "GRG", "IRG",
-            "LOWFACT", "ONED_SPLIT", "ONED_LOW")
 
 
 def applicable_tags(params: MeasureParams) -> list[str]:
@@ -328,8 +312,8 @@ def _field_integrals(x: Array, wts: Array, params: MeasureParams, g: Array,
 
 class _FieldPack:
     """mu-integrals of the fields of a stack of test functions; every
-    attribute is an array with one entry per function (t2 is NaN where
-    grad Lap f is not known)."""
+    attribute is an array with one entry per function (t2 is NaN in a pack
+    of order 2, which skips grad Lap f)."""
 
     def __init__(self, totals: Array, params: MeasureParams):
         n, beta = params.n, params.beta
@@ -338,17 +322,6 @@ class _FieldPack:
         # pointwise Gamma2 (Cauchy form, second-order only)
         self.gamma2 = (self.a1 + n * self.gam + 2.0 * (beta - 1.0) * self.g2i
                        + self.p1 - self.p2)
-
-    @classmethod
-    def of_function(cls, f: SmoothFunction, params: MeasureParams,
-                    blocks) -> "_FieldPack":
-        """Pack of f over the node blocks of `_node_blocks`."""
-        order = 2 if f.grad_laplacian is None else 3
-        totals = np.zeros((10, 1))
-        for x, w, r, u in blocks:
-            _, g, hess, *gdl = _block_fields(f, x, r, u, order)
-            totals += _field_integrals(x, w, params, g, hess, *gdl)
-        return cls(totals, params)
 
     @classmethod
     def of_random_tests(cls, seeds, params: MeasureParams, blocks, order: int = 3):
@@ -440,29 +413,6 @@ def _random_test_pack(params: MeasureParams, spec: Optional[QuadratureSpec],
     blocks = _node_blocks(params, spec, RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS)
     seeds = [(seed << 20) + t for t in range(trials)]
     return _FieldPack.of_random_tests(seeds, params, blocks, order)
-
-
-def verify_identity(tag: str, f: SmoothFunction, params: MeasureParams,
-                    spec: Optional[QuadratureSpec] = None) -> IdentityReport:
-    """Check one integral identity on a compactly supported test function."""
-    if tag not in ALL_TAGS:
-        raise ValueError(f"unknown identity tag {tag!r}")
-    if f.support_radius is None:
-        raise ValueError("identity verification requires compact support "
-                         "(boundary terms must vanish)")
-    n, beta = params.n, params.beta
-    if tag in ("IPP3", "IPP4") and f.grad_laplacian is None:
-        raise ValueError(f"{tag} needs the analytic grad Laplacian of f "
-                         "(SmoothFunction.grad_laplacian)")
-    if tag not in applicable_tags(params):
-        raise ValueError(f"{tag} does not apply for n = {n}")
-    if spec is None:
-        spec = default_nd_spec(n)
-    pack = _FieldPack.of_function(
-        f, params, _node_blocks(params, spec, f.support_radius, f.radial_seams))
-    lhs, rhs = (float(side[0]) for side in _tag_sides(tag, pack, params, None))
-    return IdentityReport(tag=tag, n=n, beta=beta, lhs=lhs, rhs=rhs,
-                          abs_err=abs(lhs - rhs), rel_err=float(_rel_err(lhs, rhs)))
 
 
 def verify_all(params: MeasureParams, spec: Optional[QuadratureSpec] = None,

@@ -26,7 +26,7 @@ from scipy import linalg as sla
 
 from .functions import SmoothFunction, _row_sq_norms
 from .measures import MeasureParams, mean_sq_norm
-from .quadrature import _block_fields, _node_blocks, default_nd_spec
+from .quadrature import _node_blocks, default_nd_spec
 from .spectral import (_WGL, _XGL, GAP_FORMULA, Discretization, ModeProblem,
                        _cholesky, _mode_problems, _node_diag, lowest_eigpairs,
                        range_edges)
@@ -53,18 +53,19 @@ def _mode_profiles(f: SmoothFunction, params: MeasureParams,
     """Radial profiles per mode at the radii r, for functions representable
     on the mode grids.
 
-    Supported shapes: n = 1 (even/odd split), radial f (angular_mode 0), and
-    linear f (angular_mode 1, constant plus ell = 1 profile); ValueError for
-    anything else.
+    Supported shapes: radial f (angular_mode 0; on the line an even f,
+    evaluated once, with no ell = 1 profile), any f on the line (even/odd
+    split), and linear f (angular_mode 1, constant plus ell = 1 profile);
+    ValueError for anything else.
     """
     n = params.n
-    if n == 1:
-        vp, vm = f.value(r[:, None]), f.value(-r[:, None])
-        return {0: 0.5 * (vp + vm), 1: 0.5 * (vp - vm)}
     if f.angular_mode == 0:
         x = np.zeros((len(r), n))
         x[:, 0] = r
         return {0: f.value(x)}
+    if n == 1:
+        vp, vm = f.value(r[:, None]), f.value(-r[:, None])
+        return {0: 0.5 * (vp + vm), 1: 0.5 * (vp - vm)}
     if f.angular_mode == 1:
         # f = <a, x> + const = |a| r <a/|a|, x/r> + const; the harmonic
         # <a/|a|, x/r> has mean square 1/n on the sphere, so the ell=1
@@ -243,17 +244,21 @@ def _range_lambda(params: MeasureParams, range_tag: str) -> float:
 
 def _var_and_energy(f: SmoothFunction, params: MeasureParams):
     """Var(f) and int Gamma(f) dmu in one pass over the tensor rule: per
-    node block, one order-1 evaluation (`_block_fields`) gives f, f^2 and
-    (1 + |x|^2) |grad f|^2.  For f in the sectors ell <= 1 (angular_mode 0
-    or 1) these are of degree <= 2 on every sphere, so the rule's
-    directions are the 2n points +-e_i, at every n."""
+    node block, f and grad f (from f.rows on whole radial rows where f sets
+    it, else pointwise) give f, f^2 and (1 + |x|^2) |grad f|^2.  For f in
+    the sectors ell <= 1 (angular_mode 0 or 1) these are of degree <= 2 on
+    every sphere, so the rule's directions are the 2n points +-e_i, at
+    every n."""
     total = 0.0
     for x, w, r, u in _node_blocks(params, default_nd_spec(params.n),
                                    f.support_radius, f.radial_seams,
                                    f.angular_mode):
-        (v,), g = _block_fields(f, x, r, u, 1)
-        total = total + np.stack([v, v * v, (1.0 + _row_sq_norms(x))
-                                  * _row_sq_norms(g[:, 0].T)]) @ w
+        if f.rows is None:
+            v, g2 = f.value(x), _row_sq_norms(f.gradient(x))
+        else:
+            (v,), g = f.rows(r, u, 1)
+            g2 = _row_sq_norms(g[:, 0].T)
+        total = total + np.stack([v, v * v, (1.0 + _row_sq_norms(x)) * g2]) @ w
     mean, sq, energy = total
     return sq - mean ** 2, energy
 

@@ -52,7 +52,7 @@ __all__ = [
     "range_edges", "GAP_FORMULA", "closed_form_gap", "assemble_mode", "lowest_eigpairs",
     "lowest_eigs", "numeric_gap",
     "rayleigh_quotient_power", "rayleigh_quotient_1d", "mode_spectrum",
-    "gap_sweep", "write_sweep_csv",
+    "write_sweep_csv",
 ]
 
 
@@ -530,10 +530,6 @@ def numeric_gap(params: MeasureParams, disc: Discretization,
 
 SWEEP_COLUMNS = ("n", "beta", "range_tag", "closed_form", "numeric_gap",
                  "rel_error", "minimizing_mode", "m", "delta")
-
-
-def gap_sweep(n: int, betas, disc: Discretization, ell_max: int = 3) -> list[GapReport]:
-    return [numeric_gap(MeasureParams(n, float(b)), disc, ell_max) for b in betas]
 
 
 def write_sweep_csv(reports: list[GapReport], path) -> None:

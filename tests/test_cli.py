@@ -275,6 +275,20 @@ def test_config_file(tmp_path):
     assert len(rows2) == 7
 
 
+def test_config_file_serves_several_commands(tmp_path):
+    # keys of other subcommands are typed and checked, then ignored
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 2\nbeta = 4.0\nm = 96\ndelta = 1e-2\ncount = 20\n")
+    gap = tmp_path / "gap.json"
+    assert main(["gap", "--config", str(cfg), "--out", str(gap)]) == EXIT_OK
+    assert json.loads(gap.read_text())["m"] == 96
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rows = [l for l in out.read_text().splitlines()
+            if not l.startswith(("#", "x"))]
+    assert len(rows) == 20
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense = 12\n")
@@ -306,7 +320,30 @@ def test_usage_errors_are_configuration_errors(tmp_path, capsys):
     assert main(["gap", "--n", "two", "--beta", "4.0"]) == EXIT_CONFIG
     assert not out.exists()
     assert main(["gap", "--help"]) == EXIT_OK
-    assert "--format {csv,json}" in capsys.readouterr().out
+    usage = capsys.readouterr().out
+    assert "--format {csv,json}" in usage
+    assert "--trials" not in usage and "--seed" not in usage
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--n", "2", "--beta", "4.0", "--m", "96", "--trials", "3"],
+    ["sweep", "--n", "2", "--beta-min", "1.2", "--beta-max", "4.0",
+     "--steps", "2", "--m", "96", "--tol", "1e-12"],
+    ["verify", "--n", "2", "--beta", "2.5", "--trials", "2", "--m", "64"],
+    ["deficit", "--n", "3", "--beta", "4.0", "--range", "upper",
+     "--f", "linear", "--format", "csv"],
+    ["rayleigh", "--n", "2", "--beta", "1.8", "--eps-from-limit", "0.1",
+     "--seed", "1"],
+    ["sample", "--n", "2", "--beta", "3.0", "--count", "10", "--ell-max", "2"],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, monkeypatch,
+                                                        capsys, argv):
+    # each subcommand declares only the flags it reads; any other is
+    # refused before anything is computed or written
+    monkeypatch.setenv("CAUCHYGAP_OUTDIR", str(tmp_path))
+    assert main(argv) == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_outdir_env(tmp_path, monkeypatch):

@@ -56,3 +56,35 @@ def test_no_unused_imports(name):
     unused = {n: line for n, line in _imported_names(tree).items()
               if n not in used | _exported(tree)}
     assert unused == {}
+
+
+def _args_reads(funcs, name):
+    """The args.<flag> attributes a cli.py function reads, itself or in the
+    module functions it passes args to (_params, _disc, _out_path)."""
+    reads = set()
+    for node in ast.walk(funcs[name]):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in funcs
+              and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+            reads |= _args_reads(funcs, node.func.id)
+    return reads
+
+
+def test_cli_flags_are_read_by_their_command():
+    # a flag a subcommand declares but its command never reads would be
+    # accepted and ignored; --config is read by main
+    from cauchygap import cli
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    commands = next(a.choices for a in cli.build_parser()._actions
+                    if a.dest == "command")
+    unread = [(name, action.option_strings[-1])
+              for name, parser in commands.items()
+              for action in parser._actions
+              if action.option_strings and action.dest not in ("help", "config")
+              and action.dest not in _args_reads(funcs, cli._COMMANDS[name].__name__)]
+    assert unread == []

@@ -19,7 +19,6 @@ from cauchygap.quadrature import (
     lowfact_epsilon_scan,
     lowfact_sign_check,
     verify_all,
-    verify_identity,
 )
 
 ALL_TAGS = ("IPP1", "IPP2", "IPP3", "IPP4", "GAMMABIS", "GRG",
@@ -245,43 +244,6 @@ def test_corrupt_ipp1_control():
     assert by_tag["IPP1"].rel_err > 0.1
     for t in ("IPP2", "GAMMABIS", "IRG", "LOWFACT"):
         assert by_tag[t].rel_err < 1e-6
-
-
-def test_verify_identity_single():
-    p = MeasureParams(2, 2.5)
-    f = make_random_test(11, 2)
-    rep = verify_identity("IPP1", f, p)
-    assert rep.status == "ok"
-    assert rep.rel_err < 1e-8
-    assert np.isfinite(rep.lhs) and np.isfinite(rep.rhs)
-    with pytest.raises(ValueError):
-        verify_identity("NOT_A_TAG", f, p)
-
-
-def test_verify_identity_refuses_inapplicable_tags():
-    # applicable_tags is the one table: IRG/LOWFACT need n >= 2, the ONED
-    # splits exist only on the line
-    for n, tags in ((1, ("IRG", "LOWFACT")), (2, ("ONED_SPLIT", "ONED_LOW"))):
-        p = MeasureParams(n, 2.5)
-        f = make_random_test(11, n)
-        for tag in tags:
-            assert tag not in quadrature.applicable_tags(p)
-            with pytest.raises(ValueError, match=f"{tag} does not apply for n = {n}"):
-                verify_identity(tag, f, p)
-
-
-def test_verify_identity_needs_grad_laplacian():
-    # IPP3/IPP4 involve grad Lap f; a function without it is refused by name
-    p = MeasureParams(2, 3.0)
-    # (cut off at radius 2 only to pass the compact-support check)
-    f = dataclasses.replace(make_power_family(0.3), support_radius=2.0)
-    for tag in ("IPP3", "IPP4"):
-        with pytest.raises(ValueError, match=tag):
-            verify_identity(tag, f, p)
-    assert np.isfinite(verify_identity("IPP1", f, p).rel_err)
-    # the random tests carry it, so the single-function path checks IPP3
-    rep = verify_identity("IPP3", make_random_test(11, 2), p)
-    assert rep.rel_err < 1e-8
 
 
 PACK_FIELDS = ("a1", "a2", "gam", "g2i", "gx2", "qi", "p1", "p2", "wdw2", "t2")

@@ -38,3 +38,13 @@ def test_lowfact_scan_three_points():
     assert lines[5].split() == ["eps", "rel_err", "D"]
     assert len(lines[6:9]) == 3 and lines[7].endswith("<-- eps0")
     assert lines[-1].strip().startswith("D maximized at eps = 1.5000 (expected 1.5000)")
+
+
+def test_src_lines_parts_add_up():
+    lines = dict(line.split() for line in _run("src_lines.py"))
+    counts = {kind: int(value) for kind, value in lines.items()}
+    assert list(counts) == ["total", "code", "docstring", "comment", "blank"]
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert counts["total"] == sum(len(p.read_text().splitlines()) for p in files)
+    assert counts["total"] == sum(v for k, v in counts.items() if k != "total")
+    assert min(counts.values()) > 0

@@ -15,7 +15,6 @@ from cauchygap.spectral import (
     _tail_moment,
     assemble_mode,
     closed_form_gap,
-    gap_sweep,
     lowest_eigpairs,
     lowest_eigs,
     mode_spectrum,
@@ -319,11 +318,12 @@ def test_gap_report_json_roundtrip():
 def test_sweep_csv_deterministic(tmp_path):
     disc = Discretization(m=96, delta=1e-2)
     betas = np.linspace(1.2, 4.0, 5)
-    reports = gap_sweep(2, betas, disc)
+    reports = [numeric_gap(MeasureParams(2, float(b)), disc) for b in betas]
     assert [r.beta for r in reports] == list(betas)
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_sweep_csv(reports, f1)
-    write_sweep_csv(gap_sweep(2, betas, disc), f2)
+    write_sweep_csv([numeric_gap(MeasureParams(2, float(b)), disc)
+                     for b in betas], f2)
     assert f1.read_bytes() == f2.read_bytes()
     header = f1.read_text().splitlines()[0]
     assert header.split(",") == ["n", "beta", "range_tag", "closed_form",
