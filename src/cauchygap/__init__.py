@@ -17,8 +17,7 @@ from .quadrature import (VERIFY_GRID, IdentityReport, QuadratureSpec,
                          lowfact_coefficients, lowfact_epsilon_scan,
                          lowfact_sign_check, verify_all)
 from .semigroup import (DeficitMismatch, default_horizon, deficit,
-                        deficit_trace, extremal_residual,
-                        variance_representation_check)
+                        deficit_trace, variance_representation_check)
 from .spectral import (Discretization, GapReport, ModeProblem, SWEEP_COLUMNS,
                        assemble_mode, closed_form_gap, lowest_eigs,
                        mode_spectrum, numeric_gap, rayleigh_quotient_1d,
@@ -31,7 +30,7 @@ __all__ = [
     "WeightSpec", "applicable_tags", "apply_L", "assemble_mode",
     "cauchy_weight", "cd_witness", "closed_form_gap", "default_horizon",
     "default_nd_spec", "deficit", "deficit_trace", "density",
-    "extremal_residual", "gamma", "gamma2_cauchy", "gamma2_cauchy_factorized",
+    "gamma", "gamma2_cauchy", "gamma2_cauchy_factorized",
     "gamma2_general", "integrate_nd", "log_normalization", "lowest_eigs",
     "lowfact_coefficients", "lowfact_epsilon_scan", "lowfact_sign_check",
     "make_linear", "make_lower_extremal_1d", "make_power_family",

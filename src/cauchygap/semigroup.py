@@ -33,7 +33,7 @@ from .spectral import (_WGL, _XGL, GAP_FORMULA, Discretization, ModeProblem,
 
 __all__ = [
     "default_horizon", "variance_representation_check", "deficit",
-    "deficit_trace", "extremal_residual",
+    "deficit_trace",
 ]
 
 
@@ -370,43 +370,3 @@ def deficit_trace(f: SmoothFunction, params: MeasureParams, range_tag: str,
     q = np.exp(-2.0 * np.outer(times, lam)) @ (lam * (lam - rho) * weights)
     return np.column_stack([times, q])
 
-
-# ----------------------------------------------------------------------
-# Extremal-function residuals.
-
-
-def extremal_residual(f: SmoothFunction, params: MeasureParams,
-                      range_tag: str, points: np.ndarray) -> float:
-    """Max residual of the extremal characterization at the given points.
-
-    upper:     ||Hess f||_HS = 0              (affine extremals)
-    traceless: ||Hess f||^2 - (Lap f)^2/n = 0 (quadratic extremals, beta=n+1)
-    mid:       |df|^2|x|^2 - <df,x>^2 = 0     (radial-gradient extremals)
-    lower-1d:  w f'' + (3/2-beta) x f' = 0    (primitives of w^{(2beta-3)/4})
-    """
-    x = np.asarray(points, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None] if params.n == 1 else x[None, :]
-    if range_tag == "upper":
-        H = f.hessian(x)
-        return float(np.max(np.sqrt(np.einsum("kij,kij->k", H, H))))
-    if range_tag == "traceless":
-        H = f.hessian(x)
-        hs2 = np.einsum("kij,kij->k", H, H)
-        tr = np.trace(H, axis1=1, axis2=2)
-        return float(np.max(np.abs(hs2 - tr * tr / params.n)))
-    if range_tag == "mid":
-        g = f.gradient(x)
-        g2 = np.sum(g * g, axis=-1)
-        x2 = np.sum(x * x, axis=-1)
-        gx = np.sum(g * x, axis=-1)
-        return float(np.max(np.abs(g2 * x2 - gx * gx)))
-    if range_tag == "lower-1d":
-        if params.n != 1:
-            raise ValueError("the ODE residual is one-dimensional")
-        w = 1.0 + x[:, 0] ** 2
-        d2 = f.hessian(x)[:, 0, 0]
-        d1 = f.gradient(x)[:, 0]
-        res = w * d2 + (range_edges(1)[0] - params.beta) * x[:, 0] * d1
-        return float(np.max(np.abs(res)))
-    raise ValueError(f"unknown range tag {range_tag!r}")

@@ -21,15 +21,14 @@ worst cells), and the one-sided bound is then not guaranteed.
 
 Hats couple only to their neighbours and rays only to the last hat, so A
 and B are symmetric bands of half-width <= 2, kept in LAPACK band storage.
-Every mode size takes one eigensolver: Lanczos on the symmetric
-shift-invert operator L^{-1} B L^{-T}, with A - sigma B = L L' a banded
-Cholesky factor.  A gap solve shifts each mode ell >= 1 to just under its
-closed-form bottom (mode_spectrum), where Lanczos converges in a few steps;
-mode 0, whose constants lie under any positive shift, is solved at a small
-negative sigma.  The bottom is also the guard: Galerkin values are upper
-bounds, so a value under the shift (a failed factorization there, or a
-mode-0 value under it) raises NumericalBreakdown instead of returning a
-wrong gap.
+Every mode size takes one eigensolver: shift-invert Lanczos on a symmetric
+operator of banded factors.  A gap solve shifts every mode to just under
+its first nontrivial closed-form value (mode_spectrum), where Lanczos
+converges in a few steps.  The shift is also the guard: Galerkin values
+are upper bounds, so the number of values under it, counted by Sylvester's
+law on A - sigma B, must be the closed form's (the constants on mode 0,
+none above); any other count raises NumericalBreakdown instead of
+returning a wrong gap.
 """
 
 from __future__ import annotations
@@ -42,7 +41,8 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import linalg as sla
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg.blas import dtbmv
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dtbtrs
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .measures import MeasureParams, omega_moment
@@ -401,29 +401,35 @@ def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
 
 # Shift margin and Krylov size of a floored solve, measured on the ell >= 1
 # pencils of the benchmark sweep at m = 2048: 212 Lanczos steps against 577
-# at sigma ~ 0, every value within 2e-12 of the unshifted solve.
+# at sigma ~ 0, every value within 2e-12 of the unshifted solve (mode 0:
+# 82 steps against 300).
 _FLOOR_MARGIN = 1e-2
 _FLOOR_NCV = 6
 
 
 def lowest_eigpairs(problem: ModeProblem, k: int,
                     floor: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest generalized eigenpairs of (A, B): ascending values and the
-    B-orthonormal vectors as columns.
+    """k smallest generalized eigenpairs of (A, B) above the shift sigma:
+    ascending values and the B-orthonormal vectors as columns.
 
     Needs k >= 1; k >= nn (the matrix size) is clamped to nn - 1, the most
     ARPACK computes, and near nn Lanczos is far slower than a dense solve.
-    Shift-invert Lanczos in standard form (Ericsson & Ruhe 1980) about a
-    sigma where A - sigma B = L L' is positive definite: the largest
-    eigenvalues theta of the symmetric C = L^{-1} B L^{-T} give
-    lam = sigma + 1/theta, and an eigenvector y of C gives phi = L^{-T} y,
-    B-normalized.  Each Lanczos step is one callback: two banded triangular
-    solves and one B product.  sigma = -1e-6 * (median diagonal ratio of A
-    to B), or, given a floor under the spectrum (a mode_spectrum bottom),
-    (1 - _FLOOR_MARGIN) * floor, where a few steps on _FLOOR_NCV vectors
-    converge.  Galerkin values are upper bounds, so a failed factorization
-    there is a value under the floor.  Raises NumericalBreakdown on
-    non-finite or underflowed entries or a failed factorization.
+    Shift-invert Lanczos in standard form (Ericsson & Ruhe 1980): the
+    largest eigenvalues theta of a symmetric operator C give
+    lam = sigma + 1/theta, one callback of banded solves and products per
+    step.  Unfloored, sigma = -1e-6 * (median diagonal ratio of A to B),
+    under the whole spectrum.  Given a floor (a mode_spectrum bottom),
+    sigma = (1 - _FLOOR_MARGIN) * floor, where a few steps on _FLOOR_NCV
+    vectors converge, and the guard is Sylvester's law: A - sigma B has as
+    many negative pivots as there are values under sigma, which must equal
+    the closed-form count (1 for ell = 0, the constants; 0 above), since
+    Galerkin values are upper bounds.  With a count of 0, A - sigma B =
+    L L' is a banded Cholesky factor, which succeeds exactly when no pivot
+    is negative: C = L^{-1} B L^{-T} and phi = L^{-T} y.  Otherwise
+    _inertia counts the pivots, and C = L_B' (A - sigma B)^{-1} L_B with
+    B = L_B L_B' and A - sigma B in banded LU, phi = L_B^{-T} y.  Raises
+    NumericalBreakdown on non-finite or underflowed entries, a failed
+    factorization or a count other than the closed form's.
     """
     if k < 1:
         raise ValueError("need k >= 1 eigenpairs")
@@ -437,24 +443,97 @@ def lowest_eigpairs(problem: ModeProblem, k: int,
         raise NumericalBreakdown(problem, "mass entries underflowed to zero")
     if floor is None:
         scale = float(np.median(np.abs(A.band[0]) / B.band[0]))
-        sigma, ncv, what = -1e-6 * max(scale, 1.0), None, "A - sigma B"
+        sigma, ncv, what, closed = -1e-6 * max(scale, 1.0), None, "A - sigma B", 0
     else:
         sigma, at = _floor_shift(floor)
         ncv, what = min(nn, max(_FLOOR_NCV, 2 * k + 1)), f"A - sigma B at {at}"
-    factor = _cholesky(problem, A.band - sigma * B.band, what)
-
-    def solve(x, trans):  # info is 0: the factor's diagonal is positive
-        return dtbtrs(factor, x, uplo="L", trans=trans)[0]
-
-    theta, y = eigsh(
-        LinearOperator((nn, nn), matvec=lambda x: solve(B @ solve(x, "T"), "N"),
-                       dtype=float),
-        k=k, which="LA", v0=np.ones(nn), ncv=ncv)
-    vecs = solve(y, "T")
+        closed = sum(v < sigma for v in mode_spectrum(problem.params, problem.ell))
+    shifted = A.band - sigma * B.band
+    if closed:
+        _check_inertia(problem, shifted, sigma, closed, what)
+        matvec, back = _indefinite_operator(problem, shifted, what)
+    else:
+        try:  # succeeds exactly when no pivot of A - sigma B is negative
+            matvec, back = _definite_operator(problem, shifted, what)
+        except NumericalBreakdown:
+            if floor is not None:  # report how many values lie under sigma
+                _check_inertia(problem, shifted, sigma, closed, what)
+            raise
+    theta, y = eigsh(LinearOperator((nn, nn), matvec=matvec, dtype=float),
+                     k=k, which="LA", v0=np.ones(nn), ncv=ncv)
+    vecs = back(y)
     vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, B @ vecs))
     vals = sigma + 1.0 / theta
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
+
+
+def _check_inertia(problem: ModeProblem, shifted: np.ndarray, sigma: float,
+                   closed: int, what: str) -> None:
+    """Raise NumericalBreakdown unless A - sigma B = `shifted` has `closed`
+    negative eigenvalues, the closed-form values under sigma."""
+    below = _inertia(problem, shifted, what)
+    if below != closed:
+        raise NumericalBreakdown(
+            problem, f"the inertia of {what} puts {below} Galerkin values "
+            f"below sigma = {sigma:.6g}, where the closed-form bottom has {closed}")
+
+
+def _inertia(problem: ModeProblem, shifted: np.ndarray, what: str) -> int:
+    """Number of negative eigenvalues of the band `shifted` (Sylvester).
+
+    Unpivoted LDL' over the tridiagonal hat block, the Sturm recurrence
+    d_j = a_j - c_j^2/d_{j-1}, then the ray block's Schur complement
+    R - w w'/d_last, since rays couple only to the last hat (Haynsworth
+    inertia additivity).  A zero pivot raises NumericalBreakdown.
+    """
+    nh = problem.size() - len(problem.ray_ks)
+    d, neg = 1.0, 0
+    for a, c in zip(shifted[0, :nh].tolist(), [0.0] + shifted[1, :nh - 1].tolist()):
+        d = a - c * c / d
+        if d < 0.0:
+            neg += 1
+        elif not d > 0.0:
+            raise NumericalBreakdown(problem, f"{what} has a zero pivot")
+    if problem.ray_ks:
+        tail = SymBand(shifted[:, nh - 1:]).toarray()
+        w = tail[1:, 0]
+        schur = np.linalg.eigvalsh(tail[1:, 1:] - np.outer(w, w) / d)
+        if np.any(schur == 0.0):
+            raise NumericalBreakdown(problem, f"{what} has a zero pivot")
+        neg += int(np.sum(schur < 0.0))
+    return neg
+
+
+def _definite_operator(problem: ModeProblem, shifted: np.ndarray, what: str):
+    """Lanczos callback and vector map of C = L^{-1} B L^{-T}, with
+    A - sigma B = `shifted` = L L' banded Cholesky: x = L^{-T} y."""
+    factor = _cholesky(problem, shifted, what)
+
+    def solve(x, trans):  # info is 0: the factor's diagonal is positive
+        return dtbtrs(factor, x, uplo="L", trans=trans)[0]
+
+    return (lambda x: solve(problem.B @ solve(x, "T"), "N")), (lambda y: solve(y, "T"))
+
+
+def _indefinite_operator(problem: ModeProblem, shifted: np.ndarray, what: str):
+    """Lanczos callback and vector map of C = L_B' (A - sigma B)^{-1} L_B,
+    with B = L_B L_B' banded Cholesky and A - sigma B = `shifted` in banded
+    LU: x = L_B^{-T} y turns C y = theta y into A x = (sigma + 1/theta) B x."""
+    nn, p = problem.size(), len(shifted) - 1
+    full = np.zeros((3 * p + 1, nn))  # dgbtrf's layout: M[i, j] at [2p + i - j, j]
+    for d in range(p + 1):
+        full[2 * p + d, :nn - d] = full[2 * p - d, d:] = shifted[d, :nn - d]
+    lu, piv, info = dgbtrf(full, p, p)
+    if info != 0:
+        raise NumericalBreakdown(problem, f"banded LU of {what} failed (info {info})")
+    LB = _cholesky(problem, problem.B.band, "B")
+
+    def matvec(x):
+        y = dgbtrs(lu, p, p, dtbmv(p, LB, x, lower=1), piv)[0]
+        return dtbmv(p, LB, y, lower=1, trans=1)
+
+    return matvec, lambda y: dtbtrs(LB, y, uplo="L", trans="T")[0]
 
 
 def _floor_shift(floor: float) -> tuple[float, str]:
@@ -476,6 +555,7 @@ class GapReport:
     n: int
     beta: float
     mode_eigs: tuple          # lowest nontrivial eigenvalue per mode 0..ell_max
+    mode_bottoms: tuple       # the closed-form bottom each mode was floored at
     numeric_gap: float
     closed_form: float
     range_tag: str
@@ -494,35 +574,27 @@ def numeric_gap(params: MeasureParams, disc: Discretization,
 
     Mode 0 contributes its second eigenvalue (the first is the zero mode of
     constants); every higher mode its first.  On the line only the even/odd
-    sectors exist, so the effective maximal mode is 1.  Modes ell >= 1 are
-    solved floored at their mode_spectrum bottom; mode 0, whose constants
-    lie under any positive shift, at sigma ~ 0, and a value under
-    (1 - _FLOOR_MARGIN) x its bottom raises NumericalBreakdown.
+    sectors exist, so the effective maximal mode is 1.  Each mode is solved
+    floored at that value's closed-form bottom (mode_spectrum entry 1 on
+    mode 0, entry 0 above), reported in mode_bottoms; lowest_eigpairs
+    raises NumericalBreakdown where a Galerkin value lies under the shift.
     """
     if ell_max < 2:
         raise ValueError("need ell_max >= 2 (mode minimum must be attested)")
     n = params.n
     ell_eff = 1 if n == 1 else ell_max
-    per_mode = []
+    per_mode, bottoms = [], []
     for prob in _mode_problems(range(ell_eff + 1), params, disc):
-        bottom = mode_spectrum(params, prob.ell)[1 if prob.ell == 0 else 0]
-        if prob.ell == 0:
-            lam = lowest_eigs(prob, 2)[1]
-            sigma, at = _floor_shift(bottom)
-            if lam < sigma:
-                raise NumericalBreakdown(
-                    prob, f"Galerkin value {lam:.6g} lies below {at}")
-        else:
-            lam = lowest_eigs(prob, 1, floor=bottom)[0]
-        per_mode.append(lam)
+        bottoms.append(mode_spectrum(params, prob.ell)[1 if prob.ell == 0 else 0])
+        per_mode.append(lowest_eigs(prob, 1, floor=bottoms[-1])[0])
     gap = min(per_mode)
     mode = int(np.argmin(per_mode))
     closed, tag = closed_form_gap(params)
     rel = (gap - closed) / closed
     return GapReport(n=n, beta=params.beta, mode_eigs=tuple(per_mode),
-                     numeric_gap=gap, closed_form=closed, range_tag=tag,
-                     rel_error=rel, minimizing_mode=mode, m=disc.m,
-                     delta=disc.delta)
+                     mode_bottoms=tuple(bottoms), numeric_gap=gap,
+                     closed_form=closed, range_tag=tag, rel_error=rel,
+                     minimizing_mode=mode, m=disc.m, delta=disc.delta)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ def test_gap_json(tmp_path, capsys):
     assert d["range_tag"] == "upper"
     assert np.isclose(d["closed_form"], 8.0)
     assert abs(d["rel_error"]) < 1e-3
+    assert d["mode_bottoms"] == [10.0, 8.0, 16.0, 24.0]
 
 
 def test_gap_csv_format(tmp_path):

@@ -32,11 +32,10 @@ from cauchygap.semigroup import (
     default_horizon,
     deficit,
     deficit_trace,
-    extremal_residual,
     variance_representation_check,
 )
 from cauchygap.spectral import (Discretization, NumericalBreakdown, SymBand,
-                                assemble_mode, closed_form_gap)
+                                assemble_mode, closed_form_gap, range_edges)
 
 
 def test_default_horizon():
@@ -717,6 +716,43 @@ def test_deficit_trace_matches_dense_spectrum(f, p, tag):
         # the truncation the docstring states: 48 pairs miss 13% of q(0)
         q0 = float(np.sum(lam * (lam - rho) * c * c)) / mass
         assert 0.12 < 1.0 - deficit_trace(f, p, tag, [0.0])[0, 1] / q0 < 0.14
+
+
+def extremal_residual(f: SmoothFunction, params: MeasureParams,
+                      range_tag: str, points: np.ndarray) -> float:
+    """Max residual of the extremal characterization at the given points.
+
+    upper:     ||Hess f||_HS = 0              (affine extremals)
+    traceless: ||Hess f||^2 - (Lap f)^2/n = 0 (quadratic extremals, beta=n+1)
+    mid:       |df|^2|x|^2 - <df,x>^2 = 0     (radial-gradient extremals)
+    lower-1d:  w f'' + (3/2-beta) x f' = 0    (primitives of w^{(2beta-3)/4})
+    """
+    x = np.asarray(points, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None] if params.n == 1 else x[None, :]
+    if range_tag == "upper":
+        H = f.hessian(x)
+        return float(np.max(np.sqrt(np.einsum("kij,kij->k", H, H))))
+    if range_tag == "traceless":
+        H = f.hessian(x)
+        hs2 = np.einsum("kij,kij->k", H, H)
+        tr = np.trace(H, axis1=1, axis2=2)
+        return float(np.max(np.abs(hs2 - tr * tr / params.n)))
+    if range_tag == "mid":
+        g = f.gradient(x)
+        g2 = np.sum(g * g, axis=-1)
+        x2 = np.sum(x * x, axis=-1)
+        gx = np.sum(g * x, axis=-1)
+        return float(np.max(np.abs(g2 * x2 - gx * gx)))
+    if range_tag == "lower-1d":
+        if params.n != 1:
+            raise ValueError("the ODE residual is one-dimensional")
+        w = 1.0 + x[:, 0] ** 2
+        d2 = f.hessian(x)[:, 0, 0]
+        d1 = f.gradient(x)[:, 0]
+        res = w * d2 + (range_edges(1)[0] - params.beta) * x[:, 0] * d1
+        return float(np.max(np.abs(res)))
+    raise ValueError(f"unknown range tag {range_tag!r}")
 
 
 def test_extremal_residuals():
