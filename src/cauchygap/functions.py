@@ -4,7 +4,8 @@ Everything is batched: value maps (N, n) -> (N,), gradient -> (N, n),
 hessian -> (N, n, n).  Compactly supported constructors report their
 support radius so quadrature can truncate.  The random tests' fields,
 grad Lap f included, are also evaluated in factored form on whole radial
-rows (`RandomTestFields`).
+rows, and given as radial factors times angular arrays for quadrature
+(`RandomTestFields`).
 """
 
 from __future__ import annotations
@@ -313,6 +314,56 @@ def random_test_coefficients(seeds: Sequence[int], n: int):
     return coefs, labels
 
 
+# The product rule for f = P b, written once.  At x = r u (|u| = 1) every
+# polynomial field row Q of P is sum_d r^d Q_d(u), so every field row of f
+# is a sum of terms phi_s(r) r^d A_s[d](u): a radial factor phi_s of the
+# bump profile times an angular array on the directions only.  The factors
+# b, b', b'', b'/r, Lap b + 2 b'/r, b'' - b'/r and (Lap b)', with
+# Lap b = b'' + (n-1) b'/r; orders 0..3 make the first 1, 2, 4 and 7.
+_B, _B1, _B2, _B1R, _LAPB2, _B2_B1R, _DLAPB = range(7)
+
+
+def _radial_factors(radii: Array, n: int, order: int) -> Array:
+    """The radial factors at the radii, shape (k, len(radii)): the first
+    k = 1, 2, 4 or 7 at order 0..3."""
+    b = _bump_profile(radii, *RANDOM_TEST_SEAMS, order)
+    if order >= 2:
+        safe = np.where(radii > 0, radii, 1.0)
+        b1_r = b[1] / safe  # 0 wherever b is flat
+        b2_b1r = b[2] - b1_r
+        b[3:] = [b1_r] + ([b[2] + (n + 1) * b1_r, b2_b1r,
+                           b[3] + (n - 1) * b2_b1r / safe] if order == 3 else [])
+    return np.array(b)
+
+
+def _product_rule(Q: Array, u: Array, order: int) -> dict:
+    """The field rows f, grad f, Hess f (distinct entries i <= j) and
+    grad Lap f of f = P b up to `order`, as {name: [(factor, angular
+    array), ...]}.  Q (rows, T, D, J) holds the polynomial field rows of P
+    (the layout of _poly_basis' ops) per radial power on the directions
+    u (n, J); each angular array has the shape (c, T, D, J) of its row of
+    c components."""
+    n = len(u)
+    iu, ju, pair = _pairs(n)
+    u = u[:, None, None, :]
+    p, dp, hp = Q[0], Q[1:1 + n], Q[1 + n:1 + n + len(iu)]
+    rows = {"f": [(_B, p[None])]}
+    if order >= 1:
+        rows["grad"] = [(_B, dp), (_B1, p * u)]
+    if order >= 2:
+        uu = u[iu] * u[ju]
+        rows["hess"] = [(_B, hp), (_B2, p * uu),
+                        (_B1R, p * ((iu == ju)[:, None, None, None] - uu)),
+                        (_B1, dp[iu] * u[ju] + dp[ju] * u[iu])]
+    if order == 3:
+        # grad Lap (P b) = b grad Lap P + (Lap b + 2 b'/r) grad P
+        #   + u [b' Lap P + 2 (b'' - b'/r) <u, grad P> + P (Lap b)'] + 2 b' (Hess P) u
+        b1_part = np.sum(hp[iu == ju], axis=0) * u + 2.0 * np.sum(hp[pair] * u, axis=1)
+        rows["gradlap"] = [(_B, Q[1 + n + len(iu):]), (_LAPB2, dp), (_B1, b1_part),
+                           (_B2_B1R, 2.0 * np.sum(dp * u, axis=0) * u), (_DLAPB, p * u)]
+    return rows
+
+
 class RandomTestFields:
     """Fields of make_random_test's functions f = P b at the nodes r_i u_j
     (node i J + j) of the radii r (I,) and the points u (J, n).
@@ -320,103 +371,82 @@ class RandomTestFields:
     Precondition: r = (1,) (the points u as given) or every u_j is a unit
     vector (whole radial rows of a tensor rule); the clamp of the polynomial
     argument and the one bump profile per radius r_i rely on it.  As
-    x^a = r^|a| u^a, the monomial table is built on u only.  `order` (0..3)
-    is the highest derivative evaluated.
+    x^a = r^|a| u^a, the monomial table is built on u only, and every field
+    row is a sum of radial factors times angular arrays (_product_rule).
+    `terms` gives each row's arrays and the columns of `radial` they pair
+    with: on whole rows the radial matrix (I, factors x powers), at one
+    radius the factors per point (J, factors).  `order` (0..3) is the
+    highest derivative evaluated.
     """
 
     def __init__(self, r: Array, u: Array, order: int = 3):
-        n = u.shape[1]
-        self.n, self.order = n, order
+        n, self.order = u.shape[1], order
         degrees, cuts, parent, var, ops = _poly_basis(n, RANDOM_TEST_DEGREE)
         nh = n * (n + 1) // 2
         self._ops, self._rows = ops, (1, 1 + n, 1 + n + nh, 1 + 2 * n + nh)[order]
-        self._degrees, self._cuts = degrees, cuts
         s = np.sqrt(_row_sq_norms(u))
-        # outside the bump everything is multiplied by an exact 0; clamp the
-        # polynomial argument to the support ball so huge radii cannot overflow
+        # outside the bump every factor is an exact 0; clamp the polynomial
+        # argument to the support ball so huge radii cannot overflow
         R = RANDOM_TEST_RADIUS
-        self._mono = _monomials(u * (R / np.maximum(s, R))[:, None], cuts, parent, var)
-        self._rpow = np.minimum(r, R)[:, None] ** np.arange(RANDOM_TEST_DEGREE + 1)
-        # the profile once per distinct |x|: r_i on whole rows, r_0 |u_j| else
-        radii, repeat = (r, len(u)) if len(r) > 1 else (r[0] * s, 1)
-        bump = [np.repeat(b, repeat)
-                for b in _bump_profile(radii, *RANDOM_TEST_SEAMS, order)]
-        rho = np.repeat(radii, repeat)  # |x| at the nodes i J + j
-        self._b = bump[0]
-        if order == 0:
-            return
-        b1 = bump[1]
-        safe_r = np.where(rho > 0, rho, 1.0)
-        u = u / np.where(s > 0, s, 1.0)[:, None]  # unit vectors
-        u = self._u = np.ascontiguousarray(np.tile(u.T, len(r)))  # (n, K)
-        self._bg = b1 * u  # grad b
-        if order == 1:
-            return
-        b1_r = b1 / safe_r  # 0 wherever b is flat (up to the first seam)
-        iu, ju = np.triu_indices(n)
-        uu = u[iu] * u[ju]
-        self._bh = bump[2] * uu + b1_r * ((iu == ju)[:, None] - uu)
-        if order == 2:
-            return
-        lap_b = bump[2] + (n - 1) * b1_r  # Lap b = b'' + (n-1) b'/r
-        self._lap_b2 = lap_b + 2.0 * b1_r
-        self._b1 = b1
-        self._b2_b1r = bump[2] - b1_r
-        self._dlap_b = bump[3] + (n - 1) * (bump[2] - b1_r) / safe_r  # (Lap b)'
+        mono = _monomials(u * (R / np.maximum(s, R))[:, None], cuts, parent, var)
+        self._u = np.ascontiguousarray((u / np.where(s > 0, s, 1.0)[:, None]).T)
+        self._one = len(r) == 1
+        if self._one:
+            # one radius: the points' own monomials sum all degrees, with
+            # r_0^|a| in the coefficients; the factors are taken per point,
+            # at |x| = r_0 |u_j|, so `radial` is (J, factors)
+            self._table, self._rpow = mono, np.minimum(r[0], R) ** degrees
+            self.radial = _radial_factors(r[0] * s, n, order).T
+        else:
+            # the monomials of degree d in column block d: one GEMM gives the
+            # field rows per radial power
+            D = np.arange(RANDOM_TEST_DEGREE + 1)
+            block = (degrees[:, None] == D)[:, :, None]
+            self._table, self._rpow = (block * mono[:, None]).reshape(len(mono), -1), 1.0
+            self.radial = (_radial_factors(r, n, order).T[:, :, None]
+                           * (np.minimum(r, R)[:, None] ** D)[:, None]).reshape(len(r), -1)
+
+    def _product_rows(self, coefs: Array) -> dict:
+        """_product_rule's rows for the coefficient stack coefs (M, T)."""
+        M, J, T, rows = len(self._table), self._u.shape[1], coefs.shape[1], self._rows
+        S = (self._ops @ coefs)[:rows * M].reshape(rows, M, T)  # field-row coefficients
+        Q = (S.transpose(0, 2, 1).reshape(rows * T, M) * self._rpow) @ self._table
+        return _product_rule(Q.reshape(rows, T, -1, J), self._u, self.order)
+
+    def terms(self, coefs: Array) -> dict:
+        """{row name: (columns, angular array (c, T, k, J))} of the rows of
+        _product_rule for the coefficient stack coefs (M, T): on whole rows
+        the row at the nodes is radial[:, columns] @ array, (c, T, I, J)."""
+        rows = self._product_rows(coefs)
+        D = rows["f"][0][1].shape[2]
+        return {name: (np.concatenate([s * D + np.arange(D) for s, _ in row]),
+                       np.concatenate([a for _, a in row], axis=2))
+                for name, row in rows.items()}
 
     def fields(self, coefs: Array) -> list:
         """[f, grad f, Hess f, grad Lap f][:order + 1] for the coefficient
         stack coefs (M, T): shapes (T, K), (n, T, K), (n(n+1)/2, T, K) with
         the distinct entries i <= j, and (n, T, K), for the K = I J nodes."""
-        n, T, rows = self.n, coefs.shape[1], self._rows
-        M = len(self._mono)
-        S = (self._ops @ coefs)[:rows * M].reshape(rows, M, T)  # field-row coefficients
-        S = S.transpose(0, 2, 1).reshape(rows * T, M)
-        if len(self._rpow) == 1:
-            # one radius: one GEMM on the points sums all degrees (per-degree
-            # GEMMs are slow on wide point sets with few rows)
-            P = (S * self._rpow[0, self._degrees]) @ self._mono
-        else:
-            # one GEMM per degree on the u_j, then one matmul with the r_i^d
-            cuts = self._cuts
-            Q = np.stack([S[:, lo:hi] @ self._mono[lo:hi]
-                          for lo, hi in zip(cuts[:-1], cuts[1:])], axis=1)
-            P = self._rpow @ Q
-        P = P.reshape(rows, T, -1)
-        pv, pg = P[0], P[1:1 + n]
-        b = self._b
-        out = [b * pv]
-        if self.order == 0:
-            return out
-        bg = self._bg[:, None]
-        out.append(b * pg + pv * bg)
-        if self.order == 1:
-            return out
-        iu, ju = np.triu_indices(n)
-        ph = P[1 + n:1 + n + len(iu)]
-        out.append(b * ph + pv * self._bh[:, None]
-                   + pg[iu] * bg[ju] + pg[ju] * bg[iu])
-        if self.order == 2:
-            return out
-        # grad Lap (P b) = b grad Lap P + (Lap b + 2 b'/r) grad P
-        #   + u [b' Lap P + 2 (b'' - b'/r) <u, grad P> + P (Lap b)']
-        #   + 2 b' Hess P u
-        u = self._u[:, None]
-        lap_p = np.sum(ph[iu == ju], axis=0)
-        hu = np.sum(ph[_pair_index(n)] * u, axis=1)
-        radial = (self._b1 * lap_p + 2.0 * self._b2_b1r * np.sum(u * pg, axis=0)
-                  + self._dlap_b * pv)
-        out.append(b * P[1 + n + len(iu):] + self._lap_b2 * pg + radial * u
-                   + 2.0 * self._b1 * hu)
-        return out
+        if self._one:  # one radius: each term times its factor per point
+            out = [sum(self.radial[:, s] * A[:, :, 0] for s, A in row)
+                   for row in self._product_rows(coefs).values()]
+        else:  # whole rows: one matmul per row
+            out = [(self.radial[:, cols] @ A).reshape(A.shape[0], A.shape[1], -1)
+                   for cols, A in self.terms(coefs).values()]
+        return [out[0][0]] + out[1:]
 
 
-def _pair_index(n: int) -> Array:
-    """(n, n) positions of the entries (i, j) in the distinct i <= j list."""
+@lru_cache(maxsize=None)
+def _pairs(n: int):
+    """(iu, ju, index) of the distinct entries i <= j of an (n, n) symmetric
+    matrix, as numpy.triu_indices, and the (n, n) positions of the entries
+    (i, j) in that list."""
     iu, ju = np.triu_indices(n)
-    idx = np.empty((n, n), dtype=int)
-    idx[iu, ju] = idx[ju, iu] = np.arange(len(iu))
-    return idx
+    index = np.empty((n, n), dtype=int)
+    index[iu, ju] = index[ju, iu] = np.arange(len(iu))
+    for a in (iu, ju, index):
+        a.flags.writeable = False
+    return iu, ju, index
 
 
 def make_random_test(seed: int, n: int) -> SmoothFunction:
@@ -438,7 +468,7 @@ def make_random_test(seed: int, n: int) -> SmoothFunction:
 
     def hessian(x):
         h = fields(x, 2)[:, 0]
-        return np.ascontiguousarray(h[_pair_index(n)].transpose(2, 0, 1))
+        return np.ascontiguousarray(h[_pairs(n)[2]].transpose(2, 0, 1))
 
     return SmoothFunction(value, gradient, hessian, RANDOM_TEST_RADIUS, label,
                           radial_seams=RANDOM_TEST_SEAMS, rows=rows)

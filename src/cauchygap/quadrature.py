@@ -9,6 +9,9 @@ space.  Full n-dimensional integrals use tensor products with uniform angles
 (n = 2) or Gauss-Legendre x uniform azimuth on the sphere (n = 3).  Radial
 and linear integrands (angular sectors ell <= 1) run at every n on the 2n
 directions +-e_i instead, which are exact on the sphere up to degree 3.
+The identity verifier integrates its random tests in separable form on the
+same tensor rule: radial moment matrices times angular Gram matrices, with
+no node-sized field.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from .functions import (RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS, RandomTestFields,
-                        random_test_coefficients, _row_sq_norms)
+                        random_test_coefficients, _pairs)
 from .measures import MeasureParams, log_normalization
 from .spectral import GAP_FORMULA, range_edges
 
@@ -166,9 +169,9 @@ def _radial_rule(params: MeasureParams, spec: QuadratureSpec,
 
 
 # ----------------------------------------------------------------------
-# Full n-dimensional node sets.  Every full-dimensional integral streams
-# the tensor rule in blocks of whole radial rows, so memory does not grow
-# with the node count.
+# Full n-dimensional node sets.  Every integral of a callable streams the
+# tensor rule in blocks of whole radial rows, so memory does not grow with
+# the node count.
 
 _NODE_CHUNK = 4096   # nodes per block (one radial row where a row is longer)
 
@@ -200,22 +203,32 @@ def _axis_directions(n: int):
     return np.concatenate([np.eye(n), -np.eye(n)]), np.full(2 * n, 0.5 / n)
 
 
+def _tensor_rule(params: MeasureParams, spec: QuadratureSpec,
+                 support_radius: Optional[float] = None,
+                 seams: tuple = (), angular_mode: Optional[int] = None):
+    """The tensor rule for full-dimensional integrals as its factors (r,
+    logw, u, dw): radii r and log mu-weights logw of `_radial_rule`, unit
+    directions u (J, n) and their weights dw, the node r_i u_j carrying
+    exp(logw_i) dw_j.  The spec and n are checked here.  The directions are
+    those of `_sphere_directions` (n <= 3), or of `_axis_directions` (any
+    n) for the integrands of an f with angular_mode 0 or 1, which are of
+    degree <= 3 on every sphere."""
+    if spec.scheme == "polar_2d" and params.n != 2:
+        raise ValueError("polar_2d requires n = 2")
+    dirs = (_axis_directions(params.n) if angular_mode in (0, 1)
+            else _sphere_directions(params.n, spec.angular_nodes))
+    return (*_radial_rule(params, spec, support_radius, seams), *dirs)
+
+
 def _node_blocks(params: MeasureParams, spec: QuadratureSpec,
                  support_radius: Optional[float] = None,
                  seams: tuple = (), angular_mode: Optional[int] = None):
-    """The tensor rule for full-dimensional integrals as an iterator of
-    blocks (x, w, r, u) of whole radial rows, at most _NODE_CHUNK nodes (at
-    least one row): mu-weights w (k,) and nodes x (k, n), node i J + j being
-    r_i u_j for the radii r and unit directions u (J, n).  The spec and n
-    are checked at once, before the first block.  The directions are those
-    of `_sphere_directions` (n <= 3), or of `_axis_directions` (any n) for
-    the integrands of an f with angular_mode 0 or 1, which are of degree
-    <= 3 on every sphere."""
-    if spec.scheme == "polar_2d" and params.n != 2:
-        raise ValueError("polar_2d requires n = 2")
-    r, logw = _radial_rule(params, spec, support_radius, seams)
-    dirs, dw = (_axis_directions(params.n) if angular_mode in (0, 1)
-                else _sphere_directions(params.n, spec.angular_nodes))
+    """The tensor rule of `_tensor_rule` as an iterator of blocks (x, w, r,
+    u) of whole radial rows, at most _NODE_CHUNK nodes (at least one row):
+    mu-weights w (k,) and nodes x (k, n), node i J + j being r_i u_j for
+    the radii r and unit directions u (J, n).  The spec and n are checked
+    at once, before the first block."""
+    r, logw, dirs, dw = _tensor_rule(params, spec, support_radius, seams, angular_mode)
     rows = max(1, _NODE_CHUNK // len(dw))
     return (((r[lo:lo + rows, None, None] * dirs).reshape(-1, params.n),
              (np.exp(logw[lo:lo + rows])[:, None] * dw).reshape(-1),
@@ -255,15 +268,16 @@ def default_nd_spec(n: int) -> QuadratureSpec:
 # ----------------------------------------------------------------------
 # Identity verification.
 #
-# Every integral identity below is expressed through a small set of
-# mu-integrals of the second- and third-order fields of f, all evaluated on
-# one shared node set per (params, spec).  IPP3, IPP4 and GRG carry a
-# 1/(beta - 2) and are written multiplied through, (beta - 2) lhs = numerator,
-# so they hold and are checked at beta = 2 too.  The random test functions of
-# verify_all are evaluated on the blocks of `_node_blocks` in factored form
-# x = r_i u_j: one monomial table per block, on the sphere directions.
+# Every integral identity below is expressed through ten mu-integrals
+# int omega F G of the first- to third-order fields of f, all on one tensor
+# rule per (params, spec).  IPP3, IPP4 and GRG carry a 1/(beta - 2) and are
+# written multiplied through, (beta - 2) lhs = numerator, so they hold and
+# are checked at beta = 2 too.  At x = r_i u_j each field row of a random
+# test is sum_s phi_s(r_i) r_i^d A_s[d](u_j) (functions._product_rule), so
+# each integral is a radial moment matrix, once per pack, contracted with
+# an angular Gram on the directions, per trial: no array has a node axis.
 
-_TRIAL_BLOCK = 8     # random tests per GEMM; bounds memory with _NODE_CHUNK
+_TRIAL_BLOCK = 8     # random tests per Gram batch; bounds the angular arrays
 
 
 def applicable_tags(params: MeasureParams) -> list[str]:
@@ -275,68 +289,70 @@ def applicable_tags(params: MeasureParams) -> list[str]:
     return tags
 
 
-def _field_integrals(x: Array, wts: Array, params: MeasureParams, g: Array,
-                     hess: Array, gdl: Optional[Array] = None) -> Array:
-    """The ten mu-integrals of _FieldPack, shape (10, T), for T functions at
-    the nodes x (K, n): gradients g (n, T, K), distinct Hessian entries hess
-    (n(n+1)/2, T, K; i <= j as numpy.triu_indices) and grad Lap f gdl
-    (n, T, K) or None."""
-    n, beta = params.n, params.beta
-    iu, ju = np.triu_indices(n)
-    half = np.where(iu == ju, 0.5, 1.0)[:, None, None]  # weight of each pair
-    xt = np.ascontiguousarray(x.T)[:, None]  # (n, 1, K)
-    x2 = _row_sq_norms(x)
-    w = 1.0 + x2
-    lap = np.sum(hess[iu == ju], axis=0)
-    g2 = np.sum(g * g, axis=0)
-    gx = np.sum(g * xt, axis=0)
-    xHg = np.sum(half * hess * (xt[iu] * g[ju] + xt[ju] * g[iu]), axis=0)
-    hs2 = 2.0 * np.sum(half * hess * hess, axis=0)
-    fields = [
-        w * w * hs2,                              # a1: int ||w Hess f||^2
-        (w * lap) ** 2,                           # a2: int (w Lap f)^2
-        w * g2,                                   # gam: int Gamma
-        g2,                                       # g2i
-        gx * gx,                                  # gx2
-        g2 * x2 - gx * gx,                        # qi
-        4.0 * w * xHg,                            # p1: int <d|df|^2, w dw>
-        2.0 * w * lap * gx,                       # p2: int <Lap f df, w dw>
-        (-2.0 * n * w + 4.0 * (beta - 1.0) * x2) * g2,   # wdw2
-    ]
-    out = np.full((10, g.shape[1]), np.nan)
-    out[:9] = [field @ wts for field in fields]
-    if gdl is not None:
-        out[9] = (w * w * np.sum(g * gdl, axis=0)) @ wts  # t2: int w^2 <df, dLap f>
-    return out
-
-
 class _FieldPack:
-    """mu-integrals of the fields of a stack of test functions; every
-    attribute is an array with one entry per function (t2 is NaN in a pack
-    of order 2, which skips grad Lap f)."""
+    """mu-integrals of the fields of make_random_test(seed, n) for every seed
+    on the tensor rule (r, logw, u, dw) of `_tensor_rule`, with their
+    `labels`; every integral is an array with one entry per seed (t2 is NaN
+    at order 2, which skips grad Lap f).
 
-    def __init__(self, totals: Array, params: MeasureParams):
+    Each integral int omega F G dmu of two field rows is
+    sum(M_omega o A_F diag(dw) A_G'): the radial moments
+    M_omega = R' diag(omega exp(logw)) R of the radial matrix R of
+    `RandomTestFields`, once per pack, against the angular Gram of the rows'
+    angular arrays (`RandomTestFields.terms`), per block of trials."""
+
+    def __init__(self, seeds, params: MeasureParams, rule, order: int = 3):
         n, beta = params.n, params.beta
+        r, logw, dirs, dw = rule
+        coefs, self.labels = random_test_coefficients(seeds, n)
+        fields = RandomTestFields(r, dirs, order)
+        R, w, W = fields.radial, 1.0 + r * r, np.exp(logw)
+        moments = {k: (R.T * (omega * W)) @ R for k, omega in
+                   (("1", 1.0), ("w", w), ("w2", w * w), ("r2", r * r), ("wr", w * r))}
+        iu, ju, pair = _pairs(n)
+        diag = (iu == ju)[:, None, None, None]
+        u = dirs.T[:, None, None, :]
+        totals = np.full((10, len(seeds)), np.nan)
+        for t in range(0, len(seeds), _TRIAL_BLOCK):
+            terms = fields.terms(coefs[:, t:t + _TRIAL_BLOCK])
+            (cg, G), (ch, H) = terms["grad"], terms["hess"]
+            # the rows <grad f, u>, Lap f and (Hess f) u, combined on the
+            # directions from those of grad f and Hess f
+            terms.update(gu=(cg, np.sum(G * u, axis=0, keepdims=True)),
+                         lap=(ch, np.sum(H * diag, axis=0, keepdims=True)),
+                         hu=(ch, np.sum(H[pair] * u, axis=1)))
+
+            def gram(F, G, weights=1.0):
+                # A_F diag(weights dw) A_G' per trial, summed over components
+                (cf, A), (cg, B) = terms[F], terms[G]
+                A, B = (X.transpose(1, 2, 0, 3).reshape(X.shape[1], X.shape[2], -1)
+                        for X in (A * (weights * dw), B))
+                return A @ B.transpose(0, 2, 1), np.ix_(cf, cg)
+
+            def integral(gram, omega):
+                return np.sum(gram[0] * moments[omega][gram[1]], axis=(1, 2))
+
+            gg = gram("grad", "grad")
+            gam, r2g2 = integral(gg, "w"), integral(gg, "r2")
+            gx2 = integral(gram("gu", "gu"), "r2")
+            totals[:9, t:t + _TRIAL_BLOCK] = [
+                integral(gram("hess", "hess", 2.0 - diag), "w2"),  # a1: int ||w Hess f||^2
+                integral(gram("lap", "lap"), "w2"),              # a2: int (w Lap f)^2
+                gam,                                             # int Gamma
+                integral(gg, "1"),                               # g2i
+                gx2,                                             # int <grad f, x>^2
+                r2g2 - gx2,                                      # qi
+                4.0 * integral(gram("hu", "grad"), "wr"),        # p1: int <d|df|^2, w dw>
+                2.0 * integral(gram("lap", "gu"), "wr"),         # p2: int <Lap f df, w dw>
+                -2.0 * n * gam + 4.0 * (beta - 1.0) * r2g2,      # wdw2
+            ]
+            if order == 3:  # t2: int w^2 <df, dLap f>
+                totals[9, t:t + _TRIAL_BLOCK] = integral(gram("grad", "gradlap"), "w2")
         (self.a1, self.a2, self.gam, self.g2i, self.gx2, self.qi, self.p1,
          self.p2, self.wdw2, self.t2) = totals
         # pointwise Gamma2 (Cauchy form, second-order only)
         self.gamma2 = (self.a1 + n * self.gam + 2.0 * (beta - 1.0) * self.g2i
                        + self.p1 - self.p2)
-
-    @classmethod
-    def of_random_tests(cls, seeds, params: MeasureParams, blocks, order: int = 3):
-        """Pack and labels of make_random_test(seed, n) for every seed, over
-        the node blocks of `_node_blocks`; order 2 leaves t2 NaN and skips
-        grad Lap f."""
-        coefs, labels = random_test_coefficients(seeds, params.n)
-        totals = np.zeros((10, len(seeds)))
-        for x, w, r, u in blocks:
-            fields = RandomTestFields(r, u, order)
-            for t in range(0, len(seeds), _TRIAL_BLOCK):
-                _, g, hess, *gdl = fields.fields(coefs[:, t:t + _TRIAL_BLOCK])
-                totals[:, t:t + _TRIAL_BLOCK] += _field_integrals(x, w, params, g,
-                                                                  hess, *gdl)
-        return cls(totals, params), labels
 
 
 def _lowfact_rhs(pack: _FieldPack, n: int, beta: float, eps: float,
@@ -406,20 +422,21 @@ def lowfact_coefficients(n: int, beta: float, eps: float):
 
 def _random_test_pack(params: MeasureParams, spec: Optional[QuadratureSpec],
                       trials: int, seed: int, order: int = 3):
-    """Pack and labels of the random tests (seed << 20) + t, t < trials, on
-    the identity nodes of their support."""
+    """Pack of the random tests (seed << 20) + t, t < trials, on the
+    identity nodes of their support."""
     if spec is None:
         spec = default_nd_spec(params.n)
-    blocks = _node_blocks(params, spec, RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS)
-    seeds = [(seed << 20) + t for t in range(trials)]
-    return _FieldPack.of_random_tests(seeds, params, blocks, order)
+    rule = _tensor_rule(params, spec, RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS)
+    return _FieldPack([(seed << 20) + t for t in range(trials)], params, rule, order)
 
 
 def verify_all(params: MeasureParams, spec: Optional[QuadratureSpec] = None,
                trials: int = 50, seed: int = 0,
                corrupt_ipp1: bool = False) -> list[IdentityReport]:
     """Worst-case report per applicable tag over random compactly supported
-    test functions.
+    test functions.  Each row reports (and names in `detail`) the first
+    trial whose rel_err is within rounding (1e-12) of the worst, or the
+    first NaN trial if there is one.
 
     corrupt_ipp1 flips the sign of the IPP1 right-hand side; it exists as a
     negative control so report consumers can confirm a broken identity is
@@ -428,18 +445,18 @@ def verify_all(params: MeasureParams, spec: Optional[QuadratureSpec] = None,
     if trials < 1:
         raise ValueError("need at least one trial")
     n, beta = params.n, params.beta
-    pack, labels = _random_test_pack(params, spec, trials, seed)
+    pack = _random_test_pack(params, spec, trials, seed)
     reports = []
     for tag in applicable_tags(params):
         lhs, rhs = _tag_sides(tag, pack, params, None)
         if corrupt_ipp1 and tag == "IPP1":
             rhs = -rhs
         rel = _rel_err(lhs, rhs)
-        k = int(np.argmax(rel))  # the first of equal worst trials
+        k = int(np.argmax(np.isnan(rel) if np.isnan(rel).any() else rel >= rel.max() - 1e-12))
         reports.append(IdentityReport(
             tag=tag, n=n, beta=beta, lhs=float(lhs[k]), rhs=float(rhs[k]),
             abs_err=float(abs(lhs[k] - rhs[k])), rel_err=float(rel[k]),
-            trials=trials, detail=labels[k]))
+            trials=trials, detail=pack.labels[k]))
     return reports
 
 
@@ -455,7 +472,7 @@ def lowfact_sign_check(params: MeasureParams,
     n, beta = params.n, params.beta
     if n < 2:
         raise ValueError("needs n >= 2")
-    pack, _ = _random_test_pack(params, spec, trials, seed, order=2)  # no t2
+    pack = _random_test_pack(params, spec, trials, seed, order=2)  # no t2
     D_claimed = GAP_FORMULA["lower"](n, beta)
     e0 = range_edges(n)[0] - beta
     eps0 = {"plus": e0, "minus": -e0}
@@ -483,7 +500,7 @@ def lowfact_epsilon_scan(params: MeasureParams, eps_values,
     lower-range gap (beta - n/2)^2.
     """
     n, beta = params.n, params.beta
-    pack, _ = _random_test_pack(params, spec, trials, seed, order=2)  # no t2
+    pack = _random_test_pack(params, spec, trials, seed, order=2)  # no t2
     rows = []
     for eps in eps_values:
         eps = float(eps)

@@ -428,8 +428,9 @@ def lowest_eigpairs(problem: ModeProblem, k: int,
     is negative: C = L^{-1} B L^{-T} and phi = L^{-T} y.  Otherwise
     _inertia counts the pivots, and C = L_B' (A - sigma B)^{-1} L_B with
     B = L_B L_B' and A - sigma B in banded LU, phi = L_B^{-T} y.  Raises
-    NumericalBreakdown on non-finite or underflowed entries, a failed
-    factorization or a count other than the closed form's.
+    NumericalBreakdown on non-finite entries, mass entries that are not
+    positive, a failed factorization or a count other than the closed
+    form's.
     """
     if k < 1:
         raise ValueError("need k >= 1 eigenpairs")
@@ -439,8 +440,9 @@ def lowest_eigpairs(problem: ModeProblem, k: int,
     if not (np.all(np.isfinite(A.band)) and np.all(np.isfinite(B.band))):
         raise NumericalBreakdown(problem, "non-finite band entries")
     nh = nn - len(problem.ray_ks)
-    if not (np.all(B.band[0] > 0.0) and np.all(B.band[1, :nh - 1] > 0.0)):
-        raise NumericalBreakdown(problem, "mass entries underflowed to zero")
+    smallest = min(B.band[0].min(), B.band[1, :nh - 1].min(initial=np.inf))
+    if not smallest > 0.0:
+        raise NumericalBreakdown(problem, f"mass entries not positive (smallest {smallest:.3g})")
     if floor is None:
         scale = float(np.median(np.abs(A.band[0]) / B.band[0]))
         sigma, ncv, what, closed = -1e-6 * max(scale, 1.0), None, "A - sigma B", 0

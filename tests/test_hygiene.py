@@ -88,3 +88,31 @@ def test_cli_flags_are_read_by_their_command():
               if action.option_strings and action.dest not in ("help", "config")
               and action.dest not in _args_reads(funcs, cli._COMMANDS[name].__name__)]
     assert unread == []
+
+
+def test_no_dead_private_names():
+    # every module-level private def, class or assignment is referenced in
+    # src/ besides its definition, so a refactor leaves no helper behind
+    sources = {p: p.read_text() for p in PACKAGE.glob("*.py")}
+    used = set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = []
+    for path, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [(path.stem, name) for name in names
+                     if name.startswith("_") and not name.startswith("__")
+                     and name not in used]
+    assert dead == []

@@ -286,42 +286,50 @@ def _reference_pack(f, params, pts, wts):
 
 
 def test_block_pack_matches_reference_pack():
-    # analytic thirds and distinct-entry algebra against the per-function
-    # reference, on the criterion-4 node sets
-    for n, beta in [(2, 3.0), (3, 2.5)]:
+    # the separable pack (radial moments times angular Grams) at orders 2
+    # and 3 against the per-function pointwise reference on the nodes of the
+    # same criterion-4 rule, on the line, at beta = 2 and at n = 2 and 3;
+    # qi vanishes identically on the line, so it is compared there on the
+    # scale of its cancelling parts, int |x|^2 |grad f|^2 = qi + gx2
+    for n, beta in [(1, 0.8), (2, 2.0), (2, 3.0), (3, 2.5)]:
         p = MeasureParams(n, beta)
         spec = QuadratureSpec(scheme="polar_2d" if n == 2 else "product_spherical",
                               nodes=128, angular_nodes=40)
-        blocks = list(quadrature._node_blocks(p, spec, 3.0, (1.8,)))
-        pts = np.concatenate([x for x, *_ in blocks])
-        wts = np.concatenate([w for _, w, *_ in blocks])
+        pts, wts = _whole_rule(p, spec, 3.0, (1.8,))
+        rule = quadrature._tensor_rule(p, spec, 3.0, (1.8,))
         seeds = [0, 1, 2]
-        pack, labels = quadrature._FieldPack.of_random_tests(seeds, p, blocks)
+        packs = {order: quadrature._FieldPack(seeds, p, rule, order) for order in (2, 3)}
         for t, seed in enumerate(seeds):
             f = make_random_test(seed, n)
-            assert labels[t] == f.label
             ref = _reference_pack(f, p, pts, wts)
-            for key in PACK_FIELDS:
-                got = getattr(pack, key)[t]
-                assert abs(got - ref[key]) <= 1e-9 * abs(ref[key]), (n, beta, seed, key)
+            for order, pack in packs.items():
+                assert pack.labels[t] == f.label
+                for key in PACK_FIELDS:
+                    got = getattr(pack, key)[t]
+                    if key == "t2" and order == 2:
+                        assert np.isnan(got)
+                        continue
+                    scale = abs(ref["gx2"]) if (n, key) == (1, "qi") else abs(ref[key])
+                    assert abs(got - ref[key]) <= 1e-9 * scale, (n, beta, seed, order, key)
 
 
 @pytest.mark.parametrize("nodes, angular", [(128, 40), (16, 12)])
 def test_verify_all_trial_blocks(monkeypatch, nodes, angular):
     # more trials than one block and not a multiple of it: the same reports
-    # as one trial per block.  Where several trials tie within rounding for
-    # the worst error, blocking may pick any of them; the coarse rule leaves
-    # quadrature errors of 1e-3..1 in most rows, so their worst trial is
-    # decided by more than rounding.
+    # as one trial per block.  Where several trials tie within rounding
+    # (1e-12) for the worst error, the row names the first of them, so
+    # blocking cannot change the name; the coarse rule leaves quadrature
+    # errors of 1e-3..1 in most rows, so their worst trial is decided by
+    # more than rounding.
     p = MeasureParams(3, 2.5)
     spec = QuadratureSpec(scheme="product_spherical", nodes=nodes,
                           angular_nodes=angular)
     trials = 2 * quadrature._TRIAL_BLOCK + 3
     blocked = verify_all(p, spec=spec, trials=trials, seed=1)
-    blocked_pack, _ = quadrature._random_test_pack(p, spec, trials, 1)
+    blocked_pack = quadrature._random_test_pack(p, spec, trials, 1)
     monkeypatch.setattr(quadrature, "_TRIAL_BLOCK", 1)
     single = verify_all(p, spec=spec, trials=trials, seed=1)
-    pack, labels = quadrature._random_test_pack(p, spec, trials, 1)
+    pack = quadrature._random_test_pack(p, spec, trials, 1)
     for key in PACK_FIELDS:
         assert np.allclose(getattr(blocked_pack, key), getattr(pack, key),
                            rtol=1e-12, atol=0.0)
@@ -331,8 +339,31 @@ def test_verify_all_trial_blocks(monkeypatch, nodes, angular):
         assert abs(a.rel_err - b.rel_err) <= 1e-12
         lhs, rhs = quadrature._tag_sides(a.tag, pack, p, None)
         rel = quadrature._rel_err(lhs, rhs)
-        tied = {labels[t] for t in np.flatnonzero(rel >= rel.max() - 1e-12)}
-        assert a.detail in tied and b.detail == labels[int(np.argmax(rel))]
+        first_tied = pack.labels[int(np.flatnonzero(rel >= rel.max() - 1e-12)[0])]
+        assert a.detail == b.detail == first_tied
+
+
+def test_verify_all_reports_a_nan_trial(monkeypatch):
+    # a trial whose integrals are NaN makes every row's worst error NaN and
+    # names that trial; the rounding tie rule must not pass over it to a
+    # finite trial
+    p = MeasureParams(3, 2.5)
+    spec = QuadratureSpec("product_spherical", nodes=16, angular_nodes=12)
+    pack_of = quadrature._random_test_pack
+
+    def nan_trial(*args, **kwargs):
+        pack = pack_of(*args, **kwargs)
+        for key in PACK_FIELDS + ("gamma2",):
+            getattr(pack, key)[1] = np.nan
+        return pack
+
+    monkeypatch.setattr(quadrature, "_random_test_pack", nan_trial)
+    reports = verify_all(p, spec=spec, trials=3, seed=0)
+    assert len(reports) == 8
+    label = functions.random_test_coefficients([1], 3)[1][0]
+    for rep in reports:
+        assert np.isnan(rep.rel_err) and not rep.rel_err <= 1e-5, rep.tag
+        assert rep.detail == label
 
 
 def test_random_test_tables_are_built_on_the_directions(monkeypatch):
@@ -358,13 +389,27 @@ def test_random_test_tables_are_built_on_the_directions(monkeypatch):
     assert points and max(points) <= directions
 
 
+def test_identity_checks_never_stream_node_blocks(monkeypatch):
+    # the random-test packs integrate in separable form on the tensor rule's
+    # factors; no identity check builds node-sized blocks
+    def refuse(*args, **kwargs):
+        raise AssertionError("_node_blocks called")
+
+    monkeypatch.setattr(quadrature, "_node_blocks", refuse)
+    spec = QuadratureSpec("product_spherical", nodes=128, angular_nodes=40)
+    p = MeasureParams(3, 2.2)
+    assert len(verify_all(p, spec=spec, trials=2, seed=0)) == 8
+    assert lowfact_sign_check(p, spec, trials=2)["resolved"] == "plus"
+    assert len(lowfact_epsilon_scan(p, [0.3, 0.8], spec, trials=2)) == 2
+
+
 def test_lowfact_uses_order_two_packs(monkeypatch):
     # LOWFACT and Gamma2 read no t2, so the lowfact packs skip grad Lap f:
     # t2 is NaN there, and the results equal those of full order-3 packs
     p = MeasureParams(3, 2.2)
     spec = QuadratureSpec("product_spherical", nodes=128, angular_nodes=40)
-    pack2, _ = quadrature._random_test_pack(p, spec, 3, 0, order=2)
-    pack3, _ = quadrature._random_test_pack(p, spec, 3, 0)
+    pack2 = quadrature._random_test_pack(p, spec, 3, 0, order=2)
+    pack3 = quadrature._random_test_pack(p, spec, 3, 0)
     assert np.all(np.isnan(pack2.t2)) and np.all(np.isfinite(pack3.t2))
     for key in PACK_FIELDS[:-1] + ("gamma2",):
         np.testing.assert_allclose(getattr(pack2, key), getattr(pack3, key),

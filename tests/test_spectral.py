@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -586,6 +588,20 @@ def test_numerical_breakdown_names_the_problem():
     # far mass entries underflow past double range at beta = 200
     with pytest.raises(NumericalBreakdown, match=r"ell=0 \(n=3, beta=200, nn=258\)"):
         numeric_gap(MeasureParams(3, 200.0), Discretization(m=256, delta=1e-3))
+
+
+@pytest.mark.parametrize("n, beta", [(1, 53.6), (3, 54.6)])
+def test_breakdown_names_the_smallest_mass_entry(n, beta):
+    # next to the silent-wrong window the far ray mass entries are negative
+    # subnormals, not zeros: the reason says so and names the smallest
+    # (its digits depend on libm and on flush-to-zero, so only its size is
+    # checked)
+    with pytest.raises(NumericalBreakdown,
+                       match=r"ell=0 .*: mass entries not positive "
+                             r"\(smallest \S+\)") as err:
+        numeric_gap(MeasureParams(n, beta), Discretization(m=64, delta=1e-3))
+    smallest = float(re.search(r"\(smallest (\S+)\)", str(err.value)).group(1))
+    assert -1e-300 < smallest <= 0.0
 
 
 # Where the far tail-ray and mass entries are subnormal: before the floor,
