@@ -9,9 +9,8 @@ from .functions import (SmoothFunction, make_linear, make_lower_extremal_1d,
                         make_radial_log_cutoff, make_random_test)
 from .measures import (MeasureParams, SampleBatch, density, log_normalization,
                        mean_sq_norm, normalization, omega_moment, sample)
-from .operators import (FactorizedGamma2, WeightSpec, apply_L, cauchy_weight,
-                        cd_witness, gamma, gamma2_cauchy,
-                        gamma2_cauchy_factorized, gamma2_general)
+from .operators import (FactorizedGamma2, apply_L, cauchy_weight, cd_witness,
+                        gamma, gamma2_cauchy_factorized, gamma2_general)
 from .quadrature import (VERIFY_GRID, IdentityReport, QuadratureSpec,
                          applicable_tags, default_nd_spec, integrate_nd,
                          lowfact_coefficients, lowfact_epsilon_scan,
@@ -27,10 +26,10 @@ __all__ = [
     "DeficitMismatch", "Discretization", "FactorizedGamma2", "GapReport",
     "IdentityReport", "MeasureParams", "ModeProblem", "QuadratureSpec",
     "SWEEP_COLUMNS", "SampleBatch", "SmoothFunction", "VERIFY_GRID",
-    "WeightSpec", "applicable_tags", "apply_L", "assemble_mode",
+    "applicable_tags", "apply_L", "assemble_mode",
     "cauchy_weight", "cd_witness", "closed_form_gap", "default_horizon",
     "default_nd_spec", "deficit", "deficit_trace", "density",
-    "gamma", "gamma2_cauchy", "gamma2_cauchy_factorized",
+    "gamma", "gamma2_cauchy_factorized",
     "gamma2_general", "integrate_nd", "log_normalization", "lowest_eigs",
     "lowfact_coefficients", "lowfact_epsilon_scan", "lowfact_sign_check",
     "make_linear", "make_lower_extremal_1d", "make_power_family",

@@ -1,11 +1,13 @@
 """Smooth test functions with analytic value/gradient/hessian.
 
 Everything is batched: value maps (N, n) -> (N,), gradient -> (N, n),
-hessian -> (N, n, n).  Compactly supported constructors report their
-support radius so quadrature can truncate.  The random tests' fields,
-grad Lap f included, are also evaluated in factored form on whole radial
-rows, and given as radial factors times angular arrays for quadrature
-(`RandomTestFields`).
+hessian -> (N, n, n).  Each constructor writes one evaluator
+fields(x, order) that returns that order only (`_from_fields`), and
+radial profiles g(|x - c|^2) share one chain rule (`_radial`).  Compactly
+supported constructors report their support radius so quadrature can
+truncate.  The random tests' fields, grad Lap f included, are also
+evaluated in factored form on whole radial rows, and given as radial
+factors times angular arrays for quadrature (`RandomTestFields`).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def _row_sq_norms(x: Array) -> Array:
 # C^2 radial bump profile: 1 on [0, r_in], 0 from r_out on, quintic blend
 # 1 - t^3 (10 - 15 t + 6 t^2) in between (closed-form derivatives).
 
-def _bump_profile(r, r_in, r_out, order=2):
+def _bump_profile(r, r_in, r_out, order):
     """b, b', ..., b^(order) of the profile at radii r (order <= 3).
 
     b''' jumps at both joints; at r = r_in and r = r_out it takes the value
@@ -85,23 +87,33 @@ def _bump_profile(r, r_in, r_out, order=2):
     return out
 
 
-def _radial_bump_fields(x, center, r_in, r_out):
-    """Bump value/gradient/hessian as functions of x around `center`."""
-    d = x - center
-    r = np.sqrt(_row_sq_norms(d))
-    b, db, d2b = _bump_profile(r, r_in, r_out)
-    n = x.shape[-1]
-    safe_r = np.where(r > 0, r, 1.0)
-    u = d / safe_r[:, None]
-    grad = db[:, None] * u
-    eye = np.eye(n)
-    uu = u[:, :, None] * u[:, None, :]
-    hess = (d2b[:, None, None] * uu
-            + (db / safe_r)[:, None, None] * (eye[None] - uu))
-    zero = r <= r_in  # profile constant there, all derivatives vanish
-    grad[zero] = 0.0
-    hess[zero] = 0.0
-    return b, grad, hess
+def _from_fields(fields, **kwargs) -> SmoothFunction:
+    """The SmoothFunction whose value, gradient and hessian are orders 0, 1
+    and 2 of the evaluator fields(x, order) on points x (N, n): f (N,),
+    grad f (N, n) or Hess f (N, n, n), that order only.  The keyword
+    arguments are SmoothFunction's other fields."""
+    def order(k):
+        return lambda x: fields(_as_points(x), k)
+
+    return SmoothFunction(order(0), order(1), order(2), **kwargs)
+
+
+def _radial(profile, center=None):
+    """Evaluator of x -> g(|x - center|^2) (center 0 when None), from
+    profile(s, k) = g^(k)(s) for k <= 2, by the chain rule: gradient
+    2 g' d and Hessian 2 g' I + 4 g'' d d^T, with d = x - center."""
+    def fields(x, order):
+        d = x if center is None else x - center
+        s = _row_sq_norms(d)
+        if order == 0:
+            return profile(s, 0)
+        if order == 1:
+            return 2.0 * profile(s, 1)[:, None] * d
+        dd = d[:, :, None] * d[:, None, :]
+        return ((2.0 * profile(s, 1))[:, None, None] * np.eye(d.shape[1])[None]
+                + (4.0 * profile(s, 2))[:, None, None] * dd)
+
+    return fields
 
 
 def make_linear(v: Array) -> SmoothFunction:
@@ -110,19 +122,14 @@ def make_linear(v: Array) -> SmoothFunction:
         raise ValueError("direction vector must be nonzero")
     n = v.size
 
-    def value(x):
-        return _as_points(x) @ v
+    def fields(x, order):
+        if order == 0:
+            return x @ v
+        if order == 1:
+            return np.broadcast_to(v, x.shape).copy()
+        return np.zeros((len(x), n, n))
 
-    def gradient(x):
-        x = _as_points(x)
-        return np.broadcast_to(v, x.shape).copy()
-
-    def hessian(x):
-        x = _as_points(x)
-        return np.zeros((x.shape[0], n, n))
-
-    return SmoothFunction(value, gradient, hessian, None, f"linear{v.tolist()}",
-                          angular_mode=1)
+    return _from_fields(fields, label=f"linear{v.tolist()}", angular_mode=1)
 
 
 def make_quadratic_centered(params: MeasureParams) -> SmoothFunction:
@@ -131,47 +138,27 @@ def make_quadratic_centered(params: MeasureParams) -> SmoothFunction:
     n = params.n
     flag = "" if params.beta > n / 2 + 2 else " (not in L2)"
 
-    def value(x):
-        x = _as_points(x)
-        return _row_sq_norms(x) - c
+    # direct orders: the radial chain rule costs this f several times over
+    def fields(x, order):
+        if order == 0:
+            return _row_sq_norms(x) - c
+        if order == 1:
+            return 2.0 * x
+        return np.broadcast_to(2.0 * np.eye(n), (len(x), n, n)).copy()
 
-    def gradient(x):
-        return 2.0 * _as_points(x)
-
-    def hessian(x):
-        x = _as_points(x)
-        return np.broadcast_to(2.0 * np.eye(n), (x.shape[0], n, n)).copy()
-
-    return SmoothFunction(value, gradient, hessian, None,
-                          f"quadratic_centered(c={c:.6g}){flag}",
-                          angular_mode=0)
+    return _from_fields(fields, label=f"quadratic_centered(c={c:.6g}){flag}",
+                        angular_mode=0)
 
 
 def make_power_family(epsilon: float) -> SmoothFunction:
     """f(x) = (1 + |x|^2)^epsilon with analytic derivatives (any dimension)."""
     eps = float(epsilon)
 
-    def value(x):
-        s = _row_sq_norms(_as_points(x))
-        return (1.0 + s) ** eps
+    def profile(s, k):  # g^(k)(s) for g(s) = (1 + s)^eps
+        return (1.0, eps, eps * (eps - 1.0))[k] * (1.0 + s) ** (eps - k)
 
-    def gradient(x):
-        x = _as_points(x)
-        s = _row_sq_norms(x)
-        return 2.0 * eps * ((1.0 + s) ** (eps - 1.0))[:, None] * x
-
-    def hessian(x):
-        x = _as_points(x)
-        s = _row_sq_norms(x)
-        w1 = (1.0 + s) ** (eps - 1.0)
-        w2 = (1.0 + s) ** (eps - 2.0)
-        eye = np.eye(x.shape[-1])
-        xx = x[:, :, None] * x[:, None, :]
-        return (2.0 * eps * w1)[:, None, None] * eye[None] \
-            + (4.0 * eps * (eps - 1.0) * w2)[:, None, None] * xx
-
-    return SmoothFunction(value, gradient, hessian, None, f"power(eps={eps})",
-                          angular_mode=0)
+    return _from_fields(_radial(profile), label=f"power(eps={eps})",
+                        angular_mode=0)
 
 
 def make_radial_log_cutoff(x0: Array, r_in: float, r_out: float) -> SmoothFunction:
@@ -185,36 +172,34 @@ def make_radial_log_cutoff(x0: Array, r_in: float, r_out: float) -> SmoothFuncti
         raise ValueError("cutoff center must be away from the origin")
     if not (0 < r_in < r_out < R0):
         raise ValueError("need 0 < r_in < r_out < |x0|")
-    n = x0.size
 
-    def fields(x):
-        x = _as_points(x)
-        s = _row_sq_norms(x)
+    def half_log(s, k):
         s = np.where(s > 0, s, 1.0)  # outside the bump anyway
-        lv = 0.5 * np.log(s)
-        lg = x / s[:, None]
-        eye = np.eye(n)
-        xx = x[:, :, None] * x[:, None, :]
-        lh = eye[None] / s[:, None, None] - 2.0 * xx / (s * s)[:, None, None]
-        b, bg, bh = _radial_bump_fields(x, x0, r_in, r_out)
-        return lv, lg, lh, b, bg, bh
+        return 0.5 * np.log(s) if k == 0 else (0.5 if k == 1 else -0.5) / s ** k
 
-    def value(x):
-        lv, _, _, b, _, _ = fields(x)
-        return lv * b
+    def bump(s, k):  # the profile as a function of s = r^2
+        r = np.sqrt(s)
+        b = _bump_profile(r, r_in, r_out, k)
+        if k == 0:
+            return b[0]
+        r = np.where(r > 0, r, 1.0)  # b' = b'' = 0 near the center
+        return b[1] / (2.0 * r) if k == 1 else (b[2] - b[1] / r) / (4.0 * r * r)
 
-    def gradient(x):
-        lv, lg, _, b, bg, _ = fields(x)
-        return b[:, None] * lg + lv[:, None] * bg
+    log, cut = _radial(half_log), _radial(bump, x0)
 
-    def hessian(x):
-        lv, lg, lh, b, bg, bh = fields(x)
-        cross = lg[:, :, None] * bg[:, None, :]
-        return (b[:, None, None] * lh + lv[:, None, None] * bh
+    def fields(x, order):  # Leibniz rule for log * cut
+        L = [log(x, k) for k in range(order + 1)]
+        B = [cut(x, k) for k in range(order + 1)]
+        if order == 0:
+            return L[0] * B[0]
+        if order == 1:
+            return B[0][:, None] * L[1] + L[0][:, None] * B[1]
+        cross = L[1][:, :, None] * B[1][:, None, :]
+        return (B[0][:, None, None] * L[2] + L[0][:, None, None] * B[2]
                 + cross + np.swapaxes(cross, 1, 2))
 
-    return SmoothFunction(value, gradient, hessian, R0 + r_out,
-                          f"radial_log_cutoff(|x0|={R0:.4g})")
+    return _from_fields(fields, support_radius=R0 + r_out,
+                        label=f"radial_log_cutoff(|x0|={R0:.4g})")
 
 
 def make_lower_extremal_1d(beta: float) -> SmoothFunction:
@@ -225,20 +210,15 @@ def make_lower_extremal_1d(beta: float) -> SmoothFunction:
     """
     p = (2.0 * float(beta) - 3.0) / 4.0
 
-    def value(x):
-        t = _as_points(x)[:, 0]
-        return t * hyp2f1(0.5, -p, 1.5, -t * t)
-
-    def gradient(x):
-        t = _as_points(x)[:, 0]
-        return ((1.0 + t * t) ** p)[:, None]
-
-    def hessian(x):
-        t = _as_points(x)[:, 0]
+    def fields(x, order):
+        t = x[:, 0]
+        if order == 0:
+            return t * hyp2f1(0.5, -p, 1.5, -t * t)
+        if order == 1:
+            return ((1.0 + t * t) ** p)[:, None]
         return (2.0 * p * t * (1.0 + t * t) ** (p - 1.0))[:, None, None]
 
-    return SmoothFunction(value, gradient, hessian, None,
-                          f"lower_extremal_1d(beta={beta})")
+    return _from_fields(fields, label=f"lower_extremal_1d(beta={beta})")
 
 
 # ----------------------------------------------------------------------
@@ -458,20 +438,15 @@ def make_random_test(seed: int, n: int) -> SmoothFunction:
         return RandomTestFields(r, u, order).fields(coefs)
 
     def fields(x, order):
-        return rows(np.ones(1), _as_points(x), order)[order]
+        f = rows(np.ones(1), x, order)[order]
+        if order == 0:
+            return f[0]
+        f = f[:, 0]
+        return np.ascontiguousarray(f.T if order == 1
+                                    else f[_pairs(n)[2]].transpose(2, 0, 1))
 
-    def value(x):
-        return fields(x, 0)[0]
-
-    def gradient(x):
-        return np.ascontiguousarray(fields(x, 1)[:, 0].T)
-
-    def hessian(x):
-        h = fields(x, 2)[:, 0]
-        return np.ascontiguousarray(h[_pairs(n)[2]].transpose(2, 0, 1))
-
-    return SmoothFunction(value, gradient, hessian, RANDOM_TEST_RADIUS, label,
-                          radial_seams=RANDOM_TEST_SEAMS, rows=rows)
+    return _from_fields(fields, support_radius=RANDOM_TEST_RADIUS, label=label,
+                        radial_seams=RANDOM_TEST_SEAMS, rows=rows)
 
 
 def _exponents(n: int, total: int):

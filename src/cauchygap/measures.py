@@ -51,10 +51,11 @@ def _sq_norms(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def density(x: np.ndarray, params: MeasureParams) -> np.ndarray:
-    """Probability density at points x (shape (n,) or (N, n))."""
+    """Probability density at points x: a float for one point of shape
+    (n,), an array (N,) for points (N, n)."""
     s = _sq_norms(x, params.n)
     out = np.exp(-params.beta * np.log1p(s) - log_normalization(params))
-    return out if out.size > 1 else float(out[0])
+    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def omega_moment(gamma: float, params: MeasureParams) -> float:

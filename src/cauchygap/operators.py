@@ -1,54 +1,32 @@
 """Pointwise diffusion operator L, carre du champ Gamma, and iterated Gamma2.
 
 L f = w * Lap(f) - (beta - 1) <grad w, grad f> for a smooth positive weight w
-on flat R^n (curvature of the ambient space is zero throughout).  The Cauchy
-weight w = 1 + |x|^2 gets dedicated fast paths plus the sum-of-squares
-factorization of Gamma2 that exhibits CD(0, infinity).
+on flat R^n (curvature of the ambient space is zero throughout), given as a
+SmoothFunction.  Gamma2 has one formula for every weight; at the Cauchy
+weight w = 1 + |x|^2 it also has the sum-of-squares factorization that
+exhibits CD(0, infinity).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .functions import SmoothFunction, make_radial_log_cutoff, _as_points
+from .functions import (SmoothFunction, make_power_family,
+                        make_radial_log_cutoff, _as_points)
 from .measures import MeasureParams
 
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    value: Callable[[Array], Array]
-    gradient: Callable[[Array], Array]
-    hessian: Callable[[Array], Array]
-    laplacian: Callable[[Array], Array]
+def cauchy_weight() -> SmoothFunction:
+    """w(x) = 1 + |x|^2 (grad 2x, Hess 2 Id, Lap 2n): the power family at
+    epsilon = 1."""
+    return make_power_family(1.0)
 
 
-def cauchy_weight(n: int) -> WeightSpec:
-    """w(x) = 1 + |x|^2: grad = 2x, Hess = 2 Id, Lap = 2n."""
-
-    def value(x):
-        x = _as_points(x)
-        return 1.0 + np.sum(x * x, axis=-1)
-
-    def gradient(x):
-        return 2.0 * _as_points(x)
-
-    def hessian(x):
-        x = _as_points(x)
-        return np.broadcast_to(2.0 * np.eye(n), (x.shape[0], n, n)).copy()
-
-    def laplacian(x):
-        x = _as_points(x)
-        return np.full(x.shape[0], 2.0 * n)
-
-    return WeightSpec(value, gradient, hessian, laplacian)
-
-
-def apply_L(f: SmoothFunction, x: Array, weight: WeightSpec,
+def apply_L(f: SmoothFunction, x: Array, weight: SmoothFunction,
             params: MeasureParams) -> Array:
     x = _as_points(x)
     w = weight.value(x)
@@ -56,26 +34,27 @@ def apply_L(f: SmoothFunction, x: Array, weight: WeightSpec,
     return w * lap_f - (params.beta - 1.0) * np.sum(weight.gradient(x) * f.gradient(x), axis=-1)
 
 
-def gamma(f: SmoothFunction, x: Array, weight: WeightSpec) -> Array:
+def gamma(f: SmoothFunction, x: Array, weight: SmoothFunction) -> Array:
     x = _as_points(x)
     g = f.gradient(x)
     return weight.value(x) * np.sum(g * g, axis=-1)
 
 
-def gamma2_general(f: SmoothFunction, x: Array, weight: WeightSpec,
+def gamma2_general(f: SmoothFunction, x: Array, weight: SmoothFunction,
                    params: MeasureParams) -> Array:
     """Gamma2 for a general weight on flat space (Ricci terms are zero).
 
     ||w Hess f||^2 + (1/2)[w Lap w - (beta-1)|dw|^2] |df|^2
       + <d|df|^2, w dw> - <Lap f * df, w dw> + (beta-1) w Hess(w)(df, df),
-    with d|df|^2 = 2 Hess(f) df.  Second derivatives of f suffice.
+    with d|df|^2 = 2 Hess(f) df and Lap w the trace of Hess w.  Second
+    derivatives of f and w suffice.
     """
     x = _as_points(x)
     beta = params.beta
     w = weight.value(x)
     dw = weight.gradient(x)
     Hw = weight.hessian(x)
-    lap_w = weight.laplacian(x)
+    lap_w = np.trace(Hw, axis1=1, axis2=2)
     g = f.gradient(x)
     H = f.hessian(x)
     lap_f = np.trace(H, axis1=1, axis2=2)
@@ -87,24 +66,6 @@ def gamma2_general(f: SmoothFunction, x: Array, weight: WeightSpec,
     t4 = w * lap_f * np.sum(g * dw, axis=-1)          # <Lap f df, w dw>
     t5 = (beta - 1.0) * w * np.einsum("kij,ki,kj->k", Hw, g, g)
     return hs + mid + t3 - t4 + t5
-
-
-def gamma2_cauchy(f: SmoothFunction, x: Array, params: MeasureParams) -> Array:
-    """Cauchy-weight Gamma2:
-    ||w Hess f||^2 + [n w + 2(beta-1)] |df|^2 + 2<d|df|^2, w x> - 2<Lap f df, w x>.
-    """
-    x = _as_points(x)
-    n, beta = params.n, params.beta
-    w = 1.0 + np.sum(x * x, axis=-1)
-    g = f.gradient(x)
-    H = f.hessian(x)
-    lap_f = np.trace(H, axis1=1, axis2=2)
-    g2 = np.sum(g * g, axis=-1)
-    Hg = np.einsum("kij,kj->ki", H, g)
-    hs = w * w * np.einsum("kij,kij->k", H, H)
-    t3 = 2.0 * w * 2.0 * np.sum(Hg * x, axis=-1)
-    t4 = 2.0 * w * lap_f * np.sum(g * x, axis=-1)
-    return hs + (n * w + 2.0 * (beta - 1.0)) * g2 + t3 - t4
 
 
 class FactorizedGamma2(NamedTuple):
@@ -151,15 +112,16 @@ def cd_witness(params: MeasureParams, rho: float):
     x0 = np.zeros(n)
     x0[0] = R
     f = make_radial_log_cutoff(x0, r_in=R / 4.0, r_out=R / 2.0)
-    g2v = float(gamma2_cauchy(f, x0, params)[0])
-    gv = float(gamma(f, x0, cauchy_weight(n))[0])
+    w = cauchy_weight()
+    g2v = float(gamma2_general(f, x0, w, params)[0])
+    gv = float(gamma(f, x0, w)[0])
     if not g2v < rho * gv:
         raise AssertionError(
             f"witness failed: Gamma2 = {g2v} not below rho*Gamma = {rho * gv}")
     return x0, f
 
 
-def assumption_margins(weight: WeightSpec, params: MeasureParams,
+def assumption_margins(weight: SmoothFunction, params: MeasureParams,
                        sample_points: Array):
     """Smallest-eigenvalue margins of the two convexity conditions.
 
@@ -176,7 +138,7 @@ def assumption_margins(weight: WeightSpec, params: MeasureParams,
     if n < 2:
         return h1, None
     w = weight.value(x)
-    lap_w = weight.laplacian(x)
+    lap_w = np.trace(Hw, axis1=1, axis2=2)
     eye = np.eye(n)
     M = ((beta - 1.0) * Hw
          + ((n + 1.0 - beta) / (n - 1.0)) * w[:, None, None]

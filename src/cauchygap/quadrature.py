@@ -46,6 +46,8 @@ class QuadratureSpec:
             raise ValueError(f"unknown scheme {self.scheme!r}; pick from {_SCHEMES}")
         if self.nodes < 16:
             raise ValueError("need at least 16 nodes")
+        if self.angular_nodes < 1:
+            raise ValueError(f"angular_nodes must be at least 1, got {self.angular_nodes}")
 
 
 @dataclass

@@ -352,9 +352,12 @@ def deficit_trace(f: SmoothFunction, params: MeasureParams, range_tag: str,
     lowest 48 exact pairs of the ell = 0 projection on `_ROUTE_DISC`, with
     c_k = phi_k'B v.  The dropped pairs decay fastest, so q is truncated
     only near t = 0: for the seed-0 even 1-D bump at (1, 1.2) the 48 pairs
-    miss 13% of q(0).
+    miss 13% of q(0).  Times must be >= 0 (inf gives the limit q = 0).
     """
     rho = _range_lambda(params, range_tag)
+    times = np.asarray(times, dtype=float)
+    if not np.all(times >= 0.0):  # NaN fails this too
+        raise ValueError("times must be nonnegative, not NaN: the heat flow runs forward")
     if f.angular_mode == 1:
         lam = np.array([GAP_FORMULA["upper"](params.n, params.beta)])
         weights = np.array([_linear_variance(f, params)])
@@ -366,7 +369,9 @@ def deficit_trace(f: SmoothFunction, params: MeasureParams, range_tag: str,
         lam, phi = lowest_eigpairs(prob, _TRACE_PAIRS)
         c = phi.T @ (prob.B @ v)
         weights = c * c / mass
-    times = np.asarray(times, dtype=float)
-    q = np.exp(-2.0 * np.outer(times, lam)) @ (lam * (lam - rho) * weights)
+    # lam <= 0 only on the constant mode, at rounding level and with c = 0:
+    # it carries nothing, and at t = inf would give inf * 0
+    pos = lam > 0.0
+    q = np.exp(-2.0 * np.outer(times, lam[pos])) @ (lam * (lam - rho) * weights)[pos]
     return np.column_stack([times, q])
 

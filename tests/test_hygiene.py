@@ -116,3 +116,23 @@ def test_no_dead_private_names():
                      if name.startswith("_") and not name.startswith("__")
                      and name not in used]
     assert dead == []
+
+
+def test_no_unread_parameters():
+    # every parameter of a named function is read in its body (nested
+    # functions included), so a refactor leaves no dead argument behind;
+    # lambdas are exempt (a formula table may ignore an argument) and so is
+    # self, which bound methods take whether they read it or not
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [(path.stem, node.name, p) for p in params
+                       if p != "self" and p not in read]
+    assert unread == []

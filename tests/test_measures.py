@@ -52,6 +52,16 @@ def test_density_integrates_to_one():
         assert np.isclose(val, 1.0, rtol=1e-9)
 
 
+def test_density_shape_follows_input():
+    # one point (n,) gives a float; points (N, n) give (N,), N = 1 included
+    p = MeasureParams(2, 2.0)
+    single = density(np.array([1.0, 0.0]), p)
+    assert isinstance(single, float)
+    for N in (1, 3):
+        out = density(np.tile([1.0, 0.0], (N, 1)), p)
+        assert out.shape == (N,) and np.all(out == single)
+
+
 def test_omega_moment_closed_values():
     # gamma = 0 gives total mass, gamma = 1 gives (beta - n/2)/beta.
     for n, beta in [(1, 2.0), (2, 1.5), (3, 4.0)]:

@@ -131,6 +131,14 @@ def test_integrate_nd_refuses_malformed_integrands():
             integrate_nd(bad, p, spec, support_radius=1.0)
 
 
+def test_quadrature_spec_refuses_bad_sizes():
+    with pytest.raises(ValueError, match="16 nodes"):
+        QuadratureSpec(nodes=15)
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match="angular_nodes"):
+            QuadratureSpec(angular_nodes=bad)
+
+
 def test_integrate_nd_refuses_n_above_three():
     # the deterministic sphere rules stop at n = 3; only the node blocks of
     # a radial or linear f (angular_mode 0 or 1) run on the +-e_i rule there

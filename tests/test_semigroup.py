@@ -681,6 +681,13 @@ def test_deficit_trace_mid_linear_closed_form():
     rows = deficit_trace(make_linear(np.array([1.0, 0.0, 0.0])), p, "mid", t)
     expect = (0.4 / 2.6) * 5.6 * np.exp(-11.2 * t)
     assert np.allclose(rows[:, 1], expect, rtol=1e-13, atol=0.0)
+    # the flow runs forward: a negative or NaN time is refused, t = inf is
+    # the limit q = 0
+    for bad in ([-1.0], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            deficit_trace(make_linear(np.array([1.0, 0.0, 0.0])), p, "mid", bad)
+    assert deficit_trace(make_linear(np.array([1.0, 0.0, 0.0])), p, "mid",
+                         [np.inf])[0, 1] == 0.0
 
 
 def test_deficit_trace_lower_decays():
@@ -691,6 +698,12 @@ def test_deficit_trace_lower_decays():
     vals = rows[:, 1]
     assert vals[0] > 1e-3          # integrand positive at t = 0
     assert vals[-1] < vals[0] * 1e-2  # and decays along the flow
+    # to 0 at t = inf, although the constant mode's eigenvalue is a rounding
+    # error that may be negative; negative and NaN times are refused
+    assert deficit_trace(f, p, "lower", [np.inf])[0, 1] == 0.0
+    for bad in ([-1e-3], [np.nan]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            deficit_trace(f, p, "lower", bad)
     # generic multi-mode shapes have no route representation
     with pytest.raises(ValueError):
         deficit_trace(make_random_test(0, 2), MeasureParams(2, 1.5), "lower", t)
