@@ -5,9 +5,9 @@ hessian -> (N, n, n).  Each constructor writes one evaluator
 fields(x, order) that returns that order only (`_from_fields`), and
 radial profiles g(|x - c|^2) share one chain rule (`_radial`).  Compactly
 supported constructors report their support radius so quadrature can
-truncate.  The random tests' fields, grad Lap f included, are also
-evaluated in factored form on whole radial rows, and given as radial
-factors times angular arrays for quadrature (`RandomTestFields`).
+truncate.  The random tests' fields, grad Lap f included, are also given
+on whole radial rows as radial factors times angular arrays, which
+quadrature integrates in separable form (`RandomTestFields`).
 """
 
 from __future__ import annotations
@@ -40,13 +40,11 @@ class SmoothFunction:
     # 0 = radial (on the line, even), 1 = linear-in-x (plus a constant);
     # None = generic.  The deficit's cross-check trusts this declaration.
     angular_mode: Optional[int] = None
-    # rows(r, u, order): [f, grad f, distinct Hess f, grad Lap f][:order + 1]
-    # at the nodes r_i u_j of whole radial rows, in RandomTestFields.fields'
-    # layout with T = 1, where f has a factored form.  Where set, the
-    # deficit's Var(f) and int Gamma(f) read rows (order 1) instead of value
-    # and gradient, so it must agree with them: a copy that replaces either
-    # must also replace or clear rows (rows=None).
-    rows: Optional[Callable[[Array, Array, int], list]] = None
+    # make_random_test's f = P b: the coefficients of P on the basis of
+    # _poly_basis.  Where set, the deficit integrates f from them in separable
+    # form, not from value and gradient, so a copy that replaces either must
+    # clear coefs (coefs=None).
+    coefs: Optional[tuple] = None
 
 
 def _as_points(x: Array) -> Array:
@@ -345,44 +343,36 @@ def _product_rule(Q: Array, u: Array, order: int) -> dict:
 
 
 class RandomTestFields:
-    """Fields of make_random_test's functions f = P b at the nodes r_i u_j
-    (node i J + j) of the radii r (I,) and the points u (J, n).
+    """Fields of make_random_test's functions f = P b, up to the derivative
+    order 0..3, for a coefficient stack (M, T) of T functions.
 
-    Precondition: r = (1,) (the points u as given) or every u_j is a unit
-    vector (whole radial rows of a tensor rule); the clamp of the polynomial
-    argument and the one bump profile per radius r_i rely on it.  As
-    x^a = r^|a| u^a, the monomial table is built on u only, and every field
-    row is a sum of radial factors times angular arrays (_product_rule).
-    `terms` gives each row's arrays and the columns of `radial` they pair
-    with: on whole rows the radial matrix (I, factors x powers), at one
-    radius the factors per point (J, factors).  `order` (0..3) is the
-    highest derivative evaluated.
+    Whole rows: at the nodes r_i u_j (node i J + j) of the radii r (I,) and
+    unit vectors u (J, n), every field row is a sum of radial factors times
+    angular arrays (_product_rule), as x^a = r^|a| u^a.  `terms` gives each
+    row's arrays and the columns of the radial matrix `radial` (I, factors
+    x powers) they pair with.  Points (r None): `fields` evaluates the rows
+    at the points u, with the factors per point in `radial` (J, factors).
     """
 
-    def __init__(self, r: Array, u: Array, order: int = 3):
+    def __init__(self, r: Optional[Array], u: Array, order: int = 3):
         n, self.order = u.shape[1], order
         degrees, cuts, parent, var, ops = _poly_basis(n, RANDOM_TEST_DEGREE)
         nh = n * (n + 1) // 2
         self._ops, self._rows = ops, (1, 1 + n, 1 + n + nh, 1 + 2 * n + nh)[order]
         s = np.sqrt(_row_sq_norms(u))
         # outside the bump every factor is an exact 0; clamp the polynomial
-        # argument to the support ball so huge radii cannot overflow
+        # argument to the support ball so huge points cannot overflow
         R = RANDOM_TEST_RADIUS
         mono = _monomials(u * (R / np.maximum(s, R))[:, None], cuts, parent, var)
         self._u = np.ascontiguousarray((u / np.where(s > 0, s, 1.0)[:, None]).T)
-        self._one = len(r) == 1
-        if self._one:
-            # one radius: the points' own monomials sum all degrees, with
-            # r_0^|a| in the coefficients; the factors are taken per point,
-            # at |x| = r_0 |u_j|, so `radial` is (J, factors)
-            self._table, self._rpow = mono, np.minimum(r[0], R) ** degrees
-            self.radial = _radial_factors(r[0] * s, n, order).T
+        if r is None:
+            self._table, self.radial = mono, _radial_factors(s, n, order).T
         else:
             # the monomials of degree d in column block d: one GEMM gives the
             # field rows per radial power
             D = np.arange(RANDOM_TEST_DEGREE + 1)
             block = (degrees[:, None] == D)[:, :, None]
-            self._table, self._rpow = (block * mono[:, None]).reshape(len(mono), -1), 1.0
+            self._table = (block * mono[:, None]).reshape(len(mono), -1)
             self.radial = (_radial_factors(r, n, order).T[:, :, None]
                            * (np.minimum(r, R)[:, None] ** D)[:, None]).reshape(len(r), -1)
 
@@ -390,12 +380,12 @@ class RandomTestFields:
         """_product_rule's rows for the coefficient stack coefs (M, T)."""
         M, J, T, rows = len(self._table), self._u.shape[1], coefs.shape[1], self._rows
         S = (self._ops @ coefs)[:rows * M].reshape(rows, M, T)  # field-row coefficients
-        Q = (S.transpose(0, 2, 1).reshape(rows * T, M) * self._rpow) @ self._table
+        Q = S.transpose(0, 2, 1).reshape(rows * T, M) @ self._table
         return _product_rule(Q.reshape(rows, T, -1, J), self._u, self.order)
 
     def terms(self, coefs: Array) -> dict:
         """{row name: (columns, angular array (c, T, k, J))} of the rows of
-        _product_rule for the coefficient stack coefs (M, T): on whole rows
+        _product_rule for the coefficient stack coefs (M, T), on whole rows:
         the row at the nodes is radial[:, columns] @ array, (c, T, I, J)."""
         rows = self._product_rows(coefs)
         D = rows["f"][0][1].shape[2]
@@ -404,16 +394,11 @@ class RandomTestFields:
                 for name, row in rows.items()}
 
     def fields(self, coefs: Array) -> list:
-        """[f, grad f, Hess f, grad Lap f][:order + 1] for the coefficient
-        stack coefs (M, T): shapes (T, K), (n, T, K), (n(n+1)/2, T, K) with
-        the distinct entries i <= j, and (n, T, K), for the K = I J nodes."""
-        if self._one:  # one radius: each term times its factor per point
-            out = [sum(self.radial[:, s] * A[:, :, 0] for s, A in row)
-                   for row in self._product_rows(coefs).values()]
-        else:  # whole rows: one matmul per row
-            out = [(self.radial[:, cols] @ A).reshape(A.shape[0], A.shape[1], -1)
-                   for cols, A in self.terms(coefs).values()]
-        return [out[0][0]] + out[1:]
+        """[f, grad f, Hess f, grad Lap f][:order + 1] at the points for the
+        coefficient stack coefs (M, T), each (c, T, J) for its c components:
+        1, n, n(n+1)/2 (the distinct entries i <= j) and n."""
+        return [sum(self.radial[:, s] * A[:, :, 0] for s, A in row)
+                for row in self._product_rows(coefs).values()]
 
 
 @lru_cache(maxsize=None)
@@ -434,19 +419,13 @@ def make_random_test(seed: int, n: int) -> SmoothFunction:
     C^2 bump supported in |x| <= RANDOM_TEST_RADIUS."""
     coefs, (label,) = random_test_coefficients([seed], n)
 
-    def rows(r, u, order):
-        return RandomTestFields(r, u, order).fields(coefs)
-
     def fields(x, order):
-        f = rows(np.ones(1), x, order)[order]
-        if order == 0:
-            return f[0]
-        f = f[:, 0]
-        return np.ascontiguousarray(f.T if order == 1
-                                    else f[_pairs(n)[2]].transpose(2, 0, 1))
+        f = RandomTestFields(None, x, order).fields(coefs)[order][:, 0]
+        return f[0] if order == 0 else np.ascontiguousarray(
+            f.T if order == 1 else f[_pairs(n)[2]].transpose(2, 0, 1))
 
     return _from_fields(fields, support_radius=RANDOM_TEST_RADIUS, label=label,
-                        radial_seams=RANDOM_TEST_SEAMS, rows=rows)
+                        radial_seams=RANDOM_TEST_SEAMS, coefs=tuple(coefs[:, 0]))
 
 
 def _exponents(n: int, total: int):

@@ -9,9 +9,9 @@ space.  Full n-dimensional integrals use tensor products with uniform angles
 (n = 2) or Gauss-Legendre x uniform azimuth on the sphere (n = 3).  Radial
 and linear integrands (angular sectors ell <= 1) run at every n on the 2n
 directions +-e_i instead, which are exact on the sphere up to degree 3.
-The identity verifier integrates its random tests in separable form on the
-same tensor rule: radial moment matrices times angular Gram matrices, with
-no node-sized field.
+The identity verifier and the deficit integrate random tests from their
+coefficients in separable form on the same tensor rule: radial moment
+matrices times angular Gram matrices, with no node-sized field.
 """
 
 from __future__ import annotations
@@ -225,16 +225,15 @@ def _tensor_rule(params: MeasureParams, spec: QuadratureSpec,
 def _node_blocks(params: MeasureParams, spec: QuadratureSpec,
                  support_radius: Optional[float] = None,
                  seams: tuple = (), angular_mode: Optional[int] = None):
-    """The tensor rule of `_tensor_rule` as an iterator of blocks (x, w, r,
-    u) of whole radial rows, at most _NODE_CHUNK nodes (at least one row):
+    """The tensor rule of `_tensor_rule` as an iterator of blocks (x, w) of
+    whole radial rows, at most _NODE_CHUNK nodes (at least one row):
     mu-weights w (k,) and nodes x (k, n), node i J + j being r_i u_j for
     the radii r and unit directions u (J, n).  The spec and n are checked
     at once, before the first block."""
     r, logw, dirs, dw = _tensor_rule(params, spec, support_radius, seams, angular_mode)
     rows = max(1, _NODE_CHUNK // len(dw))
     return (((r[lo:lo + rows, None, None] * dirs).reshape(-1, params.n),
-             (np.exp(logw[lo:lo + rows])[:, None] * dw).reshape(-1),
-             r[lo:lo + rows], dirs)
+             (np.exp(logw[lo:lo + rows])[:, None] * dw).reshape(-1))
             for lo in range(0, len(r), rows))
 
 
@@ -253,7 +252,7 @@ def integrate_nd(g: Callable[[Array], Array], params: MeasureParams,
     to an array of shape (m,); any other shape raises ValueError.
     """
     total = 0.0
-    for x, w, *_ in _node_blocks(params, spec, support_radius, seams):
+    for x, w in _node_blocks(params, spec, support_radius, seams):
         fields = np.asarray(g(x), dtype=float)
         if fields.ndim not in (1, 2) or fields.shape[-1] != len(w):
             raise ValueError(f"integrand returned shape {fields.shape} on "
@@ -292,37 +291,35 @@ def applicable_tags(params: MeasureParams) -> list[str]:
 
 
 class _FieldPack:
-    """mu-integrals of the fields of make_random_test(seed, n) for every seed
-    on the tensor rule (r, logw, u, dw) of `_tensor_rule`, with their
-    `labels`; every integral is an array with one entry per seed (t2 is NaN
-    at order 2, which skips grad Lap f).
+    """mu-integrals of the fields of make_random_test's functions for the
+    coefficient stack coefs (M, T) on the tensor rule (r, logw, u, dw) of
+    `_tensor_rule`, with their `labels`, each an array with one entry per
+    function.  Order 1 gives only mean = int f, sq = int f^2 and
+    gam = int Gamma(f); orders 2 and 3 the integrals of the identities (t2
+    is NaN at order 2, which skips grad Lap f).
 
     Each integral int omega F G dmu of two field rows is
     sum(M_omega o A_F diag(dw) A_G'): the radial moments
     M_omega = R' diag(omega exp(logw)) R of the radial matrix R of
     `RandomTestFields`, once per pack, against the angular Gram of the rows'
-    angular arrays (`RandomTestFields.terms`), per block of trials."""
+    angular arrays (`RandomTestFields.terms`), per block of trials; int f is
+    the first moment R' exp(logw) against A_f dw."""
 
-    def __init__(self, seeds, params: MeasureParams, rule, order: int = 3):
+    def __init__(self, coefs, params: MeasureParams, rule, order: int = 3, labels=()):
         n, beta = params.n, params.beta
         r, logw, dirs, dw = rule
-        coefs, self.labels = random_test_coefficients(seeds, n)
+        self.labels = labels
         fields = RandomTestFields(r, dirs, order)
         R, w, W = fields.radial, 1.0 + r * r, np.exp(logw)
-        moments = {k: (R.T * (omega * W)) @ R for k, omega in
-                   (("1", 1.0), ("w", w), ("w2", w * w), ("r2", r * r), ("wr", w * r))}
+        omegas = (("1", 1.0), ("w", w), ("w2", w * w), ("r2", r * r), ("wr", w * r))
+        moments = {k: (R.T * (omega * W)) @ R for k, omega in omegas[:2 if order == 1 else 5]}
         iu, ju, pair = _pairs(n)
         diag = (iu == ju)[:, None, None, None]
         u = dirs.T[:, None, None, :]
-        totals = np.full((10, len(seeds)), np.nan)
-        for t in range(0, len(seeds), _TRIAL_BLOCK):
-            terms = fields.terms(coefs[:, t:t + _TRIAL_BLOCK])
-            (cg, G), (ch, H) = terms["grad"], terms["hess"]
-            # the rows <grad f, u>, Lap f and (Hess f) u, combined on the
-            # directions from those of grad f and Hess f
-            terms.update(gu=(cg, np.sum(G * u, axis=0, keepdims=True)),
-                         lap=(ch, np.sum(H * diag, axis=0, keepdims=True)),
-                         hu=(ch, np.sum(H[pair] * u, axis=1)))
+        totals = np.full((3 if order == 1 else 10, coefs.shape[1]), np.nan)
+        for t in range(0, coefs.shape[1], _TRIAL_BLOCK):
+            block = slice(t, t + _TRIAL_BLOCK)
+            terms = fields.terms(coefs[:, block])
 
             def gram(F, G, weights=1.0):
                 # A_F diag(weights dw) A_G' per trial, summed over components
@@ -335,9 +332,21 @@ class _FieldPack:
                 return np.sum(gram[0] * moments[omega][gram[1]], axis=(1, 2))
 
             gg = gram("grad", "grad")
-            gam, r2g2 = integral(gg, "w"), integral(gg, "r2")
+            gam = integral(gg, "w")
+            if order == 1:
+                cf, F = terms["f"]
+                totals[:, block] = [(F[0] @ dw) @ (W @ R)[cf],
+                                    integral(gram("f", "f"), "1"), gam]
+                continue
+            (cg, G), (ch, H) = terms["grad"], terms["hess"]
+            # the rows <grad f, u>, Lap f and (Hess f) u, combined on the
+            # directions from those of grad f and Hess f
+            terms.update(gu=(cg, np.sum(G * u, axis=0, keepdims=True)),
+                         lap=(ch, np.sum(H * diag, axis=0, keepdims=True)),
+                         hu=(ch, np.sum(H[pair] * u, axis=1)))
+            r2g2 = integral(gg, "r2")
             gx2 = integral(gram("gu", "gu"), "r2")
-            totals[:9, t:t + _TRIAL_BLOCK] = [
+            totals[:9, block] = [
                 integral(gram("hess", "hess", 2.0 - diag), "w2"),  # a1: int ||w Hess f||^2
                 integral(gram("lap", "lap"), "w2"),              # a2: int (w Lap f)^2
                 gam,                                             # int Gamma
@@ -349,7 +358,10 @@ class _FieldPack:
                 -2.0 * n * gam + 4.0 * (beta - 1.0) * r2g2,      # wdw2
             ]
             if order == 3:  # t2: int w^2 <df, dLap f>
-                totals[9, t:t + _TRIAL_BLOCK] = integral(gram("grad", "gradlap"), "w2")
+                totals[9, block] = integral(gram("grad", "gradlap"), "w2")
+        if order == 1:
+            self.mean, self.sq, self.gam = totals
+            return
         (self.a1, self.a2, self.gam, self.g2i, self.gx2, self.qi, self.p1,
          self.p2, self.wdw2, self.t2) = totals
         # pointwise Gamma2 (Cauchy form, second-order only)
@@ -429,7 +441,8 @@ def _random_test_pack(params: MeasureParams, spec: Optional[QuadratureSpec],
     if spec is None:
         spec = default_nd_spec(params.n)
     rule = _tensor_rule(params, spec, RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS)
-    return _FieldPack([(seed << 20) + t for t in range(trials)], params, rule, order)
+    coefs, labels = random_test_coefficients([(seed << 20) + t for t in range(trials)], params.n)
+    return _FieldPack(coefs, params, rule, order, labels)
 
 
 def verify_all(params: MeasureParams, spec: Optional[QuadratureSpec] = None,

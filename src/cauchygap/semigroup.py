@@ -26,7 +26,7 @@ from scipy import linalg as sla
 
 from .functions import SmoothFunction, _row_sq_norms
 from .measures import MeasureParams, mean_sq_norm
-from .quadrature import _node_blocks, default_nd_spec
+from .quadrature import _FieldPack, _node_blocks, _tensor_rule, default_nd_spec
 from .spectral import (_WGL, _XGL, GAP_FORMULA, Discretization, ModeProblem,
                        _cholesky, _mode_problems, _node_diag, lowest_eigpairs,
                        range_edges)
@@ -243,21 +243,22 @@ def _range_lambda(params: MeasureParams, range_tag: str) -> float:
 
 
 def _var_and_energy(f: SmoothFunction, params: MeasureParams):
-    """Var(f) and int Gamma(f) dmu in one pass over the tensor rule: per
-    node block, f and grad f (from f.rows on whole radial rows where f sets
-    it, else pointwise) give f, f^2 and (1 + |x|^2) |grad f|^2.  For f in
-    the sectors ell <= 1 (angular_mode 0 or 1) these are of degree <= 2 on
-    every sphere, so the rule's directions are the 2n points +-e_i, at
-    every n."""
+    """Var(f) and int Gamma(f) dmu on the tensor rule of f's support.  A
+    random bump (f.coefs set) is integrated from its coefficients in
+    separable form, by an order-1 `_FieldPack` on the spec's sphere rule.
+    Every other f takes one pass over the node blocks, where f and grad f
+    give f, f^2 and (1 + |x|^2) |grad f|^2; for f in the sectors ell <= 1
+    (angular_mode 0 or 1) these are of degree <= 2 on every sphere, so the
+    rule's directions are the 2n points +-e_i, at every n."""
+    spec = default_nd_spec(params.n)
+    if f.coefs is not None:
+        rule = _tensor_rule(params, spec, f.support_radius, f.radial_seams)
+        pack = _FieldPack(np.array(f.coefs)[:, None], params, rule, order=1)
+        return pack.sq[0] - pack.mean[0] ** 2, pack.gam[0]
     total = 0.0
-    for x, w, r, u in _node_blocks(params, default_nd_spec(params.n),
-                                   f.support_radius, f.radial_seams,
-                                   f.angular_mode):
-        if f.rows is None:
-            v, g2 = f.value(x), _row_sq_norms(f.gradient(x))
-        else:
-            (v,), g = f.rows(r, u, 1)
-            g2 = _row_sq_norms(g[:, 0].T)
+    for x, w in _node_blocks(params, spec, f.support_radius, f.radial_seams,
+                             f.angular_mode):
+        v, g2 = f.value(x), _row_sq_norms(f.gradient(x))
         total = total + np.stack([v, v * v, (1.0 + _row_sq_norms(x)) * g2]) @ w
     mean, sq, energy = total
     return sq - mean ** 2, energy
@@ -312,7 +313,8 @@ class DeficitMismatch(RuntimeError):
 
 def deficit(f: SmoothFunction, params: MeasureParams, range_tag: str) -> float:
     """Range deficit lambda_range Var(f) - int Gamma(f) dmu (nonpositive),
-    by quadrature.
+    by quadrature (`_var_and_energy`): a random bump from its coefficients
+    in separable form, every other f from its value and gradient.
 
     Where the cross-check takes f (`_route_deficit`), the corollary time
     integral -2 int_0^inf int F(P_t f) dmu dt, in closed form along the

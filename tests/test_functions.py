@@ -48,9 +48,9 @@ def check_derivatives(f, x):
 
 def _grad_laplacian(seed, x):
     """grad Lap f (N, n) of make_random_test(seed, n) at the points x (N, n),
-    from the one-radius field rows."""
+    from the pointwise field rows."""
     coefs, _ = random_test_coefficients([seed], x.shape[1])
-    return RandomTestFields(np.ones(1), x, 3).fields(coefs)[3][:, 0].T
+    return RandomTestFields(None, x, 3).fields(coefs)[3][:, 0].T
 
 
 def test_linear():
@@ -204,13 +204,14 @@ def test_row_sq_norms(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_random_test_fields_on_radial_rows_match_pointwise(n):
-    # a block of whole radial rows, evaluated in factored form (radial powers
-    # times one monomial table on the directions), against make_random_test
-    # at the same nodes, whose points are the one-radius case; the radii run
-    # to either side of both seams (grad Lap f jumps there, so a node on a
-    # seam would compare rounding) and past the support up to the 1e120 of
-    # the non-compact rules, where every field is an exact 0; single rows of
-    # the block are one-radius evaluations on unit directions
+    # a block of whole radial rows in separable form (radial matrix columns
+    # times angular arrays on the directions, as the identity packs and the
+    # deficit integrate them), rebuilt at the nodes as radial[:, cols] @ A,
+    # against make_random_test at the same nodes; the radii run to either
+    # side of both seams (grad Lap f jumps there, so a node on a seam would
+    # compare rounding) and past the support up to the 1e120 of the
+    # non-compact rules, where every field is an exact 0; single rows of
+    # the block are rules of one radius
     dirs, _ = _sphere_directions(n, 40)
     r = np.concatenate([np.linspace(0.0, 3.2, 30),
                         np.add.outer(RANDOM_TEST_SEAMS, [-1e-9, 1e-9]).ravel(),
@@ -222,15 +223,16 @@ def test_random_test_fields_on_radial_rows_match_pointwise(n):
     coefs, _ = random_test_coefficients([seed], n)
     iu, ju = np.triu_indices(n)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        pointwise = [f.value(x), f.gradient(x).T, f.hessian(x)[:, iu, ju].T,
+        pointwise = [f.value(x)[None], f.gradient(x).T, f.hessian(x)[:, iu, ju].T,
                      _grad_laplacian(seed, x).T]
         for order, (i, j) in itertools.product(range(4), [(0, len(r)), (10, 11),
                                                           (len(r) - 1, len(r))]):
-            got = RandomTestFields(r[i:j], dirs, order).fields(coefs)
+            fields = RandomTestFields(r[i:j], dirs, order)
+            terms = fields.terms(coefs)
             nodes = slice(i * len(dirs), j * len(dirs))
-            assert len(got) == order + 1
-            for field, ref in zip(got, pointwise):
-                field = field[..., 0, :]  # the one trial
-                assert field.shape == ref[..., nodes].shape
-                assert np.max(np.abs(field - ref[..., nodes])) <= 1e-13 * np.max(np.abs(ref))
-                assert np.all(field[..., outside[nodes]] == 0.0)
+            assert len(terms) == order + 1
+            for (cols, A), ref in zip(terms.values(), pointwise):
+                field = (fields.radial[:, cols] @ A)[:, 0].reshape(len(A), -1)  # the one trial
+                assert field.shape == ref[:, nodes].shape
+                assert np.max(np.abs(field - ref[:, nodes])) <= 1e-13 * np.max(np.abs(ref))
+                assert np.all(field[:, outside[nodes]] == 0.0)

@@ -22,17 +22,21 @@ from cauchygap.operators import (
 )
 from test_functions import check_derivatives
 
-RNG = np.random.default_rng(42)
+@pytest.fixture
+def rng():
+    # one generator per test, so a test draws the same points whether it
+    # runs alone or in the full suite
+    return np.random.default_rng(42)
 
 
-def _cloud(n, N=60, scale=2.5):
-    return scale * RNG.standard_normal((N, n))
+def _cloud(rng, n, N=60, scale=2.5):
+    return scale * rng.standard_normal((N, n))
 
 
-def test_cauchy_weight_fields():
+def test_cauchy_weight_fields(rng):
     w = cauchy_weight()
     for n in (1, 2, 3, 5):
-        x = _cloud(n)
+        x = _cloud(rng, n)
         s = np.sum(x * x, axis=1)
         assert np.allclose(w.value(x), 1.0 + s)
         assert np.allclose(w.gradient(x), 2.0 * x)
@@ -40,7 +44,7 @@ def test_cauchy_weight_fields():
         assert check_derivatives(w, x) < 1e-8
 
 
-def test_apply_L_eigen_relations():
+def test_apply_L_eigen_relations(rng):
     # L x_i = -(2 beta - 2) x_i  and  L w^{-gamma} algebra on the radial side.
     for n, beta in [(1, 2.0), (2, 1.7), (3, 3.2), (4, 5.0)]:
         p = MeasureParams(n, beta)
@@ -48,29 +52,29 @@ def test_apply_L_eigen_relations():
         v = np.zeros(n)
         v[0] = 1.0
         lin = make_linear(v)
-        x = _cloud(n, N=50)
+        x = _cloud(rng, n, N=50)
         assert np.allclose(apply_L(lin, x, w, p), -(2.0 * beta - 2.0) * x[:, 0],
                            rtol=1e-12, atol=1e-12)
 
 
-def test_gamma_formula():
+def test_gamma_formula(rng):
     p = MeasureParams(3, 2.5)
     w = cauchy_weight()
     f = make_power_family(0.3)
-    x = _cloud(3, N=40)
+    x = _cloud(rng, 3, N=40)
     g = f.gradient(x)
     assert np.allclose(gamma(f, x, w),
                        (1.0 + np.sum(x * x, axis=1)) * np.sum(g * g, axis=1))
 
 
-def test_gamma2_by_definition():
+def test_gamma2_by_definition(rng):
     # Gamma2(f) = (1/2) L Gamma(f) - Gamma(f, Lf), checked by finite differences
     # of the bilinear form: Gamma(f,g) = w <df, dg>.
     n, beta = 2, 2.2
     p = MeasureParams(n, beta)
     w = cauchy_weight()
     f = make_random_test(3, n)
-    x = 0.5 * RNG.standard_normal((25, n))
+    x = 0.5 * rng.standard_normal((25, n))
     h = 1e-4
 
     def Lf_func(pts):
@@ -106,7 +110,7 @@ def test_gamma2_by_definition():
     assert np.max(np.abs(lhs - rhs) / scale) < 1e-4
 
 
-def test_factorization_reconstructs_and_signs():
+def test_factorization_reconstructs_and_signs(rng):
     # the split's total against the one Gamma2 formula at the Cauchy weight
     w = cauchy_weight()
     for n, beta in [(1, 0.8), (1, 1.3), (2, 1.2), (2, 2.4), (3, 1.6), (3, 4.0),
@@ -114,7 +118,7 @@ def test_factorization_reconstructs_and_signs():
         p = MeasureParams(n, beta)
         for seed in (0, 1, 5):
             f = make_random_test(seed, n)
-            x = 0.7 * f.support_radius * (2.0 * RNG.random((50, n)) - 1.0)
+            x = 0.7 * f.support_radius * (2.0 * rng.random((50, n)) - 1.0)
             parts = gamma2_cauchy_factorized(f, x, p)
             assert isinstance(parts, FactorizedGamma2)
             direct = gamma2_general(f, x, w, p)
@@ -129,7 +133,7 @@ def test_factorization_reconstructs_and_signs():
                 assert np.allclose(parts.angular_part, 0.0, atol=1e-12)
 
 
-def test_factorization_witness_closed_forms():
+def test_factorization_witness_closed_forms(rng):
     # for f = w^{-gamma} type witnesses the parts have explicit values; use
     # the radial function f(x) = |x|, smoothed away from 0, at points where
     # Gamma = 1 + 1/|x|^2 and Gamma2 = n/|x|^4 + (2 beta + n - 2)/|x|^2... the
@@ -139,7 +143,7 @@ def test_factorization_witness_closed_forms():
         v = np.zeros(n)
         v[0] = 1.0
         f = make_linear(v)
-        x = _cloud(n, N=30)
+        x = _cloud(rng, n, N=30)
         parts = gamma2_cauchy_factorized(f, x, p)
         s = np.sum(x * x, axis=1)
         # M = x (x) e1 + e1 (x) x - x_1 Id for the linear witness:
@@ -170,9 +174,9 @@ def test_cd_witness():
         cd_witness(MeasureParams(2, 1.5), 0.0)
 
 
-def test_assumption_margins_cauchy():
+def test_assumption_margins_cauchy(rng):
     # Hess w = 2 Id makes h1 = 2; the h2 matrix is a scalar multiple of Id.
-    x = _cloud(3, N=20)
+    x = _cloud(rng, 3, N=20)
     p = MeasureParams(3, 3.0)
     w = cauchy_weight()
     h1, h2 = assumption_margins(w, p, x)
@@ -183,7 +187,7 @@ def test_assumption_margins_cauchy():
         2.0 - 2.0 * n
     )
     assert np.isclose(h2, float(np.min(expect)), rtol=1e-10)
-    h1_only = assumption_margins(w, MeasureParams(1, 2.0), _cloud(1))
+    h1_only = assumption_margins(w, MeasureParams(1, 2.0), _cloud(rng, 1))
     assert h1_only[1] is None
 
 

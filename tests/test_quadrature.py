@@ -289,13 +289,15 @@ def _reference_pack(f, params, pts, wts):
         "p2": 2.0 * w * lap * gx,
         "wdw2": (-2.0 * n * w + 4.0 * (beta - 1.0) * x2) * g2,
         "t2": w * w * np.sum(g * g_dlap, axis=-1),
+        "mean": f.value(x), "sq": f.value(x) ** 2,
     }
     return {k: float(np.sum(wts * v)) for k, v in fields.items()}
 
 
 def test_block_pack_matches_reference_pack():
-    # the separable pack (radial moments times angular Grams) at orders 2
-    # and 3 against the per-function pointwise reference on the nodes of the
+    # the separable pack (radial moments times angular Grams) at orders 1
+    # (a deficit's int f, int f^2 and int Gamma), 2 and 3 against the
+    # per-function pointwise reference on the nodes of the
     # same criterion-4 rule, on the line, at beta = 2 and at n = 2 and 3;
     # qi vanishes identically on the line, so it is compared there on the
     # scale of its cancelling parts, int |x|^2 |grad f|^2 = qi + gx2
@@ -306,13 +308,15 @@ def test_block_pack_matches_reference_pack():
         pts, wts = _whole_rule(p, spec, 3.0, (1.8,))
         rule = quadrature._tensor_rule(p, spec, 3.0, (1.8,))
         seeds = [0, 1, 2]
-        packs = {order: quadrature._FieldPack(seeds, p, rule, order) for order in (2, 3)}
+        coefs, labels = functions.random_test_coefficients(seeds, n)
+        packs = {order: quadrature._FieldPack(coefs, p, rule, order, labels)
+                 for order in (1, 2, 3)}
         for t, seed in enumerate(seeds):
             f = make_random_test(seed, n)
             ref = _reference_pack(f, p, pts, wts)
             for order, pack in packs.items():
                 assert pack.labels[t] == f.label
-                for key in PACK_FIELDS:
+                for key in ("mean", "sq", "gam") if order == 1 else PACK_FIELDS:
                     got = getattr(pack, key)[t]
                     if key == "t2" and order == 2:
                         assert np.isnan(got)

@@ -294,27 +294,28 @@ def test_var_and_energy_matches_three_call_formula(make, n, beta):
     (lambda: make_linear(np.array([1.0, 0.0, 0.0])), 3, 4.0),
     (lambda: make_quadratic_centered(MeasureParams(2, 4.0)), 2, 4.0),
     (lambda: make_power_family(0.3), 3, 2.2),
+    (lambda: make_random_test(0, 1), 1, 1.2),
     (lambda: make_random_test(0, 2), 2, 1.5),
     (lambda: make_random_test(0, 3), 3, 2.0),
 ])
-def test_var_and_energy_directions_per_radius(make, n, beta):
+def test_var_and_energy_directions_per_radius(monkeypatch, make, n, beta):
     # a linear or radial f's integrand sees the 2n directions +-e_i at every
-    # radius of the rule; a random bump still sees the spec's sphere rule,
-    # on whole radial rows r_i u_j of its factored form (f.rows)
+    # radius of the rule; a random bump's deficit is integrated from its
+    # coefficients (f.coefs), so it streams no node block and calls neither
+    # value nor gradient, and gives the same values without them
     f, p = make(), MeasureParams(n, beta)
     spec = default_nd_spec(n)
     r, _ = quadrature._radial_rule(p, spec, f.support_radius, f.radial_seams)
-    if f.rows is not None:
-        rows_seen = []
+    if f.coefs is not None:
+        expected = _var_and_energy(f, p), deficit(f, p, "lower")
 
-        def rows(r, u, order):
-            rows_seen.append((r, u))
-            return f.rows(r, u, order)
+        def refuse(*args, **kwargs):
+            raise AssertionError("pointwise evaluation")
 
-        _var_and_energy(dataclasses.replace(f, rows=rows), p)
-        sphere = quadrature._sphere_directions(n, spec.angular_nodes)[0]
-        assert all(np.array_equal(u, sphere) for _, u in rows_seen)
-        assert np.array_equal(np.concatenate([ri for ri, _ in rows_seen]), r)
+        monkeypatch.setattr(semigroup, "_node_blocks", refuse)
+        monkeypatch.setattr(quadrature, "_node_blocks", refuse)
+        blind = dataclasses.replace(f, value=refuse, gradient=refuse)
+        assert (_var_and_energy(blind, p), deficit(blind, p, "lower")) == expected
         return
     seen = []
 
@@ -408,17 +409,17 @@ def test_deficit_lower_strictly_negative():
         assert d < -1e-6
 
 
-@pytest.mark.parametrize("n, beta", [(2, 1.5), (3, 2.0)])
+@pytest.mark.parametrize("n, beta", [(1, 1.2), (2, 1.5), (3, 2.0)])
 def test_deficit_tables_are_built_on_the_directions(monkeypatch, n, beta):
-    # a random bump's deficit evaluates it in factored form on whole radial
-    # rows: every monomial table has one column per sphere direction and
-    # every bump profile one point per radius of a block, never one per node
+    # a random bump's deficit is integrated in separable form on the spec's
+    # sphere rule: one monomial table, with one column per sphere direction,
+    # and the bump profile at most once per radius of the radial rule, so a
+    # node-sized table or profile breaks both bounds
     p, spec = MeasureParams(n, beta), default_nd_spec(n)
     f = make_random_test(0, n)
     directions = len(quadrature._sphere_directions(n, spec.angular_nodes)[1])
-    blocks = list(quadrature._node_blocks(p, spec, f.support_radius, f.radial_seams))
-    radii = max(len(r) for *_, r, _ in blocks)
-    assert max(len(w) for _, w, *_ in blocks) > 10 * max(directions, radii)
+    radii = len(quadrature._radial_rule(p, spec, f.support_radius, f.radial_seams)[0])
+    assert min(directions, radii) > 1
     tables, profiles = [], []
     table, profile = functions._monomials, functions._bump_profile
 
@@ -433,7 +434,7 @@ def test_deficit_tables_are_built_on_the_directions(monkeypatch, n, beta):
     monkeypatch.setattr(functions, "_monomials", table_spy)
     monkeypatch.setattr(functions, "_bump_profile", profile_spy)
     deficit(f, p, "lower")
-    assert tables and max(tables) <= directions
+    assert tables == [directions]
     assert profiles and max(profiles) <= radii
 
 
