@@ -7,8 +7,8 @@ representation along the heat flow.
 from .functions import (SmoothFunction, make_linear, make_lower_extremal_1d,
                         make_power_family, make_quadratic_centered,
                         make_radial_log_cutoff, make_random_test)
-from .measures import (MeasureParams, SampleBatch, density, log_normalization,
-                       mean_sq_norm, normalization, omega_moment, sample)
+from .measures import (MeasureParams, density, log_normalization, mean_sq_norm,
+                       normalization, omega_moment, sample)
 from .operators import (FactorizedGamma2, apply_L, cauchy_weight, cd_witness,
                         gamma, gamma2_cauchy_factorized, gamma2_general)
 from .quadrature import (VERIFY_GRID, IdentityReport, QuadratureSpec,
@@ -17,16 +17,14 @@ from .quadrature import (VERIFY_GRID, IdentityReport, QuadratureSpec,
                          lowfact_sign_check, verify_all)
 from .semigroup import (DeficitMismatch, default_horizon, deficit,
                         deficit_trace, variance_representation_check)
-from .spectral import (Discretization, GapReport, ModeProblem, SWEEP_COLUMNS,
-                       assemble_mode, closed_form_gap, lowest_eigs,
-                       mode_spectrum, numeric_gap, rayleigh_quotient_1d,
-                       rayleigh_quotient_power, write_sweep_csv)
+from .spectral import (Discretization, GapReport, ModeProblem, closed_form_gap,
+                       lowest_eigs, mode_spectrum, numeric_gap,
+                       rayleigh_quotient_1d, rayleigh_quotient_power)
 
 __all__ = [
     "DeficitMismatch", "Discretization", "FactorizedGamma2", "GapReport",
     "IdentityReport", "MeasureParams", "ModeProblem", "QuadratureSpec",
-    "SWEEP_COLUMNS", "SampleBatch", "SmoothFunction", "VERIFY_GRID",
-    "applicable_tags", "apply_L", "assemble_mode",
+    "SmoothFunction", "VERIFY_GRID", "applicable_tags", "apply_L",
     "cauchy_weight", "cd_witness", "closed_form_gap", "default_horizon",
     "default_nd_spec", "deficit", "deficit_trace", "density",
     "gamma", "gamma2_cauchy_factorized",
@@ -37,7 +35,6 @@ __all__ = [
     "mean_sq_norm", "mode_spectrum", "normalization", "numeric_gap",
     "omega_moment", "rayleigh_quotient_1d", "rayleigh_quotient_power",
     "sample", "verify_all", "variance_representation_check",
-    "write_sweep_csv",
 ]
 
 __version__ = "0.1.0"

@@ -6,6 +6,9 @@ definiteness).  Each subcommand declares only the flags it reads, with
 their defaults, and refuses any other; a key=value config file (--config)
 overrides the defaults and flags override the file.  --out defaults into
 the directory named by the CAUCHYGAP_OUTDIR environment variable.
+
+Every file is written by `_write_csv` or `_write_json`: lines end in
+"\n" and a float is written as %.17g.
 """
 from __future__ import annotations
 
@@ -22,8 +25,7 @@ from .measures import MeasureParams, mean_sq_norm, omega_moment, sample
 from .quadrature import VERIFY_GRID, lowfact_sign_check, verify_all
 from .semigroup import DeficitMismatch, deficit
 from .spectral import (GAP_FORMULA, Discretization, NumericalBreakdown,
-                       numeric_gap, rayleigh_quotient_1d, rayleigh_quotient_power,
-                       write_sweep_csv)
+                       numeric_gap, rayleigh_quotient_1d, rayleigh_quotient_power)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -32,9 +34,26 @@ EXIT_NUMERICAL = 3
 
 OUTDIR_ENV = "CAUCHYGAP_OUTDIR"
 
+SWEEP_COLUMNS = ("n", "beta", "range_tag", "closed_form", "numeric_gap",
+                 "rel_error", "minimizing_mode", "m", "delta")
+
 
 def _fmt(x: float) -> str:
     return "%.17g" % x
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """A header line, then one line per row; a float cell as %.17g, any
+    other cell (int, str) as str."""
+    with open(path, "w") as fh:
+        for row in (header, *rows):
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 # Flags that several subcommands declare; --n and --beta have no default,
@@ -145,10 +164,9 @@ def cmd_gap(args: argparse.Namespace) -> int:
     report = numeric_gap(params, _disc(args), ell_max=args.ell_max)
     path = _out_path(args, f"gap_n{params.n}_beta{params.beta:g}.{args.format}")
     if args.format == "json":
-        with open(path, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        _write_json(path, dataclasses.asdict(report))
     else:
-        write_sweep_csv([report], path)
+        _write_csv(path, SWEEP_COLUMNS, [[getattr(report, c) for c in SWEEP_COLUMNS]])
     print(f"n={report.n} beta={report.beta:g} closed_form={_fmt(report.closed_form)} "
           f"numeric={_fmt(report.numeric_gap)} rel_error={report.rel_error:.3e} "
           f"[{report.range_tag}] -> {path}")
@@ -168,7 +186,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     reports = [numeric_gap(MeasureParams(args.n, float(b)), disc, args.ell_max)
                for b in np.linspace(args.beta_min, args.beta_max, args.steps)]
     path = _out_path(args, f"sweep_n{args.n}.csv")
-    write_sweep_csv(reports, path)
+    _write_csv(path, SWEEP_COLUMNS,
+               [[getattr(r, c) for c in SWEEP_COLUMNS] for r in reports])
     print(f"{len(reports)} rows -> {path}")
     for tag in ("lower", "mid", "upper"):
         errs = [abs(r.rel_error) for r in reports if r.range_tag == tag]
@@ -196,10 +215,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         reports = verify_all(params, trials=args.trials, seed=args.seed,
                              corrupt_ipp1=args.corrupt_ipp1)
         for rep in reports:
-            ok = ok and rep.rel_err <= args.tol
+            passed = rep.rel_err <= args.tol
+            ok = ok and passed
             worst = max(worst, rep.rel_err)
             print(f"n={n} beta={beta:g} {rep.tag:10s} "
-                  f"rel_err={rep.rel_err:.3e} {rep.status}")
+                  f"rel_err={rep.rel_err:.3e} {'ok' if passed else 'FAIL'}")
         entry = {"n": n, "beta": beta,
                  "reports": [dataclasses.asdict(r) for r in reports]}
         if n >= 2:
@@ -210,9 +230,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                "corrupt_ipp1": bool(args.corrupt_ipp1),
                "all_pass": ok, "points": points}
     path = _out_path(args, "verify.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, payload)
     print(f"worst rel_err = {worst:.3e}; "
           + ("all identities hold" if ok else "FAILURES present"))
     print(f"{'PASS' if ok else 'FAIL'} -> {path}")
@@ -238,10 +256,8 @@ def cmd_deficit(args: argparse.Namespace) -> int:
     f = _named_test_function(args.f, params, args.seed)
     value = deficit(f, params, args.range)
     path = _out_path(args, f"deficit_{args.range}_{args.f}.csv")
-    with open(path, "w") as fh:
-        fh.write("n,beta,range_tag,f,deficit\n")
-        fh.write(f"{params.n},{_fmt(params.beta)},{args.range},{args.f},"
-                 f"{_fmt(value)}\n")
+    _write_csv(path, ("n", "beta", "range_tag", "f", "deficit"),
+               [(params.n, params.beta, args.range, args.f, value)])
     print(f"deficit[{args.range}]({args.f}) = {_fmt(value)} -> {path}")
     return EXIT_OK
 
@@ -255,25 +271,16 @@ def cmd_rayleigh(args: argparse.Namespace) -> int:
     if not dists or any(d <= 0 for d in dists):
         raise ValueError("distances below the limit must be positive")
     limit = GAP_FORMULA["lower"](params.n, params.beta)
-    if family == "power":
-        eps_max = (2.0 * params.beta - params.n) / 4.0
-        quotient = lambda e: rayleigh_quotient_power(e, params)  # noqa: E731
-    else:
-        if params.n != 1:
-            raise ValueError("family oned requires n = 1")
-        eps_max = (2.0 * params.beta - 3.0) / 4.0
-        quotient = lambda e: rayleigh_quotient_1d(e, params.beta)  # noqa: E731
-    rows = []
-    for d in sorted(dists, reverse=True):
-        eps = eps_max - d
-        rows.append((d, eps, quotient(eps), limit))
+    quotient, eps_max = {
+        "power": (rayleigh_quotient_power, (2.0 * params.beta - params.n) / 4.0),
+        "oned": (rayleigh_quotient_1d, (2.0 * params.beta - 3.0) / 4.0)}[family]
+    rows = [(family, params.n, params.beta, d, eps_max - d,
+             quotient(eps_max - d, params), limit)
+            for d in sorted(dists, reverse=True)]
     path = _out_path(args, f"rayleigh_{family}_n{params.n}.csv")
-    with open(path, "w") as fh:
-        fh.write("family,n,beta,eps_from_limit,epsilon,quotient,limit\n")
-        for d, eps, q, lim in rows:
-            fh.write(f"{family},{params.n},{_fmt(params.beta)},{_fmt(d)},"
-                     f"{_fmt(eps)},{_fmt(q)},{_fmt(lim)}\n")
-    for d, eps, q, lim in rows:
+    _write_csv(path, ("family", "n", "beta", "eps_from_limit", "epsilon",
+                      "quotient", "limit"), rows)
+    for *_, eps, q, lim in rows:
         print(f"eps={_fmt(eps)} quotient={_fmt(q)} (limit {_fmt(lim)})")
     print(f"-> {path}")
     return EXIT_OK
@@ -281,23 +288,18 @@ def cmd_rayleigh(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     params = _params(args)
-    batch = sample(params, args.count, args.seed)
-    path = _out_path(args, f"sample_n{params.n}_beta{params.beta:g}.csv")
-    batch.to_csv(path)
-    x2 = np.sum(batch.points ** 2, axis=1)
-    est1 = float(np.mean(1.0 / (1.0 + x2)))
-    se1 = float(np.std(1.0 / (1.0 + x2)) / np.sqrt(args.count))
-    expected1 = omega_moment(1.0, params)
-    line = (f"# moment_check,omega_inv,{_fmt(est1)},{_fmt(expected1)},{_fmt(se1)}")
-    lines = [line]
+    points = sample(params, args.count, args.seed)
+    x2 = np.sum(points ** 2, axis=1)
+    inv = 1.0 / (1.0 + x2)
+    root_count = np.sqrt(args.count)
+    rows = points.tolist() + [
+        ("# moment_check", "omega_inv", float(np.mean(inv)),
+         omega_moment(1.0, params), float(np.std(inv) / root_count))]
     if 2.0 * params.beta - params.n - 2.0 > 0:
-        est2 = float(np.mean(x2))
-        se2 = float(np.std(x2) / np.sqrt(args.count))
-        lines.append(f"# moment_check,mean_sq_norm,{_fmt(est2)},"
-                     f"{_fmt(mean_sq_norm(params))},{_fmt(se2)}")
-    with open(path, "a") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        rows.append(("# moment_check", "mean_sq_norm", float(np.mean(x2)),
+                     mean_sq_norm(params), float(np.std(x2) / root_count)))
+    path = _out_path(args, f"sample_n{params.n}_beta{params.beta:g}.csv")
+    _write_csv(path, [f"x{i + 1}" for i in range(params.n)], rows)
     print(f"{args.count} draws -> {path}")
     return EXIT_OK
 

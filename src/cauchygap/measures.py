@@ -81,22 +81,9 @@ def mean_sq_norm(params: MeasureParams) -> float:
     return n / (2 * beta - n - 2)
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    points: np.ndarray  # (count, n)
-    seed: int
-    count: int
-    params: MeasureParams
-
-    def to_csv(self, path) -> None:
-        n = self.params.n
-        header = ",".join(f"x{i + 1}" for i in range(n))
-        np.savetxt(path, self.points, fmt="%.17g", delimiter=",",
-                   header=header, comments="")
-
-
-def sample(params: MeasureParams, count: int, seed: int) -> SampleBatch:
-    """Draw exact samples via the Student representation x = g / sqrt(s).
+def sample(params: MeasureParams, count: int, seed: int) -> np.ndarray:
+    """Draw `count` exact samples, an array (count, n), via the Student
+    representation x = g / sqrt(s).
 
     g is standard n-dim Gaussian and s ~ chi-square with 2 beta - n degrees
     of freedom (a Gamma((2 beta - n)/2, scale=2) draw, valid for real beta).
@@ -107,5 +94,4 @@ def sample(params: MeasureParams, count: int, seed: int) -> SampleBatch:
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     g = rng.standard_normal((count, params.n))
     s = rng.gamma(shape=(2 * params.beta - params.n) / 2, scale=2.0, size=count)
-    points = g / np.sqrt(s)[:, None]
-    return SampleBatch(points=points, seed=int(seed), count=int(count), params=params)
+    return g / np.sqrt(s)[:, None]

@@ -85,9 +85,8 @@ def _radial_weight(params: MeasureParams, r):
 
 def _mode_loads(f: SmoothFunction, params: MeasureParams,
                 disc: Discretization) -> dict:
-    """Per mode ell, f's profile at the 12 Gauss points of every cell and
-    the loads b_i = int profile phi_i dmu on the mode's hats, as
-    {ell: (profile, b)}, for the shapes `_mode_profiles` takes.
+    """Per mode ell, the loads b_i = int profile phi_i dmu of f's profile on
+    the mode's hats, as {ell: b}, for the shapes `_mode_profiles` takes.
 
     12-point Gauss on every cell, plus the constant extension of the last
     hat over [R, inf) by 12-point Gauss in t = R/r (skipped when f vanishes
@@ -112,7 +111,7 @@ def _mode_loads(f: SmoothFunction, params: MeasureParams,
         b = _node_diag(np.sum(g * (r1 - rr) / h, axis=1),
                        np.sum(g * (rr - r0) / h, axis=1))
         b[-1] += tails[ell]
-        loads[ell] = (prof, b[1:] if ell > 0 else b)
+        loads[ell] = b[1:] if ell > 0 else b
     return loads
 
 
@@ -126,7 +125,7 @@ def _projected_start(loads: dict, params: MeasureParams,
     """
     problems, vs = [], []
     for prob in _mode_problems(sorted(loads), params, disc, tail_rays=False):
-        b = loads[prob.ell][1]
+        b = loads[prob.ell]
         factor = _cholesky(prob, prob.B.band, "B")
         v = sla.cho_solve_banded((factor, True), b, check_finite=False)
         if prob.ell == 0:

@@ -33,9 +33,8 @@ returning a wrong gap.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -49,10 +48,9 @@ from .measures import MeasureParams, omega_moment
 
 __all__ = [
     "Discretization", "SymBand", "ModeProblem", "NumericalBreakdown", "GapReport",
-    "range_edges", "GAP_FORMULA", "closed_form_gap", "assemble_mode", "lowest_eigpairs",
+    "range_edges", "GAP_FORMULA", "closed_form_gap", "lowest_eigpairs",
     "lowest_eigs", "numeric_gap",
     "rayleigh_quotient_power", "rayleigh_quotient_1d", "mode_spectrum",
-    "write_sweep_csv",
 ]
 
 
@@ -130,8 +128,9 @@ def rayleigh_quotient_power(epsilon: float, params: MeasureParams) -> float:
     return num / var
 
 
-def rayleigh_quotient_1d(epsilon: float, beta: float) -> float:
-    """Rayleigh quotient of f = x (1+x^2)^epsilon on the line, moment form.
+def rayleigh_quotient_1d(epsilon: float, params: MeasureParams) -> float:
+    """Rayleigh quotient of f = x (1+x^2)^epsilon on the line (n = 1 only,
+    else ValueError), moment form.
 
     f is odd, so Var(f) = int f^2 = M_{2eps+1} - M_{2eps}; with
     f' = (1+2eps) w^eps - 2eps w^{eps-1} (w = 1+x^2),
@@ -139,10 +138,11 @@ def rayleigh_quotient_1d(epsilon: float, beta: float) -> float:
     Requires eps < (2 beta - 3)/4 (square-integrability of x w^eps).
     The limit as eps increases to (2 beta - 3)/4 is (beta - 1/2)^2.
     """
+    if params.n != 1:
+        raise ValueError(f"the family x (1+x^2)^eps needs n = 1, got n = {params.n}")
     eps = float(epsilon)
-    if eps >= (2.0 * beta - 3.0) / 4.0:
+    if eps >= (2.0 * params.beta - 3.0) / 4.0:
         raise ValueError("epsilon too large: x (1+x^2)^eps is not square-integrable")
-    params = MeasureParams(1, beta)
     m_p1 = omega_moment(-(2.0 * eps + 1.0), params)
     m_0 = omega_moment(-2.0 * eps, params)
     m_m1 = omega_moment(-(2.0 * eps - 1.0), params)
@@ -238,14 +238,13 @@ class SymBand:
     """Symmetric matrix in LAPACK lower band storage: band[d, j] = M[j+d, j].
 
     `@` multiplies from either side (numpy defers to __rmatmul__ because
-    __array_ufunc__ is None); `nbytes` counts the stored band only.
+    __array_ufunc__ is None).
     """
     __array_ufunc__ = None
 
     def __init__(self, band: np.ndarray):
         self.band = band
         self.shape = (band.shape[1], band.shape[1])
-        self.nbytes = band.nbytes
 
     def __matmul__(self, x):
         x = np.asarray(x)
@@ -273,17 +272,17 @@ class ModeProblem:
     """Exact Galerkin matrices of the degree-ell radial sector.
 
     A is the Dirichlet-form (stiffness) matrix, B the L^2 mass matrix, both
-    over hat functions on `radii` (node 0 removed for ell >= 1) plus one
-    column per tail ray r^k - R^k (k listed in ray_ks), stored as SymBand
-    with half-width 1 (hats only) or 2 (with rays).  For ell = 0 the
-    all-ones hat vector spans the constants and lies in the kernel of A.
+    over hat functions on Discretization.radii() (node 0 removed for
+    ell >= 1) plus one column per tail ray r^k - R^k (k listed in ray_ks),
+    stored as SymBand with half-width 1 (hats only) or 2 (with rays).  For
+    ell = 0 the all-ones hat vector spans the constants and lies in the
+    kernel of A.
     """
     ell: int
     A: SymBand
     B: SymBand
-    radii: np.ndarray = field(repr=False, default=None)
-    ray_ks: tuple = ()
-    params: Optional[MeasureParams] = None
+    ray_ks: tuple
+    params: MeasureParams
 
     def size(self) -> int:
         return self.A.shape[0]
@@ -337,6 +336,10 @@ def _mode_problems(ells, params: MeasureParams, disc: Discretization,
     No cell or tail integral depends on the mode, which enters A only
     through the factor ell(ell+n-2): the integrals are computed once, in one
     vectorized pass per weight, and each mode's bands are built from them.
+    The last hat extends as a constant over [R, inf); tail rays are appended
+    for every square-integrable power.  tail_rays=False keeps the hats
+    alone, so that a coefficient vector is a piecewise-linear profile on
+    disc.radii(), which is how semigroup hands profiles in.
     """
     n, beta = params.n, params.beta
     r = disc.radii()
@@ -379,24 +382,8 @@ def _mode_problems(ells, params: MeasureParams, disc: Discretization,
                            (Ab, C.T @ ((np.outer(P, P) + cl) * A_gram) @ C)):
             for d in range(len(P)):
                 band[d, nh - 1:nn - d] += np.diagonal(tail, -d)
-        yield ModeProblem(ell=ell, A=SymBand(Ab), B=SymBand(Bb), radii=r,
+        yield ModeProblem(ell=ell, A=SymBand(Ab), B=SymBand(Bb),
                           ray_ks=ks, params=params)
-
-
-def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
-                  tail_rays: bool = True) -> ModeProblem:
-    """Assemble the Galerkin stiffness/mass pair of mode ell.
-
-    ell >= 1 removes the node at r = 0 (radial profiles vanish there); the
-    last hat extends as a constant over [R, inf); tail rays are appended for
-    every square-integrable power.  tail_rays=False keeps the hats alone, so
-    that a coefficient vector is a piecewise-linear profile on disc.radii(),
-    which is how semigroup hands profiles in.  The one-mode case of
-    `_mode_problems`.
-    """
-    if ell < 0:
-        raise ValueError("mode degree must be nonnegative")
-    return next(_mode_problems((ell,), params, disc, tail_rays))
 
 
 # Shift margin and Krylov size of a floored solve, measured on the ell >= 1
@@ -566,9 +553,6 @@ class GapReport:
     m: int
     delta: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
 
 def numeric_gap(params: MeasureParams, disc: Discretization,
                 ell_max: int = 3) -> GapReport:
@@ -597,22 +581,3 @@ def numeric_gap(params: MeasureParams, disc: Discretization,
                      mode_bottoms=tuple(bottoms), numeric_gap=gap,
                      closed_form=closed, range_tag=tag, rel_error=rel,
                      minimizing_mode=mode, m=disc.m, delta=disc.delta)
-
-
-# ----------------------------------------------------------------------
-# Sweeps.
-
-SWEEP_COLUMNS = ("n", "beta", "range_tag", "closed_form", "numeric_gap",
-                 "rel_error", "minimizing_mode", "m", "delta")
-
-
-def write_sweep_csv(reports: list[GapReport], path) -> None:
-    import csv
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(SWEEP_COLUMNS)
-        for r in reports:
-            wr.writerow([r.n, "%.17g" % r.beta, r.range_tag,
-                         "%.17g" % r.closed_form, "%.17g" % r.numeric_gap,
-                         "%.17g" % r.rel_error, r.minimizing_mode,
-                         r.m, "%.17g" % r.delta])

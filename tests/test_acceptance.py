@@ -303,8 +303,7 @@ def test_criterion_9_sampler_statistics(capsys):
     details = []
     for n, beta, check_msq in ((2, 3.0, True), (3, 2.0, False)):
         p = MeasureParams(n, beta)
-        batch = sample(p, 1_000_000, seed=123)
-        r2 = np.sum(batch.points**2, axis=1)
+        r2 = np.sum(sample(p, 1_000_000, seed=123)**2, axis=1)
         vals = 1.0 / (1.0 + r2)
         se = float(np.std(vals)) / 1000.0
         dev = abs(float(np.mean(vals)) - (beta - n / 2.0) / beta)

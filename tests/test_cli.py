@@ -1,11 +1,13 @@
 import json
-import os
 
 import numpy as np
 import pytest
 
 from cauchygap.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_TOLERANCE,
                            load_config, main)
+from cauchygap.measures import MeasureParams, sample
+from cauchygap.spectral import (Discretization, GapReport, mode_spectrum,
+                                numeric_gap)
 
 
 def test_gap_json(tmp_path, capsys):
@@ -18,7 +20,16 @@ def test_gap_json(tmp_path, capsys):
     assert d["range_tag"] == "upper"
     assert np.isclose(d["closed_form"], 8.0)
     assert abs(d["rel_error"]) < 1e-3
-    assert d["mode_bottoms"] == [10.0, 8.0, 16.0, 24.0]
+    # each mode's floor: mode 0's first nontrivial closed-form value, then
+    # each mode's first; Galerkin values are upper bounds of them
+    p = MeasureParams(3, 5.0)
+    assert d["mode_bottoms"] == [mode_spectrum(p, ell)[1 if ell == 0 else 0]
+                                 for ell in range(4)] == [10.0, 8.0, 16.0, 24.0]
+    assert all(lam >= b for lam, b in zip(d["mode_eigs"], d["mode_bottoms"]))
+    # the file reads back as the report, float for float
+    rep = GapReport(**{k: tuple(v) if isinstance(v, list) else v
+                       for k, v in d.items()})
+    assert rep == numeric_gap(p, Discretization(m=256))
 
 
 def test_gap_csv_format(tmp_path):
@@ -87,6 +98,9 @@ def test_sweep(tmp_path, capsys):
     assert code == EXIT_OK
     lines = out.read_text().splitlines()
     assert len(lines) == 7
+    assert lines[0].split(",") == ["n", "beta", "range_tag", "closed_form",
+                                   "numeric_gap", "rel_error",
+                                   "minimizing_mode", "m", "delta"]
     # after the row count: the worst |rel_error| of each range tag present,
     # in table order, then the essential-spectrum note for a coarse lower range
     worst = {}
@@ -138,8 +152,13 @@ def test_verify_corrupt_control(tmp_path, capsys):
     assert d["all_pass"] is False
     assert d["corrupt_ipp1"] is True
     worst = max(r["rel_err"] for r in d["points"][0]["reports"])
-    assert (f"worst rel_err = {worst:.3e}; FAILURES present"
-            in capsys.readouterr().out)
+    printed = capsys.readouterr().out.splitlines()
+    assert f"worst rel_err = {worst:.3e}; FAILURES present" in printed
+    # each identity row prints its own verdict: only the corrupted one fails
+    rows = {line.split()[2]: line for line in printed if line.startswith("n=2 ")}
+    assert len(rows) == len(d["points"][0]["reports"])
+    assert rows.pop("IPP1").endswith(" FAIL")
+    assert all(line.endswith(" ok") for line in rows.values())
 
 
 def test_deficit_csv(tmp_path):
@@ -239,6 +258,9 @@ def test_sample(tmp_path):
     assert len(data) == 500
     checks = [l for l in lines if l.startswith("# moment_check")]
     assert len(checks) == 2  # omega_inv and mean_sq_norm (beta > n/2 + 1)
+    # the points read back exactly as the sampler draws them
+    loaded = np.loadtxt(out, delimiter=",", skiprows=1, comments="#")
+    np.testing.assert_array_equal(loaded, sample(MeasureParams(2, 3.0), 500, 9))
     # heavy tail: no second-moment row when it diverges
     out2 = tmp_path / "sample2.csv"
     main(["sample", "--n", "2", "--beta", "1.5", "--count", "100",
@@ -255,6 +277,26 @@ def test_sample_deterministic(tmp_path):
     main(["sample", "--n", "1", "--beta", "2.0", "--count", "64",
           "--seed", "3", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--n", "2", "--beta", "4.0", "--m", "96", "--delta", "1e-2"],
+    ["gap", "--n", "2", "--beta", "4.0", "--m", "96", "--delta", "1e-2",
+     "--format", "csv"],
+    ["sweep", "--n", "2", "--beta-min", "1.2", "--beta-max", "4.0",
+     "--steps", "2", "--m", "96", "--delta", "1e-2"],
+    ["verify", "--n", "2", "--beta", "2.5", "--trials", "2"],
+    ["deficit", "--n", "3", "--beta", "4.0", "--range", "upper", "--f", "linear"],
+    ["rayleigh", "--n", "2", "--beta", "1.8", "--eps-from-limit", "0.1,0.01"],
+    ["sample", "--n", "2", "--beta", "3.0", "--count", "10"],
+])
+def test_every_file_ends_its_lines_in_lf(tmp_path, monkeypatch, argv):
+    # one writer for every file: each line ends in "\n", never in "\r\n"
+    monkeypatch.setenv("CAUCHYGAP_OUTDIR", str(tmp_path))
+    assert main(argv) == EXIT_OK
+    (path,) = tmp_path.iterdir()
+    data = path.read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")
 
 
 def test_config_file(tmp_path):

@@ -15,7 +15,6 @@ from cauchygap.spectral import (
     SymBand,
     _cell_moments,
     _tail_moment,
-    assemble_mode,
     closed_form_gap,
     lowest_eigpairs,
     lowest_eigs,
@@ -23,8 +22,12 @@ from cauchygap.spectral import (
     numeric_gap,
     rayleigh_quotient_1d,
     rayleigh_quotient_power,
-    write_sweep_csv,
 )
+
+
+def _mode(ell, params, disc, tail_rays=True):
+    """The Galerkin pair of mode ell alone."""
+    return next(spectral._mode_problems((ell,), params, disc, tail_rays))
 
 
 def test_closed_form_values_and_tags():
@@ -113,17 +116,22 @@ def test_rayleigh_power_family():
 
 def test_rayleigh_1d_family():
     # frozen oracle pin for the odd line family
-    assert np.isclose(rayleigh_quotient_1d(-0.2501, 1.0),
+    assert np.isclose(rayleigh_quotient_1d(-0.2501, MeasureParams(1, 1.0)),
                       0.25016668444207435, rtol=1e-13)
     # approaches (beta - 1/2)^2 at the admissibility edge
     beta = 1.2
     eps_max = (2.0 * beta - 3.0) / 4.0
-    vals = [rayleigh_quotient_1d(eps_max - d, beta) for d in (0.1, 1e-3, 1e-6)]
+    vals = [rayleigh_quotient_1d(eps_max - d, MeasureParams(1, beta))
+            for d in (0.1, 1e-3, 1e-6)]
     limit = (beta - 0.5) ** 2
     assert all(v > limit for v in vals)
     assert abs(vals[-1] - limit) < 1e-4
     # beta > 3/2: eps = 0 is admissible and gives the linear function exactly
-    assert np.isclose(rayleigh_quotient_1d(0.0, 2.0), 2.0, rtol=1e-12)
+    assert np.isclose(rayleigh_quotient_1d(0.0, MeasureParams(1, 2.0)), 2.0,
+                      rtol=1e-12)
+    # a family on the line: any other dimension is refused
+    with pytest.raises(ValueError, match="n = 1"):
+        rayleigh_quotient_1d(-0.1, MeasureParams(2, 1.8))
 
 
 def test_discretization():
@@ -147,25 +155,25 @@ def _half_width(M):
 def test_assemble_mode_structure():
     p = MeasureParams(2, 3.0)
     disc = Discretization(m=96, delta=1e-2)
-    p0 = assemble_mode(0, p, disc)
+    p0 = _mode(0, p, disc)
     assert p0.ell == 0
     A0, B0 = p0.A.toarray(), p0.B.toarray()
     assert np.allclose(A0, A0.T)
     assert np.allclose(B0, B0.T)
     # banded: tridiagonal hats plus at most two ray columns at offset <= 2
     assert p0.ray_ks and _half_width(A0) <= 2 and _half_width(B0) <= 2
-    plain = assemble_mode(0, p, disc, tail_rays=False)
+    plain = _mode(0, p, disc, tail_rays=False)
     assert _half_width(plain.A.toarray()) == 1
     assert _half_width(plain.B.toarray()) == 1
     # constants lie in the kernel of the Dirichlet form (hat functions sum
     # to one; ray columns are built relative to the constant already)
     ones = np.zeros(p0.size())
-    ones[: len(p0.radii)] = 1.0
+    ones[: len(disc.radii())] = 1.0
     resid = p0.A @ ones
     assert np.max(np.abs(resid)) < 1e-10
     # B is positive definite
     assert np.all(np.linalg.eigvalsh(B0) > 0)
-    p1 = assemble_mode(1, p, disc)
+    p1 = _mode(1, p, disc)
     assert p1.size() < p0.size() + 2  # node at r = 0 dropped for ell >= 1
     # eigenvalues of every mode are strictly positive after the zero mode
     e0 = lowest_eigs(p0, 3)
@@ -218,7 +226,7 @@ def test_assemble_mode_matches_cell_loop(m, delta, n, beta):
     # exactly, apart from the tail term the last hat adds on [R, inf)
     disc = Discretization(m=m, delta=delta)
     for ell in range(4):
-        prob = assemble_mode(ell, MeasureParams(n, beta), disc, tail_rays=False)
+        prob = _mode(ell, MeasureParams(n, beta), disc, tail_rays=False)
         A_ref, B_ref = _reference_hat_part(ell, MeasureParams(n, beta), disc)
         A, B = prob.A.toarray(), prob.B.toarray()
         grid = np.ones(A.shape, dtype=bool)
@@ -236,7 +244,7 @@ def test_tail_block_matches_quad(n, beta, rays, ell):
     # from the last hat on, less the hat block) against adaptive quadrature
     p = MeasureParams(n, beta)
     disc = Discretization(m=64, delta=0.05)
-    prob = assemble_mode(ell, p, disc)
+    prob = _mode(ell, p, disc)
     assert len(prob.ray_ks) == rays
     A_ref, B_ref = _reference_hat_part(ell, p, disc)
     last = len(A_ref) - 1
@@ -244,7 +252,7 @@ def test_tail_block_matches_quad(n, beta, rays, ell):
     A_tail[0, 0] -= A_ref[-1, -1]
     B_tail[0, 0] -= B_ref[-1, -1]
 
-    R, cl = float(prob.radii[-1]), ell * (ell + n - 2)
+    R, cl = float(disc.radii()[-1]), ell * (ell + n - 2)
     ks = (0,) + prob.ray_ks
 
     def psi(k, r, deriv=False):
@@ -306,40 +314,6 @@ def test_numeric_gap_line():
         numeric_gap(MeasureParams(1, 3.0), disc, ell_max=1)
 
 
-def test_gap_report_json_roundtrip():
-    import json
-
-    rep = numeric_gap(MeasureParams(2, 4.0), Discretization(m=128, delta=1e-2))
-    d = json.loads(rep.to_json())
-    assert d["n"] == 2 and d["beta"] == 4.0
-    assert d["range_tag"] == rep.range_tag
-    assert np.isclose(d["numeric_gap"], rep.numeric_gap)
-    assert d["m"] == 128
-    # each mode's floor: mode 0's first nontrivial closed-form value, then
-    # each mode's first; Galerkin values are upper bounds of them
-    p = MeasureParams(2, 4.0)
-    assert d["mode_bottoms"] == [mode_spectrum(p, ell)[1 if ell == 0 else 0]
-                                 for ell in range(4)] == [8.0, 6.0, 12.0, 18.0]
-    assert all(lam >= b for lam, b in zip(rep.mode_eigs, rep.mode_bottoms))
-
-
-def test_sweep_csv_deterministic(tmp_path):
-    disc = Discretization(m=96, delta=1e-2)
-    betas = np.linspace(1.2, 4.0, 5)
-    reports = [numeric_gap(MeasureParams(2, float(b)), disc) for b in betas]
-    assert [r.beta for r in reports] == list(betas)
-    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_sweep_csv(reports, f1)
-    write_sweep_csv([numeric_gap(MeasureParams(2, float(b)), disc)
-                     for b in betas], f2)
-    assert f1.read_bytes() == f2.read_bytes()
-    header = f1.read_text().splitlines()[0]
-    assert header.split(",") == ["n", "beta", "range_tag", "closed_form",
-                                 "numeric_gap", "rel_error",
-                                 "minimizing_mode", "m", "delta"]
-    assert len(f1.read_text().splitlines()) == 6
-
-
 # Frozen mpmath values (scripts/make_oracle_values.py) of
 # int r^c (1+r^2)^(-d) dr over cells 0, 1023 and 2046 of the m = 2048,
 # delta = 1e-3 grid, then over [R, inf) (None where it diverges).
@@ -398,7 +372,7 @@ _SOLVER_POINTS = [(2, 1.5), (3, 3.8), (3, 5.0), (1, 1.2), (1, 3.0)]
 def test_lowest_eigs_matches_dense_eigh(m, n, beta, tail_rays):
     disc = Discretization(m=m, delta=1e-3)
     for ell in range(4):
-        prob = assemble_mode(ell, MeasureParams(n, beta), disc, tail_rays)
+        prob = _mode(ell, MeasureParams(n, beta), disc, tail_rays)
         got = np.array(lowest_eigs(prob, 3))
         ref = sla.eigh(prob.A.toarray(), prob.B.toarray(), eigvals_only=True,
                        subset_by_index=[0, 2])
@@ -416,7 +390,7 @@ def test_numeric_gap_modes_match_one_mode_assembly(n, beta):
     disc = Discretization(m=256, delta=1e-3)
     p = MeasureParams(n, beta)
     # (every mode floored at its first nontrivial closed-form value)
-    alone = tuple(lowest_eigs(assemble_mode(ell, p, disc), 1,
+    alone = tuple(lowest_eigs(_mode(ell, p, disc), 1,
                               floor=mode_spectrum(p, ell)[1 if ell == 0 else 0])[0]
                   for ell in range(2 if n == 1 else 4))
     assert numeric_gap(p, disc).mode_eigs == alone
@@ -447,7 +421,7 @@ def test_lowest_eigpairs_vectors_are_b_orthonormal(n, beta):
     route = Discretization(m=384, delta=2e-3)
     for ell, rays, d, k in ((0, False, disc, 6), (1, True, disc, 6),
                             (0, False, route, 48)):
-        prob = assemble_mode(ell, MeasureParams(n, beta), d, rays)
+        prob = _mode(ell, MeasureParams(n, beta), d, rays)
         lam, phi = lowest_eigpairs(prob, k)
         assert list(lam) == lowest_eigs(prob, k)
         assert np.all(np.diff(lam) > 0)
@@ -466,8 +440,8 @@ def test_lowest_eigpairs_vectors_are_b_orthonormal(n, beta):
 
 def test_lowest_eigpairs_domain():
     # k >= 1; k at or past the matrix size is clamped to nn - 1, ARPACK's limit
-    prob = assemble_mode(0, MeasureParams(1, 2.0), Discretization(m=64, delta=1e-2),
-                         tail_rays=False)
+    prob = _mode(0, MeasureParams(1, 2.0), Discretization(m=64, delta=1e-2),
+                 tail_rays=False)
     nn = prob.size()
     for k in (0, -3):
         with pytest.raises(ValueError, match="k >= 1"):
@@ -552,7 +526,7 @@ def test_floored_mode0_matches_the_unshifted_solve(n, beta, m):
     # indefinite operator, against sigma ~ 0 past the constants; measured
     # worst 1.15e-12 at (1, 1.2), m = 2048 (5.1e-14 at m = 256)
     p = MeasureParams(n, beta)
-    prob = assemble_mode(0, p, Discretization(m=m, delta=1e-3))
+    prob = _mode(0, p, Discretization(m=m, delta=1e-3))
     (lam,) = lowest_eigs(prob, 1, floor=mode_spectrum(p, 0)[1])
     ref = lowest_eigs(prob, 2)[1]
     assert abs(lam - ref) <= 2e-12 * ref, (lam, ref)
@@ -564,7 +538,7 @@ def test_lowest_eigs_large_mode_residual_and_inertia(n, beta):
     # separate solver path
     disc = Discretization(m=4096, delta=1e-3)
     for ell in (1, 2, 3):
-        prob = assemble_mode(ell, MeasureParams(n, beta), disc)
+        prob = _mode(ell, MeasureParams(n, beta), disc)
         (lam,) = lowest_eigs(prob, 1)
         # Eigenvector by inverse iteration at the returned value, residual
         # formed in extended precision: in double, the cancelling stiffness
