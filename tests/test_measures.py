@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import gammaln
 
+from cauchygap.cli import EXIT_OK, main
 from cauchygap.measures import (
     MeasureParams,
     density,
@@ -132,3 +133,13 @@ def test_sample_moments():
     est2 = np.mean(r2)
     se2 = np.std(r2) / np.sqrt(len(points))
     assert abs(est2 - mean_sq_norm(p)) < 5.0 * se2
+
+
+def test_sample_csv_roundtrip(tmp_path):
+    # the sample file holds the sampler's draws, float for float
+    out = tmp_path / "pts.csv"
+    assert main(["sample", "--n", "2", "--beta", "2.0", "--count", "50",
+                 "--seed", "0", "--out", str(out)]) == EXIT_OK
+    loaded = np.loadtxt(out, delimiter=",", skiprows=1, comments="#")
+    assert np.allclose(loaded, sample(MeasureParams(2, 2.0), 50, seed=0),
+                       rtol=0, atol=0)

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy import linalg as sla
 from scipy.integrate import quad
 
 from cauchygap import spectral
+from cauchygap.cli import EXIT_OK, SWEEP_COLUMNS, _write_csv, main
 from cauchygap.measures import MeasureParams
 from cauchygap.spectral import (
     Discretization,
@@ -312,6 +314,47 @@ def test_numeric_gap_line():
     assert abs(rep.rel_error) < 1e-8
     with pytest.raises(ValueError):
         numeric_gap(MeasureParams(1, 3.0), disc, ell_max=1)
+
+
+def test_gap_report_json_roundtrip(tmp_path):
+    out = tmp_path / "gap.json"
+    assert main(["gap", "--n", "2", "--beta", "4.0", "--m", "128",
+                 "--delta", "1e-2", "--out", str(out)]) == EXIT_OK
+    d = json.loads(out.read_text())
+    p = MeasureParams(2, 4.0)
+    rep = numeric_gap(p, Discretization(m=128, delta=1e-2))
+    assert d["n"] == 2 and d["beta"] == 4.0
+    assert d["range_tag"] == rep.range_tag
+    assert d["m"] == 128
+    # the file reads back as the report, float for float
+    assert GapReport(**{k: tuple(v) if isinstance(v, list) else v
+                        for k, v in d.items()}) == rep
+    # each mode's floor: mode 0's first nontrivial closed-form value, then
+    # each mode's first; Galerkin values are upper bounds of them
+    assert d["mode_bottoms"] == [mode_spectrum(p, ell)[1 if ell == 0 else 0]
+                                 for ell in range(4)] == [8.0, 6.0, 12.0, 18.0]
+    assert all(lam >= b for lam, b in zip(rep.mode_eigs, rep.mode_bottoms))
+
+
+def test_sweep_csv_deterministic(tmp_path):
+    disc = Discretization(m=96, delta=1e-2)
+    betas = np.linspace(1.2, 4.0, 5)
+
+    def rows():
+        return [[getattr(numeric_gap(MeasureParams(2, float(b)), disc), c)
+                 for c in SWEEP_COLUMNS] for b in betas]
+
+    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    first = rows()
+    assert [r[1] for r in first] == list(betas)
+    _write_csv(f1, SWEEP_COLUMNS, first)
+    _write_csv(f2, SWEEP_COLUMNS, rows())
+    assert f1.read_bytes() == f2.read_bytes()
+    header = f1.read_text().splitlines()[0]
+    assert header.split(",") == ["n", "beta", "range_tag", "closed_form",
+                                 "numeric_gap", "rel_error",
+                                 "minimizing_mode", "m", "delta"]
+    assert len(f1.read_text().splitlines()) == 6
 
 
 # Frozen mpmath values (scripts/make_oracle_values.py) of
