@@ -17,16 +17,17 @@ from .quadrature import (VERIFY_GRID, IdentityReport, QuadratureSpec,
                          lowfact_sign_check, verify_all)
 from .semigroup import (DeficitMismatch, default_horizon, deficit,
                         deficit_trace, variance_representation_check)
-from .spectral import (Discretization, GapReport, ModeProblem, closed_form_gap,
-                       lowest_eigs, mode_spectrum, numeric_gap,
-                       rayleigh_quotient_1d, rayleigh_quotient_power)
+from .spectral import (Discretization, GapReport, ModeProblem, assemble_mode,
+                       closed_form_gap, lowest_eigs, mode_spectrum,
+                       numeric_gap, rayleigh_quotient_1d,
+                       rayleigh_quotient_power)
 
 __all__ = [
     "DeficitMismatch", "Discretization", "FactorizedGamma2", "GapReport",
     "IdentityReport", "MeasureParams", "ModeProblem", "QuadratureSpec",
     "SmoothFunction", "VERIFY_GRID", "applicable_tags", "apply_L",
-    "cauchy_weight", "cd_witness", "closed_form_gap", "default_horizon",
-    "default_nd_spec", "deficit", "deficit_trace", "density",
+    "assemble_mode", "cauchy_weight", "cd_witness", "closed_form_gap",
+    "default_horizon", "default_nd_spec", "deficit", "deficit_trace", "density",
     "gamma", "gamma2_cauchy_factorized",
     "gamma2_general", "integrate_nd", "log_normalization", "lowest_eigs",
     "lowfact_coefficients", "lowfact_epsilon_scan", "lowfact_sign_check",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -46,9 +47,9 @@ def _write_csv(path: str, header, rows) -> None:
     """A header line, then one line per row; a float cell as %.17g, any
     other cell (int, str) as str."""
     with open(path, "w") as fh:
-        for row in (header, *rows):
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        for row in itertools.chain((header,), rows):
+            fh.write(",".join([_fmt(v) if isinstance(v, float) else str(v)
+                               for v in row]) + "\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -290,16 +291,15 @@ def cmd_sample(args: argparse.Namespace) -> int:
     params = _params(args)
     points = sample(params, args.count, args.seed)
     x2 = np.sum(points ** 2, axis=1)
-    inv = 1.0 / (1.0 + x2)
-    root_count = np.sqrt(args.count)
-    rows = points.tolist() + [
-        ("# moment_check", "omega_inv", float(np.mean(inv)),
-         omega_moment(1.0, params), float(np.std(inv) / root_count))]
+    checks = [("omega_inv", 1.0 / (1.0 + x2), omega_moment(1.0, params))]
     if 2.0 * params.beta - params.n - 2.0 > 0:
-        rows.append(("# moment_check", "mean_sq_norm", float(np.mean(x2)),
-                     mean_sq_norm(params), float(np.std(x2) / root_count)))
+        checks.append(("mean_sq_norm", x2, mean_sq_norm(params)))
     path = _out_path(args, f"sample_n{params.n}_beta{params.beta:g}.csv")
-    _write_csv(path, [f"x{i + 1}" for i in range(params.n)], rows)
+    # the points row by row (np.float64 cells are floats), then the checks
+    _write_csv(path, [f"x{i + 1}" for i in range(params.n)], itertools.chain(
+        points, (("# moment_check", name, float(np.mean(v)), expected,
+                  float(np.std(v) / np.sqrt(args.count)))
+                 for name, v, expected in checks)))
     print(f"{args.count} draws -> {path}")
     return EXIT_OK
 

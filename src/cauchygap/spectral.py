@@ -34,7 +34,7 @@ returning a wrong gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -48,7 +48,7 @@ from .measures import MeasureParams, omega_moment
 
 __all__ = [
     "Discretization", "SymBand", "ModeProblem", "NumericalBreakdown", "GapReport",
-    "range_edges", "GAP_FORMULA", "closed_form_gap", "lowest_eigpairs",
+    "range_edges", "GAP_FORMULA", "closed_form_gap", "assemble_mode", "lowest_eigpairs",
     "lowest_eigs", "numeric_gap",
     "rayleigh_quotient_power", "rayleigh_quotient_1d", "mode_spectrum",
 ]
@@ -238,13 +238,14 @@ class SymBand:
     """Symmetric matrix in LAPACK lower band storage: band[d, j] = M[j+d, j].
 
     `@` multiplies from either side (numpy defers to __rmatmul__ because
-    __array_ufunc__ is None).
+    __array_ufunc__ is None); `nbytes` counts the stored band only.
     """
     __array_ufunc__ = None
 
     def __init__(self, band: np.ndarray):
         self.band = band
         self.shape = (band.shape[1], band.shape[1])
+        self.nbytes = band.nbytes
 
     def __matmul__(self, x):
         x = np.asarray(x)
@@ -272,15 +273,15 @@ class ModeProblem:
     """Exact Galerkin matrices of the degree-ell radial sector.
 
     A is the Dirichlet-form (stiffness) matrix, B the L^2 mass matrix, both
-    over hat functions on Discretization.radii() (node 0 removed for
-    ell >= 1) plus one column per tail ray r^k - R^k (k listed in ray_ks),
-    stored as SymBand with half-width 1 (hats only) or 2 (with rays).  For
-    ell = 0 the all-ones hat vector spans the constants and lies in the
-    kernel of A.
+    over hat functions on `radii` (node 0 removed for ell >= 1) plus one
+    column per tail ray r^k - R^k (k listed in ray_ks), stored as SymBand
+    with half-width 1 (hats only) or 2 (with rays).  For ell = 0 the
+    all-ones hat vector spans the constants and lies in the kernel of A.
     """
     ell: int
     A: SymBand
     B: SymBand
+    radii: np.ndarray = field(repr=False)
     ray_ks: tuple
     params: MeasureParams
 
@@ -336,10 +337,6 @@ def _mode_problems(ells, params: MeasureParams, disc: Discretization,
     No cell or tail integral depends on the mode, which enters A only
     through the factor ell(ell+n-2): the integrals are computed once, in one
     vectorized pass per weight, and each mode's bands are built from them.
-    The last hat extends as a constant over [R, inf); tail rays are appended
-    for every square-integrable power.  tail_rays=False keeps the hats
-    alone, so that a coefficient vector is a piecewise-linear profile on
-    disc.radii(), which is how semigroup hands profiles in.
     """
     n, beta = params.n, params.beta
     r = disc.radii()
@@ -382,8 +379,24 @@ def _mode_problems(ells, params: MeasureParams, disc: Discretization,
                            (Ab, C.T @ ((np.outer(P, P) + cl) * A_gram) @ C)):
             for d in range(len(P)):
                 band[d, nh - 1:nn - d] += np.diagonal(tail, -d)
-        yield ModeProblem(ell=ell, A=SymBand(Ab), B=SymBand(Bb),
+        yield ModeProblem(ell=ell, A=SymBand(Ab), B=SymBand(Bb), radii=r,
                           ray_ks=ks, params=params)
+
+
+def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
+                  tail_rays: bool = True) -> ModeProblem:
+    """Assemble the Galerkin stiffness/mass pair of mode ell.
+
+    ell >= 1 removes the node at r = 0 (radial profiles vanish there); the
+    last hat extends as a constant over [R, inf); tail rays are appended for
+    every square-integrable power.  tail_rays=False keeps the hats alone, so
+    that a coefficient vector is a piecewise-linear profile on disc.radii(),
+    which is how semigroup hands profiles in.  The one-mode case of
+    `_mode_problems`.
+    """
+    if ell < 0:
+        raise ValueError("mode degree must be nonnegative")
+    return next(_mode_problems((ell,), params, disc, tail_rays))
 
 
 # Shift margin and Krylov size of a floored solve, measured on the ell >= 1

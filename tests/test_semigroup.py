@@ -35,7 +35,7 @@ from cauchygap.semigroup import (
     variance_representation_check,
 )
 from cauchygap.spectral import (Discretization, NumericalBreakdown, SymBand,
-                                closed_form_gap, range_edges)
+                                assemble_mode, closed_form_gap, range_edges)
 
 
 def test_default_horizon():
@@ -150,7 +150,7 @@ def test_projected_start_keeps_constants_beyond_R():
 @pytest.mark.parametrize("n, beta", [(2, 1.5), (3, 3.8), (3, 5.0), (1, 1.2), (1, 3.0)])
 def test_projected_start_shares_one_cell_pass(monkeypatch, n, beta):
     # both modes come from one pass over the cells (one _cell_moments call
-    # per weight), with the bands each mode has when assembled alone
+    # per weight), with the bands assemble_mode builds for each mode alone
     real, calls = spectral._cell_moments, []
 
     def counted(*args):
@@ -166,7 +166,7 @@ def test_projected_start_shares_one_cell_pass(monkeypatch, n, beta):
     monkeypatch.undo()
     assert [q.ell for q in problems] == [0, 1]
     for q in problems:
-        alone = next(spectral._mode_problems((q.ell,), p, disc, tail_rays=False))
+        alone = assemble_mode(q.ell, p, disc, tail_rays=False)
         np.testing.assert_array_equal(q.A.band, alone.A.band)
         np.testing.assert_array_equal(q.B.band, alone.B.band)
 

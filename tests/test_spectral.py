@@ -8,7 +8,7 @@ from scipy import linalg as sla
 from scipy.integrate import quad
 
 from cauchygap import spectral
-from cauchygap.cli import EXIT_OK, SWEEP_COLUMNS, _write_csv, main
+from cauchygap.cli import EXIT_OK, main
 from cauchygap.measures import MeasureParams
 from cauchygap.spectral import (
     Discretization,
@@ -17,6 +17,7 @@ from cauchygap.spectral import (
     SymBand,
     _cell_moments,
     _tail_moment,
+    assemble_mode,
     closed_form_gap,
     lowest_eigpairs,
     lowest_eigs,
@@ -25,11 +26,6 @@ from cauchygap.spectral import (
     rayleigh_quotient_1d,
     rayleigh_quotient_power,
 )
-
-
-def _mode(ell, params, disc, tail_rays=True):
-    """The Galerkin pair of mode ell alone."""
-    return next(spectral._mode_problems((ell,), params, disc, tail_rays))
 
 
 def test_closed_form_values_and_tags():
@@ -157,25 +153,25 @@ def _half_width(M):
 def test_assemble_mode_structure():
     p = MeasureParams(2, 3.0)
     disc = Discretization(m=96, delta=1e-2)
-    p0 = _mode(0, p, disc)
+    p0 = assemble_mode(0, p, disc)
     assert p0.ell == 0
     A0, B0 = p0.A.toarray(), p0.B.toarray()
     assert np.allclose(A0, A0.T)
     assert np.allclose(B0, B0.T)
     # banded: tridiagonal hats plus at most two ray columns at offset <= 2
     assert p0.ray_ks and _half_width(A0) <= 2 and _half_width(B0) <= 2
-    plain = _mode(0, p, disc, tail_rays=False)
+    plain = assemble_mode(0, p, disc, tail_rays=False)
     assert _half_width(plain.A.toarray()) == 1
     assert _half_width(plain.B.toarray()) == 1
     # constants lie in the kernel of the Dirichlet form (hat functions sum
     # to one; ray columns are built relative to the constant already)
     ones = np.zeros(p0.size())
-    ones[: len(disc.radii())] = 1.0
+    ones[: len(p0.radii)] = 1.0
     resid = p0.A @ ones
     assert np.max(np.abs(resid)) < 1e-10
     # B is positive definite
     assert np.all(np.linalg.eigvalsh(B0) > 0)
-    p1 = _mode(1, p, disc)
+    p1 = assemble_mode(1, p, disc)
     assert p1.size() < p0.size() + 2  # node at r = 0 dropped for ell >= 1
     # eigenvalues of every mode are strictly positive after the zero mode
     e0 = lowest_eigs(p0, 3)
@@ -228,7 +224,7 @@ def test_assemble_mode_matches_cell_loop(m, delta, n, beta):
     # exactly, apart from the tail term the last hat adds on [R, inf)
     disc = Discretization(m=m, delta=delta)
     for ell in range(4):
-        prob = _mode(ell, MeasureParams(n, beta), disc, tail_rays=False)
+        prob = assemble_mode(ell, MeasureParams(n, beta), disc, tail_rays=False)
         A_ref, B_ref = _reference_hat_part(ell, MeasureParams(n, beta), disc)
         A, B = prob.A.toarray(), prob.B.toarray()
         grid = np.ones(A.shape, dtype=bool)
@@ -246,7 +242,7 @@ def test_tail_block_matches_quad(n, beta, rays, ell):
     # from the last hat on, less the hat block) against adaptive quadrature
     p = MeasureParams(n, beta)
     disc = Discretization(m=64, delta=0.05)
-    prob = _mode(ell, p, disc)
+    prob = assemble_mode(ell, p, disc)
     assert len(prob.ray_ks) == rays
     A_ref, B_ref = _reference_hat_part(ell, p, disc)
     last = len(A_ref) - 1
@@ -254,7 +250,7 @@ def test_tail_block_matches_quad(n, beta, rays, ell):
     A_tail[0, 0] -= A_ref[-1, -1]
     B_tail[0, 0] -= B_ref[-1, -1]
 
-    R, cl = float(disc.radii()[-1]), ell * (ell + n - 2)
+    R, cl = float(prob.radii[-1]), ell * (ell + n - 2)
     ks = (0,) + prob.ray_ks
 
     def psi(k, r, deriv=False):
@@ -337,24 +333,18 @@ def test_gap_report_json_roundtrip(tmp_path):
 
 
 def test_sweep_csv_deterministic(tmp_path):
-    disc = Discretization(m=96, delta=1e-2)
     betas = np.linspace(1.2, 4.0, 5)
-
-    def rows():
-        return [[getattr(numeric_gap(MeasureParams(2, float(b)), disc), c)
-                 for c in SWEEP_COLUMNS] for b in betas]
-
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    first = rows()
-    assert [r[1] for r in first] == list(betas)
-    _write_csv(f1, SWEEP_COLUMNS, first)
-    _write_csv(f2, SWEEP_COLUMNS, rows())
+    for out in (f1, f2):
+        assert main(["sweep", "--n", "2", "--beta-min", "1.2", "--beta-max",
+                     "4.0", "--steps", "5", "--m", "96", "--delta", "1e-2",
+                     "--out", str(out)]) == EXIT_OK
     assert f1.read_bytes() == f2.read_bytes()
-    header = f1.read_text().splitlines()[0]
+    header, *rows = f1.read_text().splitlines()
     assert header.split(",") == ["n", "beta", "range_tag", "closed_form",
                                  "numeric_gap", "rel_error",
                                  "minimizing_mode", "m", "delta"]
-    assert len(f1.read_text().splitlines()) == 6
+    assert [float(row.split(",")[1]) for row in rows] == list(betas)
 
 
 # Frozen mpmath values (scripts/make_oracle_values.py) of
@@ -415,7 +405,7 @@ _SOLVER_POINTS = [(2, 1.5), (3, 3.8), (3, 5.0), (1, 1.2), (1, 3.0)]
 def test_lowest_eigs_matches_dense_eigh(m, n, beta, tail_rays):
     disc = Discretization(m=m, delta=1e-3)
     for ell in range(4):
-        prob = _mode(ell, MeasureParams(n, beta), disc, tail_rays)
+        prob = assemble_mode(ell, MeasureParams(n, beta), disc, tail_rays)
         got = np.array(lowest_eigs(prob, 3))
         ref = sla.eigh(prob.A.toarray(), prob.B.toarray(), eigvals_only=True,
                        subset_by_index=[0, 2])
@@ -433,7 +423,7 @@ def test_numeric_gap_modes_match_one_mode_assembly(n, beta):
     disc = Discretization(m=256, delta=1e-3)
     p = MeasureParams(n, beta)
     # (every mode floored at its first nontrivial closed-form value)
-    alone = tuple(lowest_eigs(_mode(ell, p, disc), 1,
+    alone = tuple(lowest_eigs(assemble_mode(ell, p, disc), 1,
                               floor=mode_spectrum(p, ell)[1 if ell == 0 else 0])[0]
                   for ell in range(2 if n == 1 else 4))
     assert numeric_gap(p, disc).mode_eigs == alone
@@ -464,7 +454,7 @@ def test_lowest_eigpairs_vectors_are_b_orthonormal(n, beta):
     route = Discretization(m=384, delta=2e-3)
     for ell, rays, d, k in ((0, False, disc, 6), (1, True, disc, 6),
                             (0, False, route, 48)):
-        prob = _mode(ell, MeasureParams(n, beta), d, rays)
+        prob = assemble_mode(ell, MeasureParams(n, beta), d, rays)
         lam, phi = lowest_eigpairs(prob, k)
         assert list(lam) == lowest_eigs(prob, k)
         assert np.all(np.diff(lam) > 0)
@@ -483,8 +473,8 @@ def test_lowest_eigpairs_vectors_are_b_orthonormal(n, beta):
 
 def test_lowest_eigpairs_domain():
     # k >= 1; k at or past the matrix size is clamped to nn - 1, ARPACK's limit
-    prob = _mode(0, MeasureParams(1, 2.0), Discretization(m=64, delta=1e-2),
-                 tail_rays=False)
+    prob = assemble_mode(0, MeasureParams(1, 2.0), Discretization(m=64, delta=1e-2),
+                         tail_rays=False)
     nn = prob.size()
     for k in (0, -3):
         with pytest.raises(ValueError, match="k >= 1"):
@@ -569,7 +559,7 @@ def test_floored_mode0_matches_the_unshifted_solve(n, beta, m):
     # indefinite operator, against sigma ~ 0 past the constants; measured
     # worst 1.15e-12 at (1, 1.2), m = 2048 (5.1e-14 at m = 256)
     p = MeasureParams(n, beta)
-    prob = _mode(0, p, Discretization(m=m, delta=1e-3))
+    prob = assemble_mode(0, p, Discretization(m=m, delta=1e-3))
     (lam,) = lowest_eigs(prob, 1, floor=mode_spectrum(p, 0)[1])
     ref = lowest_eigs(prob, 2)[1]
     assert abs(lam - ref) <= 2e-12 * ref, (lam, ref)
@@ -581,7 +571,7 @@ def test_lowest_eigs_large_mode_residual_and_inertia(n, beta):
     # separate solver path
     disc = Discretization(m=4096, delta=1e-3)
     for ell in (1, 2, 3):
-        prob = _mode(ell, MeasureParams(n, beta), disc)
+        prob = assemble_mode(ell, MeasureParams(n, beta), disc)
         (lam,) = lowest_eigs(prob, 1)
         # Eigenvector by inverse iteration at the returned value, residual
         # formed in extended precision: in double, the cancelling stiffness
