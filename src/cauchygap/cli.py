@@ -64,7 +64,6 @@ _SHARED_FLAGS = {
     "beta": dict(type=float),
     "m": dict(type=int, default=512),
     "delta": dict(type=float, default=1e-3),
-    "ell-max": dict(type=int, default=3),
     "seed": dict(type=int, default=0),
 }
 
@@ -86,10 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("gap", "one (n, beta) eigensolve vs the closed form",
-                "n", "beta", "m", "delta", "ell-max")
+                "n", "beta", "m", "delta")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--tol", type=float, default=1e-3)
-    p = command("sweep", "gap table over a beta range", "n", "m", "delta", "ell-max")
+    p = command("sweep", "gap table over a beta range", "n", "m", "delta")
     p.add_argument("--beta-min", type=float)
     p.add_argument("--beta-max", type=float)
     p.add_argument("--steps", type=int, default=20)
@@ -162,7 +161,7 @@ def _disc(args: argparse.Namespace) -> Discretization:
 
 def cmd_gap(args: argparse.Namespace) -> int:
     params = _params(args)
-    report = numeric_gap(params, _disc(args), ell_max=args.ell_max)
+    report = numeric_gap(params, _disc(args))
     path = _out_path(args, f"gap_n{params.n}_beta{params.beta:g}.{args.format}")
     if args.format == "json":
         _write_json(path, dataclasses.asdict(report))
@@ -184,7 +183,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not (args.n / 2.0 < args.beta_min < args.beta_max):
         raise ValueError("need n/2 < beta-min < beta-max")
     disc = _disc(args)
-    reports = [numeric_gap(MeasureParams(args.n, float(b)), disc, args.ell_max)
+    reports = [numeric_gap(MeasureParams(args.n, float(b)), disc)
                for b in np.linspace(args.beta_min, args.beta_max, args.steps)]
     path = _out_path(args, f"sweep_n{args.n}.csv")
     _write_csv(path, SWEEP_COLUMNS,

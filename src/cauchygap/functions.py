@@ -19,7 +19,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.special import hyp2f1
 
 from .measures import MeasureParams, mean_sq_norm
 
@@ -211,6 +210,7 @@ def make_lower_extremal_1d(beta: float) -> SmoothFunction:
     def fields(x, order):
         t = x[:, 0]
         if order == 0:
+            from scipy.special import hyp2f1  # only here: keeps it off the import path
             return t * hyp2f1(0.5, -p, 1.5, -t * t)
         if order == 1:
             return ((1.0 + t * t) ** p)[:, None]

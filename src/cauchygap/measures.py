@@ -7,10 +7,10 @@ finite for large beta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class MeasureParams:
 def log_normalization(params: MeasureParams) -> float:
     """log Z(n, beta) with Z = pi^(n/2) Gamma(beta - n/2) / Gamma(beta)."""
     n, beta = params.n, params.beta
-    return 0.5 * n * np.log(np.pi) + gammaln(beta - n / 2) - gammaln(beta)
+    return 0.5 * n * math.log(math.pi) + math.lgamma(beta - n / 2) - math.lgamma(beta)
 
 
 def normalization(params: MeasureParams) -> float:

@@ -23,7 +23,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln
 
 from .functions import (RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS, RandomTestFields,
                         random_test_coefficients, _pairs)
@@ -64,9 +63,14 @@ class IdentityReport:
     detail: str = ""
 
 
-def _rel_err(lhs, rhs):
-    """Relative error on the scale max(1, |lhs|, |rhs|), elementwise on arrays."""
-    return np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+def _rel_err(lhs, rhs, terms=()):
+    """Relative error on the scale max(1, |lhs|, |rhs|, |t| for t in terms),
+    elementwise on arrays.  `terms` are summands of rhs that may cancel:
+    their size, not the residual they leave, is the scale of the error."""
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    for t in terms:
+        scale = np.maximum(scale, np.abs(t))
+    return np.abs(lhs - rhs) / scale
 
 
 # Default (n, beta) verification grid: per dimension, one point strictly
@@ -86,7 +90,7 @@ VERIFY_GRID = tuple(
 
 def _log_sphere_area(n: int) -> float:
     # |S^{n-1}| = 2 pi^{n/2} / Gamma(n/2)
-    return math.log(2.0) + 0.5 * n * math.log(math.pi) - gammaln(n / 2)
+    return math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(n / 2)
 
 
 @lru_cache(maxsize=256)
@@ -383,43 +387,50 @@ def _lowfact_rhs(pack: _FieldPack, n: int, beta: float, eps: float,
 
 def _tag_sides(tag: str, pack: _FieldPack, params: MeasureParams,
                epsilon: Optional[float]):
+    """(lhs, rhs, terms) of identity `tag`; `terms` (for _rel_err) are the
+    summands of rhs on IPP3, IPP4 and GRG, whose lhs vanishes at beta = 2
+    while those summands cancel, and () on every other tag."""
     n, beta = params.n, params.beta
     if tag == "IPP1":
-        return pack.p1, pack.wdw2
+        return pack.p1, pack.wdw2, ()
     if tag == "IPP2":
-        return pack.p2, -0.5 * pack.p1 - 2.0 * pack.gam + 4.0 * (beta - 1.0) * pack.gx2
+        return pack.p2, -0.5 * pack.p1 - 2.0 * pack.gam + 4.0 * (beta - 1.0) * pack.gx2, ()
     if tag == "IPP3":
-        return (beta - 2.0) * pack.p1, 2.0 * pack.a1 + 2.0 * pack.t2
+        terms = (2.0 * pack.a1, 2.0 * pack.t2)
+        return (beta - 2.0) * pack.p1, terms[0] + terms[1], terms
     if tag == "IPP4":
-        return (beta - 2.0) * pack.p2, pack.t2 + pack.a2
+        terms = (pack.t2, pack.a2)
+        return (beta - 2.0) * pack.p2, terms[0] + terms[1], terms
     if tag == "GAMMABIS":
         rhs = pack.a1 + 0.5 * pack.p1 - pack.p2 + 2.0 * (beta - 1.0) * pack.gam
-        return pack.gamma2, rhs
+        return pack.gamma2, rhs, ()
     if tag == "GRG":
         rhs = ((beta - (n + 1.0)) * pack.a1 + n * (pack.a1 - pack.a2 / n)
                + 2.0 * (beta - 1.0) * (beta - 2.0) * pack.gam)
-        return (beta - 2.0) * pack.gamma2, rhs
+        terms = ((beta - (n + 1.0)) * pack.a1, n * pack.a1, pack.a2,
+                 2.0 * (beta - 1.0) * (beta - 2.0) * pack.gam)
+        return (beta - 2.0) * pack.gamma2, rhs, terms
     if tag == "IRG":
         rhs = (n / (n - 1.0) * (pack.a1 - pack.a2 / n)
                + 4.0 * (beta - 1.0) * (n + 1.0 - beta) / (n - 1.0) * pack.qi
                + GAP_FORMULA["mid"](n, beta) * pack.gam)
-        return pack.gamma2, rhs
+        return pack.gamma2, rhs, ()
     if tag == "LOWFACT":
         eps = (range_edges(n)[0] - beta) if epsilon is None else float(epsilon)
-        return pack.gamma2, _lowfact_rhs(pack, n, beta, eps)
+        return pack.gamma2, _lowfact_rhs(pack, n, beta, eps), ()
     if tag == "ONED_SPLIT":
         eps = 0.5
         A = 2.0 * (beta - 1.0) + eps
         Bc = A * (1.0 - eps)
         rhs = (pack.a1 + 0.5 * eps * pack.p1 + eps * eps * pack.gx2
                + A * pack.g2i + Bc * pack.gx2)
-        return pack.gamma2, rhs
+        return pack.gamma2, rhs, ()
     if tag == "ONED_LOW":
         eps0 = range_edges(n)[0] - beta
         a0 = beta - 0.5
         rhs = (pack.a1 + 0.5 * eps0 * pack.p1 + eps0 * eps0 * pack.gx2
                + a0 * a0 * pack.gam + a0 * eps0 * pack.g2i)
-        return pack.gamma2, rhs
+        return pack.gamma2, rhs, ()
     raise ValueError(f"unknown identity tag {tag!r}")
 
 
@@ -463,10 +474,10 @@ def verify_all(params: MeasureParams, spec: Optional[QuadratureSpec] = None,
     pack = _random_test_pack(params, spec, trials, seed)
     reports = []
     for tag in applicable_tags(params):
-        lhs, rhs = _tag_sides(tag, pack, params, None)
+        lhs, rhs, terms = _tag_sides(tag, pack, params, None)
         if corrupt_ipp1 and tag == "IPP1":
             rhs = -rhs
-        rel = _rel_err(lhs, rhs)
+        rel = _rel_err(lhs, rhs, terms)
         k = int(np.argmax(np.isnan(rel) if np.isnan(rel).any() else rel >= rel.max() - 1e-12))
         reports.append(IdentityReport(
             tag=tag, n=n, beta=beta, lhs=float(lhs[k]), rhs=float(rhs[k]),

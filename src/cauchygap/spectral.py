@@ -22,13 +22,20 @@ worst cells), and the one-sided bound is then not guaranteed.
 Hats couple only to their neighbours and rays only to the last hat, so A
 and B are symmetric bands of half-width <= 2, kept in LAPACK band storage.
 Every mode size takes one eigensolver: shift-invert Lanczos on a symmetric
-operator of banded factors.  A gap solve shifts every mode to just under
+operator of banded factors.  A gap solve shifts each mode to just under
 its first nontrivial closed-form value (mode_spectrum), where Lanczos
 converges in a few steps.  The shift is also the guard: Galerkin values
 are upper bounds, so the number of values under it, counted by Sylvester's
 law on A - sigma B, must be the closed form's (the constants on mode 0,
 none above); any other count raises NumericalBreakdown instead of
 returning a wrong gap.
+
+Only modes 0 and 1 can carry the gap.  For ell >= 1 the trial space and
+B do not depend on ell, and A_ell = S + ell(ell+n-2) K with S >= 0 and
+K >= B (K - B is the Gram of r^{n-3}(1+r^2)^{-beta}), so the Galerkin
+values obey lam_ell >= ell(ell+n-2) and, for ell >= 2,
+lam_ell >= lam_{ell-1} + (2 ell + n - 3).  numeric_gap stops at the first
+mode whose bound reaches the running minimum.
 """
 
 from __future__ import annotations
@@ -399,10 +406,10 @@ def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
     return next(_mode_problems((ell,), params, disc, tail_rays))
 
 
-# Shift margin and Krylov size of a floored solve, measured on the ell >= 1
-# pencils of the benchmark sweep at m = 2048: 212 Lanczos steps against 577
-# at sigma ~ 0, every value within 2e-12 of the unshifted solve (mode 0:
-# 82 steps against 300).
+# Shift margin and Krylov size of a floored solve: 1% under the closed-form
+# bottom, Lanczos on six vectors converges in a few steps, and the values
+# agree with the unshifted solve to rounding
+# (test_floored_mode0_matches_the_unshifted_solve).
 _FLOOR_MARGIN = 1e-2
 _FLOOR_NCV = 6
 
@@ -556,7 +563,7 @@ class GapReport:
     """Numeric gap vs closed form for one parameter set."""
     n: int
     beta: float
-    mode_eigs: tuple          # lowest nontrivial eigenvalue per mode 0..ell_max
+    mode_eigs: tuple          # lowest nontrivial eigenvalue per mode solved, from 0
     mode_bottoms: tuple       # the closed-form bottom each mode was floored at
     numeric_gap: float
     closed_form: float
@@ -577,6 +584,14 @@ def numeric_gap(params: MeasureParams, disc: Discretization,
     floored at that value's closed-form bottom (mode_spectrum entry 1 on
     mode 0, entry 0 above), reported in mode_bottoms; lowest_eigpairs
     raises NumericalBreakdown where a Galerkin value lies under the shift.
+
+    The modes are solved in order, and the loop stops before the first mode
+    whose proven lower bound reaches the running minimum (the bound holds
+    for every later mode too): lam_1 >= n - 1 and, for ell >= 2,
+    lam_ell >= lam_{ell-1} + (2 ell + n - 3), by Courant-Fischer (module
+    docstring).  So mode 1 is solved only where n - 1 lies under mode 0's
+    value, no mode ell >= 2 is ever solved, and mode_eigs and mode_bottoms
+    list the modes solved.
     """
     if ell_max < 2:
         raise ValueError("need ell_max >= 2 (mode minimum must be attested)")
@@ -584,8 +599,15 @@ def numeric_gap(params: MeasureParams, disc: Discretization,
     ell_eff = 1 if n == 1 else ell_max
     per_mode, bottoms = [], []
     for prob in _mode_problems(range(ell_eff + 1), params, disc):
-        bottoms.append(mode_spectrum(params, prob.ell)[1 if prob.ell == 0 else 0])
+        ell = prob.ell
+        bottoms.append(mode_spectrum(params, ell)[1 if ell == 0 else 0])
         per_mode.append(lowest_eigs(prob, 1, floor=bottoms[-1])[0])
+        # the bound on mode ell + 1, before the generator assembles it
+        bound = (ell + 1) * (ell + n - 1)
+        if ell >= 1:
+            bound += per_mode[-1] - ell * (ell + n - 2)
+        if bound >= min(per_mode):
+            break
     gap = min(per_mode)
     mode = int(np.argmin(per_mode))
     closed, tag = closed_form_gap(params)

@@ -17,7 +17,10 @@ def test_gap_json(tmp_path, capsys):
     assert d["range_tag"] == "upper"
     assert np.isclose(d["closed_form"], 8.0)
     assert abs(d["rel_error"]) < 1e-3
-    assert d["mode_bottoms"] == [10.0, 8.0, 16.0, 24.0]
+    # mode 0 (floor 10) and mode 1 (floor 8) are solved; mode 1's value
+    # 8 bounds every later mode from below by 8 + 4, so none is solved
+    assert d["mode_bottoms"] == [10.0, 8.0]
+    assert d["minimizing_mode"] == 1
 
 
 def test_gap_csv_format(tmp_path):
@@ -359,7 +362,9 @@ def test_usage_errors_are_configuration_errors(tmp_path, capsys):
      "--f", "linear", "--format", "csv"],
     ["rayleigh", "--n", "2", "--beta", "1.8", "--eps-from-limit", "0.1",
      "--seed", "1"],
-    ["sample", "--n", "2", "--beta", "3.0", "--count", "10", "--ell-max", "2"],
+    ["sample", "--n", "2", "--beta", "3.0", "--count", "10", "--steps", "2"],
+    # the modes solved follow from a proven bound, not a flag
+    ["gap", "--n", "2", "--beta", "4.0", "--m", "96", "--ell-max", "3"],
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, monkeypatch,
                                                         capsys, argv):

@@ -231,6 +231,24 @@ def test_verify_all_skips():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
+def test_beta_2_rows_scaled_by_their_terms(n):
+    # at beta = 2 the lhs of IPP3, IPP4 and GRG is 0 and rhs is what is left
+    # of terms near 1e4 that cancel: the error is scaled by those terms, so
+    # the rows read rounding (<= 4e-15 measured, 1e-11 to 1e-10 on the
+    # scale max(1, |lhs|, |rhs|))
+    p = MeasureParams(n, 2.0)
+    pack = quadrature._random_test_pack(p, None, 50, 0)
+    by_tag = {r.tag: r for r in verify_all(p, trials=50, seed=0)}
+    for tag in ("IPP3", "IPP4", "GRG"):
+        lhs, rhs, terms = quadrature._tag_sides(tag, pack, p, None)
+        assert np.all(lhs == 0.0)
+        rel = quadrature._rel_err(lhs, rhs, terms)
+        assert np.array_equal(rel, np.abs(rhs) / np.maximum(
+            1.0, np.max(np.abs(terms), axis=0)))
+        assert rel.max() <= 1e-13 and by_tag[tag].rel_err <= 1e-13, (tag, rel.max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("beta", [2.0 - 1e-9, 2.0, 2.0 + 1e-9])
 def test_verify_all_near_beta_2(n, beta):
     # dividing IPP3/IPP4/GRG by beta - 2 would amplify rounding to 1e-3 here
@@ -349,8 +367,7 @@ def test_verify_all_trial_blocks(monkeypatch, nodes, angular):
     for a, b in zip(blocked, single):
         assert a.status == b.status and a.trials == b.trials == trials
         assert abs(a.rel_err - b.rel_err) <= 1e-12
-        lhs, rhs = quadrature._tag_sides(a.tag, pack, p, None)
-        rel = quadrature._rel_err(lhs, rhs)
+        rel = quadrature._rel_err(*quadrature._tag_sides(a.tag, pack, p, None))
         first_tied = pack.labels[int(np.flatnonzero(rel >= rel.max() - 1e-12)[0])]
         assert a.detail == b.detail == first_tied
 

@@ -290,7 +290,8 @@ def test_numeric_gap_matches_closed_form_upper_range():
     assert rep.range_tag == "upper"
     assert rep.minimizing_mode == 1
     assert abs(rep.rel_error) < 1e-8
-    assert len(rep.mode_eigs) == 4
+    # mode 1 is solved (n - 1 = 2 lies under mode 0's value), no later one
+    assert len(rep.mode_eigs) == 2
     assert rep.numeric_gap == min(rep.mode_eigs)
 
 
@@ -325,10 +326,10 @@ def test_gap_report_json_roundtrip(tmp_path):
     # the file reads back as the report, float for float
     assert GapReport(**{k: tuple(v) if isinstance(v, list) else v
                         for k, v in d.items()}) == rep
-    # each mode's floor: mode 0's first nontrivial closed-form value, then
-    # each mode's first; Galerkin values are upper bounds of them
+    # each solved mode's floor: mode 0's first nontrivial closed-form value,
+    # then mode 1's first; Galerkin values are upper bounds of them
     assert d["mode_bottoms"] == [mode_spectrum(p, ell)[1 if ell == 0 else 0]
-                                 for ell in range(4)] == [8.0, 6.0, 12.0, 18.0]
+                                 for ell in range(2)] == [8.0, 6.0]
     assert all(lam >= b for lam, b in zip(rep.mode_eigs, rep.mode_bottoms))
 
 
@@ -426,7 +427,29 @@ def test_numeric_gap_modes_match_one_mode_assembly(n, beta):
     alone = tuple(lowest_eigs(assemble_mode(ell, p, disc), 1,
                               floor=mode_spectrum(p, ell)[1 if ell == 0 else 0])[0]
                   for ell in range(2 if n == 1 else 4))
-    assert numeric_gap(p, disc).mode_eigs == alone
+    rep = numeric_gap(p, disc)
+    # the modes it solves are a prefix; those it skips do not hold the gap
+    assert rep.mode_eigs == alone[:len(rep.mode_eigs)]
+    assert (rep.numeric_gap, rep.minimizing_mode) == (min(alone), alone.index(min(alone)))
+
+
+@pytest.mark.parametrize("m", [64, 256])
+@pytest.mark.parametrize("where", ["lower", "mid", "upper"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_numeric_gap_mode_cutoff_premise(n, where, m):
+    # numeric_gap's cutoff rests on lam_1 >= n - 1 and, for ell >= 2,
+    # lam_ell >= lam_{ell-1} + (2 ell + n - 3) on the Galerkin values;
+    # measured tightest slack 3.1e-6 relative, at (3, 3.75) with m = 64
+    beta = {"lower": n / 2.0 + 0.1, "mid": 0.75 * n + 1.5, "upper": n + 2.0}[where]
+    p, disc = MeasureParams(n, beta), Discretization(m=m, delta=1e-3)
+    lam = [lowest_eigs(prob, 1, floor=mode_spectrum(p, prob.ell)[1 if prob.ell == 0 else 0])[0]
+           for prob in spectral._mode_problems(range(6), p, disc)]
+    assert lam[1] >= (n - 1) * (1.0 - 1e-9)
+    for ell in range(2, 6):
+        assert lam[ell] - lam[ell - 1] >= (2 * ell + n - 3) * (1.0 - 1e-9), ell
+    rep = numeric_gap(p, disc)
+    first = lam[:4]
+    assert (rep.numeric_gap, rep.minimizing_mode) == (min(first), first.index(min(first)))
 
 
 @pytest.mark.parametrize("n, beta", [(1, 1.2), (3, 3.8)])
@@ -542,12 +565,16 @@ _M2048_MODE_EIGS = {
 def test_numeric_gap_m2048_pins(n, beta):
     p, disc = MeasureParams(n, beta), Discretization(m=2048, delta=1e-3)
     rep = numeric_gap(p, disc)
-    np.testing.assert_allclose(rep.mode_eigs, _M2048_MODE_EIGS[n, beta],
-                               rtol=1e-12, atol=0.0)
+    pins = _M2048_MODE_EIGS[n, beta]
+    # numeric_gap solves a prefix of the modes; the rest are solved here,
+    # floored as numeric_gap floors them
+    probs = list(spectral._mode_problems(range(len(pins)), p, disc))
+    eigs = rep.mode_eigs + tuple(
+        lowest_eigs(prob, 1, floor=mode_spectrum(p, prob.ell)[0])[0]
+        for prob in probs[len(rep.mode_eigs):])
+    np.testing.assert_allclose(eigs, pins, rtol=1e-12, atol=0.0)
     # the pins are the bands' eigenvalues, not an earlier solver's output
-    oracle = [_band_eigenvalue(prob, lam) for prob, lam in
-              zip(spectral._mode_problems(range(len(rep.mode_eigs)), p, disc),
-                  rep.mode_eigs)]
+    oracle = [_band_eigenvalue(prob, lam) for prob, lam in zip(probs, eigs)]
     np.testing.assert_allclose(oracle, _M2048_MODE_EIGS[n, beta],
                                rtol=1e-14, atol=0.0)
 
