@@ -27,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 from .functions import (RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS, RandomTestFields,
                         random_test_coefficients, _pairs)
 from .measures import MeasureParams, log_normalization
-from .spectral import GAP_FORMULA, range_edges
+from .spectral import GAP_FORMULA, _gauss_panels, range_edges
 
 Array = np.ndarray
 
@@ -88,6 +88,9 @@ VERIFY_GRID = tuple(
 # Radial rules.
 
 
+_XG8, _WG8 = leggauss(8)  # the Gauss-Legendre rule on each radial-rule panel
+
+
 def _log_sphere_area(n: int) -> float:
     # |S^{n-1}| = 2 pi^{n/2} / Gamma(n/2)
     return math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(n / 2)
@@ -103,57 +106,27 @@ def _radial_rule_cached(n: int, beta: float, nodes: int, trunc: Optional[float],
     panels never straddle a derivative kink.
     """
     logc = _log_sphere_area(n) - log_normalization(MeasureParams(n, beta))
-    p = 8
-    xg, wg = leggauss(p)
-
-    def panel(a, b):
-        # Gauss-Legendre nodes/weights on theta in [a, b]
-        mid, half = 0.5 * (b + a), 0.5 * (b - a)
-        return mid + half * xg, half * wg
-
-    thetas, wts = [], []
     if trunc is not None:
         # compact support: uniform panels per smooth segment of [0, arctan(R)]
         tmax = math.atan(trunc)
         cuts = [math.atan(s) for s in seams]
-        segments = list(zip([0.0] + cuts, cuts + [tmax]))
-        npan_total = max(16, nodes // p)
-        for a, b in segments:
-            npan = max(10, int(round(npan_total * (b - a) / tmax)))
-            edges = np.linspace(a, b, npan + 1)
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                t, w = panel(lo, hi)
-                thetas.append(t)
-                wts.append(w)
-        theta = np.concatenate(thetas)
-        w = np.concatenate(wts)
+        npan_total = max(16, nodes // len(_XG8))
+        edges = np.concatenate(
+            [np.linspace(a, b, max(10, int(round(npan_total * (b - a) / tmax))) + 1)[:-1]
+             for a, b in zip([0.0] + cuts, cuts + [tmax])] + [[tmax]])
+        theta, w = _gauss_panels(edges[:-1], edges[1:], _XG8, _WG8)
         r = np.tan(theta)
     else:
-        # core [0, pi/4] uniform + geometric tail panels in tau = pi/2 - theta
-        npan_core = max(8, nodes // (4 * p))
-        edges = np.linspace(0.0, math.pi / 4, npan_core + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            t, w = panel(a, b)
-            thetas.append(t)
-            wts.append(w)
-        theta = np.concatenate(thetas)
-        r_core = np.tan(theta)
-        w_core = np.concatenate(wts)
-
-        q = 0.5
-        taus, wt_t = [], []
-        tau_hi = math.pi / 4
-        tau_lo = tau_hi * q
-        while tau_hi > 1e-120:
-            t, w = panel(tau_lo, tau_hi)
-            taus.append(t)
-            wt_t.append(w)
-            tau_hi, tau_lo = tau_lo, tau_lo * q
-        tau = np.concatenate(taus)
-        w_tail = np.concatenate(wt_t)
-        r_tail = 1.0 / np.tan(tau)
-        r = np.concatenate([r_core, r_tail])
+        # core [0, pi/4] uniform, then tail panels [tau/2, tau] in
+        # tau = pi/2 - theta, from tau = pi/4 while tau > 1e-120, descending
+        core = np.linspace(0.0, math.pi / 4, max(8, nodes // (4 * len(_XG8))) + 1)
+        halvings = math.ceil(math.log2(math.pi / 4 / 1e-120))
+        tail = np.ldexp(math.pi / 4, -np.arange(halvings + 1))
+        theta, w_core = _gauss_panels(core[:-1], core[1:], _XG8, _WG8)
+        tau, w_tail = _gauss_panels(tail[1:], tail[:-1], _XG8, _WG8)
+        r = np.concatenate([np.tan(theta), 1.0 / np.tan(tau)])
         w = np.concatenate([w_core, w_tail])
+    r, w = r.ravel(), w.ravel()
 
     # log of r^{n-1} (1+r^2)^{1-beta} dtheta, with log1p(r^2) stabilized
     logr = np.log(r, out=np.full_like(r, -np.inf), where=r > 0)
@@ -448,7 +421,9 @@ def lowfact_coefficients(n: int, beta: float, eps: float):
 def _random_test_pack(params: MeasureParams, spec: Optional[QuadratureSpec],
                       trials: int, seed: int, order: int = 3):
     """Pack of the random tests (seed << 20) + t, t < trials, on the
-    identity nodes of their support."""
+    identity nodes of their support; ValueError for trials < 1."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if spec is None:
         spec = default_nd_spec(params.n)
     rule = _tensor_rule(params, spec, RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS)
@@ -468,8 +443,6 @@ def verify_all(params: MeasureParams, spec: Optional[QuadratureSpec] = None,
     negative control so report consumers can confirm a broken identity is
     actually flagged.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     n, beta = params.n, params.beta
     pack = _random_test_pack(params, spec, trials, seed)
     reports = []

@@ -26,10 +26,11 @@ from scipy import linalg as sla
 
 from .functions import SmoothFunction, _row_sq_norms
 from .measures import MeasureParams, mean_sq_norm
-from .quadrature import _FieldPack, _node_blocks, _tensor_rule, default_nd_spec
-from .spectral import (_WGL, _XGL, GAP_FORMULA, Discretization, ModeProblem,
-                       _cholesky, _mode_problems, _node_diag, lowest_eigpairs,
-                       range_edges)
+from .quadrature import (_FieldPack, _node_blocks, _rel_err, _tensor_rule,
+                         default_nd_spec)
+from .spectral import (GAP_FORMULA, Discretization, ModeProblem, _cholesky,
+                       _gauss_panels, _mode_problems, _node_diag,
+                       lowest_eigpairs, range_edges)
 
 __all__ = [
     "default_horizon", "variance_representation_check", "deficit",
@@ -95,14 +96,14 @@ def _mode_loads(f: SmoothFunction, params: MeasureParams,
     r = disc.radii()
     r0, r1 = r[:-1, None], r[1:, None]
     h = r1 - r0
-    rr = 0.5 * h * _XGL + 0.5 * (r0 + r1)
-    ww = 0.5 * h * _WGL * _radial_weight(params, rr)
+    rr, ww = _gauss_panels(r[:-1], r[1:])
+    ww *= _radial_weight(params, rr)
     profiles = _mode_profiles(f, params, rr.ravel())
     R = float(r[-1])
     tails = dict.fromkeys(profiles, 0.0)
     if f.support_radius is None or f.support_radius > R:
-        t = 0.5 * _XGL + 0.5
-        wt = 0.5 * _WGL * (R / (t * t)) * _radial_weight(params, R / t)
+        t, wt = _gauss_panels(0.0, 1.0)
+        wt = wt * (R / (t * t)) * _radial_weight(params, R / t)
         tails = {ell: float(prof @ wt) for ell, prof
                  in _mode_profiles(f, params, R / t).items()}
     loads = {}
@@ -331,8 +332,7 @@ def deficit(f: SmoothFunction, params: MeasureParams, range_tag: str) -> float:
     var, energy = _var_and_energy(f, params)
     value = lam * var - energy
     route = _route_deficit(f, params, lam)
-    if route is not None and abs(route - value) > 1e-3 * max(
-            1.0, abs(value), abs(route)):
+    if route is not None and _rel_err(value, route) > 1e-3:
         raise DeficitMismatch(
             f"corollary time integral {route:.6g} disagrees with the "
             f"quadrature deficit {value:.6g} (tag {range_tag})")

@@ -166,6 +166,14 @@ _XGL, _WGL = leggauss(12)
 _SERIES_TERMS = 26
 
 
+def _gauss_panels(a, b, x=_XGL, w=_WGL):
+    """Nodes and weights of the Gauss-Legendre rule (x, w) on [-1, 1] mapped
+    onto the panels [a, b]: one row of shape (len(x),) per panel, for edge
+    arrays a and b of shape (panels,) or scalars."""
+    a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
+    return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w
+
+
 def _series_between(ab: float, bb: float, t0, t1):
     """(1/2) int_{t1}^{t0} (1-t)^{bb-1} t^{ab-1} dt by binomial series.
 
@@ -193,9 +201,7 @@ def _cell_moments(r0, r1, cs, d: float) -> np.ndarray:
     """
     out = np.empty((len(cs), len(r0)))
     near = r1 <= 2.5 * r0 + 0.5
-    a, b = r0[near, None], r1[near, None]
-    rr = 0.5 * (b - a) * _XGL + 0.5 * (b + a)
-    ww = 0.5 * (b - a) * _WGL
+    rr, ww = _gauss_panels(r0[near], r1[near])
     base = np.exp(-d * np.log1p(rr * rr))
     far = ~near
     t0 = 1.0 / (1.0 + r0[far] * r0[far])
@@ -244,10 +250,9 @@ class Discretization:
 class SymBand:
     """Symmetric matrix in LAPACK lower band storage: band[d, j] = M[j+d, j].
 
-    `@` multiplies from either side (numpy defers to __rmatmul__ because
-    __array_ufunc__ is None); `nbytes` counts the stored band only.
+    `S @ x` multiplies a vector or the columns of an array; `nbytes` counts
+    the stored band only.
     """
-    __array_ufunc__ = None
 
     def __init__(self, band: np.ndarray):
         self.band = band
@@ -262,9 +267,6 @@ class SymBand:
             y[d:] += b[d, :-d] * x[:-d]
             y[:-d] += b[d, :-d] * x[d:]
         return y
-
-    def __rmatmul__(self, x):
-        return (self @ np.asarray(x).T).T
 
     def toarray(self) -> np.ndarray:
         nn = self.shape[0]

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -506,6 +507,40 @@ def test_lowfact_sign_check():
         assert np.isclose(res["resolved_eps0"], n / 2.0 + 2.0 - beta, rtol=1e-12)
         assert res["residual_plus"] < 1e-8
         assert res["residual_minus"] > 1e-3 * res["residual_plus"] + 1e-6
+
+
+def test_lowfact_split_closes_on_x1_past_n3():
+    # f = x_1 has Hess f = 0, so a1 = a2 = p1 = p2 = 0, and the closed forms
+    # g2i = 1, gam = 1 + E|x|^2, gx2 = E|x|^2 / n, qi = E|x|^2 (1 - 1/n);
+    # Gamma2 = n gam + 2(beta - 1).  At n >= 4 the eps^2 terms close only
+    # with the coefficient (n - 2) eps^2 of lowfact_coefficients' B
+    for n in (4, 5, 6):
+        for beta in (n / 2 + 1.2, n / 2 + 1.6, n / 2 + 2.0):
+            m2 = mean_sq_norm(MeasureParams(n, beta))
+            pack = types.SimpleNamespace(a1=0.0, a2=0.0, p1=0.0, p2=0.0, g2i=1.0,
+                                         gam=1.0 + m2, gx2=m2 / n, qi=m2 * (1.0 - 1.0 / n))
+            gamma2 = n * pack.gam + 2.0 * (beta - 1.0)
+            for eps in (-0.7, 0.3):
+                rhs = quadrature._lowfact_rhs(pack, n, beta, eps)
+                assert abs(rhs - gamma2) <= 1e-13 * abs(gamma2), (n, beta, eps, rhs)
+
+
+def test_random_test_checks_refuse_zero_trials():
+    p = MeasureParams(2, 1.5)
+    calls = (lambda: verify_all(p, trials=0),
+             lambda: lowfact_sign_check(p, trials=0),
+             lambda: lowfact_epsilon_scan(p, [0.0], trials=0))
+    for call in calls:
+        with pytest.raises(ValueError, match="need at least one trial"):
+            call()
+
+
+def test_radial_rule_keeps_every_tail_panel():
+    # 8 core panels and 399 tail panels [tau/2, tau] from tau = pi/4 while
+    # tau > 1e-120, 8 nodes each; no weight underflows at (1, 1.2)
+    r, logw = quadrature._radial_rule_cached(1, 1.2, 256, None, ())
+    assert len(r) == len(logw) == 3256
+    assert 1e119 < r.max() < 1e121
 
 
 def test_lowfact_epsilon_scan_peak():

@@ -725,8 +725,9 @@ def test_floored_breakdown_reports_the_count():
 
 def test_floor_halves_the_lanczos_steps(monkeypatch):
     # spectral_sweep's seven solvable points: numeric_gap's Lanczos callbacks
-    # on every mode, floored, against the same pencils at sigma ~ 0 (mode 0
-    # with k = 2, past its constants); 294 against 722 at m = 512
+    # on the modes it solves, floored, against the same modes' pencils at
+    # sigma ~ 0 (mode 0 with k = 2, past its constants); 135 against 340
+    # at m = 512
     real, calls = spectral.LinearOperator, []
 
     def counted(shape, matvec, dtype):
@@ -742,10 +743,10 @@ def test_floor_halves_the_lanczos_steps(monkeypatch):
                     (3, 5.0)]:
         p = MeasureParams(n, beta)
         calls.clear()
-        numeric_gap(p, disc)
+        rep = numeric_gap(p, disc)
         floored += len(calls)
         calls.clear()
-        for prob in spectral._mode_problems(range(2 if n == 1 else 4), p, disc):
+        for prob in spectral._mode_problems(range(len(rep.mode_eigs)), p, disc):
             lowest_eigs(prob, 2 if prob.ell == 0 else 1)
         unfloored += len(calls)
     assert floored < 0.45 * unfloored, (floored, unfloored)
