@@ -358,8 +358,7 @@ def _lowfact_rhs(pack: _FieldPack, n: int, beta: float, eps: float,
             + B * pack.qi + C * pack.g2i + (D_eps if D is None else D) * pack.gam)
 
 
-def _tag_sides(tag: str, pack: _FieldPack, params: MeasureParams,
-               epsilon: Optional[float]):
+def _tag_sides(tag: str, pack: _FieldPack, params: MeasureParams):
     """(lhs, rhs, terms) of identity `tag`; `terms` (for _rel_err) are the
     summands of rhs on IPP3, IPP4 and GRG, whose lhs vanishes at beta = 2
     while those summands cancel, and () on every other tag."""
@@ -389,8 +388,7 @@ def _tag_sides(tag: str, pack: _FieldPack, params: MeasureParams,
                + GAP_FORMULA["mid"](n, beta) * pack.gam)
         return pack.gamma2, rhs, ()
     if tag == "LOWFACT":
-        eps = (range_edges(n)[0] - beta) if epsilon is None else float(epsilon)
-        return pack.gamma2, _lowfact_rhs(pack, n, beta, eps), ()
+        return pack.gamma2, _lowfact_rhs(pack, n, beta, range_edges(n)[0] - beta), ()
     if tag == "ONED_SPLIT":
         eps = 0.5
         A = 2.0 * (beta - 1.0) + eps
@@ -447,7 +445,7 @@ def verify_all(params: MeasureParams, spec: Optional[QuadratureSpec] = None,
     pack = _random_test_pack(params, spec, trials, seed)
     reports = []
     for tag in applicable_tags(params):
-        lhs, rhs, terms = _tag_sides(tag, pack, params, None)
+        lhs, rhs, terms = _tag_sides(tag, pack, params)
         if corrupt_ipp1 and tag == "IPP1":
             rhs = -rhs
         rel = _rel_err(lhs, rhs, terms)
@@ -504,6 +502,6 @@ def lowfact_epsilon_scan(params: MeasureParams, eps_values,
     for eps in eps_values:
         eps = float(eps)
         _, _, D = lowfact_coefficients(n, beta, eps)
-        worst = float(np.max(_rel_err(*_tag_sides("LOWFACT", pack, params, eps))))
+        worst = float(np.max(_rel_err(pack.gamma2, _lowfact_rhs(pack, n, beta, eps))))
         rows.append({"eps": eps, "rel_err": worst, "D": D})
     return rows

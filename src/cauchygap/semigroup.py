@@ -153,9 +153,11 @@ def _flow_integral(problem: ModeProblem, v: np.ndarray, rho: float,
     q(t) = sum_k (lam_k^2 - rho lam_k) c_k^2 e^{-2 lam_k t} and
     d/dt (v'Av - rho v'Bv) = -2q, so the integral is
     (1/2)[v'Av - rho v'Bv - sum_k (lam_k - rho) c_k^2 e^{-2 lam_k T}].
-    The sum runs over the six lowest pairs; the dropped modes (lam >= lam_K,
-    the last kept) hold v'Bv - sum c_k^2 of the norm, so their share is at
-    most (1/2) sup_{lam >= lam_K} |lam - rho| e^{-2 lam T} times that.
+    The sum runs over the six lowest nontrivial pairs (on mode 0 the
+    constants carry c = 0: the start is mean-free); the dropped modes
+    (lam >= lam_K, the last kept) hold v'Bv - sum c_k^2 of the norm, so
+    their share is at most (1/2) sup_{lam >= lam_K} |lam - rho| e^{-2 lam T}
+    times that.
     Returns (integral, dropped bound, kept eigenvalues).
     """
     lam, phi = lowest_eigpairs(problem, 6)
@@ -207,8 +209,7 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
         part, drop, lam = _flow_integral(p, v, rho, T)
         integral += part
         dropped += drop
-        # mode 0's first eigenvalue is the constant's zero
-        gap_candidates.append(lam[1] if p.ell == 0 else lam[0])
+        gap_candidates.append(lam[0])
     lhs, energy, integral, dropped = (x / mass for x in (lhs, energy, integral, dropped))
 
     rhs = energy / rho - 2.0 * integral / rho
@@ -223,7 +224,7 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
 # Mode grids of the deficit's cross-check: the coarse one and its halving.
 _ROUTE_DISC = Discretization(m=384, delta=2e-3)
 _ROUTE_FINE = Discretization(m=768, delta=2e-3)
-_TRACE_PAIRS = 48
+_TRACE_PAIRS = 47
 
 
 def _range_lambda(params: MeasureParams, range_tag: str) -> float:
@@ -350,10 +351,11 @@ def deficit_trace(f: SmoothFunction, params: MeasureParams, range_tag: str,
     A linear f is one exact eigenmode lam = 2(beta - 1):
     q = lam (lam - rho) Var f e^{-2 lam t}.  Otherwise
     q(t) = sum_k lam_k (lam_k - rho) c_k^2 e^{-2 lam_k t} / 1'B1 over the
-    lowest 48 exact pairs of the ell = 0 projection on `_ROUTE_DISC`, with
-    c_k = phi_k'B v.  The dropped pairs decay fastest, so q is truncated
-    only near t = 0: for the seed-0 even 1-D bump at (1, 1.2) the 48 pairs
-    miss 13% of q(0).  Times must be >= 0 (inf gives the limit q = 0).
+    lowest 47 nontrivial exact pairs of the ell = 0 projection on
+    `_ROUTE_DISC`, with c_k = phi_k'B v (the constants carry nothing).  The
+    dropped pairs decay fastest, so q is truncated only near t = 0: for the
+    seed-0 even 1-D bump at (1, 1.2) the 47 pairs miss 13% of q(0).  Times
+    must be >= 0 (inf gives the limit q = 0).
     """
     rho = _range_lambda(params, range_tag)
     times = np.asarray(times, dtype=float)
@@ -370,9 +372,6 @@ def deficit_trace(f: SmoothFunction, params: MeasureParams, range_tag: str,
         lam, phi = lowest_eigpairs(prob, _TRACE_PAIRS)
         c = phi.T @ (prob.B @ v)
         weights = c * c / mass
-    # lam <= 0 only on the constant mode, at rounding level and with c = 0:
-    # it carries nothing, and at t = inf would give inf * 0
-    pos = lam > 0.0
-    q = np.exp(-2.0 * np.outer(times, lam[pos])) @ (lam * (lam - rho) * weights)[pos]
+    q = np.exp(-2.0 * np.outer(times, lam)) @ (lam * (lam - rho) * weights)
     return np.column_stack([times, q])
 

@@ -22,13 +22,13 @@ worst cells), and the one-sided bound is then not guaranteed.
 Hats couple only to their neighbours and rays only to the last hat, so A
 and B are symmetric bands of half-width <= 2, kept in LAPACK band storage.
 Every mode size takes one eigensolver: shift-invert Lanczos on a symmetric
-operator of banded factors.  A gap solve shifts each mode to just under
+operator of banded factors.  Every solve shifts its mode to just under
 its first nontrivial closed-form value (mode_spectrum), where Lanczos
-converges in a few steps.  The shift is also the guard: Galerkin values
-are upper bounds, so the number of values under it, counted by Sylvester's
-law on A - sigma B, must be the closed form's (the constants on mode 0,
-none above); any other count raises NumericalBreakdown instead of
-returning a wrong gap.
+converges in a few steps, and returns nontrivial pairs only.  The shift
+is also the guard: Galerkin values are upper bounds, so the number of
+values under it, counted by Sylvester's law on A - sigma B, must be the
+closed form's (the constants on mode 0, none above); any other count
+raises NumericalBreakdown instead of returning a wrong value.
 
 Only modes 0 and 1 can carry the gap.  For ell >= 1 the trial space and
 B do not depend on ell, and A_ell = S + ell(ell+n-2) K with S >= 0 and
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -408,35 +407,36 @@ def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
     return next(_mode_problems((ell,), params, disc, tail_rays))
 
 
-# Shift margin and Krylov size of a floored solve: 1% under the closed-form
-# bottom, Lanczos on six vectors converges in a few steps, and the values
-# agree with the unshifted solve to rounding
+# Shift margin and Krylov size: 1% under the closed-form bottom, Lanczos on
+# six vectors converges in a few steps, and the values agree with the
+# extended-precision band eigenvalues to rounding
 # (test_floored_mode0_matches_the_unshifted_solve).
 _FLOOR_MARGIN = 1e-2
 _FLOOR_NCV = 6
 
 
-def lowest_eigpairs(problem: ModeProblem, k: int,
-                    floor: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest generalized eigenpairs of (A, B) above the shift sigma:
-    ascending values and the B-orthonormal vectors as columns.
+def _mode_bottom(params: MeasureParams, ell: int) -> float:
+    """The first nontrivial closed-form value of mode ell: mode_spectrum
+    entry 1 on mode 0 (entry 0 is the constants), entry 0 above."""
+    return mode_spectrum(params, ell)[1 if ell == 0 else 0]
 
-    Needs k >= 1; k >= nn (the matrix size) is clamped to nn - 1, the most
-    ARPACK computes, and near nn Lanczos is far slower than a dense solve.
+
+def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k smallest nontrivial generalized eigenpairs of (A, B): ascending
+    values and B-orthonormal vectors as columns; mode 0's constants are
+    never returned.  k >= 1 (else ValueError); k >= nn is clamped to
+    nn - 1, the most ARPACK computes.
+
     Shift-invert Lanczos in standard form (Ericsson & Ruhe 1980): the
     largest eigenvalues theta of a symmetric operator C give
-    lam = sigma + 1/theta, one callback of banded solves and products per
-    step.  Unfloored, sigma = -1e-6 * (median diagonal ratio of A to B),
-    under the whole spectrum.  Given a floor (a mode_spectrum bottom),
-    sigma = (1 - _FLOOR_MARGIN) * floor, where a few steps on _FLOOR_NCV
-    vectors converge, and the guard is Sylvester's law: A - sigma B has as
-    many negative pivots as there are values under sigma, which must equal
-    the closed-form count (1 for ell = 0, the constants; 0 above), since
-    Galerkin values are upper bounds.  With a count of 0, A - sigma B =
-    L L' is a banded Cholesky factor, which succeeds exactly when no pivot
-    is negative: C = L^{-1} B L^{-T} and phi = L^{-T} y.  Otherwise
-    _inertia counts the pivots, and C = L_B' (A - sigma B)^{-1} L_B with
-    B = L_B L_B' and A - sigma B in banded LU, phi = L_B^{-T} y.  Raises
+    lam = sigma + 1/theta.  sigma = (1 - _FLOOR_MARGIN) x the mode's first
+    nontrivial closed-form value (_mode_bottom), and the count of closed-form
+    values under it (1 on mode 0, the constants; 0 above) is the guard.
+    With a count of 0, C = L^{-1} B L^{-T} for the banded Cholesky factor
+    A - sigma B = L L', which fails exactly when a value lies under sigma;
+    otherwise _inertia must find that count of negative pivots, and
+    C = L_B' (A - sigma B)^{-1} L_B with B = L_B L_B' and A - sigma B in
+    banded LU, where the constants sit at theta < 0.  Raises
     NumericalBreakdown on non-finite entries, mass entries that are not
     positive, a failed factorization or a count other than the closed
     form's.
@@ -452,13 +452,9 @@ def lowest_eigpairs(problem: ModeProblem, k: int,
     smallest = min(B.band[0].min(), B.band[1, :nh - 1].min(initial=np.inf))
     if not smallest > 0.0:
         raise NumericalBreakdown(problem, f"mass entries not positive (smallest {smallest:.3g})")
-    if floor is None:
-        scale = float(np.median(np.abs(A.band[0]) / B.band[0]))
-        sigma, ncv, what, closed = -1e-6 * max(scale, 1.0), None, "A - sigma B", 0
-    else:
-        sigma, at = _floor_shift(floor)
-        ncv, what = min(nn, max(_FLOOR_NCV, 2 * k + 1)), f"A - sigma B at {at}"
-        closed = sum(v < sigma for v in mode_spectrum(problem.params, problem.ell))
+    sigma, at = _floor_shift(_mode_bottom(problem.params, problem.ell))
+    ncv, what = min(nn, max(_FLOOR_NCV, 2 * k + 1)), f"A - sigma B at {at}"
+    closed = sum(v < sigma for v in mode_spectrum(problem.params, problem.ell))
     shifted = A.band - sigma * B.band
     if closed:
         _check_inertia(problem, shifted, sigma, closed, what)
@@ -466,9 +462,8 @@ def lowest_eigpairs(problem: ModeProblem, k: int,
     else:
         try:  # succeeds exactly when no pivot of A - sigma B is negative
             matvec, back = _definite_operator(problem, shifted, what)
-        except NumericalBreakdown:
-            if floor is not None:  # report how many values lie under sigma
-                _check_inertia(problem, shifted, sigma, closed, what)
+        except NumericalBreakdown:  # report how many values lie under sigma
+            _check_inertia(problem, shifted, sigma, closed, what)
             raise
     theta, y = eigsh(LinearOperator((nn, nn), matvec=matvec, dtype=float),
                      k=k, which="LA", v0=np.ones(nn), ncv=ncv)
@@ -547,17 +542,16 @@ def _indefinite_operator(problem: ModeProblem, shifted: np.ndarray, what: str):
     return matvec, lambda y: dtbtrs(LB, y, uplo="L", trans="T")[0]
 
 
-def _floor_shift(floor: float) -> tuple[float, str]:
+def _floor_shift(bottom: float) -> tuple[float, str]:
     """The shift under a closed-form bottom, and its text for a breakdown."""
-    sigma = (1.0 - _FLOOR_MARGIN) * floor
+    sigma = (1.0 - _FLOOR_MARGIN) * bottom
     return sigma, (f"sigma = {sigma:.6g} ({1.0 - _FLOOR_MARGIN:g} x the "
-                   f"closed-form bottom {floor:.6g})")
+                   f"closed-form bottom {bottom:.6g})")
 
 
-def lowest_eigs(problem: ModeProblem, k: int,
-                floor: Optional[float] = None) -> list[float]:
-    """The values of lowest_eigpairs(problem, k, floor), ascending."""
-    return [float(v) for v in lowest_eigpairs(problem, k, floor)[0]]
+def lowest_eigs(problem: ModeProblem, k: int) -> list[float]:
+    """The values of lowest_eigpairs(problem, k), ascending."""
+    return [float(v) for v in lowest_eigpairs(problem, k)[0]]
 
 
 @dataclass(frozen=True)
@@ -566,7 +560,7 @@ class GapReport:
     n: int
     beta: float
     mode_eigs: tuple          # lowest nontrivial eigenvalue per mode solved, from 0
-    mode_bottoms: tuple       # the closed-form bottom each mode was floored at
+    mode_bottoms: tuple       # the closed-form bottom each mode was shifted under
     numeric_gap: float
     closed_form: float
     range_tag: str
@@ -580,12 +574,12 @@ def numeric_gap(params: MeasureParams, disc: Discretization,
                 ell_max: int = 3) -> GapReport:
     """Smallest nontrivial eigenvalue over modes 0..ell_max vs the closed form.
 
-    Mode 0 contributes its second eigenvalue (the first is the zero mode of
-    constants); every higher mode its first.  On the line only the even/odd
-    sectors exist, so the effective maximal mode is 1.  Each mode is solved
-    floored at that value's closed-form bottom (mode_spectrum entry 1 on
-    mode 0, entry 0 above), reported in mode_bottoms; lowest_eigpairs
-    raises NumericalBreakdown where a Galerkin value lies under the shift.
+    Each mode contributes its first nontrivial eigenvalue (on mode 0 past
+    the constants).  On the line only the even/odd sectors exist, so the
+    effective maximal mode is 1.  Each mode is solved under that value's
+    closed-form bottom (mode_spectrum entry 1 on mode 0, entry 0 above),
+    reported in mode_bottoms; lowest_eigpairs raises NumericalBreakdown
+    where a Galerkin value lies under the shift.
 
     The modes are solved in order, and the loop stops before the first mode
     whose proven lower bound reaches the running minimum (the bound holds
@@ -602,8 +596,8 @@ def numeric_gap(params: MeasureParams, disc: Discretization,
     per_mode, bottoms = [], []
     for prob in _mode_problems(range(ell_eff + 1), params, disc):
         ell = prob.ell
-        bottoms.append(mode_spectrum(params, ell)[1 if ell == 0 else 0])
-        per_mode.append(lowest_eigs(prob, 1, floor=bottoms[-1])[0])
+        bottoms.append(_mode_bottom(params, ell))
+        per_mode.append(lowest_eigs(prob, 1)[0])
         # the bound on mode ell + 1, before the generator assembles it
         bound = (ell + 1) * (ell + n - 1)
         if ell >= 1:

@@ -241,7 +241,7 @@ def test_beta_2_rows_scaled_by_their_terms(n):
     pack = quadrature._random_test_pack(p, None, 50, 0)
     by_tag = {r.tag: r for r in verify_all(p, trials=50, seed=0)}
     for tag in ("IPP3", "IPP4", "GRG"):
-        lhs, rhs, terms = quadrature._tag_sides(tag, pack, p, None)
+        lhs, rhs, terms = quadrature._tag_sides(tag, pack, p)
         assert np.all(lhs == 0.0)
         rel = quadrature._rel_err(lhs, rhs, terms)
         assert np.array_equal(rel, np.abs(rhs) / np.maximum(
@@ -368,7 +368,7 @@ def test_verify_all_trial_blocks(monkeypatch, nodes, angular):
     for a, b in zip(blocked, single):
         assert a.status == b.status and a.trials == b.trials == trials
         assert abs(a.rel_err - b.rel_err) <= 1e-12
-        rel = quadrature._rel_err(*quadrature._tag_sides(a.tag, pack, p, None))
+        rel = quadrature._rel_err(*quadrature._tag_sides(a.tag, pack, p))
         first_tied = pack.labels[int(np.flatnonzero(rel >= rel.max() - 1e-12)[0])]
         assert a.detail == b.detail == first_tied
 

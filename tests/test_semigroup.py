@@ -134,6 +134,27 @@ def test_variance_tail_bound_holds_for_every_rho():
             assert err <= tail <= 20.0 * err, (rho, T, err, tail)
 
 
+def test_variance_check_guards_every_solve(monkeypatch):
+    # the heat flow's solves carry the inertia guard: with mode 0's first
+    # nontrivial closed-form value 10x too high, the shift sits above ten
+    # Galerkin values where the closed form has the constants only
+    real = spectral.mode_spectrum
+
+    def skewed(params, ell):
+        vals = real(params, ell)
+        if ell == 0:
+            vals[1] *= 10.0
+        return vals
+
+    monkeypatch.setattr(spectral, "mode_spectrum", skewed)
+    with pytest.raises(NumericalBreakdown,
+                       match=r"ell=0 .* puts 10 Galerkin values below sigma "
+                             r"= .*, where the closed-form bottom has 1"):
+        variance_representation_check(make_random_test(0, 1), 2.0, 1.0, 1e-3,
+                                      MeasureParams(1, 2.0),
+                                      Discretization(m=256, delta=1e-3))
+
+
 def test_projected_start_keeps_constants_beyond_R():
     # the last hat's constant extension over [R, inf) enters the projection,
     # so a constant stays constant and has no discrete variance even where
@@ -699,8 +720,7 @@ def test_deficit_trace_lower_decays():
     vals = rows[:, 1]
     assert vals[0] > 1e-3          # integrand positive at t = 0
     assert vals[-1] < vals[0] * 1e-2  # and decays along the flow
-    # to 0 at t = inf, although the constant mode's eigenvalue is a rounding
-    # error that may be negative; negative and NaN times are refused
+    # to 0 at t = inf; negative and NaN times are refused
     assert deficit_trace(f, p, "lower", [np.inf])[0, 1] == 0.0
     for bad in ([-1e-3], [np.nan]):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -708,6 +728,16 @@ def test_deficit_trace_lower_decays():
     # generic multi-mode shapes have no route representation
     with pytest.raises(ValueError):
         deficit_trace(make_random_test(0, 2), MeasureParams(2, 1.5), "lower", t)
+
+
+@pytest.mark.parametrize("beta", [54.0, 60.0])
+def test_deficit_trace_keeps_its_sign(beta):
+    # in the upper range q = sum lam (lam - rho) c^2 e^{-2 lam t} >= 0, as
+    # every pair has lam >= rho; the constants, never returned, cannot add a
+    # rounding-level term of either sign (it read -2.6e-43 at (1, 54))
+    rows = deficit_trace(_even_1d_bump(0), MeasureParams(1, beta), "upper",
+                         [0.0, 0.5, 1.0, 6.0])
+    assert np.all(rows[:, 1] >= 0.0), rows
 
 
 @pytest.mark.parametrize("f, p, tag", [
@@ -727,7 +757,8 @@ def test_deficit_trace_matches_dense_spectrum(f, p, tag):
     rows = deficit_trace(f, p, tag, t)
     assert np.allclose(rows[:, 1], dense, rtol=1e-10, atol=0.0)
     if tag == "lower":
-        # the truncation the docstring states: 48 pairs miss 13% of q(0)
+        # the truncation the docstring states: 47 nontrivial pairs miss 13%
+        # of q(0)
         q0 = float(np.sum(lam * (lam - rho) * c * c)) / mass
         assert 0.12 < 1.0 - deficit_trace(f, p, tag, [0.0])[0, 1] / q0 < 0.14
 

@@ -173,10 +173,9 @@ def test_assemble_mode_structure():
     assert np.all(np.linalg.eigvalsh(B0) > 0)
     p1 = assemble_mode(1, p, disc)
     assert p1.size() < p0.size() + 2  # node at r = 0 dropped for ell >= 1
-    # eigenvalues of every mode are strictly positive after the zero mode
-    e0 = lowest_eigs(p0, 3)
-    assert abs(e0[0]) < 1e-8
-    assert e0[1] > 0.1
+    # the nontrivial eigenvalues of every mode are strictly positive (the
+    # solver never returns mode 0's constants)
+    assert lowest_eigs(p0, 2)[0] > 0.1
     e1 = lowest_eigs(p1, 2)
     assert e1[0] > 0.1
 
@@ -408,13 +407,11 @@ def test_lowest_eigs_matches_dense_eigh(m, n, beta, tail_rays):
     for ell in range(4):
         prob = assemble_mode(ell, MeasureParams(n, beta), disc, tail_rays)
         got = np.array(lowest_eigs(prob, 3))
+        # mode 0's dense spectrum starts with the constants, never returned
+        first = 1 if ell == 0 else 0
         ref = sla.eigh(prob.A.toarray(), prob.B.toarray(), eigvals_only=True,
-                       subset_by_index=[0, 2])
-        # the zero eigenvalue of the constants is compared on the next one's scale
-        scale = np.abs(ref)
-        if ell == 0:
-            scale[0] = ref[1]
-        assert np.all(np.abs(got - ref) <= 1e-9 * scale), (ell, got, ref)
+                       subset_by_index=[first, first + 2])
+        assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref)), (ell, got, ref)
 
 
 @pytest.mark.parametrize("n, beta", _SOLVER_POINTS)
@@ -423,9 +420,7 @@ def test_numeric_gap_modes_match_one_mode_assembly(n, beta):
     # bands, hence the same values, as assembling each mode on its own
     disc = Discretization(m=256, delta=1e-3)
     p = MeasureParams(n, beta)
-    # (every mode floored at its first nontrivial closed-form value)
-    alone = tuple(lowest_eigs(assemble_mode(ell, p, disc), 1,
-                              floor=mode_spectrum(p, ell)[1 if ell == 0 else 0])[0]
+    alone = tuple(lowest_eigs(assemble_mode(ell, p, disc), 1)[0]
                   for ell in range(2 if n == 1 else 4))
     rep = numeric_gap(p, disc)
     # the modes it solves are a prefix; those it skips do not hold the gap
@@ -442,8 +437,7 @@ def test_numeric_gap_mode_cutoff_premise(n, where, m):
     # measured tightest slack 3.1e-6 relative, at (3, 3.75) with m = 64
     beta = {"lower": n / 2.0 + 0.1, "mid": 0.75 * n + 1.5, "upper": n + 2.0}[where]
     p, disc = MeasureParams(n, beta), Discretization(m=m, delta=1e-3)
-    lam = [lowest_eigs(prob, 1, floor=mode_spectrum(p, prob.ell)[1 if prob.ell == 0 else 0])[0]
-           for prob in spectral._mode_problems(range(6), p, disc)]
+    lam = [lowest_eigs(prob, 1)[0] for prob in spectral._mode_problems(range(6), p, disc)]
     assert lam[1] >= (n - 1) * (1.0 - 1e-9)
     for ell in range(2, 6):
         assert lam[ell] - lam[ell - 1] >= (2 * ell + n - 3) * (1.0 - 1e-9), ell
@@ -470,13 +464,14 @@ def test_numeric_gap_integrates_the_cells_once(monkeypatch, n, beta):
 
 @pytest.mark.parametrize("n, beta", _SOLVER_POINTS)
 def test_lowest_eigpairs_vectors_are_b_orthonormal(n, beta):
-    # six pairs on two modes, and the 48 the deficit route keeps on its
-    # pencil (ell = 0, m = 384, delta = 2e-3, no rays), checked there
-    # against the dense spectrum as in test_lowest_eigs_matches_dense_eigh
+    # six pairs on two modes, and the 47 nontrivial pairs the deficit route
+    # keeps on its pencil (ell = 0, m = 384, delta = 2e-3, no rays), checked
+    # there against the dense spectrum past the constants, as in
+    # test_lowest_eigs_matches_dense_eigh
     disc = Discretization(m=256, delta=1e-3)
     route = Discretization(m=384, delta=2e-3)
     for ell, rays, d, k in ((0, False, disc, 6), (1, True, disc, 6),
-                            (0, False, route, 48)):
+                            (0, False, route, 47)):
         prob = assemble_mode(ell, MeasureParams(n, beta), d, rays)
         lam, phi = lowest_eigpairs(prob, k)
         assert list(lam) == lowest_eigs(prob, k)
@@ -488,14 +483,13 @@ def test_lowest_eigpairs_vectors_are_b_orthonormal(n, beta):
                       <= 1e-8 * np.linalg.norm(Bphi, axis=0) * np.maximum(lam, 1.0))
         if d is route:
             ref = sla.eigh(prob.A.toarray(), prob.B.toarray(), eigvals_only=True,
-                           subset_by_index=[0, k - 1])
-            scale = np.abs(ref)
-            scale[0] = ref[1]
-            assert np.all(np.abs(lam - ref) <= 1e-9 * scale), (lam, ref)
+                           subset_by_index=[1, k])
+            assert np.all(np.abs(lam - ref) <= 1e-9 * np.abs(ref)), (lam, ref)
 
 
 def test_lowest_eigpairs_domain():
-    # k >= 1; k at or past the matrix size is clamped to nn - 1, ARPACK's limit
+    # k >= 1; k at or past the matrix size is clamped to nn - 1, ARPACK's
+    # limit, which on mode 0 is every value past the constants
     prob = assemble_mode(0, MeasureParams(1, 2.0), Discretization(m=64, delta=1e-2),
                          tail_rays=False)
     nn = prob.size()
@@ -506,9 +500,7 @@ def test_lowest_eigpairs_domain():
     for k in (nn - 1, nn, 5 * nn):
         lam, phi = lowest_eigpairs(prob, k)
         assert phi.shape == (nn, nn - 1)
-        scale = np.abs(ref[:-1])
-        scale[0] = ref[1]
-        assert np.all(np.abs(lam - ref[:-1]) <= 1e-9 * scale)
+        assert np.all(np.abs(lam - ref[1:]) <= 1e-9 * ref[1:])
 
 
 def _ldl_solve(band, b):
@@ -566,12 +558,10 @@ def test_numeric_gap_m2048_pins(n, beta):
     p, disc = MeasureParams(n, beta), Discretization(m=2048, delta=1e-3)
     rep = numeric_gap(p, disc)
     pins = _M2048_MODE_EIGS[n, beta]
-    # numeric_gap solves a prefix of the modes; the rest are solved here,
-    # floored as numeric_gap floors them
+    # numeric_gap solves a prefix of the modes; the rest are solved here
     probs = list(spectral._mode_problems(range(len(pins)), p, disc))
-    eigs = rep.mode_eigs + tuple(
-        lowest_eigs(prob, 1, floor=mode_spectrum(p, prob.ell)[0])[0]
-        for prob in probs[len(rep.mode_eigs):])
+    eigs = rep.mode_eigs + tuple(lowest_eigs(prob, 1)[0]
+                                 for prob in probs[len(rep.mode_eigs):])
     np.testing.assert_allclose(eigs, pins, rtol=1e-12, atol=0.0)
     # the pins are the bands' eigenvalues, not an earlier solver's output
     oracle = [_band_eigenvalue(prob, lam) for prob, lam in zip(probs, eigs)]
@@ -583,12 +573,12 @@ def test_numeric_gap_m2048_pins(n, beta):
                          + [(n, beta, 2048) for n, beta in _M2048_MODE_EIGS])
 def test_floored_mode0_matches_the_unshifted_solve(n, beta, m):
     # mode 0 at 0.99 x its first nontrivial closed-form value, through the
-    # indefinite operator, against sigma ~ 0 past the constants; measured
-    # worst 1.15e-12 at (1, 1.2), m = 2048 (5.1e-14 at m = 256)
+    # indefinite operator, against the bands' eigenvalue in extended
+    # precision (_band_eigenvalue) next to it
     p = MeasureParams(n, beta)
     prob = assemble_mode(0, p, Discretization(m=m, delta=1e-3))
-    (lam,) = lowest_eigs(prob, 1, floor=mode_spectrum(p, 0)[1])
-    ref = lowest_eigs(prob, 2)[1]
+    (lam,) = lowest_eigs(prob, 1)
+    ref = _band_eigenvalue(prob, lam)
     assert abs(lam - ref) <= 2e-12 * ref, (lam, ref)
 
 
@@ -656,7 +646,7 @@ def test_numeric_gap_raises_under_the_closed_form_bottom(m):
         for prob in spectral._mode_problems(range(1, 2 if n == 1 else 4), p, disc):
             with pytest.raises(NumericalBreakdown,
                                match=r"A - sigma B at sigma = .* closed-form bottom"):
-                lowest_eigs(prob, 1, floor=mode_spectrum(p, prob.ell)[0])
+                lowest_eigs(prob, 1)
     # just below the window, with two mass entries already subnormal
     rep = numeric_gap(MeasureParams(1, 53.0), disc)
     assert abs(rep.numeric_gap - 104.0) <= 1e-12 * 104.0
@@ -720,14 +710,14 @@ def test_floored_breakdown_reports_the_count():
         with pytest.raises(NumericalBreakdown,
                            match=f"puts {closed + 1} Galerkin values below sigma "
                                  f"= .*, where the closed-form bottom has {closed}"):
-            lowest_eigs(prob, 1, floor=mode_spectrum(p, prob.ell)[closed])
+            lowest_eigs(prob, 1)
 
 
 def test_floor_halves_the_lanczos_steps(monkeypatch):
     # spectral_sweep's seven solvable points: numeric_gap's Lanczos callbacks
-    # on the modes it solves, floored, against the same modes' pencils at
-    # sigma ~ 0 (mode 0 with k = 2, past its constants); 135 against 340
-    # at m = 512
+    # on the modes it solves, 135 at m = 512; the same modes' pencils took
+    # 340 with a shift at sigma ~ 0 under the whole spectrum (mode 0 with
+    # k = 2, past its constants), and the pin is 0.45 x that
     real, calls = spectral.LinearOperator, []
 
     def counted(shape, matvec, dtype):
@@ -738,15 +728,7 @@ def test_floor_halves_the_lanczos_steps(monkeypatch):
 
     monkeypatch.setattr(spectral, "LinearOperator", counted)
     disc = Discretization(m=512, delta=1e-3)
-    floored = unfloored = 0
     for n, beta in [(1, 1.2), (1, 3.0), (2, 1.5), (2, 4.0), (3, 2.0), (3, 3.8),
                     (3, 5.0)]:
-        p = MeasureParams(n, beta)
-        calls.clear()
-        rep = numeric_gap(p, disc)
-        floored += len(calls)
-        calls.clear()
-        for prob in spectral._mode_problems(range(len(rep.mode_eigs)), p, disc):
-            lowest_eigs(prob, 2 if prob.ell == 0 else 1)
-        unfloored += len(calls)
-    assert floored < 0.45 * unfloored, (floored, unfloored)
+        numeric_gap(MeasureParams(n, beta), disc)
+    assert len(calls) <= 153, len(calls)
