@@ -34,8 +34,10 @@ Only modes 0 and 1 can carry the gap.  For ell >= 1 the trial space and
 B do not depend on ell, and A_ell = S + ell(ell+n-2) K with S >= 0 and
 K >= B (K - B is the Gram of r^{n-3}(1+r^2)^{-beta}), so the Galerkin
 values obey lam_ell >= ell(ell+n-2) and, for ell >= 2,
-lam_ell >= lam_{ell-1} + (2 ell + n - 3).  numeric_gap stops at the first
-mode whose bound reaches the running minimum.
+lam_ell >= lam_{ell-1} + (2 ell + n - 3).  numeric_gap solves the one of
+modes 0 and 1 with the lower closed-form bottom; the other's count under
+its shift, where that shift lies above the value found, proves it holds
+no value under the gap, and it is not solved.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import linalg as sla
 from scipy.linalg.blas import dtbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dtbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dtbtrs
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .measures import MeasureParams, omega_moment
@@ -192,21 +194,37 @@ def _series_between(ab: float, bb: float, t0, t1):
     return 0.5 * s
 
 
-def _cell_moments(r0, r1, cs, d: float) -> np.ndarray:
-    """Row i, column j: int_{r0[j]}^{r1[j]} r^{cs[i]} (1+r^2)^{-d} dr.
-
-    Near cells (r1 <= 2.5 r0 + 0.5) use 12-point Gauss-Legendre, far cells
-    the binomial series in t = 1/(1+r^2); all cells of a kind in one pass.
-    """
-    out = np.empty((len(cs), len(r0)))
+def _near_rule(r0, r1, shared=()):
+    """The Gauss rule of _cell_moments on the near cells (r1 <= 2.5 r0 + 0.5):
+    (near mask, nodes, weights, log1p(r^2) at the nodes, {c: r^c at the
+    nodes for c in shared}).  One rule serves several weights on one grid."""
     near = r1 <= 2.5 * r0 + 0.5
     rr, ww = _gauss_panels(r0[near], r1[near])
-    base = np.exp(-d * np.log1p(rr * rr))
+    return near, rr, ww, np.log1p(rr * rr), {c: rr ** c for c in shared}
+
+
+def _cell_moments(r0, r1, cs, d: float, rule=None) -> np.ndarray:
+    """Row i, column j: int_{r0[j]}^{r1[j]} r^{cs[i]} (1+r^2)^{-d} dr.
+
+    Near cells use 12-point Gauss-Legendre (`rule`, by default
+    _near_rule(r0, r1)), far cells the binomial series in t = 1/(1+r^2);
+    all cells of a kind in one pass.
+    """
+    near, rr, ww, log1p, powers = _near_rule(r0, r1) if rule is None else rule
+    out = np.empty((len(cs), len(r0)))
+    base = np.exp(-d * log1p)
     far = ~near
     t0 = 1.0 / (1.0 + r0[far] * r0[far])
     t1 = 1.0 / (1.0 + r1[far] * r1[far])
     for i, c in enumerate(cs):
-        out[i, near] = np.sum(ww * rr ** c * base, axis=1)
+        # (w r^c) base with one node-sized temporary (r^c w == w r^c exactly)
+        if c in powers:
+            term = ww * powers[c]
+        else:
+            term = rr ** c
+            term *= ww
+        term *= base
+        out[i, near] = np.sum(term, axis=1)
         if np.any(far):
             out[i, far] = _series_between(d - (c + 1) / 2.0, (c + 1) / 2.0, t0, t1)
     return out
@@ -344,16 +362,19 @@ def _mode_problems(ells, params: MeasureParams, disc: Discretization,
 
     No cell or tail integral depends on the mode, which enters A only
     through the factor ell(ell+n-2): the integrals are computed once, in one
-    vectorized pass per weight, and each mode's bands are built from them.
+    vectorized pass per weight on one set of Gauss nodes (r^{n-1} serves
+    both weights), and each mode's bands are built from them.
     """
     n, beta = params.n, params.beta
     r = disc.radii()
     r0, r1 = r[:-1], r[1:]
     ks = _admissible_rays(n, beta) if tail_rays else ()
 
-    LL, Bo, RR = _hat_pairs(r0, r1, _cell_moments(r0, r1, (n - 1, n, n + 1), beta))
+    rule = _near_rule(r0, r1, (n - 1,))
+    LL, Bo, RR = _hat_pairs(r0, r1, _cell_moments(r0, r1, (n - 1, n, n + 1), beta, rule))
     Bd = _node_diag(LL, RR)
-    q = _cell_moments(r0, r1, (n - 3, n - 2, n - 1), beta - 1.0)
+    q = _cell_moments(r0, r1, (n - 3, n - 2, n - 1), beta - 1.0, rule)
+    del rule  # no node-sized array outlives the cell integrals
     kS = q[2] / ((r1 - r0) * (r1 - r0))  # gradient +-1/h pair
     aLL, aLR, aRR = _hat_pairs(r0, r1, q)
     # first cell with node 0 removed: only phi_1 survives, and r0 = 0
@@ -429,82 +450,89 @@ def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarra
 
     Shift-invert Lanczos in standard form (Ericsson & Ruhe 1980): the
     largest eigenvalues theta of a symmetric operator C give
-    lam = sigma + 1/theta.  sigma = (1 - _FLOOR_MARGIN) x the mode's first
-    nontrivial closed-form value (_mode_bottom), and the count of closed-form
-    values under it (1 on mode 0, the constants; 0 above) is the guard.
-    With a count of 0, C = L^{-1} B L^{-T} for the banded Cholesky factor
-    A - sigma B = L L', which fails exactly when a value lies under sigma;
-    otherwise _inertia must find that count of negative pivots, and
+    lam = sigma + 1/theta, at the shift sigma that _guard checks (and
+    raises NumericalBreakdown from).  Where no closed-form value lies under
+    sigma, C = L^{-1} B L^{-T} for the banded Cholesky factor
+    A - sigma B = L L'; on mode 0, whose constants lie under it,
     C = L_B' (A - sigma B)^{-1} L_B with B = L_B L_B' and A - sigma B in
-    banded LU, where the constants sit at theta < 0.  Raises
-    NumericalBreakdown on non-finite entries, mass entries that are not
-    positive, a failed factorization or a count other than the closed
-    form's.
+    banded LU, where the constants sit at theta < 0.
     """
     if k < 1:
         raise ValueError("need k >= 1 eigenpairs")
-    A, B = problem.A, problem.B
-    nn = A.shape[0]
+    nn = problem.size()
     k = min(k, nn - 1)
-    if not (np.all(np.isfinite(A.band)) and np.all(np.isfinite(B.band))):
-        raise NumericalBreakdown(problem, "non-finite band entries")
-    nh = nn - len(problem.ray_ks)
-    smallest = min(B.band[0].min(), B.band[1, :nh - 1].min(initial=np.inf))
-    if not smallest > 0.0:
-        raise NumericalBreakdown(problem, f"mass entries not positive (smallest {smallest:.3g})")
-    sigma, at = _floor_shift(_mode_bottom(problem.params, problem.ell))
-    ncv, what = min(nn, max(_FLOOR_NCV, 2 * k + 1)), f"A - sigma B at {at}"
-    closed = sum(v < sigma for v in mode_spectrum(problem.params, problem.ell))
-    shifted = A.band - sigma * B.band
-    if closed:
-        _check_inertia(problem, shifted, sigma, closed, what)
-        matvec, back = _indefinite_operator(problem, shifted, what)
-    else:
-        try:  # succeeds exactly when no pivot of A - sigma B is negative
-            matvec, back = _definite_operator(problem, shifted, what)
-        except NumericalBreakdown:  # report how many values lie under sigma
-            _check_inertia(problem, shifted, sigma, closed, what)
-            raise
+    sigma, closed, shifted, what = _guard(problem)
+    operator = _indefinite_operator if closed else _definite_operator
+    matvec, back = operator(problem, shifted, what)
     theta, y = eigsh(LinearOperator((nn, nn), matvec=matvec, dtype=float),
-                     k=k, which="LA", v0=np.ones(nn), ncv=ncv)
+                     k=k, which="LA", v0=np.ones(nn),
+                     ncv=min(nn, max(_FLOOR_NCV, 2 * k + 1)))
     vecs = back(y)
-    vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, B @ vecs))
+    vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, problem.B @ vecs))
     vals = sigma + 1.0 / theta
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
 
-def _check_inertia(problem: ModeProblem, shifted: np.ndarray, sigma: float,
-                   closed: int, what: str) -> None:
-    """Raise NumericalBreakdown unless A - sigma B = `shifted` has `closed`
-    negative eigenvalues, the closed-form values under sigma."""
+def _guard(problem: ModeProblem) -> tuple[float, int, np.ndarray, str]:
+    """The checks every mode passes before it is solved or certified:
+    (sigma, closed, A - sigma B, its text for a breakdown).
+
+    sigma = (1 - _FLOOR_MARGIN) x the mode's first nontrivial closed-form
+    value (_mode_bottom), and `closed` counts the closed-form values under
+    it (1 on mode 0, the constants; 0 above).  Galerkin values are upper
+    bounds, so the Sylvester count of A - sigma B must equal it.  Raises
+    NumericalBreakdown on non-finite entries, mass entries that are not
+    positive, or a count other than the closed form's.
+    """
+    A, B = problem.A, problem.B
+    if not (np.all(np.isfinite(A.band)) and np.all(np.isfinite(B.band))):
+        raise NumericalBreakdown(problem, "non-finite band entries")
+    nh = problem.size() - len(problem.ray_ks)
+    smallest = min(B.band[0].min(), B.band[1, :nh - 1].min(initial=np.inf))
+    if not smallest > 0.0:
+        raise NumericalBreakdown(problem, f"mass entries not positive (smallest {smallest:.3g})")
+    sigma, at = _floor_shift(_mode_bottom(problem.params, problem.ell))
+    what = f"A - sigma B at {at}"
+    closed = sum(v < sigma for v in mode_spectrum(problem.params, problem.ell))
+    shifted = A.band - sigma * B.band
     below = _inertia(problem, shifted, what)
     if below != closed:
         raise NumericalBreakdown(
             problem, f"the inertia of {what} puts {below} Galerkin values "
             f"below sigma = {sigma:.6g}, where the closed-form bottom has {closed}")
+    return sigma, closed, shifted, what
 
 
 def _inertia(problem: ModeProblem, shifted: np.ndarray, what: str) -> int:
     """Number of negative eigenvalues of the band `shifted` (Sylvester).
 
-    Unpivoted LDL' over the tridiagonal hat block, the Sturm recurrence
-    d_j = a_j - c_j^2/d_{j-1}, then the ray block's Schur complement
-    R - w w'/d_last, since rays couple only to the last hat (Haynsworth
-    inertia additivity).  A zero pivot raises NumericalBreakdown.
+    Unpivoted LDL' of the tridiagonal hat block by LAPACK dpttrf, which
+    stops at the first pivot that is not positive: past a negative pivot
+    d_k the next is d_{k+1} - e_k (e_k / d_k), and dpttrf restarts there.
+    Then the ray block's Schur complement R - w w'/d_last, since rays
+    couple only to the last hat (Haynsworth inertia additivity).  A zero or
+    NaN pivot raises NumericalBreakdown (dpttrf passes NaN on).
     """
     nh = problem.size() - len(problem.ray_ks)
-    d, neg = 1.0, 0
-    for a, c in zip(shifted[0, :nh].tolist(), [0.0] + shifted[1, :nh - 1].tolist()):
-        d = a - c * c / d
-        if d < 0.0:
-            neg += 1
-        elif not d > 0.0:
-            raise NumericalBreakdown(problem, f"{what} has a zero pivot")
+    d, e = shifted[0, :nh].copy(), shifted[1, :nh - 1]
+    k = 0  # where dpttrf (re)starts
+    while k < nh - 1:
+        d[k:], _, info = dpttrf(d[k:], e[k:])
+        if info == 0:
+            break
+        k += info - 1  # the first pivot that is not positive
+        if k == nh - 1 or not d[k] < 0.0:  # the last pivot, or a zero one
+            break
+        d[k + 1] -= e[k] * (e[k] / d[k])
+        k += 1
+    if not np.all((d < 0.0) | (d > 0.0)):
+        raise NumericalBreakdown(problem, f"{what} has a zero or NaN pivot")
+    neg = int(np.count_nonzero(d < 0.0))
     if problem.ray_ks:
         tail = SymBand(shifted[:, nh - 1:]).toarray()
         w = tail[1:, 0]
-        schur = np.linalg.eigvalsh(tail[1:, 1:] - np.outer(w, w) / d)
+        schur = np.linalg.eigvalsh(tail[1:, 1:] - np.outer(w, w) / d[-1])
         if np.any(schur == 0.0):
             raise NumericalBreakdown(problem, f"{what} has a zero pivot")
         neg += int(np.sum(schur < 0.0))
@@ -559,7 +587,7 @@ class GapReport:
     """Numeric gap vs closed form for one parameter set."""
     n: int
     beta: float
-    mode_eigs: tuple          # lowest nontrivial eigenvalue per mode solved, from 0
+    mode_eigs: tuple          # lowest nontrivial eigenvalue of modes 0 and 1; None if certified
     mode_bottoms: tuple       # the closed-form bottom each mode was shifted under
     numeric_gap: float
     closed_form: float
@@ -575,40 +603,32 @@ def numeric_gap(params: MeasureParams, disc: Discretization,
     """Smallest nontrivial eigenvalue over modes 0..ell_max vs the closed form.
 
     Each mode contributes its first nontrivial eigenvalue (on mode 0 past
-    the constants).  On the line only the even/odd sectors exist, so the
-    effective maximal mode is 1.  Each mode is solved under that value's
-    closed-form bottom (mode_spectrum entry 1 on mode 0, entry 0 above),
-    reported in mode_bottoms; lowest_eigpairs raises NumericalBreakdown
-    where a Galerkin value lies under the shift.
+    the constants); on the line only the even/odd sectors exist.  Only
+    modes 0 and 1 can carry the gap, and both pass _guard, in that order,
+    before any Lanczos: a Sylvester count under sigma_ell, 0.99 x the
+    closed-form bottom reported in mode_bottoms.  The mode with the lower
+    bottom is solved (mode 0 on a tie).  The other is solved only where its
+    sigma lies under the value found; elsewhere its count proves every
+    nontrivial value above the gap, and mode_eigs holds None for it.
 
-    The modes are solved in order, and the loop stops before the first mode
-    whose proven lower bound reaches the running minimum (the bound holds
-    for every later mode too): lam_1 >= n - 1 and, for ell >= 2,
-    lam_ell >= lam_{ell-1} + (2 ell + n - 3), by Courant-Fischer (module
-    docstring).  So mode 1 is solved only where n - 1 lies under mode 0's
-    value, no mode ell >= 2 is ever solved, and mode_eigs and mode_bottoms
-    list the modes solved.
+    No mode ell >= 2 is assembled: lam_ell >= lam_{ell-1} + (2 ell + n - 3)
+    by Courant-Fischer (module docstring), and lam_1, or sigma_1 standing
+    in for a certified lam_1, is at least the gap.
     """
     if ell_max < 2:
         raise ValueError("need ell_max >= 2 (mode minimum must be attested)")
-    n = params.n
-    ell_eff = 1 if n == 1 else ell_max
-    per_mode, bottoms = [], []
-    for prob in _mode_problems(range(ell_eff + 1), params, disc):
-        ell = prob.ell
-        bottoms.append(_mode_bottom(params, ell))
-        per_mode.append(lowest_eigs(prob, 1)[0])
-        # the bound on mode ell + 1, before the generator assembles it
-        bound = (ell + 1) * (ell + n - 1)
-        if ell >= 1:
-            bound += per_mode[-1] - ell * (ell + n - 2)
-        if bound >= min(per_mode):
-            break
-    gap = min(per_mode)
-    mode = int(np.argmin(per_mode))
+    probs = list(_mode_problems((0, 1), params, disc))
+    sigmas = [_guard(prob)[0] for prob in probs]
+    first = int(np.argmin(sigmas))
+    eigs = [None, None]
+    eigs[first] = lowest_eigs(probs[first], 1)[0]
+    if sigmas[1 - first] < eigs[first]:
+        eigs[1 - first] = lowest_eigs(probs[1 - first], 1)[0]
+    gap = min(v for v in eigs if v is not None)
+    mode = eigs.index(gap)
     closed, tag = closed_form_gap(params)
     rel = (gap - closed) / closed
-    return GapReport(n=n, beta=params.beta, mode_eigs=tuple(per_mode),
-                     mode_bottoms=tuple(bottoms), numeric_gap=gap,
-                     closed_form=closed, range_tag=tag, rel_error=rel,
-                     minimizing_mode=mode, m=disc.m, delta=disc.delta)
+    return GapReport(n=params.n, beta=params.beta, mode_eigs=tuple(eigs),
+                     mode_bottoms=tuple(_mode_bottom(params, ell) for ell in (0, 1)),
+                     numeric_gap=gap, closed_form=closed, range_tag=tag,
+                     rel_error=rel, minimizing_mode=mode, m=disc.m, delta=disc.delta)

@@ -5,6 +5,8 @@ import pytest
 
 from cauchygap.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_TOLERANCE,
                            load_config, main)
+from cauchygap.measures import MeasureParams
+from cauchygap.spectral import Discretization, GapReport, numeric_gap
 
 
 def test_gap_json(tmp_path, capsys):
@@ -17,8 +19,8 @@ def test_gap_json(tmp_path, capsys):
     assert d["range_tag"] == "upper"
     assert np.isclose(d["closed_form"], 8.0)
     assert abs(d["rel_error"]) < 1e-3
-    # mode 0 (floor 10) and mode 1 (floor 8) are solved; mode 1's value
-    # 8 bounds every later mode from below by 8 + 4, so none is solved
+    # mode 1 (floor 8) is solved and mode 0 (floor 10) certified above it;
+    # mode 1's value 8 bounds every later mode from below by 8 + 4
     assert d["mode_bottoms"] == [10.0, 8.0]
     assert d["minimizing_mode"] == 1
 
@@ -382,3 +384,18 @@ def test_outdir_env(tmp_path, monkeypatch):
                  "--delta", "1e-2"])
     assert code == EXIT_OK
     assert (tmp_path / "gap_n2_beta4.json").exists()
+
+
+def test_gap_json_writes_a_certified_mode_as_null(tmp_path):
+    # upper range: mode 1 is solved, mode 0's count under its sigma proves it
+    # above the gap, and its value is written as null
+    out = tmp_path / "gap.json"
+    assert main(["gap", "--n", "3", "--beta", "5.0", "--out", str(out)]) == EXIT_OK
+    d = json.loads(out.read_text())
+    assert d["mode_eigs"][0] is None and abs(d["mode_eigs"][1] - 8.0) < 1e-9
+    assert d["mode_eigs"][1] == d["numeric_gap"]
+    assert d["mode_bottoms"] == [10.0, 8.0]
+    # the file reads back as the report
+    rep = numeric_gap(MeasureParams(3, 5.0), Discretization(m=512, delta=1e-3))
+    assert GapReport(**{k: tuple(v) if isinstance(v, list) else v
+                        for k, v in d.items()}) == rep

@@ -289,9 +289,10 @@ def test_numeric_gap_matches_closed_form_upper_range():
     assert rep.range_tag == "upper"
     assert rep.minimizing_mode == 1
     assert abs(rep.rel_error) < 1e-8
-    # mode 1 is solved (n - 1 = 2 lies under mode 0's value), no later one
-    assert len(rep.mode_eigs) == 2
-    assert rep.numeric_gap == min(rep.mode_eigs)
+    # mode 1 has the lower bottom (8 < 10) and is solved; mode 0's count
+    # under sigma_0 = 9.9 certifies it above the gap, so it is not solved
+    assert rep.mode_eigs[0] is None
+    assert rep.numeric_gap == rep.mode_eigs[1]
 
 
 def test_numeric_gap_mid_range():
@@ -325,11 +326,12 @@ def test_gap_report_json_roundtrip(tmp_path):
     # the file reads back as the report, float for float
     assert GapReport(**{k: tuple(v) if isinstance(v, list) else v
                         for k, v in d.items()}) == rep
-    # each solved mode's floor: mode 0's first nontrivial closed-form value,
-    # then mode 1's first; Galerkin values are upper bounds of them
+    # each mode's floor: mode 0's first nontrivial closed-form value, then
+    # mode 1's first; Galerkin values are upper bounds of them.  Mode 1 is
+    # solved, and mode 0, certified above it, is written as null
     assert d["mode_bottoms"] == [mode_spectrum(p, ell)[1 if ell == 0 else 0]
                                  for ell in range(2)] == [8.0, 6.0]
-    assert all(lam >= b for lam, b in zip(rep.mode_eigs, rep.mode_bottoms))
+    assert d["mode_eigs"][0] is None and rep.mode_eigs[1] >= rep.mode_bottoms[1]
 
 
 def test_sweep_csv_deterministic(tmp_path):
@@ -423,8 +425,10 @@ def test_numeric_gap_modes_match_one_mode_assembly(n, beta):
     alone = tuple(lowest_eigs(assemble_mode(ell, p, disc), 1)[0]
                   for ell in range(2 if n == 1 else 4))
     rep = numeric_gap(p, disc)
-    # the modes it solves are a prefix; those it skips do not hold the gap
-    assert rep.mode_eigs == alone[:len(rep.mode_eigs)]
+    # the modes it solves have the same values; those it certifies (None)
+    # do not hold the gap
+    assert len(rep.mode_eigs) == 2 and any(v is not None for v in rep.mode_eigs)
+    assert all(v in (None, a) for v, a in zip(rep.mode_eigs, alone))
     assert (rep.numeric_gap, rep.minimizing_mode) == (min(alone), alone.index(min(alone)))
 
 
@@ -558,10 +562,11 @@ def test_numeric_gap_m2048_pins(n, beta):
     p, disc = MeasureParams(n, beta), Discretization(m=2048, delta=1e-3)
     rep = numeric_gap(p, disc)
     pins = _M2048_MODE_EIGS[n, beta]
-    # numeric_gap solves a prefix of the modes; the rest are solved here
+    # numeric_gap solves mode 0, mode 1 or both; the rest are solved here
     probs = list(spectral._mode_problems(range(len(pins)), p, disc))
-    eigs = rep.mode_eigs + tuple(lowest_eigs(prob, 1)[0]
-                                 for prob in probs[len(rep.mode_eigs):])
+    got = rep.mode_eigs + (None,) * (len(pins) - len(rep.mode_eigs))
+    eigs = tuple(lowest_eigs(prob, 1)[0] if v is None else v
+                 for prob, v in zip(probs, got))
     np.testing.assert_allclose(eigs, pins, rtol=1e-12, atol=0.0)
     # the pins are the bands' eigenvalues, not an earlier solver's output
     oracle = [_band_eigenvalue(prob, lam) for prob, lam in zip(probs, eigs)]
@@ -715,9 +720,10 @@ def test_floored_breakdown_reports_the_count():
 
 def test_floor_halves_the_lanczos_steps(monkeypatch):
     # spectral_sweep's seven solvable points: numeric_gap's Lanczos callbacks
-    # on the modes it solves, 135 at m = 512; the same modes' pencils took
-    # 340 with a shift at sigma ~ 0 under the whole spectrum (mode 0 with
-    # k = 2, past its constants), and the pin is 0.45 x that
+    # on the modes it solves, 95 at m = 512 over 8 solves (135 over the 12
+    # solves of modes 0 and 1 everywhere); those 12 pencils took 340 with a
+    # shift at sigma ~ 0 under the whole spectrum (mode 0 with k = 2, past
+    # its constants), and the pin is 0.45 x that
     real, calls = spectral.LinearOperator, []
 
     def counted(shape, matvec, dtype):
@@ -732,3 +738,95 @@ def test_floor_halves_the_lanczos_steps(monkeypatch):
                     (3, 5.0)]:
         numeric_gap(MeasureParams(n, beta), disc)
     assert len(calls) <= 153, len(calls)
+
+
+@pytest.mark.parametrize("m", [64, 256])
+@pytest.mark.parametrize("n, beta", _SOLVER_POINTS)
+def test_certified_mode_lies_above_the_gap(n, beta, m):
+    # numeric_gap certifies a mode by its count under sigma instead of
+    # solving it; against every mode 0-3 solved on its own, the gap and its
+    # mode are the minimum's, and each certified mode's value is at least
+    # its sigma, which is at least the gap
+    p, disc = MeasureParams(n, beta), Discretization(m=m, delta=1e-3)
+    alone = [lowest_eigs(prob, 1)[0]
+             for prob in spectral._mode_problems(range(2 if n == 1 else 4), p, disc)]
+    rep = numeric_gap(p, disc)
+    assert (rep.numeric_gap, rep.minimizing_mode) == (min(alone), alone.index(min(alone)))
+    for ell, (v, bottom) in enumerate(zip(rep.mode_eigs, rep.mode_bottoms)):
+        if v is None:
+            assert alone[ell] >= 0.99 * bottom >= rep.numeric_gap, ell
+
+
+def test_numeric_gap_solves_both_sectors_where_sigma_is_under_the_gap():
+    # on the line at beta = 1.2 both bottoms are the edge 0.49, and either
+    # sigma (0.4851) lies under the other mode's value: both are solved
+    rep = numeric_gap(MeasureParams(1, 1.2), Discretization(m=256, delta=1e-3))
+    assert rep.mode_bottoms[0] == rep.mode_bottoms[1]
+    assert None not in rep.mode_eigs
+    assert rep.minimizing_mode == 1 and rep.numeric_gap == rep.mode_eigs[1] < rep.mode_eigs[0]
+
+
+def test_numeric_gap_solves_eight_modes_on_the_sweep(monkeypatch):
+    # spectral_sweep's seven solvable points: one solve each, and two at
+    # (1, 1.2); solving mode 0 and mode 1 everywhere took 12
+    real, calls = spectral.lowest_eigs, []
+
+    def counted(problem, k):
+        calls.append((problem.params.n, problem.params.beta, problem.ell))
+        return real(problem, k)
+
+    monkeypatch.setattr(spectral, "lowest_eigs", counted)
+    disc = Discretization(m=256, delta=1e-3)
+    for n, beta in [(1, 1.2), (1, 3.0), (2, 1.5), (2, 4.0), (3, 2.0), (3, 3.8),
+                    (3, 5.0)]:
+        numeric_gap(MeasureParams(n, beta), disc)
+    assert calls == [(1, 1.2, 0), (1, 1.2, 1), (1, 3.0, 1), (2, 1.5, 0),
+                     (2, 4.0, 1), (3, 2.0, 0), (3, 3.8, 0), (3, 5.0, 1)]
+
+
+def test_numeric_gap_counts_the_certified_mode(monkeypatch):
+    # mid range: mode 0 is solved and mode 1 certified by its count alone;
+    # with mode 1's closed form 10x high its sigma lies over Galerkin
+    # values, and the count refuses it where Lanczos never runs
+    real = spectral.mode_spectrum
+
+    def high(params, ell):
+        vals = real(params, ell)
+        return [10.0 * v for v in vals] if ell == 1 else vals
+
+    monkeypatch.setattr(spectral, "mode_spectrum", high)
+    with pytest.raises(NumericalBreakdown,
+                       match=r"ell=1 .* puts [1-9]\d* Galerkin values below sigma "
+                             r"= .*, where the closed-form bottom has 0"):
+        numeric_gap(MeasureParams(3, 3.8), Discretization(m=256, delta=1e-3))
+
+
+@pytest.mark.parametrize("tail_rays", [True, False])
+@pytest.mark.parametrize("n, beta", _SOLVER_POINTS)
+def test_inertia_matches_the_dense_count(n, beta, tail_rays):
+    # the dpttrf count, restarted past each negative pivot, against the
+    # negative eigenvalues of the dense A - mu B, from under the bottom to
+    # past several values
+    p, disc = MeasureParams(n, beta), Discretization(m=64, delta=1e-3)
+    for prob in spectral._mode_problems(range(3), p, disc, tail_rays):
+        bottom = spectral._mode_bottom(p, prob.ell)
+        for factor in (0.5, 0.99, 1.2, 3.0):
+            M = prob.A.band - factor * bottom * prob.B.band
+            assert spectral._inertia(prob, M, "M") == _dense_negatives(M), (prob.ell, factor)
+
+
+def test_inertia_refuses_zero_and_nan_pivots():
+    prob = assemble_mode(1, MeasureParams(3, 3.8), Discretization(m=64, delta=1e-3),
+                         tail_rays=False)
+    nn = prob.size()
+    spd = np.vstack([np.full(nn, 2.0), np.full(nn, 1.0)])
+    assert spectral._inertia(prob, spd, "M") == 0
+    zero = spd.copy()
+    zero[0, 1] = 0.5  # d_1 = 0.5 - 1/2
+    nan = spd.copy()
+    nan[0, 40] = np.nan  # dpttrf passes it on
+    inf = spd.copy()
+    inf[:, 10] = np.inf  # inf/inf makes the next pivot NaN
+    for M in (zero, nan, inf):
+        with pytest.raises(NumericalBreakdown, match="M has a zero or NaN pivot"):
+            spectral._inertia(prob, M, "M")
