@@ -4,8 +4,9 @@
 The factorization closes for a one-parameter family of exponents; the
 distinguished one maximizes the D coefficient.  This scan shows (a) the
 residual of the identity stays at quadrature precision across the whole
-eps grid, and (b) D peaks at eps0 = n/2 + 2 - beta (the 'plus' sign), where
-it equals (beta - n/2)^2.
+eps grid, and (b) D peaks at eps0 = beta_L - beta (the 'plus' sign;
+beta_L from spectral.range_edges), where it equals (beta - n/2)^2.  Every
+n >= 1 works, the line included (--n 1, where beta_L = 3/2).
 """
 
 import argparse

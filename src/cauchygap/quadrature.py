@@ -258,13 +258,15 @@ def default_nd_spec(n: int) -> QuadratureSpec:
 _TRIAL_BLOCK = 8     # random tests per Gram batch; bounds the angular arrays
 
 
+# The split tags per dimension class min(n, 2), each nothing but its eps in
+# the twisted split of int Gamma2 (_split_rhs).  None is eps0 = beta_L - beta,
+# where D(eps) peaks at the lower-range gap; at eps = 0, D is the mid-range gap.
+_SPLIT_EPS = {1: {"ONED_SPLIT": 0.5, "ONED_LOW": None},
+              2: {"IRG": 0.0, "LOWFACT": None}}
+
+
 def applicable_tags(params: MeasureParams) -> list[str]:
-    tags = ["IPP1", "IPP2", "IPP3", "IPP4", "GAMMABIS", "GRG"]
-    if params.n >= 2:
-        tags += ["IRG", "LOWFACT"]
-    else:
-        tags += ["ONED_SPLIT", "ONED_LOW"]
-    return tags
+    return ["IPP1", "IPP2", "IPP3", "IPP4", "GAMMABIS", "GRG", *_SPLIT_EPS[min(params.n, 2)]]
 
 
 class _FieldPack:
@@ -346,16 +348,18 @@ class _FieldPack:
                        + self.p1 - self.p2)
 
 
-def _lowfact_rhs(pack: _FieldPack, n: int, beta: float, eps: float,
-                 D: Optional[float] = None):
-    """Right-hand side of the twisted lower-range split at eps; D overrides
-    the leading coefficient D(eps)."""
+def _split_rhs(pack: _FieldPack, n: int, beta: float, eps: float,
+               D: Optional[float] = None):
+    """Right-hand side of the twisted split of int Gamma2 at eps, at every
+    n >= 1; D overrides the leading coefficient D(eps).  The twisted term
+    is tw1 on the line, where qi vanishes, and n/(n - 1) (tw1 - tw2/n)
+    above it."""
     B, C, D_eps = lowfact_coefficients(n, beta, eps)
     tw1 = pack.a1 + eps * 0.5 * pack.p1 \
         + eps * eps * 0.5 * ((pack.qi + pack.gx2) + pack.gx2)
     tw2 = pack.a2 + eps * pack.p2 + eps * eps * pack.gx2
-    return (n / (n - 1.0) * (tw1 - tw2 / n)
-            + B * pack.qi + C * pack.g2i + (D_eps if D is None else D) * pack.gam)
+    twisted = tw1 if n == 1 else n / (n - 1.0) * (tw1 - tw2 / n)
+    return twisted + B * pack.qi + C * pack.g2i + (D_eps if D is None else D) * pack.gam
 
 
 def _tag_sides(tag: str, pack: _FieldPack, params: MeasureParams):
@@ -382,36 +386,24 @@ def _tag_sides(tag: str, pack: _FieldPack, params: MeasureParams):
         terms = ((beta - (n + 1.0)) * pack.a1, n * pack.a1, pack.a2,
                  2.0 * (beta - 1.0) * (beta - 2.0) * pack.gam)
         return (beta - 2.0) * pack.gamma2, rhs, terms
-    if tag == "IRG":
-        rhs = (n / (n - 1.0) * (pack.a1 - pack.a2 / n)
-               + 4.0 * (beta - 1.0) * (n + 1.0 - beta) / (n - 1.0) * pack.qi
-               + GAP_FORMULA["mid"](n, beta) * pack.gam)
-        return pack.gamma2, rhs, ()
-    if tag == "LOWFACT":
-        return pack.gamma2, _lowfact_rhs(pack, n, beta, range_edges(n)[0] - beta), ()
-    if tag == "ONED_SPLIT":
-        eps = 0.5
-        A = 2.0 * (beta - 1.0) + eps
-        Bc = A * (1.0 - eps)
-        rhs = (pack.a1 + 0.5 * eps * pack.p1 + eps * eps * pack.gx2
-               + A * pack.g2i + Bc * pack.gx2)
-        return pack.gamma2, rhs, ()
-    if tag == "ONED_LOW":
-        eps0 = range_edges(n)[0] - beta
-        a0 = beta - 0.5
-        rhs = (pack.a1 + 0.5 * eps0 * pack.p1 + eps0 * eps0 * pack.gx2
-               + a0 * a0 * pack.gam + a0 * eps0 * pack.g2i)
-        return pack.gamma2, rhs, ()
+    splits = _SPLIT_EPS[min(n, 2)]
+    if tag in splits:
+        eps = range_edges(n)[0] - beta if splits[tag] is None else splits[tag]
+        return pack.gamma2, _split_rhs(pack, n, beta, eps), ()
     raise ValueError(f"unknown identity tag {tag!r}")
 
 
 def lowfact_coefficients(n: int, beta: float, eps: float):
-    """The (B, C, D) coefficients of the twisted lower-range split at given eps."""
-    if n < 2:
-        raise ValueError("lower-range split needs n >= 2")
+    """The (B, C, D) coefficients of the twisted split of int Gamma2 at eps,
+    at every n >= 1.  D(eps) is a downward parabola that peaks at
+    eps0 = beta_L - beta, where it is the lower-range gap (beta - n/2)^2;
+    for n >= 2, D(0) is the mid-range gap.  On the line qi vanishes, so
+    B = 0, and D = (1 - eps)(2(beta - 1) + eps)."""
+    C = eps * (eps + 2.0 * (beta - 1.0))
+    if n == 1:
+        return 0.0, C, (1.0 - eps) * (2.0 * (beta - 1.0) + eps)
     B = ((n - 2.0) * eps ** 2 - 8.0 * (beta - 1.0) * eps
          + 8.0 * (beta - 1.0) * (n + 1.0 - beta)) / (2.0 * (n - 1.0))
-    C = eps * (eps + 2.0 * (beta - 1.0))
     D = -eps ** 2 + (n + 2.0 - 2.0 * (beta - 1.0)) * eps + GAP_FORMULA["mid"](n, beta)
     return B, C, D
 
@@ -461,20 +453,19 @@ def lowfact_sign_check(params: MeasureParams,
                        spec: Optional[QuadratureSpec] = None,
                        trials: int = 5, seed: int = 0) -> dict:
     """Decide numerically which sign of eps0 makes the lower-range split close
-    with the advertised leading coefficient D = (beta - n/2)^2.
+    with the advertised leading coefficient D = (beta - n/2)^2, at every
+    n >= 1.
 
     Both candidate values are plugged into the twisted split with their own
     (B, C) coefficients but the claimed D; only one closes the identity.
     """
     n, beta = params.n, params.beta
-    if n < 2:
-        raise ValueError("needs n >= 2")
     pack = _random_test_pack(params, spec, trials, seed, order=2)  # no t2
     D_claimed = GAP_FORMULA["lower"](n, beta)
     e0 = range_edges(n)[0] - beta
     eps0 = {"plus": e0, "minus": -e0}
     residuals = {sign: float(np.max(_rel_err(
-                     pack.gamma2, _lowfact_rhs(pack, n, beta, eps, D_claimed))))
+                     pack.gamma2, _split_rhs(pack, n, beta, eps, D_claimed))))
                  for sign, eps in eps0.items()}
     resolved = "plus" if residuals["plus"] < residuals["minus"] else "minus"
     return {
@@ -502,6 +493,6 @@ def lowfact_epsilon_scan(params: MeasureParams, eps_values,
     for eps in eps_values:
         eps = float(eps)
         _, _, D = lowfact_coefficients(n, beta, eps)
-        worst = float(np.max(_rel_err(pack.gamma2, _lowfact_rhs(pack, n, beta, eps))))
+        worst = float(np.max(_rel_err(pack.gamma2, _split_rhs(pack, n, beta, eps))))
         rows.append({"eps": eps, "rel_err": worst, "D": D})
     return rows

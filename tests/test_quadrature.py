@@ -17,10 +17,12 @@ from cauchygap.quadrature import (
     QuadratureSpec,
     default_nd_spec,
     integrate_nd,
+    lowfact_coefficients,
     lowfact_epsilon_scan,
     lowfact_sign_check,
     verify_all,
 )
+from cauchygap.spectral import GAP_FORMULA, range_edges
 
 ALL_TAGS = ("IPP1", "IPP2", "IPP3", "IPP4", "GAMMABIS", "GRG",
             "IRG", "LOWFACT", "ONED_SPLIT", "ONED_LOW")
@@ -499,12 +501,17 @@ def test_sphere_directions_n3_match_the_double_loop(angular):
     np.testing.assert_array_equal(wts, np.array(ref_wts))
 
 
+# the line's split: eps0 = 3/2 - beta, D(eps) = (1 - eps)(2(beta - 1) + eps)
+_LINE_POINTS = [(1, beta) for beta in (0.8, 1.2, 2.0, 2.5, 4.0)]
+
+
 def test_lowfact_sign_check():
-    # residual vanishes with the plus sign eps0 = n/2 + 2 - beta, not minus
-    for n, beta in [(2, 1.5), (3, 2.2)]:
+    # residual vanishes with the plus sign eps0 = beta_L - beta, not minus
+    # (on the line the minus sign leaves 2.7e-3 to 0.27, measured)
+    for n, beta in [(2, 1.5), (3, 2.2)] + _LINE_POINTS:
         res = lowfact_sign_check(MeasureParams(n, beta), trials=3, seed=0)
         assert res["resolved"] == "plus"
-        assert np.isclose(res["resolved_eps0"], n / 2.0 + 2.0 - beta, rtol=1e-12)
+        assert np.isclose(res["resolved_eps0"], range_edges(n)[0] - beta, rtol=1e-12)
         assert res["residual_plus"] < 1e-8
         assert res["residual_minus"] > 1e-3 * res["residual_plus"] + 1e-6
 
@@ -521,8 +528,29 @@ def test_lowfact_split_closes_on_x1_past_n3():
                                          gam=1.0 + m2, gx2=m2 / n, qi=m2 * (1.0 - 1.0 / n))
             gamma2 = n * pack.gam + 2.0 * (beta - 1.0)
             for eps in (-0.7, 0.3):
-                rhs = quadrature._lowfact_rhs(pack, n, beta, eps)
+                rhs = quadrature._split_rhs(pack, n, beta, eps)
                 assert abs(rhs - gamma2) <= 1e-13 * abs(gamma2), (n, beta, eps, rhs)
+
+
+@pytest.mark.parametrize("n, beta", VERIFY_GRID)
+def test_each_split_tag_runs_at_its_own_eps(n, beta):
+    # every split tag closes at every eps, so only its rhs shows which member
+    # of the twisted split it evaluates: IRG at 0, ONED_SPLIT at 1/2, LOWFACT
+    # and ONED_LOW at eps0 = beta_L - beta, where D is the lower-range gap
+    p = MeasureParams(n, beta)
+    pack = quadrature._random_test_pack(p, None, 3, 0, order=2)
+    eps0 = range_edges(n)[0] - beta
+    own = {"IRG": 0.0, "ONED_SPLIT": 0.5, "LOWFACT": eps0, "ONED_LOW": eps0}
+    tags = [tag for tag in quadrature.applicable_tags(p) if tag in own]
+    assert tags == (["ONED_SPLIT", "ONED_LOW"] if n == 1 else ["IRG", "LOWFACT"])
+    for tag in tags:
+        lhs, rhs, _ = quadrature._tag_sides(tag, pack, p)
+        assert np.array_equal(lhs, pack.gamma2)
+        assert np.array_equal(rhs, quadrature._split_rhs(pack, n, beta, own[tag])), tag
+    assert lowfact_coefficients(n, beta, eps0)[2] == pytest.approx(
+        GAP_FORMULA["lower"](n, beta), rel=1e-14, abs=1e-14)
+    if n >= 2:
+        assert lowfact_coefficients(n, beta, 0.0)[2] == GAP_FORMULA["mid"](n, beta)
 
 
 def test_random_test_checks_refuse_zero_trials():
@@ -544,19 +572,19 @@ def test_radial_rule_keeps_every_tail_panel():
 
 
 def test_lowfact_epsilon_scan_peak():
-    n, beta = 2, 1.5
-    p = MeasureParams(n, beta)
-    eps0 = n / 2.0 + 2.0 - beta
-    eps_values = np.linspace(eps0 - 0.5, eps0 + 0.5, 11)
-    rows = lowfact_epsilon_scan(p, eps_values, trials=2, seed=0)
-    assert len(rows) == len(eps_values)
-    assert np.allclose([row["eps"] for row in rows], eps_values)
-    # the split closes at every eps; what singles out eps0 is the D parabola
-    resid = np.array([row["rel_err"] for row in rows])
-    assert np.max(resid) < 1e-8
-    dvals = np.array([row["D"] for row in rows])
-    assert np.argmax(dvals) == 5
-    assert np.isclose(dvals[5], (beta - n / 2.0) ** 2, rtol=1e-12)
+    for n, beta in [(2, 1.5)] + _LINE_POINTS:
+        p = MeasureParams(n, beta)
+        eps0 = range_edges(n)[0] - beta
+        eps_values = np.linspace(eps0 - 0.5, eps0 + 0.5, 11)
+        rows = lowfact_epsilon_scan(p, eps_values, trials=2, seed=0)
+        assert len(rows) == len(eps_values)
+        assert np.allclose([row["eps"] for row in rows], eps_values)
+        # the split closes at every eps; what singles out eps0 is the D parabola
+        resid = np.array([row["rel_err"] for row in rows])
+        assert np.max(resid) < 1e-8
+        dvals = np.array([row["D"] for row in rows])
+        assert np.argmax(dvals) == 5
+        assert np.isclose(dvals[5], (beta - n / 2.0) ** 2, rtol=1e-12)
 
 
 @given(st.integers(min_value=1, max_value=3),

@@ -40,6 +40,16 @@ def test_lowfact_scan_three_points():
     assert lines[-1].strip().startswith("D maximized at eps = 1.5000 (expected 1.5000)")
 
 
+def test_lowfact_scan_on_the_line():
+    # the split family covers n = 1: eps0 = 3/2 - beta, D = (beta - 1/2)^2
+    lines = _run("lowfact_scan.py", "--n", "1", "--beta", "1.2", "--points", "3")
+    assert lines[0] == "n=1 beta=1.2"
+    assert lines[3].strip().startswith("resolved sign: plus (eps0 = +0.300000)")
+    assert len(lines[6:9]) == 3 and lines[7].endswith("<-- eps0")
+    assert lines[-1].strip() == ("D maximized at eps = 0.3000 (expected 0.3000); "
+                                 "D there = 0.490000 vs (beta - n/2)^2 = 0.490000")
+
+
 def test_src_lines_parts_add_up():
     lines = dict(line.split() for line in _run("src_lines.py"))
     counts = {kind: int(value) for kind, value in lines.items()}

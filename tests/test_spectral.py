@@ -830,3 +830,22 @@ def test_inertia_refuses_zero_and_nan_pivots():
     for M in (zero, nan, inf):
         with pytest.raises(NumericalBreakdown, match="M has a zero or NaN pivot"):
             spectral._inertia(prob, M, "M")
+    # the ray block's pivots: S11 after one ray (3.0) or two (3.8), and
+    # S22 - S21^2/S11 after two
+    for beta in (3.0, 3.8):
+        prob = assemble_mode(1, MeasureParams(3, beta), Discretization(m=64, delta=1e-3))
+        nn, nh = prob.size(), prob.size() - len(prob.ray_ks)
+        spd = np.vstack([np.full(nn, 2.0), np.full(nn, 1.0), np.zeros(nn)])
+        assert spectral._inertia(prob, spd, "M") == 0
+        zero = spd.copy()
+        zero[1, nh - 1] = zero[0, nh] = 0.0  # w = 0 and R11 = 0
+        nan = spd.copy()
+        nan[0, nh] = np.nan
+        cases = [zero, nan]
+        if len(prob.ray_ks) == 2:
+            second = zero.copy()
+            second[0, nh:] = 1.0  # S = [[1, 1], [1, 1]]
+            cases.append(second)
+        for M in cases:
+            with pytest.raises(NumericalBreakdown, match="M has a zero or NaN pivot"):
+                spectral._inertia(prob, M, "M")
