@@ -220,12 +220,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             worst = max(worst, rep.rel_err)
             print(f"n={n} beta={beta:g} {rep.tag:10s} "
                   f"rel_err={rep.rel_err:.3e} {'ok' if passed else 'FAIL'}")
-        entry = {"n": n, "beta": beta,
-                 "reports": [dataclasses.asdict(r) for r in reports]}
-        if n >= 2:
-            entry["lowfact_sign"] = lowfact_sign_check(params, trials=3,
-                                                       seed=args.seed)
-        points.append(entry)
+        points.append({"n": n, "beta": beta,
+                       "reports": [dataclasses.asdict(r) for r in reports],
+                       "lowfact_sign": lowfact_sign_check(params, trials=3,
+                                                          seed=args.seed)})
     payload = {"tol": args.tol, "trials": args.trials, "seed": args.seed,
                "corrupt_ipp1": bool(args.corrupt_ipp1),
                "all_pass": ok, "points": points}

@@ -29,7 +29,7 @@ from .measures import MeasureParams, mean_sq_norm
 from .quadrature import (_FieldPack, _node_blocks, _rel_err, _tensor_rule,
                          default_nd_spec)
 from .spectral import (GAP_FORMULA, Discretization, ModeProblem, _cholesky,
-                       _gauss_panels, _mode_problems, _node_diag,
+                       _gauss_panels, _grid_rule, _mode_problems, _node_diag,
                        lowest_eigpairs, range_edges)
 
 __all__ = [
@@ -79,9 +79,10 @@ def _mode_profiles(f: SmoothFunction, params: MeasureParams,
                      "(need n=1, radial, or linear)")
 
 
-def _radial_weight(params: MeasureParams, r):
-    """The raw radial weight r^{n-1} (1+r^2)^{-beta} at r > 0."""
-    return np.exp((params.n - 1) * np.log(r) - params.beta * np.log1p(r * r))
+def _radial_weight(params: MeasureParams, r, log1p):
+    """The raw radial weight r^{n-1} (1+r^2)^{-beta} at r > 0, from
+    log1p = log1p(r^2)."""
+    return np.exp((params.n - 1) * np.log(r) - params.beta * log1p)
 
 
 def _mode_loads(f: SmoothFunction, params: MeasureParams,
@@ -89,23 +90,24 @@ def _mode_loads(f: SmoothFunction, params: MeasureParams,
     """Per mode ell, the loads b_i = int profile phi_i dmu of f's profile on
     the mode's hats, as {ell: b}, for the shapes `_mode_profiles` takes.
 
-    12-point Gauss on every cell, plus the constant extension of the last
-    hat over [R, inf) by 12-point Gauss in t = R/r (skipped when f vanishes
+    12-point Gauss on every cell (the grid's rule, `spectral._grid_rule`,
+    shared with the assembly), plus the constant extension of the last hat
+    over [R, inf) by 12-point Gauss in t = R/r (skipped when f vanishes
     beyond R).  ell >= 1 has no hat at r = 0.
     """
-    r = disc.radii()
+    r, _, (rr, ww, log1p), _ = _grid_rule(disc.m, disc.delta)
     r0, r1 = r[:-1, None], r[1:, None]
     h = r1 - r0
-    rr, ww = _gauss_panels(r[:-1], r[1:])
-    ww *= _radial_weight(params, rr)
+    ww = ww * _radial_weight(params, rr, log1p)
     profiles = _mode_profiles(f, params, rr.ravel())
     R = float(r[-1])
     tails = dict.fromkeys(profiles, 0.0)
     if f.support_radius is None or f.support_radius > R:
         t, wt = _gauss_panels(0.0, 1.0)
-        wt = wt * (R / (t * t)) * _radial_weight(params, R / t)
+        rt = R / t
+        wt = wt * (R / (t * t)) * _radial_weight(params, rt, np.log1p(rt * rt))
         tails = {ell: float(prof @ wt) for ell, prof
-                 in _mode_profiles(f, params, R / t).items()}
+                 in _mode_profiles(f, params, rt).items()}
     loads = {}
     for ell, prof in profiles.items():
         g = ww * prof.reshape(rr.shape)

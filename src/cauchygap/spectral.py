@@ -13,11 +13,14 @@ augmented with (i) the constant extension of the last hat function over
 [R, inf) and (ii) polynomial tail rays (r^k - R^k) 1[r >= R], k in {1, 2},
 whenever r^k is square-integrable.  Element integrals use 12-point
 Gauss-Legendre on near cells and a binomial series on far cells and on the
-tail.  Where these are accurate, A and B are the Galerkin matrices of the
-augmented trial space and all eigenvalues sit above the true ones
-(variational principle).  At large exponents the Gauss rule loses digits on
-steep cells (relative error 4e-6 at exponent 10, 1e-1 at exponent 50 on the
-worst cells), and the one-sided bound is then not guaranteed.
+tail.  The rule on a grid's cells (nodes, weights and log1p(r^2)) is built
+once per grid (m, delta), on first use, and read by every assembly on the
+grid and by the heat flow's loads (`semigroup`).  Where these are
+accurate, A and B are the Galerkin matrices of the augmented trial space
+and all eigenvalues sit above the true ones (variational principle).  At
+large exponents the Gauss rule loses digits on steep cells (relative error
+4e-6 at exponent 10, 1e-1 at exponent 50 on the worst cells), and the
+one-sided bound is then not guaranteed.
 
 Hats couple only to their neighbours and rays only to the last hat, so A
 and B are symmetric bands of half-width <= 2, kept in LAPACK band storage.
@@ -43,7 +46,9 @@ no value under the gap, and it is not solved.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -194,35 +199,52 @@ def _series_between(ab: float, bb: float, t0, t1):
     return 0.5 * s
 
 
-def _near_rule(r0, r1, shared=()):
-    """The Gauss rule of _cell_moments on the near cells (r1 <= 2.5 r0 + 0.5):
-    (near mask, nodes, weights, log1p(r^2) at the nodes, {c: r^c at the
-    nodes for c in shared}).  One rule serves several weights on one grid."""
+def _cell_rule(r0, r1):
+    """12-point Gauss-Legendre on the cells [r0, r1]: (near, every, on_near).
+
+    near marks the cells that _cell_moments integrates by it
+    (r1 <= 2.5 r0 + 0.5); every holds (nodes, weights, log1p(r^2) at the
+    nodes), one row per cell, and on_near the rows of the near cells: a
+    view of the leading rows where the near cells lead, as on every grid
+    (r1 / r0 grows along it), else a copy.
+    """
     near = r1 <= 2.5 * r0 + 0.5
-    rr, ww = _gauss_panels(r0[near], r1[near])
-    return near, rr, ww, np.log1p(rr * rr), {c: rr ** c for c in shared}
+    rr, ww = _gauss_panels(r0, r1)
+    every = (rr, ww, np.log1p(rr * rr))
+    k = np.count_nonzero(near)
+    rows = slice(k) if near[:k].all() else near
+    return near, every, tuple(a[rows] for a in every)
+
+
+@lru_cache(maxsize=8)
+def _grid_rule(m: int, delta: float):
+    """(radii, near, every, on_near) of the grid Discretization(m, delta):
+    its radii and _cell_rule on its cells, built on the grid's first use
+    and read by every later assembly and load on it.  Every array is
+    read-only."""
+    r = np.tan(np.linspace(0.0, math.pi / 2.0 - delta, m))
+    near, every, on_near = _cell_rule(r[:-1], r[1:])
+    for a in (r, near, *every, *on_near):
+        a.flags.writeable = False
+    return r, near, every, on_near
 
 
 def _cell_moments(r0, r1, cs, d: float, rule=None) -> np.ndarray:
     """Row i, column j: int_{r0[j]}^{r1[j]} r^{cs[i]} (1+r^2)^{-d} dr.
 
-    Near cells use 12-point Gauss-Legendre (`rule`, by default
-    _near_rule(r0, r1)), far cells the binomial series in t = 1/(1+r^2);
-    all cells of a kind in one pass.
+    Near cells use 12-point Gauss-Legendre (`rule`, the (near, every,
+    on_near) of _cell_rule(r0, r1), built here by default), far cells the
+    binomial series in t = 1/(1+r^2); all cells of a kind in one pass.
     """
-    near, rr, ww, log1p, powers = _near_rule(r0, r1) if rule is None else rule
+    near, _, (rr, ww, log1p) = _cell_rule(r0, r1) if rule is None else rule
     out = np.empty((len(cs), len(r0)))
     base = np.exp(-d * log1p)
     far = ~near
     t0 = 1.0 / (1.0 + r0[far] * r0[far])
     t1 = 1.0 / (1.0 + r1[far] * r1[far])
     for i, c in enumerate(cs):
-        # (w r^c) base with one node-sized temporary (r^c w == w r^c exactly)
-        if c in powers:
-            term = ww * powers[c]
-        else:
-            term = rr ** c
-            term *= ww
+        term = rr ** c  # (r^c w) base with one node-sized temporary
+        term *= ww
         term *= base
         out[i, near] = np.sum(term, axis=1)
         if np.any(far):
@@ -236,6 +258,14 @@ def _tail_moment(R: float, c: float, d: float) -> float:
         raise ValueError("tail moment diverges")
     return _series_between(d - (c + 1) / 2.0, (c + 1) / 2.0,
                            1.0 / (1.0 + R * R), 0.0)
+
+
+def _tail_moments(R: float, cs: np.ndarray, d: float) -> np.ndarray:
+    """_tail_moment(R, c, d) at every entry c of cs, one series per
+    distinct c."""
+    distinct, at = np.unique(cs, return_inverse=True)
+    values = np.array([_tail_moment(R, c, d) for c in distinct.tolist()])
+    return values[at].reshape(cs.shape)
 
 
 # ----------------------------------------------------------------------
@@ -254,14 +284,16 @@ class Discretization:
     delta: float = 1e-3
 
     def __post_init__(self):
+        if not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"m must be an integer, got m = {self.m!r}")
         if self.m < 64:
             raise ValueError("need at least 64 radial nodes")
         if not (0.0 < self.delta <= 0.2):
             raise ValueError("delta must lie in (0, 0.2]")
 
     def radii(self) -> np.ndarray:
-        theta = np.linspace(0.0, math.pi / 2.0 - self.delta, self.m)
-        return np.tan(theta)
+        """r = tan(theta) at the m grid angles, read-only (`_grid_rule`)."""
+        return _grid_rule(self.m, self.delta)[0]
 
 
 class SymBand:
@@ -362,19 +394,17 @@ def _mode_problems(ells, params: MeasureParams, disc: Discretization,
 
     No cell or tail integral depends on the mode, which enters A only
     through the factor ell(ell+n-2): the integrals are computed once, in one
-    vectorized pass per weight on one set of Gauss nodes (r^{n-1} serves
-    both weights), and each mode's bands are built from them.
+    vectorized pass per weight on the grid's Gauss nodes (`_grid_rule`),
+    and each mode's bands are built from them.
     """
     n, beta = params.n, params.beta
-    r = disc.radii()
+    r, *rule = _grid_rule(disc.m, disc.delta)
     r0, r1 = r[:-1], r[1:]
     ks = _admissible_rays(n, beta) if tail_rays else ()
 
-    rule = _near_rule(r0, r1, (n - 1,))
     LL, Bo, RR = _hat_pairs(r0, r1, _cell_moments(r0, r1, (n - 1, n, n + 1), beta, rule))
     Bd = _node_diag(LL, RR)
     q = _cell_moments(r0, r1, (n - 3, n - 2, n - 1), beta - 1.0, rule)
-    del rule  # no node-sized array outlives the cell integrals
     kS = q[2] / ((r1 - r0) * (r1 - r0))  # gradient +-1/h pair
     aLL, aLR, aRR = _hat_pairs(r0, r1, q)
     # first cell with node 0 removed: only phi_1 survives, and r0 = 0
@@ -390,9 +420,9 @@ def _mode_problems(ells, params: MeasureParams, disc: Discretization,
     P = np.array((0,) + ks, dtype=float)
     C = np.eye(len(P))
     C[0, 1:] = -R ** P[1:]
-    S, T = P[:, None] + P, np.vectorize(_tail_moment)
-    B_tail = C.T @ T(R, n - 1 + S, beta) @ C
-    A_gram = T(R, n - 3 + S, beta - 1.0)
+    S = P[:, None] + P
+    B_tail = C.T @ _tail_moments(R, n - 1 + S, beta) @ C
+    A_gram = _tail_moments(R, n - 3 + S, beta - 1.0)
 
     for ell in ells:
         cl = float(ell * (ell + n - 2))

@@ -131,6 +131,12 @@ def test_verify_single_point(tmp_path, capsys):
     # eps0 candidates are distinct away from beta = n/2 + 2: plus wins
     assert pt["lowfact_sign"]["resolved"] == "plus"
     assert np.isclose(pt["lowfact_sign"]["resolved_eps0"], 0.5)
+    # the line writes its sign check too: eps0 = 3/2 - beta
+    assert main(["verify", "--n", "1", "--beta", "1.2", "--trials", "2",
+                 "--out", str(out)]) == EXIT_OK
+    sign = json.loads(out.read_text())["points"][0]["lowfact_sign"]
+    assert sign["resolved"] == "plus"
+    assert abs(sign["resolved_eps0"] - 0.3) <= 1e-12
 
 
 def test_verify_corrupt_control(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Smoke tests of the runnable experiments in scripts/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,13 @@ def test_lowfact_scan_on_the_line():
     assert len(lines[6:9]) == 3 and lines[7].endswith("<-- eps0")
     assert lines[-1].strip() == ("D maximized at eps = 0.3000 (expected 0.3000); "
                                  "D there = 0.490000 vs (beta - n/2)^2 = 0.490000")
+
+
+def test_band_digest_repeats():
+    # one SHA-256 line, the same bytes on a second run
+    first = _run("band_digest.py", "--short")
+    assert len(first) == 1 and re.fullmatch(r"[0-9a-f]{64}", first[0])
+    assert _run("band_digest.py", "--short") == first
 
 
 def test_src_lines_parts_add_up():

@@ -168,6 +168,47 @@ def test_projected_start_keeps_constants_beyond_R():
     assert abs(lhs) < 1e-20 and abs(rhs) < 1e-20
 
 
+def _reference_loads(f, p, disc):
+    """_mode_loads on Gauss nodes of its own: 12-point Gauss-Legendre mapped
+    onto every cell and onto t = R/r in [0, 1] by _gauss_panels."""
+    r = disc.radii()
+    r0, r1 = r[:-1, None], r[1:, None]
+    rr, ww = spectral._gauss_panels(r[:-1], r[1:])
+
+    def weight(x):
+        return np.exp((p.n - 1) * np.log(x) - p.beta * np.log1p(x * x))
+
+    ww = ww * weight(rr)
+    t, wt = spectral._gauss_panels(0.0, 1.0)
+    wt = wt * (r[-1] / (t * t)) * weight(r[-1] / t)
+    beyond = f.support_radius is None or f.support_radius > r[-1]
+    tails = semigroup._mode_profiles(f, p, r[-1] / t)
+    loads = {}
+    for ell, prof in semigroup._mode_profiles(f, p, rr.ravel()).items():
+        g = ww * prof.reshape(rr.shape)
+        b = spectral._node_diag(np.sum(g * (r1 - rr) / (r1 - r0), axis=1),
+                                np.sum(g * (rr - r0) / (r1 - r0), axis=1))
+        b[-1] += float(tails[ell] @ wt) if beyond else 0.0
+        loads[ell] = b[1:] if ell > 0 else b
+    return loads
+
+
+@pytest.mark.parametrize("f, n, beta, m, delta", [
+    (make_random_test(0, 1), 1, 2.0, 1024, 1e-3),     # heat_flow's variance run
+    (make_quadratic_centered(MeasureParams(1, 4.0)), 1, 4.0, 128, 0.2),
+    (make_linear(np.ones(3)), 3, 3.8, 256, 1e-3),     # mode 1, and a tail beyond R
+])
+def test_mode_loads_match_their_own_gauss_nodes(f, n, beta, m, delta):
+    # the loads read the grid's shared cell rule; built from nodes of their
+    # own on a grid the assembly has already served, they are the same bits
+    p, disc = MeasureParams(n, beta), Discretization(m=m, delta=delta)
+    next(spectral._mode_problems((0,), p, disc))
+    got, ref = _mode_loads(f, p, disc), _reference_loads(f, p, disc)
+    assert sorted(got) == sorted(ref)
+    for ell in ref:
+        np.testing.assert_array_equal(got[ell], ref[ell])
+
+
 @pytest.mark.parametrize("n, beta", [(2, 1.5), (3, 3.8), (3, 5.0), (1, 1.2), (1, 3.0)])
 def test_projected_start_shares_one_cell_pass(monkeypatch, n, beta):
     # both modes come from one pass over the cells (one _cell_moments call

@@ -143,6 +143,16 @@ def test_discretization():
         Discretization(m=16)
     with pytest.raises(ValueError):
         Discretization(delta=0.5)
+    # m is a count: a float is refused by name, a numpy integer is the same grid
+    for m in (2048.0, np.float64(128.0), "128"):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            Discretization(m=m)
+    assert Discretization(m=np.int64(128), delta=1e-2).radii() is r
+    # the radii and the grid's cell rule are shared by every caller: read-only
+    near, every, on_near = spectral._grid_rule(128, 1e-2)[1:]
+    for a in (r, near, *every, *on_near):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
 
 
 def _half_width(M):
@@ -430,6 +440,24 @@ def test_numeric_gap_modes_match_one_mode_assembly(n, beta):
     assert len(rep.mode_eigs) == 2 and any(v is not None for v in rep.mode_eigs)
     assert all(v in (None, a) for v, a in zip(rep.mode_eigs, alone))
     assert (rep.numeric_gap, rep.minimizing_mode) == (min(alone), alone.index(min(alone)))
+
+
+@pytest.mark.parametrize("m, delta", [(96, 1e-2), (2048, 1e-3)])
+def test_bands_on_a_warm_grid_match_a_cold_one(m, delta):
+    # the grid's cell rule is built once and read by every later assembly:
+    # bands on a grid that has served other points are the cold bands
+    disc = Discretization(m=m, delta=delta)
+
+    def bands(n, beta):
+        return [(q.A.band, q.B.band) for rays in (True, False)
+                for q in spectral._mode_problems(range(4), MeasureParams(n, beta), disc, rays)]
+
+    warm = [bands(n, beta) for n, beta in _SOLVER_POINTS]
+    for (n, beta), got in zip(_SOLVER_POINTS, warm):
+        spectral._grid_rule.cache_clear()
+        for (A, B), (A0, B0) in zip(got, bands(n, beta), strict=True):
+            np.testing.assert_array_equal(A, A0)
+            np.testing.assert_array_equal(B, B0)
 
 
 @pytest.mark.parametrize("m", [64, 256])
