@@ -3,11 +3,12 @@
 Hashes the bands A and B of modes 0-3, with and without tail rays, at each
 (m, delta, n, beta) of a fixed list: the eight spectral_sweep points on
 m = 2048, delta = 1e-3, and the grids and points of
-test_assemble_mode_matches_cell_loop.  Then it hashes `_mode_loads` of the
-seed-0 bump on the line at (1, 2.0), m = 1024.  Every grid serves several
-(n, beta) in turn, as in a sweep.  Two source trees that print the same
-digest assemble the same bytes, so a change meant to leave the numbers
-alone can be checked with one command on each tree:
+test_assemble_mode_matches_cell_loop.  Then it hashes the heat flow's hat
+loads (`spectral._hat_loads`) of the seed-0 bump on the line at (1, 2.0),
+m = 1024.  Every grid serves several (n, beta) in turn, as in a sweep.
+Two source trees that print the same digest assemble the same bytes, so a
+change meant to leave the numbers alone can be checked with one command
+on each tree:
 
     PYTHONPATH=src python3 scripts/band_digest.py           # full list
     PYTHONPATH=src python3 scripts/band_digest.py --short   # cell-loop grids only
@@ -22,8 +23,8 @@ import numpy as np
 
 from cauchygap.functions import make_random_test
 from cauchygap.measures import MeasureParams
-from cauchygap.semigroup import _mode_loads
-from cauchygap.spectral import Discretization, _mode_problems
+from cauchygap.semigroup import _mode_profiles
+from cauchygap.spectral import Discretization, _hat_loads, _mode_problems
 
 SWEEP_POINTS = ((1, 1.2), (1, 3.0), (2, 1.5), (2, 4.0),
                 (3, 2.0), (3, 3.8), (3, 5.0), (3, 200.0))
@@ -53,8 +54,9 @@ def digest(short: bool = False) -> str:
             for prob in _mode_problems(range(4), params, disc, tail_rays=rays):
                 _update(h, prob.A.band)
                 _update(h, prob.B.band)
-    loads = _mode_loads(make_random_test(0, 1), MeasureParams(1, 2.0),
-                        Discretization(m=1024, delta=1e-3))
+    f, params = make_random_test(0, 1), MeasureParams(1, 2.0)
+    loads = _hat_loads(lambda r: _mode_profiles(f, params, r), f.support_radius,
+                       params, Discretization(m=1024, delta=1e-3))
     for ell in sorted(loads):
         _update(h, loads[ell])
     return h.hexdigest()

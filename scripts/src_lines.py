@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Line ledger of src/: total, code, docstring, comment and blank lines.
+"""Line ledger of src/: total, code, docstring, comment and blank lines,
+then one row per module.
 
 A docstring line is one inside the docstring of a module, class or
 function, as ast places it (blank lines in a docstring count there).  Of
 the other lines, a blank line is empty after stripping, a comment line
 starts with '#', and every other line is code.  The four parts add up to
-the total.  Run from anywhere: python3 scripts/src_lines.py
+the total.  After the totals, a header row and one row per module (its
+path under src/, without .py) give the same four parts, which add up to
+the totals.  Run from anywhere: python3 scripts/src_lines.py
 """
 
 import ast
@@ -38,12 +41,18 @@ def count(text: str) -> dict:
 
 def main():
     totals = dict.fromkeys(("code", "docstring", "comment", "blank"), 0)
+    rows = []
     for path in sorted(SRC.rglob("*.py")):
-        for kind, lines in count(path.read_text()).items():
+        parts = count(path.read_text())
+        rows.append(" ".join([path.relative_to(SRC).with_suffix("").as_posix(),
+                              *map(str, parts.values())]))
+        for kind, lines in parts.items():
             totals[kind] += lines
     print(f"total {sum(totals.values())}")
     for kind, lines in totals.items():
         print(f"{kind} {lines}")
+    print("module", *totals)
+    print("\n".join(rows))
 
 
 if __name__ == "__main__":

@@ -11,12 +11,14 @@ and linear integrands (angular sectors ell <= 1) run at every n on the 2n
 directions +-e_i instead, which are exact on the sphere up to degree 3.
 The identity verifier and the deficit integrate random tests from their
 coefficients in separable form on the same tensor rule: radial moment
-matrices times angular Gram matrices, with no node-sized field.
+matrices times angular Gram matrices, with no node-sized field; the
+deficit's Var(f) and int Gamma(f) dmu are computed here (`_var_and_energy`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -25,7 +27,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .functions import (RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS, RandomTestFields,
-                        random_test_coefficients, _pairs)
+                        SmoothFunction, random_test_coefficients, _pairs,
+                        _row_sq_norms)
 from .measures import MeasureParams, log_normalization
 from .spectral import GAP_FORMULA, _gauss_panels, range_edges
 
@@ -43,6 +46,9 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; pick from {_SCHEMES}")
+        for name in ("nodes", "angular_nodes"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {name} = {getattr(self, name)!r}")
         if self.nodes < 16:
             raise ValueError("need at least 16 nodes")
         if self.angular_nodes < 1:
@@ -346,6 +352,29 @@ class _FieldPack:
         # pointwise Gamma2 (Cauchy form, second-order only)
         self.gamma2 = (self.a1 + n * self.gam + 2.0 * (beta - 1.0) * self.g2i
                        + self.p1 - self.p2)
+
+
+def _var_and_energy(f: SmoothFunction, params: MeasureParams):
+    """Var(f) and int Gamma(f) dmu, the range deficit's integrals, on the
+    tensor rule of f's support.  A random bump (f.coefs set) is integrated
+    from its coefficients in separable form, by an order-1 `_FieldPack` on
+    the spec's sphere rule.  Every other f takes one pass over the node
+    blocks, where f and grad f give f, f^2 and (1 + |x|^2) |grad f|^2; for
+    f in the sectors ell <= 1 (angular_mode 0 or 1) these are of degree
+    <= 2 on every sphere, so the rule's directions are the 2n points +-e_i,
+    at every n."""
+    spec = default_nd_spec(params.n)
+    if f.coefs is not None:
+        rule = _tensor_rule(params, spec, f.support_radius, f.radial_seams)
+        pack = _FieldPack(np.array(f.coefs)[:, None], params, rule, order=1)
+        return pack.sq[0] - pack.mean[0] ** 2, pack.gam[0]
+    total = 0.0
+    for x, w in _node_blocks(params, spec, f.support_radius, f.radial_seams,
+                             f.angular_mode):
+        v, g2 = f.value(x), _row_sq_norms(f.gradient(x))
+        total = total + np.stack([v, v * v, (1.0 + _row_sq_norms(x)) * g2]) @ w
+    mean, sq, energy = total
+    return sq - mean ** 2, energy
 
 
 def _split_rhs(pack: _FieldPack, n: int, beta: float, eps: float,

@@ -8,13 +8,15 @@ variance representation
   Var(f) = (1/rho) int Gamma(f) dmu - (2/rho) int_0^inf int (Gamma_2 - rho Gamma)(P_t f) dmu dt
 
 is checked on the exact flow: f starts as its L^2(mu) projection on each
-mode's hats, and with w = A v and B y = w the quantity w'y is the discrete
+mode's hats (`spectral._hat_projection`, from f's mode profiles), and
+with w = A v and B y = w the quantity w'y is the discrete
 integrated Gamma_2 (second-order forms only, no third differences).  Its
 time integral telescopes to closed form in the (A, B) eigenbasis, so the
 discrete identity holds up to the modes past the horizon and those above
 the lowest few eigenpairs, both bounded.  Range deficits are cross-checked
 against the same flow's limit T = inf: the corollary's time integral is
-rho N_0 - E_0 of the projection, with no eigenpairs at all.
+rho N_0 - E_0 of the projection, with no eigenpairs at all.  The deficit's
+own Var(f) and int Gamma(f) dmu are quadrature's (`_var_and_energy`).
 """
 
 from __future__ import annotations
@@ -22,14 +24,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import linalg as sla
 
-from .functions import SmoothFunction, _row_sq_norms
+from .functions import SmoothFunction
 from .measures import MeasureParams, mean_sq_norm
-from .quadrature import (_FieldPack, _node_blocks, _rel_err, _tensor_rule,
-                         default_nd_spec)
-from .spectral import (GAP_FORMULA, Discretization, ModeProblem, _cholesky,
-                       _gauss_panels, _grid_rule, _mode_problems, _node_diag,
+from .quadrature import _rel_err, _var_and_energy
+from .spectral import (GAP_FORMULA, Discretization, ModeProblem, _hat_projection,
                        lowest_eigpairs, range_edges)
 
 __all__ = [
@@ -79,67 +78,6 @@ def _mode_profiles(f: SmoothFunction, params: MeasureParams,
                      "(need n=1, radial, or linear)")
 
 
-def _radial_weight(params: MeasureParams, r, log1p):
-    """The raw radial weight r^{n-1} (1+r^2)^{-beta} at r > 0, from
-    log1p = log1p(r^2)."""
-    return np.exp((params.n - 1) * np.log(r) - params.beta * log1p)
-
-
-def _mode_loads(f: SmoothFunction, params: MeasureParams,
-                disc: Discretization) -> dict:
-    """Per mode ell, the loads b_i = int profile phi_i dmu of f's profile on
-    the mode's hats, as {ell: b}, for the shapes `_mode_profiles` takes.
-
-    12-point Gauss on every cell (the grid's rule, `spectral._grid_rule`,
-    shared with the assembly), plus the constant extension of the last hat
-    over [R, inf) by 12-point Gauss in t = R/r (skipped when f vanishes
-    beyond R).  ell >= 1 has no hat at r = 0.
-    """
-    r, _, (rr, ww, log1p), _ = _grid_rule(disc.m, disc.delta)
-    r0, r1 = r[:-1, None], r[1:, None]
-    h = r1 - r0
-    ww = ww * _radial_weight(params, rr, log1p)
-    profiles = _mode_profiles(f, params, rr.ravel())
-    R = float(r[-1])
-    tails = dict.fromkeys(profiles, 0.0)
-    if f.support_radius is None or f.support_radius > R:
-        t, wt = _gauss_panels(0.0, 1.0)
-        rt = R / t
-        wt = wt * (R / (t * t)) * _radial_weight(params, rt, np.log1p(rt * rt))
-        tails = {ell: float(prof @ wt) for ell, prof
-                 in _mode_profiles(f, params, rt).items()}
-    loads = {}
-    for ell, prof in profiles.items():
-        g = ww * prof.reshape(rr.shape)
-        b = _node_diag(np.sum(g * (r1 - rr) / h, axis=1),
-                       np.sum(g * (rr - r0) / h, axis=1))
-        b[-1] += tails[ell]
-        loads[ell] = b[1:] if ell > 0 else b
-    return loads
-
-
-def _projected_start(loads: dict, params: MeasureParams,
-                     disc: Discretization):
-    """Mode problems, the L^2(mu) projection v = B^{-1} b of each mode's
-    loads (`_mode_loads`) on its hats, and the discrete mass 1'B1 of mode 0.
-
-    Mode 0 is shifted by its discrete mean 1'b / 1'B1: the flow keeps the
-    mean, so the constant leaves the representation exactly.
-    """
-    problems, vs = [], []
-    for prob in _mode_problems(sorted(loads), params, disc, tail_rays=False):
-        b = loads[prob.ell]
-        factor = _cholesky(prob, prob.B.band, "B")
-        v = sla.cho_solve_banded((factor, True), b, check_finite=False)
-        if prob.ell == 0:
-            ones = np.ones(prob.size())
-            mass = float(ones @ (prob.B @ ones))
-            v -= np.sum(b) / mass
-        problems.append(prob)
-        vs.append(v)
-    return problems, vs, mass
-
-
 def _decay_sup(lam0: float, rho: float, T: float) -> float:
     """sup over lam >= lam0 of |lam - rho| e^{-2 lam T}: it falls on
     [lam0, rho] and peaks on [rho, inf) at rho + 1/(2T)."""
@@ -160,16 +98,16 @@ def _flow_integral(problem: ModeProblem, v: np.ndarray, rho: float,
     (lam >= lam_K, the last kept) hold v'Bv - sum c_k^2 of the norm, so
     their share is at most (1/2) sup_{lam >= lam_K} |lam - rho| e^{-2 lam T}
     times that.
-    Returns (integral, dropped bound, kept eigenvalues).
+    Returns (integral, dropped bound, v'Bv, v'Av, kept eigenvalues).
     """
     lam, phi = lowest_eigpairs(problem, 6)
     Bv = problem.B @ v
     c = phi.T @ Bv
-    norm = float(v @ Bv)
+    norm, energy = float(v @ Bv), float(v @ (problem.A @ v))
     ends = float(np.sum((lam - rho) * c * c * np.exp(-2.0 * lam * T)))
-    integral = 0.5 * (float(v @ (problem.A @ v)) - rho * norm - ends)
+    integral = 0.5 * (energy - rho * norm - ends)
     dropped = 0.5 * _decay_sup(lam[-1], rho, T) * max(norm - float(c @ c), 0.0)
-    return integral, dropped, lam
+    return integral, dropped, norm, energy, lam
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +120,7 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
     """Check Var(f) = (1/rho) int Gamma - (2/rho) int_0^T q(t) dt + tail.
 
     f starts as its L^2(mu) projection on the hats of each mode
-    (`_projected_start`), lhs is its discrete variance, and
+    (`spectral._hat_projection`), lhs is its discrete variance, and
     q(t) = w'B^{-1}w - rho v'w with w = A v(t) is the discrete integrated
     (Gamma_2 - rho Gamma) along the exact flow B v' = -A v; its time integral
     is closed-form over the lowest eigenpairs (`_flow_integral`).  dt only
@@ -202,20 +140,13 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
     if dt <= 0.0 or T < 0.0:
         raise ValueError("need dt > 0 and T >= 0")
     T = max(1, int(math.ceil(T / dt - 1e-12))) * dt
-    problems, vs, mass = _projected_start(_mode_loads(f, params, disc), params, disc)
-    lhs = energy = integral = dropped = 0.0
-    gap_candidates = []
-    for p, v in zip(problems, vs):
-        lhs += float(v @ (p.B @ v))
-        energy += float(v @ (p.A @ v))
-        part, drop, lam = _flow_integral(p, v, rho, T)
-        integral += part
-        dropped += drop
-        gap_candidates.append(lam[0])
-    lhs, energy, integral, dropped = (x / mass for x in (lhs, energy, integral, dropped))
+    problems, vs, mass = _hat_projection(lambda r: _mode_profiles(f, params, r),
+                                         f.support_radius, params, disc)
+    flows = [_flow_integral(p, v, rho, T) for p, v in zip(problems, vs)]
+    integral, dropped, lhs, energy = (sum(x[i] for x in flows) / mass for i in range(4))
 
     rhs = energy / rho - 2.0 * integral / rho
-    tail_bound = (_decay_sup(min(gap_candidates), rho, T) * lhs
+    tail_bound = (_decay_sup(min(lam[0] for *_, lam in flows), rho, T) * lhs
                   + 2.0 * dropped) / abs(rho)
     return lhs, rhs, abs(lhs - rhs), tail_bound
 
@@ -245,28 +176,6 @@ def _range_lambda(params: MeasureParams, range_tag: str) -> float:
     return GAP_FORMULA[range_tag](n, beta)
 
 
-def _var_and_energy(f: SmoothFunction, params: MeasureParams):
-    """Var(f) and int Gamma(f) dmu on the tensor rule of f's support.  A
-    random bump (f.coefs set) is integrated from its coefficients in
-    separable form, by an order-1 `_FieldPack` on the spec's sphere rule.
-    Every other f takes one pass over the node blocks, where f and grad f
-    give f, f^2 and (1 + |x|^2) |grad f|^2; for f in the sectors ell <= 1
-    (angular_mode 0 or 1) these are of degree <= 2 on every sphere, so the
-    rule's directions are the 2n points +-e_i, at every n."""
-    spec = default_nd_spec(params.n)
-    if f.coefs is not None:
-        rule = _tensor_rule(params, spec, f.support_radius, f.radial_seams)
-        pack = _FieldPack(np.array(f.coefs)[:, None], params, rule, order=1)
-        return pack.sq[0] - pack.mean[0] ** 2, pack.gam[0]
-    total = 0.0
-    for x, w in _node_blocks(params, spec, f.support_radius, f.radial_seams,
-                             f.angular_mode):
-        v, g2 = f.value(x), _row_sq_norms(f.gradient(x))
-        total = total + np.stack([v, v * v, (1.0 + _row_sq_norms(x)) * g2]) @ w
-    mean, sq, energy = total
-    return sq - mean ** 2, energy
-
-
 def _linear_variance(f: SmoothFunction, params: MeasureParams) -> float:
     """Var <a, x> = |a|^2 E|x|^2 / n of a linear f (angular_mode 1);
     ValueError where <a, x> is not in L^2, on the line the whole lower range."""
@@ -279,11 +188,12 @@ def _route_start(f: SmoothFunction, params: MeasureParams,
     """The gate of the cross-check, for f other than linear: a compactly
     supported f that declares itself radial (angular_mode 0; on the line,
     even) gives its ell = 0 projection (problem, v, mass) from
-    `_projected_start`; every other f gives None, before any load is built."""
+    `spectral._hat_projection`; every other f gives None, before any load
+    is built."""
     if f.support_radius is None or f.angular_mode != 0:
         return None
-    loads = _mode_loads(f, params, disc)
-    (prob,), (v,), mass = _projected_start({0: loads[0]}, params, disc)
+    (prob,), (v,), mass = _hat_projection(lambda r: _mode_profiles(f, params, r),
+                                          f.support_radius, params, disc)
     return prob, v, mass
 
 
@@ -316,8 +226,9 @@ class DeficitMismatch(RuntimeError):
 
 def deficit(f: SmoothFunction, params: MeasureParams, range_tag: str) -> float:
     """Range deficit lambda_range Var(f) - int Gamma(f) dmu (nonpositive),
-    by quadrature (`_var_and_energy`): a random bump from its coefficients
-    in separable form, every other f from its value and gradient.
+    by quadrature (`quadrature._var_and_energy`): a random bump from its
+    coefficients in separable form, every other f from its value and
+    gradient.
 
     Where the cross-check takes f (`_route_deficit`), the corollary time
     integral -2 int_0^inf int F(P_t f) dmu dt, in closed form along the

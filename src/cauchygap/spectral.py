@@ -15,12 +15,16 @@ whenever r^k is square-integrable.  Element integrals use 12-point
 Gauss-Legendre on near cells and a binomial series on far cells and on the
 tail.  The rule on a grid's cells (nodes, weights and log1p(r^2)) is built
 once per grid (m, delta), on first use, and read by every assembly on the
-grid and by the heat flow's loads (`semigroup`).  Where these are
-accurate, A and B are the Galerkin matrices of the augmented trial space
-and all eigenvalues sit above the true ones (variational principle).  At
-large exponents the Gauss rule loses digits on steep cells (relative error
-4e-6 at exponent 10, 1e-1 at exponent 50 on the worst cells), and the
+grid and by the loads of the hat projection.  Where these are accurate,
+A and B are the Galerkin matrices of the augmented trial space and all
+eigenvalues sit above the true ones (variational principle).  At large
+exponents the Gauss rule loses digits on steep cells (relative error 4e-6
+at exponent 10, 1e-1 at exponent 50 on the worst cells), and the
 one-sided bound is then not guaranteed.
+
+The heat flow of `semigroup` meets the hat basis in one place, the hat
+projection (`_hat_projection`): each mode's radial profile in, the mode's
+problem (no rays) and the profile's L^2(mu) projection on its hats out.
 
 Hats couple only to their neighbours and rays only to the last hat, so A
 and B are symmetric bands of half-width <= 2, kept in LAPACK band storage.
@@ -31,7 +35,9 @@ converges in a few steps, and returns nontrivial pairs only.  The shift
 is also the guard: Galerkin values are upper bounds, so the number of
 values under it, counted by Sylvester's law on A - sigma B, must be the
 closed form's (the constants on mode 0, none above); any other count
-raises NumericalBreakdown instead of returning a wrong value.
+raises NumericalBreakdown instead of returning a wrong value.  Each mode
+problem is guarded once (ModeProblem._guarded), however often it is
+solved or certified.
 
 Only modes 0 and 1 can carry the gap.  For ell >= 1 the trial space and
 B do not depend on ell, and A_ell = S + ell(ell+n-2) K with S >= 0 and
@@ -48,7 +54,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -346,6 +352,12 @@ class ModeProblem:
     def size(self) -> int:
         return self.A.shape[0]
 
+    @cached_property
+    def _guarded(self):
+        """_guard(self), run once per problem: every solve and certification
+        of the problem reads it.  A breakdown is raised, not kept."""
+        return _guard(self)
+
 
 class NumericalBreakdown(ArithmeticError):
     """A mode problem's matrices or factorization broke down in floating point."""
@@ -458,6 +470,62 @@ def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
     return next(_mode_problems((ell,), params, disc, tail_rays))
 
 
+def _hat_loads(profiles, support_radius, params: MeasureParams,
+               disc: Discretization) -> dict:
+    """Per mode ell, the loads b_i = int profile phi_i dmu of the radial
+    profiles on the mode's hats, as {ell: b}; profiles(r) gives
+    {ell: profile values at the radii r}.
+
+    The grid's 12-point Gauss rule on every cell (`_grid_rule`, shared with
+    the assembly), plus the constant extension of the last hat over
+    [R, inf) by 12-point Gauss in t = R/r (skipped where the support
+    radius, None for none, is at most R).  ell >= 1 has no hat at r = 0.
+    """
+    def weight(x, log1p):  # r^{n-1} (1+r^2)^{-beta}, from log1p = log1p(r^2)
+        return np.exp((params.n - 1) * np.log(x) - params.beta * log1p)
+
+    r, _, (rr, ww, log1p), _ = _grid_rule(disc.m, disc.delta)
+    r0, r1 = r[:-1, None], r[1:, None]
+    h = r1 - r0
+    ww = ww * weight(rr, log1p)
+    on_cells = profiles(rr.ravel())
+    R = float(r[-1])
+    tails = dict.fromkeys(on_cells, 0.0)
+    if support_radius is None or support_radius > R:
+        t, wt = _gauss_panels(0.0, 1.0)
+        rt = R / t
+        wt = wt * (R / (t * t)) * weight(rt, np.log1p(rt * rt))
+        tails = {ell: float(prof @ wt) for ell, prof in profiles(rt).items()}
+    loads = {}
+    for ell, prof in on_cells.items():
+        g = ww * prof.reshape(rr.shape)
+        b = _node_diag(np.sum(g * (r1 - rr) / h, axis=1),
+                       np.sum(g * (rr - r0) / h, axis=1))
+        b[-1] += tails[ell]
+        loads[ell] = b[1:] if ell > 0 else b
+    return loads
+
+
+def _hat_projection(profiles, support_radius, params: MeasureParams,
+                    disc: Discretization):
+    """The L^2(mu) projection of radial profiles on the hats (no rays) of
+    their modes: (problems, vs, mass), each mode's problem and
+    v = B^{-1} b of its loads (`_hat_loads`, same arguments), in ascending
+    ell, and the discrete mass 1'B1 of mode 0, which profiles must give.
+
+    Mode 0 is shifted by its discrete mean 1'b / 1'B1: the heat flow keeps
+    the mean, so the constant leaves the flow's representation exactly.
+    """
+    loads = _hat_loads(profiles, support_radius, params, disc)
+    problems = list(_mode_problems(sorted(loads), params, disc, tail_rays=False))
+    vs = [sla.cho_solve_banded((_cholesky(p, p.B.band, "B"), True), loads[p.ell],
+                               check_finite=False) for p in problems]
+    ones = np.ones(problems[0].size())
+    mass = float(ones @ (problems[0].B @ ones))
+    vs[0] -= np.sum(loads[0]) / mass
+    return problems, vs, mass
+
+
 # Shift margin and Krylov size: 1% under the closed-form bottom, Lanczos on
 # six vectors converges in a few steps, and the values agree with the
 # extended-precision band eigenvalues to rounding
@@ -481,17 +549,17 @@ def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarra
     Shift-invert Lanczos in standard form (Ericsson & Ruhe 1980): the
     largest eigenvalues theta of a symmetric operator C give
     lam = sigma + 1/theta, at the shift sigma that _guard checks (and
-    raises NumericalBreakdown from).  Where no closed-form value lies under
-    sigma, C = L^{-1} B L^{-T} for the banded Cholesky factor
-    A - sigma B = L L'; on mode 0, whose constants lie under it,
-    C = L_B' (A - sigma B)^{-1} L_B with B = L_B L_B' and A - sigma B in
-    banded LU, where the constants sit at theta < 0.
+    raises NumericalBreakdown from), once per problem.  Where no
+    closed-form value lies under sigma, C = L^{-1} B L^{-T} for the banded
+    Cholesky factor A - sigma B = L L'; on mode 0, whose constants lie
+    under it, C = L_B' (A - sigma B)^{-1} L_B with B = L_B L_B' and
+    A - sigma B in banded LU, where the constants sit at theta < 0.
     """
     if k < 1:
         raise ValueError("need k >= 1 eigenpairs")
     nn = problem.size()
     k = min(k, nn - 1)
-    sigma, closed, shifted, what = _guard(problem)
+    sigma, closed, shifted, what = problem._guarded
     operator = _indefinite_operator if closed else _definite_operator
     matvec, back = operator(problem, shifted, what)
     theta, y = eigsh(LinearOperator((nn, nn), matvec=matvec, dtype=float),
@@ -506,7 +574,8 @@ def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarra
 
 def _guard(problem: ModeProblem) -> tuple[float, int, np.ndarray, str]:
     """The checks every mode passes before it is solved or certified:
-    (sigma, closed, A - sigma B, its text for a breakdown).
+    (sigma, closed, A - sigma B, its text for a breakdown), read through
+    ModeProblem._guarded.
 
     sigma = (1 - _FLOOR_MARGIN) x the mode's first nontrivial closed-form
     value (_mode_bottom), and `closed` counts the closed-form values under
@@ -635,9 +704,10 @@ def numeric_gap(params: MeasureParams, disc: Discretization,
 
     Each mode contributes its first nontrivial eigenvalue (on mode 0 past
     the constants); on the line only the even/odd sectors exist.  Only
-    modes 0 and 1 can carry the gap, and both pass _guard, in that order,
-    before any Lanczos: a Sylvester count under sigma_ell, 0.99 x the
-    closed-form bottom reported in mode_bottoms.  The mode with the lower
+    modes 0 and 1 can carry the gap, and both pass _guard once, in that
+    order, before any Lanczos (the solves reuse it): a Sylvester count
+    under sigma_ell, 0.99 x the closed-form bottom reported in
+    mode_bottoms.  The mode with the lower
     bottom is solved (mode 0 on a tie).  The other is solved only where its
     sigma lies under the value found; elsewhere its count proves every
     nontrivial value above the gap, and mode_eigs holds None for it.
@@ -649,7 +719,7 @@ def numeric_gap(params: MeasureParams, disc: Discretization,
     if ell_max < 2:
         raise ValueError("need ell_max >= 2 (mode minimum must be attested)")
     probs = list(_mode_problems((0, 1), params, disc))
-    sigmas = [_guard(prob)[0] for prob in probs]
+    sigmas = [prob._guarded[0] for prob in probs]
     first = int(np.argmin(sigmas))
     eigs = [None, None]
     eigs[first] = lowest_eigs(probs[first], 1)[0]

@@ -136,3 +136,24 @@ def test_no_unread_parameters():
             unread += [(path.stem, node.name, p) for p in params
                        if p != "self" and p not in read]
     assert unread == []
+
+
+def test_cross_module_private_imports():
+    # the private names one module takes from another, as (importer, source,
+    # name): the heat flow reads the hat projection from spectral and the
+    # deficit's integrals from quadrature, and owns no rule or basis itself
+    found = set()
+    for name in MODULES:
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found |= {(name, node.module, alias.name) for alias in node.names
+                          if alias.name.startswith("_")}
+    assert found == {
+        ("semigroup", "spectral", "_hat_projection"),
+        ("semigroup", "quadrature", "_var_and_energy"),
+        ("semigroup", "quadrature", "_rel_err"),
+        ("quadrature", "functions", "_pairs"),
+        ("quadrature", "functions", "_row_sq_norms"),
+        ("quadrature", "spectral", "_gauss_panels"),
+        ("operators", "functions", "_as_points"),
+    }

@@ -140,6 +140,13 @@ def test_quadrature_spec_refuses_bad_sizes():
     for bad in (0, -4):
         with pytest.raises(ValueError, match="angular_nodes"):
             QuadratureSpec(angular_nodes=bad)
+    # sizes are integers, numpy's included; anything else is refused by name
+    for field in ("nodes", "angular_nodes"):
+        for bad in (64.5, 12.5, "64", np.float64(64.0), None):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                QuadratureSpec(**{field: bad})
+        spec = QuadratureSpec(**{field: np.int64(64)})
+        assert getattr(spec, field) == 64
 
 
 def test_integrate_nd_refuses_n_above_three():

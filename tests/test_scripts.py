@@ -59,10 +59,20 @@ def test_band_digest_repeats():
 
 
 def test_src_lines_parts_add_up():
-    lines = dict(line.split() for line in _run("src_lines.py"))
+    out = _run("src_lines.py")
+    lines = dict(line.split() for line in out[:5])
     counts = {kind: int(value) for kind, value in lines.items()}
     assert list(counts) == ["total", "code", "docstring", "comment", "blank"]
     files = sorted((ROOT / "src").rglob("*.py"))
     assert counts["total"] == sum(len(p.read_text().splitlines()) for p in files)
     assert counts["total"] == sum(v for k, v in counts.items() if k != "total")
     assert min(counts.values()) > 0
+    # then a header and one row per module, whose parts add up to the totals
+    assert out[5].split() == ["module", "code", "docstring", "comment", "blank"]
+    rows = [line.split() for line in out[6:]]
+    assert [r[0] for r in rows] == [p.relative_to(ROOT / "src").with_suffix("").as_posix()
+                                    for p in files]
+    for j, kind in enumerate(list(counts)[1:], start=1):
+        assert sum(int(r[j]) for r in rows) == counts[kind], kind
+    for r, p in zip(rows, files):
+        assert sum(map(int, r[1:])) == len(p.read_text().splitlines()), r

@@ -16,26 +16,25 @@ from cauchygap.functions import (
     make_random_test,
 )
 from cauchygap.measures import MeasureParams, mean_sq_norm, omega_moment
-from cauchygap.quadrature import default_nd_spec, integrate_nd
+from cauchygap.quadrature import _var_and_energy, default_nd_spec, integrate_nd
 from cauchygap import functions, quadrature, semigroup, spectral
 from cauchygap.semigroup import (
     _ROUTE_DISC,
     _ROUTE_FINE,
     DeficitMismatch,
     _flow_integral,
-    _mode_loads,
-    _projected_start,
+    _mode_profiles,
     _range_lambda,
     _route_deficit,
     _route_start,
-    _var_and_energy,
     default_horizon,
     deficit,
     deficit_trace,
     variance_representation_check,
 )
 from cauchygap.spectral import (Discretization, NumericalBreakdown, SymBand,
-                                assemble_mode, closed_form_gap, range_edges)
+                                _hat_loads, _hat_projection, assemble_mode,
+                                closed_form_gap, range_edges)
 
 
 def test_default_horizon():
@@ -169,7 +168,7 @@ def test_projected_start_keeps_constants_beyond_R():
 
 
 def _reference_loads(f, p, disc):
-    """_mode_loads on Gauss nodes of its own: 12-point Gauss-Legendre mapped
+    """_hat_loads on Gauss nodes of its own: 12-point Gauss-Legendre mapped
     onto every cell and onto t = R/r in [0, 1] by _gauss_panels."""
     r = disc.radii()
     r0, r1 = r[:-1, None], r[1:, None]
@@ -203,7 +202,8 @@ def test_mode_loads_match_their_own_gauss_nodes(f, n, beta, m, delta):
     # own on a grid the assembly has already served, they are the same bits
     p, disc = MeasureParams(n, beta), Discretization(m=m, delta=delta)
     next(spectral._mode_problems((0,), p, disc))
-    got, ref = _mode_loads(f, p, disc), _reference_loads(f, p, disc)
+    got = _hat_loads(lambda r: _mode_profiles(f, p, r), f.support_radius, p, disc)
+    ref = _reference_loads(f, p, disc)
     assert sorted(got) == sorted(ref)
     for ell in ref:
         np.testing.assert_array_equal(got[ell], ref[ell])
@@ -221,9 +221,9 @@ def test_projected_start_shares_one_cell_pass(monkeypatch, n, beta):
 
     p, disc = MeasureParams(n, beta), Discretization(m=256, delta=1e-3)
     f = make_random_test(7, 1) if n == 1 else make_linear(np.ones(n))
-    loads = _mode_loads(f, p, disc)
     monkeypatch.setattr(spectral, "_cell_moments", counted)
-    problems, _, _ = _projected_start(loads, p, disc)
+    problems, _, _ = _hat_projection(lambda r: _mode_profiles(f, p, r),
+                                     f.support_radius, p, disc)
     assert len(calls) == 2
     monkeypatch.undo()
     assert [q.ell for q in problems] == [0, 1]
@@ -242,7 +242,8 @@ def _flow_start(beta, shape):
     p = MeasureParams(1, beta)
     f = make_quadratic_centered(p) if shape == "quadratic" else make_random_test(7, 1)
     disc = Discretization(m=128, delta=1e-3)
-    problems, vs, mass = _projected_start(_mode_loads(f, p, disc), p, disc)
+    problems, vs, mass = _hat_projection(lambda r: _mode_profiles(f, p, r),
+                                         f.support_radius, p, disc)
     var = sum(v @ (q.B @ v) for q, v in zip(problems, vs)) / mass
     return problems, vs, 2.0 * (beta - 1.0), default_horizon(var, closed_form_gap(p)[0])
 
@@ -261,13 +262,13 @@ def test_flow_integral_matches_dense_spectrum(beta, shape):
             # a_k / lam_k = (lam_k - rho) c_k^2 stays finite at the constant's lam ~ 0
             return 0.5 * float(np.sum((lam - rho) * c * c * -np.expm1(-2.0 * lam * t)))
 
-        got, dropped, _ = _flow_integral(prob, v, rho, T)
+        got, dropped, *_ = _flow_integral(prob, v, rho, T)
         assert abs(got - dense(T)) <= 1e-10 * abs(dense(T))
         assert dropped < 1e-20
         totals.append(dense(T))
         # at t = 0.25 the endpoint terms are ~1e-3 and the modes past the
         # kept six still count: the difference stays inside their bound
-        got, dropped, _ = _flow_integral(prob, v, rho, 0.25)
+        got, dropped, *_ = _flow_integral(prob, v, rho, 0.25)
         assert abs(got - dense(0.25)) <= dropped + 1e-12 * abs(dense(0.25))
     assert sum(totals) > 0.1
 
@@ -374,7 +375,6 @@ def test_var_and_energy_directions_per_radius(monkeypatch, make, n, beta):
         def refuse(*args, **kwargs):
             raise AssertionError("pointwise evaluation")
 
-        monkeypatch.setattr(semigroup, "_node_blocks", refuse)
         monkeypatch.setattr(quadrature, "_node_blocks", refuse)
         blind = dataclasses.replace(f, value=refuse, gradient=refuse)
         assert (_var_and_energy(blind, p), deficit(blind, p, "lower")) == expected
@@ -509,7 +509,7 @@ def test_deficit_refuses_a_1d_random_bump_before_its_loads(monkeypatch, seed):
     f = make_random_test(seed, 1)
     assert f.angular_mode is None
     loads = []
-    monkeypatch.setattr(semigroup, "_mode_loads", lambda *args: loads.append(args))
+    monkeypatch.setattr(semigroup, "_hat_projection", lambda *args: loads.append(args))
     rho = _range_lambda(p, "lower")
     var, energy = _var_and_energy(f, p)
     assert _route_deficit(f, p, rho) is None

@@ -812,6 +812,24 @@ def test_numeric_gap_solves_eight_modes_on_the_sweep(monkeypatch):
                      (2, 4.0, 1), (3, 2.0, 0), (3, 3.8, 0), (3, 5.0, 1)]
 
 
+def test_numeric_gap_guards_each_mode_once(monkeypatch):
+    # spectral_sweep's seven solvable points: one Sylvester count per mode
+    # problem, modes 0 and 1 at each point, whether the mode is then solved
+    # or certified; guarding each solved mode again took 22
+    real, calls = spectral._inertia, []
+
+    def counted(problem, shifted, what):
+        calls.append((problem.params.n, problem.params.beta, problem.ell))
+        return real(problem, shifted, what)
+
+    monkeypatch.setattr(spectral, "_inertia", counted)
+    disc = Discretization(m=256, delta=1e-3)
+    points = [(1, 1.2), (1, 3.0), (2, 1.5), (2, 4.0), (3, 2.0), (3, 3.8), (3, 5.0)]
+    for n, beta in points:
+        numeric_gap(MeasureParams(n, beta), disc)
+    assert calls == [(n, beta, ell) for n, beta in points for ell in (0, 1)]
+
+
 def test_numeric_gap_counts_the_certified_mode(monkeypatch):
     # mid range: mode 0 is solved and mode 1 certified by its count alone;
     # with mode 1's closed form 10x high its sigma lies over Galerkin
