@@ -2,10 +2,14 @@
 
 Exit codes: 0 success, 1 configuration error, 2 tolerance failure,
 3 numerical breakdown (a mode problem's matrices underflow or lose
-definiteness).  Each subcommand declares only the flags it reads, with
-their defaults, and refuses any other; a key=value config file (--config)
-overrides the defaults and flags override the file.  --out defaults into
-the directory named by the CAUCHYGAP_OUTDIR environment variable.
+definiteness).  Each subcommand is declared once, in `build_parser`: its
+name and help, the function it runs, the flags it reads with their
+defaults and types (it refuses any other), and the flags it requires.  A
+key=value config file (--config) overrides the defaults and flags
+override the file; `main` then checks the required flags, in one place.
+Domain rules (beta > n/2, the Rayleigh epsilon limits, count >= 1, ...)
+are the library's refusals.  --out defaults into the directory named by
+the CAUCHYGAP_OUTDIR environment variable.
 
 Every file is written by `_write_csv` or `_write_json`: lines end in
 "\n" and a float is written as %.17g.
@@ -25,8 +29,9 @@ from .functions import make_linear, make_quadratic_centered, make_random_test
 from .measures import MeasureParams, mean_sq_norm, omega_moment, sample
 from .quadrature import VERIFY_GRID, lowfact_sign_check, verify_all
 from .semigroup import DeficitMismatch, deficit
-from .spectral import (GAP_FORMULA, Discretization, NumericalBreakdown,
-                       numeric_gap, rayleigh_quotient_1d, rayleigh_quotient_power)
+from .spectral import (GAP_FORMULA, RAYLEIGH_EPS_LIMIT, Discretization,
+                       NumericalBreakdown, numeric_gap, rayleigh_quotient_1d,
+                       rayleigh_quotient_power)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -57,8 +62,21 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(json.dumps(payload, indent=2) + "\n")
 
 
+def _at_least(kind, low, name: str):
+    """A flag type: kind(text), refused with ValueError below low or NaN,
+    so that argparse and load_config apply the same rule; argparse names
+    it in its message as `name`."""
+    def parse(text):
+        value = kind(text)
+        if not value >= low:
+            raise ValueError(f"{text!r} is not a {name}")
+        return value
+    parse.__name__ = name
+    return parse
+
+
 # Flags that several subcommands declare; --n and --beta have no default,
-# as a config file may supply them, and the commands check them.
+# as a config file may supply them, and `main` checks them.
 _SHARED_FLAGS = {
     "n": dict(type=int),
     "beta": dict(type=float),
@@ -75,40 +93,48 @@ def build_parser() -> argparse.ArgumentParser:
                     "diffusion operator for heavy-tailed power-law measures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, *flags):
-        """A subcommand with --config, --out and the shared flags named."""
+    def command(name, run, help, required, *flags):
+        """Subcommand `name`, which runs run(args): --config, --out and the
+        shared flags named.  `required` names the flags that `main` needs
+        from the command line or the --config file."""
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, required=required)
         p.add_argument("--config", help="key=value file; flags take precedence")
         p.add_argument("--out")
         for flag in flags:
             p.add_argument("--" + flag, **_SHARED_FLAGS[flag])
         return p
 
-    p = command("gap", "one (n, beta) eigensolve vs the closed form",
-                "n", "beta", "m", "delta")
+    tol = _at_least(float, 0.0, "non-negative float")
+    p = command("gap", cmd_gap, "one (n, beta) eigensolve vs the closed form",
+                ("n", "beta"), "n", "beta", "m", "delta")
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--tol", type=float, default=1e-3)
-    p = command("sweep", "gap table over a beta range", "n", "m", "delta")
+    p.add_argument("--tol", type=tol, default=1e-3)
+    p = command("sweep", cmd_sweep, "gap table over a beta range",
+                ("n", "beta_min", "beta_max"), "n", "m", "delta")
     p.add_argument("--beta-min", type=float)
     p.add_argument("--beta-max", type=float)
-    p.add_argument("--steps", type=int, default=20)
-    p = command("verify", "integral identity suite", "n", "beta", "seed")
+    p.add_argument("--steps", type=_at_least(int, 1, "positive int"), default=20)
+    p = command("verify", cmd_verify, "integral identity suite", (),
+                "n", "beta", "seed")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--tol", type=tol, default=1e-5)
     p.add_argument("--corrupt-ipp1", action="store_true",
                    help="negative control: flip a sign in IPP1 and expect "
                         "the report to fail")
-    p = command("deficit", "range deficit of a named test function",
-                "n", "beta", "seed")
+    p = command("deficit", cmd_deficit, "range deficit of a named test function",
+                ("n", "beta", "range", "f"), "n", "beta", "seed")
     p.add_argument("--range", choices=("upper", "mid", "lower"))
-    p.add_argument("--f", choices=("linear", "quadratic", "bump"))
-    p = command("rayleigh", "trial-family Rayleigh quotients near the "
-                            "essential spectrum", "n", "beta")
-    p.add_argument("--family", choices=("power", "oned"))
+    p.add_argument("--f", choices=tuple(_TEST_FUNCTIONS))
+    p = command("rayleigh", cmd_rayleigh, "trial-family Rayleigh quotients "
+                "near the essential spectrum", ("n", "beta", "eps_from_limit"),
+                "n", "beta")
+    p.add_argument("--family", choices=tuple(_QUOTIENTS))
     p.add_argument("--eps-from-limit",
                    help="comma list of distances below the admissible "
                         "epsilon limit")
-    p = command("sample", "exact sampler draws to CSV", "n", "beta", "seed")
+    p = command("sample", cmd_sample, "exact sampler draws to CSV", ("n", "beta"),
+                "n", "beta", "seed")
     p.add_argument("--count", type=int, default=1000)
     return parser
 
@@ -144,24 +170,12 @@ def load_config(path: str) -> dict:
 
 
 def _out_path(args: argparse.Namespace, default_name: str) -> str:
-    if args.out:
-        return args.out
-    return os.path.join(os.environ.get(OUTDIR_ENV, "."), default_name)
-
-
-def _params(args: argparse.Namespace) -> MeasureParams:
-    if args.n is None or args.beta is None:
-        raise ValueError("--n and --beta are required")
-    return MeasureParams(args.n, args.beta)
-
-
-def _disc(args: argparse.Namespace) -> Discretization:
-    return Discretization(m=args.m, delta=args.delta)
+    return args.out or os.path.join(os.environ.get(OUTDIR_ENV, "."), default_name)
 
 
 def cmd_gap(args: argparse.Namespace) -> int:
-    params = _params(args)
-    report = numeric_gap(params, _disc(args))
+    params = MeasureParams(args.n, args.beta)
+    report = numeric_gap(params, Discretization(m=args.m, delta=args.delta))
     path = _out_path(args, f"gap_n{params.n}_beta{params.beta:g}.{args.format}")
     if args.format == "json":
         _write_json(path, dataclasses.asdict(report))
@@ -174,15 +188,9 @@ def cmd_gap(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.n is None:
-        raise ValueError("--n is required")
-    if args.beta_min is None or args.beta_max is None:
-        raise ValueError("--beta-min and --beta-max are required")
-    if args.steps < 1:
-        raise ValueError("--steps must be >= 1")
-    if not (args.n / 2.0 < args.beta_min < args.beta_max):
-        raise ValueError("need n/2 < beta-min < beta-max")
-    disc = _disc(args)
+    if not args.beta_min < args.beta_max:
+        raise ValueError("need beta-min < beta-max")
+    disc = Discretization(m=args.m, delta=args.delta)
     reports = [numeric_gap(MeasureParams(args.n, float(b)), disc)
                for b in np.linspace(args.beta_min, args.beta_max, args.steps)]
     path = _out_path(args, f"sweep_n{args.n}.csv")
@@ -200,13 +208,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.n is not None and args.beta is not None:
-        grid = [(args.n, args.beta)]
-    elif args.n is None and args.beta is None:
-        grid = list(VERIFY_GRID)
-    else:
+    if (args.n is None) != (args.beta is None):
         raise ValueError("give both --n and --beta, or neither for the "
                          "default grid")
+    grid = VERIFY_GRID if args.n is None else [(args.n, args.beta)]
     points = []
     ok = True
     worst = 0.0
@@ -235,23 +240,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def _named_test_function(name: str, params: MeasureParams, seed: int):
-    if name == "linear":
-        a = np.zeros(params.n)
-        a[0] = 1.0
-        return make_linear(a)
-    if name == "quadratic":
-        return make_quadratic_centered(params)
-    if name == "bump":
-        return make_random_test(seed=seed, n=params.n)
-    raise ValueError(f"unknown test function {name!r}")
+# --f's choices: each test function from (params, seed)
+_TEST_FUNCTIONS = {
+    "linear": lambda params, seed: make_linear(np.eye(params.n)[0]),
+    "quadratic": lambda params, seed: make_quadratic_centered(params),
+    "bump": lambda params, seed: make_random_test(seed=seed, n=params.n),
+}
 
 
 def cmd_deficit(args: argparse.Namespace) -> int:
-    params = _params(args)
-    if args.range is None or args.f is None:
-        raise ValueError("--range and --f are required")
-    f = _named_test_function(args.f, params, args.seed)
+    params = MeasureParams(args.n, args.beta)
+    f = _TEST_FUNCTIONS[args.f](params, args.seed)
     value = deficit(f, params, args.range)
     path = _out_path(args, f"deficit_{args.range}_{args.f}.csv")
     _write_csv(path, ("n", "beta", "range_tag", "f", "deficit"),
@@ -260,20 +259,21 @@ def cmd_deficit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# --family's choices; each quotient refuses an epsilon at or past its
+# family's limit, so it also refuses a distance d <= 0 below that limit
+_QUOTIENTS = {"power": rayleigh_quotient_power, "oned": rayleigh_quotient_1d}
+
+
 def cmd_rayleigh(args: argparse.Namespace) -> int:
-    params = _params(args)
+    params = MeasureParams(args.n, args.beta)
     family = args.family or ("oned" if params.n == 1 else "power")
-    if args.eps_from_limit is None:
-        raise ValueError("--eps-from-limit is required (comma list)")
     dists = [float(tok) for tok in args.eps_from_limit.split(",") if tok.strip()]
-    if not dists or any(d <= 0 for d in dists):
-        raise ValueError("distances below the limit must be positive")
+    if not dists:
+        raise ValueError("--eps-from-limit needs at least one distance")
     limit = GAP_FORMULA["lower"](params.n, params.beta)
-    quotient, eps_max = {
-        "power": (rayleigh_quotient_power, (2.0 * params.beta - params.n) / 4.0),
-        "oned": (rayleigh_quotient_1d, (2.0 * params.beta - 3.0) / 4.0)}[family]
+    eps_max = RAYLEIGH_EPS_LIMIT[family](params.n, params.beta)
     rows = [(family, params.n, params.beta, d, eps_max - d,
-             quotient(eps_max - d, params), limit)
+             _QUOTIENTS[family](eps_max - d, params), limit)
             for d in sorted(dists, reverse=True)]
     path = _out_path(args, f"rayleigh_{family}_n{params.n}.csv")
     _write_csv(path, ("family", "n", "beta", "eps_from_limit", "epsilon",
@@ -285,7 +285,7 @@ def cmd_rayleigh(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    params = _params(args)
+    params = MeasureParams(args.n, args.beta)
     points = sample(params, args.count, args.seed)
     x2 = np.sum(points ** 2, axis=1)
     checks = [("omega_inv", 1.0 / (1.0 + x2), omega_moment(1.0, params))]
@@ -301,16 +301,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "gap": cmd_gap,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-    "deficit": cmd_deficit,
-    "rayleigh": cmd_rayleigh,
-    "sample": cmd_sample,
-}
-
-
 def main(argv=None) -> int:
     try:
         parser = build_parser()
@@ -321,7 +311,12 @@ def main(argv=None) -> int:
             command.set_defaults(**{k: v for k, v in load_config(args.config).items()
                                     if k in dests})
             args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        missing = ["--" + d.replace("_", "-") for d in args.required
+                   if getattr(args, d) is None]
+        if missing:
+            raise ValueError(f"{args.command} needs {' '.join(missing)} "
+                             "(flags or --config keys)")
+        return args.run(args)
     except DeficitMismatch as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE

@@ -454,9 +454,10 @@ def verify_all(params: MeasureParams, spec: Optional[QuadratureSpec] = None,
                trials: int = 50, seed: int = 0,
                corrupt_ipp1: bool = False) -> list[IdentityReport]:
     """Worst-case report per applicable tag over random compactly supported
-    test functions.  Each row reports (and names in `detail`) the first
-    trial whose rel_err is within rounding (1e-12) of the worst, or the
-    first NaN trial if there is one.
+    test functions.  Each row reports (and names in `detail`) its first NaN
+    trial if there is one, else the first trial whose rel_err is within a
+    relative 1e-12 of the row's worst: its worst trial, or the first of
+    those tied with it (a row of zeros names trial 0).
 
     corrupt_ipp1 flips the sign of the IPP1 right-hand side; it exists as a
     negative control so report consumers can confirm a broken identity is
@@ -470,7 +471,8 @@ def verify_all(params: MeasureParams, spec: Optional[QuadratureSpec] = None,
         if corrupt_ipp1 and tag == "IPP1":
             rhs = -rhs
         rel = _rel_err(lhs, rhs, terms)
-        k = int(np.argmax(np.isnan(rel) if np.isnan(rel).any() else rel >= rel.max() - 1e-12))
+        nan = np.isnan(rel)
+        k = int(np.argmax(nan if nan.any() else rel >= rel.max() * (1.0 - 1e-12)))
         reports.append(IdentityReport(
             tag=tag, n=n, beta=beta, lhs=float(lhs[k]), rhs=float(rhs[k]),
             abs_err=float(abs(lhs[k] - rhs[k])), rel_err=float(rel[k]),

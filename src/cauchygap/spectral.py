@@ -124,21 +124,31 @@ def mode_spectrum(params: MeasureParams, ell: int) -> list[float]:
     return vals.tolist() + [(beta - n / 2.0) ** 2 + cl]
 
 
+# The supremum of the admissible eps of each Rayleigh family: f is in
+# L^2(mu) only below it, and each quotient refuses eps at or past it.
+RAYLEIGH_EPS_LIMIT = {
+    "power": lambda n, beta: (2.0 * beta - n) / 4.0,
+    "oned": lambda n, beta: (2.0 * beta - 3.0) / 4.0,
+}
+
+
 def rayleigh_quotient_power(epsilon: float, params: MeasureParams) -> float:
     """Rayleigh quotient of f = (1+|x|^2)^epsilon in closed moment form.
 
     With M_g = int (1+|x|^2)^g dmu (a normalization ratio),
       int Gamma(f) dmu = 4 eps^2 (M_{2eps} - M_{2eps-1}),
       Var(f)           = M_{2eps} - M_eps^2.
-    Only eps < (2 beta - n)/4 keeps f in L^2; eps = 0 has zero variance.
-    As eps increases to the limit the value decreases to (beta - n/2)^2.
+    Only eps < RAYLEIGH_EPS_LIMIT["power"] = (2 beta - n)/4 keeps f in
+    L^2, else ValueError (NaN included); eps = 0 has zero variance.  As eps
+    increases to the limit the value decreases to (beta - n/2)^2.
     """
     eps = float(epsilon)
-    n, beta = params.n, params.beta
     if eps == 0.0:
         raise ValueError("epsilon = 0 gives a constant function (zero variance)")
-    if eps >= (2.0 * beta - n) / 4.0:
-        raise ValueError("epsilon too large: f is not square-integrable")
+    limit = RAYLEIGH_EPS_LIMIT["power"](params.n, params.beta)
+    if not eps < limit:
+        raise ValueError(f"epsilon = {eps:g} is not below {limit:g}: "
+                         "f is not square-integrable")
     m1 = omega_moment(-eps, params)
     m2 = omega_moment(-2.0 * eps, params)
     m2m = omega_moment(-(2.0 * eps - 1.0), params)
@@ -154,14 +164,17 @@ def rayleigh_quotient_1d(epsilon: float, params: MeasureParams) -> float:
     f is odd, so Var(f) = int f^2 = M_{2eps+1} - M_{2eps}; with
     f' = (1+2eps) w^eps - 2eps w^{eps-1} (w = 1+x^2),
       int w f'^2 = (1+2eps)^2 M_{2eps+1} - 4eps(1+2eps) M_{2eps} + 4eps^2 M_{2eps-1}.
-    Requires eps < (2 beta - 3)/4 (square-integrability of x w^eps).
-    The limit as eps increases to (2 beta - 3)/4 is (beta - 1/2)^2.
+    Requires eps < RAYLEIGH_EPS_LIMIT["oned"] = (2 beta - 3)/4
+    (square-integrability of x w^eps), else ValueError (NaN included).  The
+    limit as eps increases to (2 beta - 3)/4 is (beta - 1/2)^2.
     """
     if params.n != 1:
         raise ValueError(f"the family x (1+x^2)^eps needs n = 1, got n = {params.n}")
     eps = float(epsilon)
-    if eps >= (2.0 * params.beta - 3.0) / 4.0:
-        raise ValueError("epsilon too large: x (1+x^2)^eps is not square-integrable")
+    limit = RAYLEIGH_EPS_LIMIT["oned"](params.n, params.beta)
+    if not eps < limit:
+        raise ValueError(f"epsilon = {eps:g} is not below {limit:g}: "
+                         "x (1+x^2)^eps is not square-integrable")
     m_p1 = omega_moment(-(2.0 * eps + 1.0), params)
     m_0 = omega_moment(-2.0 * eps, params)
     m_m1 = omega_moment(-(2.0 * eps - 1.0), params)

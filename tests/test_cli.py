@@ -6,6 +6,8 @@ import pytest
 from cauchygap.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_TOLERANCE,
                            load_config, main)
 from cauchygap.measures import MeasureParams
+from cauchygap.quadrature import VERIFY_GRID
+from cauchygap.semigroup import DeficitMismatch
 from cauchygap.spectral import Discretization, GapReport, numeric_gap
 
 
@@ -405,3 +407,126 @@ def test_gap_json_writes_a_certified_mode_as_null(tmp_path):
     rep = numeric_gap(MeasureParams(3, 5.0), Discretization(m=512, delta=1e-3))
     assert GapReport(**{k: tuple(v) if isinstance(v, list) else v
                         for k, v in d.items()}) == rep
+
+
+# each subcommand that requires flags: a cheap run's other flags, and its
+# required flags with a value each
+_REQUIRED = [
+    ("gap", ["--m", "96", "--delta", "1e-2"], {"n": "2", "beta": "4.0"}),
+    ("sweep", ["--steps", "2", "--m", "96", "--delta", "1e-2"],
+     {"n": "2", "beta-min": "1.2", "beta-max": "4.0"}),
+    ("deficit", [], {"n": "3", "beta": "4.0", "range": "upper", "f": "linear"}),
+    ("rayleigh", [], {"n": "2", "beta": "1.8", "eps-from-limit": "0.1,0.01"}),
+    ("sample", ["--count", "10"], {"n": "2", "beta": "3.0"}),
+]
+
+
+@pytest.mark.parametrize("command, base, required, missing", [
+    (command, base, required, missing)
+    for command, base, required in _REQUIRED
+    for missing in [(flag,) for flag in required] + [tuple(required)]])
+def test_required_flags_come_from_the_command_line_or_the_config(
+        tmp_path, monkeypatch, capsys, command, base, required, missing):
+    # main checks the required flags once, after the config merge: a flag
+    # left out is a configuration error naming it, and the same flag in the
+    # --config file runs the command
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setenv("CAUCHYGAP_OUTDIR", str(out))
+    given = [tok for flag, value in required.items() if flag not in missing
+             for tok in ("--" + flag, value)]
+    assert main([command, *base, *given]) == EXIT_CONFIG
+    flags = " ".join("--" + flag for flag in missing)
+    assert capsys.readouterr().err == (f"configuration error: {command} needs "
+                                       f"{flags} (flags or --config keys)\n")
+    assert list(out.iterdir()) == []
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{flag} = {required[flag]}\n" for flag in missing))
+    assert main([command, *base, *given, "--config", str(cfg)]) == EXIT_OK
+    assert len(list(out.iterdir())) == 1
+
+
+def test_config_line_without_equals_sign(tmp_path):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "s.csv"
+    cfg.write_text("n = 2\nbeta 3.0\n")
+    with pytest.raises(ValueError, match="config line without '=': 'beta 3.0'"):
+        load_config(cfg)
+    assert main(["sample", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--n", "2"], ["--beta", "2.5"]])
+def test_verify_needs_both_of_n_and_beta_or_neither(tmp_path, capsys, flag):
+    out = tmp_path / "verify.json"
+    assert main(["verify", *flag, "--trials", "1", "--out", str(out)]) == EXIT_CONFIG
+    assert "give both --n and --beta, or neither" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_default_grid(tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--trials", "1", "--out", str(out)]) == EXIT_OK
+    d = json.loads(out.read_text())
+    assert d["all_pass"] is True and d["trials"] == 1
+    assert [(p["n"], p["beta"]) for p in d["points"]] == list(VERIFY_GRID)
+
+
+def test_deficit_quadratic(tmp_path):
+    # the centered quadratic is the mid range's extremal: a zero deficit
+    out = tmp_path / "deficit.csv"
+    assert main(["deficit", "--n", "3", "--beta", "3.8", "--range", "mid",
+                 "--f", "quadratic", "--out", str(out)]) == EXIT_OK
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[2:4] == ["mid", "quadratic"]
+    assert abs(float(row[4])) < 1e-8
+
+
+def test_deficit_mismatch_is_a_tolerance_failure(tmp_path, monkeypatch, capsys):
+    from cauchygap import cli
+
+    def mismatch(f, params, range_tag):
+        raise DeficitMismatch("quadrature -1 vs time integral -2")
+
+    monkeypatch.setattr(cli, "deficit", mismatch)
+    out = tmp_path / "deficit.csv"
+    assert main(["deficit", "--n", "1", "--beta", "2.0", "--range", "upper",
+                 "--f", "bump", "--out", str(out)]) == EXIT_TOLERANCE
+    assert capsys.readouterr().err == ("tolerance failure: quadrature -1 vs "
+                                       "time integral -2\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["gap", "--n", "2", "--beta", "4.0", "--m", "96"], "tol", "-1"),
+    (["gap", "--n", "2", "--beta", "4.0", "--m", "96"], "tol", "nan"),
+    (["verify", "--n", "2", "--beta", "2.5", "--trials", "1"], "tol", "-1e-9"),
+    (["sweep", "--n", "2", "--beta-min", "1.2", "--beta-max", "4.0", "--m", "96"],
+     "steps", "0"),
+])
+def test_declared_flag_rules_hold_on_the_command_line_and_in_the_config(
+        tmp_path, capsys, argv, key, value):
+    # a negative or NaN --tol and a --steps under 1 are refused by the
+    # flag's declared type, before anything is computed or written
+    out, cfg = tmp_path / "out.txt", tmp_path / "run.cfg"
+    assert main(argv + [f"--{key}={value}", "--out", str(out)]) == EXIT_CONFIG
+    assert f"argument --{key}: invalid " in capsys.readouterr().err
+    cfg.write_text(f"{key} = {value}\n")
+    with pytest.raises(ValueError, match=f"'{value}' is not a "):
+        load_config(cfg)
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dists, message", [
+    (",", "--eps-from-limit needs at least one distance"),
+    ("0.1,0", "epsilon = 0.4 is not below 0.4: f is not square-integrable"),
+    ("-0.05", "epsilon = 0.45 is not below 0.4: f is not square-integrable"),
+])
+def test_rayleigh_distances_refused(tmp_path, capsys, dists, message):
+    # a distance d <= 0 puts epsilon at or past the family's limit, which
+    # the quotient refuses; no row is written
+    out = tmp_path / "rayleigh.csv"
+    assert main(["rayleigh", "--n", "2", "--beta", "1.8",
+                 f"--eps-from-limit={dists}", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()

@@ -236,3 +236,9 @@ def test_random_test_fields_on_radial_rows_match_pointwise(n):
                 assert field.shape == ref[:, nodes].shape
                 assert np.max(np.abs(field - ref[:, nodes])) <= 1e-13 * np.max(np.abs(ref))
                 assert np.all(field[:, outside[nodes]] == 0.0)
+
+
+def test_make_linear_refuses_a_zero_direction():
+    for v in (np.zeros(3), [0.0]):
+        with pytest.raises(ValueError, match="direction vector must be nonzero"):
+            make_linear(v)

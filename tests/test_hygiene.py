@@ -60,7 +60,7 @@ def test_no_unused_imports(name):
 
 def _args_reads(funcs, name):
     """The args.<flag> attributes a cli.py function reads, itself or in the
-    module functions it passes args to (_params, _disc, _out_path)."""
+    module functions it passes args to (_out_path)."""
     reads = set()
     for node in ast.walk(funcs[name]):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -86,7 +86,7 @@ def test_cli_flags_are_read_by_their_command():
               for name, parser in commands.items()
               for action in parser._actions
               if action.option_strings and action.dest not in ("help", "config")
-              and action.dest not in _args_reads(funcs, cli._COMMANDS[name].__name__)]
+              and action.dest not in _args_reads(funcs, parser.get_default("run").__name__)]
     assert unread == []
 
 

@@ -143,3 +143,18 @@ def test_sample_csv_roundtrip(tmp_path):
     loaded = np.loadtxt(out, delimiter=",", skiprows=1, comments="#")
     assert np.allclose(loaded, sample(MeasureParams(2, 2.0), 50, seed=0),
                        rtol=0, atol=0)
+
+
+def test_measure_refusals():
+    p = MeasureParams(3, 2.5)
+    # points of another dimension than the measure's
+    with pytest.raises(ValueError, match="points have dimension 2, expected 3"):
+        density(np.zeros((4, 2)), p)
+    with pytest.raises(ValueError, match="points have dimension 1, expected 3"):
+        density(np.zeros(1), p)
+    # int (1+|x|^2)^(-gamma) dmu needs beta + gamma > n/2
+    with pytest.raises(ValueError, match=r"moment not integrable: beta \+ gamma = 1.5 <= n/2"):
+        omega_moment(-1.0, p)
+    for count in (0, -5):
+        with pytest.raises(ValueError, match="count must be positive"):
+            sample(p, count, seed=0)

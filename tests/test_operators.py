@@ -229,3 +229,8 @@ def test_factorization_nonneg_property(n, excess, seed):
     assert np.all(parts.angular_part >= -1e-10 * tot_scale)
     assert np.all(parts.zero_order_part >= 0.0)
     assert np.all(parts.total >= -1e-10 * tot_scale)
+
+
+def test_assumption_margins_refuse_no_points():
+    with pytest.raises(ValueError, match="empty sample point set"):
+        assumption_margins(cauchy_weight(), MeasureParams(3, 3.0), np.zeros((0, 3)))

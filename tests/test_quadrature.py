@@ -149,6 +149,11 @@ def test_quadrature_spec_refuses_bad_sizes():
         assert getattr(spec, field) == 64
 
 
+def test_quadrature_spec_refuses_an_unknown_scheme():
+    with pytest.raises(ValueError, match="unknown scheme 'gauss_hermite'; pick from"):
+        QuadratureSpec(scheme="gauss_hermite")
+
+
 def test_integrate_nd_refuses_n_above_three():
     # the deterministic sphere rules stop at n = 3; only the node blocks of
     # a radial or linear f (angular_mode 0 or 1) run on the +-e_i rule there
@@ -356,11 +361,11 @@ def test_block_pack_matches_reference_pack():
 @pytest.mark.parametrize("nodes, angular", [(128, 40), (16, 12)])
 def test_verify_all_trial_blocks(monkeypatch, nodes, angular):
     # more trials than one block and not a multiple of it: the same reports
-    # as one trial per block.  Where several trials tie within rounding
-    # (1e-12) for the worst error, the row names the first of them, so
-    # blocking cannot change the name; the coarse rule leaves quadrature
-    # errors of 1e-3..1 in most rows, so their worst trial is decided by
-    # more than rounding.
+    # as one trial per block.  A row names the first trial within a relative
+    # 1e-12 of its worst.  Blocking moves rel_err by rounding only, which on
+    # rows at rounding level can reorder trials; on these two rules it
+    # leaves every row's worst trial in place (the coarse rule leaves
+    # quadrature errors of 1e-3..1 in most rows).
     p = MeasureParams(3, 2.5)
     spec = QuadratureSpec(scheme="product_spherical", nodes=nodes,
                           angular_nodes=angular)
@@ -378,8 +383,24 @@ def test_verify_all_trial_blocks(monkeypatch, nodes, angular):
         assert a.status == b.status and a.trials == b.trials == trials
         assert abs(a.rel_err - b.rel_err) <= 1e-12
         rel = quadrature._rel_err(*quadrature._tag_sides(a.tag, pack, p))
-        first_tied = pack.labels[int(np.flatnonzero(rel >= rel.max() - 1e-12)[0])]
+        first_tied = pack.labels[int(np.flatnonzero(rel >= rel.max() * (1.0 - 1e-12))[0])]
         assert a.detail == b.detail == first_tied
+
+
+def test_verify_all_names_each_rows_worst_trial():
+    # rows that read at rounding level (1e-16..1e-13) still report and name
+    # their worst trial, not the first one within an absolute 1e-12 of it:
+    # at (1, 0.8) IPP3 reads 4.95e-15 on seed 0 and 7.81e-15 on seed 5
+    p = MeasureParams(1, 0.8)
+    reports = verify_all(p, trials=8, seed=0)
+    pack = quadrature._random_test_pack(p, None, 8, 0)
+    for rep in reports:
+        rel = quadrature._rel_err(*quadrature._tag_sides(rep.tag, pack, p))
+        assert rel.max() < 1e-12
+        assert rep.rel_err == rel.max(), rep.tag
+        assert rep.detail == pack.labels[int(np.argmax(rel))], rep.tag
+    ipp3 = next(rep for rep in reports if rep.tag == "IPP3")
+    assert ipp3.detail == functions.random_test_coefficients([5], 1)[1][0]
 
 
 def test_verify_all_reports_a_nan_trial(monkeypatch):

@@ -58,6 +58,12 @@ def test_band_digest_repeats():
     assert _run("band_digest.py", "--short") == first
 
 
+def test_identity_digest_repeats():
+    # one SHA-256 line, the same bytes on a second run
+    first = _run("identity_digest.py", "--short")
+    assert len(first) == 1 and re.fullmatch(r"[0-9a-f]{64}", first[0])
+    assert _run("identity_digest.py", "--short") == first
+
 def test_src_lines_parts_add_up():
     out = _run("src_lines.py")
     lines = dict(line.split() for line in out[:5])

@@ -859,3 +859,15 @@ def test_extremal_residuals():
         extremal_residual(lin, MeasureParams(3, 5.0), "no-such-tag", x3)
     with pytest.raises(ValueError):
         extremal_residual(lin, MeasureParams(3, 5.0), "lower-1d", x3)
+
+
+def test_variance_check_refuses_a_generic_function_above_the_line():
+    # a random bump at n = 2 has no angular mode: its profiles are not on
+    # the mode grids, and the check refuses it before any solve
+    p = MeasureParams(2, 3.0)
+    f = make_random_test(0, 2)
+    assert f.angular_mode is None
+    with pytest.raises(ValueError, match=r"not representable on the mode grids "
+                                         r"\(need n=1, radial, or linear\)"):
+        variance_representation_check(f, 2.0 * (p.beta - 1.0), 1.0, 0.1, p,
+                                      Discretization(m=64, delta=1e-2))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -895,3 +896,31 @@ def test_inertia_refuses_zero_and_nan_pivots():
         for M in cases:
             with pytest.raises(NumericalBreakdown, match="M has a zero or NaN pivot"):
                 spectral._inertia(prob, M, "M")
+
+
+def test_spectral_refusals():
+    # the line family past its epsilon limit (2 beta - 3)/4, NaN included
+    p = MeasureParams(1, 2.0)
+    assert spectral.RAYLEIGH_EPS_LIMIT["oned"](1, 2.0) == 0.25
+    assert spectral.RAYLEIGH_EPS_LIMIT["power"](2, 1.8) == (2.0 * 1.8 - 2.0) / 4.0
+    for eps in (0.25, 0.3, np.nan):
+        with pytest.raises(ValueError, match=r"is not below 0.25: x \(1\+x\^2\)\^eps "
+                                             r"is not square-integrable"):
+            rayleigh_quotient_1d(eps, p)
+    with pytest.raises(ValueError, match="is not below 0.4: f is not square-integrable"):
+        rayleigh_quotient_power(np.nan, MeasureParams(2, 1.8))
+    # int_R^inf r^c (1+r^2)^(-d) dr needs 2d - c > 1
+    with pytest.raises(ValueError, match="tail moment diverges"):
+        _tail_moment(10.0, 2.0, 1.5)
+    disc = Discretization(m=64, delta=1e-2)
+    with pytest.raises(ValueError, match="mode degree must be nonnegative"):
+        assemble_mode(-1, MeasureParams(2, 3.0), disc)
+    # a non-finite band entry is a breakdown before any factorization
+    prob = assemble_mode(1, MeasureParams(2, 3.0), disc)
+    for name in ("A", "B"):
+        band = getattr(prob, name).band.copy()
+        band[0, 5] = np.inf if name == "A" else np.nan
+        bad = dataclasses.replace(prob, **{name: SymBand(band)})
+        with pytest.raises(NumericalBreakdown, match=r"ell=1 \(n=2, beta=3, nn=\d+\): "
+                                                     r"non-finite band entries"):
+            lowest_eigs(bad, 1)
