@@ -7,7 +7,11 @@ the implementation under test.  Run and paste; the suite itself never
 imports mpmath.
 """
 
+import argparse
+import math
+
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -126,14 +130,14 @@ def main():
           f"B0={fmt((2*(b-1)+e0)*(1-e0))} (= (beta-1/2)^2 = {fmt((b-mp.mpf(1)/2)**2)})")
 
     print("\n# cell and tail moments  int r^c (1+r^2)^(-d) dr  on the m = 2048,")
-    print("# delta = 1e-3 grid r = tan(theta): cells 0, 1023, 2046, then [R, inf)")
+    print("# delta = 1e-3 grid r = sinh(s) at (n, beta) = (3, 3.8): cells 0, 1023,")
+    print("# 2046, then [R, inf)")
     # With t = 1/(1+r^2) the moment is (1/2) int_{t(r1)}^{t(r0)} of the beta
     # density t^(a-1) (1-t)^(b-1), a = d - (c+1)/2, b = (c+1)/2; mpmath's
     # incomplete beta stays exact where tanh-sinh quadrature of the steep
     # integrand (d >= 10) does not.  The grid nodes are the float64 values
-    # the package builds.
-    import numpy as np
-    r = np.tan(np.linspace(0.0, np.pi / 2.0 - 1e-3, 2048))
+    # the package builds (grid_radii).
+    r = grid_radii(2048, 1e-3, 3, 3.8)
     t = [1 / (1 + mp.mpf(float(x)) ** 2) for x in r]
     spans = [(t[j + 1], t[j]) for j in (0, 1023, 2046)] + [(mp.mpf(0), t[-1])]
     print("_MOMENT_PINS = {")
@@ -147,5 +151,25 @@ def main():
             print(f"    ({c}, {d}): ({row}),")
     print("}")
 
+
+def grid_radii(m, delta, n, beta):
+    """The radii of spectral.Discretization(m, delta) for the measure (n, beta),
+    written out here: r = sinh(s), s uniform on [0, asinh R], where
+    R = min(tan(pi/2 - delta), R_beta) and (1 + R_beta^2)^((2 beta - n + 1)/2)
+    = 10^250, the radius where the tail weight reaches about 1e-250."""
+    far = math.tan(math.pi / 2.0 - delta)
+    tail = 500.0 * math.log(10.0) / (2.0 * beta - n + 1.0)
+    R = far if tail >= math.log1p(far * far) else math.sqrt(math.expm1(tail))
+    return np.sinh(np.linspace(0.0, math.asinh(R), m))
+
+
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--radii", nargs=2, type=float, metavar=("N", "BETA"),
+                        help="print the m = 2048, delta = 1e-3 radii at (N, BETA), "
+                             "one per line, instead of the constants")
+    args = parser.parse_args()
+    if args.radii:
+        print("\n".join(repr(float(x)) for x in grid_radii(2048, 1e-3, *args.radii)))
+    else:
+        main()

@@ -152,20 +152,24 @@ def load_config(path: str) -> dict:
                if a.nargs != 0 and a.dest != "config"}  # not --help, --config, switches
     values = {}
     with open(path) as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"config line without '=': {raw.strip()!r}")
-            key, val = line.split("=", 1)
-            key = key.strip().replace("-", "_")
+            key, val = (part.strip() for part in line.split("=", 1))
+            key = key.replace("-", "_")
             if key not in options:
                 raise ValueError(f"unknown config key {key!r}")
             opt = options[key]
-            values[key] = (opt.type or str)(val.strip())
+            where = f"config line {number}, {key} = {val}"
+            try:
+                values[key] = (opt.type or str)(val)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             if opt.choices and values[key] not in opt.choices:
-                raise ValueError(f"config {key}={val.strip()}: not one of {opt.choices}")
+                raise ValueError(f"{where}: not one of {opt.choices}")
     return values
 
 

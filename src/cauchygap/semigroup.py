@@ -267,7 +267,7 @@ def deficit_trace(f: SmoothFunction, params: MeasureParams, range_tag: str,
     lowest 47 nontrivial exact pairs of the ell = 0 projection on
     `_ROUTE_DISC`, with c_k = phi_k'B v (the constants carry nothing).  The
     dropped pairs decay fastest, so q is truncated only near t = 0: for the
-    seed-0 even 1-D bump at (1, 1.2) the 47 pairs miss 13% of q(0).  Times
+    seed-0 even 1-D bump at (1, 1.2) the 47 pairs miss 31% of q(0).  Times
     must be >= 0 (inf gives the limit q = 0).
     """
     rho = _range_lambda(params, range_tag)

@@ -8,19 +8,19 @@ Lf = (1+|x|^2) Lap f - 2(beta-1) <x, df> reduces to the radial pair
 
 and the spectral gap is the smallest nontrivial generalized eigenvalue over
 the modes.  The discretization uses conforming piecewise-linear elements on
-the compactified grid r = tan(theta) (theta uniform on [0, pi/2 - delta]),
-augmented with (i) the constant extension of the last hat function over
-[R, inf) and (ii) polynomial tail rays (r^k - R^k) 1[r >= R], k in {1, 2},
-whenever r^k is square-integrable.  Element integrals use 12-point
-Gauss-Legendre on near cells and a binomial series on far cells and on the
-tail.  The rule on a grid's cells (nodes, weights and log1p(r^2)) is built
-once per grid (m, delta), on first use, and read by every assembly on the
-grid and by the loads of the hat projection.  Where these are accurate,
-A and B are the Galerkin matrices of the augmented trial space and all
-eigenvalues sit above the true ones (variational principle).  At large
-exponents the Gauss rule loses digits on steep cells (relative error 4e-6
-at exponent 10, 1e-1 at exponent 50 on the worst cells), and the
-one-sided bound is then not guaranteed.
+the radii r = sinh(s), s uniform on [0, asinh R] (`Discretization`: R is
+about 1/delta, or the radius where the tail weight falls to 1e-250 if that
+is nearer), augmented with (i) the constant extension of the last hat
+function over [R, inf) and (ii) polynomial tail rays (r^k - R^k) 1[r >= R],
+k in {1, 2}, whenever r^k is square-integrable.  Every cell takes one
+rule, 12-point Gauss-Legendre in s, and the tail a binomial series.  The
+rule on a grid's cells (nodes, weights and log1p(r^2)) is built once per
+grid (m, R), on first use, and read by every assembly on the grid and by
+the loads of the hat projection.  Against mpmath the worst relative error
+of a cell integral is 2.2e-13 (every cell at exponents 1.2 to 1000, m = 64
+to 2048), so A and B are the Galerkin matrices of the augmented trial
+space to rounding and all eigenvalues sit above the true ones
+(variational principle).
 
 The heat flow of `semigroup` meets the hat basis in one place, the hat
 projection (`_hat_projection`): each mode's radial profile in, the mode's
@@ -188,7 +188,7 @@ def rayleigh_quotient_1d(epsilon: float, params: MeasureParams) -> float:
 # Exact element integrals int r^c (1+r^2)^{-d} dr.
 
 _XGL, _WGL = leggauss(12)
-_SERIES_TERMS = 26
+_TAIL_LOG = 500.0 * math.log(10.0)  # (1 + R_beta^2)^(2 beta - n + 1) = 10^500 (Discretization)
 
 
 def _gauss_panels(a, b, x=_XGL, w=_WGL):
@@ -199,84 +199,59 @@ def _gauss_panels(a, b, x=_XGL, w=_WGL):
     return 0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w
 
 
-def _series_between(ab: float, bb: float, t0, t1):
-    """(1/2) int_{t1}^{t0} (1-t)^{bb-1} t^{ab-1} dt by binomial series.
-
-    gamma_j, the t^j coefficient of (1-t)^{bb-1}, follows the recurrence
-    gamma_j = gamma_{j-1} (j - bb)/j; an exponent ab + j = 0 integrates to a
-    logarithm.  Used on far cells where t0 = 1/(1+r0^2) is small, with t0
-    and t1 arrays (one entry per cell), and on the tail [R, inf) with t1 = 0.
-    """
-    s, g = 0.0, 1.0
-    for j in range(_SERIES_TERMS):
-        e = ab + j
-        if abs(e) < 1e-13:
-            s = s + g * np.log(t0 / t1)
-        else:
-            s = s + g * (t0 ** e - t1 ** e) / e
-        g *= (j + 1 - bb) / (j + 1)
-    return 0.5 * s
-
-
-def _cell_rule(r0, r1):
-    """12-point Gauss-Legendre on the cells [r0, r1]: (near, every, on_near).
-
-    near marks the cells that _cell_moments integrates by it
-    (r1 <= 2.5 r0 + 0.5); every holds (nodes, weights, log1p(r^2) at the
-    nodes), one row per cell, and on_near the rows of the near cells: a
-    view of the leading rows where the near cells lead, as on every grid
-    (r1 / r0 grows along it), else a copy.
-    """
-    near = r1 <= 2.5 * r0 + 0.5
-    rr, ww = _gauss_panels(r0, r1)
-    every = (rr, ww, np.log1p(rr * rr))
-    k = np.count_nonzero(near)
-    rows = slice(k) if near[:k].all() else near
-    return near, every, tuple(a[rows] for a in every)
-
-
 @lru_cache(maxsize=8)
-def _grid_rule(m: int, delta: float):
-    """(radii, near, every, on_near) of the grid Discretization(m, delta):
-    its radii and _cell_rule on its cells, built on the grid's first use
-    and read by every later assembly and load on it.  Every array is
-    read-only."""
-    r = np.tan(np.linspace(0.0, math.pi / 2.0 - delta, m))
-    near, every, on_near = _cell_rule(r[:-1], r[1:])
-    for a in (r, near, *every, *on_near):
+def _grid_rule(m: int, R: float):
+    """(radii, rule) of the m radii r = sinh(s), s uniform on [0, asinh R]:
+    the rule is 12-point Gauss-Legendre in s on every cell, its nodes
+    r = sinh(s), weights w cosh(s) and log1p(r^2) at the nodes, one row per
+    cell.  Built on the grid's first use and read by every later assembly
+    and load on it; every array is read-only."""
+    s = np.linspace(0.0, math.asinh(R), m)
+    r = np.sinh(s)
+    ss, ws = _gauss_panels(s[:-1], s[1:])
+    rr = np.sinh(ss)
+    rule = (rr, ws * np.cosh(ss), np.log1p(rr * rr))
+    for a in (r, *rule):
         a.flags.writeable = False
-    return r, near, every, on_near
+    return r, rule
 
 
-def _cell_moments(r0, r1, cs, d: float, rule=None) -> np.ndarray:
-    """Row i, column j: int_{r0[j]}^{r1[j]} r^{cs[i]} (1+r^2)^{-d} dr.
-
-    Near cells use 12-point Gauss-Legendre (`rule`, the (near, every,
-    on_near) of _cell_rule(r0, r1), built here by default), far cells the
-    binomial series in t = 1/(1+r^2); all cells of a kind in one pass.
-    """
-    near, _, (rr, ww, log1p) = _cell_rule(r0, r1) if rule is None else rule
-    out = np.empty((len(cs), len(r0)))
+def _cell_moments(rule, cs, d: float) -> np.ndarray:
+    """Row i, column j: int r^{cs[i]} (1+r^2)^{-d} dr over cell j of the
+    `rule` (_grid_rule's nodes, weights and log1p(r^2)), all cells in one
+    pass."""
+    rr, ww, log1p = rule
     base = np.exp(-d * log1p)
-    far = ~near
-    t0 = 1.0 / (1.0 + r0[far] * r0[far])
-    t1 = 1.0 / (1.0 + r1[far] * r1[far])
+    base *= ww
+    out = np.empty((len(cs), len(rr)))
     for i, c in enumerate(cs):
-        term = rr ** c  # (r^c w) base with one node-sized temporary
-        term *= ww
+        term = rr ** c  # r^c w base with one node-sized temporary
         term *= base
-        out[i, near] = np.sum(term, axis=1)
-        if np.any(far):
-            out[i, far] = _series_between(d - (c + 1) / 2.0, (c + 1) / 2.0, t0, t1)
+        out[i] = np.sum(term, axis=1)
     return out
 
 
 def _tail_moment(R: float, c: float, d: float) -> float:
-    """int_R^inf r^c (1+r^2)^{-d} dr; requires 2d - c > 1."""
+    """int_R^inf r^c (1+r^2)^{-d} dr; requires 2d - c > 1.
+
+    In t = 1/(1+r^2) it is (1/2) int_0^{t_R} (1-t)^{b-1} t^{a-1} dt with
+    a = d - (c+1)/2 > 0 and b = (c+1)/2, summed as a binomial series until
+    a term falls under 1e-17 of the sum: the t^j coefficient of
+    (1-t)^{b-1} is gamma_j = gamma_{j-1} (j - b)/j.
+    """
     if 2.0 * d - c <= 1.0 + 1e-12:
         raise ValueError("tail moment diverges")
-    return _series_between(d - (c + 1) / 2.0, (c + 1) / 2.0,
-                           1.0 / (1.0 + R * R), 0.0)
+    a, b = d - (c + 1) / 2.0, (c + 1) / 2.0
+    t = 1.0 / (1.0 + R * R)
+    total, g, j = 0.0, 1.0, 0
+    while True:  # t < 1: the terms fall at least like t^j
+        term = g * t ** (a + j) / (a + j)
+        total += term
+        if not abs(term) > 1e-17 * abs(total):
+            break
+        g *= (j + 1 - b) / (j + 1)
+        j += 1
+    return 0.5 * total
 
 
 def _tail_moments(R: float, cs: np.ndarray, d: float) -> np.ndarray:
@@ -293,11 +268,18 @@ def _tail_moments(R: float, cs: np.ndarray, d: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Discretization:
-    """Compactified radial grid r = tan(theta), theta uniform on [0, pi/2-delta].
+    """Radial grid of m radii r = sinh(s), s uniform on [0, asinh R].
 
-    The far end carries no essential boundary condition: the trial space is a
-    subset of the form domain (natural boundary), with delta playing the role
-    of a refinable truncation parameter.
+    R depends on the measure: R = min(tan(pi/2 - delta), R_beta), where
+    (1 + R_beta^2)^((2 beta - n + 1)/2) = 1e250, so that the tail weight
+    r^{n-1} (1+r^2)^{-beta} falls to about 1e-250 at R_beta.  At
+    delta = 1e-3, R = tan(pi/2 - delta) ~ 1000 for beta < 41.17 + n/2, and
+    every such point shares one grid; past it R_beta keeps the far mass
+    entries in double range, and the weight's logarithm, about
+    -(2 beta - n + 1) log cosh s, falls by at most 2 * 250 ln 10 / (m - 1)
+    over any cell.  The far end carries no essential boundary condition:
+    the trial space is a subset of the form domain (natural boundary), with
+    delta a refinable truncation.
     """
     m: int = 512
     delta: float = 1e-3
@@ -310,9 +292,17 @@ class Discretization:
         if not (0.0 < self.delta <= 0.2):
             raise ValueError("delta must lie in (0, 0.2]")
 
-    def radii(self) -> np.ndarray:
-        """r = tan(theta) at the m grid angles, read-only (`_grid_rule`)."""
-        return _grid_rule(self.m, self.delta)[0]
+    def _grid(self, params: MeasureParams):
+        """(radii, cell rule) for the measure params (`_grid_rule` at R):
+        every point whose cap R_beta is inactive shares one grid."""
+        far = math.tan(math.pi / 2.0 - self.delta)
+        tail = _TAIL_LOG / (2.0 * params.beta - params.n + 1.0)  # log(1 + R_beta^2)
+        R = far if tail >= math.log1p(far * far) else math.sqrt(math.expm1(tail))
+        return _grid_rule(self.m, R)
+
+    def radii(self, params: MeasureParams) -> np.ndarray:
+        """The m radii for the measure params, read-only."""
+        return self._grid(params)[0]
 
 
 class SymBand:
@@ -419,17 +409,17 @@ def _mode_problems(ells, params: MeasureParams, disc: Discretization,
 
     No cell or tail integral depends on the mode, which enters A only
     through the factor ell(ell+n-2): the integrals are computed once, in one
-    vectorized pass per weight on the grid's Gauss nodes (`_grid_rule`),
-    and each mode's bands are built from them.
+    vectorized pass per weight on the grid's Gauss nodes
+    (`Discretization._grid`), and each mode's bands are built from them.
     """
     n, beta = params.n, params.beta
-    r, *rule = _grid_rule(disc.m, disc.delta)
+    r, rule = disc._grid(params)
     r0, r1 = r[:-1], r[1:]
     ks = _admissible_rays(n, beta) if tail_rays else ()
 
-    LL, Bo, RR = _hat_pairs(r0, r1, _cell_moments(r0, r1, (n - 1, n, n + 1), beta, rule))
+    LL, Bo, RR = _hat_pairs(r0, r1, _cell_moments(rule, (n - 1, n, n + 1), beta))
     Bd = _node_diag(LL, RR)
-    q = _cell_moments(r0, r1, (n - 3, n - 2, n - 1), beta - 1.0, rule)
+    q = _cell_moments(rule, (n - 3, n - 2, n - 1), beta - 1.0)
     kS = q[2] / ((r1 - r0) * (r1 - r0))  # gradient +-1/h pair
     aLL, aLR, aRR = _hat_pairs(r0, r1, q)
     # first cell with node 0 removed: only phi_1 survives, and r0 = 0
@@ -474,9 +464,9 @@ def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
     ell >= 1 removes the node at r = 0 (radial profiles vanish there); the
     last hat extends as a constant over [R, inf); tail rays are appended for
     every square-integrable power.  tail_rays=False keeps the hats alone, so
-    that a coefficient vector is a piecewise-linear profile on disc.radii(),
-    which is how semigroup hands profiles in.  The one-mode case of
-    `_mode_problems`.
+    that a coefficient vector is a piecewise-linear profile on
+    disc.radii(params), which is how semigroup hands profiles in.  The
+    one-mode case of `_mode_problems`.
     """
     if ell < 0:
         raise ValueError("mode degree must be nonnegative")
@@ -489,15 +479,15 @@ def _hat_loads(profiles, support_radius, params: MeasureParams,
     profiles on the mode's hats, as {ell: b}; profiles(r) gives
     {ell: profile values at the radii r}.
 
-    The grid's 12-point Gauss rule on every cell (`_grid_rule`, shared with
-    the assembly), plus the constant extension of the last hat over
-    [R, inf) by 12-point Gauss in t = R/r (skipped where the support
+    The grid's 12-point Gauss rule on every cell (`Discretization._grid`,
+    shared with the assembly), plus the constant extension of the last hat
+    over [R, inf) by 12-point Gauss in t = R/r (skipped where the support
     radius, None for none, is at most R).  ell >= 1 has no hat at r = 0.
     """
     def weight(x, log1p):  # r^{n-1} (1+r^2)^{-beta}, from log1p = log1p(r^2)
         return np.exp((params.n - 1) * np.log(x) - params.beta * log1p)
 
-    r, _, (rr, ww, log1p), _ = _grid_rule(disc.m, disc.delta)
+    r, (rr, ww, log1p) = disc._grid(params)
     r0, r1 = r[:-1, None], r[1:, None]
     h = r1 - r0
     ww = ww * weight(rr, log1p)

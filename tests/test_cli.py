@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cauchygap import spectral
 from cauchygap.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_TOLERANCE,
                            load_config, main)
 from cauchygap.measures import MeasureParams
@@ -43,21 +44,37 @@ def test_gap_invalid_params():
     assert main(["gap", "--n", "2"]) == EXIT_CONFIG  # beta missing
 
 
-def test_gap_numerical_breakdown(tmp_path, capsys):
-    # beta = 200 is in the documented domain, but the far mass entries
-    # underflow to zero: a numerical breakdown, not a configuration error
-    code = main(["gap", "--n", "3", "--beta", "200", "--m", "256",
-                 "--out", str(tmp_path / "gap.json")])
-    assert code == EXIT_NUMERICAL
+def test_gap_numerical_breakdown(tmp_path, capsys, monkeypatch):
+    # beta = 200 solves on its grid; with mode 0's first nontrivial
+    # closed-form value 1.5x too high (1185 for 790), its shift sits over a
+    # Galerkin value: a numerical breakdown, not a configuration error
+    argv = ["gap", "--n", "3", "--beta", "200", "--m", "256",
+            "--out", str(tmp_path / "gap.json")]
+    assert main(argv) == EXIT_OK
+    (tmp_path / "gap.json").unlink()
+    real = spectral.mode_spectrum
+
+    def skewed(params, ell):
+        vals = real(params, ell)
+        if ell == 0:
+            vals[1] *= 1.5
+        return vals
+
+    monkeypatch.setattr(spectral, "mode_spectrum", skewed)
+    assert main(argv) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical breakdown:")
     assert "n=3" in err and "beta=200" in err and "nn=" in err
     assert not (tmp_path / "gap.json").exists()
 
 
-def test_gap_and_sweep_value_under_its_bottom(tmp_path, capsys):
-    # at beta = 54 on the line the subnormal tail entries give a mode-0 value
-    # far under its closed-form bottom: a breakdown, and no row is written
+def test_gap_and_sweep_value_under_its_bottom(tmp_path, capsys, monkeypatch):
+    # on the line at beta = 54, with the tail rays' stiffness moments 1e-6
+    # of their value, mode 0 has Galerkin values far under its closed-form
+    # bottom: a breakdown, and no row is written
+    real = spectral._tail_moments
+    monkeypatch.setattr(spectral, "_tail_moments", lambda R, cs, d: real(R, cs, d)
+                        * (1e-6 if cs.min() == 1 - 3 else 1.0))
     out = tmp_path / "gap.json"
     code = main(["gap", "--n", "1", "--beta", "54", "--m", "512",
                  "--out", str(out)])
@@ -514,6 +531,23 @@ def test_declared_flag_rules_hold_on_the_command_line_and_in_the_config(
     with pytest.raises(ValueError, match=f"'{value}' is not a "):
         load_config(cfg)
     assert main(argv + ["--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n = 2\ntol = -1\n", "config line 2, tol = -1: '-1' is not a non-negative float"),
+    ("# grid\nm = abc\n",
+     "config line 2, m = abc: invalid literal for int() with base 10: 'abc'"),
+])
+def test_config_type_errors_name_the_key_and_the_line(tmp_path, capsys, text, message):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "gap.json"
+    cfg.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_config(cfg)
+    assert str(err.value) == message
+    assert main(["gap", "--n", "2", "--beta", "4.0", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()
 
 

@@ -1,9 +1,8 @@
 """Guard of the benchmark's calls into the package.
 
 Runs one toy pass of every workload in perfbench/workloads.py in-process and
-checks that no op raises, apart from the documented numerical breakdown at
-(n, beta) = (3, 200).  Numeric check failures at toy size are allowed: the
-toy grids are far too coarse for the benchmark's tolerances.
+checks that no op raises.  Numeric check failures at toy size are allowed:
+the toy grids are far too coarse for the benchmark's tolerances.
 """
 
 import importlib.util
@@ -16,7 +15,6 @@ from cauchygap import semigroup
 from cauchygap.measures import MeasureParams
 
 ROOT = Path(__file__).resolve().parents[1]
-KNOWN_RAISES = {"numeric_gap(3, 200)": "NumericalBreakdown"}
 
 
 def _workloads():
@@ -38,9 +36,7 @@ def test_toy_pass_raises_nothing_unexpected(name):
     rec = workloads.Recorder()
     w.run_pass(rec, 0)
     assert rec.records
-    raised = {r.label: r.error for r in rec.records if r.error}
-    for label, error in raised.items():
-        assert label in KNOWN_RAISES and KNOWN_RAISES[label] in error, (label, error)
+    assert {r.label: r.error for r in rec.records if r.error} == {}
     w.metrics(rec, 1.0)
 
 

@@ -6,6 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from cauchygap.measures import MeasureParams
+from cauchygap.spectral import Discretization
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -63,6 +69,18 @@ def test_identity_digest_repeats():
     first = _run("identity_digest.py", "--short")
     assert len(first) == 1 and re.fullmatch(r"[0-9a-f]{64}", first[0])
     assert _run("identity_digest.py", "--short") == first
+
+
+@pytest.mark.parametrize("n, beta", [(3, 3.8), (3, 200.0), (1, 54.0)])
+def test_oracle_script_builds_the_package_radii(n, beta):
+    # the cell pins' grid is written out in the script, not imported: it must
+    # stay the package's, bit for bit, with the cap R_beta inactive (3.8) and
+    # active (200, 54)
+    lines = _run("make_oracle_values.py", "--radii", str(n), str(beta))
+    got = np.array([float(x) for x in lines])
+    np.testing.assert_array_equal(
+        got, Discretization(m=2048, delta=1e-3).radii(MeasureParams(n, beta)))
+
 
 def test_src_lines_parts_add_up():
     out = _run("src_lines.py")

@@ -135,11 +135,15 @@ def test_rayleigh_1d_family():
 
 def test_discretization():
     d = Discretization(m=128, delta=1e-2)
-    r = d.radii()
+    p = MeasureParams(3, 3.8)
+    r = d.radii(p)
     assert r.shape == (128,)
     assert r[0] == 0.0
     assert np.all(np.diff(r) > 0)
     assert np.isclose(r[-1], np.tan(np.pi / 2.0 - 1e-2))
+    # s = asinh r is uniform
+    np.testing.assert_allclose(np.diff(np.arcsinh(r)), np.arcsinh(r[-1]) / 127,
+                               rtol=1e-12)
     with pytest.raises(ValueError):
         Discretization(m=16)
     with pytest.raises(ValueError):
@@ -148,10 +152,21 @@ def test_discretization():
     for m in (2048.0, np.float64(128.0), "128"):
         with pytest.raises(ValueError, match="m must be an integer"):
             Discretization(m=m)
-    assert Discretization(m=np.int64(128), delta=1e-2).radii() is r
+    assert Discretization(m=np.int64(128), delta=1e-2).radii(p) is r
+    # every point whose cap R_beta lies past tan(pi/2 - delta) shares one
+    # grid: at delta = 1e-3 those with beta < 41.17 + n/2
+    assert d.radii(MeasureParams(1, 0.55)) is d.radii(MeasureParams(6, 60.0)) is r
+    fine = Discretization(m=128, delta=1e-3)
+    assert fine.radii(MeasureParams(1, 0.55)) is fine.radii(MeasureParams(6, 44.1))
+    assert fine.radii(MeasureParams(6, 44.2))[-1] < fine.radii(MeasureParams(6, 44.1))[-1]
+    # past it the grid ends where (1 + R^2)^(-(2 beta - n + 1)/2) = 1e-250
+    for n, beta in [(6, 66.0), (3, 200.0), (1, 3000.0)]:
+        R = d.radii(MeasureParams(n, beta))[-1]
+        assert R < r[-1]
+        assert np.isclose(np.log10(1.0 + R * R) * (2.0 * beta - n + 1.0) / 2.0, 250.0,
+                          rtol=1e-12)
     # the radii and the grid's cell rule are shared by every caller: read-only
-    near, every, on_near = spectral._grid_rule(128, 1e-2)[1:]
-    for a in (r, near, *every, *on_near):
+    for a in (r, *d._grid(p)[1]):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
 
@@ -195,24 +210,24 @@ def _reference_hat_part(ell, params, disc):
     """Cell-by-cell dense assembly of the hat-hat block (the loop that the
     vectorized assembly replaced), using the same per-cell moment rule."""
     n, beta = params.n, params.beta
-    r = disc.radii()
+    r, rule = disc._grid(params)
     cl = float(ell * (ell + n - 2))
     off = 0 if ell == 0 else 1
     nh = len(r) - off
     A, B = np.zeros((nh, nh)), np.zeros((nh, nh))
     for j in range(len(r) - 1):
-        r0, r1 = r[j:j + 1], r[j + 1:j + 2]
+        r0, r1, cell = r[j:j + 1], r[j + 1:j + 2], tuple(a[j:j + 1] for a in rule)
         h = r1[0] - r0[0]
-        m0, m1, m2 = _cell_moments(r0, r1, (n - 1, n, n + 1), beta)[:, 0]
+        m0, m1, m2 = _cell_moments(cell, (n - 1, n, n + 1), beta)[:, 0]
         mass = [(r1 * r1 * m0 - 2.0 * r1 * m1 + m2)[0] / (h * h),
                 (-r0 * r1 * m0 + (r0 + r1) * m1 - m2)[0] / (h * h),
                 (r0 * r0 * m0 - 2.0 * r0 * m1 + m2)[0] / (h * h)]
-        kS = _cell_moments(r0, r1, (n - 1,), beta - 1.0)[0, 0] / (h * h)
+        kS = _cell_moments(cell, (n - 1,), beta - 1.0)[0, 0] / (h * h)
         ang = [0.0, 0.0, 0.0]
         if cl > 0.0 and j == 0:
             ang[2] = kS
         elif cl > 0.0:
-            q0, q1, q2 = _cell_moments(r0, r1, (n - 3, n - 2, n - 1), beta - 1.0)[:, 0]
+            q0, q1, q2 = _cell_moments(cell, (n - 3, n - 2, n - 1), beta - 1.0)[:, 0]
             ang = [(r1 * r1 * q0 - 2.0 * r1 * q1 + q2)[0] / (h * h),
                    (-r0 * r1 * q0 + (r0 + r1) * q1 - q2)[0] / (h * h),
                    (r0 * r0 * q0 - 2.0 * r0 * q1 + q2)[0] / (h * h)]
@@ -362,32 +377,33 @@ def test_sweep_csv_deterministic(tmp_path):
 
 # Frozen mpmath values (scripts/make_oracle_values.py) of
 # int r^c (1+r^2)^(-d) dr over cells 0, 1023 and 2046 of the m = 2048,
-# delta = 1e-3 grid, then over [R, inf) (None where it diverges).
+# delta = 1e-3 grid at (n, beta) = (3, 3.8), then over [R, inf) (None where
+# it diverges).
 _MOMENT_PINS = {
-    (0, 1.2): (0.00076687653407349729, 0.00066773828199318593, 5.4922552669115459e-5, 4.5068380511410885e-5),
-    (1, 1.2): (2.9404984384241338e-7, 0.00066707091654912267, 0.040332362248691635, 0.15773932560408949),
-    (2, 1.2): (1.5033330814888697e-10, 0.00066640434873538379, 30.42434770615764, None),
-    (0, 2.5): (0.000766876338640276, 0.00027153862860380029, 2.1864887630254652e-12, 2.4999991666663134e-13),
-    (1, 2.5): (2.9404973143753375e-7, 0.00027126717252979836, 1.5053068088438564e-9, 3.3333316666665391e-10),
-    (2, 2.5): (1.5033323918834369e-10, 0.00027099604095361319, 1.0609238455499881e-6, 4.9999970833336918e-7),
-    (0, 5): (0.00076687596280741011, 4.8121848607108479e-5, 1.8536014957468023e-26, 1.1111098989900599e-28),
-    (1, 5): (2.9404951527446473e-7, 4.8073717852197309e-5, 1.1747929628812878e-23, 1.2499983333339002e-25),
-    (2, 5): (1.5033310657202015e-10, 4.8025644651567369e-5, 7.5368265979399316e-21, 1.428569206350354e-22),
-    (0, 10): (0.00076687521114267295, 1.5113507293814808e-6, 2.6190994385806589e-54, 5.2631436090367998e-59),
-    (1, 10): (2.9404908294896232e-7, 1.5098376205279812e-6, 1.5646593253788238e-51, 5.5555388889084463e-56),
-    (2, 10): (1.5033284133979087e-10, 1.5083263222234392e-6, 9.376158928097904e-49, 5.8823336429567631e-53),
-    (0, 50): (0.00076686919787251715, 1.4309530481375036e-18, 3.004401142312825e-275, 1.0100848386079359e-299),
-    (1, 50): (2.9404562437545285e-7, 1.4295092336844001e-18, 1.7177517059769884e-272, 1.0203914967293073e-296),
-    (2, 50): (1.5033071950201146e-10, 1.4280671558948723e-18, 9.8221843588166433e-270, 1.0309106634718631e-293),
+    (0, 1.2): (0.0037131792491766822, 4.7881185142141978e-5, 2.3489649254700067e-7, 4.5068380511410856e-5),
+    (1, 1.2): (6.8938690784200185e-6, 0.0010701193690599829, 0.00023446046851698047, 0.15773932560408946),
+    (2, 1.2): (1.7065513621545147e-8, 0.023916634039777471, 0.2340255227430316, None),
+    (0, 2.5): (0.0037131570642200327, 1.4823234725304623e-8, 3.7409012978022949e-15, 2.4999991666663088e-13),
+    (1, 2.5): (6.8938072956722305e-6, 3.3129053003875028e-7, 3.7339461363303402e-12, 3.3333316666665345e-10),
+    (2, 2.5): (1.7065330092482502e-8, 7.4041559540630425e-6, 3.7270081882808083e-9, 4.9999970833336873e-7),
+    (0, 5): (0.0037131144015124373, 2.6451407291052336e-15, 3.7759275177426421e-30, 1.1111098989900553e-28),
+    (1, 5): (6.893688484770699e-6, 5.9116991414754588e-14, 3.7688855833857236e-27, 1.2499983333338956e-25),
+    (2, 5): (1.7064977158581544e-8, 1.3212237287894087e-12, 3.7618611040413507e-24, 1.4285692063503495e-22),
+    (0, 10): (0.0037130290787441835, 8.4235997594767107e-29, 3.8472983772903096e-60, 5.2631436090367543e-59),
+    (1, 10): (6.8934508711581128e-6, 1.8825922881461259e-27, 3.8400792232131859e-57, 5.5555388889084008e-56),
+    (2, 10): (1.7064271316847742e-8, 4.2074147680337288e-26, 3.8328780182405639e-54, 5.8823336429567176e-53),
+    (0, 50): (0.0037123466236313157, 8.9470392778237752e-137, 4.4875293527228012e-300, 1.0100848386078904e-299),
+    (1, 50): (6.8915503553359566e-6, 1.9993926178214736e-135, 4.4786982799541464e-297, 1.0203914967292618e-296),
+    (2, 50): (1.7058625834034264e-8, 4.4680427660502912e-134, 4.4698896879794236e-294, 1.0309106634718177e-293),
 }
 
 
 def _check_moment_pins(d):
-    r = Discretization(m=2048, delta=1e-3).radii()
-    j = np.array([0, 1023, 2046])
+    r, rule = Discretization(m=2048, delta=1e-3)._grid(MeasureParams(3, 3.8))
+    j = [0, 1023, 2046]
     for c in (0, 1, 2):
         *cells, tail = _MOMENT_PINS[(c, d)]
-        got = _cell_moments(r[j], r[j + 1], (c,), d)[0]
+        got = _cell_moments(tuple(a[j] for a in rule), (c,), d)[0]
         np.testing.assert_allclose(got, cells, rtol=1e-12, atol=0)
         if tail is not None:
             np.testing.assert_allclose(_tail_moment(float(r[-1]), c, d),
@@ -399,12 +415,10 @@ def test_cell_moments_match_oracle_pins(d):
     _check_moment_pins(d)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP aim 3: 12-point Gauss loses digits on steep far cells at large "
-    "exponents (last-cell relative error 3e-10 at d = 10, 4e-3 at d = 50 on "
-    "these pins; 4e-6 and 1e-1 on the worst cells)"))
 @pytest.mark.parametrize("d", [10.0, 50.0])
 def test_cell_moments_large_exponent_pins(d):
+    # one rule on every cell, Gauss in s = asinh r: measured against mpmath
+    # over every cell of this grid, the worst relative error is 1.1e-13
     _check_moment_pins(d)
 
 
@@ -576,13 +590,13 @@ def _band_eigenvalue(prob, lam):
 
 # Per-mode values of numeric_gap at m = 2048: the eigenvalues of the double
 # bands by _band_eigenvalue (the same iteration in 40-digit mpmath agrees
-# with these pins to <= 2.1e-16).
+# with these pins to <= 9.0e-17).
 _M2048_MODE_EIGS = {
-    (2, 4.0): (8.0000101508863892, 5.9999999999802824, 12.000007613088886,
-               18.048700053177601),
-    (3, 3.8): (5.2017553070553486, 5.5999999999850498, 11.201506473703809,
-               17.355730922949135),
-    (1, 1.2): (0.61865760753690235, 0.55808335736868464),
+    (2, 4.0): (8.000018383324543, 5.99999999999712, 12.000013788039269,
+               18.026551557749734),
+    (3, 3.8): (5.200007036552684, 5.600000000003926, 11.20000606227243,
+               17.331670018291057),
+    (1, 1.2): (0.6179682832110631, 0.5577700717775271),
 }
 
 
@@ -642,62 +656,127 @@ def test_lowest_eigs_large_mode_residual_and_inertia(n, beta):
                             lower=True)
 
 
+def _skewed_ray_stiffness(n):
+    """A stand-in for spectral._tail_moments at dimension n that returns the
+    stiffness moments (powers from n - 3 on) at 1e-6 of their value: each
+    tail ray's Rayleigh quotient falls far under every mode's bottom."""
+    real = spectral._tail_moments
+    return lambda R, cs, d: real(R, cs, d) * (1e-6 if cs.min() == n - 3 else 1.0)
+
+
 def test_numerical_breakdown_names_the_problem():
-    # far mass entries underflow past double range at beta = 200
+    # (3, 200) solves on its grid, truncated where the tail weight is 1e-250
+    # (its far mass entries underflowed at R = 1000); handed a mass band
+    # whose last entry has underflowed, the guard names the problem
+    p, disc = MeasureParams(3, 200.0), Discretization(m=256, delta=1e-3)
+    assert abs(numeric_gap(p, disc).rel_error) <= 1e-12
+    prob = assemble_mode(0, p, disc)
+    band = prob.B.band.copy()
+    band[0, -1] = -4.88e-319
     with pytest.raises(NumericalBreakdown, match=r"ell=0 \(n=3, beta=200, nn=258\)"):
-        numeric_gap(MeasureParams(3, 200.0), Discretization(m=256, delta=1e-3))
+        lowest_eigs(dataclasses.replace(prob, B=SymBand(band)), 1)
 
 
 @pytest.mark.parametrize("n, beta", [(1, 53.6), (3, 54.6)])
 def test_breakdown_names_the_smallest_mass_entry(n, beta):
-    # next to the silent-wrong window the far ray mass entries are negative
-    # subnormals, not zeros: the reason says so and names the smallest
-    # (its digits depend on libm and on flush-to-zero, so only its size is
-    # checked)
+    # far ray mass entries that underflow to negative subnormals, not
+    # zeros: the reason says so and names the smallest
+    p, disc = MeasureParams(n, beta), Discretization(m=64, delta=1e-3)
+    assert abs(numeric_gap(p, disc).rel_error) <= 1e-12
+    prob = assemble_mode(0, p, disc)
+    band = prob.B.band.copy()
+    band[0, -2:] = -3e-320, -1e-310  # the two rays
     with pytest.raises(NumericalBreakdown,
                        match=r"ell=0 .*: mass entries not positive "
                              r"\(smallest \S+\)") as err:
-        numeric_gap(MeasureParams(n, beta), Discretization(m=64, delta=1e-3))
-    smallest = float(re.search(r"\(smallest (\S+)\)", str(err.value)).group(1))
-    assert -1e-300 < smallest <= 0.0
+        lowest_eigs(dataclasses.replace(prob, B=SymBand(band)), 1)
+    assert float(re.search(r"\(smallest (\S+)\)", str(err.value)).group(1)) == -1e-310
 
 
-# Where the far tail-ray and mass entries are subnormal: before the floor,
-# numeric_gap returned values 66-100% low here without raising.
+# Where the far tail-ray and mass entries were subnormal on the grid that
+# ended at R = 1000 for every beta: numeric_gap returned values 66-100% low
+# there before the floor, and raised after it.  They solve now.
 _SILENT_WRONG = [(1, 53.4), (1, 53.5), (1, 53.9), (1, 54.0),
                  (3, 54.4), (3, 54.5), (3, 54.9), (3, 55.0)]
 
 
 @pytest.mark.parametrize("m", [512, 2048])
-def test_numeric_gap_raises_under_the_closed_form_bottom(m):
+def test_numeric_gap_raises_under_the_closed_form_bottom(monkeypatch, m):
+    # with the rays' stiffness skewed (_skewed_ray_stiffness), numeric_gap
+    # refuses the Galerkin values under mode 0's bottom, and each ell >= 1
+    # solve its own
     disc = Discretization(m=m, delta=1e-3)
     for n, beta in _SILENT_WRONG:
         p = MeasureParams(n, beta)
+        assert abs(numeric_gap(p, disc).rel_error) <= 1e-12
+        monkeypatch.setattr(spectral, "_tail_moments", _skewed_ray_stiffness(n))
         with pytest.raises(NumericalBreakdown,
                            match=r"ell=0 .* below sigma = .* closed-form bottom"):
             numeric_gap(p, disc)
-        # each ell >= 1 factorization at its floor's shift fails as well
         for prob in spectral._mode_problems(range(1, 2 if n == 1 else 4), p, disc):
             with pytest.raises(NumericalBreakdown,
                                match=r"A - sigma B at sigma = .* closed-form bottom"):
                 lowest_eigs(prob, 1)
-    # just below the window, with two mass entries already subnormal
+        monkeypatch.undo()
+    # just below the window
     rep = numeric_gap(MeasureParams(1, 53.0), disc)
     assert abs(rep.numeric_gap - 104.0) <= 1e-12 * 104.0
+
+
+# Points that broke down on the grid that ended at R = 1000 for every beta
+# (all but (3, 42)), and two where a 26-term tail series broke down on this
+# grid; measured worst |rel_error| 1.5e-14 at m = 256 and 4.9e-13 at
+# m = 2048, at (3, 200).
+_LARGE_BETA = [(3, 200.0), (6, 120.0), (1, 54.0), (3, 54.5), (2, 60.0), (3, 42.0),
+               (4, 1100.0), (1, 3e4)]
+
+
+@pytest.mark.parametrize("m", [256, 2048])
+@pytest.mark.parametrize("n, beta", _LARGE_BETA)
+def test_numeric_gap_at_large_beta(n, beta, m):
+    rep = numeric_gap(MeasureParams(n, beta), Discretization(m=m, delta=1e-3))
+    assert rep.range_tag == "upper"
+    assert abs(rep.rel_error) <= 1e-12, rep
+
+
+def _domain_betas(n):
+    return sorted({n / 2 + 0.05, n / 2 + 0.5, n / 2 + 1.5, n / 2 + 2.5, n + 1.5,
+                   n + 4.0, 10.0, 20.0, 40.0, 42.0, 54.5, 60.0, 120.0, 200.0})
+
+
+# The sweep's worst |rel_error| per range, measured: mid 1.50e-3 at m = 64
+# and 9.24e-5 at m = 256, both at (4, 4.5); upper 6.7e-15 and 6.1e-14.
+_DOMAIN_BOUND = {64: {"mid": 1.6e-3, "upper": 1e-12}, 256: {"mid": 1e-4, "upper": 1e-12}}
+
+
+@pytest.mark.parametrize("m", [64, 256])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_numeric_gap_domain_sweep(n, m):
+    # the whole domain beta > n/2, up to beta = 200: no breakdown, the lower
+    # range (the edge of the essential spectrum) never under the edge, and
+    # the mid and upper ranges within the measured bounds above
+    disc = Discretization(m=m, delta=1e-3)
+    for beta in _domain_betas(n):
+        rep = numeric_gap(MeasureParams(n, beta), disc)
+        if rep.range_tag == "lower":
+            assert rep.numeric_gap >= rep.closed_form - 1e-6, rep
+        else:
+            assert abs(rep.rel_error) <= _DOMAIN_BOUND[m][rep.range_tag], rep
 
 
 def _dense_negatives(M):
     """Negative eigenvalues of the symmetric band M by a dense eigvalsh, after
     the congruence by D = diag(M)^(-1/2) (Sylvester: the same inertia) that
-    brings the subnormal far rows to unit scale, where eigvalsh sees signs."""
+    brings the far rows (their weight down to 1e-250) to unit scale, where
+    eigvalsh sees signs."""
     d = 1.0 / np.sqrt(np.abs(M[0]))
     return int(np.sum(np.linalg.eigvalsh(SymBand(M).toarray() * d[:, None] * d) < 0.0))
 
 
 # the silent-wrong points and their neighbours 0.1 apart in beta (whose far
-# ray mass entries are negative, so lowest_eigpairs refuses them before any
-# count), and a point with a single tail ray (k = 1): all at m = 64, and the
-# silent-wrong points and the one-ray point at m = 256 as well
+# ray mass entries were negative on the grid that ended at R = 1000), and a
+# point with a single tail ray (k = 1): all at m = 64, and the silent-wrong
+# points and the one-ray point at m = 256 as well
 _INERTIA_POINTS = sorted({(n, round(beta + db, 1)) for n, beta in _SILENT_WRONG
                           for db in (-0.1, 0.0, 0.1)} | {(3, 3.0)})
 _INERTIA_CASES = ([(n, beta, 64) for n, beta in _INERTIA_POINTS]
@@ -734,10 +813,20 @@ def test_inertia_counts_the_values_under_the_shift(n, beta, m):
                     assert dense == j, (prob.ell, sigma, lam)
 
 
-def test_floored_breakdown_reports_the_count():
-    # at (1, 54.0) mode 0 has two values under its shift, where the closed
-    # form has the constants only, and mode 1 one, where it has none (there
-    # the failed Cholesky is followed by the count)
+def test_floored_breakdown_reports_the_count(monkeypatch):
+    # at (1, 54.0), with each mode's first nontrivial closed-form value 1.5x
+    # too high (mode 0: 315 for 210, mode 1: 159 for 106), the shift sits
+    # above one Galerkin value past the closed form's: mode 0 has two values
+    # under it where the closed form has the constants only, mode 1 one
+    # where it has none
+    real = spectral.mode_spectrum
+
+    def skewed(params, ell):
+        vals = real(params, ell)
+        vals[1 if ell == 0 else 0] *= 1.5
+        return vals
+
+    monkeypatch.setattr(spectral, "mode_spectrum", skewed)
     p, disc = MeasureParams(1, 54.0), Discretization(m=512, delta=1e-3)
     for prob in spectral._mode_problems(range(2), p, disc):
         closed = 1 if prob.ell == 0 else 0
