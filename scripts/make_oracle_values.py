@@ -129,38 +129,65 @@ def main():
     print(f"beta=1.2: A0={fmt(2*(b-1)+e0)} (= beta-1/2 = {fmt(b-mp.mpf(1)/2)}), "
           f"B0={fmt((2*(b-1)+e0)*(1-e0))} (= (beta-1/2)^2 = {fmt((b-mp.mpf(1)/2)**2)})")
 
-    print("\n# cell and tail moments  int r^c (1+r^2)^(-d) dr  on the m = 2048,")
-    print("# delta = 1e-3 grid r = sinh(s) at (n, beta) = (3, 3.8): cells 0, 1023,")
-    print("# 2046, then [R, inf)")
-    # With t = 1/(1+r^2) the moment is (1/2) int_{t(r1)}^{t(r0)} of the beta
-    # density t^(a-1) (1-t)^(b-1), a = d - (c+1)/2, b = (c+1)/2; mpmath's
-    # incomplete beta stays exact where tanh-sinh quadrature of the steep
-    # integrand (d >= 10) does not.  The grid nodes are the float64 values
-    # the package builds (grid_radii).
-    r = grid_radii(2048, 1e-3, 3, 3.8)
-    t = [1 / (1 + mp.mpf(float(x)) ** 2) for x in r]
-    spans = [(t[j + 1], t[j]) for j in (0, 1023, 2046)] + [(mp.mpf(0), t[-1])]
-    print("_MOMENT_PINS = {")
+    print("\n# cell hat products on the m = 2048, delta = 1e-3 grid r = sinh(s) at")
+    print("# (n, beta) = (3, 3.8), cells 0, 1023, 2046, for the exponents d: mass")
+    print("# (LL, LR, RR) against r^2 (1+r^2)^(-d), ell (LL, LR, RR) against")
+    print("# (1+r^2)^(1-d), grad = int r^2 (1+r^2)^(1-d) dr / h^2; then the tail")
+    print("# moments int_R^inf r^c (1+r^2)^(-d) dr")
+    # With t = 1/(1+r^2) a moment int r^c (1+r^2)^(-d) dr is (1/2) int of
+    # the beta density t^(a-1) (1-t)^(b-1), a = d - (c+1)/2, b = (c+1)/2;
+    # mpmath's incomplete beta stays exact where tanh-sinh quadrature of
+    # the steep integrand (d >= 10) does not.  The hat products expand in
+    # three moments, which cancel in double but not at 50 digits.  The
+    # cells are [sinh s0, sinh s1] for the float64 s the package builds
+    # (grid_s), whose rounded sinh are the package's radii.
+    s = grid_s(2048, 1e-3, 3, 3.8)
+    r = [mp.sinh(mp.mpf(float(x))) for x in s]
+
+    def moment(c, d, lo, hi):  # over [lo, hi] (hi = None: to infinity)
+        a, b = d - mp.mpf(c + 1) / 2, mp.mpf(c + 1) / 2
+        return mp.betainc(a, b, 0 if hi is None else 1 / (1 + hi ** 2), 1 / (1 + lo ** 2)) / 2
+
+    def pairs(c, d, j):  # (LL, LR, RR) of the hats on cell j against r^c (1+r^2)^(-d)
+        r0, r1 = r[j], r[j + 1]
+        q0, q1, q2 = (moment(c + i, d, r0, r1) for i in range(3))
+        hh = (r1 - r0) ** 2
+        return ((r1 * r1 * q0 - 2 * r1 * q1 + q2) / hh,
+                (-r0 * r1 * q0 + (r0 + r1) * q1 - q2) / hh,
+                (r0 * r0 * q0 - 2 * r0 * q1 + q2) / hh)
+
+    cells = (0, 1023, 2046)
+    print("_CELL_PINS = {")
+    for d in ("1.2", "2.5", "5", "10", "50"):
+        d = mp.mpf(d)
+        mass = [pairs(2, d, j) for j in cells]
+        ell = [pairs(0, d - 1, j) for j in cells]
+        grad = [moment(2, d - 1, r[j], r[j + 1]) / (r[j + 1] - r[j]) ** 2 for j in cells]
+        rows = [[p[i] for p in mass] for i in range(3)] + [[p[i] for p in ell] for i in range(3)]
+        print(f"    {mp.nstr(d, 3)}: (")
+        for row in rows + [grad]:
+            print(f"        ({', '.join(fmt(v) for v in row)}),")
+        print("    ),")
+    print("}")
+    R = mp.mpf(float(np.sinh(s[-1])))  # the tail starts at the package's float64 R
+    print("_TAIL_PINS = {")
     for d in ("1.2", "2.5", "5", "10", "50"):
         for c in (0, 1, 2):
-            a, b = mp.mpf(d) - mp.mpf(c + 1) / 2, mp.mpf(c + 1) / 2
-            vals = [mp.betainc(a, b, lo, hi) / 2 for lo, hi in spans]
-            if a <= 0:  # the tail moment diverges
-                vals[-1] = None
-            row = ", ".join("None" if v is None else fmt(v) for v in vals)
-            print(f"    ({c}, {d}): ({row}),")
+            if mp.mpf(d) - mp.mpf(c + 1) / 2 > 0:  # else the tail moment diverges
+                print(f"    ({c}, {d}): {fmt(moment(c, mp.mpf(d), R, None))},")
     print("}")
 
 
-def grid_radii(m, delta, n, beta):
-    """The radii of spectral.Discretization(m, delta) for the measure (n, beta),
-    written out here: r = sinh(s), s uniform on [0, asinh R], where
+def grid_s(m, delta, n, beta):
+    """The s values of spectral.Discretization(m, delta) for the measure
+    (n, beta), written out here: s uniform on [0, asinh R], where
     R = min(tan(pi/2 - delta), R_beta) and (1 + R_beta^2)^((2 beta - n + 1)/2)
-    = 10^250, the radius where the tail weight reaches about 1e-250."""
+    = 10^250, the radius where the tail weight reaches about 1e-250.  The
+    radii are r = sinh(s)."""
     far = math.tan(math.pi / 2.0 - delta)
     tail = 500.0 * math.log(10.0) / (2.0 * beta - n + 1.0)
     R = far if tail >= math.log1p(far * far) else math.sqrt(math.expm1(tail))
-    return np.sinh(np.linspace(0.0, math.asinh(R), m))
+    return np.linspace(0.0, math.asinh(R), m)
 
 
 if __name__ == "__main__":
@@ -170,6 +197,6 @@ if __name__ == "__main__":
                              "one per line, instead of the constants")
     args = parser.parse_args()
     if args.radii:
-        print("\n".join(repr(float(x)) for x in grid_radii(2048, 1e-3, *args.radii)))
+        print("\n".join(repr(float(x)) for x in np.sinh(grid_s(2048, 1e-3, *args.radii))))
     else:
         main()

@@ -13,14 +13,17 @@ about 1/delta, or the radius where the tail weight falls to 1e-250 if that
 is nearer), augmented with (i) the constant extension of the last hat
 function over [R, inf) and (ii) polynomial tail rays (r^k - R^k) 1[r >= R],
 k in {1, 2}, whenever r^k is square-integrable.  Every cell takes one
-rule, 12-point Gauss-Legendre in s, and the tail a binomial series.  The
-rule on a grid's cells (nodes, weights and log1p(r^2)) is built once per
-grid (m, R), on first use, and read by every assembly on the grid and by
-the loads of the hat projection.  Against mpmath the worst relative error
-of a cell integral is 2.2e-13 (every cell at exponents 1.2 to 1000, m = 64
-to 2048), so A and B are the Galerkin matrices of the augmented trial
-space to rounding and all eigenvalues sit above the true ones
-(variational principle).
+rule, 12-point Gauss-Legendre in s (`_grid_rule`, built once per grid),
+and the tail a binomial series.  Each band entry is a sum of positive
+hat-product terms over the nodes (`_cell_integrals`): against mpmath its
+worst relative error is 7.6e-15 over every cell of the m = 2048,
+delta = 1e-3 grid at exponents 1.2 to 10 (5.2e-14 at 50), under 1e-13 at
+m = 256 and 2048 up to beta = 1100, and 1.7e-9 at (4, 1100) on m = 64,
+where the weight falls by up to e^18 over a cell.  So A and B are the
+Galerkin matrices of the augmented trial space to rounding, and the
+values lie above the true ones (variational principle) up to it: r on
+mode 1, the upper range's eigenfunction, lies in the trial space and
+reads 2(beta - 1) within 2.4e-13 relative at m = 2048, of either sign.
 
 The heat flow of `semigroup` meets the hat basis in one place, the hat
 projection (`_hat_projection`): each mode's radial profile in, the mode's
@@ -31,13 +34,15 @@ and B are symmetric bands of half-width <= 2, kept in LAPACK band storage.
 Every mode size takes one eigensolver: shift-invert Lanczos on a symmetric
 operator of banded factors.  Every solve shifts its mode to just under
 its first nontrivial closed-form value (mode_spectrum), where Lanczos
-converges in a few steps, and returns nontrivial pairs only.  The shift
-is also the guard: Galerkin values are upper bounds, so the number of
-values under it, counted by Sylvester's law on A - sigma B, must be the
-closed form's (the constants on mode 0, none above); any other count
-raises NumericalBreakdown instead of returning a wrong value.  Each mode
-problem is guarded once (ModeProblem._guarded), however often it is
-solved or certified.
+converges in a few steps and stops at a Ritz residual of 1e-13 of the
+value (_LANCZOS_TOL: the value then holds to 3.4e-14 relative), and
+returns nontrivial pairs only.  The shift is also the guard: Galerkin
+values are upper bounds (to rounding, far inside the shift's margin), so
+the number of values under it, counted by Sylvester's law on
+A - sigma B, must be the closed form's (the constants on mode 0, none
+above); any other count raises NumericalBreakdown instead of returning a
+wrong value.  Each mode problem is guarded once (ModeProblem._guarded),
+however often it is solved or certified.
 
 Only modes 0 and 1 can carry the gap.  For ell >= 1 the trial space and
 B do not depend on ell, and A_ell = S + ell(ell+n-2) K with S >= 0 and
@@ -201,34 +206,63 @@ def _gauss_panels(a, b, x=_XGL, w=_WGL):
 
 @lru_cache(maxsize=8)
 def _grid_rule(m: int, R: float):
-    """(radii, rule) of the m radii r = sinh(s), s uniform on [0, asinh R]:
-    the rule is 12-point Gauss-Legendre in s on every cell, its nodes
-    r = sinh(s), weights w cosh(s) and log1p(r^2) at the nodes, one row per
-    cell.  Built on the grid's first use and read by every later assembly
-    and load on it; every array is read-only."""
+    """(radii, rule) of the m radii r = sinh(s), s uniform on [0, asinh R],
+    with 12-point Gauss-Legendre in s on every cell [r0, r1].  The rule
+    holds, one row per Gauss node and one column per cell, the nodes
+    r = sinh(s), log r, log1p(r^2) and the hat values (r1 - r)/h and
+    (r - r0)/h; then per cell the half-width in s (the Gauss weights'
+    factor) and h = sinh s1 - sinh s0.  The hat values are those of the
+    exact Gauss nodes, so the band entries hold to rounding where the rule
+    resolves the weight (7.6e-15 against mpmath at m = 2048; the module
+    docstring).  Built on the grid's first use and read by every later
+    assembly and load on it; every array is read-only."""
+    def span(a, d):  # sinh(a + d) - sinh(a), without cancellation
+        return 2.0 * np.cosh(a + 0.5 * d) * np.sinh(0.5 * d)
+
     s = np.linspace(0.0, math.asinh(R), m)
-    r = np.sinh(s)
-    ss, ws = _gauss_panels(s[:-1], s[1:])
+    r, ds = np.sinh(s), s[1:] - s[:-1]
+    # each Gauss node's distance in s from its cell's ends, to rounding:
+    # the hat values from it keep every digit, where r1 - r and r - r0 of
+    # the rounded node lose ulp(s)/ds of them
+    to_r0, to_r1 = 0.5 * (1.0 + _XGL[:, None]) * ds, 0.5 * (1.0 - _XGL[:, None]) * ds
+    ss = s[:-1] + to_r0
     rr = np.sinh(ss)
-    rule = (rr, ws * np.cosh(ss), np.log1p(rr * rr))
+    h = span(s[:-1], ds)
+    rule = (rr, np.log(rr), np.log1p(rr * rr), span(ss, to_r1) / h, span(s[:-1], to_r0) / h,
+            0.5 * ds, h)
     for a in (r, *rule):
         a.flags.writeable = False
     return r, rule
 
 
-def _cell_moments(rule, cs, d: float) -> np.ndarray:
-    """Row i, column j: int r^{cs[i]} (1+r^2)^{-d} dr over cell j of the
-    `rule` (_grid_rule's nodes, weights and log1p(r^2)), all cells in one
-    pass."""
-    rr, ww, log1p = rule
-    base = np.exp(-d * log1p)
-    base *= ww
-    out = np.empty((len(cs), len(rr)))
-    for i, c in enumerate(cs):
-        term = rr ** c  # r^c w base with one node-sized temporary
-        term *= base
-        out[i] = np.sum(term, axis=1)
-    return out
+def _cell_integrals(rule, n: int, beta: float):
+    """(mass, ell, grad) on every cell of `rule` (_grid_rule's) for the hats
+    phi_L = (r1-r)/h and phi_R = (r-r0)/h: mass and ell are (LL, LR, RR),
+    the integrals of phi_L^2, phi_L phi_R and phi_R^2 against
+    r^{n-1} (1+r^2)^{-beta} and r^{n-3} (1+r^2)^{1-beta}, and grad is
+    int r^{n-1} (1+r^2)^{1-beta} dr / h^2 (the gradient pair +-1/h).
+
+    Every entry is a sum of positive node terms, with no cancellation.  One
+    exp per node gives the ell weight; the gradient weight is r^2 times it
+    and the mass weight r^2/(1+r^2) times that.
+    """
+    rr, logr, log1p, left, right, ds, h = rule
+
+    def pairs(w):
+        return tuple(ds * np.einsum("ji,ji,ji->i", w, a, b)
+                     for a, b in ((left, left), (left, right), (right, right)))
+
+    w = (n - 3.0) * logr
+    w += (1.5 - beta) * log1p  # with dr/ds = (1+r^2)^(1/2)
+    np.exp(w, out=w)
+    w *= _WGL[:, None]
+    ell = pairs(w)
+    grad = np.einsum("ji,ji,ji->i", w, rr, rr) * (ds / (h * h))
+    r2 = rr * rr
+    w *= r2
+    r2 += 1.0
+    w /= r2
+    return pairs(w), ell, grad
 
 
 def _tail_moment(R: float, c: float, d: float) -> float:
@@ -277,9 +311,11 @@ class Discretization:
     every such point shares one grid; past it R_beta keeps the far mass
     entries in double range, and the weight's logarithm, about
     -(2 beta - n + 1) log cosh s, falls by at most 2 * 250 ln 10 / (m - 1)
-    over any cell.  The far end carries no essential boundary condition:
-    the trial space is a subset of the form domain (natural boundary), with
-    delta a refinable truncation.
+    over any cell: the band entries hold to 1e-13 relative at m = 256 and
+    2048 up to beta = 1100, and to 1.7e-9 at (4, 1100) on m = 64.  The far
+    end carries no essential boundary condition: the trial space is a
+    subset of the form domain (natural boundary), with delta a refinable
+    truncation.
     """
     m: int = 512
     delta: float = 1e-3
@@ -384,15 +420,6 @@ def _admissible_rays(n: int, beta: float) -> tuple:
     return tuple(k for k in (1, 2) if 2.0 * k < 2.0 * beta - n - 1e-9)
 
 
-def _hat_pairs(r0, r1, q):
-    """(LL, LR, RR) of the hat pair phi_j = (r1-r)/h, phi_{j+1} = (r-r0)/h
-    against the weight whose moments r^c, r^{c+1}, r^{c+2} are q[0..2]."""
-    hh = (r1 - r0) * (r1 - r0)
-    return ((r1 * r1 * q[0] - 2.0 * r1 * q[1] + q[2]) / hh,
-            (-r0 * r1 * q[0] + (r0 + r1) * q[1] - q[2]) / hh,
-            (r0 * r0 * q[0] - 2.0 * r0 * q[1] + q[2]) / hh)
-
-
 def _node_diag(left, right):
     """Diagonal over the grid nodes: cell j adds left[j] to node j and
     right[j] to node j + 1."""
@@ -408,24 +435,19 @@ def _mode_problems(ells, params: MeasureParams, disc: Discretization,
     pass over the cells.
 
     No cell or tail integral depends on the mode, which enters A only
-    through the factor ell(ell+n-2): the integrals are computed once, in one
-    vectorized pass per weight on the grid's Gauss nodes
-    (`Discretization._grid`), and each mode's bands are built from them.
+    through the factor ell(ell+n-2): the integrals are computed once, by
+    `_cell_integrals` on the grid's Gauss nodes (`Discretization._grid`),
+    and each mode's bands are built from them.  On the first cell
+    phi_R^2 r^{n-3} = r^{n-1}/h^2 is integrable; phi_L^2 r^{n-3} is finite
+    at every node (none lies at r = 0) and enters only where node 0 is
+    kept, ell = 0, times ell(ell+n-2) = 0.
     """
     n, beta = params.n, params.beta
     r, rule = disc._grid(params)
-    r0, r1 = r[:-1], r[1:]
     ks = _admissible_rays(n, beta) if tail_rays else ()
 
-    LL, Bo, RR = _hat_pairs(r0, r1, _cell_moments(rule, (n - 1, n, n + 1), beta))
+    (LL, Bo, RR), (aLL, aLR, aRR), kS = _cell_integrals(rule, n, beta)
     Bd = _node_diag(LL, RR)
-    q = _cell_moments(rule, (n - 3, n - 2, n - 1), beta - 1.0)
-    kS = q[2] / ((r1 - r0) * (r1 - r0))  # gradient +-1/h pair
-    aLL, aLR, aRR = _hat_pairs(r0, r1, q)
-    # first cell with node 0 removed: only phi_1 survives, and r0 = 0
-    # makes phi_1^2 r^{n-3} = r^{n-1}/h^2 (integrable).  Where cl = 0 the
-    # ell term drops: finite (no Gauss node at r = 0), times 0.
-    aRR[0] = kS[0]
 
     # Tail functions on [R, inf): the last hat's constant extension and the
     # rays r^k - R^k (zero on [0, R]), the columns of C over the powers P.
@@ -479,31 +501,30 @@ def _hat_loads(profiles, support_radius, params: MeasureParams,
     profiles on the mode's hats, as {ell: b}; profiles(r) gives
     {ell: profile values at the radii r}.
 
-    The grid's 12-point Gauss rule on every cell (`Discretization._grid`,
-    shared with the assembly), plus the constant extension of the last hat
-    over [R, inf) by 12-point Gauss in t = R/r (skipped where the support
-    radius, None for none, is at most R).  ell >= 1 has no hat at r = 0.
+    The grid's 12-point Gauss rule and hat values on every cell
+    (`Discretization._grid`, shared with the assembly), plus the constant
+    extension of the last hat over [R, inf) by 12-point Gauss in t = R/r
+    (skipped where the support radius, None for none, is at most R).
+    ell >= 1 has no hat at r = 0.
     """
-    def weight(x, log1p):  # r^{n-1} (1+r^2)^{-beta}, from log1p = log1p(r^2)
-        return np.exp((params.n - 1) * np.log(x) - params.beta * log1p)
+    def weight(logr, log1p, half=0.0):  # r^{n-1} (1+r^2)^{half-beta}
+        return np.exp((params.n - 1) * logr + (half - params.beta) * log1p)
 
-    r, (rr, ww, log1p) = disc._grid(params)
-    r0, r1 = r[:-1, None], r[1:, None]
-    h = r1 - r0
-    ww = ww * weight(rr, log1p)
+    r, (rr, logr, log1p, left, right, ds, _) = disc._grid(params)
+    ww = _WGL[:, None] * weight(logr, log1p, 0.5)  # with dr/ds = (1+r^2)^(1/2)
     on_cells = profiles(rr.ravel())
     R = float(r[-1])
     tails = dict.fromkeys(on_cells, 0.0)
     if support_radius is None or support_radius > R:
         t, wt = _gauss_panels(0.0, 1.0)
         rt = R / t
-        wt = wt * (R / (t * t)) * weight(rt, np.log1p(rt * rt))
+        wt = wt * (R / (t * t)) * weight(np.log(rt), np.log1p(rt * rt))
         tails = {ell: float(prof @ wt) for ell, prof in profiles(rt).items()}
     loads = {}
     for ell, prof in on_cells.items():
         g = ww * prof.reshape(rr.shape)
-        b = _node_diag(np.sum(g * (r1 - rr) / h, axis=1),
-                       np.sum(g * (rr - r0) / h, axis=1))
+        b = _node_diag(ds * np.einsum("ji,ji->i", g, left),
+                       ds * np.einsum("ji,ji->i", g, right))
         b[-1] += tails[ell]
         loads[ell] = b[1:] if ell > 0 else b
     return loads
@@ -535,6 +556,14 @@ def _hat_projection(profiles, support_radius, params: MeasureParams,
 # (test_floored_mode0_matches_the_unshifted_solve).
 _FLOOR_MARGIN = 1e-2
 _FLOOR_NCV = 6
+# Lanczos stops once a Ritz value theta's residual is at most tol theta
+# (ARPACK): an eigenvalue lies within tol theta of it, so lam = sigma +
+# 1/theta lies within tol (lam - sigma), and |dlam|/lam <= tol (lam -
+# sigma)/lam: about 0.01 tol in the mid and upper ranges, and 0.34 tol =
+# 3.4e-14 in the lower, where the value sits near 1.5 x its bottom.  The
+# error is in fact quadratic in the residual (Parlett, The Symmetric
+# Eigenvalue Problem).
+_LANCZOS_TOL = 1e-13
 
 
 def _mode_bottom(params: MeasureParams, ell: int) -> float:
@@ -566,7 +595,7 @@ def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarra
     operator = _indefinite_operator if closed else _definite_operator
     matvec, back = operator(problem, shifted, what)
     theta, y = eigsh(LinearOperator((nn, nn), matvec=matvec, dtype=float),
-                     k=k, which="LA", v0=np.ones(nn),
+                     k=k, which="LA", v0=np.ones(nn), tol=_LANCZOS_TOL,
                      ncv=min(nn, max(_FLOOR_NCV, 2 * k + 1)))
     vecs = back(y)
     vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, problem.B @ vecs))

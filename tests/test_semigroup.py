@@ -168,29 +168,39 @@ def test_projected_start_keeps_constants_beyond_R():
 
 
 def _reference_loads(f, p, disc):
-    """_hat_loads on Gauss nodes of its own: 12-point Gauss-Legendre mapped
-    by _gauss_panels onto every cell in s = asinh r (the grid's s, uniform up
-    to asinh tan(pi/2 - delta): these points have no cap R_beta) and onto
-    t = R/r in [0, 1]."""
+    """_hat_loads on Gauss nodes of its own: 12-point Gauss-Legendre on
+    every cell in s = asinh r (the grid's s, uniform up to
+    asinh tan(pi/2 - delta): these points have no cap R_beta), one column
+    per cell, with dr = (1+r^2)^(1/2) ds and the hat values from
+    sinh a - sinh b = 2 cosh((a+b)/2) sinh((a-b)/2); and on t = R/r in
+    [0, 1]."""
     r = disc.radii(p)
-    r0, r1 = r[:-1, None], r[1:, None]
     s = np.linspace(0.0, math.asinh(math.tan(math.pi / 2.0 - disc.delta)), disc.m)
-    ss, ws = spectral._gauss_panels(s[:-1], s[1:])
-    rr, ww = np.sinh(ss), ws * np.cosh(ss)
+    ds = s[1:] - s[:-1]
+    x = spectral._XGL[:, None]
+    to_r0, to_r1 = 0.5 * (1.0 + x) * ds, 0.5 * (1.0 - x) * ds
+    ss = s[:-1] + to_r0
+    rr = np.sinh(ss)
 
-    def weight(x):
-        return np.exp((p.n - 1) * np.log(x) - p.beta * np.log1p(x * x))
+    def span(a, d):
+        return 2.0 * np.cosh(a + 0.5 * d) * np.sinh(0.5 * d)
 
-    ww = ww * weight(rr)
+    h = span(s[:-1], ds)
+    left, right = span(ss, to_r1) / h, span(s[:-1], to_r0) / h
+
+    def weight(logx, log1p, half=0.0):
+        return np.exp((p.n - 1) * logx + (half - p.beta) * log1p)
+
+    ww = spectral._WGL[:, None] * weight(np.log(rr), np.log1p(rr * rr), 0.5)
     t, wt = spectral._gauss_panels(0.0, 1.0)
-    wt = wt * (r[-1] / (t * t)) * weight(r[-1] / t)
+    wt = wt * (r[-1] / (t * t)) * weight(np.log(r[-1] / t), np.log1p((r[-1] / t) ** 2))
     beyond = f.support_radius is None or f.support_radius > r[-1]
     tails = semigroup._mode_profiles(f, p, r[-1] / t)
     loads = {}
     for ell, prof in semigroup._mode_profiles(f, p, rr.ravel()).items():
         g = ww * prof.reshape(rr.shape)
-        b = spectral._node_diag(np.sum(g * (r1 - rr) / (r1 - r0), axis=1),
-                                np.sum(g * (rr - r0) / (r1 - r0), axis=1))
+        b = spectral._node_diag(0.5 * ds * np.einsum("ji,ji->i", g, left),
+                                0.5 * ds * np.einsum("ji,ji->i", g, right))
         b[-1] += float(tails[ell] @ wt) if beyond else 0.0
         loads[ell] = b[1:] if ell > 0 else b
     return loads
@@ -215,9 +225,9 @@ def test_mode_loads_match_their_own_gauss_nodes(f, n, beta, m, delta):
 
 @pytest.mark.parametrize("n, beta", [(2, 1.5), (3, 3.8), (3, 5.0), (1, 1.2), (1, 3.0)])
 def test_projected_start_shares_one_cell_pass(monkeypatch, n, beta):
-    # both modes come from one pass over the cells (one _cell_moments call
-    # per weight), with the bands assemble_mode builds for each mode alone
-    real, calls = spectral._cell_moments, []
+    # both modes come from one pass over the cells (one _cell_integrals
+    # call), with the bands assemble_mode builds for each mode alone
+    real, calls = spectral._cell_integrals, []
 
     def counted(*args):
         calls.append(args)
@@ -225,10 +235,10 @@ def test_projected_start_shares_one_cell_pass(monkeypatch, n, beta):
 
     p, disc = MeasureParams(n, beta), Discretization(m=256, delta=1e-3)
     f = make_random_test(7, 1) if n == 1 else make_linear(np.ones(n))
-    monkeypatch.setattr(spectral, "_cell_moments", counted)
+    monkeypatch.setattr(spectral, "_cell_integrals", counted)
     problems, _, _ = _hat_projection(lambda r: _mode_profiles(f, p, r),
                                      f.support_radius, p, disc)
-    assert len(calls) == 2
+    assert len(calls) == 1
     monkeypatch.undo()
     assert [q.ell for q in problems] == [0, 1]
     for q in problems:

@@ -16,7 +16,7 @@ from cauchygap.spectral import (
     GapReport,
     NumericalBreakdown,
     SymBand,
-    _cell_moments,
+    _cell_integrals,
     _tail_moment,
     assemble_mode,
     closed_form_gap,
@@ -206,9 +206,14 @@ def test_assemble_mode_structure():
     assert e1[0] > 0.1
 
 
+def _cells(rule, j):
+    """The grid rule restricted to the cells j (an index array or a slice)."""
+    return tuple(a[..., j] for a in rule)
+
+
 def _reference_hat_part(ell, params, disc):
     """Cell-by-cell dense assembly of the hat-hat block (the loop that the
-    vectorized assembly replaced), using the same per-cell moment rule."""
+    vectorized assembly replaced), using the same per-cell hat-product rule."""
     n, beta = params.n, params.beta
     r, rule = disc._grid(params)
     cl = float(ell * (ell + n - 2))
@@ -216,21 +221,8 @@ def _reference_hat_part(ell, params, disc):
     nh = len(r) - off
     A, B = np.zeros((nh, nh)), np.zeros((nh, nh))
     for j in range(len(r) - 1):
-        r0, r1, cell = r[j:j + 1], r[j + 1:j + 2], tuple(a[j:j + 1] for a in rule)
-        h = r1[0] - r0[0]
-        m0, m1, m2 = _cell_moments(cell, (n - 1, n, n + 1), beta)[:, 0]
-        mass = [(r1 * r1 * m0 - 2.0 * r1 * m1 + m2)[0] / (h * h),
-                (-r0 * r1 * m0 + (r0 + r1) * m1 - m2)[0] / (h * h),
-                (r0 * r0 * m0 - 2.0 * r0 * m1 + m2)[0] / (h * h)]
-        kS = _cell_moments(cell, (n - 1,), beta - 1.0)[0, 0] / (h * h)
-        ang = [0.0, 0.0, 0.0]
-        if cl > 0.0 and j == 0:
-            ang[2] = kS
-        elif cl > 0.0:
-            q0, q1, q2 = _cell_moments(cell, (n - 3, n - 2, n - 1), beta - 1.0)[:, 0]
-            ang = [(r1 * r1 * q0 - 2.0 * r1 * q1 + q2)[0] / (h * h),
-                   (-r0 * r1 * q0 + (r0 + r1) * q1 - q2)[0] / (h * h),
-                   (r0 * r0 * q0 - 2.0 * r0 * q1 + q2)[0] / (h * h)]
+        mass, ang, kS = _cell_integrals(_cells(rule, slice(j, j + 1)), n, beta)
+        mass, ang, kS = [x[0] for x in mass], [x[0] for x in ang], kS[0]
         il, ir = j - off, j + 1 - off
         if il >= 0:
             B[il, il] += mass[0]
@@ -353,11 +345,16 @@ def test_gap_report_json_roundtrip(tmp_path):
     assert GapReport(**{k: tuple(v) if isinstance(v, list) else v
                         for k, v in d.items()}) == rep
     # each mode's floor: mode 0's first nontrivial closed-form value, then
-    # mode 1's first; Galerkin values are upper bounds of them.  Mode 1 is
-    # solved, and mode 0, certified above it, is written as null
+    # mode 1's first.  Mode 1 is solved, and mode 0, certified above it, is
+    # written as null.  Mode 1's extremal r lies in the trial space, so its
+    # value is the bottom up to rounding, of either sign: the value is
+    # checked against the eigenvalue of its own bands instead
     assert d["mode_bottoms"] == [mode_spectrum(p, ell)[1 if ell == 0 else 0]
                                  for ell in range(2)] == [8.0, 6.0]
-    assert d["mode_eigs"][0] is None and rep.mode_eigs[1] >= rep.mode_bottoms[1]
+    assert d["mode_eigs"][0] is None
+    lam = rep.mode_eigs[1]
+    band = _band_eigenvalue(assemble_mode(1, p, Discretization(m=128, delta=1e-2)), lam)
+    assert abs(lam - band) <= 1e-14 * band, (lam, band)
 
 
 def test_sweep_csv_deterministic(tmp_path):
@@ -375,51 +372,101 @@ def test_sweep_csv_deterministic(tmp_path):
     assert [float(row.split(",")[1]) for row in rows] == list(betas)
 
 
-# Frozen mpmath values (scripts/make_oracle_values.py) of
-# int r^c (1+r^2)^(-d) dr over cells 0, 1023 and 2046 of the m = 2048,
-# delta = 1e-3 grid at (n, beta) = (3, 3.8), then over [R, inf) (None where
-# it diverges).
-_MOMENT_PINS = {
-    (0, 1.2): (0.0037131792491766822, 4.7881185142141978e-5, 2.3489649254700067e-7, 4.5068380511410856e-5),
-    (1, 1.2): (6.8938690784200185e-6, 0.0010701193690599829, 0.00023446046851698047, 0.15773932560408946),
-    (2, 1.2): (1.7065513621545147e-8, 0.023916634039777471, 0.2340255227430316, None),
-    (0, 2.5): (0.0037131570642200327, 1.4823234725304623e-8, 3.7409012978022949e-15, 2.4999991666663088e-13),
-    (1, 2.5): (6.8938072956722305e-6, 3.3129053003875028e-7, 3.7339461363303402e-12, 3.3333316666665345e-10),
-    (2, 2.5): (1.7065330092482502e-8, 7.4041559540630425e-6, 3.7270081882808083e-9, 4.9999970833336873e-7),
-    (0, 5): (0.0037131144015124373, 2.6451407291052336e-15, 3.7759275177426421e-30, 1.1111098989900553e-28),
-    (1, 5): (6.893688484770699e-6, 5.9116991414754588e-14, 3.7688855833857236e-27, 1.2499983333338956e-25),
-    (2, 5): (1.7064977158581544e-8, 1.3212237287894087e-12, 3.7618611040413507e-24, 1.4285692063503495e-22),
-    (0, 10): (0.0037130290787441835, 8.4235997594767107e-29, 3.8472983772903096e-60, 5.2631436090367543e-59),
-    (1, 10): (6.8934508711581128e-6, 1.8825922881461259e-27, 3.8400792232131859e-57, 5.5555388889084008e-56),
-    (2, 10): (1.7064271316847742e-8, 4.2074147680337288e-26, 3.8328780182405639e-54, 5.8823336429567176e-53),
-    (0, 50): (0.0037123466236313157, 8.9470392778237752e-137, 4.4875293527228012e-300, 1.0100848386078904e-299),
-    (1, 50): (6.8915503553359566e-6, 1.9993926178214736e-135, 4.4786982799541464e-297, 1.0203914967292618e-296),
-    (2, 50): (1.7058625834034264e-8, 4.4680427660502912e-134, 4.4698896879794236e-294, 1.0309106634718177e-293),
+# Frozen mpmath values (scripts/make_oracle_values.py) on cells 0, 1023 and
+# 2046 of the m = 2048, delta = 1e-3 grid at (n, beta) = (3, 3.8), per
+# exponent d: the hat products (LL, LR, RR) against r^2 (1+r^2)^(-d) (mass)
+# and (1+r^2)^(1-d) (the ell term), one row per product, then the gradient
+# term int r^2 (1+r^2)^(1-d) dr / h^2; and the tail moments
+# int_R^inf r^c (1+r^2)^(-d) dr where they converge.
+_CELL_PINS = {
+    1.2: (
+        (1.7065602361600427e-9, 0.0079751395163502366, 0.07803747848162419),
+        (2.5598322869437732e-9, 0.0039861051759993295, 0.039004248771283322),
+        (1.0239288811497559e-8, 0.0079692841714290763, 0.077979546718843926),
+        (0.0012377329012904692, 0.0079911354491570983, 0.078037556954971361),
+        (0.00061886610933318736, 0.0039940853585977467, 0.039004287920625336),
+        (0.00123773119473346, 0.0079852090585675231, 0.077979624843305274),
+        (0.00123773119473346, 1734.628724952837, 16973.433292088414),
+    ),
+    2.5: (
+        (1.7065514965965921e-9, 2.4749125885002375e-6, 1.2457975411296946e-9),
+        (2.5598104381531349e-9, 1.2340226081469877e-6, 6.2116631848123236e-10),
+        (1.0239157719579641e-8, 2.4611981492689845e-6, 1.2388780101886995e-9),
+        (0.0012377306827634731, 2.4798765946822008e-6, 1.2457987938888506e-9),
+        (0.00061886278155449167, 1.2364931302760343e-6, 6.211669419604838e-10),
+        (0.0012377178836776689, 2.466116333554233e-6, 1.2388792513723384e-9),
+        (0.0012377178836776689, 0.53700637799816423, 0.00027031131545969351),
+    ),
+    5.0: (
+        (1.7065346899272532e-9, 4.4367723673937919e-13, 1.2632763003875701e-24),
+        (2.5597684218901337e-9, 2.2020032343731188e-13, 6.2696647731328477e-25),
+        (1.0238905624874026e-8, 4.3714584517543336e-13, 1.2446518490272625e-24),
+        (0.0012377264163973367, 4.4456713802801108e-13, 1.2632775707297079e-24),
+        (0.00061885638205990863, 2.2064116910627902e-13, 6.2696710661863044e-25),
+        (0.0012376922859724421, 4.3801939327797247e-13, 1.244653096001951e-24),
+        (0.0012376922859724421, 9.5824215190329392e-8, 2.7283598230491177e-19),
+    ),
+    10.0: (
+        (1.706501077312708e-9, 1.4259307701093333e-26, 1.2990230835290731e-54),
+        (2.5596843918985605e-9, 7.0118083052120082e-27, 6.3876280332477018e-55),
+        (1.0238401455737915e-8, 1.3791223368820815e-26, 1.2563293280620035e-54),
+        (0.0012377178837911127, 1.4287908461948497e-26, 1.2990243898313432e-54),
+        (0.00061884358338586051, 7.0258462861417776e-27, 6.3876344447928713e-55),
+        (0.0012376410924526668, 1.3818782643700882e-26, 1.2563305867490768e-54),
+        (0.0012376410924526668, 3.0514360590718063e-21, 2.7798022887855492e-49),
+    ),
+    50.0: (
+        (1.7062322111508457e-9, 1.6260578049427038e-134, 1.6268734661294107e-294),
+        (2.5590122736011947e-9, 7.4302213296995057e-135, 7.4332580521544315e-295),
+        (1.023436907568103e-8, 1.355940695167778e-134, 1.356364611419196e-294),
+        (0.0012376496289911161, 1.6293195483461071e-134, 1.6268751022497901e-294),
+        (0.00061874120911721166, 7.4450986329180192e-135, 7.4332655140668651e-295),
+        (0.0012372316350316104, 1.3586505303984959e-134, 1.3563659704456825e-294),
+        (0.0012372316350316104, 3.239864065498021e-129, 3.2412018452606286e-289),
+    ),
+}
+_TAIL_PINS = {
+    (0, 1.2): 4.5068380511410856e-5,
+    (1, 1.2): 0.15773932560408946,
+    (0, 2.5): 2.4999991666663088e-13,
+    (1, 2.5): 3.3333316666665345e-10,
+    (2, 2.5): 4.9999970833336873e-7,
+    (0, 5): 1.1111098989900553e-28,
+    (1, 5): 1.2499983333338956e-25,
+    (2, 5): 1.4285692063503495e-22,
+    (0, 10): 5.2631436090367543e-59,
+    (1, 10): 5.5555388889084008e-56,
+    (2, 10): 5.8823336429567176e-53,
+    (0, 50): 1.0100848386078904e-299,
+    (1, 50): 1.0203914967292618e-296,
+    (2, 50): 1.0309106634718177e-293,
 }
 
 
-def _check_moment_pins(d):
+
+def _check_cell_pins(d):
     r, rule = Discretization(m=2048, delta=1e-3)._grid(MeasureParams(3, 3.8))
-    j = [0, 1023, 2046]
+    j = np.array([0, 1023, 2046])
+    mass, ang, grad = _cell_integrals(_cells(rule, j), 3, d)
+    np.testing.assert_allclose(np.array([*mass, *ang, grad]), _CELL_PINS[d],
+                               rtol=1e-12, atol=0)
     for c in (0, 1, 2):
-        *cells, tail = _MOMENT_PINS[(c, d)]
-        got = _cell_moments(tuple(a[j] for a in rule), (c,), d)[0]
-        np.testing.assert_allclose(got, cells, rtol=1e-12, atol=0)
-        if tail is not None:
+        if (c, d) in _TAIL_PINS:
             np.testing.assert_allclose(_tail_moment(float(r[-1]), c, d),
-                                       tail, rtol=1e-12, atol=0)
+                                       _TAIL_PINS[c, d], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("d", [1.2, 2.5, 5.0])
 def test_cell_moments_match_oracle_pins(d):
-    _check_moment_pins(d)
+    _check_cell_pins(d)
 
 
 @pytest.mark.parametrize("d", [10.0, 50.0])
 def test_cell_moments_large_exponent_pins(d):
     # one rule on every cell, Gauss in s = asinh r: measured against mpmath
-    # over every cell of this grid, the worst relative error is 1.1e-13
-    _check_moment_pins(d)
+    # over every cell of this grid, the worst relative error of a band
+    # entry is 7.6e-15 at d = 10 and 5.2e-14 at d = 50
+    _check_cell_pins(d)
 
 
 # One point per range tag: lower, mid, upper, and the line (lower, upper).
@@ -495,18 +542,18 @@ def test_numeric_gap_mode_cutoff_premise(n, where, m):
 
 @pytest.mark.parametrize("n, beta", [(1, 1.2), (3, 3.8)])
 def test_numeric_gap_integrates_the_cells_once(monkeypatch, n, beta):
-    # one _cell_moments call per weight (mass and stiffness), whatever ell_max
-    real, calls = spectral._cell_moments, []
+    # one _cell_integrals call (mass, ell term and gradient), whatever ell_max
+    real, calls = spectral._cell_integrals, []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(spectral, "_cell_moments", counted)
+    monkeypatch.setattr(spectral, "_cell_integrals", counted)
     for ell_max in (2, 3, 6):
         calls.clear()
         numeric_gap(MeasureParams(n, beta), Discretization(m=96, delta=1e-3), ell_max)
-        assert len(calls) == 2, ell_max
+        assert len(calls) == 1, ell_max
 
 
 @pytest.mark.parametrize("n, beta", _SOLVER_POINTS)
@@ -590,13 +637,13 @@ def _band_eigenvalue(prob, lam):
 
 # Per-mode values of numeric_gap at m = 2048: the eigenvalues of the double
 # bands by _band_eigenvalue (the same iteration in 40-digit mpmath agrees
-# with these pins to <= 9.0e-17).
+# with these pins to <= 1.7e-16).
 _M2048_MODE_EIGS = {
-    (2, 4.0): (8.000018383324543, 5.99999999999712, 12.000013788039269,
-               18.026551557749734),
-    (3, 3.8): (5.200007036552684, 5.600000000003926, 11.20000606227243,
-               17.331670018291057),
-    (1, 1.2): (0.6179682832110631, 0.5577700717775271),
+    (2, 4.0): (8.000018383323905, 6.000000000000099, 12.000013788046303,
+               18.026551557740515),
+    (3, 3.8): (5.2000070365451005, 5.59999999999941, 11.200006062256811,
+               17.33167001828677),
+    (1, 1.2): (0.617968283210908, 0.5577700717772194),
 }
 
 
@@ -615,6 +662,34 @@ def test_numeric_gap_m2048_pins(n, beta):
     oracle = [_band_eigenvalue(prob, lam) for prob, lam in zip(probs, eigs)]
     np.testing.assert_allclose(oracle, _M2048_MODE_EIGS[n, beta],
                                rtol=1e-14, atol=0.0)
+
+
+# The assembly oracle.  The upper range's extremal r lies in mode 1's trial
+# space (hat coefficients r_i, ray r - R with coefficient 1), so its
+# Rayleigh quotient on the bands, formed in extended precision, is
+# 2(beta - 1) up to the rounding of the band entries, with no eigensolver.
+# Measured worst |relative error| over n = 1..6 and the betas below:
+# 1.1e-14 (m = 256), 2.4e-13 (2048), 3.9e-13 (4096); bands whose hat
+# products expand moments as r1^2 q0 - 2 r1 q1 + q2 read 4.0e-14 to
+# 6.3e-14, 6.0e-13 to 1.2e-12 and 2.9e-12 to 6.5e-12 per n.  What is left
+# is the rounding of the stored diagonal sums, amplified by (r/h)^2 where
+# the stiffness rows cancel.
+_EXTREMAL_BOUND = {256: 2.5e-14, 2048: 4e-13, 4096: 1e-12}
+
+
+@pytest.mark.parametrize("m", sorted(_EXTREMAL_BOUND))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_upper_extremal_rayleigh_quotient_measures_the_assembly(n, m):
+    disc = Discretization(m=m, delta=1e-3)
+    for beta in sorted({n + 1.0, n + 1.5, n + 2.5, n + 4.0, 2.0 * n + 3.0,
+                        10.0, 20.0, 30.0, 42.0, 45.0, 60.0}):
+        prob = assemble_mode(1, MeasureParams(n, beta), disc)
+        A, B = (SymBand(M.band.astype(np.longdouble)) for M in (prob.A, prob.B))
+        nh = prob.size() - len(prob.ray_ks)
+        x = np.zeros(prob.size(), dtype=np.longdouble)
+        x[:nh], x[nh] = prob.radii[1:], 1.0
+        rel = float((x @ (A @ x)) / (x @ (B @ x)) / (2.0 * (beta - 1.0)) - 1.0)
+        assert abs(rel) <= _EXTREMAL_BOUND[m], (beta, rel)
 
 
 @pytest.mark.parametrize("n, beta, m", [(n, beta, 256) for n, beta in _SOLVER_POINTS]
@@ -838,10 +913,11 @@ def test_floored_breakdown_reports_the_count(monkeypatch):
 
 def test_floor_halves_the_lanczos_steps(monkeypatch):
     # spectral_sweep's seven solvable points: numeric_gap's Lanczos callbacks
-    # on the modes it solves, 95 at m = 512 over 8 solves (135 over the 12
-    # solves of modes 0 and 1 everywhere); those 12 pencils took 340 with a
-    # shift at sigma ~ 0 under the whole spectrum (mode 0 with k = 2, past
-    # its constants), and the pin is 0.45 x that
+    # on the modes it solves, 71 at m = 512 over 8 solves (92 with residuals
+    # to machine precision; 131 and 158 over the 12 solves of modes 0 and 1
+    # everywhere); those 12 pencils took 340 with a shift at sigma ~ 0 under
+    # the whole spectrum (mode 0 with k = 2, past its constants), and the
+    # pin is 0.45 x that
     real, calls = spectral.LinearOperator, []
 
     def counted(shape, matvec, dtype):
