@@ -4,8 +4,11 @@ Hashes the bands A and B of modes 0-3, with and without tail rays, at each
 (m, delta, n, beta) of a fixed list: the eight spectral_sweep points on
 m = 2048, delta = 1e-3, and the grids and points of
 test_assemble_mode_matches_cell_loop.  Then it hashes the heat flow's hat
-loads (`spectral._hat_loads`) of the seed-0 bump on the line at (1, 2.0),
-m = 1024.  Every grid serves several (n, beta) in turn, as in a sweep.
+loads (`spectral._hat_loads`) of three profiles: the seed-0 bump on the
+line at (1, 2.0), m = 1024, whose load over [R, inf) is 0, and two whose
+load there is not, the centered quadratic at (1, 4.0), m = 128,
+delta = 0.2, and a linear f at (3, 3.8), m = 256.  Every grid serves
+several (n, beta) in turn, as in a sweep.
 Two source trees that print the same digest assemble the same bytes, so a
 change meant to leave the numbers alone can be checked with one command
 on each tree:
@@ -21,7 +24,7 @@ import hashlib
 
 import numpy as np
 
-from cauchygap.functions import make_random_test
+from cauchygap.functions import make_linear, make_quadratic_centered, make_random_test
 from cauchygap.measures import MeasureParams
 from cauchygap.semigroup import _mode_profiles
 from cauchygap.spectral import Discretization, _hat_loads, _mode_problems
@@ -54,11 +57,14 @@ def digest(short: bool = False) -> str:
             for prob in _mode_problems(range(4), params, disc, tail_rays=rays):
                 _update(h, prob.A.band)
                 _update(h, prob.B.band)
-    f, params = make_random_test(0, 1), MeasureParams(1, 2.0)
-    loads = _hat_loads(lambda r: _mode_profiles(f, params, r), f.support_radius,
-                       params, Discretization(m=1024, delta=1e-3))
-    for ell in sorted(loads):
-        _update(h, loads[ell])
+    for f, params, disc in (
+            (make_random_test(0, 1), MeasureParams(1, 2.0), Discretization(m=1024, delta=1e-3)),
+            (make_quadratic_centered(MeasureParams(1, 4.0)), MeasureParams(1, 4.0),
+             Discretization(m=128, delta=0.2)),
+            (make_linear(np.ones(3)), MeasureParams(3, 3.8), Discretization(m=256, delta=1e-3))):
+        loads = _hat_loads(lambda r: _mode_profiles(f, params, r), params, disc)
+        for ell in sorted(loads):
+            _update(h, loads[ell])
     return h.hexdigest()
 
 

@@ -177,6 +177,18 @@ def main():
                 print(f"    ({c}, {d}): {fmt(moment(c, mp.mpf(d), R, None))},")
     print("}")
 
+    print("\n# tail moments past the cap R_beta of (n, beta) = (6, 1e5), where")
+    print("# t_R = 1/(1+R^2) = 0.994: c = n-1+p+q against beta (the mass) and")
+    print("# c = n-3+p+q against beta - 1 (the ell term), p + q = 0..4")
+    n, beta = 6, 100000
+    R = mp.mpf(float(np.sinh(grid_s(64, 1e-3, n, beta)[-1])))
+    print(f"_FAR_TAIL_R = {float(R)!r}")
+    print("_FAR_TAIL_PINS = {")
+    for c0, d in ((n - 1, beta), (n - 3, beta - 1)):
+        for c in range(c0, c0 + 5):
+            print(f"    ({c}, {d}): {fmt(moment(c, mp.mpf(d), R, None))},")
+    print("}")
+
 
 def grid_s(m, delta, n, beta):
     """The s values of spectral.Discretization(m, delta) for the measure

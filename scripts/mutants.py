@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Mutation ledger: broken formulas that named tests must catch.
+
+Each entry of MUTANTS is (name, file, old text, new text, why, tests).  For
+every entry the script copies the tree to a temporary directory (never the
+checkout), replaces the old text, which must occur in the file exactly
+once, by the new text, and runs the entry's tests there under a timeout.
+A mutant is caught when every one of its tests fails (a parametrized test
+in at least one case); otherwise it survives, and the line names the tests
+that passed.  Each entry prints one line: caught or survived, its time and
+its name.
+
+    python3 scripts/mutants.py                      # the whole ledger
+    python3 scripts/mutants.py --only lanczos-tol   # one entry
+
+Exit status: 0 when every entry run is caught, 1 when one survives, 2 when
+an old text is not found exactly once or pytest cannot run the tests.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SPECTRAL = "src/cauchygap/spectral.py"
+TIMEOUT_S = 900
+
+MUTANTS = [
+    ("mass-hats-swapped", SPECTRAL,
+     "    return pairs(w), ell, grad\n",
+     "    return pairs(w)[::-1], ell, grad\n",
+     "phi_L and phi_R swapped in the mass products",
+     ["tests/test_spectral.py::test_cell_moments_match_oracle_pins"]),
+    ("mass-factor-dropped", SPECTRAL,
+     "    r2 = rr * rr\n    w *= r2\n    r2 += 1.0\n    w /= r2\n",
+     "",
+     "the mass weight without its factor r^2/(1+r^2), equal to the ell weight",
+     ["tests/test_spectral.py::test_cell_moments_match_oracle_pins"]),
+    ("lanczos-tol", SPECTRAL,
+     "_LANCZOS_TOL = 1e-13\n",
+     "_LANCZOS_TOL = 1e-6\n",
+     "Lanczos stopped at a Ritz residual of 1e-6 of the value",
+     ["tests/test_spectral.py::test_lowest_eigpairs_residuals_on_the_heat_flow_pencils",
+      "tests/test_spectral.py::test_lowest_eigpairs_vectors_are_b_orthonormal"]),
+    ("lowfact-at-eps-zero", "src/cauchygap/quadrature.py",
+     '2: {"IRG": 0.0, "LOWFACT": None}}',
+     '2: {"IRG": 0.0, "LOWFACT": 0.0}}',
+     "LOWFACT at eps = 0, the mid-range split, in place of eps0",
+     ["tests/test_quadrature.py::test_each_split_tag_runs_at_its_own_eps"]),
+    ("guard-count-skipped", SPECTRAL,
+     "    if below != closed:\n",
+     "    if False:\n",
+     "the guard's Sylvester count never compared with the closed form's",
+     ["tests/test_semigroup.py::test_variance_check_guards_every_solve",
+      "tests/test_spectral.py::test_floored_breakdown_reports_the_count"]),
+    ("tail-load-dropped", SPECTRAL,
+     "        b[-1] += float(prof[rr.size:] @ wt)\n",
+     "",
+     "the last hat's load over [R, inf) left out of the projection",
+     ["tests/test_semigroup.py::test_mode_loads_match_their_own_gauss_nodes",
+      "tests/test_semigroup.py::test_projected_start_keeps_constants_beyond_R"]),
+]
+
+_SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                               ".bench_out", "*.egg-info")
+
+
+class LedgerError(Exception):
+    """An entry that cannot be applied or run."""
+
+
+def mutate(tree: Path, path: str, old: str, new: str) -> None:
+    """Replace old by new in tree/path, where old occurs exactly once."""
+    target = tree / path
+    text = target.read_text()
+    found = text.count(old)
+    if found != 1:
+        raise LedgerError(f"{path}: the old text occurs {found} times, not once: {old!r}")
+    target.write_text(text.replace(old, new))
+
+
+def run(entry) -> list:
+    """The entry's tests that pass with its mutant, on a copy of the tree."""
+    name, path, old, new, _, tests = entry
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=_SKIP)
+        mutate(tree, path, old, new)
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    if proc.returncode not in (0, 1):  # 1: a test failed; others: pytest could not run
+        raise LedgerError(f"{name}: pytest exited {proc.returncode}\n{proc.stdout[-2000:]}")
+    failed = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith("FAILED ")]
+    return [t for t in tests if not any(f == t or f.startswith(t + "[") for f in failed)]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--only", choices=[e[0] for e in MUTANTS],
+                    help="run this entry alone")
+    args = ap.parse_args(argv)
+    survived = 0
+    for entry in MUTANTS:
+        if args.only not in (None, entry[0]):
+            continue
+        start = time.perf_counter()
+        try:
+            passed = run(entry)
+        except (LedgerError, subprocess.TimeoutExpired) as exc:
+            print(f"error     {entry[0]}: {exc}")
+            return 2
+        survived += bool(passed)
+        print(f"{'SURVIVED' if passed else 'caught':9} {time.perf_counter() - start:6.1f} s  "
+              f"{entry[0]}: {entry[4]}" + "".join(f"\n          passed: {t}" for t in passed),
+              flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

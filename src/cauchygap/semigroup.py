@@ -1,22 +1,16 @@
 """Heat flow on the radial modes and deficit verification.
 
-A, B are the Galerkin pairs of `spectral` per mode; the discrete flow
-B v' = -A v is evaluated exactly in the (A, B) eigenbasis, whose lowest
-pairs `spectral.lowest_eigpairs` computes for every flow here.  The
-variance representation
+Every flow here is the exact discrete flow B v' = -A v of a mode's
+Galerkin pair, evaluated in its lowest eigenpairs from
+`spectral.lowest_eigpairs`, from the L^2(mu) projection of f on each
+mode's hats (`spectral._hat_projection`, from f's mode profiles).  On it
+the module checks the variance representation
 
   Var(f) = (1/rho) int Gamma(f) dmu - (2/rho) int_0^inf int (Gamma_2 - rho Gamma)(P_t f) dmu dt
 
-is checked on the exact flow: f starts as its L^2(mu) projection on each
-mode's hats (`spectral._hat_projection`, from f's mode profiles), and
-with w = A v and B y = w the quantity w'y is the discrete
-integrated Gamma_2 (second-order forms only, no third differences).  Its
-time integral telescopes to closed form in the (A, B) eigenbasis, so the
-discrete identity holds up to the modes past the horizon and those above
-the lowest few eigenpairs, both bounded.  Range deficits are cross-checked
-against the same flow's limit T = inf: the corollary's time integral is
-rho N_0 - E_0 of the projection, with no eigenpairs at all.  The deficit's
-own Var(f) and int Gamma(f) dmu are quadrature's (`_var_and_energy`).
+and cross-checks the range deficits, whose own Var(f) and
+int Gamma(f) dmu are quadrature's (`_var_and_energy`), against the flow's
+limit T = inf.
 """
 
 from __future__ import annotations
@@ -141,7 +135,7 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
         raise ValueError("need dt > 0 and T >= 0")
     T = max(1, int(math.ceil(T / dt - 1e-12))) * dt
     problems, vs, mass = _hat_projection(lambda r: _mode_profiles(f, params, r),
-                                         f.support_radius, params, disc)
+                                         params, disc)
     flows = [_flow_integral(p, v, rho, T) for p, v in zip(problems, vs)]
     integral, dropped, lhs, energy = (sum(x[i] for x in flows) / mass for i in range(4))
 
@@ -193,7 +187,7 @@ def _route_start(f: SmoothFunction, params: MeasureParams,
     if f.support_radius is None or f.angular_mode != 0:
         return None
     (prob,), (v,), mass = _hat_projection(lambda r: _mode_profiles(f, params, r),
-                                          f.support_radius, params, disc)
+                                          params, disc)
     return prob, v, mass
 
 
@@ -266,9 +260,9 @@ def deficit_trace(f: SmoothFunction, params: MeasureParams, range_tag: str,
     q(t) = sum_k lam_k (lam_k - rho) c_k^2 e^{-2 lam_k t} / 1'B1 over the
     lowest 47 nontrivial exact pairs of the ell = 0 projection on
     `_ROUTE_DISC`, with c_k = phi_k'B v (the constants carry nothing).  The
-    dropped pairs decay fastest, so q is truncated only near t = 0: for the
-    seed-0 even 1-D bump at (1, 1.2) the 47 pairs miss 31% of q(0).  Times
-    must be >= 0 (inf gives the limit q = 0).
+    dropped pairs decay fastest, so q is truncated only near t = 0 (README
+    gives the share missed).  Times must be >= 0 (inf gives the limit
+    q = 0).
     """
     rho = _range_lambda(params, range_tag)
     times = np.asarray(times, dtype=float)

@@ -7,51 +7,24 @@ Lf = (1+|x|^2) Lap f - 2(beta-1) <x, df> reduces to the radial pair
   B[g] = int_0^inf g^2 r^{n-1} (1+r^2)^{-beta} dr
 
 and the spectral gap is the smallest nontrivial generalized eigenvalue over
-the modes.  The discretization uses conforming piecewise-linear elements on
-the radii r = sinh(s), s uniform on [0, asinh R] (`Discretization`: R is
-about 1/delta, or the radius where the tail weight falls to 1e-250 if that
-is nearer), augmented with (i) the constant extension of the last hat
-function over [R, inf) and (ii) polynomial tail rays (r^k - R^k) 1[r >= R],
-k in {1, 2}, whenever r^k is square-integrable.  Every cell takes one
-rule, 12-point Gauss-Legendre in s (`_grid_rule`, built once per grid),
-and the tail a binomial series.  Each band entry is a sum of positive
-hat-product terms over the nodes (`_cell_integrals`): against mpmath its
-worst relative error is 7.6e-15 over every cell of the m = 2048,
-delta = 1e-3 grid at exponents 1.2 to 10 (5.2e-14 at 50), under 1e-13 at
-m = 256 and 2048 up to beta = 1100, and 1.7e-9 at (4, 1100) on m = 64,
-where the weight falls by up to e^18 over a cell.  So A and B are the
-Galerkin matrices of the augmented trial space to rounding, and the
-values lie above the true ones (variational principle) up to it: r on
-mode 1, the upper range's eigenfunction, lies in the trial space and
-reads 2(beta - 1) within 2.4e-13 relative at m = 2048, of either sign.
-
-The heat flow of `semigroup` meets the hat basis in one place, the hat
-projection (`_hat_projection`): each mode's radial profile in, the mode's
-problem (no rays) and the profile's L^2(mu) projection on its hats out.
-
-Hats couple only to their neighbours and rays only to the last hat, so A
-and B are symmetric bands of half-width <= 2, kept in LAPACK band storage.
-Every mode size takes one eigensolver: shift-invert Lanczos on a symmetric
-operator of banded factors.  Every solve shifts its mode to just under
-its first nontrivial closed-form value (mode_spectrum), where Lanczos
-converges in a few steps and stops at a Ritz residual of 1e-13 of the
-value (_LANCZOS_TOL: the value then holds to 3.4e-14 relative), and
-returns nontrivial pairs only.  The shift is also the guard: Galerkin
-values are upper bounds (to rounding, far inside the shift's margin), so
-the number of values under it, counted by Sylvester's law on
-A - sigma B, must be the closed form's (the constants on mode 0, none
-above); any other count raises NumericalBreakdown instead of returning a
-wrong value.  Each mode problem is guarded once (ModeProblem._guarded),
-however often it is solved or certified.
+the modes.  A and B are the Galerkin matrices of piecewise-linear hats on
+the radii of `Discretization`, the last hat extended as a constant over
+[R, inf), and the tail rays (r^k - R^k) 1[r >= R], k in {1, 2}, wherever
+r^k is square-integrable.  Hats couple only to their neighbours and rays
+only to the last hat, so A and B are symmetric bands of half-width <= 2
+(`SymBand`).  Their entries hold to rounding (README gives the measured
+accuracy), so the values lie above the true ones (variational principle)
+up to it, and on either side where the eigenfunction lies in the trial
+space (r on mode 1, the upper range's).  Every solve shifts its mode under
+its first nontrivial closed-form value (mode_spectrum) and counts the
+values under the shift by Sylvester's law; any count but the closed form's
+raises NumericalBreakdown instead of returning a wrong value.
 
 Only modes 0 and 1 can carry the gap.  For ell >= 1 the trial space and
 B do not depend on ell, and A_ell = S + ell(ell+n-2) K with S >= 0 and
 K >= B (K - B is the Gram of r^{n-3}(1+r^2)^{-beta}), so the Galerkin
 values obey lam_ell >= ell(ell+n-2) and, for ell >= 2,
-lam_ell >= lam_{ell-1} + (2 ell + n - 3).  numeric_gap solves the one of
-modes 0 and 1 with the lower closed-form bottom; the other's count under
-its shift, where that shift lies above the value found, proves it holds
-no value under the gap, and it is not solved.
+lam_ell >= lam_{ell-1} + (2 ell + n - 3).
 """
 
 from __future__ import annotations
@@ -213,9 +186,8 @@ def _grid_rule(m: int, R: float):
     (r - r0)/h; then per cell the half-width in s (the Gauss weights'
     factor) and h = sinh s1 - sinh s0.  The hat values are those of the
     exact Gauss nodes, so the band entries hold to rounding where the rule
-    resolves the weight (7.6e-15 against mpmath at m = 2048; the module
-    docstring).  Built on the grid's first use and read by every later
-    assembly and load on it; every array is read-only."""
+    resolves the weight.  Built on the grid's first use and read by every
+    later assembly and load on it; every array is read-only."""
     def span(a, d):  # sinh(a + d) - sinh(a), without cancellation
         return 2.0 * np.cosh(a + 0.5 * d) * np.sinh(0.5 * d)
 
@@ -269,15 +241,27 @@ def _tail_moment(R: float, c: float, d: float) -> float:
     """int_R^inf r^c (1+r^2)^{-d} dr; requires 2d - c > 1.
 
     In t = 1/(1+r^2) it is (1/2) int_0^{t_R} (1-t)^{b-1} t^{a-1} dt with
-    a = d - (c+1)/2 > 0 and b = (c+1)/2, summed as a binomial series until
-    a term falls under 1e-17 of the sum: the t^j coefficient of
-    (1-t)^{b-1} is gamma_j = gamma_{j-1} (j - b)/j.
+    a = d - (c+1)/2 > 0 and b = (c+1)/2.  For t_R <= 1/4 it is a binomial
+    series, summed until a term falls under 1e-17 of the sum: the t^j
+    coefficient of (1-t)^{b-1} is gamma_j = gamma_{j-1} (j - b)/j, and the
+    terms cancel by a factor of up to ((1+t)/(1-t))^{b-1} for b > 1 (7.7
+    at t = 1/4 for c = 9, n = 6's largest), none for b <= 1.  Nearer t = 1
+    (R < sqrt 3, beta past about 415) that factor grows without bound, and
+    it is R^{c+1} (1+R^2)^{-d} / (2a) times the hypergeometric series
+    2F1(d, 1; a+1; t_R), whose terms past the first share the sign of d
+    and fall like t_R^j.
     """
     if 2.0 * d - c <= 1.0 + 1e-12:
         raise ValueError("tail moment diverges")
     a, b = d - (c + 1) / 2.0, (c + 1) / 2.0
     t = 1.0 / (1.0 + R * R)
-    total, g, j = 0.0, 1.0, 0
+    total, term, g, j = 0.0, 1.0, 1.0, 0
+    if t > 0.25:
+        while abs(term) > 1e-17 * abs(total):
+            total += term
+            term *= t * (d + j) / (a + 1.0 + j)
+            j += 1
+        return 0.5 * total * math.exp((c + 1) * math.log(R) - d * math.log1p(R * R)) / a
     while True:  # t < 1: the terms fall at least like t^j
         term = g * t ** (a + j) / (a + j)
         total += term
@@ -306,16 +290,12 @@ class Discretization:
 
     R depends on the measure: R = min(tan(pi/2 - delta), R_beta), where
     (1 + R_beta^2)^((2 beta - n + 1)/2) = 1e250, so that the tail weight
-    r^{n-1} (1+r^2)^{-beta} falls to about 1e-250 at R_beta.  At
-    delta = 1e-3, R = tan(pi/2 - delta) ~ 1000 for beta < 41.17 + n/2, and
-    every such point shares one grid; past it R_beta keeps the far mass
-    entries in double range, and the weight's logarithm, about
+    r^{n-1} (1+r^2)^{-beta} falls to about 1e-250 at R_beta.  The cap keeps
+    the far mass entries in double range, and the weight's logarithm, about
     -(2 beta - n + 1) log cosh s, falls by at most 2 * 250 ln 10 / (m - 1)
-    over any cell: the band entries hold to 1e-13 relative at m = 256 and
-    2048 up to beta = 1100, and to 1.7e-9 at (4, 1100) on m = 64.  The far
-    end carries no essential boundary condition: the trial space is a
-    subset of the form domain (natural boundary), with delta a refinable
-    truncation.
+    over any cell.  The far end carries no essential boundary condition:
+    the trial space is a subset of the form domain (natural boundary), with
+    delta a refinable truncation.
     """
     m: int = 512
     delta: float = 1e-3
@@ -432,7 +412,9 @@ def _node_diag(left, right):
 def _mode_problems(ells, params: MeasureParams, disc: Discretization,
                    tail_rays: bool = True):
     """Galerkin pairs of the modes `ells` (each ell >= 0), in order, from one
-    pass over the cells.
+    pass over the cells.  tail_rays=False keeps the hats alone, so that a
+    coefficient vector is a piecewise-linear profile on the radii: the
+    heat flow's projection (`_hat_projection`) takes its problems so.
 
     No cell or tail integral depends on the mode, which enters A only
     through the factor ell(ell+n-2): the integrals are computed once, by
@@ -479,59 +461,49 @@ def _mode_problems(ells, params: MeasureParams, disc: Discretization,
                           ray_ks=ks, params=params)
 
 
-def assemble_mode(ell: int, params: MeasureParams, disc: Discretization,
-                  tail_rays: bool = True) -> ModeProblem:
-    """Assemble the Galerkin stiffness/mass pair of mode ell.
+def assemble_mode(ell: int, params: MeasureParams, disc: Discretization) -> ModeProblem:
+    """Assemble the Galerkin stiffness/mass pair of mode ell (ell >= 0, else
+    ValueError): the one-mode case of `_mode_problems`, tail rays included.
 
     ell >= 1 removes the node at r = 0 (radial profiles vanish there); the
     last hat extends as a constant over [R, inf); tail rays are appended for
-    every square-integrable power.  tail_rays=False keeps the hats alone, so
-    that a coefficient vector is a piecewise-linear profile on
-    disc.radii(params), which is how semigroup hands profiles in.  The
-    one-mode case of `_mode_problems`.
+    every square-integrable power.
     """
     if ell < 0:
         raise ValueError("mode degree must be nonnegative")
-    return next(_mode_problems((ell,), params, disc, tail_rays))
+    return next(_mode_problems((ell,), params, disc))
 
 
-def _hat_loads(profiles, support_radius, params: MeasureParams,
-               disc: Discretization) -> dict:
+def _hat_loads(profiles, params: MeasureParams, disc: Discretization) -> dict:
     """Per mode ell, the loads b_i = int profile phi_i dmu of the radial
     profiles on the mode's hats, as {ell: b}; profiles(r) gives
-    {ell: profile values at the radii r}.
+    {ell: profile values at the radii r}, and is called once.
 
     The grid's 12-point Gauss rule and hat values on every cell
     (`Discretization._grid`, shared with the assembly), plus the constant
-    extension of the last hat over [R, inf) by 12-point Gauss in t = R/r
-    (skipped where the support radius, None for none, is at most R).
-    ell >= 1 has no hat at r = 0.
+    extension of the last hat over [R, inf) by 12-point Gauss in t = R/r,
+    where a compact profile reads 0.  ell >= 1 has no hat at r = 0.
     """
     def weight(logr, log1p, half=0.0):  # r^{n-1} (1+r^2)^{half-beta}
         return np.exp((params.n - 1) * logr + (half - params.beta) * log1p)
 
     r, (rr, logr, log1p, left, right, ds, _) = disc._grid(params)
     ww = _WGL[:, None] * weight(logr, log1p, 0.5)  # with dr/ds = (1+r^2)^(1/2)
-    on_cells = profiles(rr.ravel())
     R = float(r[-1])
-    tails = dict.fromkeys(on_cells, 0.0)
-    if support_radius is None or support_radius > R:
-        t, wt = _gauss_panels(0.0, 1.0)
-        rt = R / t
-        wt = wt * (R / (t * t)) * weight(np.log(rt), np.log1p(rt * rt))
-        tails = {ell: float(prof @ wt) for ell, prof in profiles(rt).items()}
+    t, wt = _gauss_panels(0.0, 1.0)
+    rt = R / t
+    wt = wt * (R / (t * t)) * weight(np.log(rt), np.log1p(rt * rt))
     loads = {}
-    for ell, prof in on_cells.items():
-        g = ww * prof.reshape(rr.shape)
+    for ell, prof in profiles(np.concatenate((rr.ravel(), rt))).items():
+        g = ww * prof[:rr.size].reshape(rr.shape)
         b = _node_diag(ds * np.einsum("ji,ji->i", g, left),
                        ds * np.einsum("ji,ji->i", g, right))
-        b[-1] += tails[ell]
+        b[-1] += float(prof[rr.size:] @ wt)
         loads[ell] = b[1:] if ell > 0 else b
     return loads
 
 
-def _hat_projection(profiles, support_radius, params: MeasureParams,
-                    disc: Discretization):
+def _hat_projection(profiles, params: MeasureParams, disc: Discretization):
     """The L^2(mu) projection of radial profiles on the hats (no rays) of
     their modes: (problems, vs, mass), each mode's problem and
     v = B^{-1} b of its loads (`_hat_loads`, same arguments), in ascending
@@ -540,7 +512,7 @@ def _hat_projection(profiles, support_radius, params: MeasureParams,
     Mode 0 is shifted by its discrete mean 1'b / 1'B1: the heat flow keeps
     the mean, so the constant leaves the flow's representation exactly.
     """
-    loads = _hat_loads(profiles, support_radius, params, disc)
+    loads = _hat_loads(profiles, params, disc)
     problems = list(_mode_problems(sorted(loads), params, disc, tail_rays=False))
     vs = [sla.cho_solve_banded((_cholesky(p, p.B.band, "B"), True), loads[p.ell],
                                check_finite=False) for p in problems]

@@ -1,5 +1,6 @@
 """Smoke tests of the runnable experiments in scripts/."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -100,3 +101,15 @@ def test_src_lines_parts_add_up():
         assert sum(int(r[j]) for r in rows) == counts[kind], kind
     for r, p in zip(rows, files):
         assert sum(map(int, r[1:])) == len(p.read_text().splitlines()), r
+
+
+def test_mutant_ledger_runs_one_entry():
+    # every entry's old text occurs once in the tree as it stands, and the
+    # cheapest entry, run on a copy against one test file, is caught
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    for name, path, old, *_ in mutants.MUTANTS:
+        assert (ROOT / path).read_text().count(old) == 1, name
+    lines = _run("mutants.py", "--only", "tail-load-dropped")
+    assert len(lines) == 1 and lines[0].split()[0] == "caught", lines

@@ -33,8 +33,8 @@ from cauchygap.semigroup import (
     variance_representation_check,
 )
 from cauchygap.spectral import (Discretization, NumericalBreakdown, SymBand,
-                                _hat_loads, _hat_projection, assemble_mode,
-                                closed_form_gap, range_edges)
+                                _hat_loads, _hat_projection, closed_form_gap,
+                                range_edges)
 
 
 def test_default_horizon():
@@ -194,14 +194,13 @@ def _reference_loads(f, p, disc):
     ww = spectral._WGL[:, None] * weight(np.log(rr), np.log1p(rr * rr), 0.5)
     t, wt = spectral._gauss_panels(0.0, 1.0)
     wt = wt * (r[-1] / (t * t)) * weight(np.log(r[-1] / t), np.log1p((r[-1] / t) ** 2))
-    beyond = f.support_radius is None or f.support_radius > r[-1]
     tails = semigroup._mode_profiles(f, p, r[-1] / t)
     loads = {}
     for ell, prof in semigroup._mode_profiles(f, p, rr.ravel()).items():
         g = ww * prof.reshape(rr.shape)
         b = spectral._node_diag(0.5 * ds * np.einsum("ji,ji->i", g, left),
                                 0.5 * ds * np.einsum("ji,ji->i", g, right))
-        b[-1] += float(tails[ell] @ wt) if beyond else 0.0
+        b[-1] += float(tails[ell] @ wt)
         loads[ell] = b[1:] if ell > 0 else b
     return loads
 
@@ -216,7 +215,7 @@ def test_mode_loads_match_their_own_gauss_nodes(f, n, beta, m, delta):
     # own on a grid the assembly has already served, they are the same bits
     p, disc = MeasureParams(n, beta), Discretization(m=m, delta=delta)
     next(spectral._mode_problems((0,), p, disc))
-    got = _hat_loads(lambda r: _mode_profiles(f, p, r), f.support_radius, p, disc)
+    got = _hat_loads(lambda r: _mode_profiles(f, p, r), p, disc)
     ref = _reference_loads(f, p, disc)
     assert sorted(got) == sorted(ref)
     for ell in ref:
@@ -226,7 +225,7 @@ def test_mode_loads_match_their_own_gauss_nodes(f, n, beta, m, delta):
 @pytest.mark.parametrize("n, beta", [(2, 1.5), (3, 3.8), (3, 5.0), (1, 1.2), (1, 3.0)])
 def test_projected_start_shares_one_cell_pass(monkeypatch, n, beta):
     # both modes come from one pass over the cells (one _cell_integrals
-    # call), with the bands assemble_mode builds for each mode alone
+    # call), with the bands _mode_problems builds for each mode alone
     real, calls = spectral._cell_integrals, []
 
     def counted(*args):
@@ -236,13 +235,12 @@ def test_projected_start_shares_one_cell_pass(monkeypatch, n, beta):
     p, disc = MeasureParams(n, beta), Discretization(m=256, delta=1e-3)
     f = make_random_test(7, 1) if n == 1 else make_linear(np.ones(n))
     monkeypatch.setattr(spectral, "_cell_integrals", counted)
-    problems, _, _ = _hat_projection(lambda r: _mode_profiles(f, p, r),
-                                     f.support_radius, p, disc)
+    problems, _, _ = _hat_projection(lambda r: _mode_profiles(f, p, r), p, disc)
     assert len(calls) == 1
     monkeypatch.undo()
     assert [q.ell for q in problems] == [0, 1]
     for q in problems:
-        alone = assemble_mode(q.ell, p, disc, tail_rays=False)
+        alone = next(spectral._mode_problems((q.ell,), p, disc, tail_rays=False))
         np.testing.assert_array_equal(q.A.band, alone.A.band)
         np.testing.assert_array_equal(q.B.band, alone.B.band)
 
@@ -256,8 +254,7 @@ def _flow_start(beta, shape):
     p = MeasureParams(1, beta)
     f = make_quadratic_centered(p) if shape == "quadratic" else make_random_test(7, 1)
     disc = Discretization(m=128, delta=1e-3)
-    problems, vs, mass = _hat_projection(lambda r: _mode_profiles(f, p, r),
-                                         f.support_radius, p, disc)
+    problems, vs, mass = _hat_projection(lambda r: _mode_profiles(f, p, r), p, disc)
     var = sum(v @ (q.B @ v) for q, v in zip(problems, vs)) / mass
     return problems, vs, 2.0 * (beta - 1.0), default_horizon(var, closed_form_gap(p)[0])
 

@@ -29,6 +29,11 @@ from cauchygap.spectral import (
 )
 
 
+def _mode(ell, params, disc, tail_rays):
+    """One mode's bands, with or without tail rays (`_mode_problems`)."""
+    return next(spectral._mode_problems((ell,), params, disc, tail_rays))
+
+
 def test_closed_form_values_and_tags():
     # n = 1 branches
     assert closed_form_gap(MeasureParams(1, 1.0)) == (0.25, "lower")
@@ -186,7 +191,7 @@ def test_assemble_mode_structure():
     assert np.allclose(B0, B0.T)
     # banded: tridiagonal hats plus at most two ray columns at offset <= 2
     assert p0.ray_ks and _half_width(A0) <= 2 and _half_width(B0) <= 2
-    plain = assemble_mode(0, p, disc, tail_rays=False)
+    plain = _mode(0, p, disc, tail_rays=False)
     assert _half_width(plain.A.toarray()) == 1
     assert _half_width(plain.B.toarray()) == 1
     # constants lie in the kernel of the Dirichlet form (hat functions sum
@@ -241,7 +246,7 @@ def test_assemble_mode_matches_cell_loop(m, delta, n, beta):
     # exactly, apart from the tail term the last hat adds on [R, inf)
     disc = Discretization(m=m, delta=delta)
     for ell in range(4):
-        prob = assemble_mode(ell, MeasureParams(n, beta), disc, tail_rays=False)
+        prob = _mode(ell, MeasureParams(n, beta), disc, tail_rays=False)
         A_ref, B_ref = _reference_hat_part(ell, MeasureParams(n, beta), disc)
         A, B = prob.A.toarray(), prob.B.toarray()
         grid = np.ones(A.shape, dtype=bool)
@@ -479,7 +484,7 @@ _SOLVER_POINTS = [(2, 1.5), (3, 3.8), (3, 5.0), (1, 1.2), (1, 3.0)]
 def test_lowest_eigs_matches_dense_eigh(m, n, beta, tail_rays):
     disc = Discretization(m=m, delta=1e-3)
     for ell in range(4):
-        prob = assemble_mode(ell, MeasureParams(n, beta), disc, tail_rays)
+        prob = _mode(ell, MeasureParams(n, beta), disc, tail_rays)
         got = np.array(lowest_eigs(prob, 3))
         # mode 0's dense spectrum starts with the constants, never returned
         first = 1 if ell == 0 else 0
@@ -566,7 +571,7 @@ def test_lowest_eigpairs_vectors_are_b_orthonormal(n, beta):
     route = Discretization(m=384, delta=2e-3)
     for ell, rays, d, k in ((0, False, disc, 6), (1, True, disc, 6),
                             (0, False, route, 47)):
-        prob = assemble_mode(ell, MeasureParams(n, beta), d, rays)
+        prob = _mode(ell, MeasureParams(n, beta), d, rays)
         lam, phi = lowest_eigpairs(prob, k)
         assert list(lam) == lowest_eigs(prob, k)
         assert np.all(np.diff(lam) > 0)
@@ -581,11 +586,24 @@ def test_lowest_eigpairs_vectors_are_b_orthonormal(n, beta):
             assert np.all(np.abs(lam - ref) <= 1e-9 * np.abs(ref)), (lam, ref)
 
 
+def test_lowest_eigpairs_residuals_on_the_heat_flow_pencils():
+    # criterion 7's pencils ((1, 2.0), m = 1024, hats only), six pairs each,
+    # as the heat flow solves them.  Measured worst
+    # |A v - lam B v| / (lam |B v|): 1.3e-11 on mode 0 and 2.1e-12 on mode 1
+    # with Lanczos stopped at _LANCZOS_TOL = 1e-13; 9.0e-9 and 8.1e-8 at 1e-6
+    p, disc = MeasureParams(1, 2.0), Discretization(m=1024, delta=1e-3)
+    for prob in spectral._mode_problems((0, 1), p, disc, tail_rays=False):
+        lam, phi = lowest_eigpairs(prob, 6)
+        Bphi = prob.B @ phi
+        res = np.linalg.norm(prob.A @ phi - Bphi * lam, axis=0)
+        assert np.all(res <= 1e-10 * lam * np.linalg.norm(Bphi, axis=0)), (prob.ell, res)
+
+
 def test_lowest_eigpairs_domain():
     # k >= 1; k at or past the matrix size is clamped to nn - 1, ARPACK's
     # limit, which on mode 0 is every value past the constants
-    prob = assemble_mode(0, MeasureParams(1, 2.0), Discretization(m=64, delta=1e-2),
-                         tail_rays=False)
+    prob = _mode(0, MeasureParams(1, 2.0), Discretization(m=64, delta=1e-2),
+                 tail_rays=False)
     nn = prob.size()
     for k in (0, -3):
         with pytest.raises(ValueError, match="k >= 1"):
@@ -814,6 +832,37 @@ def test_numeric_gap_at_large_beta(n, beta, m):
     assert abs(rep.rel_error) <= 1e-12, rep
 
 
+# mpmath values (scripts/make_oracle_values.py) of the tail moments past
+# the cap R_beta of (6, 1e5), where t_R = 1/(1+R^2) = 0.994.  The binomial
+# series of (1-t)^{b-1} cancels there (its sum of |terms| over its sum is
+# up to 1.4e10, its moments off by 5.2e-8), enough to break numeric_gap's
+# inertia count; the positive series reads 7.6e-14.
+_FAR_TAIL_R = 0.07598162769871525
+_FAR_TAIL_PINS = {
+    (5, 100000): 1.6579516271909491e-260,
+    (6, 100000): 1.2608388383622835e-261,
+    (7, 100000): 9.5884328505592199e-263,
+    (8, 100000): 7.2918212650748879e-264,
+    (9, 100000): 5.5452959567615675e-265,
+    (3, 99999): 2.883379528382136e-258,
+    (4, 99999): 2.192748784000802e-259,
+    (5, 99999): 1.6675400600415083e-260,
+    (6, 99999): 1.2681306596273583e-261,
+    (7, 99999): 9.6438858101268355e-263,
+}
+
+
+def test_tail_moments_past_the_binomial_series():
+    p, disc = MeasureParams(6, 1e5), Discretization(m=64, delta=1e-3)
+    assert float(disc.radii(p)[-1]) == _FAR_TAIL_R
+    for (c, d), value in _FAR_TAIL_PINS.items():
+        np.testing.assert_allclose(_tail_moment(_FAR_TAIL_R, c, d), value,
+                                   rtol=1e-12, atol=0)
+    rep = numeric_gap(p, disc)
+    assert rep.range_tag == "upper"
+    assert abs(rep.rel_error) <= 1e-12, rep
+
+
 def _domain_betas(n):
     return sorted({n / 2 + 0.05, n / 2 + 0.5, n / 2 + 1.5, n / 2 + 2.5, n + 1.5,
                    n + 4.0, 10.0, 20.0, 40.0, 42.0, 54.5, 60.0, 120.0, 200.0})
@@ -1028,8 +1077,8 @@ def test_inertia_matches_the_dense_count(n, beta, tail_rays):
 
 
 def test_inertia_refuses_zero_and_nan_pivots():
-    prob = assemble_mode(1, MeasureParams(3, 3.8), Discretization(m=64, delta=1e-3),
-                         tail_rays=False)
+    prob = _mode(1, MeasureParams(3, 3.8), Discretization(m=64, delta=1e-3),
+                 tail_rays=False)
     nn = prob.size()
     spd = np.vstack([np.full(nn, 2.0), np.full(nn, 1.0)])
     assert spectral._inertia(prob, spd, "M") == 0
