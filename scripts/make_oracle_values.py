@@ -177,17 +177,19 @@ def main():
                 print(f"    ({c}, {d}): {fmt(moment(c, mp.mpf(d), R, None))},")
     print("}")
 
-    print("\n# tail moments past the cap R_beta of (n, beta) = (6, 1e5), where")
-    print("# t_R = 1/(1+R^2) = 0.994: c = n-1+p+q against beta (the mass) and")
-    print("# c = n-3+p+q against beta - 1 (the ell term), p + q = 0..4")
-    n, beta = 6, 100000
-    R = mp.mpf(float(np.sinh(grid_s(64, 1e-3, n, beta)[-1])))
-    print(f"_FAR_TAIL_R = {float(R)!r}")
-    print("_FAR_TAIL_PINS = {")
-    for c0, d in ((n - 1, beta), (n - 3, beta - 1)):
-        for c in range(c0, c0 + 5):
-            print(f"    ({c}, {d}): {fmt(moment(c, mp.mpf(d), R, None))},")
-    print("}")
+    print("\n# tail moments past the cap R_beta of (n, beta) = (6, 1e5) and")
+    print("# (6, 1e7) on the m = 64 grid, where t_R = 1/(1+R^2) = 0.994 and")
+    print("# 0.99994: c = n-1+p+q against beta (the mass) and c = n-3+p+q")
+    print("# against beta - 1 (the ell term), p + q = 0..4")
+    n = 6
+    for beta, name in ((100000, "_FAR_TAIL"), (10000000, "_FARTHEST_TAIL")):
+        R = mp.mpf(float(np.sinh(grid_s(64, 1e-3, n, beta)[-1])))
+        print(f"{name}_R = {float(R)!r}")
+        print(f"{name}_PINS = {{")
+        for c0, d in ((n - 1, beta), (n - 3, beta - 1)):
+            for c in range(c0, c0 + 5):
+                print(f"    ({c}, {d}): {fmt(moment(c, mp.mpf(d), R, None))},")
+        print("}")
 
 
 def grid_s(m, delta, n, beta):

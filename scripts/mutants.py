@@ -30,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SPECTRAL = "src/cauchygap/spectral.py"
+QUADRATURE = "src/cauchygap/quadrature.py"
 TIMEOUT_S = 900
 
 MUTANTS = [
@@ -49,7 +50,7 @@ MUTANTS = [
      "Lanczos stopped at a Ritz residual of 1e-6 of the value",
      ["tests/test_spectral.py::test_lowest_eigpairs_residuals_on_the_heat_flow_pencils",
       "tests/test_spectral.py::test_lowest_eigpairs_vectors_are_b_orthonormal"]),
-    ("lowfact-at-eps-zero", "src/cauchygap/quadrature.py",
+    ("lowfact-at-eps-zero", QUADRATURE,
      '2: {"IRG": 0.0, "LOWFACT": None}}',
      '2: {"IRG": 0.0, "LOWFACT": 0.0}}',
      "LOWFACT at eps = 0, the mid-range split, in place of eps0",
@@ -66,6 +67,21 @@ MUTANTS = [
      "the last hat's load over [R, inf) left out of the projection",
      ["tests/test_semigroup.py::test_mode_loads_match_their_own_gauss_nodes",
       "tests/test_semigroup.py::test_projected_start_keeps_constants_beyond_R"]),
+    ("pack-key-without-beta", QUADRATURE,
+     "@lru_cache(maxsize=64)\ndef _pack_tables_cached(",
+     "def _beta_blind(build):\n"
+     "    @lru_cache(maxsize=64)\n"
+     "    def cached(n, nodes, *key):\n"
+     "        return build(n, cached.beta, nodes, *key)\n\n"
+     "    def lookup(n, beta, nodes, *key):\n"
+     "        cached.beta = beta\n"
+     "        return cached(n, nodes, *key)\n\n"
+     "    lookup.cache_clear = cached.cache_clear\n"
+     "    return lookup\n\n\n"
+     "@_beta_blind\ndef _pack_tables_cached(",
+     "the pack tables cached without beta in their key: a rule's packs read "
+     "the tables of the first beta it served",
+     ["tests/test_quadrature.py::test_packs_on_a_warm_cache_match_a_cold_one"]),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -237,10 +237,10 @@ RANDOM_TEST_SEAMS = (0.6 * RANDOM_TEST_RADIUS, RANDOM_TEST_RADIUS)
 
 @lru_cache(maxsize=None)
 def _poly_basis(n: int, degree: int):
-    """The basis, ordered by total degree, as (degrees, cuts, parent, var,
-    ops): degree d is cuts[d]:cuts[d + 1], monomial m > 0 is monomial
-    parent[m] times x_var[m], and the sparse stack ops of (M, M) operators
-    maps coefficient vectors to those of their field rows, row after row."""
+    """The basis, ordered by total degree, as (degrees, parent, var, ops):
+    monomial m > 0 is monomial parent[m] < m times x_var[m], and the sparse
+    stack ops of (M, M) operators maps coefficient vectors to those of their
+    field rows, row after row."""
     exps = [e for d in range(degree + 1) for e in _exponents(n, d)]
     M = len(exps)
     index = {e: m for m, e in enumerate(exps)}
@@ -262,19 +262,19 @@ def _poly_basis(n: int, degree: int):
     ops = sparse.vstack([sparse.eye_array(M)] + D + [D[j] @ D[i] for i, j in zip(iu, ju)]
                         + [Dk @ lap for Dk in D], format="csr")
     degrees = np.sum(exps, axis=1)
-    cuts = np.searchsorted(degrees, np.arange(degree + 2))
-    for a in (degrees, cuts, parent, var):
+    for a in (degrees, parent, var):
         a.flags.writeable = False
-    return degrees, cuts, parent, var, ops
+    return degrees, parent, var, ops
 
 
-def _monomials(x: Array, cuts: Array, parent: Array, var: Array) -> Array:
-    """Table (M, N) of the basis monomials at the points x (N, n)."""
+def _monomials(x: Array, parent: Array, var: Array) -> Array:
+    """Table (M, N) of the basis monomials at the points x (N, n), one
+    product into its row per monomial (no gathered copies)."""
     xt = np.ascontiguousarray(x.T)
-    mono = np.empty((cuts[-1], x.shape[0]))
+    mono = np.empty((len(parent), x.shape[0]))
     mono[0] = 1.0
-    for lo, hi in zip(cuts[1:-1], cuts[2:]):
-        mono[lo:hi] = mono[parent[lo:hi]] * xt[var[lo:hi]]
+    for m, p, i in zip(range(1, len(parent)), parent[1:].tolist(), var[1:].tolist()):
+        np.multiply(mono[p], xt[i], out=mono[m])
     return mono
 
 
@@ -342,63 +342,93 @@ def _product_rule(Q: Array, u: Array, order: int) -> dict:
     return rows
 
 
-class RandomTestFields:
-    """Fields of make_random_test's functions f = P b, up to the derivative
-    order 0..3, for a coefficient stack (M, T) of T functions.
+def _product_rows(coefs: Array, table: Array, u: Array, order: int) -> dict:
+    """_product_rule's rows for the coefficient stack coefs (M, T), from the
+    monomial table (M, k J) of the directions u (n, J): the field-row
+    coefficients of P against the table give Q (rows, T, k, J)."""
+    n, J = u.shape
+    ops, M, T = _poly_basis(n, RANDOM_TEST_DEGREE)[3], len(table), coefs.shape[1]
+    nh = n * (n + 1) // 2
+    rows = (1, 1 + n, 1 + n + nh, 1 + 2 * n + nh)[order]
+    S = (ops @ coefs)[:rows * M].reshape(rows, M, T)  # field-row coefficients
+    Q = S.transpose(0, 2, 1).reshape(rows * T, M) @ table
+    return _product_rule(Q.reshape(rows, T, table.shape[1] // J, J), u, order)
 
-    Whole rows: at the nodes r_i u_j (node i J + j) of the radii r (I,) and
-    unit vectors u (J, n), every field row is a sum of radial factors times
-    angular arrays (_product_rule), as x^a = r^|a| u^a.  `terms` gives each
-    row's arrays and the columns of the radial matrix `radial` (I, factors
-    x powers) they pair with.  Points (r None): `fields` evaluates the rows
-    at the points u, with the factors per point in `radial` (J, factors).
+
+class RandomTestFields:
+    """Fields of make_random_test's functions f = P b on whole rows, up to
+    the derivative order 0..3, for coefficient stacks (M, T) of T functions.
+
+    At the nodes r_i u_j (node i J + j) of radii r (I,) and the unit vectors
+    u (J, n), every field row is a sum of radial factors times angular
+    arrays (_product_rule), as x^a = r^|a| u^a.  The object holds the
+    direction side only (the monomial table, one column block per radial
+    power, and u, both read-only), so one serves every radial rule and
+    order: `radial(r, order)` is the radial matrix, `terms(coefs, order)`
+    gives each row's angular arrays, and `columns(order)` the columns of
+    the radial matrix they pair with.
     """
 
-    def __init__(self, r: Optional[Array], u: Array, order: int = 3):
-        n, self.order = u.shape[1], order
-        degrees, cuts, parent, var, ops = _poly_basis(n, RANDOM_TEST_DEGREE)
-        nh = n * (n + 1) // 2
-        self._ops, self._rows = ops, (1, 1 + n, 1 + n + nh, 1 + 2 * n + nh)[order]
-        s = np.sqrt(_row_sq_norms(u))
-        # outside the bump every factor is an exact 0; clamp the polynomial
-        # argument to the support ball so huge points cannot overflow
-        R = RANDOM_TEST_RADIUS
-        mono = _monomials(u * (R / np.maximum(s, R))[:, None], cuts, parent, var)
-        self._u = np.ascontiguousarray((u / np.where(s > 0, s, 1.0)[:, None]).T)
-        if r is None:
-            self._table, self.radial = mono, _radial_factors(s, n, order).T
-        else:
-            # the monomials of degree d in column block d: one GEMM gives the
-            # field rows per radial power
-            D = np.arange(RANDOM_TEST_DEGREE + 1)
-            block = (degrees[:, None] == D)[:, :, None]
-            self._table = (block * mono[:, None]).reshape(len(mono), -1)
-            self.radial = (_radial_factors(r, n, order).T[:, :, None]
-                           * (np.minimum(r, R)[:, None] ** D)[:, None]).reshape(len(r), -1)
+    def __init__(self, u: Array):
+        degrees, parent, var, _ = _poly_basis(u.shape[1], RANDOM_TEST_DEGREE)
+        # the monomials of degree d in column block d: one GEMM gives the
+        # field rows per radial power
+        D = np.arange(RANDOM_TEST_DEGREE + 1)
+        mono = _monomials(u, parent, var)
+        self._table = ((degrees[:, None] == D)[:, :, None] * mono[:, None]).reshape(len(mono), -1)
+        self._u = np.ascontiguousarray((u / np.sqrt(_row_sq_norms(u))[:, None]).T)
+        for a in (self._table, self._u):
+            a.flags.writeable = False
 
-    def _product_rows(self, coefs: Array) -> dict:
-        """_product_rule's rows for the coefficient stack coefs (M, T)."""
-        M, J, T, rows = len(self._table), self._u.shape[1], coefs.shape[1], self._rows
-        S = (self._ops @ coefs)[:rows * M].reshape(rows, M, T)  # field-row coefficients
-        Q = S.transpose(0, 2, 1).reshape(rows * T, M) @ self._table
-        return _product_rule(Q.reshape(rows, T, -1, J), self._u, self.order)
+    def radial(self, r: Array, order: int) -> Array:
+        """The radial matrix (I, factors x powers) at the radii r:
+        factor s times r^d in column s (degree + 1) + d."""
+        D = np.arange(RANDOM_TEST_DEGREE + 1)
+        return (_radial_factors(r, len(self._u), order).T[:, :, None]
+                * (np.minimum(r, RANDOM_TEST_RADIUS)[:, None] ** D)[:, None]).reshape(len(r), -1)
 
-    def terms(self, coefs: Array) -> dict:
-        """{row name: (columns, angular array (c, T, k, J))} of the rows of
-        _product_rule for the coefficient stack coefs (M, T), on whole rows:
-        the row at the nodes is radial[:, columns] @ array, (c, T, I, J)."""
-        rows = self._product_rows(coefs)
-        D = rows["f"][0][1].shape[2]
-        return {name: (np.concatenate([s * D + np.arange(D) for s, _ in row]),
-                       np.concatenate([a for _, a in row], axis=2))
-                for name, row in rows.items()}
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def columns(order: int) -> dict:
+        """{row name: the columns of radial(r, order) its terms pair with},
+        read-only: factor s times r^d is column s (degree + 1) + d.  The
+        factors of _product_rule's terms are the same at every n and for
+        every coefficient stack, so they are read once, at n = 1 with no
+        trials."""
+        D = RANDOM_TEST_DEGREE + 1
+        rows = _product_rows(np.empty((D, 0)), np.zeros((D, D)), np.ones((1, 1)), order)
+        columns = {name: np.concatenate([s * D + np.arange(D) for s, _ in row])
+                   for name, row in rows.items()}
+        for a in columns.values():
+            a.flags.writeable = False
+        return columns
 
-    def fields(self, coefs: Array) -> list:
-        """[f, grad f, Hess f, grad Lap f][:order + 1] at the points for the
-        coefficient stack coefs (M, T), each (c, T, J) for its c components:
-        1, n, n(n+1)/2 (the distinct entries i <= j) and n."""
-        return [sum(self.radial[:, s] * A[:, :, 0] for s, A in row)
-                for row in self._product_rows(coefs).values()]
+    def terms(self, coefs: Array, order: int) -> dict:
+        """{row name: angular array (c, T, k, J)} of the rows of
+        _product_rule for the coefficient stack coefs (M, T): the row at the
+        nodes is radial(r, order)[:, columns(order)[name]] @ array, of shape
+        (c, T, I, J)."""
+        return {name: np.concatenate([a for _, a in row], axis=2)
+                for name, row in _product_rows(coefs, self._table, self._u, order).items()}
+
+
+def _point_fields(x: Array, coefs: Array, order: int) -> list:
+    """[f, grad f, Hess f, grad Lap f][:order + 1] of make_random_test's
+    functions at the points x (J, n) for the coefficient stack coefs
+    (M, T), each (c, T, J) for its c components: 1, n, n(n+1)/2 (the
+    distinct entries i <= j) and n.  Each term of _product_rule times its
+    factor at the point, accumulated term by term."""
+    n = x.shape[1]
+    _, parent, var, _ = _poly_basis(n, RANDOM_TEST_DEGREE)
+    s = np.sqrt(_row_sq_norms(x))
+    # outside the bump every factor is an exact 0; clamp the polynomial
+    # argument to the support ball so huge points cannot overflow
+    R = RANDOM_TEST_RADIUS
+    table = _monomials(x * (R / np.maximum(s, R))[:, None], parent, var)
+    u = np.ascontiguousarray((x / np.where(s > 0, s, 1.0)[:, None]).T)
+    radial = _radial_factors(s, n, order).T
+    return [sum(radial[:, k] * A[:, :, 0] for k, A in row)
+            for row in _product_rows(coefs, table, u, order).values()]
 
 
 @lru_cache(maxsize=None)
@@ -420,7 +450,7 @@ def make_random_test(seed: int, n: int) -> SmoothFunction:
     coefs, (label,) = random_test_coefficients([seed], n)
 
     def fields(x, order):
-        f = RandomTestFields(None, x, order).fields(coefs)[order][:, 0]
+        f = _point_fields(x, coefs, order)[order][:, 0]
         return f[0] if order == 0 else np.ascontiguousarray(
             f.T if order == 1 else f[_pairs(n)[2]].transpose(2, 0, 1))
 

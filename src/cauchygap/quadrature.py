@@ -142,15 +142,24 @@ def _radial_rule_cached(n: int, beta: float, nodes: int, trunc: Optional[float],
     return r[keep], logw[keep]
 
 
-def _radial_rule(params: MeasureParams, spec: QuadratureSpec,
-                 support_radius: Optional[float] = None,
-                 seams: tuple = ()):
+def _rule_key(params: MeasureParams, spec: QuadratureSpec,
+              support_radius: Optional[float] = None, seams: tuple = ()):
+    """The arguments (n, beta, nodes, trunc, seams) of `_radial_rule_cached`
+    for a tensor rule; the spec and n are checked here."""
+    if spec.scheme == "polar_2d" and params.n != 2:
+        raise ValueError("polar_2d requires n = 2")
     trunc = None if support_radius is None else float(support_radius)
     # only seams inside (0, trunc) pin panel edges; dropping the rest first
     # lets every seam tuple that pins the same edges share one cached rule
     inside = () if trunc is None else tuple(sorted({s for s in seams
                                                     if 0.0 < s < trunc}))
-    return _radial_rule_cached(params.n, params.beta, spec.nodes, trunc, inside)
+    return params.n, params.beta, spec.nodes, trunc, inside
+
+
+def _radial_rule(params: MeasureParams, spec: QuadratureSpec,
+                 support_radius: Optional[float] = None,
+                 seams: tuple = ()):
+    return _radial_rule_cached(*_rule_key(params, spec, support_radius, seams))
 
 
 # ----------------------------------------------------------------------
@@ -163,23 +172,27 @@ _NODE_CHUNK = 4096   # nodes per block (one radial row where a row is longer)
 
 @lru_cache(maxsize=128)
 def _sphere_directions(n: int, angular: int):
-    """Directions u_k and weights summing to 1 (uniform sphere average)."""
+    """Directions u_k and weights summing to 1 (uniform sphere average),
+    read-only."""
     if n == 1:
-        return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
-    if n == 2:
+        dirs, dw = np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
+    elif n == 2:
         phi = 2.0 * math.pi * np.arange(angular) / angular
-        u = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        return u, np.full(angular, 1.0 / angular)
-    if n == 3:
+        dirs, dw = np.stack([np.cos(phi), np.sin(phi)], axis=1), np.full(angular, 1.0 / angular)
+    elif n == 3:
         p_polar = max(8, angular // 4)
         q_azim = max(12, angular // 3)
         ug, wg = leggauss(p_polar)
         psi = 2.0 * math.pi * np.arange(q_azim) / q_azim
         s = np.sqrt(1.0 - ug ** 2)[:, None]
         dirs = np.stack(np.broadcast_arrays(s * np.cos(psi), s * np.sin(psi),
-                                            ug[:, None]), axis=2)
-        return dirs.reshape(-1, 3), np.repeat(0.5 * wg / q_azim, q_azim)
-    raise ValueError(f"deterministic sphere rule implemented for n <= 3, got n={n}")
+                                            ug[:, None]), axis=2).reshape(-1, 3)
+        dw = np.repeat(0.5 * wg / q_azim, q_azim)
+    else:
+        raise ValueError(f"deterministic sphere rule implemented for n <= 3, got n={n}")
+    for a in (dirs, dw):
+        a.flags.writeable = False
+    return dirs, dw
 
 
 def _axis_directions(n: int):
@@ -194,15 +207,14 @@ def _tensor_rule(params: MeasureParams, spec: QuadratureSpec,
     """The tensor rule for full-dimensional integrals as its factors (r,
     logw, u, dw): radii r and log mu-weights logw of `_radial_rule`, unit
     directions u (J, n) and their weights dw, the node r_i u_j carrying
-    exp(logw_i) dw_j.  The spec and n are checked here.  The directions are
-    those of `_sphere_directions` (n <= 3), or of `_axis_directions` (any
-    n) for the integrands of an f with angular_mode 0 or 1, which are of
-    degree <= 3 on every sphere."""
-    if spec.scheme == "polar_2d" and params.n != 2:
-        raise ValueError("polar_2d requires n = 2")
+    exp(logw_i) dw_j.  The spec and n are checked (`_rule_key`) before the
+    directions, which are those of `_sphere_directions` (n <= 3), or of
+    `_axis_directions` (any n) for the integrands of an f with angular_mode
+    0 or 1, which are of degree <= 3 on every sphere."""
+    rule = _radial_rule(params, spec, support_radius, seams)
     dirs = (_axis_directions(params.n) if angular_mode in (0, 1)
             else _sphere_directions(params.n, spec.angular_nodes))
-    return (*_radial_rule(params, spec, support_radius, seams), *dirs)
+    return (*rule, *dirs)
 
 
 def _node_blocks(params: MeasureParams, spec: QuadratureSpec,
@@ -258,8 +270,9 @@ def default_nd_spec(n: int) -> QuadratureSpec:
 # written multiplied through, (beta - 2) lhs = numerator, so they hold and
 # are checked at beta = 2 too.  At x = r_i u_j each field row of a random
 # test is sum_s phi_s(r_i) r_i^d A_s[d](u_j) (functions._product_rule), so
-# each integral is a radial moment matrix, once per pack, contracted with
-# an angular Gram on the directions, per trial: no array has a node axis.
+# each integral is a block of a radial moment matrix, once per rule and
+# order (`_pack_tables`), contracted with an angular Gram on the
+# directions, per trial: no array has a node axis.
 
 _TRIAL_BLOCK = 8     # random tests per Gram batch; bounds the angular arrays
 
@@ -275,75 +288,133 @@ def applicable_tags(params: MeasureParams) -> list[str]:
     return ["IPP1", "IPP2", "IPP3", "IPP4", "GAMMABIS", "GRG", *_SPLIT_EPS[min(params.n, 2)]]
 
 
+# The integrals int omega F G dmu of the packs by name, as (F, G, omega,
+# the pack orders that read it), with w = 1 + r^2.  gu, lap and hu are the
+# rows <grad f, u>, Lap f and (Hess f) u, which a pack combines on the
+# directions from grad f and Hess f, so they pair with those rows' radial
+# columns (_COLUMNS_OF): a1 and a2, p1 and p2, gx2 and r2g2 read one block.
+_COLUMNS_OF = {"gu": "grad", "lap": "hess", "hu": "hess"}
+_INTEGRALS = {
+    "sq": ("f", "f", "1", (1,)),                 # int f^2
+    "gam": ("grad", "grad", "w", (1, 2, 3)),     # int Gamma(f)
+    "a1": ("hess", "hess", "w2", (2, 3)),        # int ||w Hess f||^2
+    "a2": ("lap", "lap", "w2", (2, 3)),          # int (w Lap f)^2
+    "g2i": ("grad", "grad", "1", (2, 3)),
+    "gx2": ("gu", "gu", "r2", (2, 3)),           # int <grad f, x>^2
+    "r2g2": ("grad", "grad", "r2", (2, 3)),
+    "p1": ("hu", "grad", "wr", (2, 3)),          # p1/4: int <d|df|^2, w dw>
+    "p2": ("lap", "gu", "wr", (2, 3)),           # p2/2: int <Lap f df, w dw>
+    "t2": ("grad", "gradlap", "w2", (3,)),       # int w^2 <df, dLap f>
+}
+
+
+@lru_cache(maxsize=16)
+def _direction_fields(n: int, angular: int) -> RandomTestFields:
+    """The direction side of the random tests on _sphere_directions(n,
+    angular), shared by every radial rule and order on those directions."""
+    return RandomTestFields(_sphere_directions(n, angular)[0])
+
+
+@lru_cache(maxsize=64)
+def _pack_tables_cached(n: int, beta: float, nodes: int, trunc: Optional[float],
+                        seams: tuple, angular: int, order: int):
+    """What every pack of `order` reads on the rule of
+    _radial_rule_cached(n, beta, nodes, trunc, seams) and
+    _sphere_directions(n, angular), as (fields, dirs, dw, order, first,
+    blocks): the direction side `_direction_fields`, the directions and
+    their weights, the first moment R' exp(logw) on the columns of f, and
+    per integral of `_INTEGRALS` that packs of the order read, the block
+    M_omega[cf, cg] of the radial moments M_omega = R' diag(omega exp(logw)) R
+    of the radial matrix R, one array per distinct block.  Built on the
+    rule's first pack; every array is read-only."""
+    r, logw = _radial_rule_cached(n, beta, nodes, trunc, seams)
+    dirs, dw = _sphere_directions(n, angular)
+    fields = _direction_fields(n, angular)
+    R, w, W = fields.radial(r, order), 1.0 + r * r, np.exp(logw)
+    omegas = {"1": 1.0, "w": w, "w2": w * w, "r2": r * r, "wr": w * r}
+    columns = fields.columns(order)
+    moments, distinct, blocks = {}, {}, {}
+    for name, (F, G, omega, orders) in _INTEGRALS.items():
+        if order in orders:
+            key = _COLUMNS_OF.get(F, F), _COLUMNS_OF.get(G, G), omega
+            if key not in distinct:
+                if omega not in moments:
+                    moments[omega] = (R.T * (omegas[omega] * W)) @ R
+                distinct[key] = moments[omega][np.ix_(columns[key[0]], columns[key[1]])]
+                distinct[key].flags.writeable = False
+            blocks[name] = distinct[key]
+    first = (W @ R)[columns["f"]]
+    first.flags.writeable = False
+    return fields, dirs, dw, order, first, blocks
+
+
+def _pack_tables(params: MeasureParams, spec: QuadratureSpec,
+                 support_radius: Optional[float], seams: tuple, order: int):
+    """`_pack_tables_cached` on the tensor rule of _tensor_rule(params, spec,
+    support_radius, seams)."""
+    return _pack_tables_cached(*_rule_key(params, spec, support_radius, seams),
+                               spec.angular_nodes, order)
+
+
 class _FieldPack:
     """mu-integrals of the fields of make_random_test's functions for the
-    coefficient stack coefs (M, T) on the tensor rule (r, logw, u, dw) of
-    `_tensor_rule`, with their `labels`, each an array with one entry per
-    function.  Order 1 gives only mean = int f, sq = int f^2 and
-    gam = int Gamma(f); orders 2 and 3 the integrals of the identities (t2
-    is NaN at order 2, which skips grad Lap f).
+    coefficient stack coefs (M, T) on the `tables` of `_pack_tables`, with
+    their `labels`, each an array with one entry per function.  Order 1
+    gives only mean = int f, sq = int f^2 and gam = int Gamma(f); orders 2
+    and 3 the integrals of the identities (t2 is NaN at order 2, which
+    skips grad Lap f).
 
     Each integral int omega F G dmu of two field rows is
-    sum(M_omega o A_F diag(dw) A_G'): the radial moments
-    M_omega = R' diag(omega exp(logw)) R of the radial matrix R of
-    `RandomTestFields`, once per pack, against the angular Gram of the rows'
-    angular arrays (`RandomTestFields.terms`), per block of trials; int f is
-    the first moment R' exp(logw) against A_f dw."""
+    sum(M_omega[cf, cg] o A_F diag(dw) A_G'): the tables' block of radial
+    moments, built once per rule and order, against the angular Gram of the
+    rows' angular arrays (`RandomTestFields.terms`); int f is the tables'
+    first moment against A_f dw.  Per block of trials a pack does only the
+    work that depends on the trials: the terms, one Gram per pair of rows
+    and one sum per integral."""
 
-    def __init__(self, coefs, params: MeasureParams, rule, order: int = 3, labels=()):
+    def __init__(self, coefs, params: MeasureParams, tables, labels=()):
         n, beta = params.n, params.beta
-        r, logw, dirs, dw = rule
+        fields, dirs, dw, order, first, blocks = tables
         self.labels = labels
-        fields = RandomTestFields(r, dirs, order)
-        R, w, W = fields.radial, 1.0 + r * r, np.exp(logw)
-        omegas = (("1", 1.0), ("w", w), ("w2", w * w), ("r2", r * r), ("wr", w * r))
-        moments = {k: (R.T * (omega * W)) @ R for k, omega in omegas[:2 if order == 1 else 5]}
         iu, ju, pair = _pairs(n)
         diag = (iu == ju)[:, None, None, None]
         u = dirs.T[:, None, None, :]
         totals = np.full((3 if order == 1 else 10, coefs.shape[1]), np.nan)
         for t in range(0, coefs.shape[1], _TRIAL_BLOCK):
             block = slice(t, t + _TRIAL_BLOCK)
-            terms = fields.terms(coefs[:, block])
+            terms = fields.terms(coefs[:, block], order)
+            grams = {}
 
-            def gram(F, G, weights=1.0):
-                # A_F diag(weights dw) A_G' per trial, summed over components
-                (cf, A), (cg, B) = terms[F], terms[G]
-                A, B = (X.transpose(1, 2, 0, 3).reshape(X.shape[1], X.shape[2], -1)
-                        for X in (A * (weights * dw), B))
-                return A @ B.transpose(0, 2, 1), np.ix_(cf, cg)
+            def integral(name):
+                # the Gram A_F diag(weights dw) A_G' per trial, summed over
+                # components, once per pair of rows; the distinct entries
+                # i < j of Hess f count twice in ||Hess f||^2
+                F, G, *_ = _INTEGRALS[name]
+                if (F, G) not in grams:
+                    weights = 2.0 - diag if F == G == "hess" else 1.0
+                    A, B = (X.transpose(1, 2, 0, 3).reshape(X.shape[1], X.shape[2], -1)
+                            for X in (terms[F] * (weights * dw), terms[G]))
+                    grams[F, G] = A @ B.transpose(0, 2, 1)
+                return np.sum(grams[F, G] * blocks[name], axis=(1, 2))
 
-            def integral(gram, omega):
-                return np.sum(gram[0] * moments[omega][gram[1]], axis=(1, 2))
-
-            gg = gram("grad", "grad")
-            gam = integral(gg, "w")
+            gam = integral("gam")
             if order == 1:
-                cf, F = terms["f"]
-                totals[:, block] = [(F[0] @ dw) @ (W @ R)[cf],
-                                    integral(gram("f", "f"), "1"), gam]
+                totals[:, block] = [(terms["f"][0] @ dw) @ first, integral("sq"), gam]
                 continue
-            (cg, G), (ch, H) = terms["grad"], terms["hess"]
-            # the rows <grad f, u>, Lap f and (Hess f) u, combined on the
-            # directions from those of grad f and Hess f
-            terms.update(gu=(cg, np.sum(G * u, axis=0, keepdims=True)),
-                         lap=(ch, np.sum(H * diag, axis=0, keepdims=True)),
-                         hu=(ch, np.sum(H[pair] * u, axis=1)))
-            r2g2 = integral(gg, "r2")
-            gx2 = integral(gram("gu", "gu"), "r2")
+            G, H = terms["grad"], terms["hess"]
+            terms.update(gu=np.sum(G * u, axis=0, keepdims=True),
+                         lap=np.sum(H * diag, axis=0, keepdims=True),
+                         hu=np.sum(H[pair] * u, axis=1))
+            r2g2, gx2 = integral("r2g2"), integral("gx2")
             totals[:9, block] = [
-                integral(gram("hess", "hess", 2.0 - diag), "w2"),  # a1: int ||w Hess f||^2
-                integral(gram("lap", "lap"), "w2"),              # a2: int (w Lap f)^2
-                gam,                                             # int Gamma
-                integral(gg, "1"),                               # g2i
-                gx2,                                             # int <grad f, x>^2
+                integral("a1"), integral("a2"), gam, integral("g2i"), gx2,
                 r2g2 - gx2,                                      # qi
-                4.0 * integral(gram("hu", "grad"), "wr"),        # p1: int <d|df|^2, w dw>
-                2.0 * integral(gram("lap", "gu"), "wr"),         # p2: int <Lap f df, w dw>
+                4.0 * integral("p1"),
+                2.0 * integral("p2"),
                 -2.0 * n * gam + 4.0 * (beta - 1.0) * r2g2,      # wdw2
             ]
-            if order == 3:  # t2: int w^2 <df, dLap f>
-                totals[9, block] = integral(gram("grad", "gradlap"), "w2")
+            if order == 3:
+                totals[9, block] = integral("t2")
         if order == 1:
             self.mean, self.sq, self.gam = totals
             return
@@ -365,8 +436,8 @@ def _var_and_energy(f: SmoothFunction, params: MeasureParams):
     at every n."""
     spec = default_nd_spec(params.n)
     if f.coefs is not None:
-        rule = _tensor_rule(params, spec, f.support_radius, f.radial_seams)
-        pack = _FieldPack(np.array(f.coefs)[:, None], params, rule, order=1)
+        tables = _pack_tables(params, spec, f.support_radius, f.radial_seams, 1)
+        pack = _FieldPack(np.array(f.coefs)[:, None], params, tables)
         return pack.sq[0] - pack.mean[0] ** 2, pack.gam[0]
     total = 0.0
     for x, w in _node_blocks(params, spec, f.support_radius, f.radial_seams,
@@ -445,9 +516,9 @@ def _random_test_pack(params: MeasureParams, spec: Optional[QuadratureSpec],
         raise ValueError("need at least one trial")
     if spec is None:
         spec = default_nd_spec(params.n)
-    rule = _tensor_rule(params, spec, RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS)
+    tables = _pack_tables(params, spec, RANDOM_TEST_RADIUS, RANDOM_TEST_SEAMS, order)
     coefs, labels = random_test_coefficients([(seed << 20) + t for t in range(trials)], params.n)
-    return _FieldPack(coefs, params, rule, order, labels)
+    return _FieldPack(coefs, params, tables, labels)
 
 
 def verify_all(params: MeasureParams, spec: Optional[QuadratureSpec] = None,

@@ -95,11 +95,24 @@ def mode_spectrum(params: MeasureParams, ell: int) -> list[float]:
     the continuous spectrum, the last entry (the heavy-tailed Pearson
     spectrum: Forman & Sorensen 2008; Avram, Leonenko & Suvak 2013).
     """
+    return _pearson_values(params, ell, math.inf)
+
+
+def _pearson_values(params: MeasureParams, ell: int, kmax: float) -> list[float]:
+    """The entries of mode_spectrum(params, ell) for k < kmax, then the edge."""
     n, beta = params.n, params.beta
     cl = ell * (ell + n - 2)
-    ks = np.arange(ell, beta - n / 2.0, 2)
+    ks = np.arange(ell, min(kmax, beta - n / 2.0), 2)
     vals = 2.0 * (beta - 1.0) * ks - ks * (ks + n - 2) + cl
     return vals.tolist() + [(beta - n / 2.0) ** 2 + cl]
+
+
+def _mode_head(params: MeasureParams, ell: int) -> list[float]:
+    """The entries of mode_spectrum(params, ell) for k < ell + 4, then the
+    edge: the spectrum ascends, so these are all the entries at or under
+    the mode's first nontrivial value, and all that the shift and the guard
+    read (mode_spectrum lists about beta/2 entries)."""
+    return _pearson_values(params, ell, ell + 4)
 
 
 # The supremum of the admissible eps of each Rayleigh family: f is in
@@ -249,7 +262,13 @@ def _tail_moment(R: float, c: float, d: float) -> float:
     (R < sqrt 3, beta past about 415) that factor grows without bound, and
     it is R^{c+1} (1+R^2)^{-d} / (2a) times the hypergeometric series
     2F1(d, 1; a+1; t_R), whose terms past the first share the sign of d
-    and fall like t_R^j.
+    and fall like t_R^j.  That series is summed in chunks of doubling
+    length, each a cumulative product of the term ratios and a cumulative
+    sum: the products and sums of a term-by-term loop, in its order.  It
+    stops at the first term under 1e-17 of the sum before it.  That rule
+    cannot hold while the terms rise (the sum is at most j terms), and past
+    their peak, once met, it holds for every later term, so only a chunk
+    whose last term meets it is searched for the first.
     """
     if 2.0 * d - c <= 1.0 + 1e-12:
         raise ValueError("tail moment diverges")
@@ -257,10 +276,16 @@ def _tail_moment(R: float, c: float, d: float) -> float:
     t = 1.0 / (1.0 + R * R)
     total, term, g, j = 0.0, 1.0, 1.0, 0
     if t > 0.25:
-        while abs(term) > 1e-17 * abs(total):
-            total += term
-            term *= t * (d + j) / (a + 1.0 + j)
-            j += 1
+        size = 256
+        while True:  # terms j .. j + size - 1, with the sum before each
+            k = np.arange(j, j + size - 1, dtype=float)
+            terms = np.cumprod(np.concatenate(([term], t * (d + k) / (a + 1.0 + k))))
+            sums = np.cumsum(np.concatenate(([total], terms[:-1])))
+            if not abs(terms[-1]) > 1e-17 * abs(sums[-1]):
+                stop = np.flatnonzero(~(np.abs(terms) > 1e-17 * np.abs(sums)))[0]
+                total = float(sums[stop])
+                break
+            total, term, j, size = sums[-1], terms[-1], j + size - 1, min(2 * size, 1 << 16)
         return 0.5 * total * math.exp((c + 1) * math.log(R) - d * math.log1p(R * R)) / a
     while True:  # t < 1: the terms fall at least like t^j
         term = g * t ** (a + j) / (a + j)
@@ -541,7 +566,7 @@ _LANCZOS_TOL = 1e-13
 def _mode_bottom(params: MeasureParams, ell: int) -> float:
     """The first nontrivial closed-form value of mode ell: mode_spectrum
     entry 1 on mode 0 (entry 0 is the constants), entry 0 above."""
-    return mode_spectrum(params, ell)[1 if ell == 0 else 0]
+    return _mode_head(params, ell)[1 if ell == 0 else 0]
 
 
 def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -597,7 +622,7 @@ def _guard(problem: ModeProblem) -> tuple[float, int, np.ndarray, str]:
         raise NumericalBreakdown(problem, f"mass entries not positive (smallest {smallest:.3g})")
     sigma, at = _floor_shift(_mode_bottom(problem.params, problem.ell))
     what = f"A - sigma B at {at}"
-    closed = sum(v < sigma for v in mode_spectrum(problem.params, problem.ell))
+    closed = sum(v < sigma for v in _mode_head(problem.params, problem.ell))
     shifted = A.band - sigma * B.band
     below = _inertia(problem, shifted, what)
     if below != closed:

@@ -52,7 +52,7 @@ def test_gap_numerical_breakdown(tmp_path, capsys, monkeypatch):
             "--out", str(tmp_path / "gap.json")]
     assert main(argv) == EXIT_OK
     (tmp_path / "gap.json").unlink()
-    real = spectral.mode_spectrum
+    real = spectral._mode_head
 
     def skewed(params, ell):
         vals = real(params, ell)
@@ -60,7 +60,7 @@ def test_gap_numerical_breakdown(tmp_path, capsys, monkeypatch):
             vals[1] *= 1.5
         return vals
 
-    monkeypatch.setattr(spectral, "mode_spectrum", skewed)
+    monkeypatch.setattr(spectral, "_mode_head", skewed)
     assert main(argv) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical breakdown:")

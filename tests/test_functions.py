@@ -8,6 +8,7 @@ from cauchygap.functions import (
     RANDOM_TEST_RADIUS,
     RANDOM_TEST_SEAMS,
     RandomTestFields,
+    _point_fields,
     _row_sq_norms,
     make_linear,
     make_lower_extremal_1d,
@@ -50,7 +51,7 @@ def _grad_laplacian(seed, x):
     """grad Lap f (N, n) of make_random_test(seed, n) at the points x (N, n),
     from the pointwise field rows."""
     coefs, _ = random_test_coefficients([seed], x.shape[1])
-    return RandomTestFields(None, x, 3).fields(coefs)[3][:, 0].T
+    return _point_fields(x, coefs, 3)[3][:, 0].T
 
 
 def test_linear():
@@ -227,12 +228,13 @@ def test_random_test_fields_on_radial_rows_match_pointwise(n):
                      _grad_laplacian(seed, x).T]
         for order, (i, j) in itertools.product(range(4), [(0, len(r)), (10, 11),
                                                           (len(r) - 1, len(r))]):
-            fields = RandomTestFields(r[i:j], dirs, order)
-            terms = fields.terms(coefs)
+            fields = RandomTestFields(dirs)
+            terms, columns = fields.terms(coefs, order), fields.columns(order)
+            radial = fields.radial(r[i:j], order)
             nodes = slice(i * len(dirs), j * len(dirs))
-            assert len(terms) == order + 1
-            for (cols, A), ref in zip(terms.values(), pointwise):
-                field = (fields.radial[:, cols] @ A)[:, 0].reshape(len(A), -1)  # the one trial
+            assert len(terms) == order + 1 and columns.keys() == terms.keys()
+            for (cols, A), ref in zip(zip(columns.values(), terms.values()), pointwise):
+                field = (radial[:, cols] @ A)[:, 0].reshape(len(A), -1)  # the one trial
                 assert field.shape == ref[:, nodes].shape
                 assert np.max(np.abs(field - ref[:, nodes])) <= 1e-13 * np.max(np.abs(ref))
                 assert np.all(field[:, outside[nodes]] == 0.0)

@@ -339,10 +339,10 @@ def test_block_pack_matches_reference_pack():
         spec = QuadratureSpec(scheme="polar_2d" if n == 2 else "product_spherical",
                               nodes=128, angular_nodes=40)
         pts, wts = _whole_rule(p, spec, 3.0, (1.8,))
-        rule = quadrature._tensor_rule(p, spec, 3.0, (1.8,))
         seeds = [0, 1, 2]
         coefs, labels = functions.random_test_coefficients(seeds, n)
-        packs = {order: quadrature._FieldPack(coefs, p, rule, order, labels)
+        packs = {order: quadrature._FieldPack(
+                     coefs, p, quadrature._pack_tables(p, spec, 3.0, (1.8,), order), labels)
                  for order in (1, 2, 3)}
         for t, seed in enumerate(seeds):
             f = make_random_test(seed, n)
@@ -426,10 +426,47 @@ def test_verify_all_reports_a_nan_trial(monkeypatch):
         assert rep.detail == label
 
 
+@pytest.mark.parametrize("n, beta", [(1, 0.8), (2, 3.0), (3, 2.5)])
+def test_packs_on_a_warm_cache_match_a_cold_one(n, beta):
+    # a pack's seed-independent tables are cached per rule and order, their
+    # direction side per direction set: packs of every order at a point
+    # whose n, spec and support have served another beta are the packs
+    # built on cleared caches, bit for bit, and every cached array is
+    # read-only
+    spec = QuadratureSpec(scheme="polar_2d" if n == 2 else "product_spherical",
+                          nodes=128, angular_nodes=40)
+    coefs, labels = functions.random_test_coefficients([0, 1, 2], n)
+
+    def packs(b):
+        p = MeasureParams(n, b)
+        return [vars(quadrature._FieldPack(coefs, p, quadrature._pack_tables(
+                    p, spec, functions.RANDOM_TEST_RADIUS, functions.RANDOM_TEST_SEAMS,
+                    order), labels)) for order in (1, 2, 3)]
+
+    packs(beta + 1.0)
+    warm = packs(beta)
+    quadrature._pack_tables_cached.cache_clear()
+    quadrature._direction_fields.cache_clear()
+    for got, cold in zip(warm, packs(beta), strict=True):
+        assert got.keys() == cold.keys()
+        for key, value in cold.items():
+            np.testing.assert_array_equal(got[key], value, err_msg=key)
+    for order in (1, 2, 3):
+        fields, dirs, dw, _, first, blocks = quadrature._pack_tables(
+            MeasureParams(n, beta), spec, functions.RANDOM_TEST_RADIUS,
+            functions.RANDOM_TEST_SEAMS, order)
+        for a in (fields._table, fields._u, dirs, dw, first, *blocks.values()):
+            assert not a.flags.writeable
+
+
 def test_random_test_tables_are_built_on_the_directions(monkeypatch):
     # verify_all evaluates the random tests on the tensor rule in factored
     # form: every monomial table has one column per sphere direction (130 on
-    # criterion 4's spec), never one per node of a radial-row block
+    # criterion 4's spec), never one per node of a radial-row block; the
+    # tables are cached per rule and per direction set, so the caches start
+    # empty here
+    quadrature._pack_tables_cached.cache_clear()
+    quadrature._direction_fields.cache_clear()
     spec = QuadratureSpec("product_spherical", nodes=128, angular_nodes=40)
     p = MeasureParams(3, 2.5)
     directions = len(quadrature._sphere_directions(3, spec.angular_nodes)[1])

@@ -137,7 +137,7 @@ def test_variance_check_guards_every_solve(monkeypatch):
     # the heat flow's solves carry the inertia guard: with mode 0's first
     # nontrivial closed-form value 10x too high, the shift sits above twelve
     # Galerkin values where the closed form has the constants only
-    real = spectral.mode_spectrum
+    real = spectral._mode_head
 
     def skewed(params, ell):
         vals = real(params, ell)
@@ -145,7 +145,7 @@ def test_variance_check_guards_every_solve(monkeypatch):
             vals[1] *= 10.0
         return vals
 
-    monkeypatch.setattr(spectral, "mode_spectrum", skewed)
+    monkeypatch.setattr(spectral, "_mode_head", skewed)
     with pytest.raises(NumericalBreakdown,
                        match=r"ell=0 .* puts 12 Galerkin values below sigma "
                              r"= .*, where the closed-form bottom has 1"):
@@ -487,7 +487,10 @@ def test_deficit_tables_are_built_on_the_directions(monkeypatch, n, beta):
     # a random bump's deficit is integrated in separable form on the spec's
     # sphere rule: one monomial table, with one column per sphere direction,
     # and the bump profile at most once per radius of the radial rule, so a
-    # node-sized table or profile breaks both bounds
+    # node-sized table or profile breaks both bounds; the tables are cached
+    # per rule and per direction set, so the caches start empty here
+    quadrature._pack_tables_cached.cache_clear()
+    quadrature._direction_fields.cache_clear()
     p, spec = MeasureParams(n, beta), default_nd_spec(n)
     f = make_random_test(0, n)
     directions = len(quadrature._sphere_directions(n, spec.angular_nodes)[1])

@@ -83,6 +83,17 @@ def test_closed_form_gap_is_the_lowest_mode_bottom():
             assert abs(min(bottoms) - v) <= 2.2e-16 * v, (n, beta, bottoms, v)
 
 
+def test_mode_head_is_the_start_of_mode_spectrum():
+    # the shift and the guard read only the entries for k < ell + 4 and the
+    # edge: mode_spectrum's first entries, bit for bit, at every range
+    for n, beta in [(1, 0.6), (1, 54.0), (2, 4.0), (3, 2.6), (3, 5.0), (6, 120.0)]:
+        p = MeasureParams(n, beta)
+        for ell in range(4):
+            *head, edge = spectral._mode_head(p, ell)
+            full = mode_spectrum(p, ell)
+            assert head == full[:min(2, len(full) - 1)] and edge == full[-1], (n, beta, ell)
+
+
 def test_mode_spectrum_table():
     # the values r^k Y_ell give for k = ell + 2j < beta - n/2, then the edge
     assert mode_spectrum(MeasureParams(2, 4.0), 0) == [0.0, 8.0, 9.0]
@@ -863,6 +874,35 @@ def test_tail_moments_past_the_binomial_series():
     assert abs(rep.rel_error) <= 1e-12, rep
 
 
+# mpmath values (scripts/make_oracle_values.py) of the tail moments past
+# the cap R_beta of (6, 1e7), where t_R = 0.99994 and the positive series
+# runs to about a million terms, summed in chunks; measured within 7.6e-13
+_FARTHEST_TAIL_R = 0.007587245784327266
+_FARTHEST_TAIL_PINS = {
+    (5, 10000000): 1.6625629331474814e-266,
+    (6, 10000000): 1.2625259049926485e-268,
+    (7, 10000000): 9.5874437814673516e-271,
+    (8, 10000000): 7.2805751937660596e-273,
+    (9, 10000000): 5.5287745681470605e-275,
+    (3, 9999999): 2.8832328082578569e-262,
+    (4, 9999999): 2.1894814026126282e-264,
+    (5, 9999999): 1.6626588075852961e-266,
+    (6, 9999999): 1.2625987107445862e-268,
+    (7, 9999999): 9.5879966589241663e-271,
+}
+
+
+def test_tail_moments_and_gap_at_beta_1e7():
+    p, disc = MeasureParams(6, 1e7), Discretization(m=64, delta=1e-3)
+    assert float(disc.radii(p)[-1]) == _FARTHEST_TAIL_R
+    for (c, d), value in _FARTHEST_TAIL_PINS.items():
+        np.testing.assert_allclose(_tail_moment(_FARTHEST_TAIL_R, c, d), value,
+                                   rtol=1e-12, atol=0)
+    rep = numeric_gap(p, disc)
+    assert rep.range_tag == "upper"
+    assert abs(rep.rel_error) <= 1e-12, rep
+
+
 def _domain_betas(n):
     return sorted({n / 2 + 0.05, n / 2 + 0.5, n / 2 + 1.5, n / 2 + 2.5, n + 1.5,
                    n + 4.0, 10.0, 20.0, 40.0, 42.0, 54.5, 60.0, 120.0, 200.0})
@@ -943,14 +983,14 @@ def test_floored_breakdown_reports_the_count(monkeypatch):
     # above one Galerkin value past the closed form's: mode 0 has two values
     # under it where the closed form has the constants only, mode 1 one
     # where it has none
-    real = spectral.mode_spectrum
+    real = spectral._mode_head
 
     def skewed(params, ell):
         vals = real(params, ell)
         vals[1 if ell == 0 else 0] *= 1.5
         return vals
 
-    monkeypatch.setattr(spectral, "mode_spectrum", skewed)
+    monkeypatch.setattr(spectral, "_mode_head", skewed)
     p, disc = MeasureParams(1, 54.0), Discretization(m=512, delta=1e-3)
     for prob in spectral._mode_problems(range(2), p, disc):
         closed = 1 if prob.ell == 0 else 0
@@ -1049,13 +1089,13 @@ def test_numeric_gap_counts_the_certified_mode(monkeypatch):
     # mid range: mode 0 is solved and mode 1 certified by its count alone;
     # with mode 1's closed form 10x high its sigma lies over Galerkin
     # values, and the count refuses it where Lanczos never runs
-    real = spectral.mode_spectrum
+    real = spectral._mode_head
 
     def high(params, ell):
         vals = real(params, ell)
         return [10.0 * v for v in vals] if ell == 1 else vals
 
-    monkeypatch.setattr(spectral, "mode_spectrum", high)
+    monkeypatch.setattr(spectral, "_mode_head", high)
     with pytest.raises(NumericalBreakdown,
                        match=r"ell=1 .* puts [1-9]\d* Galerkin values below sigma "
                              r"= .*, where the closed-form bottom has 0"):
