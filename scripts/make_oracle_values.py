@@ -191,6 +191,23 @@ def main():
                 print(f"    ({c}, {d}): {fmt(moment(c, mp.mpf(d), R, None))},")
         print("}")
 
+    print("\n# tail moments on the m = 64 grid at (3, 3.5 + 1e-6), delta = 1e-3, on")
+    print("# the ray-admissibility edge (a = d - (c+1)/2 = 1e-6 at c = 6), and at")
+    print("# (1, 1.2) and (3, 3.8), delta = 0.2, where R = 4.93 is the smallest")
+    print("# uncapped R: every (c, d) the assembly reads, c = n-1+p+q against beta")
+    print("# and c = n-3+p+q against beta - 1, p and q over 0 and the rays")
+    print("_EDGE_TAIL_PINS = {")
+    for n, beta, delta in ((3, 3.5 + 1e-6, 1e-3), (1, 1.2, 0.2), (3, 3.8, 0.2)):
+        R = float(np.sinh(grid_s(64, delta, n, beta)[-1]))
+        powers = (0,) + tuple(k for k in (1, 2) if 2.0 * k < 2.0 * beta - n - 1e-9)
+        sums = sorted({p + q for p in powers for q in powers})
+        print(f"    ({n}, {beta!r}, {delta!r}): ({R!r}, {{")
+        for c0, d in ((n - 1, beta), (n - 3, beta - 1.0)):
+            for c in (c0 + s for s in sums):
+                print(f"        ({c}, {d!r}): {fmt(moment(c, mp.mpf(d), mp.mpf(R), None))},")
+        print("    }),")
+    print("}")
+
 
 def grid_s(m, delta, n, beta):
     """The s values of spectral.Discretization(m, delta) for the measure

@@ -82,6 +82,24 @@ MUTANTS = [
      "the pack tables cached without beta in their key: a rule's packs read "
      "the tables of the first beta it served",
      ["tests/test_quadrature.py::test_packs_on_a_warm_cache_match_a_cold_one"]),
+    ("tail-series-sign", SPECTRAL,
+     "    z = -1.0 / (R * R)\n",
+     "    z = 1.0 / (R * R)\n",
+     "the tail moments' 2F1 series in +1/R^2 in place of -1/R^2",
+     ["tests/test_spectral.py::test_tail_moments_satisfy_their_recurrences",
+      "tests/test_spectral.py::test_tail_moments_past_the_binomial_series"]),
+    ("inertia-schur-dropped", SPECTRAL,
+     "        d = np.append(d, rays)\n",
+     "",
+     "the ray block's Schur pivots left out of the Sylvester count",
+     ["tests/test_spectral.py::test_inertia_matches_the_dense_count",
+      "tests/test_spectral.py::test_inertia_counts_the_values_under_the_shift"]),
+    ("line-d-minus-eps", QUADRATURE,
+     "return 0.0, C, (1.0 - eps) * (2.0 * (beta - 1.0) + eps)",
+     "return 0.0, C, (1.0 - eps) * (2.0 * (beta - 1.0) - eps)",
+     "the line's D as (1 - eps)(2(beta - 1) - eps)",
+     ["tests/test_quadrature.py::test_each_split_tag_runs_at_its_own_eps",
+      "tests/test_quadrature.py::test_lowfact_epsilon_scan_peak"]),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

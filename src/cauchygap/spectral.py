@@ -253,56 +253,34 @@ def _cell_integrals(rule, n: int, beta: float):
 def _tail_moment(R: float, c: float, d: float) -> float:
     """int_R^inf r^c (1+r^2)^{-d} dr; requires 2d - c > 1.
 
-    In t = 1/(1+r^2) it is (1/2) int_0^{t_R} (1-t)^{b-1} t^{a-1} dt with
-    a = d - (c+1)/2 > 0 and b = (c+1)/2.  For t_R <= 1/4 it is a binomial
-    series, summed until a term falls under 1e-17 of the sum: the t^j
-    coefficient of (1-t)^{b-1} is gamma_j = gamma_{j-1} (j - b)/j, and the
-    terms cancel by a factor of up to ((1+t)/(1-t))^{b-1} for b > 1 (7.7
-    at t = 1/4 for c = 9, n = 6's largest), none for b <= 1.  Nearer t = 1
-    (R < sqrt 3, beta past about 415) that factor grows without bound, and
-    it is R^{c+1} (1+R^2)^{-d} / (2a) times the hypergeometric series
-    2F1(d, 1; a+1; t_R), whose terms past the first share the sign of d
-    and fall like t_R^j.  That series is summed in chunks of doubling
-    length, each a cumulative product of the term ratios and a cumulative
-    sum: the products and sums of a term-by-term loop, in its order.  It
-    stops at the first term under 1e-17 of the sum before it.  That rule
-    cannot hold while the terms rise (the sum is at most j terms), and past
-    their peak, once met, it holds for every later term, so only a chunk
-    whose last term meets it is searched for the first.
+    With a = d - (c+1)/2 and b = (c+1)/2 it is R^{c-1} (1+R^2)^{1-d} / (2a)
+    times 2F1(1-b, 1; a+1; -1/R^2), summed until a term falls under 1e-17
+    of the sum (it ends where b is a positive integer).  The grid's R has
+    1/R^2 <= 1/24, or is the cap R_beta, which holds a R^2 >= 574 for the
+    assembly's exponents: there the series, divergent for R < 1, has terms
+    falling like k!/(a R^2)^k and stops long before they rise.
     """
     if 2.0 * d - c <= 1.0 + 1e-12:
         raise ValueError("tail moment diverges")
     a, b = d - (c + 1) / 2.0, (c + 1) / 2.0
-    t = 1.0 / (1.0 + R * R)
-    total, term, g, j = 0.0, 1.0, 1.0, 0
-    if t > 0.25:
-        size = 256
-        while True:  # terms j .. j + size - 1, with the sum before each
-            k = np.arange(j, j + size - 1, dtype=float)
-            terms = np.cumprod(np.concatenate(([term], t * (d + k) / (a + 1.0 + k))))
-            sums = np.cumsum(np.concatenate(([total], terms[:-1])))
-            if not abs(terms[-1]) > 1e-17 * abs(sums[-1]):
-                stop = np.flatnonzero(~(np.abs(terms) > 1e-17 * np.abs(sums)))[0]
-                total = float(sums[stop])
-                break
-            total, term, j, size = sums[-1], terms[-1], j + size - 1, min(2 * size, 1 << 16)
-        return 0.5 * total * math.exp((c + 1) * math.log(R) - d * math.log1p(R * R)) / a
-    while True:  # t < 1: the terms fall at least like t^j
-        term = g * t ** (a + j) / (a + j)
+    z = -1.0 / (R * R)
+    total, term, k = 1.0, 1.0, 0
+    while abs(term) > 1e-17 * abs(total):
+        term *= (1.0 - b + k) / (a + 1.0 + k) * z
         total += term
-        if not abs(term) > 1e-17 * abs(total):
-            break
-        g *= (j + 1 - b) / (j + 1)
-        j += 1
-    return 0.5 * total
+        k += 1
+    # exp(x + y) with the rounding of x + y put back (TwoSum): y, the d part,
+    # is rounded alike for every c, and the tail rays' Gram block, which
+    # cancels between moments, would amplify errors of ulp(x + y) apart
+    x, y = (c - 1) * math.log(R), (1 - d) * math.log1p(R * R)
+    s = x + y
+    err = (x - (s - (s - x))) + (y - (s - x))
+    return 0.5 * total * math.exp(s) * (1.0 + err) / a
 
 
 def _tail_moments(R: float, cs: np.ndarray, d: float) -> np.ndarray:
-    """_tail_moment(R, c, d) at every entry c of cs, one series per
-    distinct c."""
-    distinct, at = np.unique(cs, return_inverse=True)
-    values = np.array([_tail_moment(R, c, d) for c in distinct.tolist()])
-    return values[at].reshape(cs.shape)
+    """_tail_moment(R, c, d) at every entry c of cs."""
+    return np.array([_tail_moment(R, c, d) for c in cs.ravel().tolist()]).reshape(cs.shape)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Import and export hygiene of the package, read from its source with ast.
 
 Every name a module imports is used in it (or re-exported through its
-__all__), every __all__ entry exists, and the star import works.
+__all__), every __all__ entry exists, the star import works, and importing
+the package loads none of the heavy modules it does not need.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +37,19 @@ def _exported(tree):
                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
             return set(ast.literal_eval(node.value))
     return set()
+
+
+def test_import_loads_no_oracle_or_special_functions():
+    # a fresh interpreter's `import cauchygap` (a CLI start, and the
+    # benchmark's setup time) loads neither mpmath, whose pins are frozen
+    # offline, nor the scipy subpackages the package does not call
+    heavy = ("mpmath", "scipy.special", "scipy.integrate", "scipy.optimize")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cauchygap; "
+         f"print(*[m for m in {heavy!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == []
 
 
 def test_star_import():

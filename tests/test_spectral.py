@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -844,10 +845,10 @@ def test_numeric_gap_at_large_beta(n, beta, m):
 
 
 # mpmath values (scripts/make_oracle_values.py) of the tail moments past
-# the cap R_beta of (6, 1e5), where t_R = 1/(1+R^2) = 0.994.  The binomial
-# series of (1-t)^{b-1} cancels there (its sum of |terms| over its sum is
-# up to 1.4e10, its moments off by 5.2e-8), enough to break numeric_gap's
-# inertia count; the positive series reads 7.6e-14.
+# the cap R_beta of (6, 1e5), R = 0.076 < 1, where the 2F1 series in
+# -1/R^2 is asymptotic (a R^2 = 577) and stops after 7 terms past the
+# leading 1; measured within 3.8e-14.  Moments off by 5.2e-8 here broke
+# numeric_gap's inertia count.
 _FAR_TAIL_R = 0.07598162769871525
 _FAR_TAIL_PINS = {
     (5, 100000): 1.6579516271909491e-260,
@@ -875,8 +876,8 @@ def test_tail_moments_past_the_binomial_series():
 
 
 # mpmath values (scripts/make_oracle_values.py) of the tail moments past
-# the cap R_beta of (6, 1e7), where t_R = 0.99994 and the positive series
-# runs to about a million terms, summed in chunks; measured within 7.6e-13
+# the cap R_beta of (6, 1e7), R = 0.0076, where a R^2 = 576, near (6, 1e5)'s
+# 577 while a grew a hundredfold: the same 7 terms; measured within 2.4e-14
 _FARTHEST_TAIL_R = 0.007587245784327266
 _FARTHEST_TAIL_PINS = {
     (5, 10000000): 1.6625629331474814e-266,
@@ -926,6 +927,85 @@ def test_numeric_gap_domain_sweep(n, m):
             assert rep.numeric_gap >= rep.closed_form - 1e-6, rep
         else:
             assert abs(rep.rel_error) <= _DOMAIN_BOUND[m][rep.range_tag], rep
+
+
+def _tail_exponents(n, beta):
+    """Every (c, d) of a tail moment the assembly reads at (n, beta): c =
+    n-1+p+q against beta (the mass) and c = n-3+p+q against beta - 1 (the
+    ell term), p and q over 0 and the admissible rays."""
+    powers = (0,) + spectral._admissible_rays(n, beta)
+    sums = {p + q for p in powers for q in powers}
+    return {(n - 1 + s, beta) for s in sums} | {(n - 3 + s, beta - 1.0) for s in sums}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tail_moments_satisfy_their_recurrences(n):
+    # no closed form: at the grid end R of the domain sweep and past it to
+    # beta = 1e7, every moment T(c, d) the assembly reads with
+    # a = d - (c+1)/2 >= 1e-3 (below, the relations' own d + 1 perturbs a)
+    # meets the contiguous relation T(c, d) = T(c, d+1) + T(c+2, d+1) and
+    # integration by parts, 2d T(c+2, d+1) = R^(c+1) (1+R^2)^(-d) +
+    # (c+1) T(c, d); each residual relative to its largest summand
+    worst = 0.0
+    for beta in _domain_betas(n) + [1100.0, 3e4, 1e5, 1e7]:
+        for m in (64, 2048):
+            for delta in (1e-3, 0.2):
+                R = float(Discretization(m=m, delta=delta).radii(MeasureParams(n, beta))[-1])
+                for c, d in _tail_exponents(n, beta):
+                    if d - (c + 1) / 2.0 < 1e-3:
+                        continue
+                    T0, T1, T2 = (_tail_moment(R, c, d), _tail_moment(R, c, d + 1.0),
+                                  _tail_moment(R, c + 2.0, d + 1.0))
+                    edge = math.exp((c + 1) * math.log(R) - d * math.log1p(R * R))
+                    for terms in ((T0, -T1, -T2), (2.0 * d * T2, -edge, -(c + 1) * T0)):
+                        worst = max(worst, abs(sum(terms)) / max(map(abs, terms)))
+    assert worst <= 1e-12, worst
+
+
+# mpmath values (scripts/make_oracle_values.py) of every tail moment the
+# assembly reads, keyed by (n, beta, delta) on the m = 64 grid, with its R:
+# at (3, 3.5 + 1e-6) the ray k = 2 is admitted with a = 1e-6 at c = 6, and
+# at delta = 0.2, R = 4.93, the series is longest (13 terms past the
+# leading 1); measured within 7.4e-15
+_EDGE_TAIL_PINS = {
+    (3, 3.500001, 0.001): (999.9996666666938, {
+        (2, 3.500001): 2.4999617115155788e-13,
+        (3, 3.500001): 3.3332813931458636e-10,
+        (4, 3.500001): 4.9999205064113412e-7,
+        (5, 3.500001): 0.0009999833512956206,
+        (6, 3.500001): 499993.09222113225,
+        (0, 2.500001): 2.4999633781576226e-13,
+        (1, 2.500001): 3.3332833931157662e-10,
+        (2, 2.500001): 4.9999230063730527e-7,
+        (3, 2.500001): 0.00099998368462375992,
+        (4, 2.500001): 499993.09222163224,
+    }),
+    (1, 1.2, 0.2): (4.933154875586893, {
+        (0, 1.2): 0.074961250643556608,
+        (-2, 0.19999999999999996): 0.076216249128649161,
+    }),
+    (3, 3.8, 0.2): (4.933154875586893, {
+        (2, 3.8): 0.00012664334903952434,
+        (3, 3.8): 0.00080502025810970413,
+        (4, 3.8): 0.0055653065437562946,
+        (5, 3.8): 0.045454735597080055,
+        (6, 3.8): 0.61786295853436482,
+        (0, 2.8): 0.0001302309799348885,
+        (1, 2.8): 0.00082597800614634859,
+        (2, 2.8): 0.005691949892795819,
+        (3, 2.8): 0.046259755855189759,
+        (4, 2.8): 0.62342826507812112,
+    }),
+}
+
+
+@pytest.mark.parametrize("n, beta, delta", list(_EDGE_TAIL_PINS))
+def test_tail_moments_at_the_ray_edge_and_the_widest_delta(n, beta, delta):
+    R, pins = _EDGE_TAIL_PINS[n, beta, delta]
+    assert float(Discretization(m=64, delta=delta).radii(MeasureParams(n, beta))[-1]) == R
+    assert set(pins) == _tail_exponents(n, beta)
+    for (c, d), value in pins.items():
+        np.testing.assert_allclose(_tail_moment(R, c, d), value, rtol=1e-12, atol=0)
 
 
 def _dense_negatives(M):
