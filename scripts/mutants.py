@@ -100,6 +100,12 @@ MUTANTS = [
      "the line's D as (1 - eps)(2(beta - 1) - eps)",
      ["tests/test_quadrature.py::test_each_split_tag_runs_at_its_own_eps",
       "tests/test_quadrature.py::test_lowfact_epsilon_scan_peak"]),
+    ("bracket-upper-count-skipped", SPECTRAL,
+     "    if counts != [closed, closed + 1]:\n",
+     "    if counts[0] != closed:\n",
+     "a one-value solve's count at lam (1 + eps) never compared with closed + 1",
+     ["tests/test_spectral.py::test_bracket_refuses_a_value_off_its_count",
+      "tests/test_spectral.py::test_numeric_gap_at_large_n_is_bracketed_or_refused"]),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -42,6 +42,9 @@ OUTDIR_ENV = "CAUCHYGAP_OUTDIR"
 
 SWEEP_COLUMNS = ("n", "beta", "range_tag", "closed_form", "numeric_gap",
                  "rel_error", "minimizing_mode", "m", "delta")
+# a report's mode_brackets follow SWEEP_COLUMNS, empty where a mode is certified
+BRACKET_COLUMNS = ("mode0_bracket_lo", "mode0_bracket_hi",
+                   "mode1_bracket_lo", "mode1_bracket_hi")
 
 
 def _fmt(x: float) -> str:
@@ -55,6 +58,11 @@ def _write_csv(path: str, header, rows) -> None:
         for row in itertools.chain((header,), rows):
             fh.write(",".join([_fmt(v) if isinstance(v, float) else str(v)
                                for v in row]) + "\n")
+
+
+def _sweep_row(report) -> list:
+    return [getattr(report, c) for c in SWEEP_COLUMNS] + [
+        end for b in report.mode_brackets for end in (b or ("", ""))]
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -184,7 +192,7 @@ def cmd_gap(args: argparse.Namespace) -> int:
     if args.format == "json":
         _write_json(path, dataclasses.asdict(report))
     else:
-        _write_csv(path, SWEEP_COLUMNS, [[getattr(report, c) for c in SWEEP_COLUMNS]])
+        _write_csv(path, SWEEP_COLUMNS + BRACKET_COLUMNS, [_sweep_row(report)])
     print(f"n={report.n} beta={report.beta:g} closed_form={_fmt(report.closed_form)} "
           f"numeric={_fmt(report.numeric_gap)} rel_error={report.rel_error:.3e} "
           f"[{report.range_tag}] -> {path}")
@@ -198,8 +206,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     reports = [numeric_gap(MeasureParams(args.n, float(b)), disc)
                for b in np.linspace(args.beta_min, args.beta_max, args.steps)]
     path = _out_path(args, f"sweep_n{args.n}.csv")
-    _write_csv(path, SWEEP_COLUMNS,
-               [[getattr(r, c) for c in SWEEP_COLUMNS] for r in reports])
+    _write_csv(path, SWEEP_COLUMNS + BRACKET_COLUMNS, [_sweep_row(r) for r in reports])
     print(f"{len(reports)} rows -> {path}")
     for tag in ("lower", "mid", "upper"):
         errs = [abs(r.rel_error) for r in reports if r.range_tag == tag]

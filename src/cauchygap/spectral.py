@@ -18,7 +18,8 @@ up to it, and on either side where the eigenfunction lies in the trial
 space (r on mode 1, the upper range's).  Every solve shifts its mode under
 its first nontrivial closed-form value (mode_spectrum) and counts the
 values under the shift by Sylvester's law; any count but the closed form's
-raises NumericalBreakdown instead of returning a wrong value.
+raises NumericalBreakdown instead of returning a wrong value.  A one-value
+solve is also bracketed by two counts around the value it returns.
 
 Only modes 0 and 1 can carry the gap.  For ell >= 1 the trial space and
 B do not depend on ell, and A_ell = S + ell(ell+n-2) K with S >= 0 and
@@ -38,7 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import linalg as sla
 from scipy.linalg.blas import dtbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dtbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, dpttrf, dtbtrs
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .measures import MeasureParams, omega_moment
@@ -646,6 +647,135 @@ def _inertia(problem: ModeProblem, shifted: np.ndarray, what: str) -> int:
     return int(np.count_nonzero(d < 0.0))
 
 
+# The k = 1 solve (_lowest_value): inverse iteration at sigma stops once a
+# step moves the value by at most _STEP_TOL of it, or by no less than the
+# step before (in exact arithmetic the moves shrink at every step, so
+# rounding has taken over).  _bracket then certifies the value to
+# BRACKET_EPS_SCALE x nn^2 relative, nn the problem's size: the rounding of
+# a value and of its count grows with the stiffness scale, about as the
+# square of the number of cells.  README gives the measured step counts,
+# errors and brackets.
+_STEP_TOL = 1e-14
+_MAX_STEPS = 50
+BRACKET_EPS_SCALE = 6e-17
+
+
+def _bracket_of(problem: ModeProblem, lam: float) -> tuple[float, float]:
+    """(lam (1 - eps), lam (1 + eps)), eps = BRACKET_EPS_SCALE x nn^2:
+    where _bracket counts."""
+    eps = BRACKET_EPS_SCALE * problem.size() ** 2
+    return lam * (1.0 - eps), lam * (1.0 + eps)
+
+
+def _bracket(problem: ModeProblem, lam: float) -> None:
+    """Certify lam as the problem's lowest nontrivial value: the Sylvester
+    counts at the two ends of _bracket_of(problem, lam) must read the
+    guard's `closed` (the closed-form values under sigma: mode 0's
+    constants) and closed + 1, else NumericalBreakdown."""
+    closed = problem._guarded[1]
+    A, B = problem.A.band, problem.B.band
+    ends = _bracket_of(problem, lam)
+    counts = [_inertia(problem, A - edge * B, f"A - mu B at mu = {edge:.17g} (bracket)")
+              for edge in ends]
+    if counts != [closed, closed + 1]:
+        raise NumericalBreakdown(
+            problem, f"the counts at {ends[0]:.17g} and {ends[1]:.17g}, around lam = "
+            f"{lam:.17g}, put "
+            f"{counts[0]} and {counts[1]} Galerkin values below, where the lowest "
+            f"nontrivial value needs {closed} and {closed + 1}")
+
+
+def _shifted_solve(problem: ModeProblem, shifted: np.ndarray):
+    """b -> (A - mu B)^{-1} b for `shifted` = A - mu B in lower band
+    storage, or None where the factor is singular (mu is a value to
+    rounding).
+
+    LAPACK dgttrf (LU with partial pivoting) of the tridiagonal hat block
+    T.  The rays couple only to the last hat, by w, so their Schur
+    complement is S = R - t w w' with t = (T^{-1})_{last,last}, solved by
+    its LDL' pivots as in _inertia: the rays' part is
+    u = S^{-1} (b_rays - w y_last) and the hats' y - T^{-1} e_last (w'u),
+    with y = T^{-1} b_hats.
+    """
+    r = len(problem.ray_ks)
+    nh = problem.size() - r
+    e = shifted[1, :nh - 1]
+    *lu, info = dgttrf(e, shifted[0, :nh], e)
+    if info != 0:
+        return None
+
+    def hats(b):
+        return dgttrs(*lu, b)[0]
+
+    if not r:
+        return hats
+    w = shifted[1:r + 1, nh - 1]
+    z = hats(np.eye(1, nh, nh - 1)[0])
+    s = np.array([[shifted[abs(i - j), nh + min(i, j)] for j in range(r)]
+                  for i in range(r)]) - z[-1] * np.outer(w, w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mult = s[-1, 0] / s[0, 0]  # the LDL' multiplier of two rays
+        piv = np.array([s[0, 0], s[1, 1] - mult * s[1, 0]] if r == 2 else [s[0, 0]])
+    if not np.all(np.isfinite(piv) & (piv != 0.0)):
+        return None
+
+    def solve(b):
+        y = hats(b[:nh])
+        u = b[nh:] - w * y[-1]
+        if r == 2:
+            u[1] -= mult * u[0]
+        u /= piv
+        if r == 2:
+            u[0] -= mult * u[1]
+        return np.concatenate((y - z * (w @ u), u))
+
+    return solve
+
+
+def _lowest_value(problem: ModeProblem) -> float:
+    """lowest_eigs(problem, 1): the lowest nontrivial value, certified by
+    _bracket.  The iterates' vectors are not returned: the steps stop on
+    the value, which converges twice as fast.
+
+    Inverse iteration at the guard's sigma, on one factor (_shifted_solve).
+    Each step's value is sigma + y'Bx / y'By for y = (A - sigma B)^{-1} Bx:
+    the Rayleigh quotient y'Ay / y'By, read through (A - sigma B) y = Bx
+    instead of a product with A, whose stiffness rows cancel.  On mode 0
+    every iterate is made B-orthogonal to the constants (the all-ones
+    hats), which lie under sigma: deep in the lower range sigma is nearer
+    to them than to the value sought, and they would grow from rounding at
+    every step.
+    """
+    sigma, _, shifted, what = problem._guarded
+    B, nn = problem.B, problem.size()
+    solve = _shifted_solve(problem, shifted)
+    if solve is None:
+        raise NumericalBreakdown(problem, f"{what} is singular")
+    if problem.ell == 0:
+        ones = np.zeros(nn)
+        ones[:nn - len(problem.ray_ks)] = 1.0
+        B1, at_sigma = B @ ones, solve
+        mass = ones @ B1
+
+        def solve(b):
+            y = at_sigma(b)
+            return y - (y @ B1) / mass * ones
+
+    Bx = B @ np.linspace(1.0, 2.0, nn)
+    lam, move = sigma, math.inf
+    for _ in range(_MAX_STEPS):
+        y = solve(Bx)
+        By = B @ y
+        yBy = y @ By
+        new = sigma + (y @ Bx) / yBy
+        Bx = By / math.sqrt(yBy)
+        move, last, lam = abs(new - lam), move, new
+        if move <= _STEP_TOL * lam or move >= last:
+            break
+    _bracket(problem, lam)
+    return float(lam)
+
+
 def _definite_operator(problem: ModeProblem, shifted: np.ndarray, what: str):
     """Lanczos callback and vector map of C = L^{-1} B L^{-T}, with
     A - sigma B = `shifted` = L L' banded Cholesky: x = L^{-T} y."""
@@ -685,7 +815,11 @@ def _floor_shift(bottom: float) -> tuple[float, str]:
 
 
 def lowest_eigs(problem: ModeProblem, k: int) -> list[float]:
-    """The values of lowest_eigpairs(problem, k), ascending."""
+    """The values of lowest_eigpairs(problem, k), ascending; k = 1 is its
+    own solve, inverse iteration certified by two Sylvester counts
+    (`_lowest_value`), which computes no pairs."""
+    if k == 1:
+        return [_lowest_value(problem)]
     return [float(v) for v in lowest_eigpairs(problem, k)[0]]
 
 
@@ -695,6 +829,7 @@ class GapReport:
     n: int
     beta: float
     mode_eigs: tuple          # lowest nontrivial eigenvalue of modes 0 and 1; None if certified
+    mode_brackets: tuple      # (lo, hi) around each solved value, counted; None if certified
     mode_bottoms: tuple       # the closed-form bottom each mode was shifted under
     numeric_gap: float
     closed_form: float
@@ -712,12 +847,14 @@ def numeric_gap(params: MeasureParams, disc: Discretization,
     Each mode contributes its first nontrivial eigenvalue (on mode 0 past
     the constants); on the line only the even/odd sectors exist.  Only
     modes 0 and 1 can carry the gap, and both pass _guard once, in that
-    order, before any Lanczos (the solves reuse it): a Sylvester count
+    order, before either is solved (the solves reuse it): a Sylvester count
     under sigma_ell, 0.99 x the closed-form bottom reported in
     mode_bottoms.  The mode with the lower
-    bottom is solved (mode 0 on a tie).  The other is solved only where its
-    sigma lies under the value found; elsewhere its count proves every
-    nontrivial value above the gap, and mode_eigs holds None for it.
+    bottom is solved (mode 0 on a tie), and mode_brackets holds the two
+    points whose counts certify its value.  The other is solved only where
+    its sigma lies under the value found; elsewhere its count proves every
+    nontrivial value above the gap, and mode_eigs and mode_brackets hold
+    None for it.
 
     No mode ell >= 2 is assembled: lam_ell >= lam_{ell-1} + (2 ell + n - 3)
     by Courant-Fischer (module docstring), and lam_1, or sigma_1 standing
@@ -737,6 +874,8 @@ def numeric_gap(params: MeasureParams, disc: Discretization,
     closed, tag = closed_form_gap(params)
     rel = (gap - closed) / closed
     return GapReport(n=params.n, beta=params.beta, mode_eigs=tuple(eigs),
+                     mode_brackets=tuple(None if v is None else _bracket_of(prob, v)
+                                         for prob, v in zip(probs, eigs)),
                      mode_bottoms=tuple(_mode_bottom(params, ell) for ell in (0, 1)),
                      numeric_gap=gap, closed_form=closed, range_tag=tag,
                      rel_error=rel, minimizing_mode=mode, m=disc.m, delta=disc.delta)

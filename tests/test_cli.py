@@ -411,6 +411,11 @@ def test_outdir_env(tmp_path, monkeypatch):
     assert (tmp_path / "gap_n2_beta4.json").exists()
 
 
+def _tuples(v):
+    """A JSON value with its lists, nested ones too, read back as tuples."""
+    return tuple(map(_tuples, v)) if isinstance(v, list) else v
+
+
 def test_gap_json_writes_a_certified_mode_as_null(tmp_path):
     # upper range: mode 1 is solved, mode 0's count under its sigma proves it
     # above the gap, and its value is written as null
@@ -422,8 +427,7 @@ def test_gap_json_writes_a_certified_mode_as_null(tmp_path):
     assert d["mode_bottoms"] == [10.0, 8.0]
     # the file reads back as the report
     rep = numeric_gap(MeasureParams(3, 5.0), Discretization(m=512, delta=1e-3))
-    assert GapReport(**{k: tuple(v) if isinstance(v, list) else v
-                        for k, v in d.items()}) == rep
+    assert GapReport(**{k: _tuples(v) for k, v in d.items()}) == rep
 
 
 # each subcommand that requires flags: a cheap run's other flags, and its

@@ -348,6 +348,11 @@ def test_numeric_gap_line():
         numeric_gap(MeasureParams(1, 3.0), disc, ell_max=1)
 
 
+def _tuples(v):
+    """A JSON value with its lists, nested ones too, read back as tuples."""
+    return tuple(map(_tuples, v)) if isinstance(v, list) else v
+
+
 def test_gap_report_json_roundtrip(tmp_path):
     out = tmp_path / "gap.json"
     assert main(["gap", "--n", "2", "--beta", "4.0", "--m", "128",
@@ -359,8 +364,7 @@ def test_gap_report_json_roundtrip(tmp_path):
     assert d["range_tag"] == rep.range_tag
     assert d["m"] == 128
     # the file reads back as the report, float for float
-    assert GapReport(**{k: tuple(v) if isinstance(v, list) else v
-                        for k, v in d.items()}) == rep
+    assert GapReport(**{k: _tuples(v) for k, v in d.items()}) == rep
     # each mode's floor: mode 0's first nontrivial closed-form value, then
     # mode 1's first.  Mode 1 is solved, and mode 0, certified above it, is
     # written as null.  Mode 1's extremal r lies in the trial space, so its
@@ -370,8 +374,15 @@ def test_gap_report_json_roundtrip(tmp_path):
                                  for ell in range(2)] == [8.0, 6.0]
     assert d["mode_eigs"][0] is None
     lam = rep.mode_eigs[1]
-    band = _band_eigenvalue(assemble_mode(1, p, Discretization(m=128, delta=1e-2)), lam)
+    prob = assemble_mode(1, p, Discretization(m=128, delta=1e-2))
+    band = _band_eigenvalue(prob, lam)
     assert abs(lam - band) <= 1e-14 * band, (lam, band)
+    # the solved mode's bracket reads back as the two points whose counts
+    # certified it, around the value; the certified mode has none
+    eps = spectral.BRACKET_EPS_SCALE * prob.size() ** 2
+    assert d["mode_brackets"] == [None, [lam * (1.0 - eps), lam * (1.0 + eps)]]
+    lo, hi = rep.mode_brackets[1]
+    assert lo < lam < hi and lo < band < hi
 
 
 def test_sweep_csv_deterministic(tmp_path):
@@ -385,8 +396,17 @@ def test_sweep_csv_deterministic(tmp_path):
     header, *rows = f1.read_text().splitlines()
     assert header.split(",") == ["n", "beta", "range_tag", "closed_form",
                                  "numeric_gap", "rel_error",
-                                 "minimizing_mode", "m", "delta"]
+                                 "minimizing_mode", "m", "delta",
+                                 "mode0_bracket_lo", "mode0_bracket_hi",
+                                 "mode1_bracket_lo", "mode1_bracket_hi"]
     assert [float(row.split(",")[1]) for row in rows] == list(betas)
+    # each row brackets its gap; a certified mode's two cells are empty
+    for row in rows:
+        cells = row.split(",")
+        gap, mode = float(cells[4]), int(cells[6])
+        assert float(cells[9 + 2 * mode]) < gap < float(cells[10 + 2 * mode])
+        assert all((cells[9 + 2 * ell] == "") == (cells[10 + 2 * ell] == "")
+                   for ell in (0, 1))
 
 
 # Frozen mpmath values (scripts/make_oracle_values.py) on cells 0, 1023 and
@@ -627,6 +647,54 @@ def test_lowest_eigpairs_domain():
         assert np.all(np.abs(lam - ref[1:]) <= 1e-9 * ref[1:])
 
 
+@pytest.mark.parametrize("n, beta", _SOLVER_POINTS)
+def test_one_value_solve_matches_lanczos(n, beta):
+    # lowest_eigs selects its method by k: the k = 1 value (inverse
+    # iteration at sigma, certified by two counts) against the first of
+    # k = 2 (shift-invert Lanczos), modes 0-3 at m = 256
+    disc = Discretization(m=256, delta=1e-3)
+    for prob in spectral._mode_problems(range(4), MeasureParams(n, beta), disc):
+        (lam,) = lowest_eigs(prob, 1)
+        ref = lowest_eigpairs(prob, 2)[0][0]
+        assert abs(lam - ref) <= 1e-12 * ref, (prob.ell, lam, ref)
+
+
+def test_shifted_solve_refuses_a_singular_factor(monkeypatch):
+    # a zero column of the hat block, or a singular ray block, gives None
+    # (the shift is a value to rounding), never LinAlgError or a non-finite
+    # vector; a regular band solves.  A singular factor at sigma is a
+    # NumericalBreakdown of the one-value solve
+    prob = _mode(1, MeasureParams(3, 3.8), Discretization(m=64, delta=1e-3),
+                 tail_rays=False)
+    nn = prob.size()
+    spd = np.vstack([np.full(nn, 2.0), np.full(nn, 1.0)])
+    b = np.linspace(-1.0, 1.0, nn)
+    np.testing.assert_allclose(SymBand(spd) @ spectral._shifted_solve(prob, spd)(b), b,
+                               rtol=0, atol=1e-12)
+    zero = spd.copy()
+    zero[:, 0] = 0.0
+    assert spectral._shifted_solve(prob, zero) is None
+    for beta in (3.0, 3.8):  # one ray, then two
+        prob = assemble_mode(1, MeasureParams(3, beta), Discretization(m=64, delta=1e-3))
+        nn, nh = prob.size(), prob.size() - len(prob.ray_ks)
+        spd = np.vstack([np.full(nn, 2.0), np.full(nn, 1.0), np.zeros(nn)])
+        b = np.linspace(-1.0, 1.0, nn)
+        np.testing.assert_allclose(SymBand(spd) @ spectral._shifted_solve(prob, spd)(b), b,
+                                   rtol=0, atol=1e-12)
+        zero = spd.copy()
+        zero[1, nh - 1] = zero[0, nh] = 0.0  # w = 0 and R11 = 0
+        cases = [zero]
+        if len(prob.ray_ks) == 2:
+            second = zero.copy()
+            second[0, nh:] = 1.0  # S = [[1, 1], [1, 1]]
+            cases.append(second)
+        for M in cases:
+            assert spectral._shifted_solve(prob, M) is None
+    monkeypatch.setattr(spectral, "_shifted_solve", lambda problem, shifted: None)
+    with pytest.raises(NumericalBreakdown, match=r"ell=1 .*: A - sigma B at .* is singular"):
+        lowest_eigs(prob, 1)
+
+
 def _ldl_solve(band, b):
     """Solve M x = b for M symmetric in lower band storage (band[d, j] =
     M[j+d, j]) by LDL^T without pivoting, in the dtype of `band`."""
@@ -726,13 +794,14 @@ def test_upper_extremal_rayleigh_quotient_measures_the_assembly(n, m):
                          + [(n, beta, 2048) for n, beta in _M2048_MODE_EIGS])
 def test_floored_mode0_matches_the_unshifted_solve(n, beta, m):
     # mode 0 at 0.99 x its first nontrivial closed-form value, through the
-    # indefinite operator, against the bands' eigenvalue in extended
-    # precision (_band_eigenvalue) next to it
+    # indefinite operator (Lanczos, lowest_eigpairs) and by inverse
+    # iteration (lowest_eigs with k = 1), each against the bands'
+    # eigenvalue in extended precision (_band_eigenvalue) next to it
     p = MeasureParams(n, beta)
     prob = assemble_mode(0, p, Discretization(m=m, delta=1e-3))
-    (lam,) = lowest_eigs(prob, 1)
-    ref = _band_eigenvalue(prob, lam)
-    assert abs(lam - ref) <= 2e-12 * ref, (lam, ref)
+    for lam in (lowest_eigpairs(prob, 1)[0][0], lowest_eigs(prob, 1)[0]):
+        ref = _band_eigenvalue(prob, lam)
+        assert abs(lam - ref) <= 2e-12 * ref, (lam, ref)
 
 
 @pytest.mark.parametrize("n, beta", [(2, 1.5), (3, 3.8)])
@@ -929,6 +998,40 @@ def test_numeric_gap_domain_sweep(n, m):
             assert abs(rep.rel_error) <= _DOMAIN_BOUND[m][rep.range_tag], rep
 
 
+# The lower range at large n, beta = n/2 + 1 (edge 1): the bands' rounding
+# swamps the values there, and numeric_gap returned 0.99 x the edge (the
+# shift) at n = 30, 40 and 60, which the guard's count under sigma passes.
+# A value is now returned only where its bracket's two counts hold.
+@pytest.mark.parametrize("m", [64, 256, 2048])
+@pytest.mark.parametrize("n", [16, 30, 40, 60])
+def test_numeric_gap_at_large_n_is_bracketed_or_refused(n, m):
+    try:
+        rep = numeric_gap(MeasureParams(n, n / 2 + 1), Discretization(m=m, delta=1e-3))
+    except NumericalBreakdown as exc:
+        assert "Galerkin values below" in str(exc)
+        return
+    assert rep.range_tag == "lower"
+    assert rep.numeric_gap >= rep.closed_form * (1.0 - 1e-12), rep
+    lo, hi = rep.mode_brackets[rep.minimizing_mode]
+    assert lo < rep.numeric_gap < hi
+
+
+# Deep in the lower range (beta - n/2 <= 0.05) the rounding of a value and
+# of its count grows about as m^2: the measured worst distance from a value
+# to the point where its count steps is 2.6e-11 at m = 2048, 9.2e-11 at
+# 8192 and 3.2e-10 at 16384 (at (5, 2.52)), so no fixed bracket holds at
+# every m.  Each bracket contains the Lanczos value of the same problem.
+@pytest.mark.parametrize("m", [8192, 16384])
+@pytest.mark.parametrize("n, beta", [(1, 0.51), (3, 1.52), (5, 2.52)])
+def test_deep_lower_range_is_bracketed_at_large_m(n, beta, m):
+    p, disc = MeasureParams(n, beta), Discretization(m=m, delta=1e-3)
+    rep = numeric_gap(p, disc)
+    (prob,) = spectral._mode_problems((rep.minimizing_mode,), p, disc)
+    ref = lowest_eigpairs(prob, 1)[0][0]
+    lo, hi = rep.mode_brackets[rep.minimizing_mode]
+    assert lo < rep.numeric_gap < hi and lo < ref < hi, (rep, ref)
+
+
 def _tail_exponents(n, beta):
     """Every (c, d) of a tail moment the assembly reads at (n, beta): c =
     n-1+p+q against beta (the mass) and c = n-3+p+q against beta - 1 (the
@@ -1081,12 +1184,14 @@ def test_floored_breakdown_reports_the_count(monkeypatch):
 
 
 def test_floor_halves_the_lanczos_steps(monkeypatch):
-    # spectral_sweep's seven solvable points: numeric_gap's Lanczos callbacks
-    # on the modes it solves, 71 at m = 512 over 8 solves (92 with residuals
-    # to machine precision; 131 and 158 over the 12 solves of modes 0 and 1
-    # everywhere); those 12 pencils took 340 with a shift at sigma ~ 0 under
-    # the whole spectrum (mode 0 with k = 2, past its constants), and the
-    # pin is 0.45 x that
+    # spectral_sweep's seven solvable points: the Lanczos callbacks of the
+    # modes numeric_gap solves, each solved alone at its sigma
+    # (lowest_eigpairs with k = 1), 71 at m = 512 over 8 solves (92 with
+    # residuals to machine precision; 131 and 158 over the 12 solves of
+    # modes 0 and 1 everywhere); those 12 pencils took 340 with a shift at
+    # sigma ~ 0 under the whole spectrum (mode 0 with k = 2, past its
+    # constants), and the pin is 0.45 x that.  numeric_gap itself solves
+    # them by inverse iteration, with no Lanczos callback
     real, calls = spectral.LinearOperator, []
 
     def counted(shape, matvec, dtype):
@@ -1097,9 +1202,15 @@ def test_floor_halves_the_lanczos_steps(monkeypatch):
 
     monkeypatch.setattr(spectral, "LinearOperator", counted)
     disc = Discretization(m=512, delta=1e-3)
-    for n, beta in [(1, 1.2), (1, 3.0), (2, 1.5), (2, 4.0), (3, 2.0), (3, 3.8),
-                    (3, 5.0)]:
+    points = [(1, 1.2), (1, 3.0), (2, 1.5), (2, 4.0), (3, 2.0), (3, 3.8), (3, 5.0)]
+    for n, beta in points:
         numeric_gap(MeasureParams(n, beta), disc)
+    assert calls == []
+    solved = {(1, 1.2): (0, 1), (1, 3.0): (1,), (2, 1.5): (0,), (2, 4.0): (1,),
+              (3, 2.0): (0,), (3, 3.8): (0,), (3, 5.0): (1,)}
+    for (n, beta), modes in solved.items():
+        for prob in spectral._mode_problems(modes, MeasureParams(n, beta), disc):
+            lowest_eigpairs(prob, 1)
     assert len(calls) <= 153, len(calls)
 
 
@@ -1148,21 +1259,31 @@ def test_numeric_gap_solves_eight_modes_on_the_sweep(monkeypatch):
 
 
 def test_numeric_gap_guards_each_mode_once(monkeypatch):
-    # spectral_sweep's seven solvable points: one Sylvester count per mode
-    # problem, modes 0 and 1 at each point, whether the mode is then solved
-    # or certified; guarding each solved mode again took 22
+    # spectral_sweep's seven solvable points: one guard count (under sigma)
+    # per mode problem, modes 0 and 1 at each point, whether the mode is then
+    # solved or certified; guarding each solved mode again took 22.  Each
+    # solved value then takes the two counts of its bracket, at its ends
     real, calls = spectral._inertia, []
 
     def counted(problem, shifted, what):
-        calls.append((problem.params.n, problem.params.beta, problem.ell))
+        kind = "guard" if what.startswith("A - sigma B at sigma") else what
+        calls.append((kind, problem.params.n, problem.params.beta, problem.ell))
         return real(problem, shifted, what)
 
     monkeypatch.setattr(spectral, "_inertia", counted)
     disc = Discretization(m=256, delta=1e-3)
     points = [(1, 1.2), (1, 3.0), (2, 1.5), (2, 4.0), (3, 2.0), (3, 3.8), (3, 5.0)]
-    for n, beta in points:
-        numeric_gap(MeasureParams(n, beta), disc)
-    assert calls == [(n, beta, ell) for n, beta in points for ell in (0, 1)]
+    reports = [numeric_gap(MeasureParams(n, beta), disc) for n, beta in points]
+    assert [c[1:] for c in calls if c[0] == "guard"] == [
+        (n, beta, ell) for n, beta in points for ell in (0, 1)]
+    solved = [(1, 1.2, 0), (1, 1.2, 1), (1, 3.0, 1), (2, 1.5, 0), (2, 4.0, 1),
+              (3, 2.0, 0), (3, 3.8, 0), (3, 5.0, 1)]
+    brackets = [c for c in calls if c[0] != "guard"]
+    assert [c[1:] for c in brackets] == [s for s in solved for _ in range(2)]
+    ends = [rep.mode_brackets[ell] for rep in reports for ell in (0, 1)
+            if rep.mode_brackets[ell] is not None]
+    assert [c[0] for c in brackets] == [f"A - mu B at mu = {end:.17g} (bracket)"
+                                        for pair in ends for end in pair]
 
 
 def test_numeric_gap_counts_the_certified_mode(monkeypatch):
@@ -1194,6 +1315,25 @@ def test_inertia_matches_the_dense_count(n, beta, tail_rays):
         for factor in (0.5, 0.99, 1.2, 3.0):
             M = prob.A.band - factor * bottom * prob.B.band
             assert spectral._inertia(prob, M, "M") == _dense_negatives(M), (prob.ell, factor)
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+def test_bracket_refuses_a_value_off_its_count(ell):
+    # the certified value passes its two counts; moved by 10 eps (the
+    # bracket's relative half-width), below (both counts read the closed
+    # form's) or above (both read one more), it is refused
+    prob = assemble_mode(ell, MeasureParams(3, 3.8), Discretization(m=256, delta=1e-3))
+    closed = prob._guarded[1]
+    (lam,) = lowest_eigs(prob, 1)
+    spectral._bracket(prob, lam)
+    eps = spectral.BRACKET_EPS_SCALE * prob.size() ** 2
+    for factor, counts in ((1.0 - 10.0 * eps, closed), (1.0 + 10.0 * eps, closed + 1)):
+        with pytest.raises(NumericalBreakdown,
+                           match=rf"ell={ell} .*: the counts at .* and .*, around lam = .*, "
+                                 rf"put {counts} and {counts} Galerkin values "
+                                 rf"below, where the lowest nontrivial value needs "
+                                 rf"{closed} and {closed + 1}"):
+            spectral._bracket(prob, lam * factor)
 
 
 def test_inertia_refuses_zero_and_nan_pivots():
