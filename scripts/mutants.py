@@ -35,13 +35,13 @@ TIMEOUT_S = 900
 
 MUTANTS = [
     ("mass-hats-swapped", SPECTRAL,
-     "    return pairs(w), ell, grad\n",
-     "    return pairs(w)[::-1], ell, grad\n",
+     '    return np.einsum("ji,kji->ki", wm, hats), np.einsum("ji,kji->ki", w, hats), grad\n',
+     '    return np.einsum("ji,kji->ki", wm, hats[::-1]), np.einsum("ji,kji->ki", w, hats), grad\n',
      "phi_L and phi_R swapped in the mass products",
      ["tests/test_spectral.py::test_cell_moments_match_oracle_pins"]),
     ("mass-factor-dropped", SPECTRAL,
-     "    r2 = rr * rr\n    w *= r2\n    r2 += 1.0\n    w /= r2\n",
-     "",
+     "    r2 = rr * rr\n    wm = w * r2\n    r2 += 1.0\n    wm /= r2\n",
+     "    wm = w\n",
      "the mass weight without its factor r^2/(1+r^2), equal to the ell weight",
      ["tests/test_spectral.py::test_cell_moments_match_oracle_pins"]),
     ("lanczos-tol", SPECTRAL,
@@ -106,6 +106,12 @@ MUTANTS = [
      "a one-value solve's count at lam (1 + eps) never compared with closed + 1",
      ["tests/test_spectral.py::test_bracket_refuses_a_value_off_its_count",
       "tests/test_spectral.py::test_numeric_gap_at_large_n_is_bracketed_or_refused"]),
+    ("refactor-reads-sigma", SPECTRAL,
+     "        new = mu + (y @ Bx) / yBy\n",
+     "        new = sigma + (y @ Bx) / yBy\n",
+     "after the refactor, each value read as sigma + y'Bx / y'By, at the old shift",
+     ["tests/test_spectral.py::test_numeric_gap_m2048_pins",
+      "tests/test_spectral.py::test_slow_solves_refactor_once_on_the_sweep"]),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

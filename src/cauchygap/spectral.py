@@ -196,12 +196,15 @@ def _grid_rule(m: int, R: float):
     """(radii, rule) of the m radii r = sinh(s), s uniform on [0, asinh R],
     with 12-point Gauss-Legendre in s on every cell [r0, r1].  The rule
     holds, one row per Gauss node and one column per cell, the nodes
-    r = sinh(s), log r, log1p(r^2) and the hat values (r1 - r)/h and
-    (r - r0)/h; then per cell the half-width in s (the Gauss weights'
-    factor) and h = sinh s1 - sinh s0.  The hat values are those of the
-    exact Gauss nodes, so the band entries hold to rounding where the rule
-    resolves the weight.  Built on the grid's first use and read by every
-    later assembly and load on it; every array is read-only."""
+    r = sinh(s), log r, log1p(r^2) and the hat values phi_L = (r1 - r)/h
+    and phi_R = (r - r0)/h; then per cell the half-width in s (the Gauss
+    weights' factor) and h = sinh s1 - sinh s0; last the hat products
+    phi_L phi_L, phi_L phi_R and phi_R phi_R times the Gauss weight and
+    the half-width, stacked in that order, which every assembly contracts
+    (_cell_integrals).  The hat values are those of the exact Gauss nodes,
+    so the band entries hold to rounding where the rule resolves the
+    weight.  Built on the grid's first use and read by every later
+    assembly and load on it; every array is read-only."""
     def span(a, d):  # sinh(a + d) - sinh(a), without cancellation
         return 2.0 * np.cosh(a + 0.5 * d) * np.sinh(0.5 * d)
 
@@ -214,8 +217,12 @@ def _grid_rule(m: int, R: float):
     ss = s[:-1] + to_r0
     rr = np.sinh(ss)
     h = span(s[:-1], ds)
-    rule = (rr, np.log(rr), np.log1p(rr * rr), span(ss, to_r1) / h, span(s[:-1], to_r0) / h,
-            0.5 * ds, h)
+    left, right = span(ss, to_r1) / h, span(s[:-1], to_r0) / h
+    weight = _WGL[:, None] * (0.5 * ds)
+    hats = np.empty((3,) + rr.shape)
+    for out, a, b in zip(hats, (left, left, right), (left, right, right)):
+        np.multiply(weight * a, b, out=out)
+    rule = (rr, np.log(rr), np.log1p(rr * rr), left, right, 0.5 * ds, h, hats)
     for a in (r, *rule):
         a.flags.writeable = False
     return r, rule
@@ -230,25 +237,21 @@ def _cell_integrals(rule, n: int, beta: float):
 
     Every entry is a sum of positive node terms, with no cancellation.  One
     exp per node gives the ell weight; the gradient weight is r^2 times it
-    and the mass weight r^2/(1+r^2) times that.
+    and the mass weight r^2/(1+r^2) times that.  mass and ell contract
+    their weights against the rule's stored hat products, so no hat
+    product is formed here.
     """
-    rr, logr, log1p, left, right, ds, h = rule
-
-    def pairs(w):
-        return tuple(ds * np.einsum("ji,ji,ji->i", w, a, b)
-                     for a, b in ((left, left), (left, right), (right, right)))
-
-    w = (n - 3.0) * logr
+    rr, logr, log1p, _, _, ds, h, hats = rule
+    w = np.multiply(logr, n - 3.0)
     w += (1.5 - beta) * log1p  # with dr/ds = (1+r^2)^(1/2)
     np.exp(w, out=w)
-    w *= _WGL[:, None]
-    ell = pairs(w)
-    grad = np.einsum("ji,ji,ji->i", w, rr, rr) * (ds / (h * h))
+    # three einsum factors, summed in node order on a one-cell slice too
+    grad = np.einsum("ji,ji,ji->i", w * _WGL[:, None], rr, rr) * (ds / (h * h))
     r2 = rr * rr
-    w *= r2
+    wm = w * r2
     r2 += 1.0
-    w /= r2
-    return pairs(w), ell, grad
+    wm /= r2
+    return np.einsum("ji,kji->ki", wm, hats), np.einsum("ji,kji->ki", w, hats), grad
 
 
 def _tail_moment(R: float, c: float, d: float) -> float:
@@ -491,7 +494,7 @@ def _hat_loads(profiles, params: MeasureParams, disc: Discretization) -> dict:
     def weight(logr, log1p, half=0.0):  # r^{n-1} (1+r^2)^{half-beta}
         return np.exp((params.n - 1) * logr + (half - params.beta) * log1p)
 
-    r, (rr, logr, log1p, left, right, ds, _) = disc._grid(params)
+    r, (rr, logr, log1p, left, right, ds, *_) = disc._grid(params)
     ww = _WGL[:, None] * weight(logr, log1p, 0.5)  # with dr/ds = (1+r^2)^(1/2)
     R = float(r[-1])
     t, wt = _gauss_panels(0.0, 1.0)
@@ -650,13 +653,18 @@ def _inertia(problem: ModeProblem, shifted: np.ndarray, what: str) -> int:
 # The k = 1 solve (_lowest_value): inverse iteration at sigma stops once a
 # step moves the value by at most _STEP_TOL of it, or by no less than the
 # step before (in exact arithmetic the moves shrink at every step, so
-# rounding has taken over).  _bracket then certifies the value to
+# rounding has taken over).  A step that moves the value by at most
+# _REFACTOR_FROM of it, and by more than _SLOW_RATIO of the move before,
+# marks slow convergence at sigma: the iteration refactors once, at the
+# running value.  _bracket then certifies the value to
 # BRACKET_EPS_SCALE x nn^2 relative, nn the problem's size: the rounding of
 # a value and of its count grows with the stiffness scale, about as the
 # square of the number of cells.  README gives the measured step counts,
 # errors and brackets.
 _STEP_TOL = 1e-14
 _MAX_STEPS = 50
+_REFACTOR_FROM = 1e-3
+_SLOW_RATIO = 1e-2
 BRACKET_EPS_SCALE = 6e-17
 
 
@@ -738,40 +746,56 @@ def _lowest_value(problem: ModeProblem) -> float:
     the value, which converges twice as fast.
 
     Inverse iteration at the guard's sigma, on one factor (_shifted_solve).
-    Each step's value is sigma + y'Bx / y'By for y = (A - sigma B)^{-1} Bx:
-    the Rayleigh quotient y'Ay / y'By, read through (A - sigma B) y = Bx
-    instead of a product with A, whose stiffness rows cancel.  On mode 0
-    every iterate is made B-orthogonal to the constants (the all-ones
-    hats), which lie under sigma: deep in the lower range sigma is nearer
-    to them than to the value sought, and they would grow from rounding at
-    every step.
+    Each step's value is mu + y'Bx / y'By for y = (A - mu B)^{-1} Bx at the
+    shift mu of the factor: the Rayleigh quotient y'Ay / y'By, read through
+    (A - mu B) y = Bx instead of a product with A, whose stiffness rows
+    cancel.  Where the steps at sigma converge slowly (the next value lies
+    near, as in the lower range and on mode 0 in the mid range), the
+    iteration refactors once, at mu = the running value, and continues
+    from the current iterate; a singular factor there means the value is
+    one to rounding, and the steps stop.  On mode 0 every iterate is made
+    B-orthogonal to the constants (the all-ones hats), which lie under
+    sigma: deep in the lower range sigma is nearer to them than to the
+    value sought, and they would grow from rounding at every step.
     """
     sigma, _, shifted, what = problem._guarded
     B, nn = problem.B, problem.size()
-    solve = _shifted_solve(problem, shifted)
-    if solve is None:
-        raise NumericalBreakdown(problem, f"{what} is singular")
     if problem.ell == 0:
         ones = np.zeros(nn)
         ones[:nn - len(problem.ray_ks)] = 1.0
-        B1, at_sigma = B @ ones, solve
+        B1 = B @ ones
         mass = ones @ B1
 
-        def solve(b):
-            y = at_sigma(b)
+    def factor(shifted):  # _shifted_solve, on mode 0 off the constants
+        solve = _shifted_solve(problem, shifted)
+        if solve is None or problem.ell > 0:
+            return solve
+
+        def orthogonal(b):
+            y = solve(b)
             return y - (y @ B1) / mass * ones
 
+        return orthogonal
+
+    solve = factor(shifted)
+    if solve is None:
+        raise NumericalBreakdown(problem, f"{what} is singular")
     Bx = B @ np.linspace(1.0, 2.0, nn)
-    lam, move = sigma, math.inf
+    mu, lam, move = sigma, sigma, math.inf
     for _ in range(_MAX_STEPS):
         y = solve(Bx)
         By = B @ y
         yBy = y @ By
-        new = sigma + (y @ Bx) / yBy
+        new = mu + (y @ Bx) / yBy
         Bx = By / math.sqrt(yBy)
         move, last, lam = abs(new - lam), move, new
         if move <= _STEP_TOL * lam or move >= last:
             break
+        if mu == sigma and _SLOW_RATIO * last < move <= _REFACTOR_FROM * lam:
+            solve = factor(problem.A.band - lam * B.band)
+            if solve is None:  # lam is a value to rounding
+                break
+            mu, move = lam, math.inf  # the moves at mu start a new sequence
     _bracket(problem, lam)
     return float(lam)
 

@@ -735,13 +735,13 @@ def _band_eigenvalue(prob, lam):
 
 # Per-mode values of numeric_gap at m = 2048: the eigenvalues of the double
 # bands by _band_eigenvalue (the same iteration in 40-digit mpmath agrees
-# with these pins to <= 1.7e-16).
+# with these pins to <= 8.8e-17).
 _M2048_MODE_EIGS = {
     (2, 4.0): (8.000018383323905, 6.000000000000099, 12.000013788046303,
-               18.026551557740515),
-    (3, 3.8): (5.2000070365451005, 5.59999999999941, 11.200006062256811,
-               17.33167001828677),
-    (1, 1.2): (0.617968283210908, 0.5577700717772194),
+               18.0265515577405),
+    (3, 3.8): (5.200007036545101, 5.59999999999941, 11.200006062256811,
+               17.331670018286832),
+    (1, 1.2): (0.6179682832109081, 0.5577700717772193),
 }
 
 
@@ -1212,6 +1212,56 @@ def test_floor_halves_the_lanczos_steps(monkeypatch):
         for prob in spectral._mode_problems(modes, MeasureParams(n, beta), disc):
             lowest_eigpairs(prob, 1)
     assert len(calls) <= 153, len(calls)
+
+
+def test_slow_solves_refactor_once_on_the_sweep(monkeypatch):
+    # spectral_sweep's eight points at m = 2048: the dgttrs solves of
+    # numeric_gap, one per inverse-iteration step and one per factor with
+    # tail rays (its Schur column).  With every step at sigma they took 87;
+    # refactoring once at the running value, where the steps at sigma are
+    # slow (the lower range, and mode 0 in the mid range), takes 56
+    real, calls = spectral.dgttrs, []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "dgttrs", counted)
+    disc = Discretization(m=2048, delta=1e-3)
+    for n, beta in [(1, 1.2), (1, 3.0), (2, 1.5), (2, 4.0), (3, 2.0), (3, 3.8),
+                    (3, 5.0), (3, 200.0)]:
+        numeric_gap(MeasureParams(n, beta), disc)
+    assert len(calls) <= 64, len(calls)
+
+
+def test_singular_refactor_stops_at_the_bracket(monkeypatch):
+    # a singular factor at the running value stops the steps, and the
+    # bracket's counts judge that value; made to read singular here, the
+    # factor meets a value that has converged to about 1e-3 only, which
+    # the counts refuse instead of returning it
+    real, calls = spectral._shifted_solve, []
+
+    def second_singular(problem, shifted):
+        calls.append(None)
+        return real(problem, shifted) if len(calls) == 1 else None
+
+    monkeypatch.setattr(spectral, "_shifted_solve", second_singular)
+    prob = assemble_mode(0, MeasureParams(3, 2.0), Discretization(m=256, delta=1e-3))
+    with pytest.raises(NumericalBreakdown, match="the counts at"):
+        lowest_eigs(prob, 1)
+    assert len(calls) == 2
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalBreakdown,
+                   reason="mode 0's guard counts 2 Galerkin values under sigma at "
+                          "(2, 42) with delta = 1e-2; delta = 1e-3 solves it")
+def test_numeric_gap_at_2_42_on_the_delta_1e2_truncation():
+    # the upper range: the gap is 2(beta - 1) = 82, on mode 1, whose
+    # extremal r lies in the trial space; delta = 1e-3, 0.05 and 0.2 give
+    # it to rounding, while the bands at delta = 1e-2 put a second value of
+    # mode 0 under 0.99 x its closed-form bottom 160
+    rep = numeric_gap(MeasureParams(2, 42.0), Discretization(m=256, delta=1e-2))
+    assert rep.minimizing_mode == 1 and abs(rep.rel_error) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [64, 256])
