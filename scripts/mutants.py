@@ -112,6 +112,13 @@ MUTANTS = [
      "after the refactor, each value read as sigma + y'Bx / y'By, at the old shift",
      ["tests/test_spectral.py::test_numeric_gap_m2048_pins",
       "tests/test_spectral.py::test_slow_solves_refactor_once_on_the_sweep"]),
+    ("lanczos-outer-untransposed", SPECTRAL,
+     "        return dtbmv(p, L, solve(dtbmv(p, L, y, lower=1)), lower=1, trans=1)\n",
+     "        return dtbmv(p, L, solve(dtbmv(p, L, y, lower=1)), lower=1)\n",
+     "Lanczos on L (A - sigma B)^{-1} L, the outer factor of B = L L' untransposed",
+     ["tests/test_spectral.py::test_lowest_eigpairs_residuals_on_the_heat_flow_pencils",
+      "tests/test_spectral.py::test_lowest_eigpairs_vectors_are_b_orthonormal",
+      "tests/test_spectral.py::test_lowest_eigpairs_domain"]),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import linalg as sla
 from scipy.linalg.blas import dtbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs, dpttrf, dtbtrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dtbtrs
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .measures import MeasureParams, omega_moment
@@ -384,6 +384,15 @@ class ModeProblem:
         of the problem reads it.  A breakdown is raised, not kept."""
         return _guard(self)
 
+    @cached_property
+    def _b_factor(self) -> np.ndarray:
+        """The lower banded Cholesky factor L of B = L L', once per problem:
+        the projection (_hat_projection) and every Lanczos solve read it."""
+        try:
+            return sla.cholesky_banded(self.B.band, lower=True)
+        except ValueError as exc:  # LinAlgError, or a non-finite entry
+            raise NumericalBreakdown(self, f"banded Cholesky of B failed ({exc})") from exc
+
 
 class NumericalBreakdown(ArithmeticError):
     """A mode problem's matrices or factorization broke down in floating point."""
@@ -392,15 +401,6 @@ class NumericalBreakdown(ArithmeticError):
         p = problem.params
         super().__init__(f"mode ell={problem.ell} (n={p.n}, beta={p.beta:g}, "
                          f"nn={problem.size()}): {reason}")
-
-
-def _cholesky(problem: ModeProblem, band: np.ndarray, what: str):
-    """Lower banded Cholesky factor of one mode's matrix `what`."""
-    try:
-        return sla.cholesky_banded(band, lower=True)
-    except ValueError as exc:  # LinAlgError, or a non-finite entry
-        raise NumericalBreakdown(
-            problem, f"banded Cholesky of {what} failed ({exc})") from exc
 
 
 def _admissible_rays(n: int, beta: float) -> tuple:
@@ -521,8 +521,8 @@ def _hat_projection(profiles, params: MeasureParams, disc: Discretization):
     """
     loads = _hat_loads(profiles, params, disc)
     problems = list(_mode_problems(sorted(loads), params, disc, tail_rays=False))
-    vs = [sla.cho_solve_banded((_cholesky(p, p.B.band, "B"), True), loads[p.ell],
-                               check_finite=False) for p in problems]
+    vs = [sla.cho_solve_banded((p._b_factor, True), loads[p.ell], check_finite=False)
+          for p in problems]
     ones = np.ones(problems[0].size())
     mass = float(ones @ (problems[0].B @ ones))
     vs[0] -= np.sum(loads[0]) / mass
@@ -541,7 +541,7 @@ _FLOOR_NCV = 6
 # sigma)/lam: about 0.01 tol in the mid and upper ranges, and 0.34 tol =
 # 3.4e-14 in the lower, where the value sits near 1.5 x its bottom.  The
 # error is in fact quadratic in the residual (Parlett, The Symmetric
-# Eigenvalue Problem).
+# Eigenvalue Problem).  README gives the measured residuals and errors.
 _LANCZOS_TOL = 1e-13
 
 
@@ -560,23 +560,29 @@ def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarra
     Shift-invert Lanczos in standard form (Ericsson & Ruhe 1980): the
     largest eigenvalues theta of a symmetric operator C give
     lam = sigma + 1/theta, at the shift sigma that _guard checks (and
-    raises NumericalBreakdown from), once per problem.  Where no
-    closed-form value lies under sigma, C = L^{-1} B L^{-T} for the banded
-    Cholesky factor A - sigma B = L L'; on mode 0, whose constants lie
-    under it, C = L_B' (A - sigma B)^{-1} L_B with B = L_B L_B' and
-    A - sigma B in banded LU, where the constants sit at theta < 0.
+    raises NumericalBreakdown from), once per problem.  On every mode
+    C = L' (A - sigma B)^{-1} L, with B = L L' (ModeProblem._b_factor) and
+    A - sigma B in the one-value solve's factor (_shifted_solve; a
+    singular one raises NumericalBreakdown); mode 0's constants, under
+    sigma, sit at theta < 0.  The vectors are x = L^{-T} y.
     """
     if k < 1:
         raise ValueError("need k >= 1 eigenpairs")
     nn = problem.size()
     k = min(k, nn - 1)
-    sigma, closed, shifted, what = problem._guarded
-    operator = _indefinite_operator if closed else _definite_operator
-    matvec, back = operator(problem, shifted, what)
+    sigma, _, shifted, what = problem._guarded
+    solve = _shifted_solve(problem, shifted)
+    if solve is None:
+        raise NumericalBreakdown(problem, f"{what} is singular")
+    L, p = problem._b_factor, len(shifted) - 1
+
+    def matvec(y):
+        return dtbmv(p, L, solve(dtbmv(p, L, y, lower=1)), lower=1, trans=1)
+
     theta, y = eigsh(LinearOperator((nn, nn), matvec=matvec, dtype=float),
                      k=k, which="LA", v0=np.ones(nn), tol=_LANCZOS_TOL,
                      ncv=min(nn, max(_FLOOR_NCV, 2 * k + 1)))
-    vecs = back(y)
+    vecs = dtbtrs(L, y, uplo="L", trans="T")[0]
     vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, problem.B @ vecs))
     vals = sigma + 1.0 / theta
     order = np.argsort(vals)
@@ -798,37 +804,6 @@ def _lowest_value(problem: ModeProblem) -> float:
             mu, move = lam, math.inf  # the moves at mu start a new sequence
     _bracket(problem, lam)
     return float(lam)
-
-
-def _definite_operator(problem: ModeProblem, shifted: np.ndarray, what: str):
-    """Lanczos callback and vector map of C = L^{-1} B L^{-T}, with
-    A - sigma B = `shifted` = L L' banded Cholesky: x = L^{-T} y."""
-    factor = _cholesky(problem, shifted, what)
-
-    def solve(x, trans):  # info is 0: the factor's diagonal is positive
-        return dtbtrs(factor, x, uplo="L", trans=trans)[0]
-
-    return (lambda x: solve(problem.B @ solve(x, "T"), "N")), (lambda y: solve(y, "T"))
-
-
-def _indefinite_operator(problem: ModeProblem, shifted: np.ndarray, what: str):
-    """Lanczos callback and vector map of C = L_B' (A - sigma B)^{-1} L_B,
-    with B = L_B L_B' banded Cholesky and A - sigma B = `shifted` in banded
-    LU: x = L_B^{-T} y turns C y = theta y into A x = (sigma + 1/theta) B x."""
-    nn, p = problem.size(), len(shifted) - 1
-    full = np.zeros((3 * p + 1, nn))  # dgbtrf's layout: M[i, j] at [2p + i - j, j]
-    for d in range(p + 1):
-        full[2 * p + d, :nn - d] = full[2 * p - d, d:] = shifted[d, :nn - d]
-    lu, piv, info = dgbtrf(full, p, p)
-    if info != 0:
-        raise NumericalBreakdown(problem, f"banded LU of {what} failed (info {info})")
-    LB = _cholesky(problem, problem.B.band, "B")
-
-    def matvec(x):
-        y = dgbtrs(lu, p, p, dtbmv(p, LB, x, lower=1), piv)[0]
-        return dtbmv(p, LB, y, lower=1, trans=1)
-
-    return matvec, lambda y: dtbtrs(LB, y, uplo="L", trans="T")[0]
 
 
 def _floor_shift(bottom: float) -> tuple[float, str]:

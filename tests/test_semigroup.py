@@ -154,6 +154,41 @@ def test_variance_check_guards_every_solve(monkeypatch):
                                       Discretization(m=256, delta=1e-3))
 
 
+def test_variance_check_factors_each_mode_once(monkeypatch):
+    # criterion 7's configuration ((1, 2.0), m = 1024): each mode's B is
+    # factored once (banded Cholesky), for the projection and Lanczos alike,
+    # and A - sigma B once (the one-value solve's dgttrf), which Lanczos
+    # reads; nothing else factors a mode's matrices
+    problems, factors = [], []
+    real_problems, real_cholesky, real_dgttrf = (spectral._mode_problems,
+                                                 sla.cholesky_banded, spectral.dgttrf)
+
+    def kept(*args, **kwargs):
+        for prob in real_problems(*args, **kwargs):
+            problems.append(prob)
+            yield prob
+
+    def cholesky(band, *args, **kwargs):
+        factors.append(("cholesky", band))
+        return real_cholesky(band, *args, **kwargs)
+
+    def dgttrf(dl, d, du, *args, **kwargs):
+        factors.append(("dgttrf", d))
+        return real_dgttrf(dl, d, du, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_mode_problems", kept)
+    monkeypatch.setattr(sla, "cholesky_banded", cholesky)
+    monkeypatch.setattr(spectral, "dgttrf", dgttrf)
+    variance_representation_check(make_random_test(7, 1), 2.0, 1.0, 2e-5,
+                                  MeasureParams(1, 2.0), Discretization(m=1024, delta=1e-3))
+    assert [prob.ell for prob in problems] == [0, 1]
+    assert [kind for kind, _ in factors] == ["cholesky"] * 2 + ["dgttrf"] * 2
+    for (_, band), prob in zip(factors[:2], problems):
+        assert band is prob.B.band
+    for (_, diag), prob in zip(factors[2:], problems):
+        np.testing.assert_array_equal(diag, prob._guarded[2][0])
+
+
 def test_projected_start_keeps_constants_beyond_R():
     # the last hat's constant extension over [R, inf) enters the projection,
     # so a constant stays constant and has no discrete variance even where

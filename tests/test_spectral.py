@@ -621,8 +621,8 @@ def test_lowest_eigpairs_vectors_are_b_orthonormal(n, beta):
 def test_lowest_eigpairs_residuals_on_the_heat_flow_pencils():
     # criterion 7's pencils ((1, 2.0), m = 1024, hats only), six pairs each,
     # as the heat flow solves them.  Measured worst
-    # |A v - lam B v| / (lam |B v|): 1.3e-11 on mode 0 and 2.1e-12 on mode 1
-    # with Lanczos stopped at _LANCZOS_TOL = 1e-13; 9.0e-9 and 8.1e-8 at 1e-6
+    # |A v - lam B v| / (lam |B v|): 1.2e-11 on mode 0 and 1.1e-11 on mode 1
+    # with Lanczos stopped at _LANCZOS_TOL = 1e-13; 3.2e-8 and 1.7e-6 at 1e-6
     p, disc = MeasureParams(1, 2.0), Discretization(m=1024, delta=1e-3)
     for prob in spectral._mode_problems((0, 1), p, disc, tail_rays=False):
         lam, phi = lowest_eigpairs(prob, 6)
@@ -633,18 +633,21 @@ def test_lowest_eigpairs_residuals_on_the_heat_flow_pencils():
 
 def test_lowest_eigpairs_domain():
     # k >= 1; k at or past the matrix size is clamped to nn - 1, ARPACK's
-    # limit, which on mode 0 is every value past the constants
-    prob = _mode(0, MeasureParams(1, 2.0), Discretization(m=64, delta=1e-2),
-                 tail_rays=False)
-    nn = prob.size()
-    for k in (0, -3):
-        with pytest.raises(ValueError, match="k >= 1"):
-            lowest_eigpairs(prob, k)
-    ref = sla.eigh(prob.A.toarray(), prob.B.toarray(), eigvals_only=True)
-    for k in (nn - 1, nn, 5 * nn):
-        lam, phi = lowest_eigpairs(prob, k)
-        assert phi.shape == (nn, nn - 1)
-        assert np.all(np.abs(lam - ref[1:]) <= 1e-9 * ref[1:])
+    # limit, which on mode 0 is every value past the constants and on
+    # mode 1, which has none, every value but the largest
+    for ell in (0, 1):
+        prob = _mode(ell, MeasureParams(1, 2.0), Discretization(m=64, delta=1e-2),
+                     tail_rays=False)
+        nn = prob.size()
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="k >= 1"):
+                lowest_eigpairs(prob, k)
+        ref = sla.eigh(prob.A.toarray(), prob.B.toarray(), eigvals_only=True)
+        ref = ref[1:] if ell == 0 else ref[:-1]
+        for k in (nn - 1, nn, 5 * nn):
+            lam, phi = lowest_eigpairs(prob, k)
+            assert phi.shape == (nn, nn - 1)
+            assert np.all(np.abs(lam - ref) <= 1e-9 * ref), ell
 
 
 @pytest.mark.parametrize("n, beta", _SOLVER_POINTS)
@@ -663,7 +666,8 @@ def test_shifted_solve_refuses_a_singular_factor(monkeypatch):
     # a zero column of the hat block, or a singular ray block, gives None
     # (the shift is a value to rounding), never LinAlgError or a non-finite
     # vector; a regular band solves.  A singular factor at sigma is a
-    # NumericalBreakdown of the one-value solve
+    # NumericalBreakdown of the one-value solve and of Lanczos, which read
+    # the same factor
     prob = _mode(1, MeasureParams(3, 3.8), Discretization(m=64, delta=1e-3),
                  tail_rays=False)
     nn = prob.size()
@@ -691,8 +695,10 @@ def test_shifted_solve_refuses_a_singular_factor(monkeypatch):
         for M in cases:
             assert spectral._shifted_solve(prob, M) is None
     monkeypatch.setattr(spectral, "_shifted_solve", lambda problem, shifted: None)
-    with pytest.raises(NumericalBreakdown, match=r"ell=1 .*: A - sigma B at .* is singular"):
-        lowest_eigs(prob, 1)
+    for solve in (lambda: lowest_eigs(prob, 1), lambda: lowest_eigpairs(prob, 2)):
+        with pytest.raises(NumericalBreakdown,
+                           match=r"ell=1 .*: A - sigma B at .* is singular"):
+            solve()
 
 
 def _ldl_solve(band, b):
@@ -793,9 +799,9 @@ def test_upper_extremal_rayleigh_quotient_measures_the_assembly(n, m):
 @pytest.mark.parametrize("n, beta, m", [(n, beta, 256) for n, beta in _SOLVER_POINTS]
                          + [(n, beta, 2048) for n, beta in _M2048_MODE_EIGS])
 def test_floored_mode0_matches_the_unshifted_solve(n, beta, m):
-    # mode 0 at 0.99 x its first nontrivial closed-form value, through the
-    # indefinite operator (Lanczos, lowest_eigpairs) and by inverse
-    # iteration (lowest_eigs with k = 1), each against the bands'
+    # mode 0 at 0.99 x its first nontrivial closed-form value, where its
+    # constants lie under the shift, by Lanczos (lowest_eigpairs) and by
+    # inverse iteration (lowest_eigs with k = 1), each against the bands'
     # eigenvalue in extended precision (_band_eigenvalue) next to it
     p = MeasureParams(n, beta)
     prob = assemble_mode(0, p, Discretization(m=m, delta=1e-3))
@@ -1187,7 +1193,7 @@ def test_floor_halves_the_lanczos_steps(monkeypatch):
     # spectral_sweep's seven solvable points: the Lanczos callbacks of the
     # modes numeric_gap solves, each solved alone at its sigma
     # (lowest_eigpairs with k = 1), 71 at m = 512 over 8 solves (92 with
-    # residuals to machine precision; 131 and 158 over the 12 solves of
+    # residuals to machine precision; 128 and 152 over the 12 solves of
     # modes 0 and 1 everywhere); those 12 pencils took 340 with a shift at
     # sigma ~ 0 under the whole spectrum (mode 0 with k = 2, past its
     # constants), and the pin is 0.45 x that.  numeric_gap itself solves
