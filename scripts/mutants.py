@@ -31,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SPECTRAL = "src/cauchygap/spectral.py"
 QUADRATURE = "src/cauchygap/quadrature.py"
+SEMIGROUP = "src/cauchygap/semigroup.py"
 TIMEOUT_S = 900
 
 MUTANTS = [
@@ -119,6 +120,17 @@ MUTANTS = [
      ["tests/test_spectral.py::test_lowest_eigpairs_residuals_on_the_heat_flow_pencils",
       "tests/test_spectral.py::test_lowest_eigpairs_vectors_are_b_orthonormal",
       "tests/test_spectral.py::test_lowest_eigpairs_domain"]),
+    ("contour-pair-undoubled", SEMIGROUP,
+     "        out += 2.0 * (c / t * solve(Bv)).real\n",
+     "        out += (c / t * solve(Bv)).real\n",
+     "the contour's conjugate nodes left out: the sum over theta_k > 0 not doubled",
+     ["tests/test_semigroup.py::test_flow_end_term_matches_the_dense_sum_over_every_mode",
+      "tests/test_semigroup.py::test_flow_integral_matches_dense_spectrum"]),
+    ("schur-product-underflow", SPECTRAL,
+     "                s21 = shifted[1, nh] - w[1] * (w[0] / d[-1])\n",
+     "                s21 = shifted[1, nh] - w[1] * w[0] / d[-1]\n",
+     "the count's ray product S21 as w w / d, whose w w underflows on far rays",
+     ["tests/test_spectral.py::test_numeric_gap_at_2_42_on_the_delta_1e2_truncation"]),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

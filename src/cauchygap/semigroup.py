@@ -1,10 +1,12 @@
 """Heat flow on the radial modes and deficit verification.
 
 Every flow here is the exact discrete flow B v' = -A v of a mode's
-Galerkin pair, evaluated in its lowest eigenpairs from
-`spectral.lowest_eigpairs`, from the L^2(mu) projection of f on each
-mode's hats (`spectral._hat_projection`, from f's mode profiles).  On it
-the module checks the variance representation
+Galerkin pair, from the L^2(mu) projection of f on each mode's hats
+(`spectral._hat_projection`, from f's mode profiles).  The variance check
+evaluates it over every mode by a contour-rational exponential
+(`_flow_at`), with no eigenpairs; `deficit_trace` reads it in the lowest
+eigenpairs from `spectral.lowest_eigpairs`.  On it the module checks the
+variance representation
 
   Var(f) = (1/rho) int Gamma(f) dmu - (2/rho) int_0^inf int (Gamma_2 - rho Gamma)(P_t f) dmu dt
 
@@ -22,8 +24,8 @@ import numpy as np
 from .functions import SmoothFunction
 from .measures import MeasureParams, mean_sq_norm
 from .quadrature import _rel_err, _var_and_energy
-from .spectral import (GAP_FORMULA, Discretization, ModeProblem, _hat_projection,
-                       lowest_eigpairs, range_edges)
+from .spectral import (GAP_FORMULA, Discretization, ModeProblem, NumericalBreakdown,
+                       _hat_projection, _shifted_solve, lowest_eigpairs, range_edges)
 
 __all__ = [
     "default_horizon", "variance_representation_check", "deficit",
@@ -79,6 +81,49 @@ def _decay_sup(lam0: float, rho: float, T: float) -> float:
     return max(abs(z - rho) * math.exp(-2.0 * z * T) for z in (lam0, top))
 
 
+# Talbot's contour as tuned by Weideman (SIAM J. Numer. Anal. 44, 2006):
+# z(theta) = N (0.5017 theta cot 0.6407 theta - 0.6122 + 0.2645 i theta) at
+# the N midpoints theta_k of (-pi, pi).  The trapezoid rule on
+# e^x = (1/2 pi i) int e^z / (z - x) dz gives r(x) = sum_k c_k / (z_k - x),
+# c_k = e^{z_k} z'(theta_k) / (i N); the nodes come in conjugate pairs, so
+# r(x) = 2 Re of the sum over theta_k > 0.  N = 24 holds |r(x) - e^x| under
+# 3e-14 on x <= 0 (README gives the measured error for each N).
+_TALBOT_N = 24
+_THETA = (np.arange(_TALBOT_N // 2) + 0.5) * (2.0 * np.pi / _TALBOT_N)
+_TALBOT_Z = _TALBOT_N * (0.5017 * _THETA / np.tan(0.6407 * _THETA) - 0.6122
+                         + 0.2645j * _THETA)
+_TALBOT_C = np.exp(_TALBOT_Z) / 1j * (
+    0.5017 / np.tan(0.6407 * _THETA)
+    - 0.5017 * 0.6407 * _THETA / np.sin(0.6407 * _THETA) ** 2 + 0.2645j)
+
+
+def _flow_at(problem: ModeProblem, v: np.ndarray, t: float) -> np.ndarray:
+    """v(t) = exp(-t B^{-1} A) v, the exact flow B v' = -A v from v at
+    time t > 0, over every mode of the pencil to rounding.
+
+    With M = B^{-1} A, whose spectrum lies on [0, inf), the contour sum
+    r(-tM) v = 2 Re sum_k c_k (z_k + tM)^{-1} v over the nodes with
+    theta_k > 0, each term a complex bordered solve
+    (z_k B + t A)^{-1} B v = (A + (z_k/t) B)^{-1} B v / t (_shifted_solve).
+    Its error is at most max |r(x) - e^x| on x <= 0 in each mode's
+    coefficient.  z_k B + t A is never singular off the real axis (its
+    imaginary part is Im z_k B); a singular or non-finite factor raises
+    NumericalBreakdown.
+    """
+    A, B = problem.A.band, problem.B.band
+    Bv = problem.B @ v
+    out = np.zeros(len(v))
+    for z, c in zip(_TALBOT_Z, _TALBOT_C):
+        solve = _shifted_solve(problem, A + (z / t) * B)
+        if solve is None:
+            raise NumericalBreakdown(problem, f"A + z B / t at z = {z:.6g}, "
+                                              f"t = {t:.6g} is singular")
+        out += 2.0 * (c / t * solve(Bv)).real
+    if not np.all(np.isfinite(out)):
+        raise NumericalBreakdown(problem, f"the contour flow to t = {t:.6g} is not finite")
+    return out
+
+
 def _flow_integral(problem: ModeProblem, v: np.ndarray, rho: float,
                    T: float):
     """int_0^T q dt of one mode's exact flow from v, by telescoping.
@@ -86,22 +131,15 @@ def _flow_integral(problem: ModeProblem, v: np.ndarray, rho: float,
     With A phi_k = lam_k B phi_k (B-orthonormal) and c_k = phi_k'B v,
     q(t) = sum_k (lam_k^2 - rho lam_k) c_k^2 e^{-2 lam_k t} and
     d/dt (v'Av - rho v'Bv) = -2q, so the integral is
-    (1/2)[v'Av - rho v'Bv - sum_k (lam_k - rho) c_k^2 e^{-2 lam_k T}].
-    The sum runs over the six lowest nontrivial pairs (on mode 0 the
-    constants carry c = 0: the start is mean-free); the dropped modes
-    (lam >= lam_K, the last kept) hold v'Bv - sum c_k^2 of the norm, so
-    their share is at most (1/2) sup_{lam >= lam_K} |lam - rho| e^{-2 lam T}
-    times that.
-    Returns (integral, dropped bound, v'Bv, v'Av, kept eigenvalues).
+    (1/2)[v'Av - rho v'Bv - sum_k (lam_k - rho) c_k^2 e^{-2 lam_k T}],
+    and the sum over every mode is ((A - rho B) v)' v(2T) (`_flow_at`).
+    Returns (integral, v'Bv, v'Av).
     """
-    lam, phi = lowest_eigpairs(problem, 6)
     Bv = problem.B @ v
-    c = phi.T @ Bv
-    norm, energy = float(v @ Bv), float(v @ (problem.A @ v))
-    ends = float(np.sum((lam - rho) * c * c * np.exp(-2.0 * lam * T)))
-    integral = 0.5 * (energy - rho * norm - ends)
-    dropped = 0.5 * _decay_sup(lam[-1], rho, T) * max(norm - float(c @ c), 0.0)
-    return integral, dropped, norm, energy, lam
+    Av = problem.A @ v
+    norm, energy = float(v @ Bv), float(v @ Av)
+    ends = float((Av - rho * Bv) @ _flow_at(problem, v, 2.0 * T))
+    return 0.5 * (energy - rho * norm - ends), norm, energy
 
 
 # ----------------------------------------------------------------------
@@ -117,15 +155,15 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
     (`spectral._hat_projection`), lhs is its discrete variance, and
     q(t) = w'B^{-1}w - rho v'w with w = A v(t) is the discrete integrated
     (Gamma_2 - rho Gamma) along the exact flow B v' = -A v; its time integral
-    is closed-form over the lowest eigenpairs (`_flow_integral`).  dt only
-    rounds the horizon up to max(1, ceil(T/dt)) dt; rho, T and dt must be
-    finite with rho != 0, T >= 0 and dt > 0 (else ValueError).  Returns
+    telescopes over every mode (`_flow_integral`).  dt only rounds the
+    horizon up to max(1, ceil(T/dt)) dt; rho, T and dt must be finite with
+    rho != 0, T >= 0 and dt > 0 (else ValueError).  Returns
     (lhs, rhs, discrepancy, tail_bound).  On the exact flow
     rhs - lhs = (1/rho) sum_k (lam_k - rho) c_k^2 e^{-2 lam_k T} over the
-    nonconstant modes, all at or above the discrete gap, so
-    tail_bound = sup_{lam >= gap} |lam - rho| e^{-2 lam T} Var / |rho|, plus
-    2/|rho| times the dropped modes' bound, bounds the discrepancy for every
-    rho.
+    nonconstant modes, all at or above the guard's shift sigma (its
+    Sylvester count leaves no nontrivial value below), so
+    tail_bound = sup_{lam >= sigma} |lam - rho| e^{-2 lam T} Var / |rho|
+    bounds the discrepancy for every rho.
     """
     if not all(math.isfinite(x) for x in (rho, T, dt)):
         raise ValueError("rho, T and dt must be finite")
@@ -136,12 +174,12 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
     T = max(1, int(math.ceil(T / dt - 1e-12))) * dt
     problems, vs, mass = _hat_projection(lambda r: _mode_profiles(f, params, r),
                                          params, disc)
+    sigma = min(p._guarded[0] for p in problems)
     flows = [_flow_integral(p, v, rho, T) for p, v in zip(problems, vs)]
-    integral, dropped, lhs, energy = (sum(x[i] for x in flows) / mass for i in range(4))
+    integral, lhs, energy = (sum(x[i] for x in flows) / mass for i in range(3))
 
     rhs = energy / rho - 2.0 * integral / rho
-    tail_bound = (_decay_sup(min(lam[0] for *_, lam in flows), rho, T) * lhs
-                  + 2.0 * dropped) / abs(rho)
+    tail_bound = _decay_sup(sigma, rho, T) * lhs / abs(rho)
     return lhs, rhs, abs(lhs - rhs), tail_bound
 
 

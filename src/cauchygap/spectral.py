@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import linalg as sla
 from scipy.linalg.blas import dtbmv
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dtbtrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dtbtrs, zgttrf, zgttrs
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .measures import MeasureParams, omega_moment
@@ -628,8 +628,10 @@ def _inertia(problem: ModeProblem, shifted: np.ndarray, what: str) -> int:
     d_k the next is d_{k+1} - e_k (e_k / d_k), and dpttrf restarts there.
     Then the LDL' pivots of the ray block's Schur complement
     S = R - w w'/d_last, S11 and S22 - S21 (S21 / S11), since rays couple
-    only to the last hat (Haynsworth inertia additivity).  A zero or NaN
-    pivot raises NumericalBreakdown (dpttrf passes NaN on).
+    only to the last hat (Haynsworth inertia additivity).  Each product is
+    w_i (w_j / d_last): far rays carry w near 1e-160, whose square
+    underflows to 0.  A zero or NaN pivot raises NumericalBreakdown
+    (dpttrf passes NaN on).
     """
     nh = problem.size() - len(problem.ray_ks)
     d, e = shifted[0, :nh].copy(), shifted[1, :nh - 1]
@@ -646,10 +648,10 @@ def _inertia(problem: ModeProblem, shifted: np.ndarray, what: str) -> int:
     if problem.ray_ks:
         w = shifted[1:len(problem.ray_ks) + 1, nh - 1]
         with np.errstate(divide="ignore", invalid="ignore"):  # zeros raise below
-            rays = [shifted[0, nh] - w[0] * w[0] / d[-1]]
+            rays = [shifted[0, nh] - w[0] * (w[0] / d[-1])]
             if len(w) == 2:
-                s21 = shifted[1, nh] - w[1] * w[0] / d[-1]
-                rays.append(shifted[0, nh + 1] - w[1] * w[1] / d[-1] - s21 * (s21 / rays[0]))
+                s21 = shifted[1, nh] - w[1] * (w[0] / d[-1])
+                rays.append(shifted[0, nh + 1] - w[1] * (w[1] / d[-1]) - s21 * (s21 / rays[0]))
         d = np.append(d, rays)
     if not np.all((d < 0.0) | (d > 0.0)):
         raise NumericalBreakdown(problem, f"{what} has a zero or NaN pivot")
@@ -702,31 +704,33 @@ def _bracket(problem: ModeProblem, lam: float) -> None:
 def _shifted_solve(problem: ModeProblem, shifted: np.ndarray):
     """b -> (A - mu B)^{-1} b for `shifted` = A - mu B in lower band
     storage, or None where the factor is singular (mu is a value to
-    rounding).
+    rounding).  A complex mu (a complex band) solves in complex arithmetic.
 
-    LAPACK dgttrf (LU with partial pivoting) of the tridiagonal hat block
-    T.  The rays couple only to the last hat, by w, so their Schur
-    complement is S = R - t w w' with t = (T^{-1})_{last,last}, solved by
+    LAPACK dgttrf (LU with partial pivoting; zgttrf for a complex band) of
+    the tridiagonal hat block T.  The rays couple only to the last hat, by
+    w, so their Schur complement is S = R - t w w' with
+    t = (T^{-1})_{last,last}, solved by
     its LDL' pivots as in _inertia: the rays' part is
     u = S^{-1} (b_rays - w y_last) and the hats' y - T^{-1} e_last (w'u),
     with y = T^{-1} b_hats.
     """
     r = len(problem.ray_ks)
     nh = problem.size() - r
+    trf, trs = (dgttrf, dgttrs) if np.isrealobj(shifted) else (zgttrf, zgttrs)
     e = shifted[1, :nh - 1]
-    *lu, info = dgttrf(e, shifted[0, :nh], e)
+    *lu, info = trf(e, shifted[0, :nh], e)
     if info != 0:
         return None
 
     def hats(b):
-        return dgttrs(*lu, b)[0]
+        return trs(*lu, b)[0]
 
     if not r:
         return hats
     w = shifted[1:r + 1, nh - 1]
     z = hats(np.eye(1, nh, nh - 1)[0])
     s = np.array([[shifted[abs(i - j), nh + min(i, j)] for j in range(r)]
-                  for i in range(r)]) - z[-1] * np.outer(w, w)
+                  for i in range(r)]) - np.outer(z[-1] * w, w)
     with np.errstate(divide="ignore", invalid="ignore"):
         mult = s[-1, 0] / s[0, 0]  # the LDL' multiplier of two rays
         piv = np.array([s[0, 0], s[1, 1] - mult * s[1, 0]] if r == 2 else [s[0, 0]])

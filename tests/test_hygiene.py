@@ -157,8 +157,9 @@ def test_no_unread_parameters():
 
 def test_cross_module_private_imports():
     # the private names one module takes from another, as (importer, source,
-    # name): the heat flow reads the hat projection from spectral and the
-    # deficit's integrals from quadrature, and owns no rule or basis itself
+    # name): the heat flow reads the hat projection and the bordered shifted
+    # solve from spectral and the deficit's integrals from quadrature, and
+    # owns no basis or factorization itself
     found = set()
     for name in MODULES:
         for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
@@ -167,6 +168,7 @@ def test_cross_module_private_imports():
                           if alias.name.startswith("_")}
     assert found == {
         ("semigroup", "spectral", "_hat_projection"),
+        ("semigroup", "spectral", "_shifted_solve"),
         ("semigroup", "quadrature", "_var_and_energy"),
         ("semigroup", "quadrature", "_rel_err"),
         ("quadrature", "functions", "_pairs"),

@@ -156,12 +156,12 @@ def test_variance_check_guards_every_solve(monkeypatch):
 
 def test_variance_check_factors_each_mode_once(monkeypatch):
     # criterion 7's configuration ((1, 2.0), m = 1024): each mode's B is
-    # factored once (banded Cholesky), for the projection and Lanczos alike,
-    # and A - sigma B once (the one-value solve's dgttrf), which Lanczos
-    # reads; nothing else factors a mode's matrices
+    # factored once (banded Cholesky, for the projection), and the flow takes
+    # one complex tridiagonal factor per contour node with theta > 0, of
+    # A + (z_k / 2T) B; no real dgttrf and no eigensolver runs
     problems, factors = [], []
-    real_problems, real_cholesky, real_dgttrf = (spectral._mode_problems,
-                                                 sla.cholesky_banded, spectral.dgttrf)
+    real_problems, real_cholesky = spectral._mode_problems, sla.cholesky_banded
+    real_dgttrf, real_zgttrf = spectral.dgttrf, spectral.zgttrf
 
     def kept(*args, **kwargs):
         for prob in real_problems(*args, **kwargs):
@@ -176,17 +176,35 @@ def test_variance_check_factors_each_mode_once(monkeypatch):
         factors.append(("dgttrf", d))
         return real_dgttrf(dl, d, du, *args, **kwargs)
 
+    def zgttrf(dl, d, du, *args, **kwargs):
+        factors.append(("zgttrf", d))
+        return real_zgttrf(dl, d, du, *args, **kwargs)
+
+    def eigensolver(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return refused
+
     monkeypatch.setattr(spectral, "_mode_problems", kept)
     monkeypatch.setattr(sla, "cholesky_banded", cholesky)
     monkeypatch.setattr(spectral, "dgttrf", dgttrf)
+    monkeypatch.setattr(spectral, "zgttrf", zgttrf)
+    for module, name in ((spectral, "eigsh"), (spectral, "lowest_eigpairs"),
+                         (semigroup, "lowest_eigpairs"), (sla, "eigh")):
+        monkeypatch.setattr(module, name, eigensolver(name))
+    T = 50000 * 2e-5  # the horizon 1.0 rounded to whole steps, as the check does
     variance_representation_check(make_random_test(7, 1), 2.0, 1.0, 2e-5,
                                   MeasureParams(1, 2.0), Discretization(m=1024, delta=1e-3))
     assert [prob.ell for prob in problems] == [0, 1]
-    assert [kind for kind, _ in factors] == ["cholesky"] * 2 + ["dgttrf"] * 2
+    half = semigroup._TALBOT_N // 2
+    assert [kind for kind, _ in factors] == ["cholesky"] * 2 + ["zgttrf"] * (2 * half)
     for (_, band), prob in zip(factors[:2], problems):
         assert band is prob.B.band
-    for (_, diag), prob in zip(factors[2:], problems):
-        np.testing.assert_array_equal(diag, prob._guarded[2][0])
+    for i, prob in enumerate(problems):
+        diags = [d for _, d in factors[2 + i * half:2 + (i + 1) * half]]
+        for d, z in zip(diags, semigroup._TALBOT_Z, strict=True):
+            np.testing.assert_allclose(d, prob.A.band[0] + z / (2.0 * T) * prob.B.band[0],
+                                       rtol=1e-15)
 
 
 def test_projected_start_keeps_constants_beyond_R():
@@ -308,15 +326,70 @@ def test_flow_integral_matches_dense_spectrum(beta, shape):
             # a_k / lam_k = (lam_k - rho) c_k^2 stays finite at the constant's lam ~ 0
             return 0.5 * float(np.sum((lam - rho) * c * c * -np.expm1(-2.0 * lam * t)))
 
-        got, dropped, *_ = _flow_integral(prob, v, rho, T)
+        got, *_ = _flow_integral(prob, v, rho, T)
         assert abs(got - dense(T)) <= 1e-10 * abs(dense(T))
-        assert dropped < 1e-20
         totals.append(dense(T))
-        # at t = 0.25 the endpoint terms are ~1e-3 and the modes past the
-        # kept six still count: the difference stays inside their bound
-        got, dropped, *_ = _flow_integral(prob, v, rho, 0.25)
-        assert abs(got - dense(0.25)) <= dropped + 1e-12 * abs(dense(0.25))
+        # at t = 0.25 the endpoint terms are ~1e-3, and every mode counts
+        got, *_ = _flow_integral(prob, v, rho, 0.25)
+        assert abs(got - dense(0.25)) <= 1e-12 * abs(dense(0.25))
     assert sum(totals) > 0.1
+
+
+def test_talbot_rule_bounds_the_exponential_on_the_negative_axis():
+    # the contour's rational r(x) = 2 Re sum c_k / (z_k - x) against e^x on
+    # x <= 0, from 0 out to -1e14 (past any -2T lam of the flows): the
+    # measured worst is 2.3e-14 at N = 24, near x = -6e-8 (3.5e-12 at
+    # N = 20, 2.4e-13 at 22; from N = 26 on rounding holds it near 1e-14),
+    # and this bound is what fixes N
+    x = -np.concatenate([[0.0], np.logspace(-10, 14, 48001)])
+    r = 2.0 * np.real(np.sum(semigroup._TALBOT_C[:, None]
+                             / (semigroup._TALBOT_Z[:, None] - x), axis=0))
+    assert np.max(np.abs(r - np.exp(x))) <= 3e-14
+
+
+def test_flow_end_term_matches_the_dense_sum_over_every_mode():
+    # criterion 7's pencils ((1, 2.0), m = 1024, both modes): the telescoped
+    # end term ((A - rho B) v)' v(2T) from the contour against the dense
+    # all-mode sum sum_k (lam_k - rho) c_k^2 e^{-2 lam_k T}, at T = 0.05,
+    # 0.5 and criterion 7's horizon (4.30), within 3e-13 of
+    # v'Av + |rho| v'Bv (measured 1.3e-13 at T = 0.05 on mode 1: the
+    # rounding of the solves, at every N from 20 to 28)
+    p, rho = MeasureParams(1, 2.0), 2.0
+    f = make_random_test(7, 1)
+    problems, vs, _ = _hat_projection(lambda r: _mode_profiles(f, p, r), p,
+                                      Discretization(m=1024, delta=1e-3))
+    horizon = default_horizon(_quadrature_variance(f, p), closed_form_gap(p)[0])
+    assert 4.2 < horizon < 4.4
+    for prob, v in zip(problems, vs):
+        lam, phi = sla.eigh(prob.A.toarray(), prob.B.toarray())
+        c = phi.T @ (prob.B @ v)
+        Av, Bv = prob.A @ v, prob.B @ v
+        scale = v @ Av + abs(rho) * (v @ Bv)
+        for T in (0.05, 0.5, horizon):
+            dense = np.sum((lam - rho) * c * c * np.exp(-2.0 * lam * T))
+            got = (Av - rho * Bv) @ semigroup._flow_at(prob, v, 2.0 * T)
+            assert abs(got - dense) <= 3e-13 * scale, (prob.ell, T, got, dense)
+
+
+def test_flow_breakdown_names_the_mode(monkeypatch):
+    # a complex factor that reads singular (info > 0), or one whose entries
+    # are not finite, is a NumericalBreakdown naming the mode, not a value
+    real = spectral.zgttrf
+
+    def singular(*args, **kwargs):
+        *lu, info = real(*args, **kwargs)
+        return (*lu, 1)
+
+    def nonfinite(dl, d, du, *args, **kwargs):
+        return real(dl, np.full_like(d, np.nan), du, *args, **kwargs)
+
+    p = MeasureParams(1, 4.0)
+    f = make_quadratic_centered(p)
+    for factor, text in ((singular, "is singular"), (nonfinite, "is not finite")):
+        monkeypatch.setattr(spectral, "zgttrf", factor)
+        with pytest.raises(NumericalBreakdown, match=r"mode ell=0 .*: .*" + text):
+            variance_representation_check(f, 6.0, 1.0, 1e-3, p,
+                                          Discretization(m=128, delta=1e-3))
 
 
 @pytest.mark.parametrize("beta, shape", _FLOW_CASES)

@@ -1258,14 +1258,12 @@ def test_singular_refactor_stops_at_the_bracket(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.xfail(strict=True, raises=NumericalBreakdown,
-                   reason="mode 0's guard counts 2 Galerkin values under sigma at "
-                          "(2, 42) with delta = 1e-2; delta = 1e-3 solves it")
 def test_numeric_gap_at_2_42_on_the_delta_1e2_truncation():
     # the upper range: the gap is 2(beta - 1) = 82, on mode 1, whose
     # extremal r lies in the trial space; delta = 1e-3, 0.05 and 0.2 give
-    # it to rounding, while the bands at delta = 1e-2 put a second value of
-    # mode 0 under 0.99 x its closed-form bottom 160
+    # it to rounding; at delta = 1e-2 mode 0's last hat and ray entries are
+    # near 1e-160, and the count's ray products w w / d, whose w^2
+    # underflowed to 0, put a second value under 0.99 x its bottom 160
     rep = numeric_gap(MeasureParams(2, 42.0), Discretization(m=256, delta=1e-2))
     assert rep.minimizing_mode == 1 and abs(rep.rel_error) <= 1e-12
 
