@@ -130,7 +130,29 @@ MUTANTS = [
      "                s21 = shifted[1, nh] - w[1] * (w[0] / d[-1])\n",
      "                s21 = shifted[1, nh] - w[1] * w[0] / d[-1]\n",
      "the count's ray product S21 as w w / d, whose w w underflows on far rays",
-     ["tests/test_spectral.py::test_numeric_gap_at_2_42_on_the_delta_1e2_truncation"]),
+     ["tests/test_spectral.py::test_numeric_gap_at_2_42_on_the_delta_1e2_truncation",
+      "tests/test_spectral.py::test_ray_products_survive_underflow"]),
+    ("inertia-first-ray-underflow", SPECTRAL,
+     "            rays = [shifted[0, nh] - w[0] * (w[0] / d[-1])]\n",
+     "            rays = [shifted[0, nh] - w[0] * w[0] / d[-1]]\n",
+     "the count's first ray product as w w / d, whose w w underflows on far rays",
+     ["tests/test_spectral.py::test_ray_products_survive_underflow"]),
+    ("inertia-second-ray-underflow", SPECTRAL,
+     " - w[1] * (w[1] / d[-1]) - ",
+     " - w[1] * w[1] / d[-1] - ",
+     "the count's second ray product as w w / d, whose w w underflows on far rays",
+     ["tests/test_spectral.py::test_ray_products_survive_underflow"]),
+    ("solve-schur-underflow", SPECTRAL,
+     "np.outer(z[-1] * w, w)",
+     "z[-1] * np.outer(w, w)",
+     "the solve's ray Schur product as t (w w'), whose w w' underflows on far rays",
+     ["tests/test_spectral.py::test_ray_products_survive_underflow"]),
+    ("radial-direction-weight", QUADRATURE,
+     "        dirs = np.eye(1, params.n), np.ones(1)\n",
+     "        dirs = np.eye(1, params.n), np.full(1, 0.5 / params.n)\n",
+     "a radial f's one direction at the weight 1/(2n) of the +-e_i rule, not 1",
+     ["tests/test_semigroup.py::test_var_and_energy_matches_three_call_formula",
+      "tests/test_semigroup.py::test_route_deficit_matches_quadrature"]),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -344,15 +344,15 @@ def _product_rule(Q: Array, u: Array, order: int) -> dict:
 
 def _product_rows(coefs: Array, table: Array, u: Array, order: int) -> dict:
     """_product_rule's rows for the coefficient stack coefs (M, T), from the
-    monomial table (M, k J) of the directions u (n, J): the field-row
+    monomial table (M, k, J) of the directions u (n, J): the field-row
     coefficients of P against the table give Q (rows, T, k, J)."""
-    n, J = u.shape
+    n = len(u)
     ops, M, T = _poly_basis(n, RANDOM_TEST_DEGREE)[3], len(table), coefs.shape[1]
     nh = n * (n + 1) // 2
     rows = (1, 1 + n, 1 + n + nh, 1 + 2 * n + nh)[order]
     S = (ops @ coefs)[:rows * M].reshape(rows, M, T)  # field-row coefficients
-    Q = S.transpose(0, 2, 1).reshape(rows * T, M) @ table
-    return _product_rule(Q.reshape(rows, T, table.shape[1] // J, J), u, order)
+    Q = S.transpose(0, 2, 1).reshape(rows * T, M) @ table.reshape(M, -1)
+    return _product_rule(Q.reshape(rows, T, *table.shape[1:]), u, order)
 
 
 class RandomTestFields:
@@ -362,8 +362,8 @@ class RandomTestFields:
     At the nodes r_i u_j (node i J + j) of radii r (I,) and the unit vectors
     u (J, n), every field row is a sum of radial factors times angular
     arrays (_product_rule), as x^a = r^|a| u^a.  The object holds the
-    direction side only (the monomial table, one column block per radial
-    power, and u, both read-only), so one serves every radial rule and
+    direction side only (the monomial table, one block per radial power,
+    and u, both read-only), so one serves every radial rule and
     order: `radial(r, order)` is the radial matrix, `terms(coefs, order)`
     gives each row's angular arrays, and `columns(order)` the columns of
     the radial matrix they pair with.
@@ -371,11 +371,11 @@ class RandomTestFields:
 
     def __init__(self, u: Array):
         degrees, parent, var, _ = _poly_basis(u.shape[1], RANDOM_TEST_DEGREE)
-        # the monomials of degree d in column block d: one GEMM gives the
-        # field rows per radial power
+        # the monomials of degree d in block d of the table (M, powers, J):
+        # one GEMM gives the field rows per radial power
         D = np.arange(RANDOM_TEST_DEGREE + 1)
         mono = _monomials(u, parent, var)
-        self._table = ((degrees[:, None] == D)[:, :, None] * mono[:, None]).reshape(len(mono), -1)
+        self._table = (degrees[:, None] == D)[:, :, None] * mono[:, None]
         self._u = np.ascontiguousarray((u / np.sqrt(_row_sq_norms(u))[:, None]).T)
         for a in (self._table, self._u):
             a.flags.writeable = False
@@ -396,7 +396,7 @@ class RandomTestFields:
         every coefficient stack, so they are read once, at n = 1 with no
         trials."""
         D = RANDOM_TEST_DEGREE + 1
-        rows = _product_rows(np.empty((D, 0)), np.zeros((D, D)), np.ones((1, 1)), order)
+        rows = _product_rows(np.empty((D, 0)), np.zeros((D, D, 1)), np.ones((1, 1)), order)
         columns = {name: np.concatenate([s * D + np.arange(D) for s, _ in row])
                    for name, row in rows.items()}
         for a in columns.values():
@@ -424,7 +424,7 @@ def _point_fields(x: Array, coefs: Array, order: int) -> list:
     # outside the bump every factor is an exact 0; clamp the polynomial
     # argument to the support ball so huge points cannot overflow
     R = RANDOM_TEST_RADIUS
-    table = _monomials(x * (R / np.maximum(s, R))[:, None], parent, var)
+    table = _monomials(x * (R / np.maximum(s, R))[:, None], parent, var)[:, None]
     u = np.ascontiguousarray((x / np.where(s > 0, s, 1.0)[:, None]).T)
     radial = _radial_factors(s, n, order).T
     return [sum(radial[:, k] * A[:, :, 0] for k, A in row)

@@ -7,8 +7,9 @@ tau = pi/2 - theta so the far nodes keep full relative precision; r = cot(tau)
 reaches ~1e120 before the weights underflow).  Weights are accumulated in log
 space.  Full n-dimensional integrals use tensor products with uniform angles
 (n = 2) or Gauss-Legendre x uniform azimuth on the sphere (n = 3).  Radial
-and linear integrands (angular sectors ell <= 1) run at every n on the 2n
-directions +-e_i instead, which are exact on the sphere up to degree 3.
+integrands run at every n on the one direction e_1 instead, and linear ones
+(angular sector ell = 1) on the 2n directions +-e_i, which are exact on the
+sphere up to degree 3.
 The identity verifier and the deficit integrate random tests from their
 coefficients in separable form on the same tensor rule: radial moment
 matrices times angular Gram matrices, with no node-sized field; the
@@ -208,12 +209,18 @@ def _tensor_rule(params: MeasureParams, spec: QuadratureSpec,
     logw, u, dw): radii r and log mu-weights logw of `_radial_rule`, unit
     directions u (J, n) and their weights dw, the node r_i u_j carrying
     exp(logw_i) dw_j.  The spec and n are checked (`_rule_key`) before the
-    directions, which are those of `_sphere_directions` (n <= 3), or of
-    `_axis_directions` (any n) for the integrands of an f with angular_mode
-    0 or 1, which are of degree <= 3 on every sphere."""
+    directions, at any n: for an f with angular_mode 0 the one direction
+    e_1 at weight 1, where its integrands are radial (on the line, even);
+    for angular_mode 1 the 2n directions of `_axis_directions`, where they
+    are of degree <= 3 on every sphere; else those of `_sphere_directions`
+    (n <= 3)."""
     rule = _radial_rule(params, spec, support_radius, seams)
-    dirs = (_axis_directions(params.n) if angular_mode in (0, 1)
-            else _sphere_directions(params.n, spec.angular_nodes))
+    if angular_mode == 0:
+        dirs = np.eye(1, params.n), np.ones(1)
+    elif angular_mode == 1:
+        dirs = _axis_directions(params.n)
+    else:
+        dirs = _sphere_directions(params.n, spec.angular_nodes)
     return (*rule, *dirs)
 
 
@@ -223,8 +230,9 @@ def _node_blocks(params: MeasureParams, spec: QuadratureSpec,
     """The tensor rule of `_tensor_rule` as an iterator of blocks (x, w) of
     whole radial rows, at most _NODE_CHUNK nodes (at least one row):
     mu-weights w (k,) and nodes x (k, n), node i J + j being r_i u_j for
-    the radii r and unit directions u (J, n).  The spec and n are checked
-    at once, before the first block."""
+    the radii r and unit directions u (J, n): J = 1 for a radial f
+    (angular_mode 0), 2n for a linear one.  The spec and n are checked at
+    once, before the first block."""
     r, logw, dirs, dw = _tensor_rule(params, spec, support_radius, seams, angular_mode)
     rows = max(1, _NODE_CHUNK // len(dw))
     return (((r[lo:lo + rows, None, None] * dirs).reshape(-1, params.n),
@@ -430,10 +438,10 @@ def _var_and_energy(f: SmoothFunction, params: MeasureParams):
     tensor rule of f's support.  A random bump (f.coefs set) is integrated
     from its coefficients in separable form, by an order-1 `_FieldPack` on
     the spec's sphere rule.  Every other f takes one pass over the node
-    blocks, where f and grad f give f, f^2 and (1 + |x|^2) |grad f|^2; for
-    f in the sectors ell <= 1 (angular_mode 0 or 1) these are of degree
-    <= 2 on every sphere, so the rule's directions are the 2n points +-e_i,
-    at every n."""
+    blocks, where f and grad f give f, f^2 and (1 + |x|^2) |grad f|^2, at
+    every n: for a radial f (angular_mode 0) these are radial, so the rule
+    has the one direction e_1 per radius; for a linear f (angular_mode 1)
+    they are of degree <= 2 on every sphere, on the 2n points +-e_i."""
     spec = default_nd_spec(params.n)
     if f.coefs is not None:
         tables = _pack_tables(params, spec, f.support_radius, f.radial_seams, 1)

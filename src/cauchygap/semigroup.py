@@ -52,26 +52,35 @@ def _mode_profiles(f: SmoothFunction, params: MeasureParams,
     Supported shapes: radial f (angular_mode 0; on the line an even f,
     evaluated once, with no ell = 1 profile), any f on the line (even/odd
     split), and linear f (angular_mode 1, constant plus ell = 1 profile);
-    ValueError for anything else.
+    ValueError for anything else.  f is evaluated only at the radii under
+    its support_radius, if it declares one; its profiles are exact zeros
+    beyond.
     """
     n = params.n
+    inside = r < (math.inf if f.support_radius is None else f.support_radius)
+    radii = r[inside]
     if f.angular_mode == 0:
-        x = np.zeros((len(r), n))
-        x[:, 0] = r
-        return {0: f.value(x)}
-    if n == 1:
-        vp, vm = f.value(r[:, None]), f.value(-r[:, None])
-        return {0: 0.5 * (vp + vm), 1: 0.5 * (vp - vm)}
-    if f.angular_mode == 1:
+        x = np.zeros((len(radii), n))
+        x[:, 0] = radii
+        profiles = {0: f.value(x)}
+    elif n == 1:
+        vp, vm = f.value(radii[:, None]), f.value(-radii[:, None])
+        profiles = {0: 0.5 * (vp + vm), 1: 0.5 * (vp - vm)}
+    elif f.angular_mode == 1:
         # f = <a, x> + const = |a| r <a/|a|, x/r> + const; the harmonic
         # <a/|a|, x/r> has mean square 1/n on the sphere, so the ell=1
         # profile is |a| r / sqrt(n)
         a = f.gradient(np.zeros((1, n)))[0]
         c = float(f.value(np.zeros((1, n)))[0])
-        return {0: np.full(len(r), c),
-                1: float(np.linalg.norm(a)) / math.sqrt(n) * r}
-    raise ValueError("f is not representable on the mode grids "
-                     "(need n=1, radial, or linear)")
+        profiles = {0: np.full(len(radii), c),
+                    1: float(np.linalg.norm(a)) / math.sqrt(n) * radii}
+    else:
+        raise ValueError("f is not representable on the mode grids "
+                         "(need n=1, radial, or linear)")
+    out = {ell: np.zeros(len(r)) for ell in profiles}
+    for ell, values in profiles.items():
+        out[ell][inside] = values
+    return out
 
 
 def _decay_sup(lam0: float, rho: float, T: float) -> float:

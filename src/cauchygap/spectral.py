@@ -108,12 +108,14 @@ def _pearson_values(params: MeasureParams, ell: int, kmax: float) -> list[float]
     return vals.tolist() + [(beta - n / 2.0) ** 2 + cl]
 
 
-def _mode_head(params: MeasureParams, ell: int) -> list[float]:
+@lru_cache(maxsize=256)
+def _mode_head(params: MeasureParams, ell: int) -> tuple[float, ...]:
     """The entries of mode_spectrum(params, ell) for k < ell + 4, then the
     edge: the spectrum ascends, so these are all the entries at or under
     the mode's first nontrivial value, and all that the shift and the guard
-    read (mode_spectrum lists about beta/2 entries)."""
-    return _pearson_values(params, ell, ell + 4)
+    read (mode_spectrum lists about beta/2 entries).  Computed once per
+    (params, ell)."""
+    return tuple(_pearson_values(params, ell, ell + 4))
 
 
 # The supremum of the admissible eps of each Rayleigh family: f is in

@@ -55,7 +55,7 @@ def test_gap_numerical_breakdown(tmp_path, capsys, monkeypatch):
     real = spectral._mode_head
 
     def skewed(params, ell):
-        vals = real(params, ell)
+        vals = list(real(params, ell))
         if ell == 0:
             vals[1] *= 1.5
         return vals

@@ -141,6 +141,15 @@ def test_random_test_compact_support_and_derivatives():
         assert f.radial_seams  # seam radii exposed for quadrature panels
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_test_on_no_points(n):
+    # an empty point set gives empty fields of each order's shape
+    f, x = make_random_test(0, n), np.empty((0, n))
+    assert f.value(x).shape == (0,)
+    assert f.gradient(x).shape == (0, n)
+    assert f.hessian(x).shape == (0, n, n)
+
+
 def _unit(rng, N, n):
     v = rng.standard_normal((N, n))
     return v / np.linalg.norm(v, axis=1, keepdims=True)

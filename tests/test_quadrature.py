@@ -156,13 +156,15 @@ def test_quadrature_spec_refuses_an_unknown_scheme():
 
 def test_integrate_nd_refuses_n_above_three():
     # the deterministic sphere rules stop at n = 3; only the node blocks of
-    # a radial or linear f (angular_mode 0 or 1) run on the +-e_i rule there
+    # a radial f (angular_mode 0, on e_1) or a linear one (1, on +-e_i) run
+    # there
     p = MeasureParams(4, 3.0)
     with pytest.raises(ValueError, match="n <= 3"):
         integrate_nd(lambda x: np.ones(x.shape[0]), p, default_nd_spec(4))
-    one = sum(w.sum() for _, w, *_ in quadrature._node_blocks(
-        p, default_nd_spec(4), angular_mode=1))
-    assert np.isclose(one, 1.0, rtol=1e-12)
+    for mode in (0, 1):
+        one = sum(w.sum() for _, w, *_ in quadrature._node_blocks(
+            p, default_nd_spec(4), angular_mode=mode))
+        assert np.isclose(one, 1.0, rtol=1e-12)
 
 
 def _sphere_monomials(n, degree):

@@ -140,7 +140,7 @@ def test_variance_check_guards_every_solve(monkeypatch):
     real = spectral._mode_head
 
     def skewed(params, ell):
-        vals = real(params, ell)
+        vals = list(real(params, ell))
         if ell == 0:
             vals[1] *= 10.0
         return vals
@@ -466,7 +466,7 @@ def _three_call_var_and_energy(f, p):
 def test_var_and_energy_matches_three_call_formula(make, n, beta):
     # the one-pass stacked integral gives the heat_flow deficit inputs'
     # variance and energy of three separate passes on the full sphere rule,
-    # also where it runs on the +-e_i rule (linear and radial f)
+    # also where it runs on e_1 (radial f) or on the +-e_i rule (linear f)
     f, p = make(), MeasureParams(n, beta)
     for got, ref in zip(_var_and_energy(f, p), _three_call_var_and_energy(f, p)):
         assert abs(got - ref) <= 1e-13 * abs(ref)
@@ -481,10 +481,11 @@ def test_var_and_energy_matches_three_call_formula(make, n, beta):
     (lambda: make_random_test(0, 3), 3, 2.0),
 ])
 def test_var_and_energy_directions_per_radius(monkeypatch, make, n, beta):
-    # a linear or radial f's integrand sees the 2n directions +-e_i at every
-    # radius of the rule; a random bump's deficit is integrated from its
-    # coefficients (f.coefs), so it streams no node block and calls neither
-    # value nor gradient, and gives the same values without them
+    # a linear f's integrand sees the 2n directions +-e_i at every radius of
+    # the rule, a radial f's the one direction e_1; a random bump's deficit
+    # is integrated from its coefficients (f.coefs), so it streams no node
+    # block and calls neither value nor gradient, and gives the same values
+    # without them
     f, p = make(), MeasureParams(n, beta)
     spec = default_nd_spec(n)
     r, _ = quadrature._radial_rule(p, spec, f.support_radius, f.radial_seams)
@@ -509,7 +510,10 @@ def test_var_and_energy_directions_per_radius(monkeypatch, make, n, beta):
     radii = np.sqrt(np.sum(x * x, axis=1))
     dirs = np.unique(np.round(x / radii[:, None], 12), axis=0)
     assert np.all(np.isin(dirs, (-1.0, 0.0, 1.0)))
-    assert len(dirs) == 2 * n and len(x) == 2 * n * len(r)
+    J = 1 if f.angular_mode == 0 else 2 * n
+    assert len(dirs) == J and len(x) == J * len(r)
+    if f.angular_mode == 0:
+        np.testing.assert_array_equal(dirs, np.eye(1, n))
 
 
 def test_deficit_memory_does_not_grow_with_the_rule():
@@ -719,6 +723,45 @@ def _radial_bump(n, r_in=1.0, r_out=2.5):
 
     return SmoothFunction(value, gradient, hessian, r_out, "radial bump",
                           (r_in, r_out), 0)
+
+
+@pytest.mark.parametrize("f, n", [
+    (make_random_test(3, 1), 1),     # the even/odd split: two evaluations
+    (_radial_bump(2), 2),
+    (_radial_bump(3), 3),
+])
+def test_mode_profiles_of_a_compact_f_read_only_its_support(f, n):
+    # f is evaluated only at the radii under its support radius (every one
+    # of them), and the profiles and loads are those of the same f with no
+    # declared support, evaluated at every radius: beyond the support exact
+    # zeros; a call with every radius past the support evaluates f at no
+    # point
+    p, disc = MeasureParams(n, 2.0), Discretization(m=256, delta=1e-3)
+    seen = []
+
+    def value(x):
+        seen.append(np.sqrt(np.sum(x * x, axis=1)))
+        return f.value(x)
+
+    spy = dataclasses.replace(f, value=value, coefs=None)
+    R = f.support_radius
+    r = np.concatenate((np.sinh(np.linspace(0.0, 8.0, 801)), [R, 2.0 * R]))
+    got = _mode_profiles(spy, p, r)
+    inside = r[r < R]
+    assert all(np.array_equal(radii, inside) for radii in seen) and seen
+    everywhere = dataclasses.replace(f, support_radius=None)
+    full = _mode_profiles(everywhere, p, r)
+    assert sorted(got) == sorted(full)
+    for ell in full:
+        np.testing.assert_array_equal(got[ell], full[ell])
+        assert not np.any(got[ell][r >= R])
+    seen.clear()
+    assert not np.any(_mode_profiles(spy, p, 1e3 / np.linspace(0.1, 1.0, 12))[0])
+    assert sum(len(radii) for radii in seen) == 0
+    loads = _hat_loads(lambda rad: _mode_profiles(spy, p, rad), p, disc)
+    ref = _hat_loads(lambda rad: _mode_profiles(everywhere, p, rad), p, disc)
+    for ell in ref:
+        assert loads[ell].tobytes() == ref[ell].tobytes(), ell
 
 
 _ROUTE_CASES = (

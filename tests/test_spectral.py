@@ -95,6 +95,25 @@ def test_mode_head_is_the_start_of_mode_spectrum():
             assert head == full[:min(2, len(full) - 1)] and edge == full[-1], (n, beta, ell)
 
 
+def test_mode_head_runs_once_per_mode(monkeypatch):
+    # numeric_gap reads each mode's head several times (shift, guard and
+    # report); the closed-form values behind it are computed once per
+    # (params, ell), and not again on a second call
+    real, calls = spectral._pearson_values, []
+
+    def counted(params, ell, kmax):
+        calls.append(ell)
+        return real(params, ell, kmax)
+
+    monkeypatch.setattr(spectral, "_pearson_values", counted)
+    spectral._mode_head.cache_clear()
+    p, disc = MeasureParams(3, 3.8), Discretization(m=256, delta=1e-3)
+    numeric_gap(p, disc)
+    assert sorted(calls) == [0, 1]
+    numeric_gap(p, disc)
+    assert sorted(calls) == [0, 1]
+
+
 def test_mode_spectrum_table():
     # the values r^k Y_ell give for k = ell + 2j < beta - n/2, then the edge
     assert mode_spectrum(MeasureParams(2, 4.0), 0) == [0.0, 8.0, 9.0]
@@ -1175,7 +1194,7 @@ def test_floored_breakdown_reports_the_count(monkeypatch):
     real = spectral._mode_head
 
     def skewed(params, ell):
-        vals = real(params, ell)
+        vals = list(real(params, ell))
         vals[1 if ell == 0 else 0] *= 1.5
         return vals
 
@@ -1424,6 +1443,39 @@ def test_inertia_refuses_zero_and_nan_pivots():
         for M in cases:
             with pytest.raises(NumericalBreakdown, match="M has a zero or NaN pivot"):
                 spectral._inertia(prob, M, "M")
+
+
+def _underflow_band(prob):
+    """A band on the layout of prob (two rays) whose ray products underflow
+    in the w w / d form: ray couplings w = 1e-170 to a last hat of pivot
+    d = 1e-300 (decoupled from an SPD hat block), so w_i w_j = 1e-340
+    rounds to 0 while w_i (w_j / d) = 1e-40 does not.  The ray block
+    R = [[0.5, 1], [1, 0.5]] 1e-40 then has the Schur complement
+    S = R - w w' / d = -0.5e-40 I: two negative values."""
+    nn = prob.size()
+    nh = nn - 2
+    band = np.zeros((3, nn))
+    band[0, :nh - 1], band[1, :nh - 2] = 2.0, 1.0
+    band[0, nh - 1] = 1e-300
+    band[1, nh - 1] = band[2, nh - 1] = 1e-170
+    band[0, nh:], band[1, nh] = 0.5e-40, 1e-40
+    return band
+
+
+def test_ray_products_survive_underflow():
+    # the count's three ray products and the solve's Schur product against
+    # the dense reference after the congruence by diag(M)^(-1/2), which
+    # brings every row to unit scale (Sylvester: the same inertia)
+    prob = assemble_mode(1, MeasureParams(3, 3.8), Discretization(m=64, delta=1e-3))
+    assert len(prob.ray_ks) == 2
+    band = _underflow_band(prob)
+    assert _dense_negatives(band) == 2
+    assert spectral._inertia(prob, band, "M") == 2
+    d = 1.0 / np.sqrt(np.abs(band[0]))
+    b = np.linspace(1.0, 2.0, prob.size()) / d
+    ref = np.linalg.solve(SymBand(band).toarray() * d[:, None] * d, b * d) * d
+    got = spectral._shifted_solve(prob, band)(b)
+    np.testing.assert_allclose(got / d, ref / d, rtol=1e-12, atol=1e-12)
 
 
 def test_spectral_refusals():
