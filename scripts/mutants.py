@@ -121,11 +121,31 @@ MUTANTS = [
       "tests/test_spectral.py::test_lowest_eigpairs_vectors_are_b_orthonormal",
       "tests/test_spectral.py::test_lowest_eigpairs_domain"]),
     ("contour-pair-undoubled", SEMIGROUP,
-     "        out += 2.0 * (c / t * solve(Bv)).real\n",
-     "        out += (c / t * solve(Bv)).real\n",
+     "        flow += 2.0 * (c / t * solve(Bv)).real\n",
+     "        flow += (c / t * solve(Bv)).real\n",
      "the contour's conjugate nodes left out: the sum over theta_k > 0 not doubled",
      ["tests/test_semigroup.py::test_flow_end_term_matches_the_dense_sum_over_every_mode",
-      "tests/test_semigroup.py::test_flow_integral_matches_dense_spectrum"]),
+      "tests/test_semigroup.py::test_flow_integral_matches_dense_spectrum",
+      "tests/test_semigroup.py::test_variance_check_sees_the_flow_end_term"]),
+    ("contour-shift-unscaled", SEMIGROUP,
+     "    out = kept + decay * flow\n",
+     "    out = kept + flow\n",
+     "the flow under the guard's shift without its factor e^{-t sigma}",
+     ["tests/test_semigroup.py::test_flow_end_term_matches_the_dense_sum_over_every_mode",
+      "tests/test_semigroup.py::test_flow_integral_matches_dense_spectrum",
+      "tests/test_semigroup.py::test_variance_check_sees_the_flow_end_term"]),
+    ("contour-fewest-nodes", SEMIGROUP,
+     "if eps * decay <= _TALBOT_EPS[_TALBOT_N])",
+     "if N > 0)",
+     "the contour always at its smallest tabulated N = 6, whatever the horizon",
+     ["tests/test_semigroup.py::test_flow_end_term_matches_the_dense_sum_over_every_mode",
+      "tests/test_semigroup.py::test_flow_integral_matches_dense_spectrum",
+      "tests/test_semigroup.py::test_variance_check_sees_the_flow_end_term"]),
+    ("contour-constants-flowed", SEMIGROUP,
+     "    if problem.ell == 0:\n",
+     "    if problem.ell < 0:\n",
+     "mode 0's constants flowed with the rest, under the shift that puts them at x > 0",
+     ["tests/test_semigroup.py::test_flow_keeps_mode_zero_constants_exactly"]),
     ("schur-product-underflow", SPECTRAL,
      "                s21 = shifted[1, nh] - w[1] * (w[0] / d[-1])\n",
      "                s21 = shifted[1, nh] - w[1] * w[0] / d[-1]\n",

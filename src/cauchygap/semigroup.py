@@ -17,6 +17,7 @@ limit T = inf.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -93,41 +94,65 @@ def _decay_sup(lam0: float, rho: float, T: float) -> float:
 # Talbot's contour as tuned by Weideman (SIAM J. Numer. Anal. 44, 2006):
 # z(theta) = N (0.5017 theta cot 0.6407 theta - 0.6122 + 0.2645 i theta) at
 # the N midpoints theta_k of (-pi, pi).  The trapezoid rule on
-# e^x = (1/2 pi i) int e^z / (z - x) dz gives r(x) = sum_k c_k / (z_k - x),
+# e^x = (1/2 pi i) int e^z / (z - x) dz gives r_N(x) = sum_k c_k / (z_k - x),
 # c_k = e^{z_k} z'(theta_k) / (i N); the nodes come in conjugate pairs, so
-# r(x) = 2 Re of the sum over theta_k > 0.  N = 24 holds |r(x) - e^x| under
-# 3e-14 on x <= 0 (README gives the measured error for each N).
-_TALBOT_N = 24
-_THETA = (np.arange(_TALBOT_N // 2) + 0.5) * (2.0 * np.pi / _TALBOT_N)
-_TALBOT_Z = _TALBOT_N * (0.5017 * _THETA / np.tan(0.6407 * _THETA) - 0.6122
-                         + 0.2645j * _THETA)
-_TALBOT_C = np.exp(_TALBOT_Z) / 1j * (
-    0.5017 / np.tan(0.6407 * _THETA)
-    - 0.5017 * 0.6407 * _THETA / np.sin(0.6407 * _THETA) ** 2 + 0.2645j)
+# r_N(x) = 2 Re of the sum over theta_k > 0.  _TALBOT_EPS holds the measured
+# max |r_N(x) - e^x| on x <= 0, rounded up, for even N (N = 0 is the zero
+# rational, off by at most 1); from N = 26 on rounding holds it near 1e-14.
+_TALBOT_EPS = {0: 1.0, 6: 6.0e-4, 8: 4.3e-5, 10: 2.8e-6, 12: 1.8e-7, 14: 1.2e-8,
+               16: 8.3e-10, 18: 5.6e-11, 20: 3.5e-12, 22: 2.4e-13, 24: 2.3e-14}
+_TALBOT_N = 24  # eps_24 is the bound every flow keeps
+
+
+@functools.cache
+def _talbot(N: int):
+    """Nodes z_k and weights c_k of r_N over theta_k > 0."""
+    theta = (np.arange(N // 2) + 0.5) * (2.0 * np.pi / max(N, 1))  # empty at N = 0
+    z = N * (0.5017 * theta / np.tan(0.6407 * theta) - 0.6122 + 0.2645j * theta)
+    c = np.exp(z) / 1j * (0.5017 / np.tan(0.6407 * theta)
+                          - 0.5017 * 0.6407 * theta / np.sin(0.6407 * theta) ** 2 + 0.2645j)
+    return z, c
 
 
 def _flow_at(problem: ModeProblem, v: np.ndarray, t: float) -> np.ndarray:
     """v(t) = exp(-t B^{-1} A) v, the exact flow B v' = -A v from v at
-    time t > 0, over every mode of the pencil to rounding.
+    time t > 0, over every mode of the pencil, for the projection's
+    hats-only pencils (`spectral._hat_projection`; on mode 0 the all-ones
+    vector is then the constants).
 
-    With M = B^{-1} A, whose spectrum lies on [0, inf), the contour sum
-    r(-tM) v = 2 Re sum_k c_k (z_k + tM)^{-1} v over the nodes with
-    theta_k > 0, each term a complex bordered solve
-    (z_k B + t A)^{-1} B v = (A + (z_k/t) B)^{-1} B v / t (_shifted_solve).
-    Its error is at most max |r(x) - e^x| on x <= 0 in each mode's
-    coefficient.  z_k B + t A is never singular off the real axis (its
-    imaginary part is Im z_k B); a singular or non-finite factor raises
-    NumericalBreakdown.
+    On mode 0 the constant part (1'Bv / 1'B1) 1 is kept exactly and only
+    the rest u flows; every other mode flows whole (u = v).  u lies on the
+    nontrivial values of M = B^{-1} A, all at or above the guard's shift
+    sigma (its Sylvester count leaves none below), so
+    exp(-tM) u = e^{-t sigma} exp(-t (M - sigma)) u, and the second factor
+    is the contour sum r_N(-t (M - sigma)) u
+    = 2 Re sum_k c_k (z_k + t (M - sigma))^{-1} u over theta_k > 0, each
+    term a complex bordered solve
+    (A + (z_k/t - sigma) B)^{-1} B u / t (_shifted_solve).  N is the fewest
+    nodes of _TALBOT_EPS with eps_N e^{-t sigma} <= eps_24, so the error
+    in each mode's coefficient stays at most eps_24 = 2.3e-14 (N = 0 where
+    e^{-t sigma} itself is under it: no solve runs).  The shifted band is
+    never singular off the real axis (its imaginary part is Im z_k B / t);
+    a singular or non-finite factor raises NumericalBreakdown.
     """
     A, B = problem.A.band, problem.B.band
+    sigma = problem._guarded[0]
+    decay = math.exp(-t * sigma)
+    N = next(N for N, eps in _TALBOT_EPS.items() if eps * decay <= _TALBOT_EPS[_TALBOT_N])
+    kept = 0.0
+    if problem.ell == 0:
+        B1 = problem.B @ np.ones(len(v))
+        kept = (B1 @ v) / B1.sum()
+        v = v - kept
     Bv = problem.B @ v
-    out = np.zeros(len(v))
-    for z, c in zip(_TALBOT_Z, _TALBOT_C):
-        solve = _shifted_solve(problem, A + (z / t) * B)
+    flow = np.zeros(len(v))
+    for z, c in zip(*_talbot(N)):
+        solve = _shifted_solve(problem, A + (z / t - sigma) * B)
         if solve is None:
-            raise NumericalBreakdown(problem, f"A + z B / t at z = {z:.6g}, "
+            raise NumericalBreakdown(problem, f"A + (z / t - sigma) B at z = {z:.6g}, "
                                               f"t = {t:.6g} is singular")
-        out += 2.0 * (c / t * solve(Bv)).real
+        flow += 2.0 * (c / t * solve(Bv)).real
+    out = kept + decay * flow
     if not np.all(np.isfinite(out)):
         raise NumericalBreakdown(problem, f"the contour flow to t = {t:.6g} is not finite")
     return out

@@ -155,10 +155,13 @@ def test_variance_check_guards_every_solve(monkeypatch):
 
 
 def test_variance_check_factors_each_mode_once(monkeypatch):
-    # criterion 7's configuration ((1, 2.0), m = 1024): each mode's B is
-    # factored once (banded Cholesky, for the projection), and the flow takes
-    # one complex tridiagonal factor per contour node with theta > 0, of
-    # A + (z_k / 2T) B; no real dgttrf and no eigensolver runs
+    # criterion 7's configuration ((1, 2.0), m = 1024, its default horizon):
+    # each mode's B is factored once (banded Cholesky, for the projection),
+    # and the flow to 2T takes one complex tridiagonal factor per contour
+    # node with theta > 0, of A + (z_k / 2T - sigma) B, with the fewest
+    # nodes the horizon allows: N = 10 on mode 0 (2 T sigma = 19.0) and
+    # N = 12 on mode 1 (16.9), 11 factors in all; no real dgttrf and no
+    # eigensolver runs
     problems, factors = [], []
     real_problems, real_cholesky = spectral._mode_problems, sla.cholesky_banded
     real_dgttrf, real_zgttrf = spectral.dgttrf, spectral.zgttrf
@@ -185,6 +188,9 @@ def test_variance_check_factors_each_mode_once(monkeypatch):
             raise AssertionError(f"{name} called")
         return refused
 
+    p, f, dt = MeasureParams(1, 2.0), make_random_test(7, 1), 2e-5
+    horizon = default_horizon(_quadrature_variance(f, p), closed_form_gap(p)[0])
+    T = math.ceil(horizon / dt - 1e-12) * dt  # rounded to whole steps, as the check does
     monkeypatch.setattr(spectral, "_mode_problems", kept)
     monkeypatch.setattr(sla, "cholesky_banded", cholesky)
     monkeypatch.setattr(spectral, "dgttrf", dgttrf)
@@ -192,18 +198,17 @@ def test_variance_check_factors_each_mode_once(monkeypatch):
     for module, name in ((spectral, "eigsh"), (spectral, "lowest_eigpairs"),
                          (semigroup, "lowest_eigpairs"), (sla, "eigh")):
         monkeypatch.setattr(module, name, eigensolver(name))
-    T = 50000 * 2e-5  # the horizon 1.0 rounded to whole steps, as the check does
-    variance_representation_check(make_random_test(7, 1), 2.0, 1.0, 2e-5,
-                                  MeasureParams(1, 2.0), Discretization(m=1024, delta=1e-3))
+    variance_representation_check(f, 2.0, horizon, dt, p, Discretization(m=1024, delta=1e-3))
     assert [prob.ell for prob in problems] == [0, 1]
-    half = semigroup._TALBOT_N // 2
-    assert [kind for kind, _ in factors] == ["cholesky"] * 2 + ["zgttrf"] * (2 * half)
+    assert [kind for kind, _ in factors] == ["cholesky"] * 2 + ["zgttrf"] * (5 + 6)
     for (_, band), prob in zip(factors[:2], problems):
         assert band is prob.B.band
-    for i, prob in enumerate(problems):
-        diags = [d for _, d in factors[2 + i * half:2 + (i + 1) * half]]
-        for d, z in zip(diags, semigroup._TALBOT_Z, strict=True):
-            np.testing.assert_allclose(d, prob.A.band[0] + z / (2.0 * T) * prob.B.band[0],
+    diags = iter(d for _, d in factors[2:])
+    for N, prob in zip((10, 12), problems):
+        sigma = prob._guarded[0]
+        for z in semigroup._talbot(N)[0]:
+            np.testing.assert_allclose(next(diags),
+                                       prob.A.band[0] + (z / (2.0 * T) - sigma) * prob.B.band[0],
                                        rtol=1e-15)
 
 
@@ -301,12 +306,18 @@ def test_projected_start_shares_one_cell_pass(monkeypatch, n, beta):
 _FLOW_CASES = [(4.0, "quadratic"), (2.0, "bump")]
 
 
-def _flow_start(beta, shape):
-    """Projected start of criterion 7's kind on the line at m = 128, with
-    rho = 2(beta - 1) and the default horizon."""
+def _flow_case(beta, shape):
+    """(params, f, disc) of a flow case: criterion 7's kind on the line at
+    m = 128."""
     p = MeasureParams(1, beta)
     f = make_quadratic_centered(p) if shape == "quadratic" else make_random_test(7, 1)
-    disc = Discretization(m=128, delta=1e-3)
+    return p, f, Discretization(m=128, delta=1e-3)
+
+
+def _flow_start(beta, shape):
+    """Projected start of a flow case, with rho = 2(beta - 1) and the
+    default horizon."""
+    p, f, disc = _flow_case(beta, shape)
     problems, vs, mass = _hat_projection(lambda r: _mode_profiles(f, p, r), p, disc)
     var = sum(v @ (q.B @ v) for q, v in zip(problems, vs)) / mass
     return problems, vs, 2.0 * (beta - 1.0), default_horizon(var, closed_form_gap(p)[0])
@@ -336,15 +347,36 @@ def test_flow_integral_matches_dense_spectrum(beta, shape):
 
 
 def test_talbot_rule_bounds_the_exponential_on_the_negative_axis():
-    # the contour's rational r(x) = 2 Re sum c_k / (z_k - x) against e^x on
-    # x <= 0, from 0 out to -1e14 (past any -2T lam of the flows): the
-    # measured worst is 2.3e-14 at N = 24, near x = -6e-8 (3.5e-12 at
-    # N = 20, 2.4e-13 at 22; from N = 26 on rounding holds it near 1e-14),
-    # and this bound is what fixes N
+    # each tabulated rational r_N(x) = 2 Re sum c_k / (z_k - x) against e^x
+    # on x <= 0, from 0 out to -1e14 (past any -t lam of the flows): the
+    # measured worst lies at or under its eps_N and above eps_N / 3, so the
+    # table cannot drift either way (N = 0 is the zero rational, off by
+    # e^0 = 1); eps_24 = 2.3e-14 is the flow's bound on every N it takes
     x = -np.concatenate([[0.0], np.logspace(-10, 14, 48001)])
-    r = 2.0 * np.real(np.sum(semigroup._TALBOT_C[:, None]
-                             / (semigroup._TALBOT_Z[:, None] - x), axis=0))
-    assert np.max(np.abs(r - np.exp(x))) <= 3e-14
+    assert sorted(semigroup._TALBOT_EPS) == [0, *range(6, 26, 2)]
+    for N, eps in semigroup._TALBOT_EPS.items():
+        z, c = semigroup._talbot(N)
+        r = 2.0 * np.real(np.sum(c[:, None] / (z[:, None] - x), axis=0))
+        worst = np.max(np.abs(r - np.exp(x)))
+        assert eps / 3.0 < worst <= eps, (N, worst, eps)
+    assert semigroup._TALBOT_EPS[semigroup._TALBOT_N] <= 2.3e-14
+
+
+def test_flow_keeps_mode_zero_constants_exactly():
+    # mode 0's constants sit at lam = 0, under the guard's sigma, where the
+    # shifted rational is not e^x: _flow_at splits them off and keeps them,
+    # so a projected start plus 0.3 flows to its own flow plus 0.3, within
+    # rounding, at criterion 7's horizon (N = 10) and at T = 0.05 (N = 24):
+    # measured 1.1e-16 and 8.3e-16; flowed under the shift, the constant
+    # would be off by about 0.3 at the horizon and 6e-12 at T = 0.05
+    p, f = MeasureParams(1, 2.0), make_random_test(7, 1)
+    (prob, _), (v, _), _ = _hat_projection(lambda r: _mode_profiles(f, p, r), p,
+                                           Discretization(m=1024, delta=1e-3))
+    horizon = default_horizon(_quadrature_variance(f, p), closed_form_gap(p)[0])
+    for T in (0.05, horizon):
+        base = semigroup._flow_at(prob, v, 2.0 * T)
+        shifted = semigroup._flow_at(prob, v + 0.3, 2.0 * T)
+        np.testing.assert_allclose(shifted, base + 0.3, rtol=0.0, atol=1e-14)
 
 
 def test_flow_end_term_matches_the_dense_sum_over_every_mode():
@@ -369,6 +401,29 @@ def test_flow_end_term_matches_the_dense_sum_over_every_mode():
             dense = np.sum((lam - rho) * c * c * np.exp(-2.0 * lam * T))
             got = (Av - rho * Bv) @ semigroup._flow_at(prob, v, 2.0 * T)
             assert abs(got - dense) <= 3e-13 * scale, (prob.ell, T, got, dense)
+
+
+@pytest.mark.parametrize("beta, shape", _FLOW_CASES)
+def test_variance_check_sees_the_flow_end_term(beta, shape):
+    # through the public call: rhs - lhs is the telescoped end term
+    # (1/rho) sum_modes sum_k (lam_k - rho) c_k^2 e^{-2 lam_k T} / mass of
+    # the dense spectrum, within 1e-14 of (v'Av + |rho| v'Bv) / (|rho| mass)
+    # summed over the modes (measured 2.7e-15 at most), at T = 0.05 and 0.5
+    # on _flow_start's pencils; dt = T keeps T a whole step
+    p, f, disc = _flow_case(beta, shape)
+    problems, vs, mass = _hat_projection(lambda r: _mode_profiles(f, p, r), p, disc)
+    rho = 2.0 * (beta - 1.0)
+    spectra = []
+    for prob, v in zip(problems, vs):
+        lam, phi = sla.eigh(prob.A.toarray(), prob.B.toarray())
+        spectra.append((lam, phi.T @ (prob.B @ v)))
+    scale = sum(v @ (q.A @ v) + abs(rho) * (v @ (q.B @ v))
+                for q, v in zip(problems, vs)) / (abs(rho) * mass)
+    for T in (0.05, 0.5):
+        lhs, rhs, _, _ = variance_representation_check(f, rho, T, T, p, disc)
+        dense = sum(np.sum((lam - rho) * c * c * np.exp(-2.0 * lam * T))
+                    for lam, c in spectra) / (rho * mass)
+        assert abs((rhs - lhs) - dense) <= 1e-14 * scale, (T, rhs - lhs, dense)
 
 
 def test_flow_breakdown_names_the_mode(monkeypatch):
