@@ -2,11 +2,10 @@
 
 Every flow here is the exact discrete flow B v' = -A v of a mode's
 Galerkin pair, from the L^2(mu) projection of f on each mode's hats
-(`spectral._hat_projection`, from f's mode profiles).  The variance check
-evaluates it over every mode by a contour-rational exponential
-(`_flow_at`), with no eigenpairs; `deficit_trace` reads it in the lowest
-eigenpairs from `spectral.lowest_eigpairs`.  On it the module checks the
-variance representation
+(`spectral._hat_projection`, from f's mode profiles), evaluated over every
+mode by a contour-rational exponential (`_flow_at`), with no eigenpairs:
+the variance check integrates it in time, and `deficit_trace` reads its
+integrand.  On it the module checks the variance representation
 
   Var(f) = (1/rho) int Gamma(f) dmu - (2/rho) int_0^inf int (Gamma_2 - rho Gamma)(P_t f) dmu dt
 
@@ -21,12 +20,13 @@ import functools
 import math
 
 import numpy as np
+from scipy import linalg as sla
 
 from .functions import SmoothFunction
 from .measures import MeasureParams, mean_sq_norm
 from .quadrature import _rel_err, _var_and_energy
 from .spectral import (GAP_FORMULA, Discretization, ModeProblem, NumericalBreakdown,
-                       _hat_projection, _shifted_solve, lowest_eigpairs, range_edges)
+                       _hat_projection, _shifted_solve, range_edges)
 
 __all__ = [
     "default_horizon", "variance_representation_check", "deficit",
@@ -114,45 +114,42 @@ def _talbot(N: int):
     return z, c
 
 
-def _flow_at(problem: ModeProblem, v: np.ndarray, t: float) -> np.ndarray:
-    """v(t) = exp(-t B^{-1} A) v, the exact flow B v' = -A v from v at
-    time t > 0, over every mode of the pencil, for the projection's
-    hats-only pencils (`spectral._hat_projection`; on mode 0 the all-ones
-    vector is then the constants).
+def _flow_at(problem: ModeProblem, v: np.ndarray, t: float, N: int) -> np.ndarray:
+    """exp(-t B^{-1} A) u, the exact flow B u' = -A u from u at time t > 0,
+    over every mode of the pencil, by Talbot's rational on N nodes (a key
+    of _TALBOT_EPS), for the projection's hats-only pencils
+    (`spectral._hat_projection`; on mode 0 the all-ones vector is then the
+    constants).
 
-    On mode 0 the constant part (1'Bv / 1'B1) 1 is kept exactly and only
-    the rest u flows; every other mode flows whole (u = v).  u lies on the
-    nontrivial values of M = B^{-1} A, all at or above the guard's shift
-    sigma (its Sylvester count leaves none below), so
-    exp(-tM) u = e^{-t sigma} exp(-t (M - sigma)) u, and the second factor
-    is the contour sum r_N(-t (M - sigma)) u
+    u is v less its constant part (1'Bv / 1'B1) 1 on mode 0, and v on every
+    other mode: the constants are dropped, not flowed (the projection's v
+    is mean-free, and A 1 = 0).  u lies on the nontrivial values of
+    M = B^{-1} A, all at or above the guard's shift sigma (its Sylvester
+    count leaves none below), so exp(-tM) u = e^{-t sigma} exp(-t (M - sigma)) u,
+    and the second factor is the contour sum r_N(-t (M - sigma)) u
     = 2 Re sum_k c_k (z_k + t (M - sigma))^{-1} u over theta_k > 0, each
     term a complex bordered solve
-    (A + (z_k/t - sigma) B)^{-1} B u / t (_shifted_solve).  N is the fewest
-    nodes of _TALBOT_EPS with eps_N e^{-t sigma} <= eps_24, so the error
-    in each mode's coefficient stays at most eps_24 = 2.3e-14 (N = 0 where
-    e^{-t sigma} itself is under it: no solve runs).  The shifted band is
-    never singular off the real axis (its imaginary part is Im z_k B / t);
-    a singular or non-finite factor raises NumericalBreakdown.
+    (A + (z_k/t - sigma) B)^{-1} B u / t (_shifted_solve).  The error in
+    each mode's coefficient is at most eps_N e^{-t sigma} of u's (N = 0:
+    no solve runs).  The shifted band is never singular off the real axis
+    (its imaginary part is Im z_k B / t); a singular or non-finite factor
+    raises NumericalBreakdown.
     """
     A, B = problem.A.band, problem.B.band
     sigma = problem._guarded[0]
-    decay = math.exp(-t * sigma)
-    N = next(N for N, eps in _TALBOT_EPS.items() if eps * decay <= _TALBOT_EPS[_TALBOT_N])
-    kept = 0.0
+    u = v
     if problem.ell == 0:
         B1 = problem.B @ np.ones(len(v))
-        kept = (B1 @ v) / B1.sum()
-        v = v - kept
-    Bv = problem.B @ v
+        u = v - (B1 @ v) / B1.sum()
+    Bu = problem.B @ u
     flow = np.zeros(len(v))
     for z, c in zip(*_talbot(N)):
         solve = _shifted_solve(problem, A + (z / t - sigma) * B)
         if solve is None:
             raise NumericalBreakdown(problem, f"A + (z / t - sigma) B at z = {z:.6g}, "
                                               f"t = {t:.6g} is singular")
-        flow += 2.0 * (c / t * solve(Bv)).real
-    out = kept + decay * flow
+        flow += 2.0 * (c / t * solve(Bu)).real
+    out = math.exp(-t * sigma) * flow
     if not np.all(np.isfinite(out)):
         raise NumericalBreakdown(problem, f"the contour flow to t = {t:.6g} is not finite")
     return out
@@ -167,12 +164,17 @@ def _flow_integral(problem: ModeProblem, v: np.ndarray, rho: float,
     d/dt (v'Av - rho v'Bv) = -2q, so the integral is
     (1/2)[v'Av - rho v'Bv - sum_k (lam_k - rho) c_k^2 e^{-2 lam_k T}],
     and the sum over every mode is ((A - rho B) v)' v(2T) (`_flow_at`).
-    Returns (integral, v'Bv, v'Av).
+    The end term decays by e^{-2 T sigma}, so the flow takes the fewest
+    nodes N of _TALBOT_EPS with eps_N e^{-2 T sigma} <= eps_24: its error
+    in each mode's coefficient stays at most eps_24 = 2.3e-14 (N = 0 where
+    e^{-2 T sigma} itself is under it).  Returns (integral, v'Bv, v'Av).
     """
     Bv = problem.B @ v
     Av = problem.A @ v
     norm, energy = float(v @ Bv), float(v @ Av)
-    ends = float((Av - rho * Bv) @ _flow_at(problem, v, 2.0 * T))
+    decay = math.exp(-2.0 * T * problem._guarded[0])
+    N = next(N for N, eps in _TALBOT_EPS.items() if eps * decay <= _TALBOT_EPS[_TALBOT_N])
+    ends = float((Av - rho * Bv) @ _flow_at(problem, v, 2.0 * T, N))
     return 0.5 * (energy - rho * norm - ends), norm, energy
 
 
@@ -223,7 +225,6 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
 # Mode grids of the deficit's cross-check: the coarse one and its halving.
 _ROUTE_DISC = Discretization(m=384, delta=2e-3)
 _ROUTE_FINE = Discretization(m=768, delta=2e-3)
-_TRACE_PAIRS = 47
 
 
 def _range_lambda(params: MeasureParams, range_tag: str) -> float:
@@ -328,29 +329,38 @@ def deficit_trace(f: SmoothFunction, params: MeasureParams, range_tag: str,
     other.
 
     A linear f is one exact eigenmode lam = 2(beta - 1):
-    q = lam (lam - rho) Var f e^{-2 lam t}.  Otherwise
-    q(t) = sum_k lam_k (lam_k - rho) c_k^2 e^{-2 lam_k t} / 1'B1 over the
-    lowest 47 nontrivial exact pairs of the ell = 0 projection on
-    `_ROUTE_DISC`, with c_k = phi_k'B v (the constants carry nothing).  The
-    dropped pairs decay fastest, so q is truncated only near t = 0 (README
-    gives the share missed).  Times must be >= 0 (inf gives the limit
-    q = 0).
+    q = lam (lam - rho) Var f e^{-2 lam t}.  Otherwise q is read off the
+    exact flow w = exp(-t B^{-1} A) v of the ell = 0 projection v on
+    `_ROUTE_DISC`, by its definition:
+    q(t) = ((Aw)' B^{-1} (Aw) - rho w'Aw) / 1'B1, with w = v at t = 0 and
+    w from `_flow_at` on 24 nodes otherwise, off by at most
+    eps_24 e^{-t sigma} in each mode's coefficient (README gives the
+    measured agreement with the dense spectrum).  times is a scalar (one
+    row) or 1-D, each >= 0 (inf gives the limit q = 0); ValueError
+    otherwise.
     """
     rho = _range_lambda(params, range_tag)
     times = np.asarray(times, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"times must be a scalar or 1-D, not of shape {times.shape}")
+    times = times.reshape(-1)
     if not np.all(times >= 0.0):  # NaN fails this too
         raise ValueError("times must be nonnegative, not NaN: the heat flow runs forward")
     if f.angular_mode == 1:
-        lam = np.array([GAP_FORMULA["upper"](params.n, params.beta)])
-        weights = np.array([_linear_variance(f, params)])
-    else:
-        start = _route_start(f, params, _ROUTE_DISC)
-        if start is None:
-            raise ValueError("f is not representable on the mode grids")
-        prob, v, mass = start
-        lam, phi = lowest_eigpairs(prob, _TRACE_PAIRS)
-        c = phi.T @ (prob.B @ v)
-        weights = c * c / mass
-    q = np.exp(-2.0 * np.outer(times, lam)) @ (lam * (lam - rho) * weights)
-    return np.column_stack([times, q])
+        lam = GAP_FORMULA["upper"](params.n, params.beta)
+        q = lam * (lam - rho) * _linear_variance(f, params) * np.exp(-2.0 * lam * times)
+        return np.column_stack([times, q])
+    start = _route_start(f, params, _ROUTE_DISC)
+    if start is None:
+        raise ValueError("f is not representable on the mode grids")
+    prob, v, mass = start
 
+    def integrand(t):
+        if t == math.inf:
+            return 0.0
+        w = v if t == 0.0 else _flow_at(prob, v, t, _TALBOT_N)
+        Aw = prob.A @ w
+        BAw = sla.cho_solve_banded((prob._b_factor, True), Aw, check_finite=False)
+        return (Aw @ BAw - rho * (w @ Aw)) / mass
+
+    return np.column_stack([times, [integrand(t) for t in times]])

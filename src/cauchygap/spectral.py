@@ -38,16 +38,14 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import linalg as sla
-from scipy.linalg.blas import dtbmv
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dtbtrs, zgttrf, zgttrs
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, zgttrf, zgttrs
 
 from .measures import MeasureParams, omega_moment
 
 __all__ = [
     "Discretization", "SymBand", "ModeProblem", "NumericalBreakdown", "GapReport",
-    "range_edges", "GAP_FORMULA", "closed_form_gap", "assemble_mode", "lowest_eigpairs",
-    "lowest_eigs", "numeric_gap",
+    "range_edges", "GAP_FORMULA", "closed_form_gap", "assemble_mode", "lowest_eigs",
+    "numeric_gap",
     "rayleigh_quotient_power", "rayleigh_quotient_1d", "mode_spectrum",
 ]
 
@@ -389,7 +387,8 @@ class ModeProblem:
     @cached_property
     def _b_factor(self) -> np.ndarray:
         """The lower banded Cholesky factor L of B = L L', once per problem:
-        the projection (_hat_projection) and every Lanczos solve read it."""
+        the projection (_hat_projection) and the heat-flow trace
+        (`semigroup.deficit_trace`, for B^{-1} A w) read it."""
         try:
             return sla.cholesky_banded(self.B.band, lower=True)
         except ValueError as exc:  # LinAlgError, or a non-finite entry
@@ -531,64 +530,18 @@ def _hat_projection(profiles, params: MeasureParams, disc: Discretization):
     return problems, vs, mass
 
 
-# Shift margin and Krylov size: 1% under the closed-form bottom, Lanczos on
-# six vectors converges in a few steps, and the values agree with the
-# extended-precision band eigenvalues to rounding
+# Shift margin: every mode shifts 1% under its closed-form bottom, where
+# the guard counts, the one-value solve iterates and the contour flow
+# (`semigroup._flow_at`) factors its rational; the solved values agree
+# with the extended-precision band eigenvalues to rounding
 # (test_floored_mode0_matches_the_unshifted_solve).
 _FLOOR_MARGIN = 1e-2
-_FLOOR_NCV = 6
-# Lanczos stops once a Ritz value theta's residual is at most tol theta
-# (ARPACK): an eigenvalue lies within tol theta of it, so lam = sigma +
-# 1/theta lies within tol (lam - sigma), and |dlam|/lam <= tol (lam -
-# sigma)/lam: about 0.01 tol in the mid and upper ranges, and 0.34 tol =
-# 3.4e-14 in the lower, where the value sits near 1.5 x its bottom.  The
-# error is in fact quadratic in the residual (Parlett, The Symmetric
-# Eigenvalue Problem).  README gives the measured residuals and errors.
-_LANCZOS_TOL = 1e-13
 
 
 def _mode_bottom(params: MeasureParams, ell: int) -> float:
     """The first nontrivial closed-form value of mode ell: mode_spectrum
     entry 1 on mode 0 (entry 0 is the constants), entry 0 above."""
     return _mode_head(params, ell)[1 if ell == 0 else 0]
-
-
-def lowest_eigpairs(problem: ModeProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k smallest nontrivial generalized eigenpairs of (A, B): ascending
-    values and B-orthonormal vectors as columns; mode 0's constants are
-    never returned.  k >= 1 (else ValueError); k >= nn is clamped to
-    nn - 1, the most ARPACK computes.
-
-    Shift-invert Lanczos in standard form (Ericsson & Ruhe 1980): the
-    largest eigenvalues theta of a symmetric operator C give
-    lam = sigma + 1/theta, at the shift sigma that _guard checks (and
-    raises NumericalBreakdown from), once per problem.  On every mode
-    C = L' (A - sigma B)^{-1} L, with B = L L' (ModeProblem._b_factor) and
-    A - sigma B in the one-value solve's factor (_shifted_solve; a
-    singular one raises NumericalBreakdown); mode 0's constants, under
-    sigma, sit at theta < 0.  The vectors are x = L^{-T} y.
-    """
-    if k < 1:
-        raise ValueError("need k >= 1 eigenpairs")
-    nn = problem.size()
-    k = min(k, nn - 1)
-    sigma, _, shifted, what = problem._guarded
-    solve = _shifted_solve(problem, shifted)
-    if solve is None:
-        raise NumericalBreakdown(problem, f"{what} is singular")
-    L, p = problem._b_factor, len(shifted) - 1
-
-    def matvec(y):
-        return dtbmv(p, L, solve(dtbmv(p, L, y, lower=1)), lower=1, trans=1)
-
-    theta, y = eigsh(LinearOperator((nn, nn), matvec=matvec, dtype=float),
-                     k=k, which="LA", v0=np.ones(nn), tol=_LANCZOS_TOL,
-                     ncv=min(nn, max(_FLOOR_NCV, 2 * k + 1)))
-    vecs = dtbtrs(L, y, uplo="L", trans="T")[0]
-    vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, problem.B @ vecs))
-    vals = sigma + 1.0 / theta
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
 
 
 def _guard(problem: ModeProblem) -> tuple[float, int, np.ndarray, str]:
@@ -660,7 +613,7 @@ def _inertia(problem: ModeProblem, shifted: np.ndarray, what: str) -> int:
     return int(np.count_nonzero(d < 0.0))
 
 
-# The k = 1 solve (_lowest_value): inverse iteration at sigma stops once a
+# The one-value solve (lowest_eigs): inverse iteration at sigma stops once a
 # step moves the value by at most _STEP_TOL of it, or by no less than the
 # step before (in exact arithmetic the moves shrink at every step, so
 # rounding has taken over).  A step that moves the value by at most
@@ -752,10 +705,10 @@ def _shifted_solve(problem: ModeProblem, shifted: np.ndarray):
     return solve
 
 
-def _lowest_value(problem: ModeProblem) -> float:
-    """lowest_eigs(problem, 1): the lowest nontrivial value, certified by
-    _bracket.  The iterates' vectors are not returned: the steps stop on
-    the value, which converges twice as fast.
+def lowest_eigs(problem: ModeProblem) -> float:
+    """The lowest nontrivial generalized value of (A, B), past mode 0's
+    constants, certified by _bracket.  The iterates' vectors are not
+    returned: the steps stop on the value, which converges twice as fast.
 
     Inverse iteration at the guard's sigma, on one factor (_shifted_solve).
     Each step's value is mu + y'Bx / y'By for y = (A - mu B)^{-1} Bx at the
@@ -819,15 +772,6 @@ def _floor_shift(bottom: float) -> tuple[float, str]:
                    f"closed-form bottom {bottom:.6g})")
 
 
-def lowest_eigs(problem: ModeProblem, k: int) -> list[float]:
-    """The values of lowest_eigpairs(problem, k), ascending; k = 1 is its
-    own solve, inverse iteration certified by two Sylvester counts
-    (`_lowest_value`), which computes no pairs."""
-    if k == 1:
-        return [_lowest_value(problem)]
-    return [float(v) for v in lowest_eigpairs(problem, k)[0]]
-
-
 @dataclass(frozen=True)
 class GapReport:
     """Numeric gap vs closed form for one parameter set."""
@@ -871,9 +815,9 @@ def numeric_gap(params: MeasureParams, disc: Discretization,
     sigmas = [prob._guarded[0] for prob in probs]
     first = int(np.argmin(sigmas))
     eigs = [None, None]
-    eigs[first] = lowest_eigs(probs[first], 1)[0]
+    eigs[first] = lowest_eigs(probs[first])
     if sigmas[1 - first] < eigs[first]:
-        eigs[1 - first] = lowest_eigs(probs[1 - first], 1)[0]
+        eigs[1 - first] = lowest_eigs(probs[1 - first])
     gap = min(v for v in eigs if v is not None)
     mode = eigs.index(gap)
     closed, tag = closed_form_gap(params)

@@ -43,7 +43,8 @@ def test_import_loads_no_oracle_or_special_functions():
     # a fresh interpreter's `import cauchygap` (a CLI start, and the
     # benchmark's setup time) loads neither mpmath, whose pins are frozen
     # offline, nor the scipy subpackages the package does not call
-    heavy = ("mpmath", "scipy.special", "scipy.integrate", "scipy.optimize")
+    heavy = ("mpmath", "scipy.special", "scipy.integrate", "scipy.optimize",
+             "scipy.sparse.linalg")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, cauchygap; "

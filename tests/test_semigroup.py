@@ -195,9 +195,8 @@ def test_variance_check_factors_each_mode_once(monkeypatch):
     monkeypatch.setattr(sla, "cholesky_banded", cholesky)
     monkeypatch.setattr(spectral, "dgttrf", dgttrf)
     monkeypatch.setattr(spectral, "zgttrf", zgttrf)
-    for module, name in ((spectral, "eigsh"), (spectral, "lowest_eigpairs"),
-                         (semigroup, "lowest_eigpairs"), (sla, "eigh")):
-        monkeypatch.setattr(module, name, eigensolver(name))
+    for name in ("eigh", "eig_banded"):
+        monkeypatch.setattr(sla, name, eigensolver(name))
     variance_representation_check(f, 2.0, horizon, dt, p, Discretization(m=1024, delta=1e-3))
     assert [prob.ell for prob in problems] == [0, 1]
     assert [kind for kind, _ in factors] == ["cholesky"] * 2 + ["zgttrf"] * (5 + 6)
@@ -364,24 +363,25 @@ def test_talbot_rule_bounds_the_exponential_on_the_negative_axis():
 
 def test_flow_keeps_mode_zero_constants_exactly():
     # mode 0's constants sit at lam = 0, under the guard's sigma, where the
-    # shifted rational is not e^x: _flow_at splits them off and keeps them,
-    # so a projected start plus 0.3 flows to its own flow plus 0.3, within
-    # rounding, at criterion 7's horizon (N = 10) and at T = 0.05 (N = 24):
-    # measured 1.1e-16 and 8.3e-16; flowed under the shift, the constant
-    # would be off by about 0.3 at the horizon and 6e-12 at T = 0.05
+    # shifted rational is not e^x: _flow_at splits them off exactly and
+    # drops them, so a projected start plus 0.3 flows to its own flow,
+    # within rounding, at criterion 7's horizon on its N = 10 and at
+    # T = 0.05 on 24 nodes; flowed under the shift, the constant would be
+    # off by about 0.3 at the horizon and 6e-12 at T = 0.05
     p, f = MeasureParams(1, 2.0), make_random_test(7, 1)
     (prob, _), (v, _), _ = _hat_projection(lambda r: _mode_profiles(f, p, r), p,
                                            Discretization(m=1024, delta=1e-3))
     horizon = default_horizon(_quadrature_variance(f, p), closed_form_gap(p)[0])
-    for T in (0.05, horizon):
-        base = semigroup._flow_at(prob, v, 2.0 * T)
-        shifted = semigroup._flow_at(prob, v + 0.3, 2.0 * T)
-        np.testing.assert_allclose(shifted, base + 0.3, rtol=0.0, atol=1e-14)
+    for T, N in ((0.05, 24), (horizon, 10)):
+        base = semigroup._flow_at(prob, v, 2.0 * T, N)
+        shifted = semigroup._flow_at(prob, v + 0.3, 2.0 * T, N)
+        np.testing.assert_allclose(shifted, base, rtol=0.0, atol=1e-14)
 
 
 def test_flow_end_term_matches_the_dense_sum_over_every_mode():
     # criterion 7's pencils ((1, 2.0), m = 1024, both modes): the telescoped
-    # end term ((A - rho B) v)' v(2T) from the contour against the dense
+    # end term ((A - rho B) v)' v(2T) from the contour, on the nodes
+    # _flow_integral takes (read back from its integral), against the dense
     # all-mode sum sum_k (lam_k - rho) c_k^2 e^{-2 lam_k T}, at T = 0.05,
     # 0.5 and criterion 7's horizon (4.30), within 3e-13 of
     # v'Av + |rho| v'Bv (measured 1.3e-13 at T = 0.05 on mode 1: the
@@ -399,7 +399,8 @@ def test_flow_end_term_matches_the_dense_sum_over_every_mode():
         scale = v @ Av + abs(rho) * (v @ Bv)
         for T in (0.05, 0.5, horizon):
             dense = np.sum((lam - rho) * c * c * np.exp(-2.0 * lam * T))
-            got = (Av - rho * Bv) @ semigroup._flow_at(prob, v, 2.0 * T)
+            integral, norm, energy = _flow_integral(prob, v, rho, T)
+            got = energy - rho * norm - 2.0 * integral
             assert abs(got - dense) <= 3e-13 * scale, (prob.ell, T, got, dense)
 
 
@@ -1001,27 +1002,48 @@ def test_deficit_trace_keeps_its_sign(beta):
     assert np.all(rows[:, 1] >= 0.0), rows
 
 
-@pytest.mark.parametrize("f, p, tag", [
-    (_even_1d_bump(0), MeasureParams(1, 1.2), "lower"),
-    (_even_1d_bump(5), MeasureParams(1, 2.0), "upper"),
-    (_radial_bump(3), MeasureParams(3, 3.5), "mid"),
-], ids=["even-1.2", "even-2.0", "radial-3"])
-def test_deficit_trace_matches_dense_spectrum(f, p, tag):
-    # the trace's pairs against every pair of the same projection from a
-    # dense eigh: q(t) = sum lam (lam - rho) c^2 e^{-2 lam t} / 1'B1
+_TRACE_TIMES = [0.0, 0.05, 0.25, 1.0, 6.0]
+
+
+@pytest.mark.parametrize("f, p, tag, t", [
+    (_even_1d_bump(0), MeasureParams(1, 1.2), "lower", _TRACE_TIMES),
+    (_even_1d_bump(5), MeasureParams(1, 2.0), "upper", _TRACE_TIMES),
+    (_radial_bump(3), MeasureParams(3, 3.5), "mid", _TRACE_TIMES),
+    (_even_1d_bump(0), MeasureParams(1, 54.0), "upper", [0.05, 0.25, 0.5, 1.0]),
+], ids=["even-1.2", "even-2.0", "radial-3", "even-54"])
+def test_deficit_trace_matches_dense_spectrum(f, p, tag, t):
+    # the trace off the contour flow against every nontrivial pair of the
+    # same projection from a dense eigh:
+    # q(t) = sum lam (lam - rho) c^2 e^{-2 lam t} / 1'B1, t = 0 included.
+    # The dense pair at lam ~ 0 is the constants, whose rounding-sized c
+    # and lam add about -1e-42 at (1, 54); the trace drops them, and at
+    # (1, 54) q falls to 1.07e-92 at t = 0.5 and 4.3e-184 at t = 1, so a
+    # rounding-sized constant in the flow (1.1e-45 at t = 0.5) shows
     rho = _range_lambda(p, tag)
     prob, v, mass = _route_start(f, p, _ROUTE_DISC)
     lam, phi = sla.eigh(prob.A.toarray(), prob.B.toarray())
-    c = phi.T @ (prob.B @ v)
-    t = np.array([0.05, 0.25, 1.0, 6.0])
+    lam, c = lam[1:], (phi.T @ (prob.B @ v))[1:]
     dense = np.exp(-2.0 * np.outer(t, lam)) @ (lam * (lam - rho) * c * c) / mass
+    assert np.all(dense > 0.0)
     rows = deficit_trace(f, p, tag, t)
     assert np.allclose(rows[:, 1], dense, rtol=1e-10, atol=0.0)
-    if tag == "lower":
-        # the truncation the docstring states: 47 nontrivial pairs miss 31%
-        # of q(0)
-        q0 = float(np.sum(lam * (lam - rho) * c * c)) / mass
-        assert 0.30 < 1.0 - deficit_trace(f, p, tag, [0.0])[0, 1] / q0 < 0.32
+
+
+@pytest.mark.parametrize("f, p, tag", [
+    (make_linear(np.array([1.0, 0.0, 0.0])), MeasureParams(3, 3.8), "mid"),
+    (_even_1d_bump(0), MeasureParams(1, 1.2), "lower"),
+], ids=["linear", "projection"])
+def test_deficit_trace_times_shapes(f, p, tag):
+    # a scalar time gives one row, an empty list no rows, and any times
+    # that are neither a scalar nor 1-D are refused by their shape
+    one = deficit_trace(f, p, tag, 0.5)
+    assert one.shape == (1, 2)
+    assert np.array_equal(one, deficit_trace(f, p, tag, [0.5]))
+    assert deficit_trace(f, p, tag, []).shape == (0, 2)
+    for bad in ([[0.0, 1.0]], np.zeros((2, 2)), np.zeros((1, 1, 3))):
+        with pytest.raises(ValueError, match=rf"scalar or 1-D, not of shape "
+                                             rf"\({np.shape(bad)[0]}, "):
+            deficit_trace(f, p, tag, bad)
 
 
 def extremal_residual(f: SmoothFunction, params: MeasureParams,
