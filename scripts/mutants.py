@@ -32,6 +32,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SPECTRAL = "src/cauchygap/spectral.py"
 QUADRATURE = "src/cauchygap/quadrature.py"
 SEMIGROUP = "src/cauchygap/semigroup.py"
+FUNCTIONS = "src/cauchygap/functions.py"
+HYGIENE = "tests/test_hygiene.py"
 TIMEOUT_S = 900
 
 MUTANTS = [
@@ -175,6 +177,25 @@ MUTANTS = [
      "a radial f's one direction at the weight 1/(2n) of the +-e_i rule, not 1",
      ["tests/test_semigroup.py::test_var_and_energy_matches_three_call_formula",
       "tests/test_semigroup.py::test_route_deficit_matches_quadrature"]),
+    ("scipy-at-import", SPECTRAL,
+     "from numpy.polynomial.legendre import leggauss\n",
+     "from numpy.polynomial.legendre import leggauss\n"
+     "from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, zgttrf, zgttrs\n",
+     "spectral's LAPACK routines imported with the module, not at the first factorization",
+     [f"{HYGIENE}::test_import_loads_no_oracle_or_special_functions",
+      f"{HYGIENE}::test_identity_layer_loads_no_scipy_and_the_spectral_solves_load_lapack",
+      f"{HYGIENE}::test_scipy_is_imported_by_spectral_alone_and_only_inside_functions"]),
+    ("sparse-ops", FUNCTIONS,
+     "    lap = sum(Di @ Di for Di in D)\n",
+     "    from scipy import sparse\n"
+     "    D = [sparse.csr_array(Di) for Di in D]\n"
+     "    lap = sum(Di @ Di for Di in D)\n"
+     "    iu, ju = np.triu_indices(n)\n"
+     "    ops = sparse.vstack([sparse.eye_array(M)] + D + [D[j] @ D[i] for i, j in zip(iu, ju)]\n"
+     "                        + [Dk @ lap for Dk in D], format=\"csr\")\n"
+     "    return np.sum(exps, axis=1), parent, var, ops\n",
+     "the random tests' derivative stack built with scipy.sparse, at their first use",
+     [f"{HYGIENE}::test_identity_layer_loads_no_scipy_and_the_spectral_solves_load_lapack"]),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -7,7 +7,9 @@ radial profiles g(|x - c|^2) share one chain rule (`_radial`).  Compactly
 supported constructors report their support radius so quadrature can
 truncate.  The random tests' fields, grad Lap f included, are also given
 on whole radial rows as radial factors times angular arrays, which
-quadrature integrates in separable form (`RandomTestFields`).
+quadrature integrates in separable form (`RandomTestFields`).  The
+module is numpy algebra; only the line's extremal profile loads
+scipy.special, at its first value.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from itertools import combinations_with_replacement
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .measures import MeasureParams, mean_sq_norm
 
@@ -238,31 +239,29 @@ RANDOM_TEST_SEAMS = (0.6 * RANDOM_TEST_RADIUS, RANDOM_TEST_RADIUS)
 @lru_cache(maxsize=None)
 def _poly_basis(n: int, degree: int):
     """The basis, ordered by total degree, as (degrees, parent, var, ops):
-    monomial m > 0 is monomial parent[m] < m times x_var[m], and the sparse
+    monomial m > 0 is monomial parent[m] < m times x_var[m], and the dense
     stack ops of (M, M) operators maps coefficient vectors to those of their
-    field rows, row after row."""
+    field rows, row after row (at n = 3, M = 84 and ops is 1,092 x 84, or
+    0.7 MB).  Every array is read-only."""
     exps = [e for d in range(degree + 1) for e in _exponents(n, d)]
     M = len(exps)
     index = {e: m for m, e in enumerate(exps)}
     parent = np.zeros(M, dtype=int)
     var = np.zeros(M, dtype=int)
-    entries = [([], [], []) for _ in range(n)]  # D[i] @ c: coefficients of d_i P
+    D = np.zeros((n, M, M))  # D[i] @ c: coefficients of d_i P
     for m, e in enumerate(exps):
         for i in range(n):
             if e[i]:
                 lower = list(e)
                 lower[i] -= 1
                 parent[m], var[m] = index[tuple(lower)], i
-                for column, value in zip(entries[i], (parent[m], m, e[i])):
-                    column.append(value)
-    D = [sparse.csr_array((data, (rows, cols)), shape=(M, M))
-         for rows, cols, data in entries]
+                D[i, parent[m], m] = e[i]
     lap = sum(Di @ Di for Di in D)
     iu, ju = np.triu_indices(n)
-    ops = sparse.vstack([sparse.eye_array(M)] + D + [D[j] @ D[i] for i, j in zip(iu, ju)]
-                        + [Dk @ lap for Dk in D], format="csr")
+    ops = np.vstack([np.eye(M), *D, *(D[j] @ D[i] for i, j in zip(iu, ju)),
+                     *(Dk @ lap for Dk in D)])
     degrees = np.sum(exps, axis=1)
-    for a in (degrees, parent, var):
+    for a in (degrees, parent, var, ops):
         a.flags.writeable = False
     return degrees, parent, var, ops
 
@@ -350,7 +349,7 @@ def _product_rows(coefs: Array, table: Array, u: Array, order: int) -> dict:
     ops, M, T = _poly_basis(n, RANDOM_TEST_DEGREE)[3], len(table), coefs.shape[1]
     nh = n * (n + 1) // 2
     rows = (1, 1 + n, 1 + n + nh, 1 + 2 * n + nh)[order]
-    S = (ops @ coefs)[:rows * M].reshape(rows, M, T)  # field-row coefficients
+    S = (ops[:rows * M] @ coefs).reshape(rows, M, T)  # field-row coefficients
     Q = S.transpose(0, 2, 1).reshape(rows * T, M) @ table.reshape(M, -1)
     return _product_rule(Q.reshape(rows, T, *table.shape[1:]), u, order)
 

@@ -11,7 +11,8 @@ integrand.  On it the module checks the variance representation
 
 and cross-checks the range deficits, whose own Var(f) and
 int Gamma(f) dmu are quadrature's (`_var_and_energy`), against the flow's
-limit T = inf.
+limit T = inf.  Every factorization is spectral's (`_shifted_solve`,
+`ModeProblem._b_solve`): the module imports no scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import linalg as sla
 
 from .functions import SmoothFunction
 from .measures import MeasureParams, mean_sq_norm
@@ -360,7 +360,6 @@ def deficit_trace(f: SmoothFunction, params: MeasureParams, range_tag: str,
             return 0.0
         w = v if t == 0.0 else _flow_at(prob, v, t, _TALBOT_N)
         Aw = prob.A @ w
-        BAw = sla.cho_solve_banded((prob._b_factor, True), Aw, check_finite=False)
-        return (Aw @ BAw - rho * (w @ Aw)) / mass
+        return (Aw @ prob._b_solve(Aw) - rho * (w @ Aw)) / mass
 
     return np.column_stack([times, [integrand(t) for t in times]])

@@ -26,6 +26,11 @@ B do not depend on ell, and A_ell = S + ell(ell+n-2) K with S >= 0 and
 K >= B (K - B is the Gram of r^{n-3}(1+r^2)^{-beta}), so the Galerkin
 values obey lam_ell >= ell(ell+n-2) and, for ell >= 2,
 lam_ell >= lam_{ell-1} + (2 ell + n - 3).
+
+This is the package's one module that factors: each function that calls
+LAPACK (dpttrf, d/zgttrf and d/zgttrs, the banded Cholesky of B) imports
+it from scipy.linalg when it runs, so `import cauchygap` loads numpy only
+and scipy.linalg loads at the first factorization.
 """
 
 from __future__ import annotations
@@ -37,8 +42,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import linalg as sla
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, zgttrf, zgttrs
 
 from .measures import MeasureParams, omega_moment
 
@@ -386,13 +389,20 @@ class ModeProblem:
 
     @cached_property
     def _b_factor(self) -> np.ndarray:
-        """The lower banded Cholesky factor L of B = L L', once per problem:
-        the projection (_hat_projection) and the heat-flow trace
-        (`semigroup.deficit_trace`, for B^{-1} A w) read it."""
+        """The lower banded Cholesky factor L of B = L L', once per problem,
+        for _b_solve."""
+        from scipy.linalg import cholesky_banded
         try:
-            return sla.cholesky_banded(self.B.band, lower=True)
+            return cholesky_banded(self.B.band, lower=True)
         except ValueError as exc:  # LinAlgError, or a non-finite entry
             raise NumericalBreakdown(self, f"banded Cholesky of B failed ({exc})") from exc
+
+    def _b_solve(self, b: np.ndarray) -> np.ndarray:
+        """B^{-1} b on the cached factor: the projection (_hat_projection)
+        and the heat-flow trace (`semigroup.deficit_trace`, for B^{-1} A w)
+        solve by it."""
+        from scipy.linalg import cho_solve_banded
+        return cho_solve_banded((self._b_factor, True), b, check_finite=False)
 
 
 class NumericalBreakdown(ArithmeticError):
@@ -522,8 +532,7 @@ def _hat_projection(profiles, params: MeasureParams, disc: Discretization):
     """
     loads = _hat_loads(profiles, params, disc)
     problems = list(_mode_problems(sorted(loads), params, disc, tail_rays=False))
-    vs = [sla.cho_solve_banded((p._b_factor, True), loads[p.ell], check_finite=False)
-          for p in problems]
+    vs = [p._b_solve(loads[p.ell]) for p in problems]
     ones = np.ones(problems[0].size())
     mass = float(ones @ (problems[0].B @ ones))
     vs[0] -= np.sum(loads[0]) / mass
@@ -588,6 +597,7 @@ def _inertia(problem: ModeProblem, shifted: np.ndarray, what: str) -> int:
     underflows to 0.  A zero or NaN pivot raises NumericalBreakdown
     (dpttrf passes NaN on).
     """
+    from scipy.linalg.lapack import dpttrf
     nh = problem.size() - len(problem.ray_ks)
     d, e = shifted[0, :nh].copy(), shifted[1, :nh - 1]
     k = 0  # where dpttrf (re)starts
@@ -669,6 +679,7 @@ def _shifted_solve(problem: ModeProblem, shifted: np.ndarray):
     u = S^{-1} (b_rays - w y_last) and the hats' y - T^{-1} e_last (w'u),
     with y = T^{-1} b_hats.
     """
+    from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
     r = len(problem.ray_ks)
     nh = problem.size() - r
     trf, trs = (dgttrf, dgttrs) if np.isrealobj(shifted) else (zgttrf, zgttrs)

@@ -39,18 +39,68 @@ def _exported(tree):
     return set()
 
 
+def _fresh(code):
+    """stdout of `code` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=300).stdout
+
+
+# the scipy and mpmath modules loaded, as an expression for _fresh's code
+_HEAVY = "[m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')]"
+
+
 def test_import_loads_no_oracle_or_special_functions():
     # a fresh interpreter's `import cauchygap` (a CLI start, and the
-    # benchmark's setup time) loads neither mpmath, whose pins are frozen
-    # offline, nor the scipy subpackages the package does not call
-    heavy = ("mpmath", "scipy.special", "scipy.integrate", "scipy.optimize",
-             "scipy.sparse.linalg")
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, cauchygap; "
-         f"print(*[m for m in {heavy!r} if m in sys.modules])"],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.split() == []
+    # benchmark's setup time) loads numpy only: neither mpmath, whose pins
+    # are frozen offline, nor any scipy module (LAPACK loads at the first
+    # factorization, in spectral)
+    assert _fresh(f"import sys, cauchygap; print(*{_HEAVY})").split() == []
+
+
+def test_identity_layer_loads_no_scipy_and_the_spectral_solves_load_lapack(tmp_path):
+    # the import boundary both ways, in one fresh interpreter: the identity
+    # layer and `cauchygap verify` are numpy algebra and load no scipy;
+    # numeric_gap's first factorization loads scipy.linalg
+    code = f"""if True:
+        import sys
+        from cauchygap import (Discretization, MeasureParams, cli, deficit, lowfact_sign_check,
+                               make_linear, make_random_test, numeric_gap, verify_all)
+        p = MeasureParams(2, 3.0)
+        steps = [("verify_all", lambda: verify_all(p, trials=2)),
+                 ("lowfact_sign_check", lambda: lowfact_sign_check(MeasureParams(2, 2.5), trials=1)),
+                 ("bump_deficit", lambda: deficit(make_random_test(0, 2), p, "mid")),
+                 ("linear_deficit", lambda: deficit(make_linear([1.0, 0.0]), p, "mid"))]
+        for name, step in steps:
+            step()
+            print("step", name, *{_HEAVY})
+        print("step", "cli_verify", cli.main(["verify", "--n", "2", "--beta", "3", "--trials", "1",
+                                              "--out", {str(tmp_path / "verify.json")!r}]),
+              *{_HEAVY})
+        numeric_gap(MeasureParams(2, 4.0), Discretization(m=64))
+        print("step", "numeric_gap", "scipy.linalg" in sys.modules)
+    """
+    lines = [line.split()[1:] for line in _fresh(code).splitlines() if line.startswith("step ")]
+    assert lines == [["verify_all"], ["lowfact_sign_check"], ["bump_deficit"],
+                     ["linear_deficit"], ["cli_verify", "0"], ["numeric_gap", "True"]]
+
+
+def test_scipy_is_imported_by_spectral_alone_and_only_inside_functions():
+    # no module-level scipy import anywhere in src/, and no scipy import
+    # outside spectral but the line's hypergeometric value (functions)
+    found = []
+    for name in MODULES:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        local = {id(node) for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                       else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            found += [(name, m, id(node) in local) for m in modules
+                      if m and m.split(".")[0] == "scipy"]
+    assert {(name, local) for name, _, local in found} <= {("spectral", True), ("functions", True)}
+    assert [m for name, m, _ in found if name == "functions"] == ["scipy.special"]
 
 
 def test_star_import():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import linalg as sla
+from scipy.linalg import lapack
 
 from cauchygap.functions import (
     SmoothFunction,
@@ -164,7 +165,7 @@ def test_variance_check_factors_each_mode_once(monkeypatch):
     # eigensolver runs
     problems, factors = [], []
     real_problems, real_cholesky = spectral._mode_problems, sla.cholesky_banded
-    real_dgttrf, real_zgttrf = spectral.dgttrf, spectral.zgttrf
+    real_dgttrf, real_zgttrf = lapack.dgttrf, lapack.zgttrf
 
     def kept(*args, **kwargs):
         for prob in real_problems(*args, **kwargs):
@@ -193,8 +194,8 @@ def test_variance_check_factors_each_mode_once(monkeypatch):
     T = math.ceil(horizon / dt - 1e-12) * dt  # rounded to whole steps, as the check does
     monkeypatch.setattr(spectral, "_mode_problems", kept)
     monkeypatch.setattr(sla, "cholesky_banded", cholesky)
-    monkeypatch.setattr(spectral, "dgttrf", dgttrf)
-    monkeypatch.setattr(spectral, "zgttrf", zgttrf)
+    monkeypatch.setattr(lapack, "dgttrf", dgttrf)
+    monkeypatch.setattr(lapack, "zgttrf", zgttrf)
     for name in ("eigh", "eig_banded"):
         monkeypatch.setattr(sla, name, eigensolver(name))
     variance_representation_check(f, 2.0, horizon, dt, p, Discretization(m=1024, delta=1e-3))
@@ -430,7 +431,7 @@ def test_variance_check_sees_the_flow_end_term(beta, shape):
 def test_flow_breakdown_names_the_mode(monkeypatch):
     # a complex factor that reads singular (info > 0), or one whose entries
     # are not finite, is a NumericalBreakdown naming the mode, not a value
-    real = spectral.zgttrf
+    real = lapack.zgttrf
 
     def singular(*args, **kwargs):
         *lu, info = real(*args, **kwargs)
@@ -442,7 +443,7 @@ def test_flow_breakdown_names_the_mode(monkeypatch):
     p = MeasureParams(1, 4.0)
     f = make_quadratic_centered(p)
     for factor, text in ((singular, "is singular"), (nonfinite, "is not finite")):
-        monkeypatch.setattr(spectral, "zgttrf", factor)
+        monkeypatch.setattr(lapack, "zgttrf", factor)
         with pytest.raises(NumericalBreakdown, match=r"mode ell=0 .*: .*" + text):
             variance_representation_check(f, 6.0, 1.0, 1e-3, p,
                                           Discretization(m=128, delta=1e-3))
@@ -994,9 +995,10 @@ def test_deficit_trace_lower_decays():
 
 @pytest.mark.parametrize("beta", [54.0, 60.0])
 def test_deficit_trace_keeps_its_sign(beta):
-    # in the upper range q = sum lam (lam - rho) c^2 e^{-2 lam t} >= 0, as
-    # every pair has lam >= rho; the constants, never returned, cannot add a
-    # rounding-level term of either sign (it read -2.6e-43 at (1, 54))
+    # in the upper range q = ((Aw)'B^{-1}(Aw) - rho w'Aw) / 1'B1 >= 0 on the
+    # contour flow w: w is mean-free and every nontrivial value of the
+    # pencil is >= rho, so the difference stays >= 0 to rounding, out to
+    # t = 6, where q underflows to 0
     rows = deficit_trace(_even_1d_bump(0), MeasureParams(1, beta), "upper",
                          [0.0, 0.5, 1.0, 6.0])
     assert np.all(rows[:, 1] >= 0.0), rows

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import linalg as sla
+from scipy.linalg import lapack
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.sparse.linalg import eigsh
@@ -1171,13 +1172,13 @@ def test_slow_solves_refactor_once_on_the_sweep(monkeypatch):
     # tail rays (its Schur column).  With every step at sigma they took 87;
     # refactoring once at the running value, where the steps at sigma are
     # slow (the lower range, and mode 0 in the mid range), takes 56
-    real, calls = spectral.dgttrs, []
+    real, calls = lapack.dgttrs, []
 
     def counted(*args):
         calls.append(None)
         return real(*args)
 
-    monkeypatch.setattr(spectral, "dgttrs", counted)
+    monkeypatch.setattr(lapack, "dgttrs", counted)
     disc = Discretization(m=2048, delta=1e-3)
     for n, beta in [(1, 1.2), (1, 3.0), (2, 1.5), (2, 4.0), (3, 2.0), (3, 3.8),
                     (3, 5.0), (3, 200.0)]:
