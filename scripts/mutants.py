@@ -177,6 +177,18 @@ MUTANTS = [
      "a radial f's one direction at the weight 1/(2n) of the +-e_i rule, not 1",
      ["tests/test_semigroup.py::test_var_and_energy_matches_three_call_formula",
       "tests/test_semigroup.py::test_route_deficit_matches_quadrature"]),
+    ("hessian-off-diagonal-unweighted", QUADRATURE,
+     '                rows["hess"][:, :, c] *= math.sqrt(2.0)\n',
+     '                rows["hess"][:, :, c] *= 1.0\n',
+     "the distinct off-diagonal Hessian entries counted once in ||Hess f||^2, "
+     "not twice (sqrt 2 on each side of the Gram)",
+     ["tests/test_quadrature.py::test_block_pack_matches_reference_pack"]),
+    ("direction-weight-both-sides", FUNCTIONS,
+     "        self._mono = _monomials(u, parent, var) * np.sqrt(dw)\n",
+     "        self._mono = _monomials(u, parent, var) * dw\n",
+     "the direction weights dw on both sides of every angular Gram, not sqrt(dw)",
+     ["tests/test_quadrature.py::test_block_pack_matches_reference_pack",
+      "tests/test_functions.py::test_random_test_fields_on_radial_rows_match_pointwise"]),
     ("scipy-at-import", SPECTRAL,
      "from numpy.polynomial.legendre import leggauss\n",
      "from numpy.polynomial.legendre import leggauss\n"

@@ -299,6 +299,21 @@ def random_test_coefficients(seeds: Sequence[int], n: int):
 # Lap b = b'' + (n-1) b'/r; orders 0..3 make the first 1, 2, 4 and 7.
 _B, _B1, _B2, _B1R, _LAPB2, _B2_B1R, _DLAPB = range(7)
 
+# The rows of the product rule as {name: (order, factors)}: the field rows
+# f, grad f, Hess f (distinct entries i <= j) and grad Lap f, and the
+# directional rows <grad f, u>, Lap f and (Hess f) u that the identity
+# packs pair with them; a row of order q reads P's derivatives up to q, and
+# its terms' factors are in the order of its blocks.
+_ROWS = {"f": (0, (_B,)), "grad": (1, (_B, _B1)), "hess": (2, (_B, _B2, _B1R, _B1)),
+         "gradlap": (3, (_B, _LAPB2, _B1, _B2_B1R, _DLAPB)),
+         "gu": (2, (_B, _B1)), "lap": (2, (_B, _B2, _B1R, _B1)), "hu": (2, (_B, _B2, _B1))}
+_FIELD_ROWS = ("f", "grad", "hess", "gradlap")  # the rows of P's field rows, in ops' order
+# The rows that share one array (k, T, components, J), k that of their row
+# of most factors, field rows first: block 0 of their field rows is one
+# GEMM per radial power, and the rows of one array differ by at most one
+# factor, so at most one block of a row is left unused.
+_ROW_ARRAYS = (("f", "grad", "gu"), ("hess", "gradlap", "lap", "hu"))
+
 
 def _radial_factors(radii: Array, n: int, order: int) -> Array:
     """The radial factors at the radii, shape (k, len(radii)): the first
@@ -313,71 +328,147 @@ def _radial_factors(radii: Array, n: int, order: int) -> Array:
     return np.array(b)
 
 
-def _product_rule(Q: Array, u: Array, order: int) -> dict:
-    """The field rows f, grad f, Hess f (distinct entries i <= j) and
-    grad Lap f of f = P b up to `order`, as {name: [(factor, angular
-    array), ...]}.  Q (rows, T, D, J) holds the polynomial field rows of P
-    (the layout of _poly_basis' ops) per radial power on the directions
-    u (n, J); each angular array has the shape (c, T, D, J) of its row of
-    c components."""
-    n = len(u)
-    iu, ju, pair = _pairs(n)
-    u = u[:, None, None, :]
-    p, dp, hp = Q[0], Q[1:1 + n], Q[1 + n:1 + n + len(iu)]
-    rows = {"f": [(_B, p[None])]}
-    if order >= 1:
-        rows["grad"] = [(_B, dp), (_B1, p * u)]
-    if order >= 2:
-        uu = u[iu] * u[ju]
-        rows["hess"] = [(_B, hp), (_B2, p * uu),
-                        (_B1R, p * ((iu == ju)[:, None, None, None] - uu)),
-                        (_B1, dp[iu] * u[ju] + dp[ju] * u[iu])]
-    if order == 3:
+def _dot_u(X: Array, u: Array, out: Array, index=None) -> Array:
+    """out = sum_j X[index[j]] u_j (index[j] = j when None) over components
+    of X on axis 0 and directions u (n, J) on the last axis, one component
+    at a time, in place."""
+    index = range(len(u)) if index is None else index
+    np.multiply(X[index[0]], u[0], out=out)
+    for j in range(1, len(u)):
+        out += X[index[j]] * u[j]
+    return out
+
+
+def _product_rule(rows: dict, u: Array, D: int) -> None:
+    """Fill in place the terms of the rows of f = P b, the rows of _ROWS up
+    to some order, rows[name] of shape (T, factors x D, c, J) for its
+    factors and c components: factor s's term is the block of columns
+    s D .. s D + D - 1.  Block 0 of each field row holds on entry its
+    polynomial field rows of P per radial power on the directions u (n, J),
+    as _product_rows writes them; each other term is written into its
+    block, products by out=.  The directional rows
+    read P's <u, grad P>, Lap P and (Hess P) u, accumulated one component
+    at a time into their blocks 0 (|u| = 1):
+      <grad f, u> = b <u, grad P> + b' P,
+      Lap f = b Lap P + (b'' + (n - 1) b'/r) P + 2 b' <u, grad P>,
+      (Hess f) u = b (Hess P) u + b'' P u + b' (grad P + u <u, grad P>)."""
+    def term(name, s):  # the block of factor s as (c, T, D, J)
+        return rows[name][:, s * D:(s + 1) * D].transpose(2, 0, 1, 3)
+
+    p, un = term("f", 0)[0], u[:, None, None]
+    if "grad" in rows:
+        dp = term("grad", 0)
+        np.multiply(p, un, out=term("grad", 1))
+    if "hess" in rows:
+        n = len(u)
+        iu, ju, pair = _pairs(n)
+        hp, uu = term("hess", 0), (u[iu] * u[ju])[:, None, None]
+        np.multiply(p, uu, out=term("hess", 1))
+        np.multiply(p, (iu == ju)[:, None, None, None] - uu, out=term("hess", 2))
+        b1 = term("hess", 3)
+        for c, (i, j) in enumerate(zip(iu.tolist(), ju.tolist())):
+            np.multiply(dp[i], u[j], out=b1[c])
+            b1[c] += dp[j] * u[i]
+        gu_p, lap_p, hu_p = term("gu", 0)[0], term("lap", 0)[0], term("hu", 0)
+        _dot_u(dp, u, gu_p)
+        lap_p[...] = sum(hp[c] for c in np.diag(pair))
+        for i in range(n):
+            _dot_u(hp, u, hu_p[i], pair[i])
+        term("gu", 1)[0] = p
+        term("lap", 1)[0] = p
+        np.multiply(p, n - 1.0, out=term("lap", 2)[0])
+        np.multiply(gu_p, 2.0, out=term("lap", 3)[0])
+        term("hu", 1)[...] = term("grad", 1)
+        b1 = term("hu", 2)
+        np.multiply(gu_p, un, out=b1)
+        b1 += dp
+    if "gradlap" in rows:
         # grad Lap (P b) = b grad Lap P + (Lap b + 2 b'/r) grad P
         #   + u [b' Lap P + 2 (b'' - b'/r) <u, grad P> + P (Lap b)'] + 2 b' (Hess P) u
-        b1_part = np.sum(hp[iu == ju], axis=0) * u + 2.0 * np.sum(hp[pair] * u, axis=1)
-        rows["gradlap"] = [(_B, Q[1 + n + len(iu):]), (_LAPB2, dp), (_B1, b1_part),
-                           (_B2_B1R, 2.0 * np.sum(dp * u, axis=0) * u), (_DLAPB, p * u)]
+        term("gradlap", 1)[...] = dp
+        b1 = term("gradlap", 2)
+        np.multiply(lap_p, un, out=b1)
+        b1 += 2.0 * hu_p
+        np.multiply(gu_p, 2.0 * un, out=term("gradlap", 3))
+        term("gradlap", 4)[...] = term("grad", 1)
+
+
+@lru_cache(maxsize=None)
+def _row_arrays(n: int, order: int):
+    """The arrays of _ROW_ARRAYS that the rows up to `order` fill at n, as
+    (factors, components, field components, members): each array has
+    factors x D columns and its components side by side, field rows first;
+    members are (name, factors, first component, components) per row."""
+    sizes = {"f": 1, "grad": n, "hess": n * (n + 1) // 2, "gradlap": n, "gu": 1, "lap": 1, "hu": n}
+    arrays = []
+    for group in _ROW_ARRAYS:
+        members, c = [], 0
+        for name in group:
+            if _ROWS[name][0] <= order:
+                members.append((name, len(_ROWS[name][1]), c, sizes[name]))
+                c += sizes[name]
+        if members:
+            field = sum(size for name, _, _, size in members if name in _FIELD_ROWS)
+            arrays.append((max(m[1] for m in members), c, field, tuple(members)))
+    return tuple(arrays)
+
+
+def _product_rows(coefs: Array, powers, u: Array, order: int) -> dict:
+    """The rows of _product_rule up to `order` for the coefficient stack
+    coefs (M, T), {name: (T, factors x D, c, J)}, on the directions u
+    (n, J) from the monomials cut into D radial powers: powers[d] is
+    (s, mono), the monomials s of power d (a slice of the basis) at the
+    directions, (len(s), J).  The rows are views of the arrays of
+    _row_arrays, laid out (k, T, c, J), so each term's block lies apart in
+    memory from the blocks 0 it is computed from; each power's field-row
+    coefficients of P times its monomials is one GEMM per array, written
+    into block 0 of its field rows."""
+    n, T = len(u), coefs.shape[1]
+    ops = _poly_basis(n, RANDOM_TEST_DEGREE)[3]
+    M, D, arrays = ops.shape[1], len(powers), _row_arrays(n, order)
+    # field-row coefficients, (T, field rows, M)
+    S = (coefs.T @ ops[:sum(a[2] for a in arrays) * M].T).reshape(T, -1, M)
+    rows, lo = {}, 0
+    for factors, components, field, members in arrays:
+        out = np.empty((factors * D, T, components, u.shape[1]))
+        for name, k, c, size in members:
+            rows[name] = out[:k * D, :, c:c + size].transpose(1, 0, 2, 3)
+        Sf = S[:, lo:lo + field]
+        for d, (s, mono) in enumerate(powers):
+            np.matmul(Sf[:, :, s], mono, out=out[d, :, :field])
+        lo += field
+    _product_rule(rows, u, D)
     return rows
-
-
-def _product_rows(coefs: Array, table: Array, u: Array, order: int) -> dict:
-    """_product_rule's rows for the coefficient stack coefs (M, T), from the
-    monomial table (M, k, J) of the directions u (n, J): the field-row
-    coefficients of P against the table give Q (rows, T, k, J)."""
-    n = len(u)
-    ops, M, T = _poly_basis(n, RANDOM_TEST_DEGREE)[3], len(table), coefs.shape[1]
-    nh = n * (n + 1) // 2
-    rows = (1, 1 + n, 1 + n + nh, 1 + 2 * n + nh)[order]
-    S = (ops[:rows * M] @ coefs).reshape(rows, M, T)  # field-row coefficients
-    Q = S.transpose(0, 2, 1).reshape(rows * T, M) @ table.reshape(M, -1)
-    return _product_rule(Q.reshape(rows, T, *table.shape[1:]), u, order)
 
 
 class RandomTestFields:
     """Fields of make_random_test's functions f = P b on whole rows, up to
-    the derivative order 0..3, for coefficient stacks (M, T) of T functions.
+    the derivative order 0..3, for coefficient stacks (M, T) of T functions,
+    weighted for the angular Grams of the identity packs.
 
     At the nodes r_i u_j (node i J + j) of radii r (I,) and the unit vectors
-    u (J, n), every field row is a sum of radial factors times angular
-    arrays (_product_rule), as x^a = r^|a| u^a.  The object holds the
-    direction side only (the monomial table, one block per radial power,
-    and u, both read-only), so one serves every radial rule and
-    order: `radial(r, order)` is the radial matrix, `terms(coefs, order)`
-    gives each row's angular arrays, and `columns(order)` the columns of
-    the radial matrix they pair with.
+    u (J, n) with weights dw (J,), every field row is a sum of radial factors
+    times angular arrays (_product_rule), as x^a = r^|a| u^a.  The object
+    holds the direction side only, read-only: the monomials (M, J) times
+    sqrt(dw), ordered by degree, and the unit directions u (n, J).  So one
+    serves every radial rule and order: `radial(r, order)` is the radial
+    matrix, `terms(coefs, order)` gives the angular arrays times sqrt(dw)
+    of each row of _ROWS up to the order (from order 2 on, <grad f, u>,
+    Lap f and (Hess f) u too), and `columns(order)` the columns of the
+    radial matrix they pair with.  A Gram of two rows on the directions is
+    then one product of their arrays, with no weighted copy, and the
+    monomials are multiplied one degree at a time, with no zero block.
     """
 
-    def __init__(self, u: Array):
+    def __init__(self, u: Array, dw: Array):
         degrees, parent, var, _ = _poly_basis(u.shape[1], RANDOM_TEST_DEGREE)
-        # the monomials of degree d in block d of the table (M, powers, J):
-        # one GEMM gives the field rows per radial power
-        D = np.arange(RANDOM_TEST_DEGREE + 1)
-        mono = _monomials(u, parent, var)
-        self._table = (degrees[:, None] == D)[:, :, None] * mono[:, None]
+        self._mono = _monomials(u, parent, var) * np.sqrt(dw)
         self._u = np.ascontiguousarray((u / np.sqrt(_row_sq_norms(u))[:, None]).T)
-        for a in (self._table, self._u):
+        for a in (self._mono, self._u):
             a.flags.writeable = False
+        # radial power d: the monomials of degree d, rows bounds[d] .. bounds[d + 1] - 1
+        bounds = np.searchsorted(degrees, np.arange(RANDOM_TEST_DEGREE + 2)).tolist()
+        self._powers = tuple((slice(a, b), self._mono[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def radial(self, r: Array, order: int) -> Array:
         """The radial matrix (I, factors x powers) at the radii r:
@@ -389,45 +480,43 @@ class RandomTestFields:
     @staticmethod
     @lru_cache(maxsize=None)
     def columns(order: int) -> dict:
-        """{row name: the columns of radial(r, order) its terms pair with},
-        read-only: factor s times r^d is column s (degree + 1) + d.  The
-        factors of _product_rule's terms are the same at every n and for
-        every coefficient stack, so they are read once, at n = 1 with no
-        trials."""
+        """{row name: the columns of radial(r, order) its terms pair with}
+        for the rows of _ROWS up to `order`, read-only: factor s times r^d
+        is column s (degree + 1) + d, for the factors of the row's blocks."""
         D = RANDOM_TEST_DEGREE + 1
-        rows = _product_rows(np.empty((D, 0)), np.zeros((D, D, 1)), np.ones((1, 1)), order)
-        columns = {name: np.concatenate([s * D + np.arange(D) for s, _ in row])
-                   for name, row in rows.items()}
+        columns = {name: (np.array(factors)[:, None] * D + np.arange(D)).ravel()
+                   for name, (q, factors) in _ROWS.items() if q <= order}
         for a in columns.values():
             a.flags.writeable = False
         return columns
 
     def terms(self, coefs: Array, order: int) -> dict:
-        """{row name: angular array (c, T, k, J)} of the rows of
-        _product_rule for the coefficient stack coefs (M, T): the row at the
-        nodes is radial(r, order)[:, columns(order)[name]] @ array, of shape
-        (c, T, I, J)."""
-        return {name: np.concatenate([a for _, a in row], axis=2)
-                for name, row in _product_rows(coefs, self._table, self._u, order).items()}
+        """{row name: angular array (T, k, c, J)} of the rows of _ROWS up to
+        `order` (_product_rule) for the coefficient stack coefs (M, T), times
+        sqrt(dw) on direction j: the row of trial t at the nodes, times
+        sqrt(dw), is radial(r, order)[:, columns(order)[name]] @ array[t],
+        of shape (I, c, J)."""
+        return _product_rows(coefs, self._powers, self._u, order)
 
 
 def _point_fields(x: Array, coefs: Array, order: int) -> list:
     """[f, grad f, Hess f, grad Lap f][:order + 1] of make_random_test's
     functions at the points x (J, n) for the coefficient stack coefs
     (M, T), each (c, T, J) for its c components: 1, n, n(n+1)/2 (the
-    distinct entries i <= j) and n.  Each term of _product_rule times its
-    factor at the point, accumulated term by term."""
+    distinct entries i <= j) and n.  The field rows of _product_rows on one
+    radial power (all monomials at the points), each term times its factor
+    at the point."""
     n = x.shape[1]
     _, parent, var, _ = _poly_basis(n, RANDOM_TEST_DEGREE)
     s = np.sqrt(_row_sq_norms(x))
     # outside the bump every factor is an exact 0; clamp the polynomial
     # argument to the support ball so huge points cannot overflow
     R = RANDOM_TEST_RADIUS
-    table = _monomials(x * (R / np.maximum(s, R))[:, None], parent, var)[:, None]
+    mono = _monomials(x * (R / np.maximum(s, R))[:, None], parent, var)
     u = np.ascontiguousarray((x / np.where(s > 0, s, 1.0)[:, None]).T)
-    radial = _radial_factors(s, n, order).T
-    return [sum(radial[:, k] * A[:, :, 0] for k, A in row)
-            for row in _product_rows(coefs, table, u, order).values()]
+    radial, rows = _radial_factors(s, n, order), _product_rows(coefs, ((slice(None), mono),), u, order)
+    return [sum(radial[f] * rows[name][:, i] for i, f in enumerate(_ROWS[name][1])).transpose(1, 0, 2)
+            for name in _FIELD_ROWS[:order + 1]]
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,9 @@ The identity verifier and the deficit integrate random tests from their
 coefficients in separable form on the same tensor rule: radial moment
 matrices times angular Gram matrices, with no node-sized field; the
 deficit's Var(f) and int Gamma(f) dmu are computed here (`_var_and_energy`).
+Each field row of a block of random tests is built once, as (T, k, c J)
+with sqrt(dw) folded in on every direction (`RandomTestFields.terms`), so
+every angular Gram is one batched GEMM of two views of it.
 """
 
 from __future__ import annotations
@@ -297,11 +300,8 @@ def applicable_tags(params: MeasureParams) -> list[str]:
 
 
 # The integrals int omega F G dmu of the packs by name, as (F, G, omega,
-# the pack orders that read it), with w = 1 + r^2.  gu, lap and hu are the
-# rows <grad f, u>, Lap f and (Hess f) u, which a pack combines on the
-# directions from grad f and Hess f, so they pair with those rows' radial
-# columns (_COLUMNS_OF): a1 and a2, p1 and p2, gx2 and r2g2 read one block.
-_COLUMNS_OF = {"gu": "grad", "lap": "hess", "hu": "hess"}
+# the pack orders that read it), with w = 1 + r^2; F and G are rows of
+# `RandomTestFields.terms`.
 _INTEGRALS = {
     "sq": ("f", "f", "1", (1,)),                 # int f^2
     "gam": ("grad", "grad", "w", (1, 2, 3)),     # int Gamma(f)
@@ -319,8 +319,9 @@ _INTEGRALS = {
 @lru_cache(maxsize=16)
 def _direction_fields(n: int, angular: int) -> RandomTestFields:
     """The direction side of the random tests on _sphere_directions(n,
-    angular), shared by every radial rule and order on those directions."""
-    return RandomTestFields(_sphere_directions(n, angular)[0])
+    angular), weighted by their weights, shared by every radial rule and
+    order on those directions."""
+    return RandomTestFields(*_sphere_directions(n, angular))
 
 
 @lru_cache(maxsize=64)
@@ -328,15 +329,16 @@ def _pack_tables_cached(n: int, beta: float, nodes: int, trunc: Optional[float],
                         seams: tuple, angular: int, order: int):
     """What every pack of `order` reads on the rule of
     _radial_rule_cached(n, beta, nodes, trunc, seams) and
-    _sphere_directions(n, angular), as (fields, dirs, dw, order, first,
-    blocks): the direction side `_direction_fields`, the directions and
-    their weights, the first moment R' exp(logw) on the columns of f, and
-    per integral of `_INTEGRALS` that packs of the order read, the block
-    M_omega[cf, cg] of the radial moments M_omega = R' diag(omega exp(logw)) R
-    of the radial matrix R, one array per distinct block.  Built on the
-    rule's first pack; every array is read-only."""
+    _sphere_directions(n, angular), as (fields, order, blocks): the
+    direction side `_direction_fields`, and per integral of `_INTEGRALS`
+    that packs of the order read, the block M_omega[cf, cg] of the radial
+    moments M_omega = R' diag(omega exp(logw)) R of the radial matrix R,
+    flat, one array per distinct block; at order 1 also blocks["mean"],
+    the first moment R' exp(logw) on the columns of f times sqrt(dw) on
+    the directions, (k, J), against which int f is f's row of
+    `RandomTestFields.terms`.  Built on the rule's first pack; every array
+    is read-only."""
     r, logw = _radial_rule_cached(n, beta, nodes, trunc, seams)
-    dirs, dw = _sphere_directions(n, angular)
     fields = _direction_fields(n, angular)
     R, w, W = fields.radial(r, order), 1.0 + r * r, np.exp(logw)
     omegas = {"1": 1.0, "w": w, "w2": w * w, "r2": r * r, "wr": w * r}
@@ -344,16 +346,18 @@ def _pack_tables_cached(n: int, beta: float, nodes: int, trunc: Optional[float],
     moments, distinct, blocks = {}, {}, {}
     for name, (F, G, omega, orders) in _INTEGRALS.items():
         if order in orders:
-            key = _COLUMNS_OF.get(F, F), _COLUMNS_OF.get(G, G), omega
+            # rows on the same columns share a block: a1 and a2, gx2 and r2g2
+            key = tuple(columns[F]), tuple(columns[G]), omega
             if key not in distinct:
                 if omega not in moments:
                     moments[omega] = (R.T * (omegas[omega] * W)) @ R
-                distinct[key] = moments[omega][np.ix_(columns[key[0]], columns[key[1]])]
+                distinct[key] = moments[omega][np.ix_(columns[F], columns[G])].ravel()
                 distinct[key].flags.writeable = False
             blocks[name] = distinct[key]
-    first = (W @ R)[columns["f"]]
-    first.flags.writeable = False
-    return fields, dirs, dw, order, first, blocks
+    if order == 1:
+        blocks["mean"] = np.outer((W @ R)[columns["f"]], np.sqrt(_sphere_directions(n, angular)[1]))
+        blocks["mean"].flags.writeable = False
+    return fields, order, blocks
 
 
 def _pack_tables(params: MeasureParams, spec: QuadratureSpec,
@@ -375,44 +379,43 @@ class _FieldPack:
     Each integral int omega F G dmu of two field rows is
     sum(M_omega[cf, cg] o A_F diag(dw) A_G'): the tables' block of radial
     moments, built once per rule and order, against the angular Gram of the
-    rows' angular arrays (`RandomTestFields.terms`); int f is the tables'
-    first moment against A_f dw.  Per block of trials a pack does only the
-    work that depends on the trials: the terms, one Gram per pair of rows
-    and one sum per integral."""
+    rows' angular arrays.  Per block of trials a pack does only the work
+    that depends on the trials, and builds each row once, in the layout
+    its Grams read: `RandomTestFields.terms` gives every row, <grad f, u>,
+    Lap f and (Hess f) u included, as (T, k, c J) times sqrt(dw) on every
+    direction; then the distinct off-diagonal entries of Hess f, which
+    count twice in ||Hess f||^2, take a factor sqrt(2).  Every Gram is then
+    one batched GEMM of two views, A_F A_G', and every integral its product
+    with the flat block; int f is f's row against the tables' first
+    moment, blocks["mean"]."""
 
     def __init__(self, coefs, params: MeasureParams, tables, labels=()):
         n, beta = params.n, params.beta
-        fields, dirs, dw, order, first, blocks = tables
+        fields, order, blocks = tables
         self.labels = labels
-        iu, ju, pair = _pairs(n)
-        diag = (iu == ju)[:, None, None, None]
-        u = dirs.T[:, None, None, :]
         totals = np.full((3 if order == 1 else 10, coefs.shape[1]), np.nan)
         for t in range(0, coefs.shape[1], _TRIAL_BLOCK):
             block = slice(t, t + _TRIAL_BLOCK)
-            terms = fields.terms(coefs[:, block], order)
+            rows = fields.terms(coefs[:, block], order)
+            T = len(rows["f"])
             grams = {}
 
             def integral(name):
-                # the Gram A_F diag(weights dw) A_G' per trial, summed over
-                # components, once per pair of rows; the distinct entries
-                # i < j of Hess f count twice in ||Hess f||^2
+                # the Gram A_F diag(dw) A_G' per trial, once per pair of rows
                 F, G, *_ = _INTEGRALS[name]
                 if (F, G) not in grams:
-                    weights = 2.0 - diag if F == G == "hess" else 1.0
-                    A, B = (X.transpose(1, 2, 0, 3).reshape(X.shape[1], X.shape[2], -1)
-                            for X in (terms[F] * (weights * dw), terms[G]))
-                    grams[F, G] = A @ B.transpose(0, 2, 1)
-                return np.sum(grams[F, G] * blocks[name], axis=(1, 2))
+                    A, B = (rows[X].reshape(T, rows[X].shape[1], -1) for X in (F, G))
+                    grams[F, G] = (A @ B.transpose(0, 2, 1)).reshape(T, -1)
+                return np.vecdot(grams[F, G], blocks[name])
 
             gam = integral("gam")
             if order == 1:
-                totals[:, block] = [(terms["f"][0] @ dw) @ first, integral("sq"), gam]
+                mean = np.vecdot(rows["f"][:, :, 0], blocks["mean"]).sum(axis=1)
+                totals[:, block] = [mean, integral("sq"), gam]
                 continue
-            G, H = terms["grad"], terms["hess"]
-            terms.update(gu=np.sum(G * u, axis=0, keepdims=True),
-                         lap=np.sum(H * diag, axis=0, keepdims=True),
-                         hu=np.sum(H[pair] * u, axis=1))
+            iu, ju, _ = _pairs(n)
+            for c in np.flatnonzero(iu != ju).tolist():
+                rows["hess"][:, :, c] *= math.sqrt(2.0)
             r2g2, gx2 = integral("r2g2"), integral("gx2")
             totals[:9, block] = [
                 integral("a1"), integral("a2"), gam, integral("g2i"), gx2,

@@ -307,10 +307,18 @@ def deficit(f: SmoothFunction, params: MeasureParams, range_tag: str) -> float:
     family, the centered quadratic).
 
     Linear and radial f (angular_mode 1 or 0) run at every n; any other f,
-    such as a random bump, raises ValueError past n = 3.
+    such as a random bump, raises ValueError past n = 3.  So does an f whose
+    quadrature Var(f) or int Gamma(f) dmu is not finite, such as the
+    centered quadratic where beta <= n/2 + 2: outside L^2(mu), its nodes'
+    values overflow.
     """
     lam = _range_lambda(params, range_tag)
-    var, energy = _var_and_energy(f, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var, energy = _var_and_energy(f, params)
+    if not (math.isfinite(var) and math.isfinite(energy)):
+        raise ValueError(
+            f"{f.label} has Var(f) = {var:.6g} and int Gamma(f) dmu = {energy:.6g} "
+            f"by quadrature at n = {params.n}, beta = {params.beta:g}: not in L^2(mu)")
     value = lam * var - energy
     route = _route_deficit(f, params, lam)
     if route is not None and _rel_err(value, route) > 1e-3:

@@ -502,6 +502,18 @@ def test_deficit_quadratic(tmp_path):
     assert abs(float(row[4])) < 1e-8
 
 
+def test_deficit_of_an_f_outside_l2_is_refused(tmp_path, capsys):
+    # Var(|x|^2) = inf at (2, 3): a configuration error that names f and
+    # writes no CSV, where the command wrote nan and exited 0
+    out = tmp_path / "deficit.csv"
+    code = main(["deficit", "--n", "2", "--beta", "3", "--range", "mid",
+                 "--f", "quadratic", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "quadratic_centered" in err and "not in L^2" in err
+    assert not out.exists()
+
+
 def test_deficit_mismatch_is_a_tolerance_failure(tmp_path, monkeypatch, capsys):
     from cauchygap import cli
 

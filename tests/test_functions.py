@@ -221,8 +221,10 @@ def test_random_test_fields_on_radial_rows_match_pointwise(n):
     # side of both seams (grad Lap f jumps there, so a node on a seam would
     # compare rounding) and past the support up to the 1e120 of the
     # non-compact rules, where every field is an exact 0; single rows of
-    # the block are rules of one radius
-    dirs, _ = _sphere_directions(n, 40)
+    # the block are rules of one radius.  The arrays carry sqrt(dw) on
+    # direction j, which the comparison divides out.  From order 2 on the
+    # rows include <grad f, u>, Lap f and (Hess f) u at x = r u
+    dirs, dw = _sphere_directions(n, 40)
     r = np.concatenate([np.linspace(0.0, 3.2, 30),
                         np.add.outer(RANDOM_TEST_SEAMS, [-1e-9, 1e-9]).ravel(),
                         [3.5, 1e3, 1e60, 1e120]])
@@ -233,17 +235,25 @@ def test_random_test_fields_on_radial_rows_match_pointwise(n):
     coefs, _ = random_test_coefficients([seed], n)
     iu, ju = np.triu_indices(n)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        pointwise = [f.value(x)[None], f.gradient(x).T, f.hessian(x)[:, iu, ju].T,
-                     _grad_laplacian(seed, x).T]
+        g, H, u = f.gradient(x), f.hessian(x), np.tile(dirs, (len(r), 1))
+        pointwise = {"f": f.value(x)[None], "grad": g.T, "hess": H[:, iu, ju].T,
+                     "gradlap": _grad_laplacian(seed, x).T,
+                     "gu": np.sum(g * u, axis=1)[None], "lap": np.trace(H, axis1=1, axis2=2)[None],
+                     "hu": np.einsum("kil,kl->ik", H, u)}
+        row_order = {"f": 0, "grad": 1, "hess": 2, "gu": 2, "lap": 2, "hu": 2, "gradlap": 3}
         for order, (i, j) in itertools.product(range(4), [(0, len(r)), (10, 11),
                                                           (len(r) - 1, len(r))]):
-            fields = RandomTestFields(dirs)
+            fields = RandomTestFields(dirs, dw)
             terms, columns = fields.terms(coefs, order), fields.columns(order)
             radial = fields.radial(r[i:j], order)
             nodes = slice(i * len(dirs), j * len(dirs))
-            assert len(terms) == order + 1 and columns.keys() == terms.keys()
-            for (cols, A), ref in zip(zip(columns.values(), terms.values()), pointwise):
-                field = (radial[:, cols] @ A)[:, 0].reshape(len(A), -1)  # the one trial
+            assert columns.keys() == terms.keys() == {
+                name for name, q in row_order.items() if q <= order}
+            for name, A in terms.items():
+                # the one trial's (k, c, J) against the radial columns
+                ref = pointwise[name]
+                field = np.tensordot(radial[:, columns[name]], A[0], axes=1) / np.sqrt(dw)
+                field = field.transpose(1, 0, 2).reshape(A.shape[2], -1)
                 assert field.shape == ref[:, nodes].shape
                 assert np.max(np.abs(field - ref[:, nodes])) <= 1e-13 * np.max(np.abs(ref))
                 assert np.all(field[:, outside[nodes]] == 0.0)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -360,6 +361,24 @@ def test_block_pack_matches_reference_pack():
                     assert abs(got - ref[key]) <= 1e-9 * scale, (n, beta, seed, order, key)
 
 
+def test_pack_working_set_is_bounded():
+    # one n = 3 order-2 pack of three trials on criterion 4's rule builds each
+    # row once, in the layout its Grams read, with no gathered or transposed
+    # copy: tracemalloc's peak reads 1.26 MiB (2.54 MiB with the gathered
+    # Hessian rows and the Grams' weighted and transposed copies); the
+    # bound is that reading plus 19%
+    p = MeasureParams(3, 2.5)
+    spec = QuadratureSpec("product_spherical", nodes=128, angular_nodes=40)
+    quadrature._random_test_pack(p, spec, 3, 0, order=2)  # fill the cached tables
+    tracemalloc.start()
+    try:
+        quadrature._random_test_pack(p, spec, 3, 0, order=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2 ** 20
+
+
 @pytest.mark.parametrize("nodes, angular", [(128, 40), (16, 12)])
 def test_verify_all_trial_blocks(monkeypatch, nodes, angular):
     # more trials than one block and not a multiple of it: the same reports
@@ -454,10 +473,11 @@ def test_packs_on_a_warm_cache_match_a_cold_one(n, beta):
         for key, value in cold.items():
             np.testing.assert_array_equal(got[key], value, err_msg=key)
     for order in (1, 2, 3):
-        fields, dirs, dw, _, first, blocks = quadrature._pack_tables(
+        fields, _, blocks = quadrature._pack_tables(
             MeasureParams(n, beta), spec, functions.RANDOM_TEST_RADIUS,
             functions.RANDOM_TEST_SEAMS, order)
-        for a in (fields._table, fields._u, dirs, dw, first, *blocks.values()):
+        assert ("mean" in blocks) == (order == 1)
+        for a in (fields._mono, fields._u, *blocks.values()):
             assert not a.flags.writeable
 
 

@@ -72,6 +72,19 @@ def test_identity_digest_repeats():
     assert _run("identity_digest.py", "--short") == first
 
 
+def test_identity_digest_dump_against_itself(tmp_path):
+    # a dump read back on the tree that wrote it: the same digest, no change
+    # of any kind of record and no verify row's worst trial moved
+    dump = tmp_path / "digest.json"
+    first = _run("identity_digest.py", "--short", "--dump", str(dump))
+    lines = _run("identity_digest.py", "--short", "--against", str(dump))
+    assert lines[0] == first[0]
+    report = {line[:16].strip(): float(line[16:].split()[0]) for line in lines[1:]}
+    assert {"pack", "verify", "verify residual", "sign residual", "scan", "scan residual",
+            "bump", "verify moved"} == report.keys()
+    assert all(value == 0.0 for value in report.values()), report
+
+
 @pytest.mark.parametrize("n, beta", [(3, 3.8), (3, 200.0), (1, 54.0)])
 def test_oracle_script_builds_the_package_radii(n, beta):
     # the cell pins' grid is written out in the script, not imported: it must

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -590,6 +591,26 @@ def test_deficit_memory_does_not_grow_with_the_rule():
     finally:
         tracemalloc.stop()
     assert peak < full / 4
+
+
+@pytest.mark.parametrize("make, n, beta, range_tag", [
+    (lambda p: make_quadratic_centered(p), 2, 3.0, "mid"),
+    (lambda p: make_quadratic_centered(p), 3, 3.4, "mid"),
+    (lambda p: make_quadratic_centered(p), 2, 2.5, "mid"),
+    (lambda p: make_power_family(1.2), 2, 2.0, "lower"),
+])
+def test_deficit_refuses_an_f_outside_l2(make, n, beta, range_tag):
+    # Var(f) = inf for these f; the quadrature overflows on the far nodes.
+    # The deficit refuses with the f, n and beta named, and lets no
+    # RuntimeWarning escape, where it returned NaN with two warnings
+    p = MeasureParams(n, beta)
+    f = make(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            deficit(f, p, range_tag)
+    msg = str(info.value)
+    assert f.label in msg and f"n = {n}, beta = {beta:g}" in msg and "not in L^2" in msg
 
 
 def test_deficit_upper_linear_zero():
