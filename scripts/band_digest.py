@@ -1,4 +1,5 @@
-"""One SHA-256 over the Galerkin bands and the heat flow's loads.
+"""Two SHA-256 lines: the Galerkin bands and the heat flow's loads, then
+the solves on them.
 
 Hashes the bands A and B of modes 0-3, with and without tail rays, at each
 (m, delta, n, beta) of a fixed list: the eight spectral_sweep points on
@@ -9,12 +10,18 @@ line at (1, 2.0), m = 1024, whose load over [R, inf) is 0, and two whose
 load there is not, the centered quadratic at (1, 4.0), m = 128,
 delta = 0.2, and a linear f at (3, 3.8), m = 256.  Every grid serves
 several (n, beta) in turn, as in a sweep.
-Two source trees that print the same digest assemble the same bytes, so a
-change meant to leave the numbers alone can be checked with one command
-on each tree:
+
+The second line hashes what is solved on such bands, with or without
+--short: the reprs of `numeric_gap` at the eight sweep points on
+m = 256 and m = 2048, delta = 1e-3, then criterion 7's
+`variance_representation_check` (the seed-s bump on the line at
+(1, 2.0), m = 1024, rho = 2) for seeds 0-9 at T = 4 and T = 0.05.
+Two source trees that print the same lines assemble the same bytes and
+solve them to the same floats, so a change meant to leave the numbers
+alone can be checked with one command on each tree:
 
     PYTHONPATH=src python3 scripts/band_digest.py           # full list
-    PYTHONPATH=src python3 scripts/band_digest.py --short   # cell-loop grids only
+    PYTHONPATH=src python3 scripts/band_digest.py --short   # bands on the cell-loop grids only
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ import numpy as np
 
 from cauchygap.functions import make_linear, make_quadratic_centered, make_random_test
 from cauchygap.measures import MeasureParams
-from cauchygap.semigroup import _mode_profiles
-from cauchygap.spectral import Discretization, _hat_loads, _mode_problems
+from cauchygap.semigroup import _mode_profiles, variance_representation_check
+from cauchygap.spectral import Discretization, _hat_loads, _mode_problems, numeric_gap
 
 SWEEP_POINTS = ((1, 1.2), (1, 3.0), (2, 1.5), (2, 4.0),
                 (3, 2.0), (3, 3.8), (3, 5.0), (3, 200.0))
@@ -68,12 +75,28 @@ def digest(short: bool = False) -> str:
     return h.hexdigest()
 
 
+def solve_digest() -> str:
+    h = hashlib.sha256()
+    for m in (256, 2048):
+        disc = Discretization(m=m, delta=1e-3)
+        for n, beta in SWEEP_POINTS:
+            h.update(repr(numeric_gap(MeasureParams(n, beta), disc)).encode())
+    params, disc = MeasureParams(1, 2.0), Discretization(m=1024, delta=1e-3)
+    for seed in range(10):
+        for T in (4.0, 0.05):
+            check = variance_representation_check(make_random_test(seed, 1), 2.0, T, 0.01,
+                                                   params, disc)
+            h.update(repr(check).encode())
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--short", action="store_true",
-                    help="hash only the cell-loop grids (and the loads)")
+                    help="hash the bands of the cell-loop grids only (and the loads)")
     args = ap.parse_args(argv)
     print(digest(args.short))
+    print(solve_digest())
     return 0
 
 

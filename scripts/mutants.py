@@ -86,8 +86,8 @@ MUTANTS = [
      ["tests/test_spectral.py::test_tail_moments_satisfy_their_recurrences",
       "tests/test_spectral.py::test_tail_moments_past_the_binomial_series"]),
     ("inertia-schur-dropped", SPECTRAL,
-     "        d = np.append(d, rays)\n",
-     "",
+     "            d = np.append(d, _ray_pivots(shifted, w, w / d[-1])[1])\n",
+     "            _ray_pivots(shifted, w, w / d[-1])\n",
      "the ray block's Schur pivots left out of the Sylvester count",
      ["tests/test_spectral.py::test_inertia_matches_the_dense_count",
       "tests/test_spectral.py::test_inertia_counts_the_values_under_the_shift"]),
@@ -133,13 +133,13 @@ MUTANTS = [
       "tests/test_semigroup.py::test_flow_integral_matches_dense_spectrum",
       "tests/test_semigroup.py::test_variance_check_sees_the_flow_end_term"]),
     ("contour-constants-flowed", SEMIGROUP,
-     "    if problem.ell == 0:\n",
-     "    if problem.ell < 0:\n",
+     "    Bu = problem.B @ problem._mean_free(v)\n",
+     "    Bu = problem.B @ v\n",
      "mode 0's constants flowed with the rest, under the shift that puts them at x > 0",
      ["tests/test_semigroup.py::test_flow_keeps_mode_zero_constants_exactly"]),
     ("flow-returns-constants", SEMIGROUP,
      "    out = math.exp(-t * sigma) * flow\n",
-     "    out = v - u + math.exp(-t * sigma) * flow\n",
+     "    out = v - problem._mean_free(v) + math.exp(-t * sigma) * flow\n",
      "mode 0's constants split off the flow but returned with it, unflowed",
      ["tests/test_semigroup.py::test_flow_keeps_mode_zero_constants_exactly",
       "tests/test_semigroup.py::test_deficit_trace_matches_dense_spectrum"]),
@@ -150,27 +150,31 @@ MUTANTS = [
      "the trace's flow on the fewest nodes its decay allows, the variance check's rule, "
      "not on 24",
      ["tests/test_semigroup.py::test_deficit_trace_matches_dense_spectrum"]),
+    ("ray-diagonal-underflow", SPECTRAL,
+     "    piv = shifted[0, -r:] - left * right\n",
+     "    piv = shifted[0, -r:] - left * left * (right / left)\n",
+     "the rays' diagonal Schur products as (w w) t, t = right / left, whose w w "
+     "underflows on far rays",
+     ["tests/test_spectral.py::test_ray_products_survive_underflow"]),
     ("schur-product-underflow", SPECTRAL,
-     "                s21 = shifted[1, nh] - w[1] * (w[0] / d[-1])\n",
-     "                s21 = shifted[1, nh] - w[1] * w[0] / d[-1]\n",
-     "the count's ray product S21 as w w / d, whose w w underflows on far rays",
+     "    s21 = shifted[1, -2] - left[1] * right[0]\n",
+     "    s21 = shifted[1, -2] - left[1] * left[0] * (right[0] / left[0])\n",
+     "the rays' off-diagonal Schur product S21 as (w w) t, t = right / left, whose w w "
+     "underflows on far rays",
      ["tests/test_spectral.py::test_numeric_gap_at_2_42_on_the_delta_1e2_truncation",
       "tests/test_spectral.py::test_ray_products_survive_underflow"]),
-    ("inertia-first-ray-underflow", SPECTRAL,
-     "            rays = [shifted[0, nh] - w[0] * (w[0] / d[-1])]\n",
-     "            rays = [shifted[0, nh] - w[0] * w[0] / d[-1]]\n",
-     "the count's first ray product as w w / d, whose w w underflows on far rays",
+    ("count-reciprocal-pivot", SPECTRAL,
+     "_ray_pivots(shifted, w, w / d[-1])",
+     "_ray_pivots(shifted, w, w * (1.0 / d[-1]))",
+     "the count's ray factor as w (1 / d_last), whose reciprocal overflows where "
+     "d_last is subnormal",
      ["tests/test_spectral.py::test_ray_products_survive_underflow"]),
-    ("inertia-second-ray-underflow", SPECTRAL,
-     " - w[1] * (w[1] / d[-1]) - ",
-     " - w[1] * w[1] / d[-1] - ",
-     "the count's second ray product as w w / d, whose w w underflows on far rays",
-     ["tests/test_spectral.py::test_ray_products_survive_underflow"]),
-    ("solve-schur-underflow", SPECTRAL,
-     "np.outer(z[-1] * w, w)",
-     "z[-1] * np.outer(w, w)",
-     "the solve's ray Schur product as t (w w'), whose w w' underflows on far rays",
-     ["tests/test_spectral.py::test_ray_products_survive_underflow"]),
+    ("solve-deflation-skipped", SPECTRAL,
+     "        y = problem._mean_free(solve(Bx))\n",
+     "        y = solve(Bx)\n",
+     "mode 0's iterates not made B-orthogonal to the constants, which grow under sigma",
+     ["tests/test_spectral.py::test_numeric_gap_m2048_pins",
+      "tests/test_spectral.py::test_floored_mode0_matches_the_unshifted_solve"]),
     ("radial-direction-weight", QUADRATURE,
      "        dirs = np.eye(1, params.n), np.ones(1)\n",
      "        dirs = np.eye(1, params.n), np.full(1, 0.5 / params.n)\n",

@@ -90,7 +90,7 @@ _SHARED_FLAGS = {
     "beta": dict(type=float),
     "m": dict(type=int, default=512),
     "delta": dict(type=float, default=1e-3),
-    "seed": dict(type=int, default=0),
+    "seed": dict(type=_at_least(int, 0, "non-negative int"), default=0),
 }
 
 

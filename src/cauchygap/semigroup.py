@@ -117,13 +117,12 @@ def _talbot(N: int):
 def _flow_at(problem: ModeProblem, v: np.ndarray, t: float, N: int) -> np.ndarray:
     """exp(-t B^{-1} A) u, the exact flow B u' = -A u from u at time t > 0,
     over every mode of the pencil, by Talbot's rational on N nodes (a key
-    of _TALBOT_EPS), for the projection's hats-only pencils
-    (`spectral._hat_projection`; on mode 0 the all-ones vector is then the
-    constants).
+    of _TALBOT_EPS).
 
     u is v less its constant part (1'Bv / 1'B1) 1 on mode 0, and v on every
-    other mode: the constants are dropped, not flowed (the projection's v
-    is mean-free, and A 1 = 0).  u lies on the nontrivial values of
+    other mode (`ModeProblem._mean_free`, which owns the constants, with or
+    without rays): the constants are dropped, not flowed (the projection's
+    v is mean-free, and A 1 = 0).  u lies on the nontrivial values of
     M = B^{-1} A, all at or above the guard's shift sigma (its Sylvester
     count leaves none below), so exp(-tM) u = e^{-t sigma} exp(-t (M - sigma)) u,
     and the second factor is the contour sum r_N(-t (M - sigma)) u
@@ -137,11 +136,7 @@ def _flow_at(problem: ModeProblem, v: np.ndarray, t: float, N: int) -> np.ndarra
     """
     A, B = problem.A.band, problem.B.band
     sigma = problem._guarded[0]
-    u = v
-    if problem.ell == 0:
-        B1 = problem.B @ np.ones(len(v))
-        u = v - (B1 @ v) / B1.sum()
-    Bu = problem.B @ u
+    Bu = problem.B @ problem._mean_free(v)
     flow = np.zeros(len(v))
     for z, c in zip(*_talbot(N)):
         solve = _shifted_solve(problem, A + (z / t - sigma) * B)

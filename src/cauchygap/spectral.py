@@ -369,7 +369,8 @@ class ModeProblem:
     over hat functions on `radii` (node 0 removed for ell >= 1) plus one
     column per tail ray r^k - R^k (k listed in ray_ks), stored as SymBand
     with half-width 1 (hats only) or 2 (with rays).  For ell = 0 the
-    all-ones hat vector spans the constants and lies in the kernel of A.
+    vector of ones over the hats, zero on the rays, spans the constants and
+    lies in the kernel of A; `_constants` and `_mean_free` own it.
     """
     ell: int
     A: SymBand
@@ -396,6 +397,27 @@ class ModeProblem:
             return cholesky_banded(self.B.band, lower=True)
         except ValueError as exc:  # LinAlgError, or a non-finite entry
             raise NumericalBreakdown(self, f"banded Cholesky of B failed ({exc})") from exc
+
+    @cached_property
+    def _constants(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Mode 0's constants, once per problem: (1, B1, 1'B1), 1 the ones
+        over the hats and zero on the rays.  The one-value solve deflates
+        them (`lowest_eigs`), the contour flow drops them
+        (`semigroup._flow_at`), and the projection reads its mass 1'B1
+        here (`_hat_projection`)."""
+        one = np.zeros(self.size())
+        one[:self.size() - len(self.ray_ks)] = 1.0
+        B1 = self.B @ one
+        return one, B1, float(one @ B1)
+
+    def _mean_free(self, y: np.ndarray) -> np.ndarray:
+        """y less its constant part (y'B1 / 1'B1) 1 on mode 0 (`_constants`),
+        B-orthogonal to the constants; y itself on every other mode, which
+        has none."""
+        if self.ell > 0:
+            return y
+        one, B1, mass = self._constants
+        return y - (y @ B1) / mass * one
 
     def _b_solve(self, b: np.ndarray) -> np.ndarray:
         """B^{-1} b on the cached factor: the projection (_hat_projection)
@@ -525,7 +547,8 @@ def _hat_projection(profiles, params: MeasureParams, disc: Discretization):
     """The L^2(mu) projection of radial profiles on the hats (no rays) of
     their modes: (problems, vs, mass), each mode's problem and
     v = B^{-1} b of its loads (`_hat_loads`, same arguments), in ascending
-    ell, and the discrete mass 1'B1 of mode 0, which profiles must give.
+    ell, and the discrete mass 1'B1 of mode 0 (`ModeProblem._constants`),
+    which profiles must give.
 
     Mode 0 is shifted by its discrete mean 1'b / 1'B1: the heat flow keeps
     the mean, so the constant leaves the flow's representation exactly.
@@ -533,8 +556,7 @@ def _hat_projection(profiles, params: MeasureParams, disc: Discretization):
     loads = _hat_loads(profiles, params, disc)
     problems = list(_mode_problems(sorted(loads), params, disc, tail_rays=False))
     vs = [p._b_solve(loads[p.ell]) for p in problems]
-    ones = np.ones(problems[0].size())
-    mass = float(ones @ (problems[0].B @ ones))
+    mass = problems[0]._constants[2]
     vs[0] -= np.sum(loads[0]) / mass
     return problems, vs, mass
 
@@ -590,12 +612,10 @@ def _inertia(problem: ModeProblem, shifted: np.ndarray, what: str) -> int:
     Unpivoted LDL' of the tridiagonal hat block by LAPACK dpttrf, which
     stops at the first pivot that is not positive: past a negative pivot
     d_k the next is d_{k+1} - e_k (e_k / d_k), and dpttrf restarts there.
-    Then the LDL' pivots of the ray block's Schur complement
-    S = R - w w'/d_last, S11 and S22 - S21 (S21 / S11), since rays couple
-    only to the last hat (Haynsworth inertia additivity).  Each product is
-    w_i (w_j / d_last): far rays carry w near 1e-160, whose square
-    underflows to 0.  A zero or NaN pivot raises NumericalBreakdown
-    (dpttrf passes NaN on).
+    Then the pivots of the ray block's Schur complement
+    S = R - w w'/d_last (`_ray_pivots`, on w and w / d_last), since rays
+    couple only to the last hat (Haynsworth inertia additivity).  A zero or
+    NaN pivot raises NumericalBreakdown (dpttrf passes NaN on).
     """
     from scipy.linalg.lapack import dpttrf
     nh = problem.size() - len(problem.ray_ks)
@@ -613,14 +633,35 @@ def _inertia(problem: ModeProblem, shifted: np.ndarray, what: str) -> int:
     if problem.ray_ks:
         w = shifted[1:len(problem.ray_ks) + 1, nh - 1]
         with np.errstate(divide="ignore", invalid="ignore"):  # zeros raise below
-            rays = [shifted[0, nh] - w[0] * (w[0] / d[-1])]
-            if len(w) == 2:
-                s21 = shifted[1, nh] - w[1] * (w[0] / d[-1])
-                rays.append(shifted[0, nh + 1] - w[1] * (w[1] / d[-1]) - s21 * (s21 / rays[0]))
-        d = np.append(d, rays)
+            d = np.append(d, _ray_pivots(shifted, w, w / d[-1])[1])
     if not np.all((d < 0.0) | (d > 0.0)):
         raise NumericalBreakdown(problem, f"{what} has a zero or NaN pivot")
     return int(np.count_nonzero(d < 0.0))
+
+
+def _ray_pivots(shifted: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """(mult, pivots) of the LDL' of the rays' Schur complement
+    S = R - t w w' in the band `shifted`, the one copy of its formula, for
+    `_inertia` and `_shifted_solve`: R the ray block, w the rays' couplings
+    to the last hat, t that hat's entry of the hat block's inverse.  The
+    pivots are S11 and S22 - mult S21, mult = S21 / S11 (one ray: S11, and
+    mult is None).
+
+    The caller passes t w w' as left right', t folded into one factor, and
+    each product is left_i right_j: far rays carry w near 1e-160, whose
+    square underflows to 0, and the reciprocal of a subnormal last hat
+    pivot d_last overflows.  So the count passes (w, w / d_last) and the
+    solve (t w, w).  A zero pivot gives inf or NaN, which the callers
+    refuse (under their own np.errstate).
+    """
+    r = len(left)
+    piv = shifted[0, -r:] - left * right
+    if r == 1:
+        return None, piv
+    s21 = shifted[1, -2] - left[1] * right[0]
+    mult = s21 / piv[0]
+    piv[1] -= mult * s21
+    return mult, piv
 
 
 # The one-value solve (lowest_eigs): inverse iteration at sigma stops once a
@@ -674,8 +715,8 @@ def _shifted_solve(problem: ModeProblem, shifted: np.ndarray):
     LAPACK dgttrf (LU with partial pivoting; zgttrf for a complex band) of
     the tridiagonal hat block T.  The rays couple only to the last hat, by
     w, so their Schur complement is S = R - t w w' with
-    t = (T^{-1})_{last,last}, solved by
-    its LDL' pivots as in _inertia: the rays' part is
+    t = (T^{-1})_{last,last}, solved by its LDL' pivots (`_ray_pivots` on
+    t w and w, which the count calls too): the rays' part is
     u = S^{-1} (b_rays - w y_last) and the hats' y - T^{-1} e_last (w'u),
     with y = T^{-1} b_hats.
     """
@@ -695,11 +736,8 @@ def _shifted_solve(problem: ModeProblem, shifted: np.ndarray):
         return hats
     w = shifted[1:r + 1, nh - 1]
     z = hats(np.eye(1, nh, nh - 1)[0])
-    s = np.array([[shifted[abs(i - j), nh + min(i, j)] for j in range(r)]
-                  for i in range(r)]) - np.outer(z[-1] * w, w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        mult = s[-1, 0] / s[0, 0]  # the LDL' multiplier of two rays
-        piv = np.array([s[0, 0], s[1, 1] - mult * s[1, 0]] if r == 2 else [s[0, 0]])
+        mult, piv = _ray_pivots(shifted, z[-1] * w, w)
     if not np.all(np.isfinite(piv) & (piv != 0.0)):
         return None
 
@@ -730,36 +768,20 @@ def lowest_eigs(problem: ModeProblem) -> float:
     iteration refactors once, at mu = the running value, and continues
     from the current iterate; a singular factor there means the value is
     one to rounding, and the steps stop.  On mode 0 every iterate is made
-    B-orthogonal to the constants (the all-ones hats), which lie under
-    sigma: deep in the lower range sigma is nearer to them than to the
-    value sought, and they would grow from rounding at every step.
+    B-orthogonal to the constants (`ModeProblem._mean_free`, which owns
+    them), which lie under sigma: deep in the lower range sigma is nearer
+    to them than to the value sought, and they would grow from rounding at
+    every step.
     """
     sigma, _, shifted, what = problem._guarded
     B, nn = problem.B, problem.size()
-    if problem.ell == 0:
-        ones = np.zeros(nn)
-        ones[:nn - len(problem.ray_ks)] = 1.0
-        B1 = B @ ones
-        mass = ones @ B1
-
-    def factor(shifted):  # _shifted_solve, on mode 0 off the constants
-        solve = _shifted_solve(problem, shifted)
-        if solve is None or problem.ell > 0:
-            return solve
-
-        def orthogonal(b):
-            y = solve(b)
-            return y - (y @ B1) / mass * ones
-
-        return orthogonal
-
-    solve = factor(shifted)
+    solve = _shifted_solve(problem, shifted)
     if solve is None:
         raise NumericalBreakdown(problem, f"{what} is singular")
     Bx = B @ np.linspace(1.0, 2.0, nn)
     mu, lam, move = sigma, sigma, math.inf
     for _ in range(_MAX_STEPS):
-        y = solve(Bx)
+        y = problem._mean_free(solve(Bx))
         By = B @ y
         yBy = y @ By
         new = mu + (y @ Bx) / yBy
@@ -768,7 +790,7 @@ def lowest_eigs(problem: ModeProblem) -> float:
         if move <= _STEP_TOL * lam or move >= last:
             break
         if mu == sigma and _SLOW_RATIO * last < move <= _REFACTOR_FROM * lam:
-            solve = factor(problem.A.band - lam * B.band)
+            solve = _shifted_solve(problem, problem.A.band - lam * B.band)
             if solve is None:  # lam is a value to rounding
                 break
             mu, move = lam, math.inf  # the moves at mu start a new sequence

@@ -535,11 +535,16 @@ def test_deficit_mismatch_is_a_tolerance_failure(tmp_path, monkeypatch, capsys):
     (["verify", "--n", "2", "--beta", "2.5", "--trials", "1"], "tol", "-1e-9"),
     (["sweep", "--n", "2", "--beta-min", "1.2", "--beta-max", "4.0", "--m", "96"],
      "steps", "0"),
+    (["verify", "--n", "2", "--beta", "2.5", "--trials", "1"], "seed", "-1"),
+    (["deficit", "--n", "2", "--beta", "1.5", "--range", "lower", "--f", "bump"],
+     "seed", "-1"),
+    (["sample", "--n", "2", "--beta", "3.0", "--count", "5"], "seed", "-1"),
 ])
 def test_declared_flag_rules_hold_on_the_command_line_and_in_the_config(
         tmp_path, capsys, argv, key, value):
-    # a negative or NaN --tol and a --steps under 1 are refused by the
-    # flag's declared type, before anything is computed or written
+    # a negative or NaN --tol, a --steps under 1 and a negative --seed are
+    # refused by the flag's declared type, before anything is computed or
+    # written
     out, cfg = tmp_path / "out.txt", tmp_path / "run.cfg"
     assert main(argv + [f"--{key}={value}", "--out", str(out)]) == EXIT_CONFIG
     assert f"argument --{key}: invalid " in capsys.readouterr().err

@@ -59,10 +59,13 @@ def test_lowfact_scan_on_the_line():
 
 
 def test_band_digest_repeats():
-    # one SHA-256 line, the same bytes on a second run
+    # two SHA-256 lines, the bands' and the solves', the same bytes on a
+    # second run; the full list hashes more bands and the same solves
     first = _run("band_digest.py", "--short")
-    assert len(first) == 1 and re.fullmatch(r"[0-9a-f]{64}", first[0])
+    assert len(first) == 2 and all(re.fullmatch(r"[0-9a-f]{64}", line) for line in first)
     assert _run("band_digest.py", "--short") == first
+    full = _run("band_digest.py")
+    assert full[0] != first[0] and full[1] == first[1]
 
 
 def test_identity_digest_repeats():

@@ -1390,7 +1390,7 @@ def _underflow_band(prob):
 
 
 def test_ray_products_survive_underflow():
-    # the count's three ray products and the solve's Schur product against
+    # the ray block's Schur products in the count and in the solve against
     # the dense reference after the congruence by diag(M)^(-1/2), which
     # brings every row to unit scale (Sylvester: the same inertia)
     prob = assemble_mode(1, MeasureParams(3, 3.8), Discretization(m=64, delta=1e-3))
@@ -1403,6 +1403,14 @@ def test_ray_products_survive_underflow():
     ref = np.linalg.solve(SymBand(band).toarray() * d[:, None] * d, b * d) * d
     got = spectral._shifted_solve(prob, band)(b)
     np.testing.assert_allclose(got / d, ref / d, rtol=1e-12, atol=1e-12)
+    # a subnormal last hat pivot d = 1e-310, whose reciprocal overflows to
+    # inf: w = 1e-170 gives w_i (w_j / d) = 1e-30, and the ray block
+    # R = [[2, 1], [1, 2]] 1e-30 the Schur complement S = 1e-30 I, no
+    # negative value (the solve's t = 1/d overflows; only the count runs)
+    band[0, prob.size() - 3] = 1e-310
+    band[0, -2:], band[1, -2] = 2e-30, 1e-30
+    assert _dense_negatives(band) == 0
+    assert spectral._inertia(prob, band, "M") == 0
 
 
 def test_spectral_refusals():
