@@ -193,6 +193,17 @@ MUTANTS = [
      "the direction weights dw on both sides of every angular Gram, not sqrt(dw)",
      ["tests/test_quadrature.py::test_block_pack_matches_reference_pack",
       "tests/test_functions.py::test_random_test_fields_on_radial_rows_match_pointwise"]),
+    ("variance-check-admits-all", SEMIGROUP,
+     '        raise ValueError("need dt > 0 and T >= 0")\n    _refuse_outside_l2(f, params)\n',
+     '        raise ValueError("need dt > 0 and T >= 0")\n',
+     "the variance check takes f of infinite variance, whose projection passes it",
+     ["tests/test_semigroup.py::test_variance_check_refuses_an_f_outside_l2"]),
+    ("l2-limit-inclusive", SEMIGROUP,
+     "    if f.growth is not None and not f.growth < limit:\n",
+     "    if f.growth is not None and not f.growth <= limit:\n",
+     "f growing like |x|^k admitted at k = beta - n/2, where its variance diverges",
+     ["tests/test_semigroup.py::test_deficit_refuses_an_f_outside_l2",
+      "tests/test_semigroup.py::test_variance_check_refuses_an_f_outside_l2"]),
     ("scipy-at-import", SPECTRAL,
      "from numpy.polynomial.legendre import leggauss\n",
      "from numpy.polynomial.legendre import leggauss\n"

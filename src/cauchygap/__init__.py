@@ -7,8 +7,8 @@ representation along the heat flow.
 from .functions import (SmoothFunction, make_linear, make_lower_extremal_1d,
                         make_power_family, make_quadratic_centered,
                         make_radial_log_cutoff, make_random_test)
-from .measures import (MeasureParams, density, log_normalization, mean_sq_norm,
-                       normalization, omega_moment, sample)
+from .measures import (MeasureParams, density, l2_growth_limit, log_normalization,
+                       mean_sq_norm, normalization, omega_moment, sample)
 from .operators import (FactorizedGamma2, apply_L, cauchy_weight, cd_witness,
                         gamma, gamma2_cauchy_factorized, gamma2_general)
 from .quadrature import (VERIFY_GRID, IdentityReport, QuadratureSpec,
@@ -29,7 +29,7 @@ __all__ = [
     "assemble_mode", "cauchy_weight", "cd_witness", "closed_form_gap",
     "default_horizon", "default_nd_spec", "deficit", "deficit_trace", "density",
     "gamma", "gamma2_cauchy_factorized",
-    "gamma2_general", "integrate_nd", "log_normalization", "lowest_eigs",
+    "gamma2_general", "integrate_nd", "l2_growth_limit", "log_normalization", "lowest_eigs",
     "lowfact_coefficients", "lowfact_epsilon_scan", "lowfact_sign_check",
     "make_linear", "make_lower_extremal_1d", "make_power_family",
     "make_quadratic_centered", "make_radial_log_cutoff", "make_random_test",

@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .functions import make_linear, make_quadratic_centered, make_random_test
-from .measures import MeasureParams, mean_sq_norm, omega_moment, sample
+from .measures import MeasureParams, l2_growth_limit, mean_sq_norm, omega_moment, sample
 from .quadrature import VERIFY_GRID, lowfact_sign_check, verify_all
 from .semigroup import DeficitMismatch, deficit
 from .spectral import (GAP_FORMULA, RAYLEIGH_EPS_LIMIT, Discretization,
@@ -300,7 +300,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     points = sample(params, args.count, args.seed)
     x2 = np.sum(points ** 2, axis=1)
     checks = [("omega_inv", 1.0 / (1.0 + x2), omega_moment(1.0, params))]
-    if 2.0 * params.beta - params.n - 2.0 > 0:
+    if 1 < l2_growth_limit(params):  # |x| in L^2: E|x|^2 is finite
         checks.append(("mean_sq_norm", x2, mean_sq_norm(params)))
     path = _out_path(args, f"sample_n{params.n}_beta{params.beta:g}.csv")
     # the points row by row (np.float64 cells are floats), then the checks

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .measures import MeasureParams, mean_sq_norm
+from .measures import MeasureParams, l2_growth_limit, mean_sq_norm
 
 Array = np.ndarray
 
@@ -40,6 +40,10 @@ class SmoothFunction:
     # 0 = radial (on the line, even), 1 = linear-in-x (plus a constant);
     # None = generic.  The deficit's cross-check trusts this declaration.
     angular_mode: Optional[int] = None
+    # k where |f| grows like |x|^k: f is in L^2(mu) iff k < l2_growth_limit.
+    # None = no claim (compact support, hand-built f).  The variance check
+    # and the deficit refuse f whose declared k is at or past the limit.
+    growth: Optional[float] = None
     # make_random_test's f = P b: the coefficients of P on the basis of
     # _poly_basis.  Where set, the deficit integrates f from them in separable
     # form, not from value and gradient, so a copy that replaces either must
@@ -116,6 +120,8 @@ def _radial(profile, center=None):
 
 def make_linear(v: Array) -> SmoothFunction:
     v = np.asarray(v, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"direction vector must be finite, got {v.tolist()}")
     if not np.any(v != 0):
         raise ValueError("direction vector must be nonzero")
     n = v.size
@@ -127,14 +133,15 @@ def make_linear(v: Array) -> SmoothFunction:
             return np.broadcast_to(v, x.shape).copy()
         return np.zeros((len(x), n, n))
 
-    return _from_fields(fields, label=f"linear{v.tolist()}", angular_mode=1)
+    return _from_fields(fields, label=f"linear{v.tolist()}", angular_mode=1, growth=1.0)
 
 
 def make_quadratic_centered(params: MeasureParams) -> SmoothFunction:
-    """|x|^2 - E|x|^2.  Mean-zero by construction; in L^2 only when beta > n/2 + 2."""
-    c = mean_sq_norm(params)  # requires beta > n/2 + 1
+    """|x|^2 - E|x|^2.  Mean-zero by construction, growth 2.  E|x|^2 needs |x|
+    in L^2 (else ValueError); where |x|^2 is not, the label says so."""
+    c = mean_sq_norm(params)
     n = params.n
-    flag = "" if params.beta > n / 2 + 2 else " (not in L2)"
+    flag = "" if 2.0 < l2_growth_limit(params) else " (not in L2)"
 
     # direct orders: the radial chain rule costs this f several times over
     def fields(x, order):
@@ -145,18 +152,21 @@ def make_quadratic_centered(params: MeasureParams) -> SmoothFunction:
         return np.broadcast_to(2.0 * np.eye(n), (len(x), n, n)).copy()
 
     return _from_fields(fields, label=f"quadratic_centered(c={c:.6g}){flag}",
-                        angular_mode=0)
+                        angular_mode=0, growth=2.0)
 
 
 def make_power_family(epsilon: float) -> SmoothFunction:
-    """f(x) = (1 + |x|^2)^epsilon with analytic derivatives (any dimension)."""
+    """f(x) = (1 + |x|^2)^epsilon with analytic derivatives (any dimension),
+    growth 2 epsilon; epsilon must be finite."""
     eps = float(epsilon)
+    if not np.isfinite(eps):
+        raise ValueError(f"epsilon must be finite, got {eps}")
 
     def profile(s, k):  # g^(k)(s) for g(s) = (1 + s)^eps
         return (1.0, eps, eps * (eps - 1.0))[k] * (1.0 + s) ** (eps - k)
 
     return _from_fields(_radial(profile), label=f"power(eps={eps})",
-                        angular_mode=0)
+                        angular_mode=0, growth=2.0 * eps)
 
 
 def make_radial_log_cutoff(x0: Array, r_in: float, r_out: float) -> SmoothFunction:
@@ -204,8 +214,12 @@ def make_lower_extremal_1d(beta: float) -> SmoothFunction:
     """Primitive of (1+x^2)^((2 beta - 3)/4) on the line.
 
     Solves w f'' + (3/2 - beta) x f' = 0 exactly (w = 1 + x^2); the value
-    is x * 2F1(1/2, -p; 3/2; -x^2) with p = (2 beta - 3)/4.
+    is x * 2F1(1/2, -p; 3/2; -x^2) with p = (2 beta - 3)/4, growth
+    2p + 1 = beta - 1/2 (on the line, the L^2 limit itself); beta must be
+    finite.
     """
+    if not np.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     p = (2.0 * float(beta) - 3.0) / 4.0
 
     def fields(x, order):
@@ -217,7 +231,8 @@ def make_lower_extremal_1d(beta: float) -> SmoothFunction:
             return ((1.0 + t * t) ** p)[:, None]
         return (2.0 * p * t * (1.0 + t * t) ** (p - 1.0))[:, None, None]
 
-    return _from_fields(fields, label=f"lower_extremal_1d(beta={beta})")
+    return _from_fields(fields, label=f"lower_extremal_1d(beta={beta})",
+                        growth=float(beta) - 0.5)
 
 
 # ----------------------------------------------------------------------

@@ -73,10 +73,20 @@ def omega_moment(gamma: float, params: MeasureParams) -> float:
     return float(np.exp(log_normalization(shifted) - log_normalization(params)))
 
 
+def l2_growth_limit(params: MeasureParams) -> float:
+    """beta - n/2: a function that grows like |x|^k is in L^2(mu) iff
+    k < this limit (|x|^(2k) (1 + |x|^2)^(-beta) is integrable iff
+    2k - 2 beta < -n).  The one place this rule is written: every
+    integrability decision on f compares its growth with it.  Exact in
+    double for beta < 2^52, as beta > n/2 and n/2 is a multiple of 1/2."""
+    return params.beta - params.n / 2
+
+
 def mean_sq_norm(params: MeasureParams) -> float:
-    """E |x|^2 = n / (2 beta - n - 2); requires beta > n/2 + 1."""
+    """E |x|^2 = n / (2 beta - n - 2), finite iff |x| is in L^2(mu)
+    (1 < l2_growth_limit), else ValueError."""
     n, beta = params.n, params.beta
-    if beta <= n / 2 + 1:
+    if not 1 < l2_growth_limit(params):
         raise ValueError(f"second moment infinite for beta = {beta} <= n/2 + 1")
     return n / (2 * beta - n - 2)
 

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .functions import SmoothFunction
-from .measures import MeasureParams, mean_sq_norm
+from .measures import MeasureParams, l2_growth_limit, mean_sq_norm
 from .quadrature import _rel_err, _var_and_energy
 from .spectral import (GAP_FORMULA, Discretization, ModeProblem, NumericalBreakdown,
                        _hat_projection, _shifted_solve, range_edges)
@@ -36,9 +36,21 @@ __all__ = [
 
 def default_horizon(variance: float, gap_estimate: float) -> float:
     """Truncation time: the analytic tail e^{-2 lambda T} Var drops to 1e-8."""
-    if variance <= 0 or gap_estimate <= 0:
-        raise ValueError("need positive variance and gap estimate")
+    if not (0 < variance < math.inf and 0 < gap_estimate < math.inf):  # NaN fails
+        raise ValueError("need a positive, finite variance and gap estimate, got "
+                         f"{variance} and {gap_estimate}")
     return max(0.5 * math.log(variance / 1e-8) / gap_estimate, 1e-3)
+
+
+def _refuse_outside_l2(f: SmoothFunction, params: MeasureParams) -> None:
+    """ValueError where f declares a growth |x|^k with k at or past
+    `l2_growth_limit`: f is then not in L^2(mu), and its variance is
+    infinite.  An f that declares no growth passes."""
+    limit = l2_growth_limit(params)
+    if f.growth is not None and not f.growth < limit:
+        raise ValueError(
+            f"{f.label} grows like |x|^k with k = {f.growth:g}: not in L^2(mu) at "
+            f"n = {params.n}, beta = {params.beta:g}, which needs k < beta - n/2 = {limit:g}")
 
 
 # ----------------------------------------------------------------------
@@ -195,6 +207,11 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
     Sylvester count leaves no nontrivial value below), so
     tail_bound = sup_{lam >= sigma} |lam - rho| e^{-2 lam T} Var / |rho|
     bounds the discrepancy for every rho.
+
+    The identity holds on L^2(mu): an f whose declared growth puts it
+    outside (`SmoothFunction.growth`, `_refuse_outside_l2`) is refused with
+    a ValueError before any assembly, where its projection would report a
+    finite variance.
     """
     if not all(math.isfinite(x) for x in (rho, T, dt)):
         raise ValueError("rho, T and dt must be finite")
@@ -202,6 +219,7 @@ def variance_representation_check(f: SmoothFunction, rho: float, T: float,
         raise ValueError("rho must be nonzero")
     if dt <= 0.0 or T < 0.0:
         raise ValueError("need dt > 0 and T >= 0")
+    _refuse_outside_l2(f, params)
     T = max(1, int(math.ceil(T / dt - 1e-12))) * dt
     problems, vs, mass = _hat_projection(lambda r: _mode_profiles(f, params, r),
                                          params, disc)
@@ -223,14 +241,15 @@ _ROUTE_FINE = Discretization(m=768, delta=2e-3)
 
 
 def _range_lambda(params: MeasureParams, range_tag: str) -> float:
-    """The range's gap constant; the deficit's mid window (n/2 + 1, beta_U]
-    is wider than the gap's, from where linear functions enter L^2."""
+    """The range's gap constant; the deficit's mid window is wider than the
+    gap's: it opens where linear functions enter L^2 (1 < l2_growth_limit)
+    and closes at beta_U."""
     if range_tag not in GAP_FORMULA:
         raise ValueError(f"unknown range tag {range_tag!r}")
     n, beta = params.n, params.beta
     beta_l, beta_u = range_edges(n)
     inside = {"lower": beta <= beta_l,
-              "mid": n >= 2 and beta_l - 1.0 < beta <= beta_u,
+              "mid": n >= 2 and 1.0 < l2_growth_limit(params) and beta <= beta_u,
               "upper": beta >= beta_u}[range_tag]
     if not inside:
         raise ValueError(f"beta = {params.beta} outside the {range_tag} "
@@ -239,8 +258,10 @@ def _range_lambda(params: MeasureParams, range_tag: str) -> float:
 
 
 def _linear_variance(f: SmoothFunction, params: MeasureParams) -> float:
-    """Var <a, x> = |a|^2 E|x|^2 / n of a linear f (angular_mode 1);
-    ValueError where <a, x> is not in L^2, on the line the whole lower range."""
+    """Var <a, x> = |a|^2 E|x|^2 / n of a linear f (angular_mode 1).  Where
+    <a, x> is not in L^2 (on the line, the whole lower range) `deficit` has
+    refused f by its growth; `deficit_trace` and an f that declares none
+    meet `mean_sq_norm`'s ValueError here."""
     a = f.gradient(np.zeros((1, params.n)))[0]
     return float(a @ a) * mean_sq_norm(params) / params.n
 
@@ -302,12 +323,14 @@ def deficit(f: SmoothFunction, params: MeasureParams, range_tag: str) -> float:
     family, the centered quadratic).
 
     Linear and radial f (angular_mode 1 or 0) run at every n; any other f,
-    such as a random bump, raises ValueError past n = 3.  So does an f whose
-    quadrature Var(f) or int Gamma(f) dmu is not finite, such as the
-    centered quadratic where beta <= n/2 + 2: outside L^2(mu), its nodes'
-    values overflow.
+    such as a random bump, raises ValueError past n = 3.  An f outside
+    L^2(mu) raises ValueError: by its declared growth before any quadrature
+    (`_refuse_outside_l2`: linear f, the centered quadratic, the power
+    family), and, for an f that declares none, where its quadrature Var(f)
+    or int Gamma(f) dmu is not finite (its nodes' values overflow).
     """
     lam = _range_lambda(params, range_tag)
+    _refuse_outside_l2(f, params)
     with np.errstate(over="ignore", invalid="ignore"):
         var, energy = _var_and_energy(f, params)
     if not (math.isfinite(var) and math.isfinite(energy)):

@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .measures import MeasureParams, omega_moment
+from .measures import MeasureParams, l2_growth_limit, omega_moment
 
 __all__ = [
     "Discretization", "SymBand", "ModeProblem", "NumericalBreakdown", "GapReport",
@@ -91,11 +91,12 @@ def closed_form_gap(params: MeasureParams) -> tuple[float, str]:
 def mode_spectrum(params: MeasureParams, ell: int) -> list[float]:
     """Closed-form bottom of the spectrum of -L on mode ell, ascending.
 
-    L is triangular on r^k Y_ell, k = ell + 2j; each k < beta - n/2 gives the
-    eigenvalue 2(beta-1)k - k(k+n-2) + ell(ell+n-2), which lies
-    (beta - n/2 - k)^2 below the edge e_ell = (beta-n/2)^2 + ell(ell+n-2) of
-    the continuous spectrum, the last entry (the heavy-tailed Pearson
-    spectrum: Forman & Sorensen 2008; Avram, Leonenko & Suvak 2013).
+    L is triangular on r^k Y_ell, k = ell + 2j; each k < beta - n/2 (r^k in
+    L^2(mu), `l2_growth_limit`) gives the eigenvalue
+    2(beta-1)k - k(k+n-2) + ell(ell+n-2), which lies (beta - n/2 - k)^2
+    below the edge e_ell = (beta-n/2)^2 + ell(ell+n-2) of the continuous
+    spectrum, the last entry (the heavy-tailed Pearson spectrum: Forman &
+    Sorensen 2008; Avram, Leonenko & Suvak 2013).
     """
     return _pearson_values(params, ell, math.inf)
 
@@ -103,10 +104,11 @@ def mode_spectrum(params: MeasureParams, ell: int) -> list[float]:
 def _pearson_values(params: MeasureParams, ell: int, kmax: float) -> list[float]:
     """The entries of mode_spectrum(params, ell) for k < kmax, then the edge."""
     n, beta = params.n, params.beta
+    limit = l2_growth_limit(params)
     cl = ell * (ell + n - 2)
-    ks = np.arange(ell, min(kmax, beta - n / 2.0), 2)
+    ks = np.arange(ell, min(kmax, limit), 2)
     vals = 2.0 * (beta - 1.0) * ks - ks * (ks + n - 2) + cl
-    return vals.tolist() + [(beta - n / 2.0) ** 2 + cl]
+    return vals.tolist() + [limit ** 2 + cl]
 
 
 @lru_cache(maxsize=256)
@@ -119,12 +121,28 @@ def _mode_head(params: MeasureParams, ell: int) -> tuple[float, ...]:
     return tuple(_pearson_values(params, ell, ell + 4))
 
 
-# The supremum of the admissible eps of each Rayleigh family: f is in
-# L^2(mu) only below it, and each quotient refuses eps at or past it.
+# The supremum of the admissible eps of each Rayleigh family: f grows like
+# |x|^(2 eps) ("power") or |x|^(1 + 2 eps) ("oned", on the line), so it is
+# in L^2(mu) only below it (`l2_growth_limit`), and each quotient refuses
+# eps at or past it (`_admissible_eps`).
 RAYLEIGH_EPS_LIMIT = {
-    "power": lambda n, beta: (2.0 * beta - n) / 4.0,
-    "oned": lambda n, beta: (2.0 * beta - 3.0) / 4.0,
+    "power": lambda n, beta: l2_growth_limit(MeasureParams(n, beta)) / 2.0,
+    "oned": lambda n, beta: (l2_growth_limit(MeasureParams(n, beta)) - 1.0) / 2.0,
 }
+
+
+def _admissible_eps(epsilon: float, family: str, params: MeasureParams,
+                    f_name: str) -> float:
+    """epsilon as a float, or ValueError where it is not below
+    RAYLEIGH_EPS_LIMIT[family] (NaN included) or is -inf."""
+    eps = float(epsilon)
+    limit = RAYLEIGH_EPS_LIMIT[family](params.n, params.beta)
+    if not eps < limit:
+        raise ValueError(f"epsilon = {eps:g} is not below {limit:g}: "
+                         f"{f_name} is not square-integrable")
+    if eps == -math.inf:
+        raise ValueError("epsilon must be finite, got -inf")
+    return eps
 
 
 def rayleigh_quotient_power(epsilon: float, params: MeasureParams) -> float:
@@ -133,17 +151,13 @@ def rayleigh_quotient_power(epsilon: float, params: MeasureParams) -> float:
     With M_g = int (1+|x|^2)^g dmu (a normalization ratio),
       int Gamma(f) dmu = 4 eps^2 (M_{2eps} - M_{2eps-1}),
       Var(f)           = M_{2eps} - M_eps^2.
-    Only eps < RAYLEIGH_EPS_LIMIT["power"] = (2 beta - n)/4 keeps f in
-    L^2, else ValueError (NaN included); eps = 0 has zero variance.  As eps
+    Only a finite eps < RAYLEIGH_EPS_LIMIT["power"] keeps f in L^2, else
+    ValueError (NaN included); eps = 0 has zero variance.  As eps
     increases to the limit the value decreases to (beta - n/2)^2.
     """
-    eps = float(epsilon)
+    eps = _admissible_eps(epsilon, "power", params, "f")
     if eps == 0.0:
         raise ValueError("epsilon = 0 gives a constant function (zero variance)")
-    limit = RAYLEIGH_EPS_LIMIT["power"](params.n, params.beta)
-    if not eps < limit:
-        raise ValueError(f"epsilon = {eps:g} is not below {limit:g}: "
-                         "f is not square-integrable")
     m1 = omega_moment(-eps, params)
     m2 = omega_moment(-2.0 * eps, params)
     m2m = omega_moment(-(2.0 * eps - 1.0), params)
@@ -159,17 +173,13 @@ def rayleigh_quotient_1d(epsilon: float, params: MeasureParams) -> float:
     f is odd, so Var(f) = int f^2 = M_{2eps+1} - M_{2eps}; with
     f' = (1+2eps) w^eps - 2eps w^{eps-1} (w = 1+x^2),
       int w f'^2 = (1+2eps)^2 M_{2eps+1} - 4eps(1+2eps) M_{2eps} + 4eps^2 M_{2eps-1}.
-    Requires eps < RAYLEIGH_EPS_LIMIT["oned"] = (2 beta - 3)/4
-    (square-integrability of x w^eps), else ValueError (NaN included).  The
-    limit as eps increases to (2 beta - 3)/4 is (beta - 1/2)^2.
+    Requires a finite eps < RAYLEIGH_EPS_LIMIT["oned"] (square-integrability
+    of x w^eps), else ValueError (NaN included).  The value's limit as eps
+    increases to it is (beta - 1/2)^2.
     """
     if params.n != 1:
         raise ValueError(f"the family x (1+x^2)^eps needs n = 1, got n = {params.n}")
-    eps = float(epsilon)
-    limit = RAYLEIGH_EPS_LIMIT["oned"](params.n, params.beta)
-    if not eps < limit:
-        raise ValueError(f"epsilon = {eps:g} is not below {limit:g}: "
-                         "x (1+x^2)^eps is not square-integrable")
+    eps = _admissible_eps(epsilon, "oned", params, "x (1+x^2)^eps")
     m_p1 = omega_moment(-(2.0 * eps + 1.0), params)
     m_0 = omega_moment(-2.0 * eps, params)
     m_m1 = omega_moment(-(2.0 * eps - 1.0), params)
@@ -437,7 +447,10 @@ class NumericalBreakdown(ArithmeticError):
 
 
 def _admissible_rays(n: int, beta: float) -> tuple:
-    return tuple(k for k in (1, 2) if 2.0 * k < 2.0 * beta - n - 1e-9)
+    """The ray powers k in {1, 2} with r^k in L^2(mu), less a margin of
+    5e-10 on the limit: a ray closer to it has a tail moment near its pole."""
+    limit = l2_growth_limit(MeasureParams(n, beta))
+    return tuple(k for k in (1, 2) if k < limit - 5e-10)
 
 
 def _node_diag(left, right):

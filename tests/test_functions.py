@@ -263,3 +263,28 @@ def test_make_linear_refuses_a_zero_direction():
     for v in (np.zeros(3), [0.0]):
         with pytest.raises(ValueError, match="direction vector must be nonzero"):
             make_linear(v)
+
+
+def test_each_factory_declares_its_growth():
+    # |f| ~ |x|^k: the exponent the L^2 refusals compare with beta - n/2
+    assert make_linear(np.array([0.0, 2.0])).growth == 1.0
+    assert make_quadratic_centered(MeasureParams(3, 4.0)).growth == 2.0
+    assert make_power_family(0.3).growth == 0.6
+    assert make_lower_extremal_1d(1.2).growth == 1.2 - 0.5
+    # compact f make no claim
+    assert make_random_test(0, 2).growth is None
+    assert make_radial_log_cutoff(np.array([3.0, 0.0]), 0.5, 1.0).growth is None
+
+
+def test_factories_refuse_non_finite_parameters():
+    # a NaN growth would read as "not in L^2"; each factory names the
+    # parameter instead
+    for v in ([np.nan, 1.0], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="direction vector must be finite"):
+            make_linear(v)
+    for eps in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            make_power_family(eps)
+    for beta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            make_lower_extremal_1d(beta)

@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import gammaln
 
+from cauchygap import semigroup, spectral
 from cauchygap.cli import EXIT_OK, main
+from cauchygap.functions import make_quadratic_centered
 from cauchygap.measures import (
     MeasureParams,
     density,
@@ -93,6 +97,50 @@ def test_mean_sq_norm():
     p = MeasureParams(2, 1.8)  # 2*beta - n - 2 < 0: second moment diverges
     with pytest.raises(ValueError):
         mean_sq_norm(p)
+
+
+def _refuses(call, *args):
+    try:
+        call(*args)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("k", [1, 2])
+def test_every_l2_decision_agrees_with_the_exact_rule(n, k, tmp_path):
+    # |x|^k is in L^2(mu) iff beta - n/2 > k, in exact arithmetic.  At the
+    # edge beta = n/2 + k and at its two neighbouring doubles, each site
+    # that decides it must agree with that comparison
+    edge = n / 2 + k
+    for beta in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+        beta = float(beta)
+        p = MeasureParams(n, beta)
+        inside = Fraction(beta) - Fraction(n, 2) > k
+        # one entry of mode k's closed-form spectrum (r^k Y_k), then the edge
+        assert len(spectral.mode_spectrum(p, k)) == 1 + inside
+        # eps = k/2 (power) and eps = (k - 1)/2 (x (1+x^2)^eps on the line)
+        assert (spectral.RAYLEIGH_EPS_LIMIT["power"](n, beta) > k / 2) == inside
+        assert _refuses(spectral.rayleigh_quotient_power, k / 2, p) != inside
+        if n == 1:
+            assert (spectral.RAYLEIGH_EPS_LIMIT["oned"](n, beta) > (k - 1) / 2) == inside
+            assert _refuses(spectral.rayleigh_quotient_1d, (k - 1) / 2, p) != inside
+        if k == 1:
+            assert _refuses(mean_sq_norm, p) != inside
+            if n >= 2:  # the deficit's mid window opens where x enters L^2
+                assert _refuses(semigroup._range_lambda, p, "mid") != inside
+            out = tmp_path / f"sample_{beta!r}.csv"
+            assert main(["sample", "--n", str(n), "--beta", repr(beta), "--count", "2",
+                         "--seed", "0", "--out", str(out)]) == EXIT_OK
+            assert ("mean_sq_norm" in out.read_text()) == inside
+        else:
+            label = make_quadratic_centered(p).label
+            assert label.endswith(" (not in L2)") != inside
+    # the tail rays keep a margin on the limit: decided 1e-8 off the edge
+    for beta in (edge - 1e-8, edge + 1e-8):
+        inside = Fraction(beta) - Fraction(n, 2) > k
+        assert (k in spectral._admissible_rays(n, beta)) == inside
 
 
 @given(

@@ -46,6 +46,10 @@ def test_default_horizon():
         default_horizon(-1.0, 6.0)
     with pytest.raises(ValueError):
         default_horizon(0.1, 0.0)
+    # non-finite inputs returned nan, inf and the 1e-3 floor
+    for variance, gap in ((np.nan, 6.0), (np.inf, 6.0), (0.16, np.inf), (0.16, np.nan)):
+        with pytest.raises(ValueError, match="positive, finite"):
+            default_horizon(variance, gap)
 
 
 def test_variance_representation_quadratic():
@@ -593,16 +597,25 @@ def test_deficit_memory_does_not_grow_with_the_rule():
     assert peak < full / 4
 
 
-@pytest.mark.parametrize("make, n, beta, range_tag", [
+# f with Var(f) = inf, each growing like |x|^k with k >= beta - n/2 (the
+# quadratic's k = 2 equals it at (2, 3.0))
+_OUTSIDE_L2 = [
     (lambda p: make_quadratic_centered(p), 2, 3.0, "mid"),
     (lambda p: make_quadratic_centered(p), 3, 3.4, "mid"),
     (lambda p: make_quadratic_centered(p), 2, 2.5, "mid"),
     (lambda p: make_power_family(1.2), 2, 2.0, "lower"),
-])
+    (lambda p: make_linear(np.ones(3)), 3, 2.4, "lower"),
+    (lambda p: make_linear(np.ones(2)), 2, 1.8, "lower"),
+    (lambda p: make_linear(np.ones(1)), 1, 1.4, "lower"),
+]
+
+
+@pytest.mark.parametrize("make, n, beta, range_tag", _OUTSIDE_L2)
 def test_deficit_refuses_an_f_outside_l2(make, n, beta, range_tag):
-    # Var(f) = inf for these f; the quadrature overflows on the far nodes.
-    # The deficit refuses with the f, n and beta named, and lets no
-    # RuntimeWarning escape, where it returned NaN with two warnings
+    # Var(f) = inf for these f.  The deficit refuses them by their declared
+    # growth, before its quadrature (which overflows on the far nodes of the
+    # first four), with f, k, n and beta named, and lets no RuntimeWarning
+    # escape
     p = MeasureParams(n, beta)
     f = make(p)
     with warnings.catch_warnings():
@@ -611,6 +624,33 @@ def test_deficit_refuses_an_f_outside_l2(make, n, beta, range_tag):
             deficit(f, p, range_tag)
     msg = str(info.value)
     assert f.label in msg and f"n = {n}, beta = {beta:g}" in msg and "not in L^2" in msg
+    assert f"k = {f.growth:g}" in msg
+
+
+@pytest.mark.parametrize("make, n, beta, range_tag", _OUTSIDE_L2)
+def test_variance_check_refuses_an_f_outside_l2(make, n, beta, range_tag, monkeypatch):
+    # the projections of these f have finite discrete variances, and the
+    # check passed for each (err <= tail; lhs 18.4 for the quadratic at
+    # (2, 3.0), m = 256, delta = 1e-2, and 27.6 at delta = 1e-3).  It
+    # refuses them by their declared growth before any mode problem is
+    # assembled; the trace refuses them at its gate
+    p = MeasureParams(n, beta)
+    f = make(p)
+    assembled = []
+    build = spectral._mode_problems
+    monkeypatch.setattr(spectral, "_mode_problems",
+                        lambda *a, **kw: assembled.append(a) or build(*a, **kw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            variance_representation_check(f, closed_form_gap(p)[0], 1.0, 1e-3, p,
+                                          Discretization(m=256, delta=1e-2))
+        with pytest.raises(ValueError):
+            deficit_trace(f, p, range_tag, [0.0, 1.0])
+    assert not assembled
+    msg = str(info.value)
+    assert f.label in msg and f"k = {f.growth:g}" in msg
+    assert f"n = {n}, beta = {beta:g}" in msg and "not in L^2" in msg
 
 
 def test_deficit_upper_linear_zero():
@@ -914,11 +954,14 @@ def test_route_linear_matches_the_amplitude_algebra(n):
 
 def test_deficit_linear_on_the_line():
     # the linear gate holds on every n: x is the upper-range extremal on the
-    # line too, and in the lower range it is not in L^2, so the route refuses
+    # line too, and in the lower range it is not in L^2: the deficit refuses
+    # it by its growth, and the trace's closed form by its second moment
     f = make_linear(np.array([1.0]))
     assert abs(deficit(f, MeasureParams(1, 2.0), "upper")) < 1e-12
-    with pytest.raises(ValueError, match="second moment infinite"):
+    with pytest.raises(ValueError, match=r"k = 1: not in L\^2\(mu\) at n = 1, beta = 1.2"):
         deficit(f, MeasureParams(1, 1.2), "lower")
+    with pytest.raises(ValueError, match="second moment infinite"):
+        deficit_trace(f, MeasureParams(1, 1.2), "lower", 0.0)
 
 
 def test_deficit_trace_gate_refuses_unsupported_profiles():

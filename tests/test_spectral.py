@@ -1424,6 +1424,11 @@ def test_spectral_refusals():
             rayleigh_quotient_1d(eps, p)
     with pytest.raises(ValueError, match="is not below 0.4: f is not square-integrable"):
         rayleigh_quotient_power(np.nan, MeasureParams(2, 1.8))
+    # -inf is below every limit: refused by name, not by omega_moment's beta
+    with pytest.raises(ValueError, match="epsilon must be finite, got -inf"):
+        rayleigh_quotient_1d(-np.inf, p)
+    with pytest.raises(ValueError, match="epsilon must be finite, got -inf"):
+        rayleigh_quotient_power(-np.inf, MeasureParams(2, 1.8))
     # int_R^inf r^c (1+r^2)^(-d) dr needs 2d - c > 1
     with pytest.raises(ValueError, match="tail moment diverges"):
         _tail_moment(10.0, 2.0, 1.5)
